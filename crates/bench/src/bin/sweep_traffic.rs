@@ -19,14 +19,14 @@
 //!   any worker count, because every point seeds its RNG streams from
 //!   the config seed and its own index;
 //! - `--shards N` partitions every fabric step itself across `N`
-//!   region shards (`TorusFabric::set_shards`) — parallelism *within*
-//!   one simulation, composable with `--threads` parallelism *across*
-//!   points; like `--threads`, all output is byte-identical at any
-//!   shard count;
-//! - `--lookahead N` caps the sharded stepper's lookahead-epoch window
-//!   (`TorusFabric::set_shards_with_lookahead`) — by default every
-//!   shard runs up to the fabric's minimum positive link latency
-//!   (~80 cycles calibrated) between barriers; `N = 1` pins the
+//!   region shards (`TorusFabric::set_shards`; the default 1 runs the
+//!   epoch kernel inline) — parallelism *within* one simulation,
+//!   composable with `--threads` parallelism *across* points; like
+//!   `--threads`, all output is byte-identical at any shard count;
+//! - `--lookahead N` caps the epoch kernel's lookahead window at any
+//!   shard count, 1 included (`TorusFabric::set_shards_with_lookahead`)
+//!   — by default every shard runs up to the fabric's minimum positive
+//!   link latency (~80 cycles calibrated) per epoch; `N = 1` pins the
 //!   degenerate one-cycle window. Another pure execution knob: output
 //!   is byte-identical at any window;
 //! - `--calibrate` runs the request-only calibration workloads through
@@ -115,9 +115,10 @@ fn shards_arg() -> usize {
     n
 }
 
-/// The `--lookahead N` epoch-window cap (default: none — the sharded
-/// stepper uses the fabric's structural window, its minimum positive
-/// link latency). Like `--shards`, a pure execution choice.
+/// The `--lookahead N` epoch-window cap at any shard count (default:
+/// none — the epoch kernel uses the fabric's structural window, its
+/// minimum positive link latency). Like `--shards`, a pure execution
+/// choice.
 fn lookahead_arg() -> Option<u64> {
     let n =
         arg_value("--lookahead").map(|v| v.parse().expect("--lookahead takes a positive integer"));
@@ -735,11 +736,9 @@ fn overload_smoke(params: FabricParams, threads: usize) {
     // fabric and hopeless for a deadlocked one.
     let torus = Torus::new(dims);
     let mut fabric = TorusFabric::new(torus, params);
-    if shards > 1 {
-        fabric
-            .set_shards_with_lookahead(shards, lookahead_arg())
-            .unwrap_or_else(|e| panic!("cannot shard the drain-check fabric: {e}"));
-    }
+    fabric
+        .set_shards_with_lookahead(shards, lookahead_arg())
+        .unwrap_or_else(|e| panic!("cannot shard the drain-check fabric: {e}"));
     // Under --telemetry the drain-check fabric records: a genuinely
     // overloaded 512-node machine is the most informative stall picture
     // this binary produces, and CI uploads the summary artifact from

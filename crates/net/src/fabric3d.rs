@@ -566,8 +566,9 @@ impl TorusFabric {
         self.fabric.occupancy()
     }
 
-    /// Advances one cycle (event-driven: only routers with work are
-    /// visited; see [`crate::router::RouterFabric::step`]).
+    /// Advances one cycle (a one-cycle epoch of the event-driven kernel:
+    /// only routers with work are visited; see
+    /// [`crate::router::RouterFabric::step`]).
     pub fn step(&mut self) {
         self.fabric.step();
     }
@@ -606,26 +607,25 @@ impl TorusFabric {
         self.fabric.set_shards_with_lookahead(shards, lookahead)
     }
 
-    /// The widest lookahead-epoch window the sharded stepper may attempt
+    /// The widest lookahead-epoch window the epoch kernel may attempt
     /// (see [`crate::router::RouterFabric::lookahead`]).
     pub fn lookahead(&self) -> u64 {
         self.fabric.lookahead()
     }
 
-    /// Synchronization operations (pool launches + barrier crossings)
-    /// spent by the sharded epoch stepper (see
-    /// [`crate::router::RouterFabric::sync_ops`]).
+    /// Synchronization operations (pool launches + barrier crossings);
+    /// 0 at one shard (see [`crate::router::RouterFabric::sync_ops`]).
     pub fn sync_ops(&self) -> u64 {
         self.fabric.sync_ops()
     }
 
-    /// Lookahead epochs executed (see
+    /// Lookahead epochs executed, at any shard count (see
     /// [`crate::router::RouterFabric::epochs`]).
     pub fn epochs(&self) -> u64 {
         self.fabric.epochs()
     }
 
-    /// Simulated cycles advanced by the epoch stepper (see
+    /// Simulated cycles advanced by the epoch kernel (see
     /// [`crate::router::RouterFabric::cycles_stepped`]).
     pub fn cycles_stepped(&self) -> u64 {
         self.fabric.cycles_stepped()

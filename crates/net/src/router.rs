@@ -29,9 +29,12 @@
 //!
 //! # Event-driven stepping
 //!
+//! Every production step runs one kernel, the lookahead-epoch kernel of
+//! the `shard` module: inline on the calling thread at one shard, with
+//! pool workers for the other regions after [`RouterFabric::set_shards`].
 //! Large fabrics are mostly idle, and even saturated ones keep most
-//! (port, VC) pairs empty, so [`RouterFabric::step`] is organized around
-//! work lists rather than full scans:
+//! (port, VC) pairs empty, so the kernel is organized around work lists
+//! rather than full scans:
 //!
 //! - an **active-router worklist**: routers enqueue themselves when they
 //!   accept a flit (link arrival, same-cycle move, or injection) and are
@@ -56,10 +59,10 @@
 //! The pre-worklist full-scan stepper is retained verbatim as
 //! [`RouterFabric::step_reference`] (arbitrating via
 //! [`CycleRouter::tick`]): it is the executable specification the
-//! event-driven path must match bit for bit — same delivery log, same
-//! cycle numbers, same per-link counters — and the
-//! `stepper_equivalence` property tests and the `bench_fabric` harness
-//! hold the two to exactly that.
+//! kernel must match bit for bit at every shard count and window — same
+//! delivery log, same cycle numbers, same per-link counters and
+//! telemetry — and the `stepper_equivalence` property tests and the
+//! `bench_fabric` harness hold the two to exactly that.
 
 use crate::telemetry::{StallCause, Telemetry, TelemetryConfig};
 use anton_model::asic::INPUT_QUEUE_FLITS;
@@ -1196,14 +1199,15 @@ use shard::{ShardPool, ShardScratch};
 ///    read and written only by the shard owning the *upstream* end of
 ///    its link, element-wise through a raw pointer.
 ///
-/// There is exactly one [`SpinBarrier`] fence per epoch: shards run
-/// their whole private window with no synchronization (every
+/// There is exactly one [`SpinBarrier`] fence per multi-shard epoch:
+/// shards run their whole private window with no synchronization (every
 /// positive-latency link is at least one window long, so no cross-shard
 /// effect can land inside it), then the single end-of-epoch fence
 /// provides the acquire/release edge before the serial merge epilogue.
 /// The frame itself lives on the stepping thread's stack and is only
 /// dereferenced between pool launch and that fence, which the stepping
-/// thread also waits on.
+/// thread also waits on. A one-shard fabric has no pool: the stepping
+/// thread runs the window inline and is the frame's only user.
 #[allow(unsafe_code)]
 mod shard {
     use super::*;
@@ -1461,12 +1465,13 @@ mod shard {
     /// the serial prologue; everything else is written only by the owning
     /// shard during its private window and drained serially by the merge
     /// epilogue.
+    #[derive(Default)]
     pub(super) struct ShardScratch {
         /// Current private cycle's arbitration worklist, sorted ascending;
         /// holds the shard's surviving actives when the epoch ends.
         worklist: Vec<usize>,
-        /// Routers activated by this private cycle's accepts, merged into
-        /// the worklist before arbitration.
+        /// Routers activated by accepts (arrivals, zero-latency hops),
+        /// merged into the worklist before arbitration and at window end.
         incoming: Vec<usize>,
         /// Prologue-scheduled credit releases for this shard's links, in
         /// ascending cycle order.
@@ -1495,42 +1500,20 @@ mod shard {
         /// Epilogue cursor: segment starts (previous segment's ends) over
         /// `moves` / `stalls` / `delivered_eject` / `outwheel`.
         merged: (u32, u32, u32, u32),
-        /// Credit-probe scratch — the per-shard copy of the serial stepper's
-        /// `scratch_ok` / `scratch_gen` / `probe_gen` trio.
+        /// Credit-probe answers of the router being arbitrated
+        /// (`[out * vcs + vc]`), valid iff `probe_stamp` equals
+        /// `probe_gen` (bumped per router): no per-cycle clearing.
         probe_ok: Vec<bool>,
         probe_stamp: Vec<u64>,
         probe_gen: u64,
         /// Per-link advance stamps (`cycle + 1` when the link moved a flit
-        /// that cycle), offset by `link_base` — the shard-local stand-in
-        /// for `Telemetry::advanced_on` during parallel stall
-        /// classification.
+        /// that cycle), offset by the shard's first link — the shard-local
+        /// stand-in for `Telemetry::advanced_on` during parallel stall
+        /// classification. Sized on the first recorded cycle.
         adv_stamp: Vec<u64>,
-        /// Global link offset of this shard's first router.
-        link_base: usize,
     }
 
     impl ShardScratch {
-        pub(super) fn new(link_lo: usize, link_hi: usize) -> Self {
-            ShardScratch {
-                worklist: Vec::new(),
-                incoming: Vec::new(),
-                unreserve: Vec::new(),
-                accepts: Vec::new(),
-                moves: Vec::new(),
-                delivered_eject: Vec::new(),
-                outwheel: Vec::new(),
-                stalls: Vec::new(),
-                segs: Vec::new(),
-                seg_pos: 0,
-                merged: (0, 0, 0, 0),
-                probe_ok: Vec::new(),
-                probe_stamp: Vec::new(),
-                probe_gen: 0,
-                adv_stamp: vec![0; link_hi - link_lo],
-                link_base: link_lo,
-            }
-        }
-
         /// Heap bytes behind this shard's scratch buffers (for the
         /// fabric memory audit).
         pub(super) fn memory_bytes(&self) -> usize {
@@ -1602,7 +1585,6 @@ mod shard {
         /// Window width: shards privately simulate `cycle..cycle + window`.
         window: u64,
         n_routers: usize,
-        n_links: usize,
         routers: *mut CycleRouter,
         channels: *mut Vec<ChannelState>,
         next_free: *mut Vec<u64>,
@@ -1614,8 +1596,9 @@ mod shard {
         link_off: *const usize,
         credit_view: *const AtomicU32,
         credit_len: usize,
-        /// Per-link first shadow slot (`u32::MAX` for non-boundary links).
+        /// Per-link first shadow slot (see `RouterFabric::boundary_slot`).
         boundary_slot: *const u32,
+        boundary_len: usize,
         /// Boundary credit shadows, one slot per boundary `(link, vc)`.
         shadow: *mut u32,
         route: *const Box<RouteFn>,
@@ -1639,14 +1622,16 @@ mod shard {
     /// neither queued work nor a scheduled arrival. Every party — the
     /// stepping thread as shard 0, one pool worker per remaining shard —
     /// calls this exactly once per epoch, then waits on the epoch
-    /// barrier.
+    /// barrier (a one-shard fabric has neither workers nor barrier).
     ///
     /// Cross-shard effects cannot occur inside the window: every
     /// positive-latency link is at least `window` cycles long, so a flit
     /// departing during the window lands at or beyond the barrier, and
     /// every arrival *inside* the window was already in flight at the
     /// prologue (which turned it into this shard's `unreserve` /
-    /// `accepts` schedules). Probes and stall classification against
+    /// `accepts` schedules). Zero-latency router links never leave a
+    /// shard (`set_shards` rejects them), so their flits land in-shard
+    /// the cycle they depart. Probes and stall classification against
     /// remote downstream queues read the per-boundary credit shadow,
     /// which the prologue's window clamp keeps bit-exact (see
     /// [`RouterFabric::step_epoch`]).
@@ -1666,7 +1651,7 @@ mod shard {
         let queue_off = std::slice::from_raw_parts(sh.queue_off, sh.n_routers + 1);
         let link_off = std::slice::from_raw_parts(sh.link_off, sh.n_routers + 1);
         let credit_view = std::slice::from_raw_parts(sh.credit_view, sh.credit_len);
-        let boundary_slot = std::slice::from_raw_parts(sh.boundary_slot, sh.n_links);
+        let boundary_slot = std::slice::from_raw_parts(sh.boundary_slot, sh.boundary_len);
         let shadow_ptr = sh.shadow;
         let route: &RouteFn = (*sh.route).as_ref();
         let classify = (*sh.classify).as_deref();
@@ -1735,8 +1720,8 @@ mod shard {
                 scratch.worklist.sort_unstable();
             }
 
-            // Arbitration over the worklist — the serial stepper's loop,
-            // with boundary-link probes reading the epoch shadow.
+            // Arbitration over the worklist, with boundary-link probes
+            // reading the epoch shadow.
             let moves_start = scratch.moves.len();
             let mut kept = 0;
             for i in 0..scratch.worklist.len() {
@@ -1775,14 +1760,14 @@ mod shard {
                             let serializable = next_free_r[out] <= cycle;
                             probe_ok[i] = match wiring_r[out] {
                                 PortLink::Router { router, port } => {
-                                    let bslot = boundary_slot[link_base_r + out];
-                                    let credit = if bslot == u32::MAX {
+                                    let credit = if (lo..hi).contains(&router) {
                                         credit_view[queue_off[router] + port * vcs + vc as usize]
                                             .load(Ordering::Relaxed)
                                     } else {
-                                        // SAFETY: this shadow slot belongs
-                                        // to this link, whose upstream end
-                                        // this shard owns exclusively.
+                                        let bslot = boundary_slot[link_base_r + out];
+                                        // SAFETY: `partition` gave each
+                                        // link leaving this shard its own
+                                        // slot, owned by this shard.
                                         unsafe { *shadow_ptr.add(bslot as usize + vc as usize) }
                                     };
                                     serializable && reserved_r[i] < credit
@@ -1807,7 +1792,8 @@ mod shard {
                 // Stamp this cycle's advanced links, then classify every
                 // occupied front against the same private-cycle state the
                 // probes read — the epoch mirror of `telemetry_record`.
-                let base = scratch.link_base;
+                let base = link_off[lo];
+                scratch.adv_stamp.resize(link_off[hi] - base, 0);
                 for &(r, out, _) in &scratch.moves[moves_start..] {
                     scratch.adv_stamp[link_off[r] - base + out] = cycle + 1;
                 }
@@ -1843,12 +1829,12 @@ mod shard {
                                         router: dst,
                                         port: dport,
                                     } => {
-                                        let bslot = boundary_slot[link_off[r] + out];
-                                        let credit = if bslot == u32::MAX {
+                                        let credit = if (lo..hi).contains(&dst) {
                                             credit_view
                                                 [queue_off[dst] + dport * vcs + out_vc as usize]
                                                 .load(Ordering::Relaxed)
                                         } else {
+                                            let bslot = boundary_slot[link_off[r] + out];
                                             *shadow_ptr.add(bslot as usize + out_vc as usize)
                                         };
                                         if reserved[r - lo][out * vcs + out_vc as usize] >= credit {
@@ -1868,7 +1854,8 @@ mod shard {
 
             // Apply: departures enter their links. Every booking lands at
             // or beyond the epoch barrier (no positive link latency is
-            // shorter than the window), so they all go to the outwheel.
+            // shorter than the window), so they all go to the outwheel;
+            // zero-latency hops land in-shard this cycle.
             for i in moves_start..scratch.moves.len() {
                 let (r, out, flit) = scratch.moves[i];
                 debug_assert!(lo <= r && r < hi, "move escaped its shard");
@@ -1883,8 +1870,20 @@ mod shard {
                 }
                 let spec = ch.spec;
                 match wiring[r][out] {
-                    PortLink::Router { .. } if spec.latency == 0 => {
-                        unreachable!("sharded stepping requires latency >= 1 on router links")
+                    PortLink::Router {
+                        router: dst,
+                        port: dport,
+                    } if spec.latency == 0 => {
+                        // Flight folds into the downstream pipeline.
+                        assert!(lo <= dst && dst < hi, "zero-latency link left its shard");
+                        let d = &mut routers[dst - lo];
+                        d.accept(dport, flit.vc, flit, cycle);
+                        credit_view[queue_off[dst] + dport * d.vcs + flit.vc as usize]
+                            .fetch_sub(1, Ordering::Relaxed);
+                        if !is_active[dst - lo] {
+                            is_active[dst - lo] = true;
+                            scratch.incoming.push(dst);
+                        }
                     }
                     PortLink::Router { .. } => {
                         reserved[r - lo][out * vcs + flit.vc as usize] += 1;
@@ -1929,6 +1928,12 @@ mod shard {
             cycle += 1;
         }
 
+        // Routers a same-cycle hop activated in the last executed cycle
+        // start the next epoch on the worklist.
+        if !scratch.incoming.is_empty() {
+            scratch.worklist.append(&mut scratch.incoming);
+            scratch.worklist.sort_unstable();
+        }
         // Credit releases scheduled after the last executed cycle still
         // belong to this window; apply them before the barrier.
         while let Some(u) = scratch.unreserve.get(ui) {
@@ -1946,16 +1951,17 @@ mod shard {
             self.bounds.partition_point(|&b| b <= r) - 1
         }
 
-        /// The lookahead-epoch step (shard count > 1): selects the widest
-        /// window `W` every shard can legally simulate alone, replays the
-        /// window's already-in-flight arrivals into per-shard schedules
-        /// (the prologue), runs all shards privately for up to `W` cycles
-        /// with **one** pool launch and **one** end-of-epoch barrier —
-        /// where the per-cycle protocol paid one launch plus four barriers
+        /// The lookahead-epoch step, at every shard count: selects the
+        /// widest window `W` every shard can legally simulate alone,
+        /// replays the window's already-in-flight arrivals into per-shard
+        /// schedules (the prologue), runs all shards privately for up to
+        /// `W` cycles — inline when there is one shard, else with **one**
+        /// pool launch and **one** end-of-epoch barrier, where the
+        /// retired per-cycle protocol paid one launch plus four barriers
         /// per simulated cycle — then interleaves the per-shard outputs
         /// serially in (cycle, ascending shard) order, which over
-        /// contiguous ascending regions reproduces the serial steppers'
-        /// per-cycle ascending-router order exactly.
+        /// contiguous ascending regions reproduces the reference
+        /// stepper's per-cycle ascending-router order exactly.
         ///
         /// Window selection takes the minimum of:
         /// - the caller's stepping limit (`limit - cycle`),
@@ -1978,14 +1984,14 @@ mod shard {
         ///
         /// When the window drains the fabric, the cycle counter rewinds
         /// to one past the last cycle with any activity — the exact cycle
-        /// the serial steppers stop at — so drain-loop observables do not
+        /// per-cycle stepping stops at — so drain-loop observables do not
         /// depend on the window width.
         ///
         /// With `stop_at_delivery`, the window is pinned to one cycle,
         /// so a delivery-reactive driver (one that may inject follow-on
         /// traffic when a packet completes, like the sweep's force-return
-        /// workloads) regains control at exactly the cycle the serial
-        /// steppers would hand it — the [`RouterFabric::step_next_event`]
+        /// workloads) regains control at exactly the cycle per-cycle
+        /// stepping would hand it — the [`RouterFabric::step_next_event`]
         /// contract. The pin is necessary because deliveries on
         /// zero-latency ejection links happen *inside* shard windows,
         /// where no prologue can foresee them and no epoch can be
@@ -2012,46 +2018,29 @@ mod shard {
                 let len = tel.epoch_cycles();
                 w = w.min(len - t0 % len);
             }
-            if stop_at_delivery {
-                // A reactive caller must observe every delivery before
-                // the next cycle runs; ejections are decided inside the
-                // shard windows, so the only exact window is one cycle.
-                // The headroom clamp below cannot shrink a one-cycle
-                // window further, so only the shadow snapshot remains:
-                // arbitration reads boundary credits through the shadow,
-                // which must freeze this cycle's starting values against
-                // concurrent cross-shard accepts.
-                w = 1;
-                for b in &self.boundary {
-                    for vc in 0..b.vcs {
-                        self.shadow[(b.slot + vc) as usize] = self.credit_view
-                            [b.queue_base as usize + vc as usize]
-                            .load(Ordering::Relaxed);
-                    }
-                }
-            } else {
-                for b in &self.boundary {
-                    let interval = self.channels[b.router as usize][b.port as usize]
-                        .spec
-                        .interval
-                        .max(1);
-                    for vc in 0..b.vcs {
-                        let credit = self.credit_view[b.queue_base as usize + vc as usize]
-                            .load(Ordering::Relaxed);
-                        let held = self.reserved[b.router as usize]
-                            [b.port as usize * b.vcs as usize + vc as usize];
-                        let headroom = u64::from(credit.saturating_sub(held));
-                        let safe = if headroom >= 1 {
-                            (headroom - 1) * interval + 1
-                        } else {
-                            1
-                        };
-                        w = w.min(safe);
-                        self.shadow[(b.slot + vc) as usize] = credit;
-                    }
+            for b in &self.boundary {
+                let interval = self.channels[b.router as usize][b.port as usize]
+                    .spec
+                    .interval
+                    .max(1);
+                for vc in 0..b.vcs {
+                    let credit = self.credit_view[b.queue_base as usize + vc as usize]
+                        .load(Ordering::Relaxed);
+                    let held = self.reserved[b.router as usize]
+                        [b.port as usize * b.vcs as usize + vc as usize];
+                    let headroom = u64::from(credit.saturating_sub(held));
+                    let safe = if headroom >= 1 {
+                        (headroom - 1) * interval + 1
+                    } else {
+                        1
+                    };
+                    w = w.min(safe);
+                    self.shadow[(b.slot + vc) as usize] = credit;
                 }
             }
-            let w = w.max(1);
+            // Reactive callers get one-cycle windows (see above), still
+            // reading boundary credits through the fresh shadow.
+            let w = if stop_at_delivery { 1 } else { w.max(1) };
 
             // ---- Prologue: replay the window's arrivals as schedules ----
             let wheel_len = self.arrival_wheel.len() as u64;
@@ -2082,20 +2071,18 @@ mod shard {
                             port: dport,
                         } => {
                             let vcs = self.routers[r].vcs;
-                            let bslot = self.boundary_slot[self.link_off[r] + port];
-                            let shadow = if bslot == u32::MAX {
+                            let (src, dsh) = (self.shard_of(r), self.shard_of(dst));
+                            let shadow = if src == dsh {
                                 u32::MAX
                             } else {
-                                bslot + u32::from(flit.vc)
+                                self.boundary_slot[self.link_off[r] + port] + u32::from(flit.vc)
                             };
-                            let src = self.shard_of(r);
                             self.shard_scratch[src].unreserve.push(UnreserveAt {
                                 cycle: t,
                                 router: r as u32,
                                 queue: (port * vcs + flit.vc as usize) as u32,
                                 shadow,
                             });
-                            let dsh = self.shard_of(dst);
                             self.shard_scratch[dsh].accepts.push(AcceptAt {
                                 cycle: t,
                                 router: dst as u32,
@@ -2112,14 +2099,13 @@ mod shard {
                 t += 1;
             }
 
-            // ---- Private windows: one launch, one barrier ----
+            // ---- Private windows: inline, or one launch + one barrier ----
             let shards = self.bounds.len() - 1;
             {
                 let frame = StepShared {
                     cycle: t0,
                     window: w,
                     n_routers: self.routers.len(),
-                    n_links: self.link_off[self.routers.len()],
                     routers: self.routers.as_mut_ptr(),
                     channels: self.channels.as_mut_ptr(),
                     next_free: self.next_free.as_mut_ptr(),
@@ -2132,6 +2118,7 @@ mod shard {
                     credit_view: self.credit_view.as_ptr(),
                     credit_len: self.credit_view.len(),
                     boundary_slot: self.boundary_slot.as_ptr(),
+                    boundary_len: self.boundary_slot.len(),
                     shadow: self.shadow.as_mut_ptr(),
                     route: &self.route,
                     classify: &self.classify,
@@ -2141,15 +2128,22 @@ mod shard {
                     active_len: self.active.len(),
                     scratch: self.shard_scratch.as_mut_ptr(),
                 };
-                let pool = self.pool.as_ref().expect("epoch step without a pool");
-                pool.launch(&frame);
-                // SAFETY: the frame stays on this stack until every party —
-                // including this thread, as shard 0 — passes the epoch
-                // barrier, after which no worker touches it.
-                unsafe { run_shard_epoch(&frame, 0) };
-                pool.ctl.barrier.wait();
+                match &self.pool {
+                    Some(pool) => {
+                        pool.launch(&frame);
+                        // SAFETY: the frame stays on this stack until every
+                        // party — including this thread, as shard 0 —
+                        // passes the epoch barrier, after which no worker
+                        // touches it.
+                        unsafe { run_shard_epoch(&frame, 0) };
+                        pool.ctl.barrier.wait();
+                        self.sync_ops += 2;
+                    }
+                    // SAFETY: one shard and no workers: this thread is the
+                    // frame's only party, for as long as the frame lives.
+                    None => unsafe { run_shard_epoch(&frame, 0) },
+                }
             }
-            self.sync_ops += 2; // one pool launch + one epoch barrier
             self.epochs += 1;
 
             // ---- Serial merge epilogue: (cycle, shard) interleave ----
@@ -2164,7 +2158,15 @@ mod shard {
             let mut tel = self.telemetry.take();
             let mut land_pos = 0;
             let mut last_active = t0;
-            for c in t0..t0 + w {
+            // Only executed cycles carry events (zero-latency windows can
+            // span up to the caller's limit).
+            let end = self.shard_scratch[..shards]
+                .iter()
+                .filter_map(|sc| sc.segs.last().map(|seg| seg.cycle + 1))
+                .chain(self.land_sched.last().map(|&(c, _)| c + 1))
+                .max()
+                .unwrap_or(t0);
+            for c in t0..end {
                 let mut any = false;
                 // Advances, shard-ascending — within a shard, a cycle's
                 // move segment is already in ascending router order.
@@ -2179,7 +2181,7 @@ mod shard {
                     // A router can linger in the worklist one cycle past
                     // its last departure, emitting an empty segment; only
                     // real moves count toward the drain rewind, so the
-                    // stop cycle matches the serial steppers exactly.
+                    // stop cycle matches per-cycle stepping exactly.
                     if seg.moves_end > sc.merged.0 {
                         any = true;
                     }
@@ -2259,8 +2261,8 @@ mod shard {
             }
 
             self.cycle = if self.active.is_empty() && self.in_flight_total == 0 {
-                // Drained inside the window: stop where the serial
-                // steppers stop, independent of the window width.
+                // Drained inside the window: stop where per-cycle
+                // stepping stops, independent of the window width.
                 last_active + 1
             } else {
                 t0 + w
@@ -2289,8 +2291,8 @@ pub struct MemoryBreakdown {
     pub links: usize,
     /// The fabric-wide atomic credit mirror plus its queue offsets.
     pub credit_view: usize,
-    /// Fabric scheduling: arrival wheel, active worklists, probe and
-    /// departure scratch, shard scratch, and the delivery log.
+    /// Fabric scheduling: arrival wheel, active worklists, shard scratch
+    /// (probe and departure buffers), and the delivery log.
     pub scheduling: usize,
     /// Telemetry counters, epoch rings, and trace buffer (0 when off).
     pub telemetry: usize,
@@ -2339,7 +2341,7 @@ pub struct RouterFabric {
     /// lets [`Self::set_shards`] arbitrate regions concurrently: probes
     /// see the same credits no matter which thread (or order) asks.
     /// Atomic so shard workers can read any entry while each mutates
-    /// only its own routers' entries; the serial steppers use plain
+    /// only its own routers' entries; the reference stepper uses plain
     /// load/store orderings on the same array.
     credit_view: Vec<AtomicU32>,
     route: Box<RouteFn>,
@@ -2357,19 +2359,6 @@ pub struct RouterFabric {
     /// wheel length always exceeds the longest link latency (grown by
     /// [`Self::set_link_spec`]), so a slot never mixes cycles.
     arrival_wheel: Vec<Vec<(u64, u32, u32)>>,
-    /// Reusable per-router credit-probe buffer (`[out * vcs + vc]`);
-    /// only the entries probed this cycle are written or read.
-    scratch_ok: Vec<bool>,
-    /// Generation stamp per probe entry: an entry is valid for the
-    /// current (router, cycle) iff its stamp equals `probe_gen`, so
-    /// repeated probes of one (out, vc) pair compute the credit check
-    /// once without any per-cycle clearing.
-    scratch_gen: Vec<u64>,
-    /// The current probe generation (bumped once per arbitrated router).
-    probe_gen: u64,
-    /// Reusable departure buffer (`(router, out, flit)`), persisted
-    /// across cycles to keep the step phase allocation-free.
-    moves: Vec<(usize, usize, Flit)>,
     /// Active-router worklist: every non-idle router is on it (routers
     /// enqueue themselves on accept/injection and are pruned when idle).
     active: Vec<usize>,
@@ -2382,9 +2371,9 @@ pub struct RouterFabric {
     telemetry: Option<Box<Telemetry>>,
     /// Shard partition of the router index space:
     /// `bounds[s]..bounds[s + 1]` is shard `s`'s contiguous router
-    /// range (`len == shards + 1`; `[0, n]` when unsharded). Contiguous
-    /// ranges visited in shard order reproduce the serial ascending
-    /// router order, which is what keeps every shard count
+    /// range (`len == shards + 1`; `[0, n]` with one shard). Contiguous
+    /// ranges visited in shard order reproduce the reference stepper's
+    /// ascending router order, which is what keeps every shard count
     /// bit-identical.
     bounds: Vec<usize>,
     /// Flat start offset of each router's links (prefix sums of wiring
@@ -2392,14 +2381,14 @@ pub struct RouterFabric {
     link_off: Vec<usize>,
     /// Per-shard worker scratch (epoch schedules, worklists, departures,
     /// stall events, credit-probe buffers), filled by the epoch prologue
-    /// and merged serially after the epoch barrier.
+    /// and merged serially after each epoch.
     shard_scratch: Vec<ShardScratch>,
     /// Every router-to-router link whose ends live in different shards,
-    /// in ascending link order (empty when unsharded). Drives the epoch
+    /// in ascending link order (empty with one shard). Drives the epoch
     /// window's credit-headroom clamp and the shadow refresh.
     boundary: Vec<shard::BoundaryLink>,
-    /// Per-link first shadow slot (`u32::MAX` for links that do not
-    /// cross a shard boundary); parallel to the flat link index space.
+    /// Per-link first shadow slot, parallel to the flat link index space
+    /// (`u32::MAX` for links inside a shard; empty when every link is).
     boundary_slot: Vec<u32>,
     /// Boundary credit shadows, one slot per boundary `(link, vc)`:
     /// refreshed from `credit_view` at each epoch prologue, debited by
@@ -2417,13 +2406,13 @@ pub struct RouterFabric {
     /// Epoch-prologue schedule of endpoint landings inside the window,
     /// `(cycle, flit)` ascending; drained by the merge epilogue.
     land_sched: Vec<(u64, Flit)>,
-    /// Synchronization operations spent on the epoch path: one pool
-    /// launch plus one barrier crossing per epoch (the per-cycle
-    /// protocol cost five per simulated cycle).
+    /// Synchronization operations: one pool launch plus one barrier
+    /// crossing per multi-shard epoch (the retired per-cycle protocol
+    /// cost five per simulated cycle); one-shard epochs spend none.
     sync_ops: u64,
-    /// Lookahead epochs executed.
+    /// Lookahead epochs executed, at any shard count.
     epochs: u64,
-    /// Simulated cycles advanced by the epoch path.
+    /// Simulated cycles advanced by the epoch kernel.
     cycles_stepped: u64,
     /// Worker threads driving shards `1..` (None when `shards == 1`).
     pool: Option<ShardPool>,
@@ -2484,7 +2473,7 @@ impl RouterFabric {
             loff += row.len();
         }
         link_off.push(loff);
-        RouterFabric {
+        let mut fabric = RouterFabric {
             routers,
             wiring,
             channels,
@@ -2498,14 +2487,10 @@ impl RouterFabric {
             delivered: Vec::new(),
             in_flight_total: 0,
             arrival_wheel: vec![Vec::new()],
-            scratch_ok: Vec::new(),
-            scratch_gen: Vec::new(),
-            probe_gen: 0,
-            moves: Vec::new(),
             active: Vec::new(),
             is_active: vec![false; n],
             telemetry: None,
-            bounds: vec![0, n],
+            bounds: Vec::new(),
             link_off,
             shard_scratch: Vec::new(),
             boundary: Vec::new(),
@@ -2518,7 +2503,9 @@ impl RouterFabric {
             epochs: 0,
             cycles_stepped: 0,
             pool: None,
-        }
+        };
+        fabric.partition(1, None);
+        fabric
     }
 
     /// Enables telemetry recording from the current cycle: stall-cause
@@ -2593,9 +2580,6 @@ impl RouterFabric {
                 .sum::<usize>()
             + (self.active.capacity() + self.bounds.capacity()) * size_of::<usize>()
             + self.is_active.capacity()
-            + self.scratch_ok.capacity()
-            + self.scratch_gen.capacity() * size_of::<u64>()
-            + self.moves.capacity() * size_of::<(usize, usize, Flit)>()
             + self.delivered.capacity() * size_of::<(u64, Flit)>()
             + self.land_sched.capacity() * size_of::<(u64, Flit)>()
             + self.boundary.capacity() * size_of::<shard::BoundaryLink>()
@@ -2791,12 +2775,11 @@ impl RouterFabric {
         }
     }
 
-    /// Phase 1 of a step, shared by both steppers: link arrivals due
-    /// this cycle land in their downstream queues (activating the
-    /// accepting router) or in the delivery log, visiting exactly the
-    /// links the arrival wheel has scheduled for this cycle. Credits
-    /// were reserved at departure, so acceptance cannot overflow the
-    /// queue.
+    /// Phase 1 of a reference step: link arrivals due this cycle land
+    /// in their downstream queues (activating the accepting router) or
+    /// in the delivery log, visiting exactly the links the arrival wheel
+    /// has scheduled for this cycle. Credits were reserved at departure,
+    /// so acceptance cannot overflow the queue.
     fn land_arrivals(&mut self, cycle: u64) {
         if self.in_flight_total == 0 {
             return;
@@ -2839,10 +2822,10 @@ impl RouterFabric {
         self.arrival_wheel[slot] = bucket;
     }
 
-    /// Phase 3 of a step, shared by both steppers: departures enter
-    /// their links (same-cycle for latency-0 links), counters update,
-    /// ejections are recorded, and same-cycle accepts activate their
-    /// routers. Drains `moves` in place.
+    /// Phase 3 of a reference step: departures enter their links
+    /// (same-cycle for latency-0 links), counters update, ejections are
+    /// recorded, and same-cycle accepts activate their routers. Drains
+    /// `moves` in place.
     fn apply_moves(&mut self, moves: &mut Vec<(usize, usize, Flit)>, cycle: u64) {
         for (r, out, flit) in moves.drain(..) {
             let class = self.classify.as_deref().map(|f| f(&flit));
@@ -2914,8 +2897,9 @@ impl RouterFabric {
         tel.roll(cycle, occ);
     }
 
-    /// Telemetry recording, shared by both steppers. Runs
-    /// post-arbitration, pre-[`Self::apply_moves`]: departed flits are
+    /// Telemetry recording of the reference stepper (the epoch kernel
+    /// classifies shard-locally and merges). Runs post-arbitration,
+    /// pre-[`Self::apply_moves`]: departed flits are
     /// already popped from their queues, but the link timers
     /// (`next_free`) and credit reservations (`reserved`) still hold
     /// the state this cycle's arbitration read. Each departure marks
@@ -3000,125 +2984,12 @@ impl RouterFabric {
     /// Advances the fabric one cycle: link arrivals land, every router
     /// **with work** arbitrates (the active worklist — idle routers are
     /// never visited), departures enter their links (same-cycle for
-    /// latency-0 links), ejections are recorded. Produces bit-identical
-    /// results to [`Self::step_reference`] — at every shard count
-    /// configured via [`Self::set_shards`], which routes this call to
-    /// the region-partitioned stepper.
+    /// latency-0 links), ejections are recorded. A one-cycle epoch of
+    /// the lookahead kernel at the configured shard count, bit-identical
+    /// to [`Self::step_reference`].
     pub fn step(&mut self) {
-        if self.pool.is_some() {
-            // A degenerate one-cycle epoch: still one launch plus one
-            // barrier instead of the retired per-cycle protocol's five
-            // synchronization points.
-            let limit = self.cycle + 1;
-            self.step_epoch(limit, false);
-        } else {
-            self.step_event();
-        }
-    }
-
-    /// The single-threaded event-driven step (shard count 1).
-    fn step_event(&mut self) {
-        let cycle = self.cycle;
-        if self.telemetry.is_some() {
-            self.telemetry_begin_step();
-        }
-        self.land_arrivals(cycle);
-
-        // 2. Arbitration over the active worklist. Downstream-credit
-        //    probes run against the link state (single-cycle credit
-        //    latency is folded into the pipeline constant) and count
-        //    credits reserved by in-flight flits, computed only for the
-        //    (out, vc) pairs this cycle's candidates and owners can ask
-        //    about. Idle routers are pruned from the worklist here.
-        let mut moves = std::mem::take(&mut self.moves);
-        debug_assert!(moves.is_empty(), "stale departure buffer");
-        if !self.active.is_empty() {
-            let mut active = std::mem::take(&mut self.active);
-            let mut scratch = std::mem::take(&mut self.scratch_ok);
-            let mut scratch_gen = std::mem::take(&mut self.scratch_gen);
-            // Ascending router order keeps the departure order — and so
-            // the same-cycle delivery order — identical to the full scan.
-            active.sort_unstable();
-            let mut kept = 0;
-            for i in 0..active.len() {
-                let r = active[i];
-                if self.routers[r].is_idle() {
-                    self.is_active[r] = false;
-                    continue;
-                }
-                active[kept] = r;
-                kept += 1;
-                self.routers[r].mature(cycle, &*self.route);
-                let vcs = self.routers[r].vcs;
-                let need = self.wiring[r].len() * vcs;
-                if scratch.len() < need {
-                    scratch.resize(need, false);
-                    scratch_gen.resize(need, 0);
-                }
-                self.probe_gen += 1;
-                let gen = self.probe_gen;
-                let next_free_r = &self.next_free[r];
-                let reserved_r = &self.reserved[r];
-                {
-                    let wiring = &self.wiring[r];
-                    let queue_off = &self.queue_off;
-                    let credit_view = &self.credit_view;
-                    let scratch = &mut scratch;
-                    let scratch_gen = &mut scratch_gen;
-                    self.routers[r].for_each_probe(
-                        |out| next_free_r[out] <= cycle,
-                        |out, vc| {
-                            let i = out * vcs + vc as usize;
-                            if scratch_gen[i] == gen {
-                                return; // already probed this router-cycle
-                            }
-                            scratch_gen[i] = gen;
-                            let serializable = next_free_r[out] <= cycle;
-                            scratch[i] = match wiring[out] {
-                                PortLink::Router { router, port } => {
-                                    serializable
-                                        && (reserved_r[i] as usize)
-                                            < credit_view
-                                                [queue_off[router] + port * vcs + vc as usize]
-                                                .load(Ordering::Relaxed)
-                                                as usize
-                                }
-                                PortLink::Endpoint(_) => serializable,
-                                PortLink::Unused => false,
-                            };
-                        },
-                    );
-                }
-                self.routers[r].arbitrate_into(
-                    cycle,
-                    |out| next_free_r[out] <= cycle,
-                    |out, vc| scratch[out * vcs + vc as usize],
-                    &mut moves,
-                );
-            }
-            active.truncate(kept);
-            self.active = active;
-            self.scratch_ok = scratch;
-            self.scratch_gen = scratch_gen;
-        }
-
-        if self.telemetry.is_some() {
-            self.telemetry_record(&moves, cycle);
-        }
-        self.apply_moves(&mut moves, cycle);
-        // Departures return their credits only now — uniformly one cycle
-        // later, never mid-arbitration (see `credit_view`). Only routers
-        // that arbitrated can have parked credits, and all of those are
-        // still on the worklist this cycle.
-        for i in 0..self.active.len() {
-            let r = self.active[i];
-            self.return_credits(r);
-        }
-        if self.telemetry.is_some() {
-            self.telemetry_note_deliveries();
-        }
-        self.moves = moves;
-        self.cycle += 1;
+        let limit = self.cycle + 1;
+        self.step_epoch(limit, false);
     }
 
     /// Advances the fabric one cycle with the retained **reference**
@@ -3191,8 +3062,8 @@ impl RouterFabric {
     }
 
     /// Applies the credits parked by router `r`'s departures this cycle
-    /// (its drained `popped` list) to the credit mirror — the uniform
-    /// end-of-cycle credit return both steppers share.
+    /// (its drained `popped` list) to the credit mirror — the reference
+    /// stepper's uniform end-of-cycle credit return.
     fn return_credits(&mut self, r: usize) {
         let off = self.queue_off[r];
         for idx in self.routers[r].popped.drain(..) {
@@ -3211,13 +3082,13 @@ impl RouterFabric {
     }
 
     /// The number of contiguous router regions [`Self::step`] advances
-    /// in parallel (1 = the single-threaded event-driven stepper).
+    /// in parallel (1 = the epoch kernel inline on the calling thread).
     pub fn shards(&self) -> usize {
         self.bounds.len() - 1
     }
 
     /// The effective lookahead bound: the widest epoch window the
-    /// sharded stepper may attempt before the per-epoch dynamic clamps
+    /// kernel may attempt before the per-epoch dynamic clamps
     /// (stepping limit, telemetry epoch boundary, boundary credit
     /// headroom). The structural bound — the minimum positive link
     /// latency — capped by [`Self::set_shards_with_lookahead`].
@@ -3227,19 +3098,21 @@ impl RouterFabric {
     }
 
     /// Synchronization operations (pool launches + barrier crossings)
-    /// spent by the sharded epoch stepper since construction. Zero on a
-    /// never-sharded fabric.
+    /// spent since construction. One-shard epochs run inline and spend
+    /// none, so this stays zero on a never-sharded fabric.
     pub fn sync_ops(&self) -> u64 {
         self.sync_ops
     }
 
-    /// Lookahead epochs executed since construction.
+    /// Lookahead epochs executed since construction, at any shard count
+    /// (every [`Self::step`] is one).
     pub fn epochs(&self) -> u64 {
         self.epochs
     }
 
-    /// Simulated cycles advanced by the epoch stepper since
-    /// construction (the denominator for sync-ops-per-cycle metrics).
+    /// Simulated cycles advanced by the epoch kernel since
+    /// construction, at any shard count (the denominator for
+    /// sync-ops-per-cycle metrics).
     pub fn cycles_stepped(&self) -> u64 {
         self.cycles_stepped
     }
@@ -3265,11 +3138,11 @@ impl RouterFabric {
     /// replays per-shard outputs in the serial (cycle, ascending
     /// router) order.
     ///
-    /// `lookahead` caps the epoch window below the structural bound —
-    /// `Some(1)` degenerates to one-cycle epochs (the most serial-like
-    /// schedule, useful in tests); `None` lets the window grow to the
-    /// minimum positive link latency (~80 cycles at the calibrated
-    /// Anton 3 link spec).
+    /// `lookahead` caps the epoch window below the structural bound, at
+    /// one shard too — `Some(1)` degenerates to one-cycle epochs (the
+    /// most serial-like schedule, useful in tests); `None` lets the
+    /// window grow to the minimum positive link latency (~80 cycles at
+    /// the calibrated Anton 3 link spec).
     ///
     /// Only allowed on a **drained** fabric — shard ownership of queues,
     /// delay lines, and scratch cannot change hands mid-protocol.
@@ -3313,25 +3186,8 @@ impl RouterFabric {
                 }
             }
         }
-        self.pool = None; // joins any previous workers first
-        self.bounds = (0..=shards).map(|s| s * n / shards).collect();
-        debug_assert!(
-            self.bounds.windows(2).all(|b| b[0] < b[1]),
-            "shards <= routers must yield non-empty regions"
-        );
-        self.lookahead_cap = lookahead;
-        self.shard_scratch = (0..shards)
-            .map(|s| {
-                ShardScratch::new(
-                    self.link_off[self.bounds[s]],
-                    self.link_off[self.bounds[s + 1]],
-                )
-            })
-            .collect();
-
-        // Exact recompute of the structural lookahead bound, then the
-        // boundary tables: every router-to-router link whose ends fall in
-        // different regions gets a per-VC credit-shadow slot.
+        // Exact recompute of the structural lookahead bound (link specs
+        // may have been raised since construction).
         self.min_pos_latency = u64::MAX;
         for row in &self.channels {
             for ch in row {
@@ -3340,13 +3196,34 @@ impl RouterFabric {
                 }
             }
         }
+        self.partition(shards, lookahead);
+        Ok(())
+    }
+
+    /// Installs a partition into `shards` contiguous router regions with
+    /// window cap `lookahead` — region bounds, shard scratch, the
+    /// boundary credit-shadow tables, and pool workers for shards `1..`
+    /// — on a drained fabric. A fresh fabric starts with one shard and
+    /// no cap.
+    fn partition(&mut self, shards: usize, lookahead: Option<u64>) {
+        let n = self.routers.len();
+        self.pool = None; // joins any previous workers first
+        self.bounds = (0..=shards).map(|s| s * n / shards).collect();
+        debug_assert!(
+            self.bounds.windows(2).all(|b| b[0] < b[1]),
+            "shards <= routers must yield non-empty regions"
+        );
+        self.lookahead_cap = lookahead;
+        self.shard_scratch = (0..shards).map(|_| ShardScratch::default()).collect();
+
+        // Boundary tables: every router-to-router link whose ends fall in
+        // different regions gets a per-VC credit-shadow slot.
         self.boundary.clear();
-        self.boundary_slot.clear();
-        self.boundary_slot.resize(self.link_off[n], u32::MAX);
+        self.boundary_slot = Vec::new();
         self.shadow.clear();
-        if shards > 1 {
-            for (r, row) in self.wiring.iter().enumerate() {
-                for (port, link) in row.iter().enumerate() {
+        for region in self.bounds.windows(2).map(|b| b[0]..b[1]) {
+            for r in region.clone() {
+                for (port, link) in self.wiring[r].iter().enumerate() {
                     let PortLink::Router {
                         router: dst,
                         port: dport,
@@ -3354,8 +3231,11 @@ impl RouterFabric {
                     else {
                         continue;
                     };
-                    if self.shard_of(r) == self.shard_of(dst) {
+                    if region.contains(&dst) {
                         continue;
+                    }
+                    if self.boundary_slot.is_empty() {
+                        self.boundary_slot.resize(self.link_off[n], u32::MAX);
                     }
                     let vcs = self.routers[r].vcs;
                     let slot = self.shadow.len() as u32;
@@ -3376,10 +3256,7 @@ impl RouterFabric {
         // the new partition from a clean one.
         self.active.clear();
         self.is_active.fill(false);
-        if shards > 1 {
-            self.pool = Some(ShardPool::new(shards));
-        }
-        Ok(())
+        self.pool = (shards > 1).then(|| ShardPool::new(shards));
     }
 
     /// The earliest pending link-arrival cycle, if any flit is in flight.
@@ -3398,35 +3275,30 @@ impl RouterFabric {
     /// provably no-ops (no queued work, no due arrival) — so delivery
     /// logs and counters are bit-identical, only cheaper.
     ///
-    /// On a sharded fabric this runs a single-cycle lookahead epoch
-    /// (deliveries are decided inside shard windows, so the only window
-    /// a reactive caller can observe exactly is one cycle), while still
-    /// jumping dead stretches — a caller reacting to deliveries
-    /// (injecting follow-on traffic, checking completion) observes
-    /// exactly the cycles the serial stepper would hand it. Callers
-    /// that only consume the delivery log after the fact should prefer
-    /// [`Self::step_batched`], which amortizes synchronization over
-    /// full lookahead windows.
+    /// The step is a single-cycle lookahead epoch, so a caller reacting
+    /// to deliveries (injecting follow-on traffic, checking completion)
+    /// observes exactly the cycles per-cycle stepping would hand it.
+    /// Callers that only consume the delivery log after the fact should
+    /// prefer [`Self::step_batched`], which runs full lookahead windows.
     pub fn step_next_event(&mut self, limit: u64) {
         self.step_ahead(limit, true);
     }
 
     /// Event-driven advance with full lookahead windows: like
-    /// [`Self::step_next_event`], but on a sharded fabric each call runs
-    /// an epoch of up to the configured lookahead window, batching any
-    /// deliveries it produces rather than stopping at the first one.
-    /// Every delivery is still stamped with its exact cycle in
-    /// [`Self::delivered`]; only the cycle at which the caller regains
-    /// control differs. Use when nothing reacts mid-drain — replaying a
-    /// fixed schedule, draining without follow-on traffic — and the
-    /// per-cycle barrier cost of the reactive stepper would dominate.
+    /// [`Self::step_next_event`], but each call runs an epoch of up to
+    /// the configured lookahead window, batching any deliveries it
+    /// produces rather than stopping at the first one. Every delivery is
+    /// still stamped with its exact cycle in [`Self::delivered`]; only
+    /// the cycle at which the caller regains control differs. Use when
+    /// nothing reacts mid-drain (replaying a fixed schedule, draining
+    /// without follow-on traffic).
     pub fn step_batched(&mut self, limit: u64) {
         self.step_ahead(limit, false);
     }
 
-    /// Shared event-driven advance: the dead-cycle jump plus either a
-    /// serial step or a lookahead epoch (`stop_at_delivery` as in
-    /// [`shard`]'s `step_epoch`).
+    /// Shared event-driven advance: the dead-cycle jump plus one
+    /// lookahead epoch (`stop_at_delivery` as in [`shard`]'s
+    /// `step_epoch`).
     fn step_ahead(&mut self, limit: u64, stop_at_delivery: bool) {
         if self.cycle >= limit {
             return;
@@ -3442,11 +3314,7 @@ impl RouterFabric {
                 }
             }
         }
-        if self.pool.is_some() {
-            self.step_epoch(limit, stop_at_delivery);
-        } else {
-            self.step_event();
-        }
+        self.step_epoch(limit, stop_at_delivery);
     }
 
     /// Advances the fabric to `target` exactly as repeated [`Self::step`]
@@ -3482,9 +3350,9 @@ impl RouterFabric {
     /// Dead time between link arrivals is fast-forwarded, so draining a
     /// quiescent fabric with long links costs one step per event rather
     /// than one per cycle. No caller can react between the internal
-    /// advances, so on a sharded fabric this runs full-width lookahead
-    /// epochs (deliveries inside a window do not end it); the final
-    /// cycle and every observable still match the serial drain exactly.
+    /// advances, so this runs full-width lookahead epochs (deliveries
+    /// inside a window do not end it); the final cycle and every
+    /// observable still match a per-cycle drain exactly.
     pub fn run_until_drained(&mut self, max_cycles: u64) -> bool {
         let limit = self.cycle.saturating_add(max_cycles);
         while self.cycle < limit {
@@ -3911,6 +3779,35 @@ mod tests {
                 );
             }
         }
+
+        // Every row link has latency 0, so the lookahead window is
+        // unbounded: one batched drain is a single multi-cycle epoch whose
+        // same-cycle hops land inside the window. A 3-cycle ejection link
+        // at the row's end bounds the window instead, and its deliveries
+        // land from the epoch prologue's schedule.
+        for eject in [0u64, 3] {
+            let (mut batched, mut naive) = (build_row(6, 2, 2), build_row(6, 2, 2));
+            for fabric in [&mut batched, &mut naive] {
+                let spec = LinkSpec {
+                    latency: eject,
+                    interval: 1,
+                };
+                fabric.set_link_spec(5, 2, spec);
+                for p in 0..2 * INPUT_QUEUE_FLITS as u64 {
+                    let f = flit(p, 0, 1, (p % 6) as u32, (p % 2) as u8);
+                    assert!(fabric.inject(0, 0, f).is_ok());
+                }
+            }
+            assert!(batched.run_until_drained(1_000));
+            if eject == 0 {
+                assert_eq!(batched.epochs(), 1, "the drain must be one window");
+            }
+            while naive.occupancy() > 0 {
+                naive.step_reference();
+            }
+            assert_eq!(batched.delivered(), naive.delivered(), "eject {eject}");
+            assert_eq!(batched.cycle(), naive.cycle(), "eject {eject}: stop cycles");
+        }
     }
 
     /// A row whose inter-router links all have one-cycle latency — the
@@ -3991,7 +3888,7 @@ mod tests {
         assert!(f.set_shards(2).is_ok());
         assert_eq!(f.lookahead(), 1);
         // The cap is part of the partition config, accepted on a single
-        // shard too (where the serial stepper simply ignores it).
+        // shard too (where it caps the inline kernel's window).
         assert!(f.set_shards_with_lookahead(1, Some(3)).is_ok());
         assert_eq!(f.shards(), 1);
     }

@@ -76,7 +76,7 @@ pub const SWEEP_SCHEMA_VERSION: u32 = 3;
 /// plus the execution knobs and costs that provably do *not* —
 /// `threads` (the report is byte-identical at any worker count),
 /// `epoch_cycles` (the telemetry epoch length, 0 when telemetry was
-/// off), and the sharded stepper's `sync_ops`/`epochs` totals, which
+/// off), and the epoch kernel's `sync_ops`/`epochs` totals, which
 /// surface barrier-frequency regressions in reports without changing a
 /// single measured byte.
 #[derive(Clone, Debug, Serialize)]
@@ -89,12 +89,12 @@ pub struct ConfigEcho {
     pub threads: usize,
     /// Telemetry epoch length in cycles; 0 when telemetry was disabled.
     pub epoch_cycles: u64,
-    /// Synchronization operations (pool launches + epoch barriers)
-    /// spent by the sharded stepper, summed over every point fabric in
-    /// the sweep; 0 on the single-threaded path.
+    /// Synchronization operations (pool launches + epoch barriers),
+    /// summed over every point fabric in the sweep; 0 at one shard,
+    /// where epochs run inline.
     pub sync_ops: u64,
-    /// Lookahead epochs executed, summed over every point fabric; 0 on
-    /// the single-threaded path.
+    /// Lookahead epochs executed, summed over every point fabric, at
+    /// any shard count.
     pub epochs: u64,
 }
 
@@ -121,16 +121,16 @@ pub struct SweepConfig {
     /// roughly double the carried load at a given offered rate.
     pub respond: bool,
     /// Worker shards the fabric step is partitioned across
-    /// ([`TorusFabric::set_shards`]); 1 runs the single-threaded
-    /// event core. Sharding is an execution strategy, not a model
-    /// parameter: every measurement is bit-identical at any shard
+    /// ([`TorusFabric::set_shards`]); 1 runs the epoch kernel inline on
+    /// the calling thread. Sharding is an execution strategy, not a
+    /// model parameter: every measurement is bit-identical at any shard
     /// count.
     pub shards: usize,
-    /// Cap on the sharded stepper's lookahead-epoch window
-    /// ([`TorusFabric::set_shards_with_lookahead`]): `None` uses the
-    /// structural window (the minimum positive link latency), `Some(1)`
-    /// degenerates to one-cycle epochs. Like `shards`, an execution
-    /// knob — measurements are bit-identical at any window.
+    /// Cap on the epoch kernel's lookahead window at every shard count,
+    /// 1 included ([`TorusFabric::set_shards_with_lookahead`]): `None`
+    /// uses the structural window (the minimum positive link latency),
+    /// `Some(1)` degenerates to one-cycle epochs. Like `shards`, an
+    /// execution knob — measurements are bit-identical at any window.
     pub lookahead: Option<u64>,
 }
 
@@ -586,14 +586,12 @@ fn scenario_impl<W: Workload + ?Sized>(
     if let Some(tel) = telemetry {
         fabric.enable_telemetry(tel);
     }
-    if cfg.shards > 1 {
-        // A freshly built fabric is empty and idle, so the only
-        // rejections possible here are bad counts or zero-latency
-        // links — configuration errors worth failing loudly on.
-        fabric
-            .set_shards_with_lookahead(cfg.shards, cfg.lookahead)
-            .unwrap_or_else(|e| panic!("cannot shard the sweep fabric: {e}"));
-    }
+    // A freshly built fabric is empty and idle, so the only rejections
+    // possible here are bad counts or window caps — configuration
+    // errors worth failing loudly on.
+    fabric
+        .set_shards_with_lookahead(cfg.shards, cfg.lookahead)
+        .unwrap_or_else(|e| panic!("cannot shard the sweep fabric: {e}"));
     let n = torus.node_count();
     let nflits = cfg.flits_per_packet;
     let p_packet = offered / nflits as f64;
@@ -1334,13 +1332,14 @@ mod tests {
         assert!(json.contains("\"response\""));
         assert!(json.contains("\"slice_delivered\""));
         // The self-describing v3 surface: schema version, config echo
-        // (including the sharded stepper's sync counters — 0 on this
-        // single-threaded run), and the per-curve latency aggregates.
+        // (including the epoch kernel's counters — no sync ops on this
+        // one-shard run, but every step is an epoch), and the per-curve
+        // latency aggregates.
         assert!(json.contains("\"schema_version\": 3"));
         assert!(json.contains("\"echo\""));
         assert!(json.contains("\"threads\": 1"));
         assert!(json.contains("\"sync_ops\": 0"));
-        assert!(json.contains("\"epochs\": 0"));
+        assert!(report.echo.epochs > 0);
         assert!(json.contains("\"request_latency\""));
         assert!(json.contains("\"stddev_cycles\""));
     }

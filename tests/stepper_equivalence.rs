@@ -29,8 +29,8 @@ enum Mode {
     Alternating,
     /// The region-partitioned stepper at this shard count with this
     /// lookahead-window cap (`None` = the structural bound, the minimum
-    /// positive link latency; 1 falls back to the single-threaded event
-    /// core, exactly like `--shards 1`).
+    /// positive link latency; 1 runs the epoch kernel inline, exactly
+    /// like `--shards 1`).
     Sharded(usize, Option<u64>),
 }
 
@@ -53,11 +53,9 @@ fn drive(
         fabric.enable_telemetry(TelemetryConfig::default());
     }
     if let Mode::Sharded(shards, lookahead) = mode {
-        if shards > 1 {
-            fabric
-                .set_shards_with_lookahead(shards, lookahead)
-                .expect("fresh fabric shards");
-        }
+        fabric
+            .set_shards_with_lookahead(shards, lookahead)
+            .expect("fresh fabric shards");
     }
     let mut rng = SplitMix64::new(seed);
     let n = torus.node_count() as u64;
@@ -299,6 +297,6 @@ fn shard_count_changes_are_validated_and_rejected_mid_flight() {
     fabric.set_shards(2).expect("drained fabric reshards");
     fabric
         .set_shards(1)
-        .expect("back to the single-threaded core");
+        .expect("back to the inline one-shard kernel");
     assert_eq!(fabric.shards(), 1);
 }

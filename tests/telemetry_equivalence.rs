@@ -63,11 +63,9 @@ fn drive(
     let params = FabricParams::calibrated(&LatencyModel::default());
     let mut fabric = TorusFabric::new(torus, params);
     if let Some((shards, lookahead)) = shards {
-        if shards > 1 {
-            fabric
-                .set_shards_with_lookahead(shards, lookahead)
-                .expect("fresh fabric shards");
-        }
+        fabric
+            .set_shards_with_lookahead(shards, lookahead)
+            .expect("fresh fabric shards");
     }
     if matches!(telem, Telem::On) {
         fabric.enable_telemetry(config());
