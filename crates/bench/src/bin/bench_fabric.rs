@@ -41,6 +41,9 @@
 //! short light-load steps/s figure. `--quick` skips this section for
 //! local iteration; both shapes are asserted inside the documented
 //! [`BYTES_PER_ROUTER_BUDGET`].
+//!
+//! `--json` and `--quick` are the only flags; any other argument is
+//! rejected with exit status 2 before anything runs.
 
 use anton_model::latency::LatencyModel;
 use anton_model::topology::{Direction, NodeId, Torus};
@@ -558,6 +561,11 @@ fn large_shape_bench(params: FabricParams) -> LargeShape {
 }
 
 fn main() {
+    if let Err(e) = anton_bench::check_flags(std::env::args().skip(1), &["--json", "--quick"], &[])
+    {
+        eprintln!("bench_fabric: {e}");
+        std::process::exit(2);
+    }
     let params = FabricParams::calibrated(&LatencyModel::default());
 
     // The CI overload smoke's sweep point, verbatim (sweep_traffic

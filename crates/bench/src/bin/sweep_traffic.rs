@@ -42,9 +42,10 @@
 //!   loaded step-time estimate (`MdNetworkRun::loaded_halo_estimate`)
 //!   the shape's calibration feeds;
 //! - `--overload-smoke` runs a short 8x8x8 overload point with both
-//!   classes plus an injection-stop drain check, exercising the
-//!   dateline-VC deadlock margins on a larger machine (CI runs this on
-//!   every PR, with `--threads`);
+//!   classes plus a drain check — a warmup-0 scenario point at offered
+//!   1.0 that must deliver every request and response it generates —
+//!   exercising the dateline-VC deadlock margins on a larger machine (CI
+//!   runs this on every PR, with `--threads`);
 //! - `--mega-smoke` runs a time-budgeted 16x16x16 (4096-node) sweep
 //!   point with both classes, printing the fabric's bytes/router memory
 //!   audit first — the routine check that mega-fabric construction and
@@ -65,54 +66,63 @@
 //!   (inject/hop/deliver) and writes them to PATH: JSON Lines when the
 //!   path ends in `.jsonl`, Chrome `trace_event` JSON (loadable in
 //!   `chrome://tracing` / Perfetto) otherwise.
+//!
+//! Any other argument, or a valued flag without its value, is rejected
+//! with exit status 2 before anything runs.
 
 use anton_machine::mdrun::MdNetworkRun;
 use anton_machine::pingpong::LoadedCalibration;
 use anton_model::latency::LatencyModel;
-use anton_model::topology::{NodeId, Torus};
+use anton_model::topology::Torus;
 use anton_model::units::PS_PER_CORE_CYCLE;
 use anton_model::MachineConfig;
 use anton_net::channel::LinkStats;
-use anton_net::fabric3d::{FabricParams, PacketSpec, TorusFabric, TrafficClass, SLICES};
+use anton_net::fabric3d::{FabricParams, TorusFabric, TrafficClass, SLICES};
 use anton_net::path::ContentionModel;
 use anton_net::telemetry::{
     ChromeTraceSink, JsonlTraceSink, LinkSummary, StallBreakdown, TelemetryConfig, TraceSink,
 };
-use anton_sim::rng::SplitMix64;
-use anton_traffic::force_return::ForceReturn;
 use anton_traffic::patterns::{standard_suite, NearestNeighbor, TrafficPattern, UniformRandom};
 use anton_traffic::sweep::{
-    run_curve_threaded, run_scenario_instrumented, run_sweep_threaded, ClassPoint, SweepConfig,
+    run_curve_threaded, run_scenario, run_scenario_instrumented, run_sweep_threaded, ClassPoint,
+    SweepConfig,
 };
 use anton_traffic::workload::SyntheticWorkload;
+
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &[
+    "--json",
+    "--quick",
+    "--calibrate",
+    "--md-replay",
+    "--overload-smoke",
+    "--mega-smoke",
+    "--telemetry",
+];
+
+/// Flags that take a value.
+const VALUED: &[&str] = &[
+    "--threads",
+    "--shards",
+    "--lookahead",
+    "--telemetry-out",
+    "--epoch-cycles",
+    "--epoch-ring",
+    "--trace-out",
+];
 
 /// The `--threads N` worker count (default 1). Reports are byte-identical
 /// at any value — each sweep point derives its RNG stream from the seed
 /// and its index alone.
 fn thread_arg() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            let n = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--threads takes a positive integer");
-            assert!(n >= 1, "--threads takes a positive integer");
-            return n;
-        }
-    }
-    1
+    positive_arg("--threads").unwrap_or(1)
 }
 
 /// The `--shards N` fabric-step shard count (default 1). Like
 /// `--threads`, a pure execution choice: every measurement is
 /// bit-identical at any shard count.
 fn shards_arg() -> usize {
-    let n = arg_value("--shards")
-        .map(|v| v.parse().expect("--shards takes a positive integer"))
-        .unwrap_or(1);
-    assert!(n >= 1, "--shards takes a positive integer");
-    n
+    positive_arg("--shards").unwrap_or(1)
 }
 
 /// The `--lookahead N` epoch-window cap at any shard count (default:
@@ -120,26 +130,26 @@ fn shards_arg() -> usize {
 /// minimum positive link latency). Like `--shards`, a pure execution
 /// choice.
 fn lookahead_arg() -> Option<u64> {
-    let n =
-        arg_value("--lookahead").map(|v| v.parse().expect("--lookahead takes a positive integer"));
-    if let Some(n) = n {
-        assert!(n >= 1, "--lookahead takes a positive integer");
-    }
-    n
+    positive_arg("--lookahead")
 }
 
-/// The value of a `--flag VALUE` argument, if present.
+/// The value of a `--flag N` argument, if present; panics unless it is
+/// a positive integer.
+fn positive_arg<T: std::str::FromStr + PartialOrd + From<u8>>(flag: &str) -> Option<T> {
+    arg_value(flag).map(|v| {
+        v.parse()
+            .ok()
+            .filter(|n| *n >= T::from(1))
+            .unwrap_or_else(|| panic!("{flag} takes a positive integer"))
+    })
+}
+
+/// The value of a `--flag VALUE` argument, if present (`main` has
+/// already rejected a valued flag without its value).
 fn arg_value(flag: &str) -> Option<String> {
     let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return Some(
-                args.next()
-                    .unwrap_or_else(|| panic!("{flag} takes a value")),
-            );
-        }
-    }
-    None
+    args.find(|a| a == flag)?;
+    args.next()
 }
 
 /// Whether any telemetry surface was requested (`--telemetry` itself, or
@@ -154,20 +164,8 @@ fn telemetry_requested() -> bool {
 /// `--epoch-ring` and `--trace-out`.
 fn telemetry_config() -> TelemetryConfig {
     let mut tcfg = TelemetryConfig::default();
-    if let Some(v) = arg_value("--epoch-cycles") {
-        tcfg.epoch_cycles = v
-            .parse()
-            .ok()
-            .filter(|&e| e >= 1)
-            .expect("--epoch-cycles takes a positive integer");
-    }
-    if let Some(v) = arg_value("--epoch-ring") {
-        tcfg.epoch_ring = v
-            .parse()
-            .ok()
-            .filter(|&e| e >= 1)
-            .expect("--epoch-ring takes a positive integer");
-    }
+    tcfg.epoch_cycles = positive_arg("--epoch-cycles").unwrap_or(tcfg.epoch_cycles);
+    tcfg.epoch_ring = positive_arg("--epoch-ring").unwrap_or(tcfg.epoch_ring);
     tcfg.trace = arg_value("--trace-out").is_some();
     tcfg
 }
@@ -291,6 +289,10 @@ fn write_telemetry_artifacts(fabric: &TorusFabric) {
 }
 
 fn main() {
+    if let Err(e) = anton_bench::check_flags(std::env::args().skip(1), SWITCHES, VALUED) {
+        eprintln!("sweep_traffic: {e}");
+        std::process::exit(2);
+    }
     let params = FabricParams::calibrated(&LatencyModel::default());
     let threads = thread_arg();
     if std::env::args().any(|a| a == "--calibrate") {
@@ -681,9 +683,10 @@ fn mega_smoke(params: FabricParams, threads: usize) {
 }
 
 /// A short 8x8x8 overload exercise: one saturated sweep point with both
-/// traffic classes, then an injection-stop drain check — if the dateline
-/// VCs or the request/response class split ever admitted a dependency
-/// cycle, the drain would hang and this smoke would fail CI.
+/// traffic classes, then a drain check through the same scenario driver
+/// — if the dateline VCs or the request/response class split ever
+/// admitted a dependency cycle, the drain would never finish and this
+/// smoke would fail CI.
 fn overload_smoke(params: FabricParams, threads: usize) {
     let dims = [8u8, 8, 8];
     let shards = shards_arg();
@@ -728,69 +731,44 @@ fn overload_smoke(params: FabricParams, threads: usize) {
         "both channel slices must carry traffic"
     );
 
-    // Drain check: hammer the fabric way past saturation with mixed
-    // classes (every delivered request spawns a response via the shared
-    // ForceReturn driver), stop injecting requests, and require every
-    // flit — including the responses still spawning from the final
-    // delivered wave — to leave. The budget is generous for a live
-    // fabric and hopeless for a deadlocked one.
-    let torus = Torus::new(dims);
-    let mut fabric = TorusFabric::new(torus, params);
-    fabric
-        .set_shards_with_lookahead(shards, lookahead_arg())
-        .unwrap_or_else(|e| panic!("cannot shard the drain-check fabric: {e}"));
-    // Under --telemetry the drain-check fabric records: a genuinely
-    // overloaded 512-node machine is the most informative stall picture
-    // this binary produces, and CI uploads the summary artifact from
-    // here.
+    // Drain check: one warmup-0 scenario point generates 2,000 cycles of
+    // offered 1.0 — far past saturation, with every delivered request
+    // spawning a response — then stops. With no warmup every packet and
+    // every response it spawns is tracked, so the point passes only if
+    // both classes deliver everything within the 400k-cycle budget:
+    // generous for a live fabric, hopeless for a deadlocked one. Under
+    // --telemetry the point records: a genuinely overloaded 512-node
+    // machine is the most informative stall picture this binary
+    // produces, and CI uploads the summary artifact from here.
+    cfg.warmup_cycles = 0;
+    cfg.measure_cycles = 2_000;
+    cfg.drain_cycles = 400_000;
+    let mut workload = SyntheticWorkload::new(&UniformRandom, cfg.flits_per_packet, cfg.respond);
     let telemetry = telemetry_requested().then(telemetry_config);
-    if let Some(tcfg) = telemetry {
-        fabric.enable_telemetry(tcfg);
-    }
-    let mut rng = SplitMix64::new(0xDEAD);
-    let n = torus.node_count() as u64;
-    let mut fr = ForceReturn::new(2);
-    for cycle in 0..2_000u64 {
-        for node in 0..n {
-            let src = NodeId(node as u16);
-            let dst = NodeId(rng.next_below(n) as u16);
-            if src != dst && cycle % 2 == node % 2 {
-                let id = fr.alloc_id();
-                let spec = PacketSpec::request(src, dst, id, 2).drawn(&mut rng);
-                if fabric.inject(spec).is_ok() {
-                    fr.track(id, src);
-                }
-            }
-        }
-        fr.recycle(&mut fabric, &mut rng);
-        fabric.step();
-    }
-    let injected = fr.allocated();
-    // The drain rides the event/epoch fast-forward: `step_next_event`
-    // jumps dead cycles (under `--shards N` the lookahead epochs also
-    // batch the live ones), returning to the driver at each delivery so
-    // the spawned responses re-enter at exactly the per-cycle loop's
-    // cycles. Same 400k-cycle budget the old per-cycle loop had.
-    let deadline = fabric.cycle() + 400_000;
-    while fabric.cycle() < deadline && !fr.drained(&fabric) {
-        fr.recycle(&mut fabric, &mut rng);
-        fabric.step_next_event(deadline);
-    }
-    fr.recycle(&mut fabric, &mut rng);
+    let run = match telemetry {
+        Some(tcfg) => run_scenario_instrumented(&mut workload, &cfg, params, 1.0, 0xDEAD, tcfg),
+        None => run_scenario(&mut workload, &cfg, params, 1.0, 0xDEAD),
+    };
+    let (req, resp) = (run.point.request, run.point.response.expect("respond mode"));
     assert!(
-        fr.drained(&fabric),
-        "8x8x8 overload did not drain: {} flits resident, {} responses pending",
-        fabric.occupancy(),
-        fr.pending()
+        req.packets_incomplete == 0 && resp.packets_incomplete == 0 && run.fabric.occupancy() == 0,
+        "8x8x8 overload did not drain: {} requests and {} responses undelivered, \
+         {} flits resident",
+        req.packets_incomplete,
+        resp.packets_incomplete,
+        run.fabric.occupancy()
     );
     println!(
-        "drain check: PASS ({injected} packets generated, fabric empty, \
+        "drain check: PASS ({} requests + {} responses delivered, fabric empty at cycle {}, \
          {} sync ops / {} epochs)",
-        fabric.sync_ops(),
-        fabric.epochs()
+        req.packets_measured,
+        resp.packets_measured,
+        run.fabric.cycle(),
+        run.fabric.sync_ops(),
+        run.fabric.epochs()
     );
     if telemetry.is_some() {
-        print_telemetry(&fabric);
-        write_telemetry_artifacts(&fabric);
+        print_telemetry(&run.fabric);
+        write_telemetry_artifacts(&run.fabric);
     }
 }

@@ -655,12 +655,6 @@ impl TorusFabric {
         self.fabric.step_batched(limit);
     }
 
-    /// Advances to `target` exactly as repeated [`Self::step`] calls
-    /// would, fast-forwarding dead time between link arrivals.
-    pub fn step_until(&mut self, target: u64) {
-        self.fabric.step_until(target);
-    }
-
     /// Steps until empty or `max_cycles`; returns whether it drained.
     /// Dead time between link arrivals is fast-forwarded.
     pub fn run_until_drained(&mut self, max_cycles: u64) -> bool {
@@ -862,7 +856,9 @@ impl TorusFabric {
     ///
     /// # Errors
     /// [`InjectError::NoCredit`] when the injection queue lacks room for
-    /// the whole packet (fabric backpressure at the source).
+    /// the whole packet right now (fabric backpressure at the source);
+    /// [`InjectError::TooLarge`] when the packet has more flits than the
+    /// queue is deep, so no retry can ever succeed.
     ///
     /// # Panics
     /// Panics if the spec fails [`PacketSpec::validate`].
@@ -870,13 +866,21 @@ impl TorusFabric {
         spec.validate();
         let router = spec.src.index();
         let vc = spec.inject_vc();
+        let nflits = spec.nflits as usize;
         let free = self.fabric.inject_capacity(router, INJECT_PORT, vc);
-        if free < spec.nflits as usize {
-            return Err(InjectError::NoCredit {
-                router,
-                port: INJECT_PORT,
-                vc,
-                occupancy: self.fabric.queue_len(router, INJECT_PORT, vc),
+        if free < nflits {
+            // Free plus queued slots is the queue's whole depth.
+            let occupancy = self.fabric.queue_len(router, INJECT_PORT, vc);
+            let capacity = free + occupancy;
+            return Err(if nflits > capacity {
+                InjectError::TooLarge { nflits, capacity }
+            } else {
+                InjectError::NoCredit {
+                    router,
+                    port: INJECT_PORT,
+                    vc,
+                    occupancy,
+                }
             });
         }
         let tag = spec.tag();
@@ -1482,6 +1486,33 @@ mod tests {
             "tail streams one slice serialization interval behind head"
         );
         assert_eq!((d[0].1.index, d[1].1.index), (0, 1));
+    }
+
+    #[test]
+    fn oversized_packets_are_refused_as_too_large() {
+        // A packet deeper than the 8-flit injection queue can never
+        // inject, so it must not read as transient backpressure on an
+        // empty fabric.
+        let mut f = fabric([2, 2, 2]);
+        let err = f
+            .inject(PacketSpec::request(NodeId(0), NodeId(7), 1, 9).with_draw(0, 0, 0))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            InjectError::TooLarge {
+                nflits: 9,
+                capacity: 8
+            }
+        );
+        assert!(err.to_string().contains("never fit"));
+        assert_eq!(f.occupancy(), 0, "a refused packet takes nothing");
+        f.inject(PacketSpec::request(NodeId(0), NodeId(7), 2, 8).with_draw(0, 0, 0))
+            .expect("a queue-deep packet fits an empty queue");
+        // The full queue now refuses a 1-flit packet as backpressure.
+        let busy = f
+            .inject(PacketSpec::request(NodeId(0), NodeId(7), 3, 1).with_draw(0, 0, 0))
+            .unwrap_err();
+        assert!(matches!(busy, InjectError::NoCredit { occupancy: 8, .. }));
     }
 
     #[test]

@@ -52,9 +52,10 @@
 //! - **allocation-free hot path**: the per-cycle buffers (candidates,
 //!   probes, departures) persist across cycles, so a steady-state step
 //!   allocates nothing;
-//! - a [`RouterFabric::step_until`] fast-forward that jumps the dead
-//!   cycles between link-arrival events when no router has queued work —
-//!   in-flight wire time is the dominant idle span on calibrated tori.
+//! - an event fast-forward ([`RouterFabric::step_next_event`],
+//!   [`RouterFabric::step_batched`]) that jumps the dead cycles between
+//!   link-arrival events when no router has queued work — in-flight wire
+//!   time is the dominant idle span on calibrated tori.
 //!
 //! The pre-worklist full-scan stepper is retained verbatim as
 //! [`RouterFabric::step_reference`] (arbitrating via
@@ -1125,16 +1126,17 @@ struct ChannelState {
     class_flits: Vec<u64>,
 }
 
-/// Why [`RouterFabric::inject`] refused a flit. Callers (injection
-/// harnesses, endpoint models) use this to distinguish *source queuing* —
-/// the local input port is busy but the fabric is fine — from genuine
-/// fabric saturation visible as persistently exhausted credits.
+/// Why an injection was refused. Callers (injection harnesses, endpoint
+/// models) use this to distinguish *source queuing* — the local input
+/// port is busy but the fabric is fine, so retrying later succeeds —
+/// from a packet that can never be accepted.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum InjectError {
     /// The input VC queue has no credit: every slot of its configured
     /// depth (default [`INPUT_QUEUE_FLITS`], see
     /// [`CycleRouter::set_input_depth`]) is occupied or reserved, so the
-    /// fabric is backpressuring the source.
+    /// fabric is backpressuring the source. Transient: the same
+    /// injection succeeds once the queue drains.
     NoCredit {
         /// Router whose input port refused the flit.
         router: usize,
@@ -1144,6 +1146,16 @@ pub enum InjectError {
         vc: u8,
         /// Flits queued on that VC when the injection was refused.
         occupancy: usize,
+    },
+    /// The packet has more flits than its injection VC queue is deep,
+    /// so it could not enter even an empty fabric (packets inject whole,
+    /// see [`crate::fabric3d::TorusFabric::inject`]). Permanent:
+    /// retrying can never succeed.
+    TooLarge {
+        /// Flits in the refused packet.
+        nflits: usize,
+        /// Depth of the injection VC queue, in flits.
+        capacity: usize,
     },
 }
 
@@ -1158,6 +1170,10 @@ impl fmt::Display for InjectError {
             } => write!(
                 f,
                 "no credit on router {router} port {port} vc {vc} ({occupancy} flits queued)"
+            ),
+            InjectError::TooLarge { nflits, capacity } => write!(
+                f,
+                "a {nflits}-flit packet can never fit the {capacity}-flit injection queue"
             ),
         }
     }
@@ -3317,15 +3333,6 @@ impl RouterFabric {
         self.step_epoch(limit, stop_at_delivery);
     }
 
-    /// Advances the fabric to `target` exactly as repeated [`Self::step`]
-    /// calls would, fast-forwarding through dead time between link
-    /// arrivals (see [`Self::step_next_event`]).
-    pub fn step_until(&mut self, target: u64) {
-        while self.cycle < target {
-            self.step_next_event(target);
-        }
-    }
-
     /// Total flits resident in the fabric: router queues plus link
     /// delay lines. Costs O(active routers), not O(all routers).
     pub fn occupancy(&self) -> usize {
@@ -3717,7 +3724,7 @@ mod tests {
     }
 
     #[test]
-    fn step_until_matches_per_cycle_stepping_over_dead_time() {
+    fn step_next_event_matches_per_cycle_stepping_over_dead_time() {
         // A 40-cycle link: the event stepper jumps the dead wire time;
         // delivered cycles and the final clock must match per-cycle
         // stepping exactly.
@@ -3741,7 +3748,9 @@ mod tests {
             by_cycle.step();
         }
         let mut by_event = build();
-        by_event.step_until(120);
+        while by_event.cycle() < 120 {
+            by_event.step_next_event(120);
+        }
         assert_eq!(by_event.cycle(), 120);
         assert_eq!(by_event.cycle(), by_cycle.cycle());
         assert_eq!(by_event.delivered(), by_cycle.delivered());

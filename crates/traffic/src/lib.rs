@@ -20,10 +20,10 @@
 //!   injection endpoint and measuring delivered throughput and
 //!   mean/p99 packet latency per load point — split by traffic class
 //!   (request vs force-return response) and by physical channel slice —
-//!   with latency–throughput curves as JSON;
-//! - [`force_return`] — the shared request→response recycling driver
-//!   used by the overload/drain harnesses (CI's 8×8×8 smoke and the
-//!   drain property tests).
+//!   with latency–throughput curves as JSON. It is also the one
+//!   overload/drain harness: CI's 8×8×8 drain check and the drain
+//!   property tests run a warmup-0 scenario point, which tracks every
+//!   packet and spawned response until the fabric is empty.
 //!
 //! The sweep doubles as a calibration check: at low load the measured
 //! per-hop latency must match the analytic [`anton_net::path`] constant
@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod force_return;
 pub mod patterns;
 pub mod sweep;
 pub mod workload;

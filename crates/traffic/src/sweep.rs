@@ -15,14 +15,16 @@
 //! Deliveries feed the workload's completion hook, which is how
 //! force-return protocols spawn responses (same-size replies on the
 //! response class, slice drawn at spawn time from the destination
-//! node's stream). The overload/drain harnesses implement the same
-//! spawn/retry protocol via [`crate::force_return`], without the
-//! per-packet statistics; keep the two in sync. After a warmup window,
-//! packets generated during the measurement window (and the follow-ons
-//! they spawn) are tracked to delivery; the scenario reports delivered
-//! throughput and latency **per traffic class and per channel slice**,
-//! plus a low-load cross-check of the per-hop constant against the
-//! analytic [`anton_net::path`] model the fabric was calibrated from.
+//! node's stream). After a warmup window, packets generated during the
+//! measurement window (and the follow-ons they spawn) are tracked to
+//! delivery; the scenario reports delivered throughput and latency
+//! **per traffic class and per channel slice**, plus a low-load
+//! cross-check of the per-hop constant against the analytic
+//! [`anton_net::path`] model the fabric was calibrated from. With no
+//! warmup every packet is tracked, so a point whose classes report no
+//! incomplete packets has drained the fabric — the overload/drain
+//! checks (`sweep_traffic --overload-smoke`, the class-drain property
+//! test) are exactly such points.
 //!
 //! [`run_point`] is the thin synthetic-pattern wrapper (a
 //! [`SyntheticWorkload`] over one [`TrafficPattern`]); it preserves the
@@ -55,6 +57,7 @@ use anton_net::channel::ByteKind;
 use anton_net::fabric3d::{
     decode_tag, FabricParams, PacketSpec, TorusFabric, TrafficClass, SLICES,
 };
+use anton_net::router::InjectError;
 use anton_net::routing;
 use anton_net::telemetry::TelemetryConfig;
 use anton_sim::rng::SplitMix64;
@@ -514,8 +517,13 @@ fn class_point(
 
 /// Runs one workload at one offered load; `stream` decorrelates the RNG
 /// across points while staying reproducible from the config seed. This
-/// is the single driver behind every sweep, calibration, and replay
-/// harness; [`run_point`] wraps it for plain synthetic patterns.
+/// is the single driver behind every sweep, calibration, replay and
+/// drain harness; [`run_point`] wraps it for plain synthetic patterns.
+///
+/// # Panics
+/// Panics if a packet can never inject ([`InjectError::TooLarge`]: more
+/// flits than the injection queue holds), instead of counting it as
+/// backpressure for the rest of the run.
 pub fn run_scenario<W: Workload + ?Sized>(
     workload: &mut W,
     cfg: &SweepConfig,
@@ -702,11 +710,14 @@ fn scenario_impl<W: Workload + ?Sized>(
                         queue.pop_front();
                         source_queued -= 1;
                     }
-                    Err(_) => {
+                    Err(InjectError::NoCredit { .. }) => {
                         if window.contains(&cycle) {
                             backpressure += 1;
                         }
                     }
+                    // Retrying could never succeed: the head would block
+                    // its source queue for the rest of the run.
+                    Err(e) => panic!("{e}"),
                 }
             }
         }
@@ -1236,6 +1247,15 @@ mod tests {
         assert!(point.saturated, "offered 1.0 must saturate a [2,2,4] torus");
         assert!(point.delivered < 1.0);
         assert!(point.backpressure_rejections > 0, "credits must push back");
+    }
+
+    #[test]
+    #[should_panic(expected = "9-flit packet can never fit")]
+    fn oversized_packets_fail_the_point_instead_of_backpressuring() {
+        let mut cfg = small_cfg();
+        cfg.dims = [2, 2, 2];
+        cfg.flits_per_packet = 9;
+        run_point(&UniformRandom, &cfg, params(), 0.2, 1);
     }
 
     #[test]

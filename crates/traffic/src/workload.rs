@@ -9,7 +9,7 @@
 //! load, per-node RNG streams, injection queues and the
 //! no-retry-bias rule, warmup/measurement windows, and statistics.
 //!
-//! Three families implement it:
+//! Two families implement it:
 //!
 //! - [`SyntheticWorkload`] — adapts any [`TrafficPattern`] (the six
 //!   classic k-ary n-cube stressors), optionally with the force-return
@@ -20,10 +20,7 @@
 //!   neighborhood ([`ByteKind::Position`], request class) answered by
 //!   force returns ([`ByteKind::Force`], response class), so the cycle
 //!   fabric carries wire bytes typed exactly like the Figure 9a
-//!   accounting of the analytic channel adapters;
-//! - the drain harnesses' [`crate::force_return::ForceReturn`] driver,
-//!   which implements the same spawn protocol directly against the
-//!   fabric for overload/drain property tests.
+//!   accounting of the analytic channel adapters.
 
 use crate::patterns::TrafficPattern;
 use anton_md::decomp::Decomposition;
@@ -41,9 +38,6 @@ use anton_sim::rng::SplitMix64;
 /// draw must be made here — at generation or spawn time — never at
 /// retry time (see [`PacketSpec`]).
 pub trait Workload {
-    /// Stable name used in reports and JSON output.
-    fn name(&self) -> &str;
-
     /// One generation opportunity: packets `src` emits at `cycle`,
     /// pushed onto `out`. The driver has already gated the opportunity
     /// by offered load; a workload that generates nothing for it (off-
@@ -117,10 +111,6 @@ impl<'a> SyntheticWorkload<'a> {
 }
 
 impl Workload for SyntheticWorkload<'_> {
-    fn name(&self) -> &str {
-        self.pattern.name()
-    }
-
     fn spawns(&self) -> bool {
         self.respond
     }
@@ -230,10 +220,6 @@ impl MdHaloWorkload {
 }
 
 impl Workload for MdHaloWorkload {
-    fn name(&self) -> &str {
-        "md_halo"
-    }
-
     fn next_packets(
         &mut self,
         _torus: &Torus,

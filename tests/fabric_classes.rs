@@ -1,90 +1,117 @@
 //! Property tests for the two-slice, two-class torus fabric (paper
 //! §III-B2 / §V-C): with response traffic enabled — every delivered
 //! request spawning a reply to its source — the fabric always drains
-//! once injection stops, i.e. there is no VC dependency cycle between
+//! once generation stops, i.e. there is no VC dependency cycle between
 //! the request and response classes; and each class keeps its dateline
 //! invariant on random torus shapes (at most one wraparound crossing
 //! per dimension for requests, none at all for responses).
 
 use anton3::model::latency::LatencyModel;
 use anton3::model::topology::{DimOrder, NodeId, Torus};
-use anton3::net::fabric3d::{
-    decode_tag, FabricParams, PacketSpec, TorusFabric, TrafficClass, SLICES,
-};
+use anton3::net::fabric3d::{FabricParams, PacketSpec, TorusFabric, TrafficClass, SLICES};
 use anton3::net::routing::{self, RESPONSE_VC};
+use anton3::net::telemetry::{TelemetryConfig, TraceEventKind};
 use anton3::sim::rng::SplitMix64;
-use anton3::traffic::force_return::ForceReturn;
+use anton3::traffic::patterns::UniformRandom;
+use anton3::traffic::sweep::{run_scenario_instrumented, SweepConfig};
+use anton3::traffic::workload::{SyntheticWorkload, Workload};
 use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// Uniform random requests with force returns, two per generation
+/// opportunity, recording the class of every delivered packet by id.
+struct DoubledUniform<'a> {
+    inner: SyntheticWorkload<'a>,
+    delivered: HashMap<u64, TrafficClass>,
+}
+
+impl Workload for DoubledUniform<'_> {
+    fn next_packets(
+        &mut self,
+        torus: &Torus,
+        src: NodeId,
+        cycle: u64,
+        rng: &mut SplitMix64,
+        out: &mut Vec<PacketSpec>,
+    ) {
+        self.inner.next_packets(torus, src, cycle, rng, out);
+        self.inner.next_packets(torus, src, cycle, rng, out);
+    }
+
+    fn on_delivered(
+        &mut self,
+        torus: &Torus,
+        delivered: &PacketSpec,
+        cycle: u64,
+        rng: &mut SplitMix64,
+        out: &mut Vec<PacketSpec>,
+    ) {
+        self.delivered.insert(delivered.id, delivered.class);
+        self.inner.on_delivered(torus, delivered, cycle, rng, out);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Overload a random-shape fabric with request traffic whose
-    /// deliveries spawn responses, stop injecting, and require a full
+    /// deliveries spawn responses, stop generating, and require a full
     /// drain: a request/response dependency cycle would leave flits
-    /// resident forever. Every delivered flit must also carry its
-    /// class's VCs.
+    /// resident forever. The point has no warmup, so every packet and
+    /// every response it spawns is tracked to delivery. Every delivered
+    /// flit must also carry its class's VCs.
     #[test]
     fn overloaded_mixed_class_fabric_drains(
         dims in (2u8..=4, 2u8..=4, 2u8..=5),
         seed in any::<u64>(),
         inject_cycles in 40u64..150,
+        shards in 1usize..=2,
     ) {
-        let torus = Torus::new([dims.0, dims.1, dims.2]);
+        // Offered 1.0 with two 2-flit requests per opportunity: every
+        // node generates 2 flits per cycle, far past saturation.
+        let mut cfg = SweepConfig::new([dims.0, dims.1, dims.2]);
+        cfg.seed = seed;
+        cfg.warmup_cycles = 0;
+        cfg.measure_cycles = inject_cycles;
+        cfg.drain_cycles = 200_000;
+        cfg.shards = shards;
         let params = FabricParams::calibrated(&LatencyModel::default());
-        let mut fabric = TorusFabric::new(torus, params);
-        let mut rng = SplitMix64::new(seed);
-        let n = torus.node_count() as u64;
-        let mut fr = ForceReturn::new(2);
-        let check_classes = |flits: &[anton3::net::router::Flit]| {
-            for f in flits {
-                match decode_tag(f.tag).class {
-                    TrafficClass::Request => prop_assert!(
-                        f.vc < RESPONSE_VC,
-                        "request delivered on VC {}", f.vc
-                    ),
-                    TrafficClass::Response => prop_assert_eq!(
-                        f.vc, RESPONSE_VC,
-                        "response delivered off its VC"
-                    ),
-                }
-            }
+        let mut workload = DoubledUniform {
+            inner: SyntheticWorkload::new(&UniformRandom, cfg.flits_per_packet, true),
+            delivered: HashMap::new(),
         };
-        // Overload: every node attempts a 2-flit request every cycle.
-        for _ in 0..inject_cycles {
-            for node in 0..n {
-                let src = NodeId(node as u16);
-                let dst = NodeId(rng.next_below(n) as u16);
-                if src != dst {
-                    let id = fr.alloc_id();
-                    let spec = PacketSpec::request(src, dst, id, 2).drawn(&mut rng);
-                    if fabric.inject(spec).is_ok() {
-                        fr.track(id, src);
-                    }
-                }
-            }
-            let delivered = fr.recycle(&mut fabric, &mut rng);
-            check_classes(&delivered);
-            fabric.step();
-        }
-        // Injection stopped; in-flight requests keep spawning responses
-        // until everything lands. `drained` counts unprocessed
-        // deliveries as live work, so the final wave's replies are
-        // spawned and class-checked before the loop may exit.
-        let mut budget = 200_000u64;
-        while budget > 0 && !fr.drained(&fabric) {
-            let delivered = fr.recycle(&mut fabric, &mut rng);
-            check_classes(&delivered);
-            fabric.step();
-            budget -= 1;
-        }
+        let telemetry = TelemetryConfig { trace: true, ..TelemetryConfig::default() };
+        let run = run_scenario_instrumented(&mut workload, &cfg, params, 1.0, 0, telemetry);
+        let (req, resp) = (run.point.request, run.point.response.expect("responses on"));
         prop_assert!(
-            fr.drained(&fabric),
-            "fabric did not drain after injection stopped: {} flits resident, \
-             {} responses pending (dependency cycle between classes?)",
-            fabric.occupancy(),
-            fr.pending()
+            req.packets_incomplete == 0 && resp.packets_incomplete == 0
+                && run.fabric.occupancy() == 0,
+            "fabric did not drain after generation stopped: {} requests and {} responses \
+             undelivered, {} flits resident (dependency cycle between classes?)",
+            req.packets_incomplete,
+            resp.packets_incomplete,
+            run.fabric.occupancy()
         );
+        prop_assert_eq!(resp.packets_measured, req.packets_measured);
+
+        let tel = run.fabric.telemetry().expect("instrumented run");
+        prop_assert_eq!(tel.trace_dropped(), 0, "trace buffer overflowed");
+        let mut delivers = 0usize;
+        for ev in tel.trace_events().iter().filter(|e| e.kind == TraceEventKind::Deliver) {
+            delivers += 1;
+            match workload.delivered[&ev.packet] {
+                TrafficClass::Request => prop_assert!(
+                    ev.vc < RESPONSE_VC,
+                    "request {} delivered on VC {}", ev.packet, ev.vc
+                ),
+                TrafficClass::Response => prop_assert_eq!(
+                    ev.vc, RESPONSE_VC,
+                    "response {} delivered off its VC", ev.packet
+                ),
+            }
+        }
+        // One event per flit, so a packet delivered twice fails here.
+        prop_assert_eq!(delivers, 2 * workload.delivered.len(), "one event per flit");
     }
 
     /// Per-class dateline invariants on random shapes: request plans
