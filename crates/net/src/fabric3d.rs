@@ -858,12 +858,22 @@ impl TorusFabric {
     /// [`InjectError::NoCredit`] when the injection queue lacks room for
     /// the whole packet right now (fabric backpressure at the source);
     /// [`InjectError::TooLarge`] when the packet has more flits than the
-    /// queue is deep, so no retry can ever succeed.
+    /// queue is deep, so no retry can ever succeed;
+    /// [`InjectError::NodeOutOfRange`] when the source or destination is
+    /// not a node of this torus. Every refusal leaves the fabric
+    /// untouched.
     ///
     /// # Panics
     /// Panics if the spec fails [`PacketSpec::validate`].
     pub fn inject(&mut self, spec: PacketSpec) -> Result<RoutePlan, InjectError> {
         spec.validate();
+        let nodes = self.torus.node_count();
+        if let Some(node) = [spec.src, spec.dst].iter().find(|n| n.index() >= nodes) {
+            return Err(InjectError::NodeOutOfRange {
+                node: node.index(),
+                nodes,
+            });
+        }
         let router = spec.src.index();
         let vc = spec.inject_vc();
         let nflits = spec.nflits as usize;
@@ -1513,6 +1523,23 @@ mod tests {
             .inject(PacketSpec::request(NodeId(0), NodeId(7), 3, 1).with_draw(0, 0, 0))
             .unwrap_err();
         assert!(matches!(busy, InjectError::NoCredit { occupancy: 8, .. }));
+    }
+
+    #[test]
+    fn packets_off_the_torus_are_refused_whole() {
+        // A node outside the 8-node torus, at either end, is a typed
+        // refusal before any flit enters; stepping afterwards is safe.
+        let mut f = fabric([2, 2, 2]);
+        let bad_dst = PacketSpec::request(NodeId(0), NodeId(8), 1, 2).with_draw(0, 0, 0);
+        let bad_src = PacketSpec::request(NodeId(9), NodeId(1), 2, 2).with_draw(0, 0, 0);
+        for (spec, node) in [(bad_dst, 8), (bad_src, 9)] {
+            let err = f.inject(spec).unwrap_err();
+            assert_eq!(err, InjectError::NodeOutOfRange { node, nodes: 8 });
+            assert!(err.to_string().contains("outside the 8-node fabric"));
+            assert_eq!(f.occupancy(), 0, "a refused packet takes nothing");
+        }
+        f.step();
+        assert_eq!(f.occupancy(), 0);
     }
 
     #[test]

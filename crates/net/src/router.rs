@@ -49,6 +49,11 @@
 //! - **lazy credit probes**: downstream credit checks run only for the
 //!   (output, VC) pairs arbitration will actually ask about, instead of
 //!   snapshotting every pair;
+//! - **occupied-front stall classification**: with telemetry on, each
+//!   router walks an occupied-queue bitset and reads every front's
+//!   target from a per-queue memo keyed by front version, so a head is
+//!   routed once (shared with candidate filing) and a stalled front
+//!   costs no slab read or route call on later cycles;
 //! - **allocation-free hot path**: the per-cycle buffers (candidates,
 //!   probes, departures) persist across cycles, so a steady-state step
 //!   allocates nothing;
@@ -401,6 +406,18 @@ struct MatureEntry {
     tag: u16,
 }
 
+/// A queue front's resolved target: the output it waits on and the VC
+/// it takes there — a head's route decision (with the outgoing tag
+/// candidate filing needs), or a body flit's owned output. Valid while
+/// `version` equals its queue's front version.
+#[derive(Clone, Copy, Debug)]
+struct FrontTarget {
+    version: u32,
+    tag: u16,
+    out: u8,
+    out_vc: u8,
+}
+
 /// An input-queued, credit-flow-controlled router stepped per cycle.
 #[derive(Clone)]
 pub struct CycleRouter {
@@ -462,9 +479,21 @@ pub struct CycleRouter {
     /// router pipeline (`u64::MAX` when the queue is empty).
     front_ready: Vec<u64>,
     /// Flat per-queue version, bumped whenever the front changes — the
-    /// validity key of scheduled maturity entries (a pop invalidates any
-    /// pending filing of the popped front).
+    /// validity key of scheduled maturity entries and of `front_target`
+    /// (a pop invalidates any pending filing of the popped front).
     front_version: Vec<u32>,
+    /// Occupied-queue bitset, bit `port * vcs + vc` set while that
+    /// queue holds a flit (kept by [`Self::accept`] and the pops), so
+    /// stall classification walks the occupied fronts instead of every
+    /// port × VC slot.
+    occupied: Vec<u64>,
+    /// Per-queue memo of the front's target, keyed by `front_version`
+    /// and filled lazily: by stall classification for every front it
+    /// meets, and by candidate filing for heads once the memo exists.
+    /// A head is thus routed at most once whether telemetry is on or
+    /// off, and a body front looks up its owned output once. Empty
+    /// (allocating nothing) until telemetry first classifies.
+    front_target: Vec<FrontTarget>,
     /// Per-cycle head-flit route snapshot (`[port * vcs + vc]`) used by
     /// the reference full-scan arbiter [`Self::tick`]; reused across
     /// ticks to avoid per-cycle allocation.
@@ -501,6 +530,8 @@ impl CycleRouter {
             popped: Vec::new(),
             front_ready: vec![u64::MAX; ports * vcs],
             front_version: vec![0; ports * vcs],
+            occupied: vec![0; (ports * vcs).div_ceil(64)],
+            front_target: Vec::new(),
             decision_scratch: Vec::new(),
         }
     }
@@ -513,8 +544,10 @@ impl CycleRouter {
 
     /// Heap bytes behind this router as `(flit slab, scheduler state)`:
     /// the slab is the [`FlitStore`] slot storage; the state covers ring
-    /// cursors, candidate worklists, the maturity wheel, and arbitration
-    /// scratch. Capacity-based — what the allocator actually handed out.
+    /// cursors, candidate worklists, the maturity wheel, the front
+    /// mirrors (with the occupied-queue bitset and the front-target
+    /// memo), and arbitration scratch. Capacity-based — what the
+    /// allocator actually handed out.
     pub fn memory_bytes(&self) -> (usize, usize) {
         use std::mem::size_of;
         let (slab, cursors) = self.store.memory_bytes();
@@ -537,8 +570,9 @@ impl CycleRouter {
             + self.arb_outs.capacity()
             + self.popped.capacity())
             * size_of::<u16>();
-        let fronts = self.front_ready.capacity() * size_of::<u64>()
-            + self.front_version.capacity() * size_of::<u32>();
+        let fronts = (self.front_ready.capacity() + self.occupied.capacity()) * size_of::<u64>()
+            + self.front_version.capacity() * size_of::<u32>()
+            + self.front_target.capacity() * size_of::<FrontTarget>();
         let state = cursors
             + wheels
             + cands
@@ -603,6 +637,7 @@ impl CycleRouter {
         }
         let idx = port * self.vcs + vc as usize;
         if self.store.is_empty(idx) {
+            self.occupied[idx / 64] |= 1 << (idx % 64);
             self.front_version[idx] = self.front_version[idx].wrapping_add(1);
             let ready = cycle + self.pipeline;
             self.front_ready[idx] = ready;
@@ -615,7 +650,7 @@ impl CycleRouter {
     }
 
     /// Pops the front flit of input `(p, v)`, maintaining the queued
-    /// total, the flat front mirrors, and the occupied-queue worklist.
+    /// total, the flat front mirrors, and the occupied-queue bitset.
     fn take_front(&mut self, p: usize, v: u8) -> Flit {
         let idx = p * self.vcs + v as usize;
         // A filed front that departs (or is popped by the reference
@@ -650,6 +685,7 @@ impl CycleRouter {
             }
             None => {
                 self.front_ready[idx] = u64::MAX;
+                self.occupied[idx / 64] &= !(1 << (idx % 64));
             }
         }
         flit
@@ -710,17 +746,36 @@ impl CycleRouter {
             );
         }
         // Route from the scheduled record — see the [`RouteFn`] purity
-        // contract; the debug assertion above pins record == front.
-        let head = Flit {
-            packet: 0,
-            index: 0,
-            of: 1,
-            dest: entry.dest,
-            vc: v as u8,
-            tag: entry.tag,
-            injected_at: 0,
+        // contract; the debug assertion above pins record == front —
+        // unless stall classification already resolved this front.
+        let rd = match self.front_target.get(i) {
+            Some(t) if t.version == version => RouteDecision {
+                port: t.out as usize,
+                vc: t.out_vc,
+                tag: t.tag,
+            },
+            _ => {
+                let head = Flit {
+                    packet: 0,
+                    index: 0,
+                    of: 1,
+                    dest: entry.dest,
+                    vc: v as u8,
+                    tag: entry.tag,
+                    injected_at: 0,
+                };
+                let rd = route(&head, self.id);
+                if let Some(t) = self.front_target.get_mut(i) {
+                    *t = FrontTarget {
+                        version,
+                        tag: rd.tag,
+                        out: rd.port as u8,
+                        out_vc: rd.vc,
+                    };
+                }
+                rd
+            }
         };
-        let rd = route(&head, self.id);
         let pos = self.out_cands[rd.port]
             .binary_search_by_key(&idx, |c| c.idx)
             .expect_err("front filed twice");
@@ -978,6 +1033,65 @@ impl CycleRouter {
         })
     }
 
+    /// Visits every occupied queue front in ascending flat-index order
+    /// (the reference classifier's port × VC order) as `(output,
+    /// outgoing VC, immature)`, where `immature` means the front is
+    /// still inside the router pipeline at `cycle` — the per-front
+    /// inputs of the epoch kernel's stall classification. Each front's
+    /// target is resolved once and memoized by front version (a head
+    /// routed, a body front's owned output looked up); later cycles read
+    /// neither the flit slab nor the route function. A body front whose
+    /// packet owns no output is skipped, as [`RouterFabric`]'s reference
+    /// classifier skips it.
+    pub(crate) fn for_each_front_target(
+        &mut self,
+        cycle: u64,
+        route: &RouteFn,
+        mut f: impl FnMut(usize, u8, bool),
+    ) {
+        if self.front_target.is_empty() {
+            // Stale against every live front: versions only move forward.
+            self.front_target = self
+                .front_version
+                .iter()
+                .map(|&v| FrontTarget {
+                    version: v.wrapping_sub(1),
+                    tag: 0,
+                    out: 0,
+                    out_vc: 0,
+                })
+                .collect();
+        }
+        for w in 0..self.occupied.len() {
+            let mut bits = self.occupied[w];
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let version = self.front_version[i];
+                if self.front_target[i].version != version {
+                    let &(front, _) = self.store.front(i).expect("occupied queue has a front");
+                    let (out, out_vc, tag) = if front.is_head() {
+                        let d = route(&front, self.id);
+                        (d.port, d.vc, d.tag)
+                    } else {
+                        match self.owner_output(i / self.vcs, (i % self.vcs) as u8) {
+                            Some((out, out_vc)) => (out, out_vc, 0),
+                            None => continue,
+                        }
+                    };
+                    self.front_target[i] = FrontTarget {
+                        version,
+                        tag,
+                        out: out as u8,
+                        out_vc,
+                    };
+                }
+                let t = self.front_target[i];
+                f(t.out as usize, t.out_vc, self.front_ready[i] > cycle);
+            }
+        }
+    }
+
     /// One **reference** arbitration cycle — the naive full scan over
     /// every (port, VC) pair and every output, retained as the
     /// executable specification of the event-driven
@@ -1157,6 +1271,15 @@ pub enum InjectError {
         /// Depth of the injection VC queue, in flits.
         capacity: usize,
     },
+    /// The packet's source or destination is not a node of the fabric
+    /// (see [`crate::fabric3d::TorusFabric::inject`]). Permanent: no
+    /// flit was taken, and retrying can never succeed.
+    NodeOutOfRange {
+        /// The out-of-range node index (the source if both are).
+        node: usize,
+        /// Nodes in the fabric; valid indices are `0..nodes`.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for InjectError {
@@ -1175,6 +1298,9 @@ impl fmt::Display for InjectError {
                 f,
                 "a {nflits}-flit packet can never fit the {capacity}-flit injection queue"
             ),
+            InjectError::NodeOutOfRange { node, nodes } => {
+                write!(f, "node {node} is outside the {nodes}-node fabric")
+            }
         }
     }
 }
@@ -1222,11 +1348,18 @@ use shard::{ShardPool, ShardScratch};
 /// provides the acquire/release edge before the serial merge epilogue.
 /// The frame itself lives on the stepping thread's stack and is only
 /// dereferenced between pool launch and that fence, which the stepping
-/// thread also waits on. A one-shard fabric has no pool: the stepping
-/// thread runs the window inline and is the frame's only user.
+/// thread also waits on. A panic inside a window does not skip the
+/// fence: every party catches its own panic, records the first one in
+/// the pool and waits, and the stepping thread re-raises that payload
+/// only after the fence, so no worker is left spinning and no unwind
+/// frees the frame under a running window. A one-shard fabric has no
+/// pool: the stepping thread runs the window inline and is the frame's
+/// only user, so its panics simply unwind.
 #[allow(unsafe_code)]
 mod shard {
     use super::*;
+    use std::any::Any;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::{Arc, Condvar, Mutex};
 
@@ -1344,6 +1477,17 @@ mod shard {
         stop: AtomicBool,
         /// The end-of-epoch fence, sized to the shard count.
         barrier: SpinBarrier,
+        /// The first panic caught in any party's window this epoch,
+        /// re-raised by the stepping thread once every party has passed
+        /// the fence.
+        panic: Mutex<Option<Box<dyn Any + Send>>>,
+    }
+
+    impl PoolCtl {
+        /// Keeps `payload` unless an earlier party's panic is recorded.
+        fn record_panic(&self, payload: Box<dyn Any + Send>) {
+            self.panic.lock().expect("pool lock").get_or_insert(payload);
+        }
     }
 
     /// The persistent worker pool of a sharded fabric: shard 0 runs on the
@@ -1363,6 +1507,7 @@ mod shard {
                 cv: Condvar::new(),
                 stop: AtomicBool::new(false),
                 barrier: SpinBarrier::new(shards),
+                panic: Mutex::new(None),
             });
             let workers = (1..shards)
                 .map(|s| {
@@ -1388,9 +1533,15 @@ mod shard {
                                 // SAFETY: the launching thread keeps the
                                 // frame alive until it passes the epoch
                                 // barrier below, which cannot happen
-                                // before this worker reaches it too.
-                                unsafe {
+                                // before this worker reaches it too —
+                                // a panicking window included, since the
+                                // panic is caught here and handed to the
+                                // stepping thread to re-raise.
+                                let window = catch_unwind(AssertUnwindSafe(|| unsafe {
                                     run_shard_epoch(&*(frame as *const StepShared), s);
+                                }));
+                                if let Err(payload) = window {
+                                    ctl.record_panic(payload);
                                 }
                                 ctl.barrier.wait();
                             }
@@ -1581,7 +1732,8 @@ mod shard {
     /// pointers into the fabric plus this window's inputs. Built on the
     /// stack of [`RouterFabric::step_epoch`] and dereferenced only
     /// between the pool launch and the end-of-epoch barrier, which the
-    /// main thread also waits on before the frame goes out of scope.
+    /// main thread also waits on before the frame goes out of scope —
+    /// even when a window panics (see the module's safety discipline).
     ///
     /// # Safety discipline
     ///
@@ -1638,7 +1790,8 @@ mod shard {
     /// neither queued work nor a scheduled arrival. Every party — the
     /// stepping thread as shard 0, one pool worker per remaining shard —
     /// calls this exactly once per epoch, then waits on the epoch
-    /// barrier (a one-shard fabric has neither workers nor barrier).
+    /// barrier, having caught any panic of the window first (a
+    /// one-shard fabric has neither workers nor barrier).
     ///
     /// Cross-shard effects cannot occur inside the window: every
     /// positive-latency link is at least `window` cycles long, so a flit
@@ -1807,64 +1960,53 @@ mod shard {
             if sh.telemetry {
                 // Stamp this cycle's advanced links, then classify every
                 // occupied front against the same private-cycle state the
-                // probes read — the epoch mirror of `telemetry_record`.
+                // probes read — the epoch mirror of `telemetry_record`,
+                // fed per front by `for_each_front_target` (targets
+                // resolved once per front, only occupied queues visited).
                 let base = link_off[lo];
                 scratch.adv_stamp.resize(link_off[hi] - base, 0);
                 for &(r, out, _) in &scratch.moves[moves_start..] {
                     scratch.adv_stamp[link_off[r] - base + out] = cycle + 1;
                 }
                 for &r in &scratch.worklist {
-                    let router = &routers[r - lo];
-                    if router.queued == 0 {
-                        continue;
-                    }
+                    let router = &mut routers[r - lo];
                     let vcs = router.vcs;
-                    for p in 0..router.ports {
-                        for v in 0..vcs {
-                            let Some(&(front, arrived)) = router.front(p, v as u8) else {
-                                continue;
-                            };
-                            let (out, out_vc) = if front.is_head() {
-                                let d = route(&front, r);
-                                (d.port, d.vc)
-                            } else {
-                                match router.owner_output(p, v as u8) {
-                                    Some(t) => t,
-                                    None => continue,
-                                }
-                            };
-                            let cause = if arrived + router.pipeline > cycle {
-                                StallCause::PipelineImmature
-                            } else if scratch.adv_stamp[link_off[r] - base + out] == cycle + 1 {
-                                StallCause::LostArbitration
-                            } else if next_free[r - lo][out] > cycle {
-                                StallCause::SerializationBusy
-                            } else {
-                                match wiring[r][out] {
-                                    PortLink::Router {
-                                        router: dst,
-                                        port: dport,
-                                    } => {
-                                        let credit = if (lo..hi).contains(&dst) {
-                                            credit_view
-                                                [queue_off[dst] + dport * vcs + out_vc as usize]
-                                                .load(Ordering::Relaxed)
-                                        } else {
-                                            let bslot = boundary_slot[link_off[r] + out];
-                                            *shadow_ptr.add(bslot as usize + out_vc as usize)
-                                        };
-                                        if reserved[r - lo][out * vcs + out_vc as usize] >= credit {
-                                            StallCause::CreditStarved
-                                        } else {
-                                            StallCause::LostArbitration
-                                        }
+                    let adv_r = &scratch.adv_stamp[link_off[r] - base..];
+                    let (next_free_r, reserved_r) = (&next_free[r - lo], &reserved[r - lo]);
+                    let stalls = &mut scratch.stalls;
+                    router.for_each_front_target(cycle, route, |out, out_vc, immature| {
+                        let cause = if immature {
+                            StallCause::PipelineImmature
+                        } else if adv_r[out] == cycle + 1 {
+                            StallCause::LostArbitration
+                        } else if next_free_r[out] > cycle {
+                            StallCause::SerializationBusy
+                        } else {
+                            match wiring[r][out] {
+                                PortLink::Router {
+                                    router: dst,
+                                    port: dport,
+                                } => {
+                                    let credit = if (lo..hi).contains(&dst) {
+                                        credit_view[queue_off[dst] + dport * vcs + out_vc as usize]
+                                            .load(Ordering::Relaxed)
+                                    } else {
+                                        let bslot = boundary_slot[link_off[r] + out];
+                                        // SAFETY: as for the probes, this
+                                        // shard owns the link's shadow slot.
+                                        unsafe { *shadow_ptr.add(bslot as usize + out_vc as usize) }
+                                    };
+                                    if reserved_r[out * vcs + out_vc as usize] >= credit {
+                                        StallCause::CreditStarved
+                                    } else {
+                                        StallCause::LostArbitration
                                     }
-                                    _ => StallCause::LostArbitration,
                                 }
-                            };
-                            scratch.stalls.push((r as u32, out as u32, out_vc, cause));
-                        }
-                    }
+                                _ => StallCause::LostArbitration,
+                            }
+                        };
+                        stalls.push((r as u32, out as u32, out_vc, cause));
+                    });
                 }
             }
 
@@ -2150,10 +2292,20 @@ mod shard {
                         // SAFETY: the frame stays on this stack until every
                         // party — including this thread, as shard 0 —
                         // passes the epoch barrier, after which no worker
-                        // touches it.
-                        unsafe { run_shard_epoch(&frame, 0) };
+                        // touches it. Shard 0's own panic is caught too and
+                        // re-raised only past the barrier, so unwinding
+                        // never frees the frame under a running worker.
+                        let window = catch_unwind(AssertUnwindSafe(|| unsafe {
+                            run_shard_epoch(&frame, 0)
+                        }));
+                        if let Err(payload) = window {
+                            pool.ctl.record_panic(payload);
+                        }
                         pool.ctl.barrier.wait();
                         self.sync_ops += 2;
+                        if let Some(payload) = pool.ctl.panic.lock().expect("pool lock").take() {
+                            resume_unwind(payload);
+                        }
                     }
                     // SAFETY: one shard and no workers: this thread is the
                     // frame's only party, for as long as the frame lives.
@@ -3003,6 +3155,12 @@ impl RouterFabric {
     /// latency-0 links), ejections are recorded. A one-cycle epoch of
     /// the lookahead kernel at the configured shard count, bit-identical
     /// to [`Self::step_reference`].
+    ///
+    /// # Panics
+    /// Re-raises a panic of the route or flit-class function. With
+    /// several shards it is the first panicking window's payload,
+    /// raised once every shard has finished its window; the fabric can
+    /// then only be dropped, which joins the shard workers.
     pub fn step(&mut self) {
         let limit = self.cycle + 1;
         self.step_epoch(limit, false);
@@ -3900,6 +4058,51 @@ mod tests {
         // shard too (where it caps the inline kernel's window).
         assert!(f.set_shards_with_lookahead(1, Some(3)).is_ok());
         assert_eq!(f.shards(), 1);
+    }
+
+    #[test]
+    fn a_panicking_shard_window_fails_the_step_and_the_pool_joins() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        // Two shards over a 4-router row: routers 0-1 step on the calling
+        // thread (shard 0), routers 2-3 on the pool worker. A route
+        // function failing at router `bad` panics inside one party's
+        // window; the step must re-raise it rather than hang at the epoch
+        // barrier, and dropping the fabric must still join the worker.
+        // The fabric lives on a helper thread so a hang fails the test.
+        for bad in [1usize, 3] {
+            let (tx, rx) = mpsc::channel();
+            let helper = std::thread::spawn(move || {
+                let mut fabric = latency1_row(4);
+                fabric.route = Box::new(move |f: &Flit, router: usize| {
+                    assert!(router != bad, "route fails at router {bad}");
+                    RouteDecision::keep(if f.dest as usize == router { 2 } else { 1 }, f)
+                });
+                fabric.set_shards(2).unwrap();
+                fabric.inject(0, 0, flit(1, 0, 1, 3, 0)).unwrap();
+                let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    for _ in 0..50 {
+                        fabric.step();
+                    }
+                }));
+                let msg = match stepped {
+                    Ok(()) => "no panic".to_string(),
+                    Err(payload) => payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default(),
+                };
+                tx.send(msg).unwrap();
+                drop(fabric);
+                tx.send("dropped".to_string()).unwrap();
+            });
+            let wait = Duration::from_secs(10);
+            let msg = rx.recv_timeout(wait).expect("the step hung");
+            assert_eq!(msg, format!("route fails at router {bad}"));
+            let dropped = rx.recv_timeout(wait).expect("dropping the fabric hung");
+            assert_eq!(dropped, "dropped");
+            helper.join().expect("helper thread finished cleanly");
+        }
     }
 
     #[test]

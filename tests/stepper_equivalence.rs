@@ -112,6 +112,12 @@ fn drive(
     (fabric, log)
 }
 
+/// A telemetry-recording fabric's full observability summary as JSON.
+fn summary(fabric: &TorusFabric) -> String {
+    serde_json::to_string(&fabric.telemetry_summary().expect("telemetry on"))
+        .expect("serializable summary")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -154,16 +160,23 @@ proptest! {
         packets in 40u64..120,
     ) {
         // The two steppers share all fabric state (queues, credit
-        // mirrors, maturity wheels), so a fabric may switch between
-        // them mid-run without diverging from either pure schedule.
+        // mirrors, maturity wheels, the occupied-queue bitset and the
+        // front-target memo both steppers' pops invalidate), so a fabric
+        // may switch between them mid-run, recording telemetry, without
+        // diverging from either pure schedule.
         let dims = [dims.0, dims.1, dims.2];
-        let (mixed, mixed_log) = drive(dims, seed, packets, Mode::Alternating, false);
+        let (mixed, mixed_log) = drive(dims, seed, packets, Mode::Alternating, true);
         let (pure, pure_log) = drive(dims, seed, packets, Mode::Event, false);
         prop_assert_eq!(mixed_log.len(), pure_log.len());
         for (a, b) in mixed_log.iter().zip(&pure_log) {
             prop_assert_eq!(a, b, "mixed-stepper delivery log diverged");
         }
         prop_assert_eq!(mixed.cycle(), pure.cycle());
+        let (naive, _) = drive(dims, seed, packets, Mode::Reference, true);
+        prop_assert_eq!(
+            summary(&mixed), summary(&naive),
+            "mixed-stepper telemetry summary diverged from the reference"
+        );
     }
 
     #[test]
@@ -212,10 +225,6 @@ proptest! {
                 }
             }
         }
-        let summary = |f: &TorusFabric| {
-            serde_json::to_string(&f.telemetry_summary().expect("telemetry on"))
-                .expect("serializable summary")
-        };
         prop_assert_eq!(
             summary(&sharded), summary(&naive),
             "telemetry summaries diverged at {} shards (lookahead {:?})",
