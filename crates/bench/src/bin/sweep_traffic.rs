@@ -67,8 +67,9 @@
 //!   path ends in `.jsonl`, Chrome `trace_event` JSON (loadable in
 //!   `chrome://tracing` / Perfetto) otherwise.
 //!
-//! Any other argument, or a valued flag without its value, is rejected
-//! with exit status 2 before anything runs.
+//! Any other argument, a valued flag without its value, or more than one
+//! of the mode flags (`--calibrate`, `--md-replay`, `--overload-smoke`,
+//! `--mega-smoke`) is rejected with exit status 2 before anything runs.
 
 use anton_machine::mdrun::MdNetworkRun;
 use anton_machine::pingpong::LoadedCalibration;
@@ -110,6 +111,46 @@ const VALUED: &[&str] = &[
     "--epoch-ring",
     "--trace-out",
 ];
+
+/// What one run of the binary does: the default latency–throughput
+/// sweep, or the mode one mode flag selects instead.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Mode {
+    Sweep,
+    Calibrate,
+    MdReplay,
+    OverloadSmoke,
+    MegaSmoke,
+}
+
+/// The mode flags (also listed in [`SWITCHES`]) and what they select.
+const MODES: [(&str, Mode); 4] = [
+    ("--calibrate", Mode::Calibrate),
+    ("--md-replay", Mode::MdReplay),
+    ("--overload-smoke", Mode::OverloadSmoke),
+    ("--mega-smoke", Mode::MegaSmoke),
+];
+
+/// The one mode `args` select: [`Mode::Sweep`] without a mode flag, the
+/// flag's mode with one, and an error naming the flags when several
+/// modes are given (any one of them would silently skip the others).
+fn mode_of<S: AsRef<str>>(args: &[S]) -> Result<Mode, String> {
+    let given: Vec<(&str, Mode)> = MODES
+        .into_iter()
+        .filter(|(flag, _)| args.iter().any(|a| a.as_ref() == *flag))
+        .collect();
+    match given[..] {
+        [] => Ok(Mode::Sweep),
+        [(_, mode)] => Ok(mode),
+        _ => {
+            let flags: Vec<&str> = given.iter().map(|(flag, _)| *flag).collect();
+            Err(format!(
+                "give at most one mode, not {}",
+                flags.join(" and ")
+            ))
+        }
+    }
+}
 
 /// The `--threads N` worker count (default 1). Reports are byte-identical
 /// at any value — each sweep point derives its RNG stream from the seed
@@ -289,23 +330,23 @@ fn write_telemetry_artifacts(fabric: &TorusFabric) {
 }
 
 fn main() {
-    if let Err(e) = anton_bench::check_flags(std::env::args().skip(1), SWITCHES, VALUED) {
-        eprintln!("sweep_traffic: {e}");
-        std::process::exit(2);
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mode = match anton_bench::check_flags(&args, SWITCHES, VALUED).and_then(|()| mode_of(&args))
+    {
+        Ok(mode) => mode,
+        Err(e) => {
+            eprintln!("sweep_traffic: {e}");
+            std::process::exit(2);
+        }
+    };
     let params = FabricParams::calibrated(&LatencyModel::default());
     let threads = thread_arg();
-    if std::env::args().any(|a| a == "--calibrate") {
-        return calibrate(params, threads);
-    }
-    if std::env::args().any(|a| a == "--md-replay") {
-        return md_replay(params);
-    }
-    if std::env::args().any(|a| a == "--overload-smoke") {
-        return overload_smoke(params, threads);
-    }
-    if std::env::args().any(|a| a == "--mega-smoke") {
-        return mega_smoke(params, threads);
+    match mode {
+        Mode::Calibrate => return calibrate(params, threads),
+        Mode::MdReplay => return md_replay(params),
+        Mode::OverloadSmoke => return overload_smoke(params, threads),
+        Mode::MegaSmoke => return mega_smoke(params, threads),
+        Mode::Sweep => {}
     }
 
     let quick = std::env::args().any(|a| a == "--quick");
@@ -770,5 +811,31 @@ fn overload_smoke(params: FabricParams, threads: usize) {
     if telemetry.is_some() {
         print_telemetry(&run.fabric);
         write_telemetry_artifacts(&run.fabric);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn at_most_one_mode_is_selected() {
+        assert_eq!(mode_of::<&str>(&[]), Ok(Mode::Sweep));
+        assert_eq!(mode_of(&["--quick", "--threads", "2"]), Ok(Mode::Sweep));
+        for (flag, expect) in MODES {
+            assert!(SWITCHES.contains(&flag), "{flag} must pass the flag check");
+            assert_eq!(mode_of(&["--json", flag, "--shards", "2"]), Ok(expect));
+            assert_eq!(
+                mode_of(&[flag, flag]),
+                Ok(expect),
+                "a repeat is still one mode"
+            );
+        }
+        let err = mode_of(&["--md-replay", "--overload-smoke"]).unwrap_err();
+        assert_eq!(
+            err,
+            "give at most one mode, not --md-replay and --overload-smoke"
+        );
+        assert!(mode_of(&["--mega-smoke", "--calibrate", "--md-replay"]).is_err());
     }
 }

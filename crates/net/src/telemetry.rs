@@ -95,6 +95,34 @@ impl StallCause {
             StallCause::SerializationBusy => 3,
         }
     }
+
+    /// The cause of one stalled queue front, by the single precedence
+    /// rule every stepper classifies with: still in the router pipeline
+    /// (`immature`); else its target output moved a flit this cycle
+    /// (`output_advanced` — possibly the front's own predecessor), so it
+    /// lost the output whatever the credit state; else the link cannot
+    /// serialize yet (`link_busy`); else the downstream VC has no
+    /// unreserved credit (`starved`); else another front won. `starved`
+    /// is asked only when the earlier causes do not apply: it is the
+    /// one question that reads downstream credit state.
+    pub(crate) fn of(
+        immature: bool,
+        output_advanced: bool,
+        link_busy: bool,
+        starved: impl FnOnce() -> bool,
+    ) -> StallCause {
+        if immature {
+            StallCause::PipelineImmature
+        } else if output_advanced {
+            StallCause::LostArbitration
+        } else if link_busy {
+            StallCause::SerializationBusy
+        } else if starved() {
+            StallCause::CreditStarved
+        } else {
+            StallCause::LostArbitration
+        }
+    }
 }
 
 /// Per-cause stall-cycle counts for one aggregation bucket (a link, a
@@ -813,6 +841,25 @@ mod tests {
             2,
             0,
         )
+    }
+
+    #[test]
+    fn stall_causes_follow_one_precedence() {
+        use StallCause::*;
+        // Each cause wins over every one listed after it, and the credit
+        // question is not asked once an earlier cause applies.
+        let unasked = || -> bool { panic!("credit state read") };
+        assert_eq!(StallCause::of(true, true, true, unasked), PipelineImmature);
+        assert_eq!(StallCause::of(false, true, true, unasked), LostArbitration);
+        assert_eq!(
+            StallCause::of(false, false, true, unasked),
+            SerializationBusy
+        );
+        assert_eq!(StallCause::of(false, false, false, || true), CreditStarved);
+        assert_eq!(
+            StallCause::of(false, false, false, || false),
+            LostArbitration
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property test pinning the event-driven fabric core to the retained
 //! naive reference stepper: random torus shapes and mixed-class loads
 //! run through both `TorusFabric::step` (worklists, persistent
-//! candidate lists, maturity wheels, credit probes) and
+//! candidate lists, maturity wheels, direct credit checks) and
 //! `TorusFabric::step_reference` (the pre-worklist full scan kept as the
 //! executable specification), asserting **bit-identical** `(cycle,
 //! Flit)` delivery logs and per-link, per-slice, per-`ByteKind` traffic
