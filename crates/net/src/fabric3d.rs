@@ -312,22 +312,26 @@ impl PacketSpec {
         }
     }
 
-    /// Validates the draw ranges.
+    /// Checks the flit count and the draw ranges.
     ///
-    /// # Panics
-    /// Panics if `nflits == 0`, `slice > 1`, or (requests) `order_idx >
-    /// 5` / `base_vc > 1`.
-    pub fn validate(&self) {
-        assert!(self.nflits >= 1, "packets carry at least one flit");
-        assert!(self.slice < SLICES, "slice {} out of range", self.slice);
-        if self.class == TrafficClass::Request {
-            assert!(
-                self.order_idx < 6,
-                "dimension order index {} out of range",
-                self.order_idx
-            );
-            assert!(self.base_vc < 2, "base VC must be 0 or 1");
-        }
+    /// # Errors
+    /// [`InjectError::InvalidSpec`] naming the first offending field:
+    /// `nflits` of zero, `slice` of 2 or more, or (requests only)
+    /// `order_idx` of 6 or more or `base_vc` of 2 or more.
+    pub fn validate(&self) -> Result<(), InjectError> {
+        let request = self.class == TrafficClass::Request;
+        let (field, value) = if self.nflits == 0 {
+            ("nflits", 0)
+        } else if self.slice >= SLICES {
+            ("slice", self.slice)
+        } else if request && self.order_idx >= 6 {
+            ("order_idx", self.order_idx)
+        } else if request && self.base_vc >= 2 {
+            ("base_vc", usize::from(self.base_vc))
+        } else {
+            return Ok(());
+        };
+        Err(InjectError::InvalidSpec { field, value })
     }
 }
 
@@ -860,13 +864,11 @@ impl TorusFabric {
     /// [`InjectError::TooLarge`] when the packet has more flits than the
     /// queue is deep, so no retry can ever succeed;
     /// [`InjectError::NodeOutOfRange`] when the source or destination is
-    /// not a node of this torus. Every refusal leaves the fabric
-    /// untouched.
-    ///
-    /// # Panics
-    /// Panics if the spec fails [`PacketSpec::validate`].
+    /// not a node of this torus; [`InjectError::InvalidSpec`] when the
+    /// spec fails [`PacketSpec::validate`]. Every refusal leaves the
+    /// fabric untouched.
     pub fn inject(&mut self, spec: PacketSpec) -> Result<RoutePlan, InjectError> {
-        spec.validate();
+        spec.validate()?;
         let nodes = self.torus.node_count();
         if let Some(node) = [spec.src, spec.dst].iter().find(|n| n.index() >= nodes) {
             return Err(InjectError::NodeOutOfRange {
@@ -1325,22 +1327,24 @@ mod tests {
 
     #[test]
     fn mega_fabric_constructs_within_memory_budget() {
-        // A freshly built 16³ fabric must stay inside a small per-router
-        // budget: flit slabs are allocated lazily, so construction cost
-        // is cursors + worklists + link state, independent of the queue
-        // depths traffic would eventually reach.
-        let f = fabric([16, 16, 16]);
-        let report = f.memory_report();
-        assert_eq!(report.nodes, 4096);
-        assert_eq!(
-            report.total_bytes,
-            report.breakdown.total() + report.route_table_bytes
-        );
-        assert!(
-            report.bytes_per_router < 8 * 1024,
-            "constructed fabric takes {} bytes/router",
-            report.bytes_per_router
-        );
+        // A freshly built fabric must stay inside a small per-router
+        // budget at every scale: flit slabs are allocated lazily, so
+        // construction cost is cursors + worklists + link state,
+        // independent of the queue depths traffic would eventually reach.
+        for n in [8u8, 16, 32] {
+            let f = fabric([n, n, n]);
+            let report = f.memory_report();
+            assert_eq!(report.nodes, usize::from(n).pow(3));
+            assert_eq!(
+                report.total_bytes,
+                report.breakdown.total() + report.route_table_bytes
+            );
+            assert!(
+                report.bytes_per_router < 8 * 1024,
+                "constructed {n}³ fabric takes {} bytes/router",
+                report.bytes_per_router
+            );
+        }
     }
 
     #[test]
@@ -1540,6 +1544,27 @@ mod tests {
         }
         f.step();
         assert_eq!(f.occupancy(), 0);
+    }
+
+    #[test]
+    fn invalid_specs_are_refused_as_typed_errors() {
+        // `PacketSpec`'s fields are public, so a caller can build a spec
+        // no fabric can route; each is a typed refusal that takes nothing.
+        let mut f = fabric([2, 2, 2]);
+        let ok = PacketSpec::request(NodeId(0), NodeId(7), 1, 2).with_draw(0, 0, 0);
+        let cases = [
+            (PacketSpec { nflits: 0, ..ok }, "nflits", 0),
+            (PacketSpec { slice: 2, ..ok }, "slice", 2),
+            (PacketSpec { order_idx: 6, ..ok }, "order_idx", 6),
+            (PacketSpec { base_vc: 2, ..ok }, "base_vc", 2),
+        ];
+        for (spec, field, value) in cases {
+            let err = f.inject(spec).unwrap_err();
+            assert_eq!(err, InjectError::InvalidSpec { field, value });
+            assert!(err.to_string().contains("invalid packet spec"));
+            assert_eq!(f.occupancy(), 0, "a refused packet takes nothing");
+        }
+        f.inject(ok).expect("the valid spec injects");
     }
 
     #[test]

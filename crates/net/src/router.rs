@@ -39,8 +39,11 @@
 //! - an **active-router worklist**: routers enqueue themselves when they
 //!   accept a flit (link arrival, same-cycle move, or injection) and are
 //!   dropped when they go idle, so arbitration visits only routers that
-//!   can possibly act — the router-side mirror of the `busy_channels`
-//!   list the link-arrival scan already uses;
+//!   can possibly act;
+//! - **per-shard arrival wheels**: a departure onto a positive-latency
+//!   link books the flit on its shard's calendar wheel at the arrival
+//!   cycle, where one landing releases the upstream credit and accepts
+//!   the flit downstream — no per-link delay line, no serial replay;
 //! - **occupied-input candidate lists**: route computation walks the
 //!   non-empty input queues instead of every port × VC slot, and
 //!   arbitration visits only the outputs those heads requested (plus
@@ -75,7 +78,6 @@
 use crate::telemetry::{StallCause, Telemetry, TelemetryConfig};
 use anton_model::asic::INPUT_QUEUE_FLITS;
 use core::fmt;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A flit in flight through the fabric: routing state plus bookkeeping.
@@ -1177,7 +1179,7 @@ pub enum PortLink {
 /// granularity (`latency == 0`: arrival lands the same cycle, matching
 /// the paper's inclusive per-hop cycle counts). The inter-node SERDES +
 /// wire crossing is tens of nanoseconds long and pipelined, so it is
-/// modeled as a delay line: flits depart at most one per `interval`
+/// modeled as a pipelined wire: flits depart at most one per `interval`
 /// cycles (serialization bandwidth) and arrive `latency` cycles later.
 /// Credits are reserved at departure — queued plus in-flight flits never
 /// exceed the 8-flit downstream queue, exactly as a hardware credit loop
@@ -1205,16 +1207,15 @@ impl Default for LinkSpec {
     }
 }
 
-/// One link's in-flight state: the delay line plus traffic counters.
-/// The serialization timer and reserved credits live in the fabric's
-/// flat `next_free` / `reserved` arrays — they are the arbitration hot
-/// path, and a compact per-router array is far cheaper to read than a
-/// stride through these (much larger) channel records.
+/// One link's spec and traffic counters. The serialization timer and
+/// reserved credits live in the fabric's flat `next_free` / `reserved`
+/// arrays — they are the arbitration hot path, and a compact per-router
+/// array is far cheaper to read than a stride through these (much
+/// larger) channel records. Each flit in flight ([`Arrival`]) holds one
+/// `reserved` credit on its link until it lands.
 #[derive(Clone, Debug, Default)]
 struct ChannelState {
     spec: LinkSpec,
-    /// FIFO of (arrival cycle, flit); fixed latency keeps it ordered.
-    in_flight: VecDeque<(u64, Flit)>,
     /// Flits that have entered this link since construction.
     flits_sent: u64,
     /// Packets (tail flits) that have entered this link.
@@ -1222,6 +1223,46 @@ struct ChannelState {
     /// Flits that have entered this link, split by the fabric's flit
     /// classes (empty until [`RouterFabric::set_flit_classes`]).
     class_flits: Vec<u64>,
+}
+
+/// One booking on a shard's arrival wheel: a flit in flight on the link
+/// leaving `router` through `port`, landing at the cycle of its wheel
+/// slot (the destination comes from the wiring).
+#[derive(Clone, Copy, Debug)]
+struct Arrival {
+    flit: Flit,
+    router: u32,
+    port: u8,
+    /// Release the link's reserved credit (and, without `accept`, debit
+    /// the boundary credit shadow, mirroring the remote accept).
+    release: bool,
+    /// Accept the flit into the downstream input queue.
+    accept: bool,
+}
+
+// A saturated fabric keeps thousands of bookings live; keep them small.
+const _: () = assert!(std::mem::size_of::<Arrival>() <= 40);
+
+impl Arrival {
+    /// The bookings of `flit` leaving `router` through `port`: one with
+    /// both halves when the link stays inside a shard (`local`), else
+    /// the release for the upstream shard's wheel and the accept for the
+    /// downstream shard's — so each shard touches only its own routers.
+    fn book(flit: Flit, router: usize, port: usize, local: bool) -> (Self, Option<Self>) {
+        let release = Arrival {
+            flit,
+            router: router as u32,
+            port: port as u8,
+            release: true,
+            accept: local,
+        };
+        let accept = Arrival {
+            release: false,
+            accept: true,
+            ..release
+        };
+        (release, (!local).then_some(accept))
+    }
 }
 
 /// Why an injection was refused. Callers (injection harnesses, endpoint
@@ -1276,6 +1317,15 @@ pub enum InjectError {
         /// Requested virtual channel.
         vc: u8,
     },
+    /// A field of the packet's spec is out of range (see
+    /// [`crate::fabric3d::PacketSpec::validate`]). Permanent: no flit
+    /// was taken, and retrying the same spec can never succeed.
+    InvalidSpec {
+        /// Name of the first offending `PacketSpec` field.
+        field: &'static str,
+        /// Its value.
+        value: usize,
+    },
 }
 
 impl fmt::Display for InjectError {
@@ -1301,17 +1351,10 @@ impl fmt::Display for InjectError {
                 f,
                 "router {router} has no input queue at port {port} vc {vc}"
             ),
+            InjectError::InvalidSpec { field, value } => {
+                write!(f, "invalid packet spec: {field} {value} is out of range")
+            }
         }
-    }
-}
-
-/// Adds `r` to the active-router worklist if it is not already on it.
-/// A free function so the phase-1/phase-3 closures, which capture other
-/// fabric fields, can call it without borrowing the whole fabric.
-fn activate(active: &mut Vec<usize>, is_active: &mut [bool], r: usize) {
-    if !is_active[r] {
-        is_active[r] = true;
-        active.push(r);
     }
 }
 
@@ -1332,6 +1375,8 @@ use shard::{ShardPool, ShardScratch};
 /// 1. **Disjoint mutable rows.** The router index space is partitioned
 ///    into contiguous shard ranges (`bounds`); each shard turns a `*mut`
 ///    base into per-shard slices that never overlap another shard's.
+///    Its scratch — arrival wheel and boundary outbox included — is
+///    the one element of the per-shard scratch array at its own index.
 /// 2. **Epoch-wide read-only state** (wiring, routing closures, the
 ///    sorted active list, offset tables, the boundary-slot map).
 /// 3. **Atomics** (the fabric-wide credit mirror — and each entry is
@@ -1345,7 +1390,9 @@ use shard::{ShardPool, ShardScratch};
 /// shards run their whole private window with no synchronization (every
 /// positive-latency link is at least one window long, so no cross-shard
 /// effect can land inside it), then the single end-of-epoch fence
-/// provides the acquire/release edge before the serial merge epilogue.
+/// provides the acquire/release edge before the serial merge epilogue,
+/// which alone moves boundary accepts from one shard's outbox onto
+/// another shard's wheel.
 /// The frame itself lives on the stepping thread's stack and is only
 /// dereferenced between pool launch and that fence, which the stepping
 /// thread also waits on. A panic inside a window does not skip the
@@ -1377,7 +1424,7 @@ mod shard {
         /// flight, or a packet mid-cut-through. Re-partitioning would hand
         /// live state to new owners mid-protocol; drain the fabric first.
         Busy {
-            /// Flits resident in queues and link delay lines.
+            /// Flits resident in queues and in link flight.
             resident: usize,
         },
         /// A router-to-router link has zero latency, so a departure would
@@ -1577,10 +1624,10 @@ mod shard {
     }
 
     /// One executed private cycle's cumulative end offsets into a shard's
-    /// epoch accumulators (`moves`, `stalls`, `delivered_eject`,
-    /// `outwheel`). The merge epilogue walks these to interleave per-cycle
-    /// events across shards in the serial (cycle, then ascending-router)
-    /// order; cycles a shard fast-forwarded leave no segment.
+    /// epoch accumulators (`moves`, `stalls`, `delivered_eject`). The
+    /// merge epilogue walks these to interleave per-cycle events across
+    /// shards in the serial (cycle, then ascending-router) order; cycles
+    /// a shard fast-forwarded leave no segment.
     #[derive(Clone, Copy)]
     struct EpochSeg {
         /// The private cycle this segment closed.
@@ -1591,82 +1638,48 @@ mod shard {
         stalls_end: u32,
         /// `delivered_eject.len()` after the cycle ran.
         eject_end: u32,
-        /// `outwheel.len()` after the cycle ran.
-        outwheel_end: u32,
     }
 
-    /// The upstream half of a window arrival, scheduled by the epoch
-    /// prologue: at `cycle`, the channel-owning shard releases the credit
-    /// its landed flit had reserved and, on boundary links, mirrors the
-    /// landing into the epoch's credit shadow.
-    struct UnreserveAt {
-        /// Private cycle the flit lands downstream.
-        cycle: u64,
-        /// Upstream router (owner of the link the flit left).
-        router: u32,
-        /// Flat `(port, vc)` index into the router's `reserved` row.
-        queue: u32,
-        /// Boundary shadow slot to debit; `u32::MAX` for intra-shard links.
-        shadow: u32,
-    }
-
-    /// The downstream half of a window arrival, scheduled by the epoch
-    /// prologue: at `cycle`, the destination shard accepts `flit` into
-    /// input `(router, port)`, debiting the credit mirror and activating
-    /// the router — the serial land phase replayed privately at the right
-    /// cycle.
-    #[derive(Clone, Copy)]
-    struct AcceptAt {
-        /// Private cycle the flit enters the downstream queue.
-        cycle: u64,
-        /// Destination router.
-        router: u32,
-        /// Destination input port.
-        port: u32,
-        /// The landing flit.
-        flit: Flit,
-    }
-
-    /// Per-shard working state of a lookahead epoch, reused across
-    /// epochs. The schedule lists (`unreserve`, `accepts`) are filled by
-    /// the serial prologue; everything else is written only by the owning
-    /// shard during its private window and drained serially by the merge
-    /// epilogue.
+    /// Per-shard state of the epoch kernel: the arrival wheel, and
+    /// per-epoch buffers reused across epochs. Written only by the owning
+    /// shard inside its window, and by serial code outside windows.
     #[derive(Default)]
     pub(super) struct ShardScratch {
+        /// Calendar wheel of this shard's landings: slot `t % len` holds
+        /// the bookings landing at cycle `t`. The length exceeds every
+        /// link latency (see [`RouterFabric::set_link_spec`]), so a slot
+        /// never mixes cycles.
+        pub(super) wheel: Vec<Vec<Arrival>>,
+        /// Accept halves of this window's boundary departures, as
+        /// `(wheel slot, downstream router, booking)`, for the epilogue
+        /// to move onto the downstream shard's wheel.
+        outbox: Vec<(usize, usize, Arrival)>,
+        /// Flits this window sent onto positive-latency links.
+        sent: usize,
+        /// Flits this window landed into its routers.
+        landed: usize,
         /// Current private cycle's arbitration worklist, sorted ascending;
         /// holds the shard's surviving actives when the epoch ends.
         worklist: Vec<usize>,
         /// Routers activated by accepts (arrivals, zero-latency hops),
         /// merged into the worklist before arbitration and at window end.
         incoming: Vec<usize>,
-        /// Prologue-scheduled credit releases for this shard's links, in
-        /// ascending cycle order.
-        unreserve: Vec<UnreserveAt>,
-        /// Prologue-scheduled arrivals into this shard's routers, in
-        /// ascending cycle order.
-        accepts: Vec<AcceptAt>,
         /// Departures across the whole window, `(router, out, flit)`,
         /// segmented per cycle by `segs`.
         moves: Vec<(usize, usize, Flit)>,
         /// Ejections across the window, in departure order.
         delivered_eject: Vec<Flit>,
-        /// Arrival-wheel bookings across the window, `(arrival, router,
-        /// port)` — all at or beyond the epoch barrier (no positive link
-        /// latency is shorter than the window), merged into the global
-        /// wheel by the epilogue.
-        outwheel: Vec<(u64, u32, u32)>,
         /// Stall events classified against private-cycle state,
         /// `(router, out, out vc, cause)`, in ascending router order
         /// within each cycle segment.
         stalls: Vec<(u32, u32, u8, StallCause)>,
-        /// Per-executed-cycle segment ends over the four accumulators.
+        /// Per-executed-cycle segment ends over the three accumulators.
         segs: Vec<EpochSeg>,
         /// Epilogue cursor: next unmerged entry of `segs`.
         seg_pos: usize,
         /// Epilogue cursor: segment starts (previous segment's ends) over
-        /// `moves` / `stalls` / `delivered_eject` / `outwheel`.
-        merged: (u32, u32, u32, u32),
+        /// `moves` / `stalls` / `delivered_eject`.
+        merged: (u32, u32, u32),
         /// Per-link advance stamps (`cycle + 1` when the link moved a flit
         /// that cycle), offset by the shard's first link — the shard-local
         /// stand-in for `Telemetry::advanced_on` during parallel stall
@@ -1675,33 +1688,45 @@ mod shard {
     }
 
     impl ShardScratch {
-        /// Heap bytes behind this shard's scratch buffers (for the
-        /// fabric memory audit).
+        /// A shard's state with an empty `wheel_len`-slot arrival wheel.
+        pub(super) fn new(wheel_len: usize) -> Self {
+            ShardScratch {
+                wheel: vec![Vec::new(); wheel_len],
+                ..ShardScratch::default()
+            }
+        }
+
+        /// Heap bytes behind this shard's wheel and scratch buffers (for
+        /// the fabric memory audit).
         pub(super) fn memory_bytes(&self) -> usize {
             use std::mem::size_of;
-            (self.worklist.capacity() + self.incoming.capacity()) * size_of::<usize>()
-                + self.unreserve.capacity() * size_of::<UnreserveAt>()
-                + self.accepts.capacity() * size_of::<AcceptAt>()
+            let wheel = self.wheel.capacity() * size_of::<Vec<Arrival>>()
+                + self
+                    .wheel
+                    .iter()
+                    .map(|s| s.capacity() * size_of::<Arrival>())
+                    .sum::<usize>();
+            wheel
+                + self.outbox.capacity() * size_of::<(usize, usize, Arrival)>()
+                + (self.worklist.capacity() + self.incoming.capacity()) * size_of::<usize>()
                 + self.moves.capacity() * size_of::<(usize, usize, Flit)>()
                 + self.delivered_eject.capacity() * size_of::<Flit>()
-                + self.outwheel.capacity() * size_of::<(u64, u32, u32)>()
                 + self.stalls.capacity() * size_of::<(u32, u32, u8, StallCause)>()
                 + self.segs.capacity() * size_of::<EpochSeg>()
                 + self.adv_stamp.capacity() * size_of::<u64>()
         }
 
         /// Resets the epilogue cursors and clears every per-epoch
-        /// accumulator (allocations are kept).
+        /// accumulator (allocations are kept; the wheel is untouched).
         fn reset(&mut self) {
-            self.unreserve.clear();
-            self.accepts.clear();
+            self.sent = 0;
+            self.landed = 0;
             self.moves.clear();
             self.delivered_eject.clear();
-            self.outwheel.clear();
             self.stalls.clear();
             self.segs.clear();
             self.seg_pos = 0;
-            self.merged = (0, 0, 0, 0);
+            self.merged = (0, 0, 0);
         }
     }
 
@@ -1733,7 +1758,8 @@ mod shard {
     /// Mutable access is partitioned by the contiguous shard ranges in
     /// `bounds`: epoch code turns the `*mut` bases into **disjoint**
     /// per-shard slices (rows `bounds[s]..bounds[s + 1]` of `routers`,
-    /// `channels`, `next_free`, `reserved`, `is_active`). Everything else
+    /// `channels`, `next_free`, `reserved`, `is_active`; element `s` of
+    /// `scratch`, with the shard's arrival wheel). Everything else
     /// is either read-only for the whole epoch (`wiring`, `route`,
     /// `classify`, the sorted active list, the offset tables, the
     /// boundary-slot map), atomic (`credit_view` — and each entry is only
@@ -1765,7 +1791,9 @@ mod shard {
         route: *const Box<RouteFn>,
         classify: *const Option<Box<FlitClassFn>>,
         telemetry: bool,
-        wheel_len: u64,
+        /// Whether any flit was in flight when the epoch started; if not,
+        /// nothing lands inside the window.
+        in_flight: bool,
         active_sorted: *const usize,
         active_len: usize,
         scratch: *mut ShardScratch,
@@ -1779,24 +1807,27 @@ mod shard {
 
     /// Runs one shard's private window of a lookahead epoch: up to
     /// `window` cycles of land / arbitrate / apply with **no internal
-    /// synchronization**, fast-forwarding cycles where the shard has
-    /// neither queued work nor a scheduled arrival. Every party — the
-    /// stepping thread as shard 0, one pool worker per remaining shard —
-    /// calls this exactly once per epoch, then waits on the epoch
-    /// barrier, having caught any panic of the window first (a
-    /// one-shard fabric has neither workers nor barrier).
+    /// synchronization**. Each cycle first lands the shard's wheel slot,
+    /// then arbitrates unless the worklist is still empty; the window
+    /// ends early at an empty worklist if nothing was in flight when the
+    /// epoch began. Every party — the stepping thread as shard 0, one
+    /// pool worker per remaining shard — calls this exactly once per
+    /// epoch, then waits on the epoch barrier, having caught any panic
+    /// of the window first (a one-shard fabric has neither workers nor
+    /// barrier).
     ///
     /// Cross-shard effects cannot occur inside the window: every
     /// positive-latency link is at least `window` cycles long, so a flit
     /// departing during the window lands at or beyond the barrier, and
-    /// every arrival *inside* the window was already in flight at the
-    /// prologue (which turned it into this shard's `unreserve` /
-    /// `accepts` schedules). Zero-latency router links never leave a
-    /// shard (`set_shards` rejects them), so their flits land in-shard
-    /// the cycle they depart. Credit checks against remote downstream
-    /// queues, for arbitration and stall classification alike, read the
-    /// per-boundary credit shadow, which the prologue's window clamp
-    /// keeps bit-exact (see [`RouterFabric::step_epoch`]).
+    /// every landing *inside* the window was booked on this shard's
+    /// wheel before the epoch began — by its own departures, or as a
+    /// boundary accept an earlier epilogue moved in. Zero-latency router
+    /// links never leave a shard (`set_shards` and `set_link_spec`
+    /// refuse them), so their flits land in-shard the cycle they depart.
+    /// Credit checks against remote downstream queues, for arbitration
+    /// and stall classification alike, read the per-boundary credit
+    /// shadow, which the window clamp keeps bit-exact (see
+    /// [`RouterFabric::step_epoch`]).
     ///
     /// # Safety
     /// `sh` must be a live frame built by `step_epoch`, `s` a valid
@@ -1829,57 +1860,58 @@ mod shard {
         scratch.worklist.clear();
         scratch.worklist.extend_from_slice(&active[a..b]);
 
-        let mut ui = 0; // cursor into scratch.unreserve
-        let mut ai = 0; // cursor into scratch.accepts
+        let wheel_len = scratch.wheel.len() as u64;
         let mut cycle = t0;
-        loop {
-            if scratch.worklist.is_empty() {
-                // Dead shard-cycle fast-forward: nothing can arbitrate
-                // until a scheduled arrival activates a router. Credit
-                // releases in the skipped span are applied lazily below —
-                // nothing reads them while the worklist is empty.
-                match scratch.accepts.get(ai) {
-                    Some(acc) => cycle = acc.cycle,
-                    None => break,
+        while cycle < tend {
+            // Land this cycle's wheel slot. A release whose accept is
+            // another shard's debits the credit shadow, mirroring that
+            // remote accept. Departures book at least one window out, so
+            // the slot cannot grow while it lands.
+            let slot = (cycle % wheel_len) as usize;
+            if !scratch.wheel[slot].is_empty() {
+                let mut bucket = std::mem::take(&mut scratch.wheel[slot]);
+                for a in &bucket {
+                    let (r, port, vc) = (a.router as usize, a.port as usize, a.flit.vc);
+                    if a.release {
+                        let vcs = routers[r - lo].vcs;
+                        reserved[r - lo][port * vcs + vc as usize] -= 1;
+                        if !a.accept {
+                            // SAFETY: the link leaves this shard, which
+                            // owns its shadow slots.
+                            let bslot = boundary_slot[link_off[r] + port] as usize;
+                            *shadow_ptr.add(bslot + vc as usize) -= 1;
+                        }
+                    }
+                    if a.accept {
+                        let PortLink::Router { router, port } = wiring[r][port] else {
+                            unreachable!("only router links have flits in flight");
+                        };
+                        let d = &mut routers[router - lo];
+                        d.accept(port, vc, a.flit, cycle);
+                        credit_view[queue_off[router] + port * d.vcs + vc as usize]
+                            .fetch_sub(1, Ordering::Relaxed);
+                        if !is_active[router - lo] {
+                            is_active[router - lo] = true;
+                            scratch.incoming.push(router);
+                        }
+                        scratch.landed += 1;
+                    }
                 }
-            }
-            if cycle >= tend {
-                break;
-            }
-
-            // Land, upstream half: flits that left this shard's links
-            // release their reserved credit at their arrival cycle and,
-            // on boundary links, debit the epoch's credit shadow — the
-            // mirror of the remote accept happening this same cycle.
-            while let Some(u) = scratch.unreserve.get(ui) {
-                if u.cycle > cycle {
-                    break;
-                }
-                reserved[u.router as usize - lo][u.queue as usize] -= 1;
-                if u.shadow != u32::MAX {
-                    *shadow_ptr.add(u.shadow as usize) -= 1;
-                }
-                ui += 1;
-            }
-            // Land, downstream half: window arrivals into this shard's
-            // routers accept, debit the credit mirror, and activate.
-            while ai < scratch.accepts.len() && scratch.accepts[ai].cycle <= cycle {
-                let acc = scratch.accepts[ai];
-                debug_assert_eq!(acc.cycle, cycle, "accept schedule out of order");
-                let (r, port) = (acc.router as usize, acc.port as usize);
-                let router = &mut routers[r - lo];
-                router.accept(port, acc.flit.vc, acc.flit, cycle);
-                credit_view[queue_off[r] + port * router.vcs + acc.flit.vc as usize]
-                    .fetch_sub(1, Ordering::Relaxed);
-                if !is_active[r - lo] {
-                    is_active[r - lo] = true;
-                    scratch.incoming.push(r);
-                }
-                ai += 1;
+                bucket.clear();
+                scratch.wheel[slot] = bucket;
             }
             if !scratch.incoming.is_empty() {
                 scratch.worklist.append(&mut scratch.incoming);
                 scratch.worklist.sort_unstable();
+            }
+            if scratch.worklist.is_empty() {
+                // Dead shard-cycle. Later slots may still land flits,
+                // unless nothing was in flight at the epoch start.
+                if !sh.in_flight {
+                    break;
+                }
+                cycle += 1;
+                continue;
             }
 
             // The downstream-credit half of a departure check for router
@@ -1961,9 +1993,10 @@ mod shard {
 
             // Apply: departures enter their links. Every booking lands at
             // or beyond the epoch barrier (no positive link latency is
-            // shorter than the window), so they all go to the outwheel;
-            // zero-latency hops land in-shard and ejections deliver, this
-            // cycle.
+            // shorter than the window): a hop inside the shard books one
+            // entry on the shard's wheel, a boundary hop books its release
+            // there and its accept in the outbox. Zero-latency hops land
+            // in-shard and ejections deliver, this cycle.
             for i in moves_start..scratch.moves.len() {
                 let (r, out, flit) = scratch.moves[i];
                 debug_assert!(lo <= r && r < hi, "move escaped its shard");
@@ -1993,14 +2026,15 @@ mod shard {
                             scratch.incoming.push(dst);
                         }
                     }
-                    PortLink::Router { .. } => {
+                    PortLink::Router { router: dst, .. } => {
                         reserved[r - lo][out * vcs + flit.vc as usize] += 1;
-                        debug_assert!(spec.latency < sh.wheel_len, "arrival beyond the wheel");
+                        debug_assert!(spec.latency < wheel_len, "arrival beyond the wheel");
                         debug_assert!(cycle + spec.latency >= tend, "booking inside the window");
-                        ch.in_flight.push_back((cycle + spec.latency, flit));
-                        scratch
-                            .outwheel
-                            .push((cycle + spec.latency, r as u32, out as u32));
+                        let slot = ((cycle + spec.latency) % wheel_len) as usize;
+                        let (own, remote) = Arrival::book(flit, r, out, lo <= dst && dst < hi);
+                        scratch.wheel[slot].push(own);
+                        scratch.outbox.extend(remote.map(|a| (slot, dst, a)));
+                        scratch.sent += 1;
                     }
                     PortLink::Endpoint(_) => scratch.delivered_eject.push(flit),
                     PortLink::Unused => unreachable!("flit departed through an unused port"),
@@ -2022,7 +2056,6 @@ mod shard {
                 moves_end: scratch.moves.len() as u32,
                 stalls_end: scratch.stalls.len() as u32,
                 eject_end: scratch.delivered_eject.len() as u32,
-                outwheel_end: scratch.outwheel.len() as u32,
             });
             cycle += 1;
         }
@@ -2033,15 +2066,6 @@ mod shard {
             scratch.worklist.append(&mut scratch.incoming);
             scratch.worklist.sort_unstable();
         }
-        // Credit releases scheduled after the last executed cycle still
-        // belong to this window; apply them before the barrier.
-        while let Some(u) = scratch.unreserve.get(ui) {
-            reserved[u.router as usize - lo][u.queue as usize] -= 1;
-            if u.shadow != u32::MAX {
-                *shadow_ptr.add(u.shadow as usize) -= 1;
-            }
-            ui += 1;
-        }
     }
 
     impl RouterFabric {
@@ -2051,22 +2075,23 @@ mod shard {
         }
 
         /// The lookahead-epoch step, at every shard count: selects the
-        /// widest window `W` every shard can legally simulate alone,
-        /// replays the window's already-in-flight arrivals into per-shard
-        /// schedules (the prologue), runs all shards privately for up to
-        /// `W` cycles — inline when there is one shard, else with **one**
-        /// pool launch and **one** end-of-epoch barrier, where the
-        /// retired per-cycle protocol paid one launch plus four barriers
-        /// per simulated cycle — then interleaves the per-shard outputs
-        /// serially in (cycle, ascending shard) order, which over
+        /// widest window `W` every shard can legally simulate alone, runs
+        /// all shards privately for up to `W` cycles — each landing its
+        /// own arrival wheel — inline when there is one shard, else with
+        /// **one** pool launch and **one** end-of-epoch barrier, where
+        /// the retired per-cycle protocol paid one launch plus four
+        /// barriers per simulated cycle — then interleaves the per-shard
+        /// outputs serially in (cycle, ascending shard) order, which over
         /// contiguous ascending regions reproduces the reference
-        /// stepper's per-cycle ascending-router order exactly.
+        /// stepper's per-cycle ascending-router order exactly, and moves
+        /// the window's boundary accepts onto their downstream wheels.
+        /// Only hops that cross a shard boundary touch serial code.
         ///
         /// Window selection takes the minimum of:
         /// - the caller's stepping limit (`limit - cycle`),
         /// - the fabric's minimum positive link latency, so no departure
         ///   booked inside the window can also *land* inside it — every
-        ///   window arrival is already in flight at the prologue,
+        ///   window landing is already on its shard's wheel,
         /// - the configured cap ([`RouterFabric::set_shards_with_lookahead`];
         ///   tests pin degenerate windows of 1),
         /// - the distance to the next telemetry epoch boundary, so rolls
@@ -2131,60 +2156,6 @@ mod shard {
             }
             let w = w.max(1);
 
-            // ---- Prologue: replay the window's arrivals as schedules ----
-            let wheel_len = self.arrival_wheel.len() as u64;
-            let mut t = t0;
-            while t < t0 + w {
-                if self.in_flight_total == 0 {
-                    break;
-                }
-                let slot = (t % wheel_len) as usize;
-                if self.arrival_wheel[slot].is_empty() {
-                    t += 1;
-                    continue;
-                }
-                let mut bucket = std::mem::take(&mut self.arrival_wheel[slot]);
-                for &(arrival, r, port) in &bucket {
-                    debug_assert_eq!(arrival, t, "wheel slot mixed cycles");
-                    let (r, port) = (r as usize, port as usize);
-                    let (due, flit) = self.channels[r][port]
-                        .in_flight
-                        .pop_front()
-                        .expect("scheduled arrival must be in flight");
-                    debug_assert_eq!(due, t, "delay line out of order");
-                    self.in_flight_total -= 1;
-                    let PortLink::Router {
-                        router: dst,
-                        port: dport,
-                    } = self.wiring[r][port]
-                    else {
-                        unreachable!("only router links have flits in flight");
-                    };
-                    let vcs = self.routers[r].vcs;
-                    let (src, dsh) = (self.shard_of(r), self.shard_of(dst));
-                    let shadow = if src == dsh {
-                        u32::MAX
-                    } else {
-                        self.boundary_slot[self.link_off[r] + port] + u32::from(flit.vc)
-                    };
-                    self.shard_scratch[src].unreserve.push(UnreserveAt {
-                        cycle: t,
-                        router: r as u32,
-                        queue: (port * vcs + flit.vc as usize) as u32,
-                        shadow,
-                    });
-                    self.shard_scratch[dsh].accepts.push(AcceptAt {
-                        cycle: t,
-                        router: dst as u32,
-                        port: dport as u32,
-                        flit,
-                    });
-                }
-                bucket.clear();
-                self.arrival_wheel[slot] = bucket;
-                t += 1;
-            }
-
             // ---- Private windows: inline, or one launch + one barrier ----
             let shards = self.bounds.len() - 1;
             {
@@ -2209,7 +2180,7 @@ mod shard {
                     route: &self.route,
                     classify: &self.classify,
                     telemetry: self.telemetry.is_some(),
-                    wheel_len,
+                    in_flight: self.in_flight_total > 0,
                     active_sorted: self.active.as_ptr(),
                     active_len: self.active.len(),
                     scratch: self.shard_scratch.as_mut_ptr(),
@@ -2243,12 +2214,6 @@ mod shard {
             self.epochs += 1;
 
             // ---- Serial merge epilogue: (cycle, shard) interleave ----
-            let mut sent = 0;
-            for sc in &self.shard_scratch[..shards] {
-                sent += sc.outwheel.len();
-            }
-            self.in_flight_total += sent;
-
             // Telemetry is detached during the merge so disjoint field
             // borrows stay visible; recording is purely observational.
             let mut tel = self.telemetry.take();
@@ -2303,8 +2268,7 @@ mod shard {
                         }
                     }
                 }
-                // Ejections, then this cycle's wheel bookings, each in
-                // departure order.
+                // Ejections, in departure order.
                 for s in 0..shards {
                     let sc = &mut self.shard_scratch[s];
                     let Some(seg) = sc.segs.get(sc.seg_pos).copied() else {
@@ -2313,19 +2277,11 @@ mod shard {
                     if seg.cycle != c {
                         continue;
                     }
-                    let (_, _, e0, o0) = sc.merged;
-                    for &flit in &sc.delivered_eject[e0 as usize..seg.eject_end as usize] {
+                    let e0 = sc.merged.2 as usize;
+                    for &flit in &sc.delivered_eject[e0..seg.eject_end as usize] {
                         self.delivered.push((c, flit));
                     }
-                    for &(arrival, r, out) in &sc.outwheel[o0 as usize..seg.outwheel_end as usize] {
-                        self.arrival_wheel[(arrival % wheel_len) as usize].push((arrival, r, out));
-                    }
-                    sc.merged = (
-                        seg.moves_end,
-                        seg.stalls_end,
-                        seg.eject_end,
-                        seg.outwheel_end,
-                    );
+                    sc.merged = (seg.moves_end, seg.stalls_end, seg.eject_end);
                     sc.seg_pos += 1;
                 }
                 if any {
@@ -2337,13 +2293,21 @@ mod shard {
                 self.telemetry_note_deliveries();
             }
 
-            // Surviving actives, ascending across contiguous shard ranges.
+            // Surviving actives, ascending across contiguous shard ranges;
+            // boundary accepts onto their downstream shard's wheel.
             self.active.clear();
             for s in 0..shards {
                 let sc = &mut self.shard_scratch[s];
                 debug_assert_eq!(sc.seg_pos, sc.segs.len(), "unmerged epoch segment");
                 self.active.extend_from_slice(&sc.worklist);
+                self.in_flight_total = self.in_flight_total + sc.sent - sc.landed;
                 sc.reset();
+                let mut outbox = std::mem::take(&mut sc.outbox);
+                for (slot, dst, a) in outbox.drain(..) {
+                    let d = self.shard_of(dst);
+                    self.shard_scratch[d].wheel[slot].push(a);
+                }
+                self.shard_scratch[s].outbox = outbox;
             }
 
             self.cycle = if self.active.is_empty() && self.in_flight_total == 0 {
@@ -2372,14 +2336,14 @@ pub struct MemoryBreakdown {
     /// Per-router scheduler state: the router structs plus their ring
     /// cursors, candidate worklists, maturity wheels, and scratch.
     pub routers: usize,
-    /// Links: wiring, channel counters, in-flight delay lines, link
-    /// timers, reserved-credit mirrors, and each input port's feeding
-    /// link.
+    /// Links: wiring, channel specs and counters, link timers,
+    /// reserved-credit mirrors, and each input port's feeding link.
     pub links: usize,
     /// The fabric-wide atomic credit mirror plus its queue offsets.
     pub credit_view: usize,
-    /// Fabric scheduling: arrival wheel, active worklists, shard scratch
-    /// (schedules and departure buffers), and the delivery log.
+    /// Fabric scheduling: active worklists, shard scratch (the per-shard
+    /// arrival wheels holding every flit in link flight, boundary
+    /// outboxes and departure buffers), and the delivery log.
     pub scheduling: usize,
     /// Telemetry counters, epoch rings, and trace buffer (0 when off).
     pub telemetry: usize,
@@ -2441,15 +2405,9 @@ pub struct RouterFabric {
     classify: Option<Box<FlitClassFn>>,
     cycle: u64,
     delivered: Vec<(u64, Flit)>, // (cycle, flit)
-    /// Flits currently inside link delay lines (skip arrival scans at 0).
+    /// Flits currently in link flight, booked on the shards' arrival
+    /// wheels (skip arrival scans at 0).
     in_flight_total: usize,
-    /// Calendar wheel of pending link arrivals: slot `t % len` holds the
-    /// `(arrival, router, port)` of every flit arriving at cycle `t`, in
-    /// departure order, so the arrival phase touches exactly the links
-    /// with an arrival due instead of scanning every busy channel. The
-    /// wheel length always exceeds the longest link latency (grown by
-    /// [`Self::set_link_spec`]), so a slot never mixes cycles.
-    arrival_wheel: Vec<Vec<(u64, u32, u32)>>,
     /// Active-router worklist: every non-idle router is on it (routers
     /// enqueue themselves on accept/injection and are pruned when idle).
     active: Vec<usize>,
@@ -2470,8 +2428,9 @@ pub struct RouterFabric {
     /// Flat start offset of each router's links (prefix sums of wiring
     /// row lengths; `len == routers + 1`).
     link_off: Vec<usize>,
-    /// Per-shard worker scratch (epoch schedules, worklists, departures,
-    /// stall events), filled by the epoch prologue and merged serially
+    /// Per-shard state: the arrival wheel (landed by the owning shard's
+    /// window, or by the reference stepper), plus the window's worklists,
+    /// departures, boundary outbox and stall events, merged serially
     /// after each epoch.
     shard_scratch: Vec<ShardScratch>,
     /// Every router-to-router link whose ends live in different shards,
@@ -2580,7 +2539,6 @@ impl RouterFabric {
             cycle: 0,
             delivered: Vec::new(),
             in_flight_total: 0,
-            arrival_wheel: vec![Vec::new()],
             active: Vec::new(),
             is_active: vec![false; n],
             telemetry: None,
@@ -2654,8 +2612,7 @@ impl RouterFabric {
         for row in &self.channels {
             b.links += row.capacity() * size_of::<ChannelState>();
             for ch in row {
-                b.links += ch.in_flight.capacity() * size_of::<(u64, Flit)>()
-                    + ch.class_flits.capacity() * size_of::<u64>();
+                b.links += ch.class_flits.capacity() * size_of::<u64>();
             }
         }
         for row in &self.next_free {
@@ -2669,13 +2626,7 @@ impl RouterFabric {
         }
         b.credit_view = self.credit_view.capacity() * size_of::<AtomicU32>()
             + self.queue_off.capacity() * size_of::<usize>();
-        b.scheduling = self.arrival_wheel.capacity() * size_of::<Vec<(u64, u32, u32)>>()
-            + self
-                .arrival_wheel
-                .iter()
-                .map(|s| s.capacity() * size_of::<(u64, u32, u32)>())
-                .sum::<usize>()
-            + (self.active.capacity() + self.bounds.capacity()) * size_of::<usize>()
+        b.scheduling = (self.active.capacity() + self.bounds.capacity()) * size_of::<usize>()
             + self.is_active.capacity()
             + self.delivered.capacity() * size_of::<(u64, Flit)>()
             + self.boundary.capacity() * size_of::<shard::BoundaryLink>()
@@ -2695,25 +2646,44 @@ impl RouterFabric {
     /// `port` (e.g. the inter-node SERDES crossings of a torus fabric).
     ///
     /// # Panics
-    /// Panics if `spec.interval` is zero, or if `spec.latency` is positive
+    /// Panics if `spec.interval` is zero; if `spec.latency` is positive
     /// on a port that does not lead to another router (ejection links
-    /// deliver the cycle they serialize; see [`LinkSpec`]).
+    /// deliver the cycle they serialize; see [`LinkSpec`]), or zero on a
+    /// router link of a sharded fabric (see
+    /// [`ShardError::ZeroLatencyLink`]); or if it changes the latency of
+    /// a link with flits in flight (they were booked at the old one), or
+    /// grows the longest link latency while any flit is in flight (the
+    /// arrival wheels would have to grow).
     pub fn set_link_spec(&mut self, router: usize, port: usize, spec: LinkSpec) {
         assert!(
             spec.interval >= 1,
             "link interval must be at least one cycle"
         );
+        let to_router = matches!(self.wiring[router][port], PortLink::Router { .. });
         assert!(
-            spec.latency == 0 || matches!(self.wiring[router][port], PortLink::Router { .. }),
+            spec.latency == 0 || to_router,
             "only router-to-router links have latency; ({router}, {port}) does not lead to a router"
         );
-        if spec.latency + 1 > self.arrival_wheel.len() as u64 {
+        assert!(
+            spec.latency > 0 || !to_router || self.shards() == 1,
+            "sharded stepping needs every router link at least one cycle long; \
+             ({router}, {port}) would have zero latency"
+        );
+        assert!(
+            self.in_flight_total == 0
+                || spec.latency == self.channels[router][port].spec.latency
+                || self.in_flight_on(router, port) == 0,
+            "cannot change the latency of link ({router}, {port}) with flits in flight"
+        );
+        if spec.latency + 1 > self.wheel_len() {
             assert_eq!(
                 self.in_flight_total, 0,
-                "cannot grow the arrival wheel with flits in flight"
+                "cannot grow the arrival wheels with flits in flight"
             );
             let len = (spec.latency + 2).next_power_of_two() as usize;
-            self.arrival_wheel = vec![Vec::new(); len];
+            for sc in &mut self.shard_scratch {
+                sc.wheel = vec![Vec::new(); len];
+            }
         }
         // Conservative incremental update of the structural lookahead
         // bound: raising a latency later leaves the bound stale-low
@@ -2735,13 +2705,14 @@ impl RouterFabric {
     /// Panics if the feeding link has flits in flight, or if the port
     /// already holds more flits than `depth`.
     pub fn set_input_depth(&mut self, router: usize, port: usize, depth: usize) {
-        // Skip the feeding link's cache-cold delay line when nothing is
+        // Skip the feeding link's cache-cold reservations when nothing is
         // in flight anywhere — always so on the construction path, where
         // a torus fabric resizes every neighbor port.
         let feeding = self.feeder[router][port].filter(|_| self.in_flight_total > 0);
         if let Some((r, out)) = feeding {
-            assert!(
-                self.channels[r as usize][out as usize].in_flight.is_empty(),
+            assert_eq!(
+                self.in_flight_on(r as usize, out as usize),
+                0,
                 "cannot resize input ({router}, {port}): feeding link has flits in flight holding reserved credits"
             );
         }
@@ -2780,13 +2751,24 @@ impl RouterFabric {
         (ch.flits_sent, ch.packets_sent)
     }
 
+    /// Flits in flight on the link leaving `router` via `port`: each
+    /// holds exactly one of the link's reserved credits until it lands.
+    fn in_flight_on(&self, router: usize, port: usize) -> usize {
+        let vcs = self.routers[router].vcs;
+        self.reserved[router][port * vcs..(port + 1) * vcs]
+            .iter()
+            .map(|&held| held as usize)
+            .sum()
+    }
+
     /// Instantaneous occupancy of the link leaving `router` via `port`:
-    /// flits in flight on the link plus flits queued in the downstream
-    /// input port it feeds — the same sample the telemetry epoch rings
-    /// record at each boundary, exposed so exports can close the final
-    /// partial epoch with a matching sample.
+    /// flits in flight on the link (counted from its reserved credits)
+    /// plus flits queued in the downstream input port it feeds — the
+    /// same sample the telemetry epoch rings record at each boundary,
+    /// exposed so exports can close the final partial epoch with a
+    /// matching sample.
     pub fn link_occupancy(&self, router: usize, port: usize) -> usize {
-        let mut o = self.channels[router][port].in_flight.len();
+        let mut o = self.in_flight_on(router, port);
         if let PortLink::Router {
             router: dst,
             port: dport,
@@ -2881,11 +2863,7 @@ impl RouterFabric {
         }
         let cycle = self.cycle;
         flit.injected_at = cycle;
-        self.routers[router].accept(port, vc, flit, cycle);
-        let vcs = self.routers[router].vcs;
-        self.credit_view[self.queue_off[router] + port * vcs + vc as usize]
-            .fetch_sub(1, Ordering::Relaxed);
-        activate(&mut self.active, &mut self.is_active, router);
+        self.file(router, port, flit, cycle);
         if flit.is_head() {
             if let Some(tel) = self.telemetry.as_deref_mut() {
                 tel.note_inject(cycle, flit.packet, router, port, vc);
@@ -2894,49 +2872,54 @@ impl RouterFabric {
         Ok(())
     }
 
-    /// Phase 1 of a reference step: link arrivals due this cycle land
-    /// in their downstream queues (activating the accepting router),
-    /// visiting exactly the links the arrival wheel has scheduled for
-    /// this cycle. Credits were reserved at departure, so acceptance
-    /// cannot overflow the queue.
+    /// Files `flit` into input `(router, port, flit.vc)` at `cycle`,
+    /// debiting the credit mirror and putting the router on the active
+    /// worklist. The caller has checked the credit.
+    fn file(&mut self, router: usize, port: usize, flit: Flit, cycle: u64) {
+        self.routers[router].accept(port, flit.vc, flit, cycle);
+        let vcs = self.routers[router].vcs;
+        self.credit_view[self.queue_off[router] + port * vcs + flit.vc as usize]
+            .fetch_sub(1, Ordering::Relaxed);
+        if !self.is_active[router] {
+            self.is_active[router] = true;
+            self.active.push(router);
+        }
+    }
+
+    /// Phase 1 of a reference step: every shard's wheel slot for this
+    /// cycle lands — releases free their links' reserved credits, and
+    /// accepts enter their downstream queues. The credit shadows are the
+    /// kernel's alone, refreshed at every epoch, so this leaves them be.
     fn land_arrivals(&mut self, cycle: u64) {
         if self.in_flight_total == 0 {
             return;
         }
-        let slot = (cycle % self.arrival_wheel.len() as u64) as usize;
-        if self.arrival_wheel[slot].is_empty() {
-            return;
+        let slot = (cycle % self.wheel_len()) as usize;
+        for s in 0..self.shard_scratch.len() {
+            if self.shard_scratch[s].wheel[slot].is_empty() {
+                continue;
+            }
+            // Departures this cycle land at least one cycle out (latency-0
+            // links bypass the wheels), so the bucket cannot grow while it
+            // is processed; taking it out keeps its allocation for reuse.
+            let mut bucket = std::mem::take(&mut self.shard_scratch[s].wheel[slot]);
+            for a in &bucket {
+                let (r, port, vc) = (a.router as usize, a.port as usize, a.flit.vc);
+                if a.release {
+                    let vcs = self.routers[r].vcs;
+                    self.reserved[r][port * vcs + vc as usize] -= 1;
+                }
+                if a.accept {
+                    let PortLink::Router { router, port } = self.wiring[r][port] else {
+                        unreachable!("only router links have flits in flight");
+                    };
+                    self.file(router, port, a.flit, cycle);
+                    self.in_flight_total -= 1;
+                }
+            }
+            bucket.clear();
+            self.shard_scratch[s].wheel[slot] = bucket;
         }
-        // Departures this cycle land at least one cycle out (latency-0
-        // links bypass the wheel), so the bucket cannot grow while it is
-        // processed; taking it out keeps its allocation for reuse.
-        let mut bucket = std::mem::take(&mut self.arrival_wheel[slot]);
-        for &(arrival, r, port) in &bucket {
-            debug_assert_eq!(arrival, cycle, "wheel slot mixed cycles");
-            let (r, port) = (r as usize, port as usize);
-            let (due, flit) = self.channels[r][port]
-                .in_flight
-                .pop_front()
-                .expect("scheduled arrival must be in flight");
-            debug_assert_eq!(due, cycle, "delay line out of order");
-            self.in_flight_total -= 1;
-            let PortLink::Router {
-                router,
-                port: dport,
-            } = self.wiring[r][port]
-            else {
-                unreachable!("only router links have flits in flight");
-            };
-            let vcs = self.routers[r].vcs;
-            self.reserved[r][port * vcs + flit.vc as usize] -= 1;
-            self.routers[router].accept(dport, flit.vc, flit, cycle);
-            let dvcs = self.routers[router].vcs;
-            self.credit_view[self.queue_off[router] + dport * dvcs + flit.vc as usize]
-                .fetch_sub(1, Ordering::Relaxed);
-            activate(&mut self.active, &mut self.is_active, router);
-        }
-        bucket.clear();
-        self.arrival_wheel[slot] = bucket;
     }
 
     /// Phase 3 of a reference step: departures enter their links
@@ -2961,16 +2944,20 @@ impl RouterFabric {
                     // Link flight is folded into the downstream pipeline
                     // constant (the paper's per-hop cycle counts are
                     // inclusive), so arrival lands this cycle.
-                    self.routers[router].accept(port, flit.vc, flit, cycle);
-                    let dvcs = self.routers[router].vcs;
-                    self.credit_view[self.queue_off[router] + port * dvcs + flit.vc as usize]
-                        .fetch_sub(1, Ordering::Relaxed);
-                    activate(&mut self.active, &mut self.is_active, router);
+                    self.file(router, port, flit, cycle);
                 }
-                PortLink::Router { .. } => {
+                PortLink::Router { router, .. } => {
+                    // The kernel's bookings, so the steppers interleave.
                     let vcs = self.routers[r].vcs;
                     self.reserved[r][out * vcs + flit.vc as usize] += 1;
-                    self.schedule_arrival(r, out, cycle + spec.latency, flit);
+                    let w = self.wheel_len();
+                    let slot = ((cycle + spec.latency) % w) as usize;
+                    debug_assert!(spec.latency < w, "arrival beyond the wheel");
+                    let (src, dst) = (self.shard_of(r), self.shard_of(router));
+                    let (own, remote) = Arrival::book(flit, r, out, src == dst);
+                    self.shard_scratch[src].wheel[slot].push(own);
+                    self.shard_scratch[dst].wheel[slot].extend(remote);
+                    self.in_flight_total += 1;
                 }
                 PortLink::Endpoint(_) => self.delivered.push((cycle, flit)),
                 PortLink::Unused => unreachable!("flit departed through an unused port"),
@@ -3167,14 +3154,9 @@ impl RouterFabric {
         }
     }
 
-    /// Enters a flit into a link's delay line and books its arrival on
-    /// the calendar wheel.
-    fn schedule_arrival(&mut self, r: usize, out: usize, arrival: u64, flit: Flit) {
-        self.channels[r][out].in_flight.push_back((arrival, flit));
-        self.in_flight_total += 1;
-        let w = self.arrival_wheel.len() as u64;
-        debug_assert!(arrival - self.cycle < w, "arrival beyond the wheel");
-        self.arrival_wheel[(arrival % w) as usize].push((arrival, r as u32, out as u32));
+    /// Slots per arrival wheel (every shard's wheel has this length).
+    fn wheel_len(&self) -> u64 {
+        self.shard_scratch[0].wheel.len() as u64
     }
 
     /// The number of contiguous router regions [`Self::step`] advances
@@ -3241,7 +3223,7 @@ impl RouterFabric {
     /// the calibrated Anton 3 link spec).
     ///
     /// Only allowed on a **drained** fabric — shard ownership of queues,
-    /// delay lines, and scratch cannot change hands mid-protocol.
+    /// arrival wheels, and scratch cannot change hands mid-protocol.
     ///
     /// # Errors
     /// [`ShardError::InvalidCount`] for 0 or more shards than routers
@@ -3310,7 +3292,9 @@ impl RouterFabric {
             "shards <= routers must yield non-empty regions"
         );
         self.lookahead_cap = lookahead;
-        self.shard_scratch = (0..shards).map(|_| ShardScratch::default()).collect();
+        // Drained, so every wheel is empty; keep their length.
+        let wheel_len = self.shard_scratch.first().map_or(1, |sc| sc.wheel.len());
+        self.shard_scratch = (0..shards).map(|_| ShardScratch::new(wheel_len)).collect();
 
         // Boundary tables: every router-to-router link whose ends fall in
         // different regions gets a per-VC credit-shadow slot.
@@ -3360,8 +3344,13 @@ impl RouterFabric {
         if self.in_flight_total == 0 {
             return None;
         }
-        let w = self.arrival_wheel.len() as u64;
-        (self.cycle..self.cycle + w).find(|&t| !self.arrival_wheel[(t % w) as usize].is_empty())
+        let w = self.wheel_len();
+        (self.cycle..self.cycle + w).find(|&t| {
+            let slot = (t % w) as usize;
+            self.shard_scratch
+                .iter()
+                .any(|sc| !sc.wheel[slot].is_empty())
+        })
     }
 
     /// One event-driven advance, never past `limit`: if no router has
@@ -3410,8 +3399,8 @@ impl RouterFabric {
         self.cycle < limit
     }
 
-    /// Total flits resident in the fabric: router queues plus link
-    /// delay lines. Costs O(active routers), not O(all routers).
+    /// Total flits resident in the fabric: router queues plus flits in
+    /// link flight. Costs O(active routers), not O(all routers).
     pub fn occupancy(&self) -> usize {
         let queued: usize = self
             .active
@@ -3944,6 +3933,73 @@ mod tests {
         );
     }
 
+    #[test]
+    #[should_panic(expected = "cannot change the latency of link (0, 1) with flits in flight")]
+    fn link_latency_cannot_change_under_flits_in_flight() {
+        // The two flits in flight were booked to land at the old latency.
+        let mut fabric = build_row(2, 1, 2);
+        let spec = |latency| LinkSpec {
+            latency,
+            interval: 1,
+        };
+        fabric.set_link_spec(0, 1, spec(6));
+        for p in 0..2u64 {
+            fabric.inject(0, 0, flit(p, 0, 1, 1, 0)).unwrap();
+        }
+        // Router 0's 2-cycle pipeline sends them at cycles 2 and 3.
+        for _ in 0..4 {
+            fabric.step();
+        }
+        assert_eq!(fabric.link_occupancy(0, 1), 2);
+        fabric.set_link_spec(0, 1, spec(1));
+    }
+
+    #[test]
+    fn link_occupancy_counts_in_flight_flits_from_reservations() {
+        // Every flit that entered link (0, 1) and has not left router 1
+        // is in flight on the link, holding one reserved credit, or
+        // queued at router 1's input port 0 — the only port it feeds,
+        // since traffic is injected at router 0 alone.
+        for reference in [false, true] {
+            let mut f = build_row(4, 2, 2);
+            for r in 0..3 {
+                f.set_link_spec(
+                    r,
+                    1,
+                    LinkSpec {
+                        latency: 3,
+                        interval: 1,
+                    },
+                );
+            }
+            let mut p = 0u64;
+            for cycle in 0..300u64 {
+                let vc = (p % 2) as u8;
+                if cycle < 200 && f.inject_capacity(0, 0, vc) >= 2 {
+                    for i in 0..2u8 {
+                        f.inject(0, 0, flit(p, i, 2, 1 + (p % 3) as u32, vc))
+                            .unwrap();
+                    }
+                    p += 1;
+                }
+                if reference {
+                    f.step_reference();
+                } else {
+                    f.step();
+                }
+                let entered = f.link_traffic(0, 1).0;
+                let left = f.link_traffic(1, 1).0 + f.link_traffic(1, 2).0;
+                assert_eq!(
+                    f.link_occupancy(0, 1) as u64,
+                    entered - left,
+                    "cycle {cycle}, reference stepper: {reference}"
+                );
+            }
+            assert_eq!(f.occupancy(), 0, "the row drains");
+            assert_eq!(f.delivered().len() as u64, 2 * p);
+        }
+    }
+
     /// A row whose inter-router links all have one-cycle latency — the
     /// minimum a sharded fabric accepts.
     fn latency1_row(n: usize) -> RouterFabric {
@@ -3999,6 +4055,23 @@ mod tests {
         // exactly one router.
         assert!(f.set_shards(8).is_ok());
         assert_eq!(f.shards(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "sharded stepping needs every router link at least one cycle long")]
+    fn sharded_fabrics_refuse_zero_latency_router_links() {
+        // A same-cycle hop between routers 1 and 2 would cross from
+        // shard 0 into shard 1 inside a window.
+        let mut fabric = latency1_row(4);
+        fabric.set_shards(2).unwrap();
+        fabric.set_link_spec(
+            1,
+            1,
+            LinkSpec {
+                latency: 0,
+                interval: 1,
+            },
+        );
     }
 
     #[test]

@@ -24,9 +24,10 @@ enum Mode {
     Event,
     /// The retained naive reference stepper.
     Reference,
-    /// Alternate between the two in 3-cycle blocks (the steppers share
-    /// all fabric state, so switching mid-run must not diverge).
-    Alternating,
+    /// Alternate between the two in 3-cycle blocks at this shard count
+    /// (the steppers share all fabric state, the shards' arrival wheels
+    /// included, so switching mid-run must not diverge).
+    Alternating(usize),
     /// The region-partitioned stepper at this shard count with this
     /// lookahead-window cap (`None` = the structural bound, the minimum
     /// positive link latency; 1 runs the epoch kernel inline, exactly
@@ -52,19 +53,20 @@ fn drive(
     if telemetry {
         fabric.enable_telemetry(TelemetryConfig::default());
     }
-    if let Mode::Sharded(shards, lookahead) = mode {
-        fabric
-            .set_shards_with_lookahead(shards, lookahead)
-            .expect("fresh fabric shards");
-    }
+    let sharding = match mode {
+        Mode::Sharded(shards, lookahead) => fabric.set_shards_with_lookahead(shards, lookahead),
+        Mode::Alternating(shards) => fabric.set_shards(shards),
+        Mode::Event | Mode::Reference => Ok(()),
+    };
+    sharding.expect("fresh fabric shards");
     let mut rng = SplitMix64::new(seed);
     let n = torus.node_count() as u64;
     let mut log = Vec::new();
     let step = |fabric: &mut TorusFabric, p: u64| match mode {
         Mode::Event | Mode::Sharded(..) => fabric.step(),
         Mode::Reference => fabric.step_reference(),
-        Mode::Alternating if (p / 3).is_multiple_of(2) => fabric.step(),
-        Mode::Alternating => fabric.step_reference(),
+        Mode::Alternating(_) if (p / 3).is_multiple_of(2) => fabric.step(),
+        Mode::Alternating(_) => fabric.step_reference(),
     };
     for p in 0..packets {
         let src = NodeId((p % n) as u16);
@@ -165,7 +167,7 @@ proptest! {
         // may switch between them mid-run, recording telemetry, without
         // diverging from either pure schedule.
         let dims = [dims.0, dims.1, dims.2];
-        let (mixed, mixed_log) = drive(dims, seed, packets, Mode::Alternating, true);
+        let (mixed, mixed_log) = drive(dims, seed, packets, Mode::Alternating(1), true);
         let (pure, pure_log) = drive(dims, seed, packets, Mode::Event, false);
         prop_assert_eq!(mixed_log.len(), pure_log.len());
         for (a, b) in mixed_log.iter().zip(&pure_log) {
@@ -176,6 +178,32 @@ proptest! {
         prop_assert_eq!(
             summary(&mixed), summary(&naive),
             "mixed-stepper telemetry summary diverged from the reference"
+        );
+    }
+
+    #[test]
+    fn interleaved_steppers_stay_equivalent_across_shards(
+        dims in (2u8..=3, 2u8..=3, 2u8..=3),
+        seed in any::<u64>(),
+        packets in 40u64..100,
+        shards in 2usize..=4,
+    ) {
+        // With several shards, a hop across a region boundary books its
+        // release on the upstream shard's wheel and its accept on the
+        // downstream shard's. Switching steppers every 3 cycles, with
+        // link flights far longer than that, makes each stepper land
+        // boundary flits the other booked.
+        let dims = [dims.0, dims.1, dims.2];
+        let (mixed, mixed_log) = drive(dims, seed, packets, Mode::Alternating(shards), true);
+        let (naive, naive_log) = drive(dims, seed, packets, Mode::Reference, true);
+        prop_assert_eq!(mixed.cycle(), naive.cycle(), "clocks diverged");
+        prop_assert_eq!(mixed_log.len(), naive_log.len());
+        for (a, b) in mixed_log.iter().zip(&naive_log) {
+            prop_assert_eq!(a, b, "mixed-stepper delivery log diverged at {} shards", shards);
+        }
+        prop_assert_eq!(
+            summary(&mixed), summary(&naive),
+            "mixed-stepper telemetry summary diverged at {} shards", shards
         );
     }
 
