@@ -44,12 +44,14 @@
 //! - `--overload-smoke` runs a short 8x8x8 overload point with both
 //!   classes plus a drain check — a warmup-0 scenario point at offered
 //!   1.0 that must deliver every request and response it generates —
-//!   exercising the dateline-VC deadlock margins on a larger machine (CI
-//!   runs this on every PR, with `--threads`);
+//!   exercising the dateline-VC deadlock margins on a larger machine;
 //! - `--mega-smoke` runs a time-budgeted 16x16x16 (4096-node) sweep
 //!   point with both classes, printing the fabric's bytes/router memory
 //!   audit first — the routine check that mega-fabric construction and
-//!   table routing stay O(n) (CI runs this with `--shards 2`);
+//!   table routing stay O(n). Both smokes print their thread and shard
+//!   counts, and the drain's sync ops and epochs, on stderr, so their
+//!   stdout is byte-identical at any `--threads`, `--shards` and
+//!   `--lookahead` (CI `cmp`s it across shard counts);
 //! - `--telemetry` turns on fabric telemetry (`net::telemetry`) for the
 //!   mode's instrumented run — the overload drain check, the MD replay
 //!   scenario, or a representative mid-load sweep point — and prints the
@@ -67,7 +69,8 @@
 //!   path ends in `.jsonl`, Chrome `trace_event` JSON (loadable in
 //!   `chrome://tracing` / Perfetto) otherwise.
 //!
-//! Any other argument, a valued flag without its value, or more than one
+//! Any other argument, a valued flag without its value, a numeric value
+//! that is not a positive integer, a flag given twice, or more than one
 //! of the mode flags (`--calibrate`, `--md-replay`, `--overload-smoke`,
 //! `--mega-smoke`) is rejected with exit status 2 before anything runs.
 
@@ -114,8 +117,9 @@ const VALUED: &[&str] = &[
 
 /// What one run of the binary does: the default latency–throughput
 /// sweep, or the mode one mode flag selects instead.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 enum Mode {
+    #[default]
     Sweep,
     Calibrate,
     MdReplay,
@@ -131,84 +135,128 @@ const MODES: [(&str, Mode); 4] = [
     ("--mega-smoke", Mode::MegaSmoke),
 ];
 
-/// The one mode `args` select: [`Mode::Sweep`] without a mode flag, the
-/// flag's mode with one, and an error naming the flags when several
-/// modes are given (any one of them would silently skip the others).
-fn mode_of<S: AsRef<str>>(args: &[S]) -> Result<Mode, String> {
-    let given: Vec<(&str, Mode)> = MODES
-        .into_iter()
-        .filter(|(flag, _)| args.iter().any(|a| a.as_ref() == *flag))
-        .collect();
-    match given[..] {
-        [] => Ok(Mode::Sweep),
-        [(_, mode)] => Ok(mode),
-        _ => {
-            let flags: Vec<&str> = given.iter().map(|(flag, _)| *flag).collect();
-            Err(format!(
-                "give at most one mode, not {}",
-                flags.join(" and ")
-            ))
+/// One run's arguments, parsed and checked before any work; `main`
+/// hands them to the mode they select. The module docs describe each
+/// flag.
+#[derive(PartialEq, Debug, Default)]
+struct Args {
+    mode: Mode,
+    json: bool,
+    quick: bool,
+    /// Sweep workers (default 1).
+    threads: usize,
+    /// Fabric-step shards (default 1).
+    shards: usize,
+    /// Epoch-window cap (default: the fabric's structural window).
+    lookahead: Option<u64>,
+    /// Whether any telemetry surface was requested: `--telemetry`, or
+    /// one of the output flags that implies it.
+    telemetry_requested: bool,
+    /// The telemetry settings from `--epoch-cycles`, `--epoch-ring` and
+    /// `--trace-out`.
+    telemetry_config: TelemetryConfig,
+    /// `--telemetry-out PATH`.
+    telemetry_out: Option<String>,
+    /// `--trace-out PATH`.
+    trace_out: Option<String>,
+}
+
+impl Args {
+    /// Parses a run's arguments (without the program name). Refuses an
+    /// unknown argument, a valued flag that is last or followed by
+    /// another `--flag`, a numeric value that is not a positive integer,
+    /// a flag given twice and a second mode flag, so a typo or a bad
+    /// value fails before any work instead of running a default mode or
+    /// panicking mid-run. The error names the offending flag.
+    fn parse<S: AsRef<str>>(args: &[S]) -> Result<Args, String> {
+        let mut parsed = Args {
+            threads: 1,
+            shards: 1,
+            ..Args::default()
+        };
+        let mut seen: Vec<&str> = Vec::new();
+        let mut mode_flag: Option<&str> = None;
+        let mut args = args.iter().map(AsRef::as_ref);
+        while let Some(flag) = args.next() {
+            let valued = VALUED.contains(&flag);
+            if !valued && !SWITCHES.contains(&flag) {
+                return Err(format!(
+                    "unknown argument `{flag}`; known flags: {}",
+                    known_flags()
+                ));
+            }
+            let value = match valued.then(|| args.next()) {
+                None => "",
+                Some(Some(v)) if !v.starts_with("--") => v,
+                Some(_) => {
+                    return Err(format!(
+                        "{flag} takes a value; known flags: {}",
+                        known_flags()
+                    ))
+                }
+            };
+            if seen.contains(&flag) {
+                return Err(format!("{flag} is given twice"));
+            }
+            seen.push(flag);
+            let tcfg = &mut parsed.telemetry_config;
+            match flag {
+                "--json" => parsed.json = true,
+                "--quick" => parsed.quick = true,
+                "--telemetry" => parsed.telemetry_requested = true,
+                "--threads" => parsed.threads = positive(flag, value)?,
+                "--shards" => parsed.shards = positive(flag, value)?,
+                "--lookahead" => parsed.lookahead = Some(positive(flag, value)?),
+                "--epoch-cycles" => tcfg.epoch_cycles = positive(flag, value)?,
+                "--epoch-ring" => tcfg.epoch_ring = positive(flag, value)?,
+                "--telemetry-out" => parsed.telemetry_out = Some(value.to_string()),
+                "--trace-out" => parsed.trace_out = Some(value.to_string()),
+                // The other switches are the mode flags.
+                _ => match mode_flag {
+                    Some(first) => {
+                        return Err(format!("give at most one mode, not {first} and {flag}"))
+                    }
+                    None => mode_flag = Some(flag),
+                },
+            }
         }
+        if let Some(flag) = mode_flag {
+            parsed.mode = MODES
+                .into_iter()
+                .find(|&(f, _)| f == flag)
+                .expect("every mode flag is in MODES")
+                .1;
+        }
+        parsed.telemetry_config.trace = parsed.trace_out.is_some();
+        parsed.telemetry_requested |= parsed.telemetry_out.is_some() || parsed.trace_out.is_some();
+        Ok(parsed)
+    }
+
+    /// The telemetry configuration, when any telemetry surface was
+    /// requested.
+    fn telemetry(&self) -> Option<TelemetryConfig> {
+        self.telemetry_requested.then_some(self.telemetry_config)
     }
 }
 
-/// The `--threads N` worker count (default 1). Reports are byte-identical
-/// at any value — each sweep point derives its RNG stream from the seed
-/// and its index alone.
-fn thread_arg() -> usize {
-    positive_arg("--threads").unwrap_or(1)
+/// Every flag, for error messages: the switches, then `FLAG VALUE` for
+/// the valued flags.
+fn known_flags() -> String {
+    let switches = SWITCHES.iter().map(|s| s.to_string());
+    let valued = VALUED.iter().map(|v| format!("{v} VALUE"));
+    switches.chain(valued).collect::<Vec<_>>().join(", ")
 }
 
-/// The `--shards N` fabric-step shard count (default 1). Like
-/// `--threads`, a pure execution choice: every measurement is
-/// bit-identical at any shard count.
-fn shards_arg() -> usize {
-    positive_arg("--shards").unwrap_or(1)
-}
-
-/// The `--lookahead N` epoch-window cap at any shard count (default:
-/// none — the epoch kernel uses the fabric's structural window, its
-/// minimum positive link latency). Like `--shards`, a pure execution
-/// choice.
-fn lookahead_arg() -> Option<u64> {
-    positive_arg("--lookahead")
-}
-
-/// The value of a `--flag N` argument, if present; panics unless it is
-/// a positive integer.
-fn positive_arg<T: std::str::FromStr + PartialOrd + From<u8>>(flag: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
-        v.parse()
-            .ok()
-            .filter(|n| *n >= T::from(1))
-            .unwrap_or_else(|| panic!("{flag} takes a positive integer"))
-    })
-}
-
-/// The value of a `--flag VALUE` argument, if present (`main` has
-/// already rejected a valued flag without its value).
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    args.find(|a| a == flag)?;
-    args.next()
-}
-
-/// Whether any telemetry surface was requested (`--telemetry` itself, or
-/// one of the output flags that implies it).
-fn telemetry_requested() -> bool {
-    std::env::args().any(|a| a == "--telemetry")
-        || arg_value("--telemetry-out").is_some()
-        || arg_value("--trace-out").is_some()
-}
-
-/// The [`TelemetryConfig`] assembled from `--epoch-cycles`,
-/// `--epoch-ring` and `--trace-out`.
-fn telemetry_config() -> TelemetryConfig {
-    let mut tcfg = TelemetryConfig::default();
-    tcfg.epoch_cycles = positive_arg("--epoch-cycles").unwrap_or(tcfg.epoch_cycles);
-    tcfg.epoch_ring = positive_arg("--epoch-ring").unwrap_or(tcfg.epoch_ring);
-    tcfg.trace = arg_value("--trace-out").is_some();
-    tcfg
+/// `flag`'s value as a positive integer.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    value
+        .parse()
+        .ok()
+        .filter(|n| *n >= T::from(1))
+        .ok_or_else(|| format!("{flag} takes a positive integer, not `{value}`"))
 }
 
 /// The stall cause carrying most of a breakdown, as a label.
@@ -294,14 +342,14 @@ fn print_telemetry(fabric: &TorusFabric) {
 /// packet trace (JSONL for `.jsonl` paths, Chrome `trace_event`
 /// otherwise). Confirmations go to stderr so `--json` stdout artifacts
 /// stay clean.
-fn write_telemetry_artifacts(fabric: &TorusFabric) {
-    if let Some(path) = arg_value("--telemetry-out") {
+fn write_telemetry_artifacts(fabric: &TorusFabric, args: &Args) {
+    if let Some(path) = &args.telemetry_out {
         let summary = fabric.telemetry_summary().expect("telemetry enabled");
         let json = serde_json::to_string_pretty(&summary).expect("serializable summary");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("telemetry summary written to {path}");
     }
-    if let Some(path) = arg_value("--trace-out") {
+    if let Some(path) = &args.trace_out {
         let tel = fabric.telemetry().expect("telemetry enabled");
         let rendered = if path.ends_with(".jsonl") {
             let mut sink = JsonlTraceSink::new();
@@ -312,7 +360,7 @@ fn write_telemetry_artifacts(fabric: &TorusFabric) {
             tel.write_trace(&mut sink);
             sink.render()
         };
-        std::fs::write(&path, rendered).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, rendered).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!(
             "packet trace written to {path} ({} events)",
             tel.trace_events().len()
@@ -330,37 +378,31 @@ fn write_telemetry_artifacts(fabric: &TorusFabric) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match anton_bench::check_flags(&args, SWITCHES, VALUED).and_then(|()| mode_of(&args))
-    {
-        Ok(mode) => mode,
-        Err(e) => {
-            eprintln!("sweep_traffic: {e}");
-            std::process::exit(2);
-        }
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&argv).unwrap_or_else(|e| {
+        eprintln!("sweep_traffic: {e}");
+        std::process::exit(2);
+    });
     let params = FabricParams::calibrated(&LatencyModel::default());
-    let threads = thread_arg();
-    match mode {
-        Mode::Calibrate => return calibrate(params, threads),
-        Mode::MdReplay => return md_replay(params),
-        Mode::OverloadSmoke => return overload_smoke(params, threads),
-        Mode::MegaSmoke => return mega_smoke(params, threads),
+    match args.mode {
+        Mode::Calibrate => return calibrate(params, &args),
+        Mode::MdReplay => return md_replay(params, &args),
+        Mode::OverloadSmoke => return overload_smoke(params, &args),
+        Mode::MegaSmoke => return mega_smoke(params, &args),
         Mode::Sweep => {}
     }
 
-    let quick = std::env::args().any(|a| a == "--quick");
     let mut cfg = SweepConfig::new([4, 4, 8]);
-    cfg.shards = shards_arg();
-    cfg.lookahead = lookahead_arg();
-    if quick {
+    cfg.shards = args.shards;
+    cfg.lookahead = args.lookahead;
+    if args.quick {
         cfg.loads = vec![0.02, 0.2, 0.5, 0.8];
         cfg.warmup_cycles = 1_000;
         cfg.measure_cycles = 2_000;
         cfg.drain_cycles = 15_000;
     }
-    let mut report = run_sweep_threaded(&standard_suite(), &cfg, params, threads);
-    let telemetry = telemetry_requested().then(telemetry_config);
+    let mut report = run_sweep_threaded(&standard_suite(), &cfg, params, args.threads);
+    let telemetry = args.telemetry();
     if let Some(tcfg) = telemetry {
         report.echo.epoch_cycles = tcfg.epoch_cycles;
     }
@@ -375,9 +417,11 @@ fn main() {
         run_scenario_instrumented(&mut workload, &cfg, params, 0.3, 1025, tcfg)
     });
 
-    if anton_bench::maybe_json(&report) {
+    if args.json {
+        let json = serde_json::to_string_pretty(&report).expect("serializable report");
+        println!("{json}");
         if let Some(run) = &instrumented {
-            write_telemetry_artifacts(&run.fabric);
+            write_telemetry_artifacts(&run.fabric, &args);
         }
         return;
     }
@@ -446,7 +490,7 @@ fn main() {
     }
     if let Some(run) = &instrumented {
         print_telemetry(&run.fabric);
-        write_telemetry_artifacts(&run.fabric);
+        write_telemetry_artifacts(&run.fabric, &args);
     }
 }
 
@@ -458,7 +502,7 @@ fn main() {
 /// 8x8x8 fit (stream 3) is what the event-driven core's speedup paid
 /// for — machine-scale calibration as a routine run rather than a
 /// special occasion.
-fn calibrate(params: FabricParams, threads: usize) {
+fn calibrate(params: FabricParams, args: &Args) {
     calibrate_pattern(
         params,
         &UniformRandom,
@@ -466,7 +510,7 @@ fn calibrate(params: FabricParams, threads: usize) {
         LoadedCalibration::UNIFORM_4X4X8,
         "uniform",
         1,
-        threads,
+        args,
     );
     println!();
     calibrate_pattern(
@@ -476,7 +520,7 @@ fn calibrate(params: FabricParams, threads: usize) {
         LoadedCalibration::NEAREST_NEIGHBOR_4X4X8,
         "nearest-neighbor",
         2,
-        threads,
+        args,
     );
     println!();
     calibrate_pattern(
@@ -486,7 +530,7 @@ fn calibrate(params: FabricParams, threads: usize) {
         LoadedCalibration::UNIFORM_8X8X8,
         "uniform",
         3,
-        threads,
+        args,
     );
 }
 
@@ -498,18 +542,18 @@ fn calibrate_pattern(
     shipped: LoadedCalibration,
     label: &str,
     stream: u64,
-    threads: usize,
+    args: &Args,
 ) {
     cfg.loads = vec![
         0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.8, 1.0,
     ];
-    cfg.shards = shards_arg();
-    cfg.lookahead = lookahead_arg();
+    cfg.shards = args.shards;
+    cfg.lookahead = args.lookahead;
     println!(
         "CALIBRATION SWEEP. {}x{}x{} {label}, request-only, seed {:#x}",
         cfg.dims[0], cfg.dims[1], cfg.dims[2], cfg.seed
     );
-    let curve = run_curve_threaded(pattern, &cfg, params, stream, threads);
+    let curve = run_curve_threaded(pattern, &cfg, params, stream, args.threads);
     let saturation = curve.class_saturation_throughput(TrafficClass::Request);
     // The same unloaded baseline the shipped prediction adds contention
     // onto — fit and prediction must share it exactly. The mean hop
@@ -577,15 +621,15 @@ fn calibrate_pattern(
 /// per-`ByteKind` wire-byte totals machine-wide — the Figure 9a typing
 /// (position/force instead of `other_bytes`) carried down to the
 /// cycle-level links.
-fn md_replay(params: FabricParams) {
+fn md_replay(params: FabricParams, args: &Args) {
     let dims = [4u8, 4, 8];
     let mcfg = MachineConfig::torus(dims).without_compression();
     let run = MdNetworkRun::new(mcfg, 40_000, 99, false);
     let mut workload = run.halo_workload(64, 0x4D5F_4841);
     let mut cfg = SweepConfig::new(dims);
     cfg.loads = vec![];
-    cfg.shards = shards_arg();
-    cfg.lookahead = lookahead_arg();
+    cfg.shards = args.shards;
+    cfg.lookahead = args.lookahead;
     let offered = 0.3;
     println!(
         "MD HALO REPLAY. {}x{}x{} torus, {} atoms, import radius {:.2} A, offered {offered}",
@@ -599,8 +643,8 @@ fn md_replay(params: FabricParams) {
     // (every measured number is bit-identical with it off), and the
     // per-link stall/occupancy digest below is the point of this mode —
     // which halo links run hot and why they wait.
-    let scenario =
-        run_scenario_instrumented(&mut workload, &cfg, params, offered, 7, telemetry_config());
+    let tcfg = args.telemetry_config;
+    let scenario = run_scenario_instrumented(&mut workload, &cfg, params, offered, 7, tcfg);
     let p = &scenario.point;
     let resp = p.response.expect("halo replay spawns force returns");
     println!(
@@ -656,7 +700,7 @@ fn md_replay(params: FabricParams) {
         ),
     );
     print_telemetry(&scenario.fabric);
-    write_telemetry_artifacts(&scenario.fabric);
+    write_telemetry_artifacts(&scenario.fabric, args);
 }
 
 /// A time-budgeted 16x16x16 (4096-node) smoke: prints the constructed
@@ -668,15 +712,17 @@ fn md_replay(params: FabricParams) {
 /// and `--threads` like every other mode; with `--telemetry`, an
 /// instrumented companion point prints the stall digest (the
 /// activity-lazy epoch rings keep that affordable at this link count).
-fn mega_smoke(params: FabricParams, threads: usize) {
+fn mega_smoke(params: FabricParams, args: &Args) {
     let dims = [16u8, 16, 16];
-    let shards = shards_arg();
     let torus = Torus::new(dims);
     let report = TorusFabric::new(torus, params).memory_report();
     println!(
-        "MEGA SMOKE. {}x{}x{} torus ({} nodes), responses on, {threads} thread(s), \
-         {shards} shard(s)",
+        "MEGA SMOKE. {}x{}x{} torus ({} nodes), responses on",
         dims[0], dims[1], dims[2], report.nodes
+    );
+    eprintln!(
+        "mega smoke: {} thread(s), {} shard(s)",
+        args.threads, args.shards
     );
     println!(
         "constructed fabric memory: {:.1} MiB total, {} bytes/router \
@@ -686,13 +732,13 @@ fn mega_smoke(params: FabricParams, threads: usize) {
         report.route_table_bytes
     );
     let mut cfg = SweepConfig::new(dims);
-    cfg.shards = shards;
-    cfg.lookahead = lookahead_arg();
+    cfg.shards = args.shards;
+    cfg.lookahead = args.lookahead;
     cfg.loads = vec![0.05];
     cfg.warmup_cycles = 800;
     cfg.measure_cycles = 800;
     cfg.drain_cycles = 10_000;
-    let curve = run_curve_threaded(&UniformRandom, &cfg, params, 1, threads);
+    let curve = run_curve_threaded(&UniformRandom, &cfg, params, 1, args.threads);
     let p = curve.points.last().expect("mega point");
     println!(
         "offered {:.2}: delivered {:.3} total ({:.3} request / {:.3} response), \
@@ -714,12 +760,12 @@ fn mega_smoke(params: FabricParams, threads: usize) {
         "both channel slices must carry traffic"
     );
     println!("mega smoke: PASS");
-    if let Some(tcfg) = telemetry_requested().then(telemetry_config) {
+    if let Some(tcfg) = args.telemetry() {
         let mut workload =
             SyntheticWorkload::new(&UniformRandom, cfg.flits_per_packet, cfg.respond);
         let run = run_scenario_instrumented(&mut workload, &cfg, params, 0.15, 1, tcfg);
         print_telemetry(&run.fabric);
-        write_telemetry_artifacts(&run.fabric);
+        write_telemetry_artifacts(&run.fabric, args);
     }
 }
 
@@ -728,12 +774,11 @@ fn mega_smoke(params: FabricParams, threads: usize) {
 /// — if the dateline VCs or the request/response class split ever
 /// admitted a dependency cycle, the drain would never finish and this
 /// smoke would fail CI.
-fn overload_smoke(params: FabricParams, threads: usize) {
+fn overload_smoke(params: FabricParams, args: &Args) {
     let dims = [8u8, 8, 8];
-    let shards = shards_arg();
     let mut cfg = SweepConfig::new(dims);
-    cfg.shards = shards;
-    cfg.lookahead = lookahead_arg();
+    cfg.shards = args.shards;
+    cfg.lookahead = args.lookahead;
     // Two points so `--threads 2` genuinely runs concurrent workers at
     // 512-node scale (a single point would clamp the pool to one): a
     // mid-load companion rides along, and the overload point under test
@@ -743,14 +788,17 @@ fn overload_smoke(params: FabricParams, threads: usize) {
     cfg.measure_cycles = 900;
     cfg.drain_cycles = 6_000;
     println!(
-        "OVERLOAD SMOKE. {}x{}x{} torus ({} nodes), responses on, {threads} thread(s), \
-         {shards} shard(s)",
+        "OVERLOAD SMOKE. {}x{}x{} torus ({} nodes), responses on",
         dims[0],
         dims[1],
         dims[2],
         Torus::new(dims).node_count()
     );
-    let curve = run_curve_threaded(&UniformRandom, &cfg, params, 1, threads);
+    eprintln!(
+        "overload smoke: {} thread(s), {} shard(s)",
+        args.threads, args.shards
+    );
+    let curve = run_curve_threaded(&UniformRandom, &cfg, params, 1, args.threads);
     let p = curve.points.last().expect("overload point");
     println!(
         "offered {:.2}: delivered {:.3} total ({:.3} request / {:.3} response), \
@@ -785,7 +833,7 @@ fn overload_smoke(params: FabricParams, threads: usize) {
     cfg.measure_cycles = 2_000;
     cfg.drain_cycles = 400_000;
     let mut workload = SyntheticWorkload::new(&UniformRandom, cfg.flits_per_packet, cfg.respond);
-    let telemetry = telemetry_requested().then(telemetry_config);
+    let telemetry = args.telemetry();
     let run = match telemetry {
         Some(tcfg) => run_scenario_instrumented(&mut workload, &cfg, params, 1.0, 0xDEAD, tcfg),
         None => run_scenario(&mut workload, &cfg, params, 1.0, 0xDEAD),
@@ -800,17 +848,19 @@ fn overload_smoke(params: FabricParams, threads: usize) {
         run.fabric.occupancy()
     );
     println!(
-        "drain check: PASS ({} requests + {} responses delivered, fabric empty at cycle {}, \
-         {} sync ops / {} epochs)",
+        "drain check: PASS ({} requests + {} responses delivered, fabric empty at cycle {})",
         req.packets_measured,
         resp.packets_measured,
-        run.fabric.cycle(),
+        run.fabric.cycle()
+    );
+    eprintln!(
+        "drain check: {} sync ops / {} epochs",
         run.fabric.sync_ops(),
         run.fabric.epochs()
     );
     if telemetry.is_some() {
         print_telemetry(&run.fabric);
-        write_telemetry_artifacts(&run.fabric);
+        write_telemetry_artifacts(&run.fabric, args);
     }
 }
 
@@ -818,17 +868,97 @@ fn overload_smoke(params: FabricParams, threads: usize) {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args)
+    }
+
+    fn mode_of(args: &[&str]) -> Result<Mode, String> {
+        parse(args).map(|a| a.mode)
+    }
+
+    #[test]
+    fn known_flags_pass() {
+        let a = parse(&[]).unwrap();
+        assert_eq!((a.threads, a.shards, a.lookahead), (1, 1, None));
+        assert_eq!(a.telemetry(), None);
+        let a = parse(&["--quick", "--threads", "2", "--json"]).unwrap();
+        assert!(a.quick && a.json && a.threads == 2);
+        let a = parse(&["--shards", "3", "--lookahead", "1", "--epoch-cycles", "512"]).unwrap();
+        assert_eq!((a.shards, a.lookahead), (3, Some(1)));
+        assert_eq!(a.telemetry_config.epoch_cycles, 512);
+        assert_eq!(
+            a.telemetry(),
+            None,
+            "an epoch length alone requests nothing"
+        );
+        let a = parse(&["--telemetry-out", "t.json", "--epoch-ring", "8"]).unwrap();
+        let tcfg = a.telemetry().expect("--telemetry-out implies telemetry");
+        assert_eq!((tcfg.epoch_ring, tcfg.trace), (8, false));
+        let a = parse(&["--trace-out", "t.jsonl"]).unwrap();
+        assert!(a.telemetry().expect("--trace-out implies telemetry").trace);
+    }
+
+    #[test]
+    fn unknown_arguments_and_missing_values_are_rejected() {
+        let err = |args: &[&str]| parse(args).unwrap_err();
+        let typo = err(&["--quik"]);
+        assert!(typo.starts_with("unknown argument `--quik`"), "{typo}");
+        assert!(typo.ends_with(&format!("known flags: {}", known_flags())));
+        assert!(known_flags().starts_with("--json, --quick, --calibrate"));
+        assert!(known_flags().ends_with("--epoch-ring VALUE, --trace-out VALUE"));
+        assert!(err(&["--json", "stray"]).starts_with("unknown argument `stray`"));
+        assert!(err(&["--threads"]).starts_with("--threads takes a value"));
+        assert!(err(&["--threads", "--json"]).starts_with("--threads takes a value"));
+    }
+
+    #[test]
+    fn bad_values_and_repeated_flags_are_refused() {
+        let not_positive =
+            |flag: &str, v: &str| format!("{flag} takes a positive integer, not `{v}`");
+        let cases: [(&[&str], String); 10] = [
+            (&["--threads", "0"], not_positive("--threads", "0")),
+            (&["--threads", "x"], not_positive("--threads", "x")),
+            (&["--shards", "0"], not_positive("--shards", "0")),
+            (&["--lookahead", "0"], not_positive("--lookahead", "0")),
+            // A value is checked whether or not the mode reads it.
+            (
+                &["--quick", "--telemetry", "--epoch-cycles", "0"],
+                not_positive("--epoch-cycles", "0"),
+            ),
+            (
+                &["--quick", "--epoch-cycles", "0"],
+                not_positive("--epoch-cycles", "0"),
+            ),
+            (
+                &["--md-replay", "--epoch-ring", "0"],
+                not_positive("--epoch-ring", "0"),
+            ),
+            (
+                &["--quick", "--json", "--threads", "2", "--threads", "1"],
+                "--threads is given twice".into(),
+            ),
+            (
+                &["--threads", "2", "--threads", "3"],
+                "--threads is given twice".into(),
+            ),
+            (&["--json", "--json"], "--json is given twice".into()),
+        ];
+        for (args, want) in cases {
+            assert_eq!(parse(args), Err(want), "{args:?}");
+        }
+    }
+
     #[test]
     fn at_most_one_mode_is_selected() {
-        assert_eq!(mode_of::<&str>(&[]), Ok(Mode::Sweep));
+        assert_eq!(mode_of(&[]), Ok(Mode::Sweep));
         assert_eq!(mode_of(&["--quick", "--threads", "2"]), Ok(Mode::Sweep));
         for (flag, expect) in MODES {
             assert!(SWITCHES.contains(&flag), "{flag} must pass the flag check");
             assert_eq!(mode_of(&["--json", flag, "--shards", "2"]), Ok(expect));
             assert_eq!(
                 mode_of(&[flag, flag]),
-                Ok(expect),
-                "a repeat is still one mode"
+                Err(format!("{flag} is given twice")),
+                "a repeated mode flag is refused like any repeated flag"
             );
         }
         let err = mode_of(&["--md-replay", "--overload-smoke"]).unwrap_err();

@@ -524,9 +524,9 @@ impl TorusFabric {
     /// The audited memory footprint of this fabric: the router-layer
     /// breakdown of [`crate::router::RouterFabric::memory_breakdown`]
     /// plus the shared separable route tables, with the bytes/router
-    /// quotient mega-fabric budgets are stated in (`bench_fabric`
-    /// reports it in the bench JSON; the README Performance section
-    /// documents the budget).
+    /// quotient mega-fabric budgets are stated in (`sweep_traffic
+    /// --mega-smoke` prints it; the README Performance section documents
+    /// the budget).
     pub fn memory_report(&self) -> FabricMemoryReport {
         let breakdown = self.fabric.memory_breakdown();
         let total = breakdown.total() + self.route_table_bytes;
@@ -638,8 +638,8 @@ impl TorusFabric {
     /// Advances one cycle with the retained naive reference stepper —
     /// the executable specification [`Self::step`] is held bit-identical
     /// to (see [`crate::router::RouterFabric::step_reference`]). Used by
-    /// the `stepper_equivalence` tests and the `bench_fabric` speedup
-    /// harness; the two steppers may be interleaved freely.
+    /// the `stepper_equivalence` tests and the committed benchmark's
+    /// speedup figure; the two steppers may be interleaved freely.
     pub fn step_reference(&mut self) {
         self.fabric.step_reference();
     }
@@ -1331,6 +1331,7 @@ mod tests {
         // budget at every scale: flit slabs are allocated lazily, so
         // construction cost is cursors + worklists + link state,
         // independent of the queue depths traffic would eventually reach.
+        let mut largest = None;
         for n in [8u8, 16, 32] {
             let f = fabric([n, n, n]);
             let report = f.memory_report();
@@ -1344,7 +1345,26 @@ mod tests {
                 "constructed {n}³ fabric takes {} bytes/router",
                 report.bytes_per_router
             );
+            largest = Some(f);
         }
+        // The 32³ fabric also steps: packets of both classes between
+        // random node pairs all arrive, and the fabric drains empty.
+        let mut f = largest.expect("a 32³ fabric");
+        let n = f.torus().node_count() as u64;
+        let mut rng = SplitMix64::new(0x32);
+        for id in 0..8u64 {
+            let src = NodeId(rng.next_below(n) as u16);
+            let dst = NodeId(rng.next_below(n) as u16);
+            let spec = if id % 2 == 0 {
+                PacketSpec::request(src, dst, id, 2)
+            } else {
+                PacketSpec::response(src, dst, id, 2)
+            };
+            f.inject(spec.drawn(&mut rng)).unwrap();
+        }
+        assert!(f.run_until_drained(100_000), "a 32³ fabric must drain");
+        assert_eq!(f.take_delivered().len(), 16, "every flit delivered");
+        assert_eq!(f.occupancy(), 0);
     }
 
     #[test]

@@ -73,7 +73,7 @@
 //! kernel must match bit for bit at every shard count and window — same
 //! delivery log, same cycle numbers, same per-link counters and
 //! telemetry — and the `stepper_equivalence` property tests and the
-//! `bench_fabric` harness hold the two to exactly that.
+//! committed benchmark's traced checks hold the two to exactly that.
 
 use crate::telemetry::{StallCause, Telemetry, TelemetryConfig};
 use anton_model::asic::INPUT_QUEUE_FLITS;
@@ -2323,11 +2323,11 @@ mod shard {
 } // mod shard
 
 /// Heap memory behind a [`RouterFabric`], bucketed by subsystem — the
-/// audit that keeps mega-fabric construction honest: the bytes/router
-/// budget `bench_fabric` reports for 16³/32³ builds is computed from
-/// this. Counts **allocated capacity** (what the process actually pays),
-/// not live length, so lazily grown structures (flit slabs, telemetry
-/// rings) report what traffic has forced into existence.
+/// audit that keeps mega-fabric construction honest: the 8 KB/router
+/// budget `fabric3d`'s memory test holds 16³/32³ builds to is computed
+/// from this. Counts **allocated capacity** (what the process actually
+/// pays), not live length, so lazily grown structures (flit slabs,
+/// telemetry rings) report what traffic has forced into existence.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MemoryBreakdown {
     /// Flit slot slabs across every router's input queues (lazily grown
@@ -3080,9 +3080,9 @@ impl RouterFabric {
     /// downstream credits for all ports × VCs and arbitrating via
     /// [`CycleRouter::tick`]. Kept as the executable specification of
     /// [`Self::step`] — the `stepper_equivalence` property tests (and
-    /// the `bench_fabric` speedup harness) run the two side by side and
-    /// require identical delivery logs and link counters. The two may be
-    /// freely interleaved on one fabric.
+    /// the committed benchmark's traced run, which also times both) run
+    /// the two side by side and require identical delivery logs and
+    /// link counters. The two may be freely interleaved on one fabric.
     pub fn step_reference(&mut self) {
         let cycle = self.cycle;
         if self.telemetry.is_some() {

@@ -46,8 +46,8 @@
 //! skipped cycles are provably no-ops, so the statistics are bit-
 //! identical to per-cycle stepping, just cheaper. [`run_scenario_with`]
 //! can instead drive the retained naive reference stepper
-//! ([`Stepper::Reference`]), which the `bench_fabric` harness uses to
-//! measure the event-driven core's speedup on identical work.
+//! ([`Stepper::Reference`]), which the committed benchmark's traced run
+//! uses to measure the event-driven core's speedup on identical work.
 
 use crate::patterns::TrafficPattern;
 use crate::workload::{SyntheticWorkload, Workload};
@@ -434,9 +434,9 @@ pub struct SweepReport {
 /// path, or the retained naive reference stepper
 /// ([`TorusFabric::step_reference`]) it is held bit-identical to. The
 /// reference mode also forgoes the drain fast-forward, so it prices the
-/// pre-worklist simulator on exactly the same workload — the
-/// `bench_fabric` speedup harness runs one scenario in each mode and
-/// asserts the measured points are equal.
+/// pre-worklist simulator on exactly the same workload — the committed
+/// benchmark's traced run times one scenario in each mode and checks
+/// the measured points are equal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Stepper {
     /// The production event-driven core (`TorusFabric::step` +
