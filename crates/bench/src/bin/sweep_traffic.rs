@@ -127,6 +127,21 @@ enum Mode {
     MegaSmoke,
 }
 
+impl Mode {
+    /// The smallest torus this mode's run builds. Each run reads its
+    /// shape from here (`--calibrate` from the calibration configs it
+    /// runs, the smaller of which is 4x4x8), so the `--shards` check at
+    /// parse time and the run cannot disagree.
+    fn dims(self) -> [u8; 3] {
+        match self {
+            Mode::Sweep | Mode::MdReplay => [4, 4, 8],
+            Mode::Calibrate => SweepConfig::calibration_4x4x8().dims,
+            Mode::OverloadSmoke => [8, 8, 8],
+            Mode::MegaSmoke => [16, 16, 16],
+        }
+    }
+}
+
 /// The mode flags (also listed in [`SWITCHES`]) and what they select.
 const MODES: [(&str, Mode); 4] = [
     ("--calibrate", Mode::Calibrate),
@@ -165,9 +180,10 @@ impl Args {
     /// Parses a run's arguments (without the program name). Refuses an
     /// unknown argument, a valued flag that is last or followed by
     /// another `--flag`, a numeric value that is not a positive integer,
-    /// a flag given twice and a second mode flag, so a typo or a bad
-    /// value fails before any work instead of running a default mode or
-    /// panicking mid-run. The error names the offending flag.
+    /// a flag given twice, a second mode flag and more shards than the
+    /// mode's torus has routers, so a typo or a bad value fails before
+    /// any work instead of running a default mode or panicking mid-run.
+    /// The error names the offending flag.
     fn parse<S: AsRef<str>>(args: &[S]) -> Result<Args, String> {
         let mut parsed = Args {
             threads: 1,
@@ -226,6 +242,14 @@ impl Args {
                 .find(|&(f, _)| f == flag)
                 .expect("every mode flag is in MODES")
                 .1;
+        }
+        let [x, y, z] = parsed.mode.dims();
+        let routers = Torus::new([x, y, z]).node_count();
+        if parsed.shards > routers {
+            return Err(format!(
+                "--shards {} is more than the {routers} routers of this mode's {x}x{y}x{z} torus",
+                parsed.shards
+            ));
         }
         parsed.telemetry_config.trace = parsed.trace_out.is_some();
         parsed.telemetry_requested |= parsed.telemetry_out.is_some() || parsed.trace_out.is_some();
@@ -392,7 +416,7 @@ fn main() {
         Mode::Sweep => {}
     }
 
-    let mut cfg = SweepConfig::new([4, 4, 8]);
+    let mut cfg = SweepConfig::new(Mode::Sweep.dims());
     cfg.shards = args.shards;
     cfg.lookahead = args.lookahead;
     if args.quick {
@@ -622,7 +646,7 @@ fn calibrate_pattern(
 /// (position/force instead of `other_bytes`) carried down to the
 /// cycle-level links.
 fn md_replay(params: FabricParams, args: &Args) {
-    let dims = [4u8, 4, 8];
+    let dims = Mode::MdReplay.dims();
     let mcfg = MachineConfig::torus(dims).without_compression();
     let run = MdNetworkRun::new(mcfg, 40_000, 99, false);
     let mut workload = run.halo_workload(64, 0x4D5F_4841);
@@ -713,7 +737,7 @@ fn md_replay(params: FabricParams, args: &Args) {
 /// instrumented companion point prints the stall digest (the
 /// activity-lazy epoch rings keep that affordable at this link count).
 fn mega_smoke(params: FabricParams, args: &Args) {
-    let dims = [16u8, 16, 16];
+    let dims = Mode::MegaSmoke.dims();
     let torus = Torus::new(dims);
     let report = TorusFabric::new(torus, params).memory_report();
     println!(
@@ -775,7 +799,7 @@ fn mega_smoke(params: FabricParams, args: &Args) {
 /// admitted a dependency cycle, the drain would never finish and this
 /// smoke would fail CI.
 fn overload_smoke(params: FabricParams, args: &Args) {
-    let dims = [8u8, 8, 8];
+    let dims = Mode::OverloadSmoke.dims();
     let mut cfg = SweepConfig::new(dims);
     cfg.shards = args.shards;
     cfg.lookahead = args.lookahead;
@@ -967,5 +991,33 @@ mod tests {
             "give at most one mode, not --md-replay and --overload-smoke"
         );
         assert!(mode_of(&["--mega-smoke", "--calibrate", "--md-replay"]).is_err());
+    }
+
+    #[test]
+    fn shards_beyond_the_modes_routers_are_refused() {
+        // Each mode's router count, from the smallest torus it runs
+        // (`--calibrate` also runs 8x8x8).
+        let cases = [
+            (&["--quick"][..], 128, "4x4x8"),
+            (&["--calibrate"], 128, "4x4x8"),
+            (&["--md-replay"], 128, "4x4x8"),
+            (&["--overload-smoke"], 512, "8x8x8"),
+            (&["--mega-smoke"], 4096, "16x16x16"),
+        ];
+        for (mode, routers, shape) in cases {
+            let with = |shards: usize| {
+                let n = shards.to_string();
+                parse(&[mode, &["--shards", n.as_str()][..]].concat())
+            };
+            assert_eq!(with(routers).map(|a| a.shards), Ok(routers), "{mode:?}");
+            assert_eq!(
+                with(routers + 1),
+                Err(format!(
+                    "--shards {} is more than the {routers} routers of this mode's {shape} torus",
+                    routers + 1
+                )),
+                "{mode:?}"
+            );
+        }
     }
 }

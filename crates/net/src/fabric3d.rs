@@ -477,7 +477,7 @@ impl TorusFabric {
         // Separable per-dimension tables build for every shape — O(n)
         // memory, no node-count cap, no computed-route fallback on the
         // hot path. The direct computation survives as the test oracle
-        // ([`torus_route`] / [`CoordCache::route`]).
+        // ([`torus_route`]).
         let tables = RouteTables::build(&torus);
         let route_table_bytes = tables.memory_bytes();
         let route: Box<crate::router::RouteFn> =
@@ -1124,36 +1124,6 @@ pub fn torus_route_tab(tables: &RouteTables, f: &Flit, router: usize) -> RouteDe
     }
 }
 
-/// Dense node→coordinate cache for the retained direct-computation
-/// oracle: [`torus_route`] pays two `coord()` divisions per flit per
-/// hop, which makes oracle-vs-table sweeps at 16³/32³ pathologically
-/// slow. [`CoordCache::route`] is the same decision path with the
-/// divisions amortized into one `O(n)` table at construction.
-pub struct CoordCache {
-    coords: Vec<TorusCoord>,
-}
-
-impl CoordCache {
-    /// Builds the cache for every node of `torus`.
-    pub fn new(torus: &Torus) -> CoordCache {
-        CoordCache {
-            coords: torus.nodes().map(|id| torus.coord(id)).collect(),
-        }
-    }
-
-    /// The cached coordinate of `node`.
-    pub fn coord(&self, node: usize) -> TorusCoord {
-        self.coords[node]
-    }
-
-    /// [`torus_route`] with the coordinate lookups served from the
-    /// cache — bit-identical decisions (the shared tail is the same
-    /// function).
-    pub fn route(&self, torus: &Torus, f: &Flit, router: usize) -> RouteDecision {
-        route_decision(torus, self.coords[router], self.coords[f.dest as usize], f)
-    }
-}
-
 /// Per-hop route computation, dispatching on the flit's traffic class:
 ///
 /// - requests reproduce `assign_request_vcs` from the carried state — VC
@@ -1166,12 +1136,6 @@ impl CoordCache {
 pub fn torus_route(torus: &Torus, f: &Flit, router: usize) -> RouteDecision {
     let cur = torus.coord(NodeId(router as u16));
     let dest = torus.coord(NodeId(f.dest as u16));
-    route_decision(torus, cur, dest, f)
-}
-
-/// The shared decision tail of [`torus_route`] and [`CoordCache::route`]:
-/// everything after the coordinate lookups.
-fn route_decision(torus: &Torus, cur: TorusCoord, dest: TorusCoord, f: &Flit) -> RouteDecision {
     let t = decode_tag(f.tag);
     match t.class {
         TrafficClass::Request => match torus.first_hop(cur, dest, DimOrder::ALL[t.order_idx]) {
@@ -1277,9 +1241,9 @@ mod tests {
     #[test]
     fn separable_tables_stay_linear_above_the_old_cap() {
         // 16³ = 4096 nodes sat above the old ROUTE_TABLE_MAX_NODES; the
-        // separable tables must build, agree with the (coords-cached)
-        // oracle on a sample, and cost O(n) — not the 6·n² + n² bytes
-        // (~134 MB here) of the quadratic layout.
+        // separable tables must build, agree with the direct oracle on
+        // a sample, and cost O(n) — not the 6·n² + n² bytes (~134 MB
+        // here) of the quadratic layout.
         let t = Torus::new([16, 16, 16]);
         let tables = RouteTables::build(&t);
         assert!(
@@ -1287,7 +1251,6 @@ mod tests {
             "tables took {} bytes — quadratic?",
             tables.memory_bytes()
         );
-        let cache = CoordCache::new(&t);
         let n = t.node_count();
         for router in (0..n).step_by(173) {
             for dest in (0..n).step_by(211) {
@@ -1303,9 +1266,10 @@ mod tests {
                             tag,
                             injected_at: 0,
                         };
-                        let want = cache.route(&t, &f, router);
-                        assert_eq!(want, torus_route(&t, &f, router), "cache != direct");
-                        assert_eq!(torus_route_tab(&tables, &f, router), want);
+                        assert_eq!(
+                            torus_route_tab(&tables, &f, router),
+                            torus_route(&t, &f, router)
+                        );
                     }
                 }
                 let f = Flit {
@@ -1319,7 +1283,7 @@ mod tests {
                 };
                 assert_eq!(
                     torus_route_tab(&tables, &f, router),
-                    cache.route(&t, &f, router)
+                    torus_route(&t, &f, router)
                 );
             }
         }

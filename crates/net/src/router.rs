@@ -54,14 +54,17 @@
 //!   stall classification asks the same question through the same check
 //!   — the credit state cannot change while a cycle arbitrates, so no
 //!   snapshot or probe table is needed;
-//! - **occupied-front stall classification**: with telemetry on, each
-//!   router walks an occupied-queue bitset and reads every front's
-//!   target from a per-queue memo keyed by front version, so a head is
-//!   routed once (shared with candidate filing) and a stalled front
-//!   costs no slab read or route call on later cycles;
+//! - **occupied-front stall classification, recorded in place**: with
+//!   telemetry on, each router walks an occupied-queue bitset and reads
+//!   every front's target from a per-queue memo keyed by front version,
+//!   so a head is routed once (shared with candidate filing) and a
+//!   stalled front costs no slab read or route call on later cycles;
+//!   each shard writes its own links' advances and stalls straight into
+//!   the telemetry counters, so nothing is buffered or replayed;
 //! - **allocation-free hot path**: the per-cycle buffers (candidates,
 //!   departures) persist across cycles, so a steady-state step
-//!   allocates nothing;
+//!   allocates nothing but, with telemetry on, each epoch's short list
+//!   of per-shard recorders;
 //! - an event fast-forward ([`RouterFabric::step_next_event`],
 //!   [`RouterFabric::step_batched`]) that jumps the dead cycles between
 //!   link-arrival events when no router has queued work — in-flight wire
@@ -71,11 +74,11 @@
 //! [`RouterFabric::step_reference`] (arbitrating via
 //! [`CycleRouter::tick`]): it is the executable specification the
 //! kernel must match bit for bit at every shard count and window — same
-//! delivery log, same cycle numbers, same per-link counters and
-//! telemetry — and the `stepper_equivalence` property tests and the
+//! delivery log, same cycle numbers, same per-link counters, telemetry
+//! and packet trace — and the `stepper_equivalence` property tests and the
 //! committed benchmark's traced checks hold the two to exactly that.
 
-use crate::telemetry::{StallCause, Telemetry, TelemetryConfig};
+use crate::telemetry::{LinkRecorder, StallCause, Telemetry, TelemetryConfig};
 use anton_model::asic::INPUT_QUEUE_FLITS;
 use core::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -1375,8 +1378,13 @@ use shard::{ShardPool, ShardScratch};
 /// 1. **Disjoint mutable rows.** The router index space is partitioned
 ///    into contiguous shard ranges (`bounds`); each shard turns a `*mut`
 ///    base into per-shard slices that never overlap another shard's.
-///    Its scratch — arrival wheel and boundary outbox included — is
-///    the one element of the per-shard scratch array at its own index.
+///    Its scratch — arrival wheel, boundary outbox and output lists
+///    included — is the one element of the per-shard scratch array at
+///    its own index. Links flatten in router order, so shard `s` also
+///    owns the links `link_off[bounds[s]]..link_off[bounds[s + 1]]`,
+///    and with them the same rows of telemetry's counters, which it
+///    records into in place through element `s` of the epoch's recorder
+///    array (split without unsafe code by `Telemetry::recorders`).
 /// 2. **Epoch-wide read-only state** (wiring, routing closures, the
 ///    sorted active list, offset tables, the boundary-slot map).
 /// 3. **Atomics** (the fabric-wide credit mirror — and each entry is
@@ -1390,9 +1398,9 @@ use shard::{ShardPool, ShardScratch};
 /// shards run their whole private window with no synchronization (every
 /// positive-latency link is at least one window long, so no cross-shard
 /// effect can land inside it), then the single end-of-epoch fence
-/// provides the acquire/release edge before the serial merge epilogue,
-/// which alone moves boundary accepts from one shard's outbox onto
-/// another shard's wheel.
+/// provides the acquire/release edge before the serial epilogue, which
+/// alone moves boundary accepts from one shard's outbox onto another
+/// shard's wheel.
 /// The frame itself lives on the stepping thread's stack and is only
 /// dereferenced between pool launch and that fence, which the stepping
 /// thread also waits on. A panic inside a window does not skip the
@@ -1623,27 +1631,15 @@ mod shard {
         }
     }
 
-    /// One executed private cycle's cumulative end offsets into a shard's
-    /// epoch accumulators (`moves`, `stalls`, `delivered_eject`). The
-    /// merge epilogue walks these to interleave per-cycle events across
-    /// shards in the serial (cycle, then ascending-router) order; cycles
-    /// a shard fast-forwarded leave no segment.
-    #[derive(Clone, Copy)]
-    struct EpochSeg {
-        /// The private cycle this segment closed.
-        cycle: u64,
-        /// `moves.len()` after the cycle ran.
-        moves_end: u32,
-        /// `stalls.len()` after the cycle ran.
-        stalls_end: u32,
-        /// `delivered_eject.len()` after the cycle ran.
-        eject_end: u32,
-    }
-
     /// Per-shard state of the epoch kernel: the arrival wheel, and
     /// per-epoch buffers reused across epochs. Written only by the owning
     /// shard inside its window, and by serial code outside windows.
+    ///
+    /// Aligned to its own cache lines: windows keep writing `sent`,
+    /// `landed` and `last_move` while they run, and no line may hold
+    /// fields of two shards.
     #[derive(Default)]
+    #[repr(align(128))]
     pub(super) struct ShardScratch {
         /// Calendar wheel of this shard's landings: slot `t % len` holds
         /// the bookings landing at cycle `t`. The length exceeds every
@@ -1658,33 +1654,24 @@ mod shard {
         sent: usize,
         /// Flits this window landed into its routers.
         landed: usize,
+        /// The last cycle of this window in which a router of the shard
+        /// moved a flit (0 when none did), for the drain rewind.
+        last_move: u64,
         /// Current private cycle's arbitration worklist, sorted ascending;
         /// holds the shard's surviving actives when the epoch ends.
         worklist: Vec<usize>,
         /// Routers activated by accepts (arrivals, zero-latency hops),
         /// merged into the worklist before arbitration and at window end.
         incoming: Vec<usize>,
-        /// Departures across the whole window, `(router, out, flit)`,
-        /// segmented per cycle by `segs`.
+        /// The current private cycle's departures, `(router, out, flit)`,
+        /// in ascending router order.
         moves: Vec<(usize, usize, Flit)>,
-        /// Ejections across the window, in departure order.
-        delivered_eject: Vec<Flit>,
-        /// Stall events classified against private-cycle state,
-        /// `(router, out, out vc, cause)`, in ascending router order
-        /// within each cycle segment.
-        stalls: Vec<(u32, u32, u8, StallCause)>,
-        /// Per-executed-cycle segment ends over the three accumulators.
-        segs: Vec<EpochSeg>,
-        /// Epilogue cursor: next unmerged entry of `segs`.
-        seg_pos: usize,
-        /// Epilogue cursor: segment starts (previous segment's ends) over
-        /// `moves` / `stalls` / `delivered_eject`.
-        merged: (u32, u32, u32),
-        /// Per-link advance stamps (`cycle + 1` when the link moved a flit
-        /// that cycle), offset by the shard's first link — the shard-local
-        /// stand-in for `Telemetry::advanced_on` during parallel stall
-        /// classification. Sized on the first recorded cycle.
-        adv_stamp: Vec<u64>,
+        /// Ejections across the window as `(cycle, flit)`, in the serial
+        /// order within the shard: by cycle, then by departure.
+        ejected: Vec<(u64, Flit)>,
+        /// While tracing, the window's head hops onto router links as
+        /// `(cycle, router, out, flit)`, in the same order as `ejected`.
+        hops: Vec<(u64, usize, usize, Flit)>,
     }
 
     impl ShardScratch {
@@ -1710,23 +1697,8 @@ mod shard {
                 + self.outbox.capacity() * size_of::<(usize, usize, Arrival)>()
                 + (self.worklist.capacity() + self.incoming.capacity()) * size_of::<usize>()
                 + self.moves.capacity() * size_of::<(usize, usize, Flit)>()
-                + self.delivered_eject.capacity() * size_of::<Flit>()
-                + self.stalls.capacity() * size_of::<(u32, u32, u8, StallCause)>()
-                + self.segs.capacity() * size_of::<EpochSeg>()
-                + self.adv_stamp.capacity() * size_of::<u64>()
-        }
-
-        /// Resets the epilogue cursors and clears every per-epoch
-        /// accumulator (allocations are kept; the wheel is untouched).
-        fn reset(&mut self) {
-            self.sent = 0;
-            self.landed = 0;
-            self.moves.clear();
-            self.delivered_eject.clear();
-            self.stalls.clear();
-            self.segs.clear();
-            self.seg_pos = 0;
-            self.merged = (0, 0, 0);
+                + self.ejected.capacity() * size_of::<(u64, Flit)>()
+                + self.hops.capacity() * size_of::<(u64, usize, usize, Flit)>()
         }
     }
 
@@ -1759,7 +1731,9 @@ mod shard {
     /// `bounds`: epoch code turns the `*mut` bases into **disjoint**
     /// per-shard slices (rows `bounds[s]..bounds[s + 1]` of `routers`,
     /// `channels`, `next_free`, `reserved`, `is_active`; element `s` of
-    /// `scratch`, with the shard's arrival wheel). Everything else
+    /// `scratch`, with the shard's arrival wheel, and of `recorders`,
+    /// over links `link_off[bounds[s]]..link_off[bounds[s + 1]]` of
+    /// telemetry's counters). Everything else
     /// is either read-only for the whole epoch (`wiring`, `route`,
     /// `classify`, the sorted active list, the offset tables, the
     /// boundary-slot map), atomic (`credit_view` — and each entry is only
@@ -1790,7 +1764,9 @@ mod shard {
         shadow: *mut u32,
         route: *const Box<RouteFn>,
         classify: *const Option<Box<FlitClassFn>>,
-        telemetry: bool,
+        /// One telemetry recorder per shard, over its own links
+        /// ([`Telemetry::recorders`]); `None` when telemetry is off.
+        recorders: Option<*mut LinkRecorder<'static>>,
         /// Whether any flit was in flight when the epoch started; if not,
         /// nothing lands inside the window.
         in_flight: bool,
@@ -1800,7 +1776,7 @@ mod shard {
     }
 
     // SAFETY: see the struct-level safety discipline — the raw pointers are
-    // only ever turned into disjoint mutable slices (by shard range),
+    // only ever turned into disjoint mutable slices or elements (by shard),
     // shared read-only slices, or atomics.
     unsafe impl Send for StepShared {}
     unsafe impl Sync for StepShared {}
@@ -1850,6 +1826,10 @@ mod shard {
         let classify = (*sh.classify).as_deref();
         let active = std::slice::from_raw_parts(sh.active_sorted, sh.active_len);
         let scratch = &mut *sh.scratch.add(s);
+        // SAFETY: element `s` of the recorder array is this shard's alone,
+        // over its own links (class 1), and lives until the epoch ends.
+        let mut rec = sh.recorders.map(|recs| &mut *recs.add(s));
+        (scratch.sent, scratch.landed, scratch.last_move) = (0, 0, 0);
         let t0 = sh.cycle;
         let tend = t0 + sh.window;
 
@@ -1938,7 +1918,6 @@ mod shard {
             };
 
             // Arbitration over the worklist.
-            let moves_start = scratch.moves.len();
             let mut kept = 0;
             for i in 0..scratch.worklist.len() {
                 let r = scratch.worklist[i];
@@ -1960,33 +1939,39 @@ mod shard {
                 );
             }
             scratch.worklist.truncate(kept);
+            if !scratch.moves.is_empty() {
+                scratch.last_move = cycle;
+            }
 
-            if sh.telemetry {
-                // Stamp this cycle's advanced links, then classify every
+            if let Some(rec) = rec.as_mut() {
+                // Record this cycle's advances, then classify every
                 // occupied front against the same private-cycle state
-                // arbitration read — the epoch mirror of
-                // `telemetry_record`, fed per front by
+                // arbitration read, into the shard's own counters — the
+                // epoch mirror of `telemetry_record`, fed per front by
                 // `for_each_front_target` (targets resolved once per
                 // front, only occupied queues visited).
-                let base = link_off[lo];
-                scratch.adv_stamp.resize(link_off[hi] - base, 0);
-                for &(r, out, _) in &scratch.moves[moves_start..] {
-                    scratch.adv_stamp[link_off[r] - base + out] = cycle + 1;
+                for &(r, out, ref flit) in &scratch.moves {
+                    rec.advance(cycle, link_off[r] + out);
+                    if rec.trace
+                        && flit.is_head()
+                        && matches!(wiring[r][out], PortLink::Router { .. })
+                    {
+                        scratch.hops.push((cycle, r, out, *flit));
+                    }
                 }
                 for &r in &scratch.worklist {
                     let router = &mut routers[r - lo];
                     let vcs = router.vcs;
-                    let adv_r = &scratch.adv_stamp[link_off[r] - base..];
                     let next_free_r = &next_free[r - lo];
-                    let stalls = &mut scratch.stalls;
                     router.for_each_front_target(cycle, route, |out, out_vc, immature| {
+                        let link = link_off[r] + out;
                         let cause = StallCause::of(
                             immature,
-                            adv_r[out] == cycle + 1,
+                            rec.advanced_on(cycle, link),
                             next_free_r[out] > cycle,
                             || !has_credit(r, vcs, out, out_vc),
                         );
-                        stalls.push((r as u32, out as u32, out_vc, cause));
+                        rec.stall(cycle, link, out_vc, cause);
                     });
                 }
             }
@@ -1997,8 +1982,7 @@ mod shard {
             // entry on the shard's wheel, a boundary hop books its release
             // there and its accept in the outbox. Zero-latency hops land
             // in-shard and ejections deliver, this cycle.
-            for i in moves_start..scratch.moves.len() {
-                let (r, out, flit) = scratch.moves[i];
+            for (r, out, flit) in scratch.moves.drain(..) {
                 debug_assert!(lo <= r && r < hi, "move escaped its shard");
                 let class = classify.map(|f| f(&flit));
                 let vcs = routers[r - lo].vcs;
@@ -2036,7 +2020,7 @@ mod shard {
                         scratch.outbox.extend(remote.map(|a| (slot, dst, a)));
                         scratch.sent += 1;
                     }
-                    PortLink::Endpoint(_) => scratch.delivered_eject.push(flit),
+                    PortLink::Endpoint(_) => scratch.ejected.push((cycle, flit)),
                     PortLink::Unused => unreachable!("flit departed through an unused port"),
                 }
             }
@@ -2050,13 +2034,6 @@ mod shard {
                 }
                 router.popped.clear();
             }
-
-            scratch.segs.push(EpochSeg {
-                cycle,
-                moves_end: scratch.moves.len() as u32,
-                stalls_end: scratch.stalls.len() as u32,
-                eject_end: scratch.delivered_eject.len() as u32,
-            });
             cycle += 1;
         }
 
@@ -2068,7 +2045,33 @@ mod shard {
         }
     }
 
+    /// Sorts `list` stably by `cycle`, unless it already is.
+    fn sort_by_cycle<T>(list: &mut [T], cycle: impl Fn(&T) -> u64) {
+        if !list.is_sorted_by_key(&cycle) {
+            list.sort_by_key(cycle);
+        }
+    }
+
     impl RouterFabric {
+        /// Telemetry post-phase, shared by both steppers: traces the
+        /// hops the shards listed (in shard order, then stably by cycle,
+        /// like their deliveries; the reference stepper traced its own in
+        /// `telemetry_record`) and the step's new delivery-log entries,
+        /// each cycle's hops before its deliveries.
+        pub(super) fn telemetry_note_deliveries(&mut self) {
+            let Some(tel) = self.telemetry.as_deref_mut() else {
+                return;
+            };
+            let (first, rest) = self.shard_scratch.split_at_mut(1);
+            let hops = &mut first[0].hops;
+            for sc in rest {
+                hops.append(&mut sc.hops);
+            }
+            sort_by_cycle(hops, |h| h.0);
+            tel.note_stepped(hops, &self.delivered);
+            hops.clear();
+        }
+
         /// The shard owning router `r` under the current partition.
         pub(super) fn shard_of(&self, r: usize) -> usize {
             self.bounds.partition_point(|&b| b <= r) - 1
@@ -2077,15 +2080,16 @@ mod shard {
         /// The lookahead-epoch step, at every shard count: selects the
         /// widest window `W` every shard can legally simulate alone, runs
         /// all shards privately for up to `W` cycles — each landing its
-        /// own arrival wheel — inline when there is one shard, else with
-        /// **one** pool launch and **one** end-of-epoch barrier, where
-        /// the retired per-cycle protocol paid one launch plus four
-        /// barriers per simulated cycle — then interleaves the per-shard
-        /// outputs serially in (cycle, ascending shard) order, which over
-        /// contiguous ascending regions reproduces the reference
-        /// stepper's per-cycle ascending-router order exactly, and moves
-        /// the window's boundary accepts onto their downstream wheels.
-        /// Only hops that cross a shard boundary touch serial code.
+        /// own arrival wheel and recording telemetry into its own links'
+        /// counters — inline when there is one shard, else with **one**
+        /// pool launch and **one** end-of-epoch barrier, where the
+        /// retired per-cycle protocol paid one launch plus four barriers
+        /// per simulated cycle. The serial epilogue then only orders
+        /// output: it appends the shards' deliveries (and, while tracing,
+        /// hops) in shard order and sorts them stably by cycle, which over
+        /// contiguous ascending regions is the reference stepper's
+        /// (cycle, ascending router) order, and it moves the window's
+        /// boundary accepts onto their downstream wheels.
         ///
         /// Window selection takes the minimum of:
         /// - the caller's stepping limit (`limit - cycle`),
@@ -2159,6 +2163,10 @@ mod shard {
             // ---- Private windows: inline, or one launch + one barrier ----
             let shards = self.bounds.len() - 1;
             {
+                // Each shard records into its own links' telemetry rows.
+                let ends = self.bounds[1..].iter().map(|&b| self.link_off[b]);
+                let tel = self.telemetry.as_deref_mut();
+                let mut recorders: Option<Vec<_>> = tel.map(|t| t.recorders(ends).collect());
                 let frame = StepShared {
                     cycle: t0,
                     window: w,
@@ -2179,7 +2187,7 @@ mod shard {
                     shadow: self.shadow.as_mut_ptr(),
                     route: &self.route,
                     classify: &self.classify,
-                    telemetry: self.telemetry.is_some(),
+                    recorders: recorders.as_mut().map(|r| r.as_mut_ptr().cast()),
                     in_flight: self.in_flight_total > 0,
                     active_sorted: self.active.as_ptr(),
                     active_len: self.active.len(),
@@ -2213,95 +2221,25 @@ mod shard {
             }
             self.epochs += 1;
 
-            // ---- Serial merge epilogue: (cycle, shard) interleave ----
-            // Telemetry is detached during the merge so disjoint field
-            // borrows stay visible; recording is purely observational.
-            let mut tel = self.telemetry.take();
+            // ---- Serial epilogue: outputs in the reference order ----
+            // Shards own ascending router ranges and list their deliveries
+            // and hops by cycle, then router, so appending the lists in
+            // shard order and sorting them stably by cycle gives the
+            // reference stepper's (cycle, ascending router) order. The
+            // surviving actives come out ascending too, and boundary
+            // accepts go onto their downstream shard's wheel.
+            let from = self.delivered.len();
             let mut last_active = t0;
-            // Only executed cycles carry events (zero-latency windows can
-            // span up to the caller's limit).
-            let end = self.shard_scratch[..shards]
-                .iter()
-                .filter_map(|sc| sc.segs.last().map(|seg| seg.cycle + 1))
-                .max()
-                .unwrap_or(t0);
-            for c in t0..end {
-                let mut any = false;
-                // Advances, shard-ascending — within a shard, a cycle's
-                // move segment is already in ascending router order.
-                for s in 0..shards {
-                    let sc = &self.shard_scratch[s];
-                    let Some(seg) = sc.segs.get(sc.seg_pos) else {
-                        continue;
-                    };
-                    if seg.cycle != c {
-                        continue;
-                    }
-                    // A router can linger in the worklist one cycle past
-                    // its last departure, emitting an empty segment; only
-                    // real moves count toward the drain rewind, so the
-                    // stop cycle matches per-cycle stepping exactly.
-                    if seg.moves_end > sc.merged.0 {
-                        any = true;
-                    }
-                    if let Some(tel) = tel.as_deref_mut() {
-                        let m0 = sc.merged.0 as usize;
-                        for &(r, out, ref flit) in &sc.moves[m0..seg.moves_end as usize] {
-                            let hop = matches!(self.wiring[r][out], PortLink::Router { .. });
-                            tel.note_advance(c, r, out, flit, hop);
-                        }
-                    }
-                }
-                // Stalls, shard-ascending.
-                if let Some(tel) = tel.as_deref_mut() {
-                    for s in 0..shards {
-                        let sc = &self.shard_scratch[s];
-                        let Some(seg) = sc.segs.get(sc.seg_pos) else {
-                            continue;
-                        };
-                        if seg.cycle != c {
-                            continue;
-                        }
-                        let s0 = sc.merged.1 as usize;
-                        for &(r, out, out_vc, cause) in &sc.stalls[s0..seg.stalls_end as usize] {
-                            tel.note_stall(c, r as usize, out as usize, out_vc, cause);
-                        }
-                    }
-                }
-                // Ejections, in departure order.
-                for s in 0..shards {
-                    let sc = &mut self.shard_scratch[s];
-                    let Some(seg) = sc.segs.get(sc.seg_pos).copied() else {
-                        continue;
-                    };
-                    if seg.cycle != c {
-                        continue;
-                    }
-                    let e0 = sc.merged.2 as usize;
-                    for &flit in &sc.delivered_eject[e0..seg.eject_end as usize] {
-                        self.delivered.push((c, flit));
-                    }
-                    sc.merged = (seg.moves_end, seg.stalls_end, seg.eject_end);
-                    sc.seg_pos += 1;
-                }
-                if any {
-                    last_active = c;
-                }
-            }
-            self.telemetry = tel;
-            if self.telemetry.is_some() {
-                self.telemetry_note_deliveries();
-            }
-
-            // Surviving actives, ascending across contiguous shard ranges;
-            // boundary accepts onto their downstream shard's wheel.
             self.active.clear();
             for s in 0..shards {
                 let sc = &mut self.shard_scratch[s];
-                debug_assert_eq!(sc.seg_pos, sc.segs.len(), "unmerged epoch segment");
+                self.delivered.append(&mut sc.ejected);
+                // A router can linger in the worklist one cycle past its
+                // last departure; only real moves count toward the drain
+                // rewind, so the stop cycle matches per-cycle stepping.
+                last_active = last_active.max(sc.last_move);
                 self.active.extend_from_slice(&sc.worklist);
                 self.in_flight_total = self.in_flight_total + sc.sent - sc.landed;
-                sc.reset();
                 let mut outbox = std::mem::take(&mut sc.outbox);
                 for (slot, dst, a) in outbox.drain(..) {
                     let d = self.shard_of(dst);
@@ -2309,6 +2247,8 @@ mod shard {
                 }
                 self.shard_scratch[s].outbox = outbox;
             }
+            sort_by_cycle(&mut self.delivered[from..], |d| d.0);
+            self.telemetry_note_deliveries();
 
             self.cycle = if self.active.is_empty() && self.in_flight_total == 0 {
                 // Drained inside the window: stop where per-cycle
@@ -2430,8 +2370,7 @@ pub struct RouterFabric {
     link_off: Vec<usize>,
     /// Per-shard state: the arrival wheel (landed by the owning shard's
     /// window, or by the reference stepper), plus the window's worklists,
-    /// departures, boundary outbox and stall events, merged serially
-    /// after each epoch.
+    /// boundary outbox and the deliveries and hops the epilogue orders.
     shard_scratch: Vec<ShardScratch>,
     /// Every router-to-router link whose ends live in different shards,
     /// in ascending link order (empty with one shard). Drives the epoch
@@ -2565,9 +2504,8 @@ impl RouterFabric {
     /// Recording is purely observational — arbitration, delivery logs
     /// and link counters are bit-identical with telemetry on or off.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        let ports: Vec<u32> = self.wiring.iter().map(|row| row.len() as u32).collect();
         let vcs = self.routers.iter().map(|r| r.vcs).max().unwrap_or(1);
-        let mut tel = Telemetry::new(cfg, &ports, vcs, self.cycle);
+        let mut tel = Telemetry::new(cfg, &self.link_off, vcs, self.cycle);
         tel.set_delivered_mark(self.delivered.len());
         self.telemetry = Some(Box::new(tel));
     }
@@ -2985,24 +2923,28 @@ impl RouterFabric {
         self.telemetry = Some(tel);
     }
 
-    /// Telemetry recording of the reference stepper (the epoch kernel
-    /// classifies shard-locally and merges). Runs post-arbitration,
+    /// Telemetry recording of the reference stepper, through the same
+    /// [`LinkRecorder`](crate::telemetry::LinkRecorder) routine the epoch kernel's shard windows record
+    /// their own link ranges with. Runs post-arbitration,
     /// pre-[`Self::apply_moves`]: departed flits are
     /// already popped from their queues, but the link timers
     /// (`next_free`) and credit reservations (`reserved`) still hold
     /// the state this cycle's arbitration read. Each departure marks
-    /// its link's advance cycle; every occupied queue front is then
-    /// classified into a [`StallCause`] against that same state. Purely
-    /// observational — nothing here mutates fabric state, so telemetry
-    /// cannot perturb the run.
+    /// its link's advance cycle (and traces a head's hop); every
+    /// occupied queue front is then classified into a [`StallCause`]
+    /// against that same state. Purely observational — nothing here
+    /// mutates fabric state, so telemetry cannot perturb the run.
     fn telemetry_record(&mut self, moves: &[(usize, usize, Flit)], cycle: u64) {
         let Some(tel) = self.telemetry.as_deref_mut() else {
             return;
         };
         for &(r, out, ref flit) in moves {
-            let hop = matches!(self.wiring[r][out], PortLink::Router { .. });
-            tel.note_advance(cycle, r, out, flit, hop);
+            tel.recorder().advance(cycle, self.link_off[r] + out);
+            if matches!(self.wiring[r][out], PortLink::Router { .. }) {
+                tel.note_hop(cycle, r, out, flit);
+            }
         }
+        let mut rec = tel.recorder();
         for (r, router) in self.routers.iter().enumerate() {
             if router.queued == 0 {
                 continue;
@@ -3039,23 +2981,16 @@ impl RouterFabric {
                         PortLink::Endpoint(_) => false,
                         PortLink::Unused => true,
                     };
+                    let link = self.link_off[r] + out;
                     let cause = StallCause::of(
                         arrived + router.pipeline > cycle,
-                        tel.advanced_on(cycle, r, out),
+                        rec.advanced_on(cycle, link),
                         self.next_free[r][out] > cycle,
                         starved,
                     );
-                    tel.note_stall(cycle, r, out, out_vc, cause);
+                    rec.stall(cycle, link, out_vc, cause);
                 }
             }
-        }
-    }
-
-    /// Telemetry post-phase, shared by both steppers: emits `Deliver`
-    /// trace events for this step's new delivery-log entries.
-    fn telemetry_note_deliveries(&mut self) {
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            tel.note_deliveries(&self.delivered);
         }
     }
 
@@ -3212,8 +3147,9 @@ impl RouterFabric {
     /// link latency ≥ 1 bounds the epoch window so no departure can
     /// land inside its own window, the per-boundary credit shadow (with
     /// its headroom clamp on the window) reproduces every credit check the
-    /// serial credit loop would answer, and the serial merge epilogue
-    /// replays per-shard outputs in the serial (cycle, ascending
+    /// serial credit loop would answer, each shard records telemetry
+    /// into its own links' counters, and the serial epilogue puts the
+    /// shards' deliveries and hops in the serial (cycle, ascending
     /// router) order.
     ///
     /// `lookahead` caps the epoch window below the structural bound, at

@@ -24,6 +24,12 @@
 //! logs and link counters (pinned by the `telemetry_equivalence`
 //! property tests).
 //!
+//! Every counter is per link, and links flatten in router order, so
+//! each shard of the epoch kernel (a contiguous router range) owns a
+//! contiguous block of them and records its window into that block in
+//! place, through `LinkRecorder`, the routine the reference stepper
+//! records through too.
+//!
 //! ## Epoch time-series
 //!
 //! Time is divided into fixed-length epochs
@@ -47,7 +53,9 @@
 //! When [`TelemetryConfig::trace`] is set, packet lifecycle events —
 //! [`TraceEventKind::Inject`], one [`TraceEventKind::Hop`] per
 //! router-to-router head-flit departure, and [`TraceEventKind::Deliver`]
-//! — are buffered up to [`TelemetryConfig::trace_limit`] and replayed
+//! — are buffered up to [`TelemetryConfig::trace_limit`] in the
+//! reference stepper's order at every shard count and window (per cycle:
+//! injections, hops by ascending router, then deliveries), and replayed
 //! through any [`TraceSink`]: [`JsonlTraceSink`] (one JSON object per
 //! line) or [`ChromeTraceSink`] (a `trace_event` JSON document loadable
 //! in Perfetto / `chrome://tracing`, with one cycle mapped to one
@@ -416,6 +424,80 @@ pub struct TelemetrySummary {
 /// epoch flushed into each link's series at export.
 pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
+/// One link's cycle accounting: totals since enabling, the open epoch's
+/// deltas, and the per-cycle dedup stamps of [`LinkRecorder`].
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct LinkCounters {
+    /// Cycles the link advanced a flit.
+    advance: u64,
+    /// Cycles the link stalled (≥1 targeting front, no advance).
+    stall_cycles: u64,
+    /// `cycle + 1` of the last cycle the link advanced (0: never).
+    advanced: u64,
+    /// `cycle + 1` of the last cycle the link was charged a stall.
+    stalled: u64,
+    /// Flit delta within the current epoch.
+    epoch_advance: u32,
+    /// Stall-cycle delta within the current epoch.
+    epoch_stall: u32,
+}
+
+/// The one recording routine for per-link telemetry, over the flat
+/// links `first..first + links.len()` and their block of stall counters
+/// ([`Telemetry::recorders`]). The reference stepper records through one
+/// spanning every link; each shard window of the epoch kernel through
+/// one spanning its own contiguous link range, writing the counters in
+/// place.
+///
+/// The rule it keeps: every stalled queue front adds one head-cycle to
+/// its `(link, VC, cause)` counter, and a link is charged at most one
+/// stall cycle per cycle, none on a cycle it advanced — so a cycle's
+/// advances are recorded before its stalls.
+pub(crate) struct LinkRecorder<'a> {
+    first: usize,
+    vcs: usize,
+    /// Whether packet traces are on (the epoch kernel then lists its
+    /// window's head hops for the epilogue to trace).
+    pub(crate) trace: bool,
+    links: &'a mut [LinkCounters],
+    /// Stalled head-cycles per `((link - first) * vcs + vc) * COUNT + cause`.
+    stalls: &'a mut [u64],
+}
+
+impl LinkRecorder<'_> {
+    /// Records one departure into flat link `link` at `cycle` (links
+    /// carry at most one flit per cycle).
+    #[inline]
+    pub(crate) fn advance(&mut self, cycle: u64, link: usize) {
+        let c = &mut self.links[link - self.first];
+        c.advance += 1;
+        c.epoch_advance = c.epoch_advance.saturating_add(1);
+        c.advanced = cycle + 1;
+    }
+
+    /// Whether flat link `link` advanced a flit on `cycle`.
+    #[inline]
+    pub(crate) fn advanced_on(&self, cycle: u64, link: usize) -> bool {
+        self.links[link - self.first].advanced == cycle + 1
+    }
+
+    /// Charges one stalled head-cycle at `(link, vc)` to `cause`, and
+    /// the link itself with a stall cycle (at most once per cycle, and
+    /// never on a cycle the link advanced).
+    #[inline]
+    pub(crate) fn stall(&mut self, cycle: u64, link: usize, vc: u8, cause: StallCause) {
+        let l = link - self.first;
+        let vc = (vc as usize).min(self.vcs - 1);
+        self.stalls[(l * self.vcs + vc) * StallCause::COUNT + cause.index()] += 1;
+        let c = &mut self.links[l];
+        if c.advanced != cycle + 1 && c.stalled != cycle + 1 {
+            c.stalled = cycle + 1;
+            c.stall_cycles += 1;
+            c.epoch_stall = c.epoch_stall.saturating_add(1);
+        }
+    }
+}
+
 /// Telemetry state for one fabric: per-link cycle accounting, per
 /// (router, output, VC, cause) stall counters, epoch rings, and the
 /// packet trace buffer. Constructed by
@@ -432,22 +514,12 @@ pub struct Telemetry {
     vcs: usize,
     /// Cycle telemetry was enabled at (elapsed = now − enabled_at).
     enabled_at: u64,
+    /// Per-link counters, in flat link order.
+    links: Vec<LinkCounters>,
     /// Stalled head-cycles per `(link * vcs + vc) * COUNT + cause`.
     stalls: Vec<u64>,
-    /// Cycles each link advanced a flit.
-    advance: Vec<u64>,
-    /// Cycles each link stalled (≥1 targeting front, no advance).
-    stall_cycles: Vec<u64>,
-    /// Last cycle each link advanced (advance/stall dedup stamps).
-    advance_stamp: Vec<u64>,
-    /// Last cycle each link was charged a stall.
-    stall_stamp: Vec<u64>,
     /// Current epoch index (`cycle / epoch_cycles` of the last roll).
     epoch: u64,
-    /// Per-link flit delta within the current epoch.
-    epoch_advance: Vec<u32>,
-    /// Per-link stall-cycle delta within the current epoch.
-    epoch_stall: Vec<u32>,
     /// Per-link epoch rings, oldest record first.
     rings: Vec<VecDeque<EpochRecord>>,
     /// Occupancy scratch reused across epoch rolls.
@@ -461,32 +533,25 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Creates telemetry for a fabric whose router `r` has `ports[r]`
-    /// output ports and at most `vcs` VCs, enabled at `now`.
-    pub(crate) fn new(cfg: TelemetryConfig, ports: &[u32], vcs: usize, now: u64) -> Self {
+    /// Creates telemetry for a fabric whose links flatten by `link_off`
+    /// (router `r`'s output `out` is link `link_off[r] + out`, the last
+    /// entry the link count) and whose routers have at most `vcs` VCs,
+    /// enabled at `now`.
+    pub(crate) fn new(cfg: TelemetryConfig, link_off: &[usize], vcs: usize, now: u64) -> Self {
         assert!(cfg.epoch_cycles > 0, "epoch length must be positive");
         assert!(cfg.epoch_ring > 0, "epoch ring needs capacity");
-        let mut link_offset = Vec::with_capacity(ports.len() + 1);
-        let mut total = 0u32;
-        for &p in ports {
-            link_offset.push(total);
-            total += p;
-        }
-        link_offset.push(total);
-        let links = total as usize;
+        let links = *link_off.last().expect("offsets non-empty");
+        let link_offset = link_off
+            .iter()
+            .map(|&o| u32::try_from(o).expect("links fit u32"));
         Telemetry {
             cfg,
-            link_offset,
+            link_offset: link_offset.collect(),
             vcs,
             enabled_at: now,
+            links: vec![LinkCounters::default(); links],
             stalls: vec![0; links * vcs * StallCause::COUNT],
-            advance: vec![0; links],
-            stall_cycles: vec![0; links],
-            advance_stamp: vec![u64::MAX; links],
-            stall_stamp: vec![u64::MAX; links],
             epoch: now / cfg.epoch_cycles,
-            epoch_advance: vec![0; links],
-            epoch_stall: vec![0; links],
             rings: vec![VecDeque::new(); links],
             occ_scratch: Vec::new(),
             trace: Vec::new(),
@@ -515,21 +580,44 @@ impl Telemetry {
         self.link_offset[r] as usize + out
     }
 
-    /// Records one departure through `(r, out)` at `cycle`; `hop` is
-    /// true for router-to-router links (the ones traced as hops).
-    pub(crate) fn note_advance(
+    /// The recorder over every link (the reference stepper's).
+    pub(crate) fn recorder(&mut self) -> LinkRecorder<'_> {
+        let links = self.link_count();
+        self.recorders([links]).next().expect("one link range")
+    }
+
+    /// Disjoint recorders over consecutive flat link ranges, from link 0
+    /// up to each of the ascending `ends` in turn (one per shard window
+    /// of the epoch kernel), each with its links' rows of the stall
+    /// block.
+    pub(crate) fn recorders(
         &mut self,
-        cycle: u64,
-        r: usize,
-        out: usize,
-        flit: &Flit,
-        hop: bool,
-    ) {
-        let l = self.link(r, out);
-        self.advance[l] += 1;
-        self.epoch_advance[l] = self.epoch_advance[l].saturating_add(1);
-        self.advance_stamp[l] = cycle;
-        if self.cfg.trace && hop && flit.is_head() {
+        ends: impl IntoIterator<Item = usize>,
+    ) -> impl Iterator<Item = LinkRecorder<'_>> {
+        let (vcs, trace) = (self.vcs, self.cfg.trace);
+        let (mut links, mut stalls, mut first) = (&mut self.links[..], &mut self.stalls[..], 0);
+        ends.into_iter().map(move |end| {
+            let (l, rest) = std::mem::take(&mut links).split_at_mut(end - first);
+            links = rest;
+            let block = l.len() * vcs * StallCause::COUNT;
+            let (s, rest) = std::mem::take(&mut stalls).split_at_mut(block);
+            stalls = rest;
+            first = end;
+            LinkRecorder {
+                first: end - l.len(),
+                vcs,
+                trace,
+                links: l,
+                stalls: s,
+            }
+        })
+    }
+
+    /// Records `flit`'s departure from router `r` through output `out`
+    /// toward another router at `cycle`: a hop event if it is a head
+    /// flit and tracing is on (body flits trace nothing).
+    pub(crate) fn note_hop(&mut self, cycle: u64, r: usize, out: usize, flit: &Flit) {
+        if self.cfg.trace && flit.is_head() {
             self.push_trace(TraceEvent {
                 kind: TraceEventKind::Hop,
                 cycle,
@@ -538,33 +626,6 @@ impl Telemetry {
                 port: out,
                 vc: flit.vc,
             });
-        }
-    }
-
-    /// Whether `(r, out)` advanced a flit on `cycle` (valid during the
-    /// same cycle's stall classification, after advances are noted).
-    pub(crate) fn advanced_on(&self, cycle: u64, r: usize, out: usize) -> bool {
-        self.advance_stamp[self.link(r, out)] == cycle
-    }
-
-    /// Charges one stalled head-cycle at `(r, out, vc)` to `cause`, and
-    /// the link itself with a stall cycle (at most once per cycle, and
-    /// never on a cycle the link advanced).
-    pub(crate) fn note_stall(
-        &mut self,
-        cycle: u64,
-        r: usize,
-        out: usize,
-        vc: u8,
-        cause: StallCause,
-    ) {
-        let l = self.link(r, out);
-        let vc = (vc as usize).min(self.vcs - 1);
-        self.stalls[(l * self.vcs + vc) * StallCause::COUNT + cause.index()] += 1;
-        if self.advance_stamp[l] != cycle && self.stall_stamp[l] != cycle {
-            self.stall_stamp[l] = cycle;
-            self.stall_cycles[l] += 1;
-            self.epoch_stall[l] = self.epoch_stall[l].saturating_add(1);
         }
     }
 
@@ -589,15 +650,24 @@ impl Telemetry {
         }
     }
 
-    /// Emits `Deliver` events for delivery-log entries past the
-    /// watermark; `delivered` is the fabric's (possibly caller-drained)
-    /// delivery log.
-    pub(crate) fn note_deliveries(&mut self, delivered: &[(u64, Flit)]) {
-        if self.delivered_mark > delivered.len() {
-            self.delivered_mark = delivered.len();
-        }
+    /// Emits the trace events of the cycles just stepped: `hops`, the
+    /// window's head hops as `(cycle, router, out, flit)` sorted by
+    /// cycle, and a `Deliver` event per delivery-log entry past the
+    /// watermark, with each cycle's hops before its deliveries — the
+    /// order the reference stepper emits them in, one cycle at a time.
+    /// `delivered` is the fabric's (possibly caller-drained) delivery
+    /// log.
+    pub(crate) fn note_stepped(
+        &mut self,
+        hops: &[(u64, usize, usize, Flit)],
+        delivered: &[(u64, Flit)],
+    ) {
         if self.cfg.trace {
+            let mut hops = hops.iter().peekable();
             for &(cycle, ref flit) in &delivered[self.delivered_mark..] {
+                while let Some(&(c, r, out, ref hop)) = hops.next_if(|h| h.0 <= cycle) {
+                    self.note_hop(c, r, out, hop);
+                }
                 self.push_trace(TraceEvent {
                     kind: TraceEventKind::Deliver,
                     cycle,
@@ -606,6 +676,9 @@ impl Telemetry {
                     port: 0,
                     vc: flit.vc,
                 });
+            }
+            for &(c, r, out, ref hop) in hops {
+                self.note_hop(c, r, out, hop);
             }
         }
         self.delivered_mark = delivered.len();
@@ -667,9 +740,8 @@ impl Telemetry {
         debug_assert_eq!(occ.len(), self.link_count(), "occupancy per link");
         let end = (self.epoch + 1) * self.cfg.epoch_cycles;
         let start = (self.epoch * self.cfg.epoch_cycles).max(self.enabled_at);
-        for (l, ring) in self.rings.iter_mut().enumerate() {
-            let active =
-                !ring.is_empty() || self.advance[l] > 0 || self.stall_cycles[l] > 0 || occ[l] > 0;
+        for ((ring, c), &occ) in self.rings.iter_mut().zip(&mut self.links).zip(&occ) {
+            let active = !ring.is_empty() || c.advance > 0 || c.stall_cycles > 0 || occ > 0;
             if !active {
                 continue;
             }
@@ -679,12 +751,12 @@ impl Telemetry {
             ring.push_back(EpochRecord {
                 epoch: self.epoch,
                 cycles: end - start,
-                flits: self.epoch_advance[l],
-                stalls: self.epoch_stall[l],
-                occupancy: occ[l],
+                flits: c.epoch_advance,
+                stalls: c.epoch_stall,
+                occupancy: occ,
             });
-            self.epoch_advance[l] = 0;
-            self.epoch_stall[l] = 0;
+            c.epoch_advance = 0;
+            c.epoch_stall = 0;
         }
         self.epoch = cycle / self.cfg.epoch_cycles;
         self.occ_scratch = occ;
@@ -692,12 +764,12 @@ impl Telemetry {
 
     /// Cycles link `(r, out)` advanced a flit since enabling.
     pub fn advance_cycles(&self, r: usize, out: usize) -> u64 {
-        self.advance[self.link(r, out)]
+        self.links[self.link(r, out)].advance
     }
 
     /// Cycles link `(r, out)` stalled since enabling.
     pub fn stall_cycles(&self, r: usize, out: usize) -> u64 {
-        self.stall_cycles[self.link(r, out)]
+        self.links[self.link(r, out)].stall_cycles
     }
 
     /// Stalled head-cycles at `(r, out, vc)` attributed to `cause`.
@@ -734,8 +806,8 @@ impl Telemetry {
     /// The current epoch's accumulated `(flits, stall cycles)` deltas
     /// for link `(r, out)` — activity not yet flushed into the ring.
     pub fn epoch_partial(&self, r: usize, out: usize) -> (u32, u32) {
-        let l = self.link(r, out);
-        (self.epoch_advance[l], self.epoch_stall[l])
+        let c = &self.links[self.link(r, out)];
+        (c.epoch_advance, c.epoch_stall)
     }
 
     /// The current epoch's activity on link `(r, out)` as a record with
@@ -756,12 +828,12 @@ impl Telemetry {
         if now <= start {
             return None;
         }
-        let l = self.link(r, out);
+        let c = &self.links[self.link(r, out)];
         Some(EpochRecord {
             epoch: self.epoch,
             cycles: now - start,
-            flits: self.epoch_advance[l],
-            stalls: self.epoch_stall[l],
+            flits: c.epoch_advance,
+            stalls: c.epoch_stall,
             occupancy,
         })
     }
@@ -771,22 +843,16 @@ impl Telemetry {
     /// memory audit
     /// ([`RouterFabric::memory_breakdown`](crate::router::RouterFabric::memory_breakdown)).
     pub fn memory_bytes(&self) -> usize {
-        let u64s = self.stalls.capacity()
-            + self.advance.capacity()
-            + self.stall_cycles.capacity()
-            + self.advance_stamp.capacity()
-            + self.stall_stamp.capacity();
-        let u32s = self.link_offset.capacity()
-            + self.epoch_advance.capacity()
-            + self.epoch_stall.capacity()
-            + self.occ_scratch.capacity();
+        let counters = self.links.capacity() * std::mem::size_of::<LinkCounters>()
+            + self.stalls.capacity() * std::mem::size_of::<u64>();
+        let u32s = self.link_offset.capacity() + self.occ_scratch.capacity();
         let rings = self.rings.capacity() * std::mem::size_of::<VecDeque<EpochRecord>>()
             + self
                 .rings
                 .iter()
                 .map(|r| r.capacity() * std::mem::size_of::<EpochRecord>())
                 .sum::<usize>();
-        u64s * std::mem::size_of::<u64>()
+        counters
             + u32s * std::mem::size_of::<u32>()
             + rings
             + self.trace.capacity() * std::mem::size_of::<TraceEvent>()
@@ -837,7 +903,7 @@ mod tests {
                 trace,
                 trace_limit: 4,
             },
-            &[2, 3],
+            &[0, 2, 5],
             2,
             0,
         )
@@ -874,15 +940,16 @@ mod tests {
     #[test]
     fn stall_cycles_dedup_per_link_cycle() {
         let mut t = tel(false);
-        // Two VCs stall on the same link in the same cycle: two cause
-        // counts, one link stall cycle.
-        t.note_stall(5, 0, 1, 0, StallCause::CreditStarved);
-        t.note_stall(5, 0, 1, 1, StallCause::LostArbitration);
+        // Two VCs stall on link (0, 1), flat link 1, in the same cycle:
+        // two cause counts, one link stall cycle.
+        t.recorder().stall(5, 1, 0, StallCause::CreditStarved);
+        t.recorder().stall(5, 1, 1, StallCause::LostArbitration);
         assert_eq!(t.stall_cycles(0, 1), 1);
         assert_eq!(t.stalls_for_link(0, 1).total(), 2);
         // An advance on the same cycle suppresses the link stall charge.
-        t.note_advance(6, 0, 1, &flit(1, 0), false);
-        t.note_stall(6, 0, 1, 0, StallCause::LostArbitration);
+        t.recorder().advance(6, 1);
+        assert!(t.recorder().advanced_on(6, 1) && !t.recorder().advanced_on(5, 1));
+        t.recorder().stall(6, 1, 0, StallCause::LostArbitration);
         assert_eq!(t.stall_cycles(0, 1), 1);
         assert_eq!(t.advance_cycles(0, 1), 1);
         assert_eq!(
@@ -893,10 +960,26 @@ mod tests {
     }
 
     #[test]
+    fn a_link_range_recorder_writes_in_place() {
+        // Router 1's links (flat 2..5) through a recorder over that
+        // range alone, as a shard window records its own links.
+        let mut t = tel(false);
+        let mut rec = t.recorders([2, 5]).nth(1).expect("a second range");
+        rec.advance(3, 4);
+        rec.stall(3, 4, 1, StallCause::LostArbitration);
+        rec.stall(3, 3, 0, StallCause::CreditStarved);
+        assert_eq!((t.advance_cycles(1, 2), t.stall_cycles(1, 2)), (1, 0));
+        assert_eq!(t.stall_count(1, 2, 1, StallCause::LostArbitration), 1);
+        assert_eq!((t.advance_cycles(1, 1), t.stall_cycles(1, 1)), (0, 1));
+        assert_eq!(t.stall_count(1, 1, 0, StallCause::CreditStarved), 1);
+        assert_eq!(t.stalls_for_link(0, 1).total(), 0);
+    }
+
+    #[test]
     fn epoch_roll_flushes_deltas_and_bounds_ring() {
         let mut t = tel(false);
-        t.note_advance(3, 1, 2, &flit(1, 1), false);
-        t.note_stall(4, 1, 2, 0, StallCause::SerializationBusy);
+        t.recorder().advance(3, 4);
+        t.recorder().stall(4, 4, 0, StallCause::SerializationBusy);
         assert!(!t.roll_due(7));
         assert!(t.roll_due(8));
         let occ = vec![0, 0, 0, 0, 9];
@@ -916,7 +999,7 @@ mod tests {
         // The freshly opened epoch has no elapsed cycles yet; two cycles
         // in, a partial record reports its true two-cycle width.
         assert_eq!(t.epoch_partial_record(1, 2, 8, 0), None);
-        t.note_advance(9, 1, 2, &flit(2, 1), false);
+        t.recorder().advance(9, 4);
         assert_eq!(
             t.epoch_partial_record(1, 2, 10, 3),
             Some(EpochRecord {
@@ -937,7 +1020,7 @@ mod tests {
     #[test]
     fn idle_links_allocate_no_epoch_rings() {
         let mut t = tel(false);
-        t.note_advance(3, 1, 2, &flit(1, 1), false);
+        t.recorder().advance(3, 4);
         // Occupancy on link 3 starts its ring even with no advance/stall.
         t.roll(8, vec![0, 0, 0, 4, 0]);
         t.roll(16, vec![0; 5]);
@@ -956,16 +1039,16 @@ mod tests {
     fn trace_buffer_caps_and_sinks_render() {
         let mut t = tel(true);
         t.note_inject(0, 42, 0, 12, 0);
-        t.note_advance(1, 0, 0, &flit(42, 0), true);
-        t.note_advance(1, 0, 1, &flit(42, 1), true); // body: no hop event
-        t.note_deliveries(&[(5, flit(42, 1))]);
+        t.note_hop(1, 0, 0, &flit(42, 0));
+        t.note_hop(1, 0, 1, &flit(42, 1)); // body: no hop event
+        t.note_stepped(&[], &[(5, flit(42, 1))]);
         assert_eq!(t.trace_events().len(), 3);
         // Watermark: re-reporting the same log adds nothing.
-        t.note_deliveries(&[(5, flit(42, 1))]);
+        t.note_stepped(&[], &[(5, flit(42, 1))]);
         assert_eq!(t.trace_events().len(), 3);
         // A drained log resets the watermark.
         t.sync_delivered(0);
-        t.note_deliveries(&[(6, flit(43, 0))]);
+        t.note_stepped(&[], &[(6, flit(43, 0))]);
         assert_eq!(t.trace_events().len(), 4);
         // Buffer is full now (limit 4): further events count as dropped.
         t.note_inject(7, 44, 1, 12, 0);
@@ -988,6 +1071,16 @@ mod tests {
         assert!(doc.contains("\"ph\":\"e\""));
         assert!(doc.contains("\"name\":\"trace_truncated\""));
         assert!(doc.contains("\"dropped\":1"));
+    }
+
+    #[test]
+    fn a_window_traces_each_cycles_hops_before_its_deliveries() {
+        let mut t = tel(true);
+        let hops: Vec<_> = (1..4).map(|c| (c, 0, 0, flit(c, 0))).collect();
+        t.note_stepped(&hops, &[(2, flit(9, 1))]);
+        let order: Vec<_> = t.trace_events().iter().map(|e| (e.kind, e.cycle)).collect();
+        use TraceEventKind::*;
+        assert_eq!(order, vec![(Hop, 1), (Hop, 2), (Deliver, 2), (Hop, 3)]);
     }
 
     #[test]

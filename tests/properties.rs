@@ -8,8 +8,7 @@ use anton3::compress::pcache::{ChannelPcache, ParticleKey};
 use anton3::model::topology::{DimOrder, NodeId, Torus};
 use anton3::net::channel::ByteKind;
 use anton3::net::fabric3d::{
-    encode_request_tag, encode_response_tag, torus_route, torus_route_tab, CoordCache, RouteTables,
-    SLICES,
+    encode_request_tag, encode_response_tag, torus_route, torus_route_tab, RouteTables, SLICES,
 };
 use anton3::net::router::Flit;
 use anton3::net::routing;
@@ -291,11 +290,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The separable per-dimension tables and the coordinate-cached
-    /// oracle must both reproduce `torus_route` (the direct-computation
-    /// specification) **bit for bit** — port, VC, and updated tag — for
-    /// every traffic class, dimension order, dateline state, slice, and
-    /// byte kind at a random (router, dest) pair on each sampled shape.
+    /// The separable per-dimension tables must reproduce `torus_route`
+    /// (the direct-computation specification) **bit for bit** — port,
+    /// VC, and updated tag — for every traffic class, dimension order,
+    /// dateline state, slice, and byte kind at a random (router, dest)
+    /// pair on each sampled shape.
     /// Shapes alternate between small asymmetric tori (differing
     /// per-dimension extents; rings of length 1–2 where "wrap" and
     /// "direct" are the same link) and cubic shapes from 11³ = 1331 up
@@ -316,7 +315,6 @@ proptest! {
         let dims = [x, y, z];
         let torus = Torus::new(dims);
         let tables = RouteTables::build(&torus);
-        let cache = CoordCache::new(&torus);
         let n = torus.node_count() as u32;
         let router = (router_ix % n) as usize;
         let dest = (dest_ix % n) as usize;
@@ -342,12 +340,6 @@ proptest! {
                 torus_route_tab(&tables, &f, router),
                 direct,
                 "table decision diverged (dims {:?}, router {}, dest {}, tag {:#06x})",
-                dims, router, dest, tag
-            );
-            prop_assert_eq!(
-                cache.route(&torus, &f, router),
-                direct,
-                "coord-cache decision diverged (dims {:?}, router {}, dest {}, tag {:#06x})",
                 dims, router, dest, tag
             );
         }

@@ -13,7 +13,7 @@ use anton3::model::topology::{Direction, NodeId, Torus};
 use anton3::net::channel::ByteKind;
 use anton3::net::fabric3d::{FabricParams, PacketSpec, TorusFabric, SLICES};
 use anton3::net::router::ShardError;
-use anton3::net::telemetry::TelemetryConfig;
+use anton3::net::telemetry::{TelemetryConfig, TraceEvent, TraceEventKind};
 use anton3::sim::rng::SplitMix64;
 use proptest::prelude::*;
 
@@ -36,7 +36,8 @@ enum Mode {
 }
 
 /// Drives one fabric with a deterministic mixed-class injection
-/// schedule; `mode` selects the stepper per cycle. The schedule
+/// schedule; `mode` selects the stepper per cycle, and `telemetry`
+/// records stall attribution and packet traces. The schedule
 /// (including every RNG draw and every rejected injection) depends only
 /// on the fabric's observable state, which the equivalence keeps
 /// identical, so every mode sees the same offered traffic.
@@ -51,7 +52,10 @@ fn drive(
     let params = FabricParams::calibrated(&LatencyModel::default());
     let mut fabric = TorusFabric::new(torus, params);
     if telemetry {
-        fabric.enable_telemetry(TelemetryConfig::default());
+        fabric.enable_telemetry(TelemetryConfig {
+            trace: true,
+            ..TelemetryConfig::default()
+        });
     }
     let sharding = match mode {
         Mode::Sharded(shards, lookahead) => fabric.set_shards_with_lookahead(shards, lookahead),
@@ -120,6 +124,11 @@ fn summary(fabric: &TorusFabric) -> String {
         .expect("serializable summary")
 }
 
+/// A telemetry-recording fabric's packet trace, in emission order.
+fn trace(fabric: &TorusFabric) -> &[TraceEvent] {
+    fabric.telemetry().expect("telemetry on").trace_events()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -179,6 +188,10 @@ proptest! {
             summary(&mixed), summary(&naive),
             "mixed-stepper telemetry summary diverged from the reference"
         );
+        prop_assert_eq!(
+            trace(&mixed), trace(&naive),
+            "mixed-stepper packet trace diverged from the reference"
+        );
     }
 
     #[test]
@@ -205,6 +218,10 @@ proptest! {
             summary(&mixed), summary(&naive),
             "mixed-stepper telemetry summary diverged at {} shards", shards
         );
+        prop_assert_eq!(
+            trace(&mixed), trace(&naive),
+            "mixed-stepper packet trace diverged at {} shards", shards
+        );
     }
 
     #[test]
@@ -224,10 +241,11 @@ proptest! {
         let lookahead = [Some(1u64), Some(3), None][la_ix];
         // The region-partitioned stepper must reproduce the reference
         // scan exactly — delivery logs, every per-link traffic counter,
-        // and (with telemetry recording through the shard-local stall
-        // accumulators) the full observability summary, at every
-        // (shard count, lookahead window) pair, on random shapes
-        // carrying both traffic classes.
+        // and (with each shard window recording telemetry into its own
+        // links' counters) the full observability summary and the
+        // packet trace, event for event and in order, at every (shard
+        // count, lookahead window) pair, on random shapes carrying both
+        // traffic classes.
         let dims = [dims.0, dims.1, dims.2];
         let (sharded, sharded_log) =
             drive(dims, seed, packets, Mode::Sharded(shards, lookahead), true);
@@ -256,6 +274,11 @@ proptest! {
         prop_assert_eq!(
             summary(&sharded), summary(&naive),
             "telemetry summaries diverged at {} shards (lookahead {:?})",
+            shards, lookahead
+        );
+        prop_assert_eq!(
+            trace(&sharded), trace(&naive),
+            "packet traces diverged at {} shards (lookahead {:?})",
             shards, lookahead
         );
     }
@@ -293,6 +316,60 @@ fn mega_fabric_sharded_step_matches_reference() {
         sharded.epochs(),
         sharded.cycle()
     );
+}
+
+#[test]
+fn two_flit_packets_trace_one_hop_per_link_crossed() {
+    // Only a head flit's departure onto a router link is a hop, so each
+    // packet traces exactly its route's inter-node hop count, whether
+    // the reference stepper, one shard or two record it.
+    let torus = Torus::new([4, 4, 4]);
+    let n = torus.node_count() as u64;
+    for mode in [
+        Mode::Reference,
+        Mode::Sharded(1, None),
+        Mode::Sharded(2, None),
+    ] {
+        let mut fabric =
+            TorusFabric::new(torus, FabricParams::calibrated(&LatencyModel::default()));
+        if let Mode::Sharded(shards, lookahead) = mode {
+            fabric
+                .set_shards_with_lookahead(shards, lookahead)
+                .expect("fresh fabric shards");
+        }
+        fabric.enable_telemetry(TelemetryConfig {
+            trace: true,
+            ..TelemetryConfig::default()
+        });
+        let mut expected = Vec::new();
+        for p in 0..40 {
+            let (src, dst) = (NodeId(p as u16), NodeId(((p * 7 + 5) % n) as u16));
+            if src != dst {
+                let plan = fabric
+                    .inject(PacketSpec::request(src, dst, p, 2).with_draw((p % 6) as usize, 0, 0))
+                    .expect("an idle source accepts");
+                expected.push((p, plan.hop_count() as usize));
+            }
+        }
+        let deadline = 100_000;
+        while fabric.occupancy() > 0 && fabric.cycle() < deadline {
+            match mode {
+                Mode::Reference => fabric.step_reference(),
+                _ => fabric.step_batched(deadline),
+            }
+        }
+        assert_eq!(fabric.occupancy(), 0, "fabric must drain");
+        let hops = |p| {
+            trace(&fabric)
+                .iter()
+                .filter(|e| e.packet == p && e.kind == TraceEventKind::Hop)
+                .count()
+        };
+        for (p, hop_count) in expected {
+            assert!(hop_count > 0);
+            assert_eq!(hops(p), hop_count, "packet {p}'s hops");
+        }
+    }
 }
 
 #[test]

@@ -51,7 +51,7 @@ fn config() -> TelemetryConfig {
 /// runs the region-partitioned epoch stepper under the given lookahead
 /// cap and drains through the batched path, so toggling telemetry
 /// mid-run lands between lookahead epochs (the telemetry-epoch clamp
-/// and the stall-merge path both see the transition).
+/// and the shard windows' in-place recording both see the transition).
 fn drive(
     dims: [u8; 3],
     seed: u64,
