@@ -72,7 +72,8 @@
 //! Any other argument, a valued flag without its value, a numeric value
 //! that is not a positive integer, a flag given twice, or more than one
 //! of the mode flags (`--calibrate`, `--md-replay`, `--overload-smoke`,
-//! `--mega-smoke`) is rejected with exit status 2 before anything runs.
+//! `--mega-smoke`) is rejected with exit status 2 before anything runs,
+//! and so is a mode configuration `SweepConfig::validate` refuses.
 
 use anton_machine::mdrun::MdNetworkRun;
 use anton_machine::pingpong::LoadedCalibration;
@@ -283,6 +284,16 @@ fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
         .ok_or_else(|| format!("{flag} takes a positive integer, not `{value}`"))
 }
 
+/// `cfg` once [`SweepConfig::validate`] accepts it; a refused
+/// configuration exits with status 2 before any work, like a bad flag.
+fn checked(cfg: SweepConfig) -> SweepConfig {
+    if let Err(e) = cfg.validate() {
+        eprintln!("sweep_traffic: {e}");
+        std::process::exit(2);
+    }
+    cfg
+}
+
 /// The stall cause carrying most of a breakdown, as a label.
 fn dominant_cause(s: &StallBreakdown) -> &'static str {
     let causes = [
@@ -425,6 +436,7 @@ fn main() {
         cfg.measure_cycles = 2_000;
         cfg.drain_cycles = 15_000;
     }
+    let cfg = checked(cfg);
     let mut report = run_sweep_threaded(&standard_suite(), &cfg, params, args.threads);
     let telemetry = args.telemetry();
     if let Some(tcfg) = telemetry {
@@ -436,9 +448,8 @@ fn main() {
     // axis region; any fixed stream works — this is a probe, not a
     // measurement the report depends on).
     let instrumented = telemetry.map(|tcfg| {
-        let mut workload =
-            SyntheticWorkload::new(&UniformRandom, cfg.flits_per_packet, cfg.respond);
-        run_scenario_instrumented(&mut workload, &cfg, params, 0.3, 1025, tcfg)
+        let workload = SyntheticWorkload::new(&UniformRandom, cfg.flits_per_packet, cfg.respond);
+        run_scenario_instrumented(&workload, &cfg, params, 0.3, 1025, tcfg)
     });
 
     if args.json {
@@ -527,10 +538,23 @@ fn main() {
 /// for — machine-scale calibration as a routine run rather than a
 /// special occasion.
 fn calibrate(params: FabricParams, args: &Args) {
+    let calibration = |base: SweepConfig| {
+        checked(SweepConfig {
+            loads: vec![
+                0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.8,
+                1.0,
+            ],
+            shards: args.shards,
+            lookahead: args.lookahead,
+            ..base
+        })
+    };
+    let small = calibration(SweepConfig::calibration_4x4x8());
+    let machine = calibration(SweepConfig::calibration_8x8x8());
     calibrate_pattern(
         params,
         &UniformRandom,
-        SweepConfig::calibration_4x4x8(),
+        small.clone(),
         LoadedCalibration::UNIFORM_4X4X8,
         "uniform",
         1,
@@ -540,7 +564,7 @@ fn calibrate(params: FabricParams, args: &Args) {
     calibrate_pattern(
         params,
         &NearestNeighbor,
-        SweepConfig::calibration_4x4x8(),
+        small,
         LoadedCalibration::NEAREST_NEIGHBOR_4X4X8,
         "nearest-neighbor",
         2,
@@ -550,7 +574,7 @@ fn calibrate(params: FabricParams, args: &Args) {
     calibrate_pattern(
         params,
         &UniformRandom,
-        SweepConfig::calibration_8x8x8(),
+        machine,
         LoadedCalibration::UNIFORM_8X8X8,
         "uniform",
         3,
@@ -562,17 +586,12 @@ fn calibrate(params: FabricParams, args: &Args) {
 fn calibrate_pattern(
     params: FabricParams,
     pattern: &dyn TrafficPattern,
-    mut cfg: SweepConfig,
+    cfg: SweepConfig,
     shipped: LoadedCalibration,
     label: &str,
     stream: u64,
     args: &Args,
 ) {
-    cfg.loads = vec![
-        0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.8, 1.0,
-    ];
-    cfg.shards = args.shards;
-    cfg.lookahead = args.lookahead;
     println!(
         "CALIBRATION SWEEP. {}x{}x{} {label}, request-only, seed {:#x}",
         cfg.dims[0], cfg.dims[1], cfg.dims[2], cfg.seed
@@ -647,13 +666,14 @@ fn calibrate_pattern(
 /// cycle-level links.
 fn md_replay(params: FabricParams, args: &Args) {
     let dims = Mode::MdReplay.dims();
-    let mcfg = MachineConfig::torus(dims).without_compression();
-    let run = MdNetworkRun::new(mcfg, 40_000, 99, false);
-    let mut workload = run.halo_workload(64, 0x4D5F_4841);
     let mut cfg = SweepConfig::new(dims);
     cfg.loads = vec![];
     cfg.shards = args.shards;
     cfg.lookahead = args.lookahead;
+    let cfg = checked(cfg);
+    let mcfg = MachineConfig::torus(dims).without_compression();
+    let run = MdNetworkRun::new(mcfg, 40_000, 99, false);
+    let workload = run.halo_workload(64, 0x4D5F_4841);
     let offered = 0.3;
     println!(
         "MD HALO REPLAY. {}x{}x{} torus, {} atoms, import radius {:.2} A, offered {offered}",
@@ -668,7 +688,7 @@ fn md_replay(params: FabricParams, args: &Args) {
     // per-link stall/occupancy digest below is the point of this mode —
     // which halo links run hot and why they wait.
     let tcfg = args.telemetry_config;
-    let scenario = run_scenario_instrumented(&mut workload, &cfg, params, offered, 7, tcfg);
+    let scenario = run_scenario_instrumented(&workload, &cfg, params, offered, 7, tcfg);
     let p = &scenario.point;
     let resp = p.response.expect("halo replay spawns force returns");
     println!(
@@ -738,6 +758,14 @@ fn md_replay(params: FabricParams, args: &Args) {
 /// activity-lazy epoch rings keep that affordable at this link count).
 fn mega_smoke(params: FabricParams, args: &Args) {
     let dims = Mode::MegaSmoke.dims();
+    let mut cfg = SweepConfig::new(dims);
+    cfg.shards = args.shards;
+    cfg.lookahead = args.lookahead;
+    cfg.loads = vec![0.05];
+    cfg.warmup_cycles = 800;
+    cfg.measure_cycles = 800;
+    cfg.drain_cycles = 10_000;
+    let cfg = checked(cfg);
     let torus = Torus::new(dims);
     let report = TorusFabric::new(torus, params).memory_report();
     println!(
@@ -755,13 +783,6 @@ fn mega_smoke(params: FabricParams, args: &Args) {
         report.bytes_per_router,
         report.route_table_bytes
     );
-    let mut cfg = SweepConfig::new(dims);
-    cfg.shards = args.shards;
-    cfg.lookahead = args.lookahead;
-    cfg.loads = vec![0.05];
-    cfg.warmup_cycles = 800;
-    cfg.measure_cycles = 800;
-    cfg.drain_cycles = 10_000;
     let curve = run_curve_threaded(&UniformRandom, &cfg, params, 1, args.threads);
     let p = curve.points.last().expect("mega point");
     println!(
@@ -785,9 +806,8 @@ fn mega_smoke(params: FabricParams, args: &Args) {
     );
     println!("mega smoke: PASS");
     if let Some(tcfg) = args.telemetry() {
-        let mut workload =
-            SyntheticWorkload::new(&UniformRandom, cfg.flits_per_packet, cfg.respond);
-        let run = run_scenario_instrumented(&mut workload, &cfg, params, 0.15, 1, tcfg);
+        let workload = SyntheticWorkload::new(&UniformRandom, cfg.flits_per_packet, cfg.respond);
+        let run = run_scenario_instrumented(&workload, &cfg, params, 0.15, 1, tcfg);
         print_telemetry(&run.fabric);
         write_telemetry_artifacts(&run.fabric, args);
     }
@@ -811,6 +831,14 @@ fn overload_smoke(params: FabricParams, args: &Args) {
     cfg.warmup_cycles = 300;
     cfg.measure_cycles = 900;
     cfg.drain_cycles = 6_000;
+    let cfg = checked(cfg);
+    // The drain check's point (see below), checked before any work too.
+    let drain = checked(SweepConfig {
+        warmup_cycles: 0,
+        measure_cycles: 2_000,
+        drain_cycles: 400_000,
+        ..cfg.clone()
+    });
     println!(
         "OVERLOAD SMOKE. {}x{}x{} torus ({} nodes), responses on",
         dims[0],
@@ -853,14 +881,11 @@ fn overload_smoke(params: FabricParams, args: &Args) {
     // --telemetry the point records: a genuinely overloaded 512-node
     // machine is the most informative stall picture this binary
     // produces, and CI uploads the summary artifact from here.
-    cfg.warmup_cycles = 0;
-    cfg.measure_cycles = 2_000;
-    cfg.drain_cycles = 400_000;
-    let mut workload = SyntheticWorkload::new(&UniformRandom, cfg.flits_per_packet, cfg.respond);
+    let workload = SyntheticWorkload::new(&UniformRandom, drain.flits_per_packet, drain.respond);
     let telemetry = args.telemetry();
     let run = match telemetry {
-        Some(tcfg) => run_scenario_instrumented(&mut workload, &cfg, params, 1.0, 0xDEAD, tcfg),
-        None => run_scenario(&mut workload, &cfg, params, 1.0, 0xDEAD),
+        Some(tcfg) => run_scenario_instrumented(&workload, &drain, params, 1.0, 0xDEAD, tcfg),
+        None => run_scenario(&workload, &drain, params, 1.0, 0xDEAD),
     };
     let (req, resp) = (run.point.request, run.point.response.expect("respond mode"));
     assert!(

@@ -68,8 +68,8 @@
 
 use crate::channel::{ByteKind, LinkStats};
 use crate::router::{
-    CycleRouter, Flit, InjectError, LinkSpec, MemoryBreakdown, PortLink, RouteDecision,
-    RouterFabric, ShardError,
+    CycleRouter, Endpoint, Flit, InjectError, InjectPort, LinkSpec, MemoryBreakdown, PortLink,
+    RouteDecision, RouterFabric, ShardError,
 };
 use crate::routing::{self, RoutePlan, RESPONSE_VC};
 use crate::telemetry::{
@@ -659,6 +659,28 @@ impl TorusFabric {
         self.fabric.step_batched(limit);
     }
 
+    /// One lookahead epoch never past `limit`, with `endpoints[s]`
+    /// generating, injecting ([`inject_packet`]) and taking deliveries
+    /// inside shard `s`'s window (see
+    /// [`crate::router::RouterFabric::step_endpoints`]).
+    pub fn step_endpoints<E: Endpoint>(&mut self, endpoints: &mut [E], limit: u64) {
+        self.fabric.step_endpoints(endpoints, limit);
+    }
+
+    /// One reference-stepper cycle with `endpoint` run around it
+    /// serially — the oracle schedule of [`Self::step_endpoints`] (see
+    /// [`crate::router::RouterFabric::step_reference_with`]).
+    pub fn step_reference_with(&mut self, endpoint: &mut dyn Endpoint) {
+        self.fabric.step_reference_with(endpoint);
+    }
+
+    /// The shard partition: shard `s` owns nodes
+    /// `bounds[s]..bounds[s + 1]` (see
+    /// [`crate::router::RouterFabric::shard_bounds`]).
+    pub fn shard_bounds(&self) -> &[usize] {
+        self.fabric.shard_bounds()
+    }
+
     /// Steps until empty or `max_cycles`; returns whether it drained.
     /// Dead time between link arrivals is fast-forwarded.
     pub fn run_until_drained(&mut self, max_cycles: u64) -> bool {
@@ -868,48 +890,7 @@ impl TorusFabric {
     /// spec fails [`PacketSpec::validate`]. Every refusal leaves the
     /// fabric untouched.
     pub fn inject(&mut self, spec: PacketSpec) -> Result<RoutePlan, InjectError> {
-        spec.validate()?;
-        let nodes = self.torus.node_count();
-        if let Some(node) = [spec.src, spec.dst].iter().find(|n| n.index() >= nodes) {
-            return Err(InjectError::NodeOutOfRange {
-                node: node.index(),
-                nodes,
-            });
-        }
-        let router = spec.src.index();
-        let vc = spec.inject_vc();
-        let nflits = spec.nflits as usize;
-        let free = self.fabric.inject_capacity(router, INJECT_PORT, vc);
-        if free < nflits {
-            // Free plus queued slots is the queue's whole depth.
-            let occupancy = self.fabric.queue_len(router, INJECT_PORT, vc);
-            let capacity = free + occupancy;
-            return Err(if nflits > capacity {
-                InjectError::TooLarge { nflits, capacity }
-            } else {
-                InjectError::NoCredit {
-                    router,
-                    port: INJECT_PORT,
-                    vc,
-                    occupancy,
-                }
-            });
-        }
-        let tag = spec.tag();
-        for index in 0..spec.nflits {
-            let flit = Flit {
-                packet: spec.id,
-                index,
-                of: spec.nflits,
-                dest: spec.dst.0 as u32,
-                vc,
-                tag,
-                injected_at: 0, // stamped by the fabric
-            };
-            self.fabric
-                .inject(router, INJECT_PORT, flit)
-                .expect("capacity was checked for the whole packet");
-        }
+        self.fabric.inject_with(|port| inject_packet(port, &spec))?;
         Ok(self.plan(&spec))
     }
 
@@ -933,6 +914,65 @@ impl TorusFabric {
             }
         }
     }
+}
+
+/// Injects the packet `spec` describes through `port`, whole or not at
+/// all: the one spec-to-flits step, shared by [`TorusFabric::inject`]
+/// (through a view over the whole fabric) and the endpoints a shard
+/// window runs ([`TorusFabric::step_endpoints`], through a view over the
+/// shard's injection ports). Every flit carries `spec.id`, the spec's
+/// routing tag and its injection VC, and the packet enters the source
+/// node's [`INJECT_PORT`]. In a traced run the injection lists under its
+/// class's rank, responses before requests, which is the order a
+/// source-queue driver injects a cycle's packets in.
+///
+/// # Errors
+/// As [`TorusFabric::inject`]; a source outside the view is refused as
+/// [`InjectError::QueueOutOfRange`].
+pub fn inject_packet(port: &mut InjectPort<'_>, spec: &PacketSpec) -> Result<(), InjectError> {
+    spec.validate()?;
+    let nodes = port.router_count();
+    if let Some(node) = [spec.src, spec.dst].iter().find(|n| n.index() >= nodes) {
+        return Err(InjectError::NodeOutOfRange {
+            node: node.index(),
+            nodes,
+        });
+    }
+    let router = spec.src.index();
+    let vc = spec.inject_vc();
+    let nflits = spec.nflits as usize;
+    let free = port.capacity(router, INJECT_PORT, vc)?;
+    if free < nflits {
+        // Free plus queued slots is the queue's whole depth.
+        let occupancy = port.queue_len(router, INJECT_PORT, vc);
+        let capacity = free + occupancy;
+        return Err(if nflits > capacity {
+            InjectError::TooLarge { nflits, capacity }
+        } else {
+            InjectError::NoCredit {
+                router,
+                port: INJECT_PORT,
+                vc,
+                occupancy,
+            }
+        });
+    }
+    port.rank = (spec.class == TrafficClass::Request) as u8;
+    let tag = spec.tag();
+    for index in 0..spec.nflits {
+        let flit = Flit {
+            packet: spec.id,
+            index,
+            of: spec.nflits,
+            dest: spec.dst.0 as u32,
+            vc,
+            tag,
+            injected_at: 0, // stamped by the fabric
+        };
+        port.inject(router, INJECT_PORT, flit)
+            .expect("capacity was checked for the whole packet");
+    }
+    Ok(())
 }
 
 /// The audited memory footprint of one constructed [`TorusFabric`]

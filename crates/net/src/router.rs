@@ -68,7 +68,12 @@
 //! - an event fast-forward ([`RouterFabric::step_next_event`],
 //!   [`RouterFabric::step_batched`]) that jumps the dead cycles between
 //!   link-arrival events when no router has queued work — in-flight wire
-//!   time is the dominant idle span on calibrated tori.
+//!   time is the dominant idle span on calibrated tori;
+//! - **node endpoints inside the windows** ([`RouterFabric::step_endpoints`]):
+//!   traffic sources that generate, inject and react to deliveries run in
+//!   the shard owning their routers, at the top of every private cycle
+//!   and at every ejection, so a reacting workload does not pin epochs to
+//!   one cycle.
 //!
 //! The pre-worklist full-scan stepper is retained verbatim as
 //! [`RouterFabric::step_reference`] (arbitrating via
@@ -78,7 +83,9 @@
 //! and packet trace — and the `stepper_equivalence` property tests and the
 //! committed benchmark's traced checks hold the two to exactly that.
 
-use crate::telemetry::{LinkRecorder, StallCause, Telemetry, TelemetryConfig};
+use crate::telemetry::{
+    LinkRecorder, StallCause, Telemetry, TelemetryConfig, TraceEvent, TraceEventKind,
+};
 use anton_model::asic::INPUT_QUEUE_FLITS;
 use core::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -1361,6 +1368,157 @@ impl fmt::Display for InjectError {
     }
 }
 
+/// Node-local traffic of a group of routers, run by the epoch kernel
+/// inside the owning shard's private window ([`RouterFabric::step_endpoints`]):
+/// at the top of every private cycle ([`Self::begin_cycle`], before that
+/// cycle's link arrivals land) and at every ejection
+/// ([`Self::deliver`], in apply order). One endpoint serves each shard,
+/// covering exactly that shard's routers, so everything it touches —
+/// its own state and, through the [`InjectPort`], its routers'
+/// injection queues — belongs to one shard.
+pub trait Endpoint: Send {
+    /// Runs cycle `cycle`'s generation and injection attempts through
+    /// `port`.
+    fn begin_cycle(&mut self, cycle: u64, port: &mut InjectPort<'_>);
+
+    /// A flit ejected to one of the endpoint's routers at `cycle`.
+    fn deliver(&mut self, cycle: u64, flit: &Flit);
+
+    /// Whether [`Self::begin_cycle`] has nothing left to do from
+    /// `cycle` on: no generation ahead and no packet waiting to inject.
+    /// The kernel ends a shard's window early, or rewinds a drained
+    /// epoch to `cycle`, only past cycles its endpoint is idle from, so
+    /// neither skips nor repeats a draw or an injection attempt.
+    fn idle(&self, cycle: u64) -> bool;
+}
+
+/// Injection access to a contiguous range of a fabric's routers: their
+/// input queues at ports no link feeds (the injection ports) from inside
+/// a shard window ([`Endpoint::begin_cycle`]), and every input queue from
+/// serial code ([`RouterFabric::inject`] and
+/// [`RouterFabric::step_reference_with`] go through a view over the
+/// whole fabric). An injection debits the credit mirror, activates the
+/// router and, while tracing, lists an `Inject` event.
+pub struct InjectPort<'a> {
+    cycle: u64,
+    /// First router of the view.
+    lo: usize,
+    /// Routers in the whole fabric.
+    n_routers: usize,
+    routers: &'a mut [CycleRouter],
+    is_active: &'a mut [bool],
+    /// Where activated routers go: the shard's incoming list, or the
+    /// fabric's active list.
+    activated: &'a mut Vec<usize>,
+    /// The view's rows of `RouterFabric::feeder`.
+    feeder: &'a [Vec<Option<(u32, u32)>>],
+    /// Every link's reservations, which an injection into a fed port
+    /// must leave room for; `None` inside a shard window, where fed
+    /// ports are out of reach (their upstream shard reserves in them).
+    reserved: Option<&'a [Vec<u32>]>,
+    credit_view: &'a [AtomicU32],
+    queue_off: &'a [usize],
+    /// `Inject` events as `(rank, event)`, while tracing.
+    trace: Option<&'a mut Vec<(u8, TraceEvent)>>,
+    /// Order of this view's injections among one cycle's `Inject`
+    /// events: the merged trace lists a cycle's events by rank, then by
+    /// router.
+    pub(crate) rank: u8,
+}
+
+impl InjectPort<'_> {
+    /// The cycle injections through this view happen at.
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// Routers in the whole fabric (valid endpoint ids).
+    pub fn router_count(&self) -> usize {
+        self.n_routers
+    }
+
+    /// Free credit slots an injection into `(router, port, vc)` may take
+    /// now ([`RouterFabric::inject_capacity`]).
+    ///
+    /// # Errors
+    /// [`InjectError::QueueOutOfRange`] when the queue does not exist or
+    /// the view does not reach it: a router outside the view, or a port
+    /// a link feeds while inside a shard window.
+    pub fn capacity(&self, router: usize, port: usize, vc: u8) -> Result<usize, InjectError> {
+        let out_of_range = InjectError::QueueOutOfRange { router, port, vc };
+        let Some(r) = router
+            .checked_sub(self.lo)
+            .filter(|&r| r < self.routers.len())
+        else {
+            return Err(out_of_range);
+        };
+        let d = &self.routers[r];
+        if port >= d.ports || vc as usize >= d.vcs {
+            return Err(out_of_range);
+        }
+        let held = match (self.feeder[r][port], self.reserved) {
+            (None, _) => 0,
+            (Some((up, out)), Some(reserved)) => {
+                reserved[up as usize][out as usize * d.vcs + vc as usize] as usize
+            }
+            (Some(_), None) => return Err(out_of_range),
+        };
+        Ok(d.free_slots(port, vc) - held)
+    }
+
+    /// Flits queued on input `(router, port, vc)`; the queue must be
+    /// in the view ([`Self::capacity`] succeeds).
+    pub fn queue_len(&self, router: usize, port: usize, vc: u8) -> usize {
+        self.routers[router - self.lo].queue_len(port, vc)
+    }
+
+    /// Injects a flit into input `(router, port, flit.vc)`, stamped with
+    /// [`Self::cycle`], if a credit is free ([`Self::capacity`]).
+    ///
+    /// # Errors
+    /// Returns, without taking the flit, the errors of
+    /// [`Self::capacity`], and [`InjectError::NoCredit`] when the queue
+    /// has no free credit.
+    pub fn inject(
+        &mut self,
+        router: usize,
+        port: usize,
+        mut flit: Flit,
+    ) -> Result<(), InjectError> {
+        let vc = flit.vc;
+        if self.capacity(router, port, vc)? == 0 {
+            return Err(InjectError::NoCredit {
+                router,
+                port,
+                vc,
+                occupancy: self.queue_len(router, port, vc),
+            });
+        }
+        let (cycle, r) = (self.cycle, router - self.lo);
+        flit.injected_at = cycle;
+        let d = &mut self.routers[r];
+        d.accept(port, vc, flit, cycle);
+        self.credit_view[self.queue_off[router] + port * d.vcs + vc as usize]
+            .fetch_sub(1, Ordering::Relaxed);
+        if !self.is_active[r] {
+            self.is_active[r] = true;
+            self.activated.push(router);
+        }
+        if let Some(trace) = self.trace.as_mut().filter(|_| flit.is_head()) {
+            let event = TraceEvent {
+                kind: TraceEventKind::Inject,
+                cycle,
+                packet: flit.packet,
+                router,
+                port,
+                vc,
+            };
+            trace.push((self.rank, event));
+        }
+        Ok(())
+    }
+}
+
 pub use shard::ShardError;
 use shard::{ShardPool, ShardScratch};
 
@@ -1380,13 +1538,18 @@ use shard::{ShardPool, ShardScratch};
 ///    base into per-shard slices that never overlap another shard's.
 ///    Its scratch — arrival wheel, boundary outbox and output lists
 ///    included — is the one element of the per-shard scratch array at
-///    its own index. Links flatten in router order, so shard `s` also
-///    owns the links `link_off[bounds[s]]..link_off[bounds[s + 1]]`,
+///    its own index, and so is its [`Endpoint`], which reaches the
+///    fabric only through an [`InjectPort`] built from the shard's own
+///    router and activity rows: it injects into ports no link feeds,
+///    whose queues, credit-mirror entries and (absent) reservations no
+///    other shard touches. Links flatten in router order, so shard `s`
+///    also owns the links `link_off[bounds[s]]..link_off[bounds[s + 1]]`,
 ///    and with them the same rows of telemetry's counters, which it
 ///    records into in place through element `s` of the epoch's recorder
 ///    array (split without unsafe code by `Telemetry::recorders`).
-/// 2. **Epoch-wide read-only state** (wiring, routing closures, the
-///    sorted active list, offset tables, the boundary-slot map).
+/// 2. **Epoch-wide read-only state** (wiring, feeder map, routing
+///    closures, the sorted active list, offset tables, the boundary-slot
+///    map).
 /// 3. **Atomics** (the fabric-wide credit mirror — and each entry is
 ///    touched only by the shard owning its router during an epoch; the
 ///    atomics survive as the cheapest way to keep the aliasing legal).
@@ -1672,6 +1835,9 @@ mod shard {
         /// While tracing, the window's head hops onto router links as
         /// `(cycle, router, out, flit)`, in the same order as `ejected`.
         hops: Vec<(u64, usize, usize, Flit)>,
+        /// While tracing, the endpoint's injections as `(rank, event)`,
+        /// by cycle, then in the order it made them.
+        pub(super) injects: Vec<(u8, TraceEvent)>,
     }
 
     impl ShardScratch {
@@ -1699,6 +1865,7 @@ mod shard {
                 + self.moves.capacity() * size_of::<(usize, usize, Flit)>()
                 + self.ejected.capacity() * size_of::<(u64, Flit)>()
                 + self.hops.capacity() * size_of::<(u64, usize, usize, Flit)>()
+                + self.injects.capacity() * size_of::<(u8, TraceEvent)>()
         }
     }
 
@@ -1731,10 +1898,10 @@ mod shard {
     /// `bounds`: epoch code turns the `*mut` bases into **disjoint**
     /// per-shard slices (rows `bounds[s]..bounds[s + 1]` of `routers`,
     /// `channels`, `next_free`, `reserved`, `is_active`; element `s` of
-    /// `scratch`, with the shard's arrival wheel, and of `recorders`,
-    /// over links `link_off[bounds[s]]..link_off[bounds[s + 1]]` of
-    /// telemetry's counters). Everything else
-    /// is either read-only for the whole epoch (`wiring`, `route`,
+    /// `scratch`, with the shard's arrival wheel, of `endpoints`, and of
+    /// `recorders`, over links `link_off[bounds[s]]..link_off[bounds[s +
+    /// 1]]` of telemetry's counters). Everything else
+    /// is either read-only for the whole epoch (`wiring`, `feeder`, `route`,
     /// `classify`, the sorted active list, the offset tables, the
     /// boundary-slot map), atomic (`credit_view` — and each entry is only
     /// touched by its owning shard during the window), or an exclusive
@@ -1752,6 +1919,7 @@ mod shard {
         reserved: *mut Vec<u32>,
         is_active: *mut bool,
         wiring: *const Vec<PortLink>,
+        feeder: *const Vec<Option<(u32, u32)>>,
         bounds: *const usize,
         queue_off: *const usize,
         link_off: *const usize,
@@ -1773,6 +1941,9 @@ mod shard {
         active_sorted: *const usize,
         active_len: usize,
         scratch: *mut ShardScratch,
+        /// One endpoint per shard ([`RouterFabric::step_endpoints`]), or
+        /// null when the epoch runs none.
+        endpoints: *mut &'static mut dyn Endpoint,
     }
 
     // SAFETY: see the struct-level safety discipline — the raw pointers are
@@ -1783,10 +1954,13 @@ mod shard {
 
     /// Runs one shard's private window of a lookahead epoch: up to
     /// `window` cycles of land / arbitrate / apply with **no internal
-    /// synchronization**. Each cycle first lands the shard's wheel slot,
-    /// then arbitrates unless the worklist is still empty; the window
-    /// ends early at an empty worklist if nothing was in flight when the
-    /// epoch began. Every party — the stepping thread as shard 0, one
+    /// synchronization**. Each cycle first runs the shard's endpoint, if
+    /// the epoch has endpoints — generation and injection into the
+    /// shard's own injection ports — then lands the shard's wheel slot,
+    /// then arbitrates unless the worklist is still empty; ejections go
+    /// to the endpoint as they apply. The window ends early at an empty
+    /// worklist if nothing was in flight when the epoch began and the
+    /// endpoint is idle. Every party — the stepping thread as shard 0, one
     /// pool worker per remaining shard — calls this exactly once per
     /// epoch, then waits on the epoch barrier, having caught any panic
     /// of the window first (a one-shard fabric has neither workers nor
@@ -1817,6 +1991,7 @@ mod shard {
         let reserved = std::slice::from_raw_parts_mut(sh.reserved.add(lo), hi - lo);
         let is_active = std::slice::from_raw_parts_mut(sh.is_active.add(lo), hi - lo);
         let wiring = std::slice::from_raw_parts(sh.wiring, sh.n_routers);
+        let feeder = std::slice::from_raw_parts(sh.feeder.add(lo), hi - lo);
         let queue_off = std::slice::from_raw_parts(sh.queue_off, sh.n_routers + 1);
         let link_off = std::slice::from_raw_parts(sh.link_off, sh.n_routers + 1);
         let credit_view = std::slice::from_raw_parts(sh.credit_view, sh.credit_len);
@@ -1829,6 +2004,10 @@ mod shard {
         // SAFETY: element `s` of the recorder array is this shard's alone,
         // over its own links (class 1), and lives until the epoch ends.
         let mut rec = sh.recorders.map(|recs| &mut *recs.add(s));
+        // SAFETY: element `s` of the endpoint array is this shard's alone
+        // (class 1), and lives until the epoch ends.
+        let mut endpoint = (!sh.endpoints.is_null()).then(|| &mut **sh.endpoints.add(s));
+        let tracing = rec.as_ref().is_some_and(|r| r.trace);
         (scratch.sent, scratch.landed, scratch.last_move) = (0, 0, 0);
         let t0 = sh.cycle;
         let tend = t0 + sh.window;
@@ -1843,6 +2022,26 @@ mod shard {
         let wheel_len = scratch.wheel.len() as u64;
         let mut cycle = t0;
         while cycle < tend {
+            // The endpoint stage, ahead of the landings: the view reaches
+            // only this shard's routers, and only their injection ports —
+            // a port a link feeds may hold another shard's reservations.
+            if let Some(ep) = endpoint.as_deref_mut() {
+                let mut port = InjectPort {
+                    cycle,
+                    lo,
+                    n_routers: sh.n_routers,
+                    routers: &mut *routers,
+                    is_active: &mut *is_active,
+                    activated: &mut scratch.incoming,
+                    feeder,
+                    reserved: None,
+                    credit_view,
+                    queue_off,
+                    trace: tracing.then_some(&mut scratch.injects),
+                    rank: 0,
+                };
+                ep.begin_cycle(cycle, &mut port);
+            }
             // Land this cycle's wheel slot. A release whose accept is
             // another shard's debits the credit shadow, mirroring that
             // remote accept. Departures book at least one window out, so
@@ -1886,8 +2085,9 @@ mod shard {
             }
             if scratch.worklist.is_empty() {
                 // Dead shard-cycle. Later slots may still land flits,
-                // unless nothing was in flight at the epoch start.
-                if !sh.in_flight {
+                // unless nothing was in flight at the epoch start, and the
+                // endpoint may still generate or inject.
+                if !sh.in_flight && endpoint.as_deref().is_none_or(|ep| ep.idle(cycle + 1)) {
                     break;
                 }
                 cycle += 1;
@@ -2020,7 +2220,12 @@ mod shard {
                         scratch.outbox.extend(remote.map(|a| (slot, dst, a)));
                         scratch.sent += 1;
                     }
-                    PortLink::Endpoint(_) => scratch.ejected.push((cycle, flit)),
+                    PortLink::Endpoint(_) => {
+                        if let Some(ep) = endpoint.as_deref_mut() {
+                            ep.deliver(cycle, &flit);
+                        }
+                        scratch.ejected.push((cycle, flit));
+                    }
                     PortLink::Unused => unreachable!("flit departed through an unused port"),
                 }
             }
@@ -2045,30 +2250,35 @@ mod shard {
         }
     }
 
-    /// Sorts `list` stably by `cycle`, unless it already is.
-    fn sort_by_cycle<T>(list: &mut [T], cycle: impl Fn(&T) -> u64) {
-        if !list.is_sorted_by_key(&cycle) {
-            list.sort_by_key(cycle);
+    /// Sorts `list` stably by `key`, unless it already is.
+    fn sort_stably<T, K: Ord>(list: &mut [T], key: impl Fn(&T) -> K) {
+        if !list.is_sorted_by_key(&key) {
+            list.sort_by_key(key);
         }
     }
 
     impl RouterFabric {
         /// Telemetry post-phase, shared by both steppers: traces the
-        /// hops the shards listed (in shard order, then stably by cycle,
-        /// like their deliveries; the reference stepper traced its own in
-        /// `telemetry_record`) and the step's new delivery-log entries,
-        /// each cycle's hops before its deliveries.
+        /// injections and hops the shards listed (in shard order, then
+        /// stably by cycle — and injections by rank within a cycle —
+        /// like their deliveries; the reference stepper traced its own
+        /// in `inject_with` and `telemetry_record`) and the step's new
+        /// delivery-log entries, each cycle's injections, then hops, then
+        /// deliveries.
         pub(super) fn telemetry_note_deliveries(&mut self) {
             let Some(tel) = self.telemetry.as_deref_mut() else {
                 return;
             };
             let (first, rest) = self.shard_scratch.split_at_mut(1);
-            let hops = &mut first[0].hops;
+            let (injects, hops) = (&mut first[0].injects, &mut first[0].hops);
             for sc in rest {
+                injects.append(&mut sc.injects);
                 hops.append(&mut sc.hops);
             }
-            sort_by_cycle(hops, |h| h.0);
-            tel.note_stepped(hops, &self.delivered);
+            sort_stably(injects, |&(rank, ref ev)| (ev.cycle, rank));
+            sort_stably(hops, |h| h.0);
+            tel.note_stepped(injects, hops, &self.delivered);
+            injects.clear();
             hops.clear();
         }
 
@@ -2112,15 +2322,17 @@ mod shard {
         ///
         /// When the window drains the fabric, the cycle counter rewinds
         /// to one past the last cycle with any activity — the exact cycle
-        /// per-cycle stepping stops at — so drain-loop observables do not
-        /// depend on the window width.
+        /// per-cycle stepping stops at, so drain-loop observables do not
+        /// depend on the window width — provided every endpoint is idle
+        /// from there on, so the rewind never moves back over a cycle in
+        /// which an endpoint drew a random number or tried to inject.
         ///
         /// Ejections deliver *inside* shard windows, where no prologue
-        /// can foresee them and no epoch can be unwound past them, so a
-        /// caller that reacts to each delivery must pass `limit = cycle +
-        /// 1` ([`RouterFabric::step`]); every other caller gets the full
-        /// window, with deliveries batched per epoch.
-        pub(super) fn step_epoch(&mut self, limit: u64) {
+        /// can foresee them and no epoch can be unwound past them. Work
+        /// that reacts to a delivery runs in the shard's endpoint
+        /// (`endpoints`, one per shard, or none); a caller that reacts
+        /// itself must pass `limit = cycle + 1` ([`RouterFabric::step`]).
+        pub(super) fn step_epoch(&mut self, limit: u64, endpoints: &mut [&mut dyn Endpoint]) {
             let t0 = self.cycle;
             debug_assert!(limit > t0, "epoch must advance at least one cycle");
             if self.telemetry.is_some() {
@@ -2177,6 +2389,7 @@ mod shard {
                     reserved: self.reserved.as_mut_ptr(),
                     is_active: self.is_active.as_mut_ptr(),
                     wiring: self.wiring.as_ptr(),
+                    feeder: self.feeder.as_ptr(),
                     bounds: self.bounds.as_ptr(),
                     queue_off: self.queue_off.as_ptr(),
                     link_off: self.link_off.as_ptr(),
@@ -2192,6 +2405,11 @@ mod shard {
                     active_sorted: self.active.as_ptr(),
                     active_len: self.active.len(),
                     scratch: self.shard_scratch.as_mut_ptr(),
+                    endpoints: if endpoints.is_empty() {
+                        std::ptr::null_mut()
+                    } else {
+                        endpoints.as_mut_ptr().cast()
+                    },
                 };
                 match &self.pool {
                     Some(pool) => {
@@ -2247,10 +2465,14 @@ mod shard {
                 }
                 self.shard_scratch[s].outbox = outbox;
             }
-            sort_by_cycle(&mut self.delivered[from..], |d| d.0);
+            sort_stably(&mut self.delivered[from..], |d| d.0);
             self.telemetry_note_deliveries();
 
-            self.cycle = if self.active.is_empty() && self.in_flight_total == 0 {
+            // An endpoint idle from the rewind target on did nothing after
+            // it: its packets' moves would be later, and its draws are
+            // generation it still has ahead.
+            let idle = endpoints.iter().all(|ep| ep.idle(last_active + 1));
+            self.cycle = if self.active.is_empty() && self.in_flight_total == 0 && idle {
                 // Drained inside the window: stop where per-cycle
                 // stepping stops, independent of the window width.
                 last_active + 1
@@ -2777,37 +2999,90 @@ impl RouterFabric {
     /// when the router, port or VC does not exist, and
     /// [`InjectError::NoCredit`] when the input VC queue has no credit —
     /// i.e. the fabric is backpressuring this source.
-    pub fn inject(
-        &mut self,
-        router: usize,
-        port: usize,
-        mut flit: Flit,
-    ) -> Result<(), InjectError> {
-        let vc = flit.vc;
-        let exists = self
-            .routers
-            .get(router)
-            .is_some_and(|r| port < r.ports && (vc as usize) < r.vcs);
-        if !exists {
-            return Err(InjectError::QueueOutOfRange { router, port, vc });
+    pub fn inject(&mut self, router: usize, port: usize, flit: Flit) -> Result<(), InjectError> {
+        self.inject_with(|view| view.inject(router, port, flit))
+    }
+
+    /// Runs `f` with an [`InjectPort`] over every router and input
+    /// queue at the current cycle, then traces its injections — the
+    /// serial counterpart of the view a shard window hands its
+    /// endpoint.
+    pub(crate) fn inject_with<R>(&mut self, f: impl FnOnce(&mut InjectPort<'_>) -> R) -> R {
+        let tracing = self.telemetry.as_ref().is_some_and(|t| t.config().trace);
+        let injects = &mut self.shard_scratch[0].injects;
+        let mut view = InjectPort {
+            cycle: self.cycle,
+            lo: 0,
+            n_routers: self.routers.len(),
+            routers: &mut self.routers,
+            is_active: &mut self.is_active,
+            activated: &mut self.active,
+            feeder: &self.feeder,
+            reserved: Some(&self.reserved),
+            credit_view: &self.credit_view,
+            queue_off: &self.queue_off,
+            trace: tracing.then_some(&mut *injects),
+            rank: 0,
+        };
+        let out = f(&mut view);
+        if let Some(tel) = self.telemetry.as_deref_mut() {
+            tel.note_injects(injects);
+            injects.clear();
         }
-        if self.inject_capacity(router, port, vc) == 0 {
-            return Err(InjectError::NoCredit {
-                router,
-                port,
-                vc,
-                occupancy: self.routers[router].queue_len(port, vc),
-            });
+        out
+    }
+
+    /// The shard partition: shard `s` owns routers
+    /// `bounds[s]..bounds[s + 1]` (see [`Self::set_shards`]), and
+    /// endpoint `s` of [`Self::step_endpoints`] serves them.
+    pub fn shard_bounds(&self) -> &[usize] {
+        &self.bounds
+    }
+
+    /// One lookahead epoch that never passes `limit`, with `endpoints[s]`
+    /// running inside shard `s`'s window: at the top of every private
+    /// cycle ([`Endpoint::begin_cycle`], injecting through a view of
+    /// the shard's own injection ports) and at every ejection
+    /// ([`Endpoint::deliver`]). Deliveries also enter [`Self::delivered`].
+    /// The window is bounded by the kernel's own clamps and `limit` —
+    /// never by delivery — and is bit-identical, epoch by epoch, to
+    /// running the same endpoints cycle by cycle around
+    /// [`Self::step_reference`] ([`Self::step_reference_with`]).
+    ///
+    /// While every endpoint is idle, the dead cycles before the next
+    /// link arrival are jumped first, as [`Self::step_batched`] does.
+    ///
+    /// # Panics
+    /// Panics unless there is one endpoint per shard, and re-raises a
+    /// panic of an endpoint like one of the route function (see
+    /// [`Self::step`]).
+    pub fn step_endpoints<E: Endpoint>(&mut self, endpoints: &mut [E], limit: u64) {
+        assert_eq!(endpoints.len(), self.shards(), "one endpoint per shard");
+        let t = self.cycle;
+        let idle = endpoints.iter().all(|ep| ep.idle(t));
+        if t >= limit || (idle && !self.skip_dead_cycles(limit)) {
+            return;
         }
+        let mut eps: Vec<&mut dyn Endpoint> = endpoints
+            .iter_mut()
+            .map(|ep| ep as &mut dyn Endpoint)
+            .collect();
+        self.step_epoch(limit, &mut eps);
+    }
+
+    /// One cycle of [`Self::step_reference`] with `endpoint` run around
+    /// it serially: its [`Endpoint::begin_cycle`] injects through a view
+    /// of the whole fabric before the cycle, and it receives the cycle's
+    /// deliveries afterward, in delivery-log order. The oracle schedule
+    /// for [`Self::step_endpoints`], with one endpoint over every router.
+    pub fn step_reference_with(&mut self, endpoint: &mut dyn Endpoint) {
         let cycle = self.cycle;
-        flit.injected_at = cycle;
-        self.file(router, port, flit, cycle);
-        if flit.is_head() {
-            if let Some(tel) = self.telemetry.as_deref_mut() {
-                tel.note_inject(cycle, flit.packet, router, port, vc);
-            }
+        self.inject_with(|view| endpoint.begin_cycle(cycle, view));
+        let from = self.delivered.len();
+        self.step_reference();
+        for (at, flit) in &self.delivered[from..] {
+            endpoint.deliver(*at, flit);
         }
-        Ok(())
     }
 
     /// Files `flit` into input `(router, port, flit.vc)` at `cycle`,
@@ -3007,7 +3282,7 @@ impl RouterFabric {
     /// raised once every shard has finished its window; the fabric can
     /// then only be dropped, which joins the shard workers.
     pub fn step(&mut self) {
-        self.step_epoch(self.cycle + 1);
+        self.step_epoch(self.cycle + 1, &mut []);
     }
 
     /// Advances the fabric one cycle with the retained **reference**
@@ -3317,20 +3592,29 @@ impl RouterFabric {
     /// (replaying a fixed schedule, draining without follow-on traffic).
     pub fn step_batched(&mut self, limit: u64) {
         if self.skip_dead_cycles(limit) {
-            self.step_epoch(limit);
+            self.step_epoch(limit, &mut []);
         }
     }
 
     /// Jumps the cycles before `limit` in which nothing can happen: when
     /// no router has work, to the next link arrival, or to `limit` when
     /// none lands before it. Returns whether a cycle before `limit` is
-    /// left to step.
+    /// left to step. Telemetry rolls each epoch boundary it jumps, as
+    /// per-cycle stepping would: nothing lands in between, so every
+    /// boundary samples the same occupancy.
     fn skip_dead_cycles(&mut self, limit: u64) -> bool {
         if self.active.is_empty() {
-            match self.next_arrival() {
-                Some(t) if t < limit => self.cycle = self.cycle.max(t),
-                _ => self.cycle = self.cycle.max(limit),
+            let to = match self.next_arrival() {
+                Some(t) if t < limit => t,
+                _ => limit,
+            };
+            if let Some(len) = self.telemetry.as_ref().map(|tel| tel.epoch_cycles()) {
+                for boundary in (self.cycle.div_ceil(len) * len..to).step_by(len as usize) {
+                    self.cycle = boundary;
+                    self.telemetry_begin_step();
+                }
             }
+            self.cycle = self.cycle.max(to);
         }
         self.cycle < limit
     }

@@ -629,56 +629,58 @@ impl Telemetry {
         }
     }
 
-    /// Records a packet injection (head flit accepted at its source).
-    pub(crate) fn note_inject(
-        &mut self,
-        cycle: u64,
-        packet: u64,
-        router: usize,
-        port: usize,
-        vc: u8,
-    ) {
-        if self.cfg.trace {
-            self.push_trace(TraceEvent {
-                kind: TraceEventKind::Inject,
-                cycle,
-                packet,
-                router,
-                port,
-                vc,
-            });
+    /// Traces injections listed as `(rank, event)`, in list order.
+    pub(crate) fn note_injects(&mut self, injects: &[(u8, TraceEvent)]) {
+        for &(_, ev) in injects {
+            self.push_trace(ev);
         }
     }
 
-    /// Emits the trace events of the cycles just stepped: `hops`, the
-    /// window's head hops as `(cycle, router, out, flit)` sorted by
-    /// cycle, and a `Deliver` event per delivery-log entry past the
-    /// watermark, with each cycle's hops before its deliveries — the
-    /// order the reference stepper emits them in, one cycle at a time.
+    /// Emits the trace events of the cycles just stepped: `injects`, the
+    /// window's injections as `(rank, event)` sorted by cycle, then rank;
+    /// `hops`, its head hops as `(cycle, router, out, flit)` sorted by
+    /// cycle; and a `Deliver` event per delivery-log entry past the
+    /// watermark — each cycle's injections, then hops, then deliveries,
+    /// the order serial stepping emits them in, one cycle at a time.
     /// `delivered` is the fabric's (possibly caller-drained) delivery
     /// log.
     pub(crate) fn note_stepped(
         &mut self,
+        injects: &[(u8, TraceEvent)],
         hops: &[(u64, usize, usize, Flit)],
         delivered: &[(u64, Flit)],
     ) {
         if self.cfg.trace {
+            let mut injects = injects.iter().peekable();
             let mut hops = hops.iter().peekable();
-            for &(cycle, ref flit) in &delivered[self.delivered_mark..] {
-                while let Some(&(c, r, out, ref hop)) = hops.next_if(|h| h.0 <= cycle) {
+            let mut deliveries = delivered[self.delivered_mark..].iter().peekable();
+            loop {
+                // The next cycle with an event, then that cycle's events
+                // in stage order.
+                let next = [
+                    injects.peek().map(|i| i.1.cycle),
+                    hops.peek().map(|h| h.0),
+                    deliveries.peek().map(|d| d.0),
+                ];
+                let Some(cycle) = next.into_iter().flatten().min() else {
+                    break;
+                };
+                while let Some(&(_, ev)) = injects.next_if(|i| i.1.cycle == cycle) {
+                    self.push_trace(ev);
+                }
+                while let Some(&(c, r, out, ref hop)) = hops.next_if(|h| h.0 == cycle) {
                     self.note_hop(c, r, out, hop);
                 }
-                self.push_trace(TraceEvent {
-                    kind: TraceEventKind::Deliver,
-                    cycle,
-                    packet: flit.packet,
-                    router: flit.dest as usize,
-                    port: 0,
-                    vc: flit.vc,
-                });
-            }
-            for &(c, r, out, ref hop) in hops {
-                self.note_hop(c, r, out, hop);
+                while let Some(&(c, ref flit)) = deliveries.next_if(|d| d.0 == cycle) {
+                    self.push_trace(TraceEvent {
+                        kind: TraceEventKind::Deliver,
+                        cycle: c,
+                        packet: flit.packet,
+                        router: flit.dest as usize,
+                        port: 0,
+                        vc: flit.vc,
+                    });
+                }
             }
         }
         self.delivered_mark = delivered.len();
@@ -895,6 +897,23 @@ mod tests {
         }
     }
 
+    /// An injection event at port 12 of `router`, rank 0.
+    fn inject(cycle: u64, packet: u64, router: usize) -> (u8, TraceEvent) {
+        let kind = TraceEventKind::Inject;
+        let (port, vc) = (12, 0);
+        (
+            0,
+            TraceEvent {
+                kind,
+                cycle,
+                packet,
+                router,
+                port,
+                vc,
+            },
+        )
+    }
+
     fn tel(trace: bool) -> Telemetry {
         Telemetry::new(
             TelemetryConfig {
@@ -1038,20 +1057,20 @@ mod tests {
     #[test]
     fn trace_buffer_caps_and_sinks_render() {
         let mut t = tel(true);
-        t.note_inject(0, 42, 0, 12, 0);
+        t.note_injects(&[inject(0, 42, 0)]);
         t.note_hop(1, 0, 0, &flit(42, 0));
         t.note_hop(1, 0, 1, &flit(42, 1)); // body: no hop event
-        t.note_stepped(&[], &[(5, flit(42, 1))]);
+        t.note_stepped(&[], &[], &[(5, flit(42, 1))]);
         assert_eq!(t.trace_events().len(), 3);
         // Watermark: re-reporting the same log adds nothing.
-        t.note_stepped(&[], &[(5, flit(42, 1))]);
+        t.note_stepped(&[], &[], &[(5, flit(42, 1))]);
         assert_eq!(t.trace_events().len(), 3);
         // A drained log resets the watermark.
         t.sync_delivered(0);
-        t.note_stepped(&[], &[(6, flit(43, 0))]);
+        t.note_stepped(&[], &[], &[(6, flit(43, 0))]);
         assert_eq!(t.trace_events().len(), 4);
         // Buffer is full now (limit 4): further events count as dropped.
-        t.note_inject(7, 44, 1, 12, 0);
+        t.note_injects(&[inject(7, 44, 1)]);
         assert_eq!(t.trace_dropped(), 1);
 
         let mut jsonl = JsonlTraceSink::new();
@@ -1075,18 +1094,37 @@ mod tests {
 
     #[test]
     fn a_window_traces_each_cycles_hops_before_its_deliveries() {
-        let mut t = tel(true);
+        let cfg = TelemetryConfig {
+            trace: true,
+            ..TelemetryConfig::default()
+        };
+        let mut t = Telemetry::new(cfg, &[0, 2, 5], 2, 0);
         let hops: Vec<_> = (1..4).map(|c| (c, 0, 0, flit(c, 0))).collect();
-        t.note_stepped(&hops, &[(2, flit(9, 1))]);
+        // Injections listed by cycle come first in their cycle.
+        let injects = [inject(2, 7, 1), inject(2, 8, 0), inject(4, 9, 0)];
+        t.note_stepped(&injects, &hops, &[(2, flit(9, 1))]);
         let order: Vec<_> = t.trace_events().iter().map(|e| (e.kind, e.cycle)).collect();
         use TraceEventKind::*;
-        assert_eq!(order, vec![(Hop, 1), (Hop, 2), (Deliver, 2), (Hop, 3)]);
+        assert_eq!(
+            order,
+            vec![
+                (Hop, 1),
+                (Inject, 2),
+                (Inject, 2),
+                (Hop, 2),
+                (Deliver, 2),
+                (Hop, 3),
+                (Inject, 4)
+            ]
+        );
+        let routers: Vec<_> = t.trace_events()[1..3].iter().map(|e| e.router).collect();
+        assert_eq!(routers, vec![1, 0], "injections keep their listed order");
     }
 
     #[test]
     fn untruncated_traces_render_without_a_footer() {
         let mut t = tel(true);
-        t.note_inject(0, 1, 0, 12, 0);
+        t.note_injects(&[inject(0, 1, 0)]);
         assert_eq!(t.trace_dropped(), 0);
         let mut jsonl = JsonlTraceSink::new();
         t.write_trace(&mut jsonl);

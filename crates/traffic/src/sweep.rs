@@ -5,10 +5,10 @@
 //! offered load (request flits per node per cycle), every node runs a
 //! Bernoulli opportunity generator; at each opportunity the workload
 //! emits fully drawn [`anton_net::fabric3d::PacketSpec`]s, which queue
-//! per node and class and inject through the single
-//! [`TorusFabric::inject`] endpoint as credits allow. Because the spec
-//! carries its routing draw, a blocked injection retries the *same*
-//! spec — a rejection never falls back to the other channel slice, so
+//! per node and class and inject through the one spec-to-flits step
+//! ([`inject_packet`]) as credits allow. Because the spec carries its
+//! routing draw, a blocked injection retries the *same* spec — a
+//! rejection never falls back to the other channel slice, so
 //! backpressure cannot bias the oblivious randomization toward
 //! uncongested slices or VCs.
 //!
@@ -26,6 +26,22 @@
 //! checks (`sweep_traffic --overload-smoke`, the class-drain property
 //! test) are exactly such points.
 //!
+//! All of that work is node-local: per-node RNG streams, per-node
+//! source queues, and a response sourced at the node its request was
+//! delivered to. So it runs where each node lives — in a per-shard
+//! endpoint ([`anton_net::router::Endpoint`]) that the epoch kernel
+//! runs inside the shard's private window, at the top of every cycle
+//! and at every ejection ([`TorusFabric::step_endpoints`]). Epochs are
+//! then bounded by the kernel's own clamps and the driver's exact stop
+//! rule, not pinned to one cycle by the driver. Packet ids are assigned
+//! per node and carry what the statistics need (tracking, source node,
+//! creation cycle), so each shard records its own deliveries and no
+//! per-packet table exists; the shards' tallies merge exactly.
+//! [`run_scenario_with`] runs the same endpoint code serially around
+//! the retained naive reference stepper instead ([`Stepper::Reference`]),
+//! the oracle the windowed schedule is held to and what the committed
+//! benchmark's traced run prices the event-driven core against.
+//!
 //! [`run_point`] is the thin synthetic-pattern wrapper (a
 //! [`SyntheticWorkload`] over one [`TrafficPattern`]); it preserves the
 //! draw-for-draw behavior the loaded-latency calibration constants were
@@ -38,32 +54,27 @@
 //! alone, so independent points can run on [`std::thread::scope`]
 //! workers ([`run_curve_threaded`] / [`run_sweep_threaded`]) and the
 //! assembled report — down to every floating-point digit of the JSON —
-//! is identical at any worker count, including one.
-//!
-//! Scenario drains fast-forward: once generation has stopped and every
-//! source queue is empty, the driver advances the fabric event to event
-//! ([`TorusFabric::step_next_event`]) instead of cycle by cycle — the
-//! skipped cycles are provably no-ops, so the statistics are bit-
-//! identical to per-cycle stepping, just cheaper. [`run_scenario_with`]
-//! can instead drive the retained naive reference stepper
-//! ([`Stepper::Reference`]), which the committed benchmark's traced run
-//! uses to measure the event-driven core's speedup on identical work.
+//! is identical at any worker count, including one, and at any shard
+//! count and lookahead window.
 
 use crate::patterns::TrafficPattern;
 use crate::workload::{SyntheticWorkload, Workload};
+use anton_model::asic::INPUT_QUEUE_FLITS;
 use anton_model::topology::{NodeId, Torus};
 use anton_model::units::PS_PER_CORE_CYCLE;
 use anton_net::channel::ByteKind;
 use anton_net::fabric3d::{
-    decode_tag, FabricParams, PacketSpec, TorusFabric, TrafficClass, SLICES,
+    decode_tag, inject_packet, FabricParams, PacketSpec, TorusFabric, TrafficClass, SLICES,
 };
-use anton_net::router::InjectError;
+use anton_net::router::{Endpoint, Flit, InjectError, InjectPort};
 use anton_net::routing;
 use anton_net::telemetry::TelemetryConfig;
 use anton_sim::rng::SplitMix64;
 use anton_sim::stats::{Accumulator, LogHistogram};
+use core::fmt;
 use serde::Serialize;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Version of the [`SweepReport`] JSON schema. Bumped whenever the
 /// report shape changes; archived sweeps carry it so downstream tooling
@@ -153,6 +164,51 @@ impl SweepConfig {
             shards: 1,
             lookahead: None,
         }
+    }
+
+    /// Checks the configuration before any work: `flits_per_packet` in
+    /// `1..=8` (the injection queue depth, so every packet can inject
+    /// whole), every entry of `loads` in `[0, 1]`, `measure_cycles` at
+    /// least 1, `shards` in `1..=` the torus's router count,
+    /// `lookahead` not `Some(0)`, and `warmup + measure + drain` cycles
+    /// within what a packet id can stamp (2^32). Every `run_scenario*`
+    /// runs it (with its own `offered`) before building the fabric.
+    ///
+    /// # Errors
+    /// The first [`ConfigError`] found, in the order above.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let nflits = self.flits_per_packet;
+        if nflits == 0 || usize::from(nflits) > INPUT_QUEUE_FLITS {
+            return Err(ConfigError::FlitsPerPacket {
+                nflits,
+                capacity: INPUT_QUEUE_FLITS,
+            });
+        }
+        for &offered in &self.loads {
+            check_offered(offered)?;
+        }
+        if self.measure_cycles == 0 {
+            return Err(ConfigError::EmptyMeasureWindow);
+        }
+        let routers = self.dims.iter().map(|&d| usize::from(d)).product();
+        if self.shards == 0 || self.shards > routers {
+            return Err(ConfigError::Shards {
+                shards: self.shards,
+                routers,
+            });
+        }
+        if self.lookahead == Some(0) {
+            return Err(ConfigError::Lookahead);
+        }
+        let max = 1 << ID_CYCLE_BITS;
+        let horizon = self
+            .warmup_cycles
+            .checked_add(self.measure_cycles)
+            .and_then(|c| c.checked_add(self.drain_cycles));
+        if horizon.is_none_or(|h| h > max) {
+            return Err(ConfigError::Horizon { max });
+        }
+        Ok(())
     }
 
     /// The default offered-load axis: dense enough to show the knee.
@@ -430,34 +486,398 @@ pub struct SweepReport {
     pub curves: Vec<PatternCurve>,
 }
 
-/// Which fabric stepper a scenario drives: the event-driven production
-/// path, or the retained naive reference stepper
-/// ([`TorusFabric::step_reference`]) it is held bit-identical to. The
-/// reference mode also forgoes the drain fast-forward, so it prices the
-/// pre-worklist simulator on exactly the same workload — the committed
-/// benchmark's traced run times one scenario in each mode and checks
-/// the measured points are equal.
+/// Which schedule a scenario runs its node endpoints on: the production
+/// windowed schedule, or the retained naive reference stepper
+/// ([`TorusFabric::step_reference`]) it is held bit-identical to, one
+/// cycle at a time. Both run the same endpoint code — generation,
+/// source queues, injection retries, delivery accounting and spawns —
+/// so the reference mode prices the pre-worklist simulator on exactly
+/// the same workload: the committed benchmark's traced run times one
+/// scenario in each mode and checks the measured points are equal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Stepper {
-    /// The production event-driven core (`TorusFabric::step` +
-    /// event-to-event drain fast-forward).
+    /// The production epoch kernel, with one endpoint per shard running
+    /// inside the shard's lookahead windows
+    /// ([`TorusFabric::step_endpoints`]).
     Event,
-    /// The retained naive full-scan stepper, cycle by cycle.
+    /// One endpoint over every node, run serially around the naive
+    /// full-scan stepper, cycle by cycle
+    /// ([`TorusFabric::step_reference_with`]).
     Reference,
 }
 
-/// Per-packet bookkeeping (indexed by packet id, parallel to the spec
-/// table).
-#[derive(Clone, Copy)]
-struct PacketInfo {
-    generated_at: u64,
-    injected_at: u64,
-    delivered_at: u64,
-    hops: u32,
-    tracked: bool,
+/// Why a [`SweepConfig`] (or an offered load) cannot run; see
+/// [`SweepConfig::validate`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum ConfigError {
+    /// `flits_per_packet` is zero, or more than the injection queue
+    /// holds, so no packet could ever inject whole.
+    FlitsPerPacket {
+        /// The configured flit count.
+        nflits: u8,
+        /// Depth of the injection queue, in flits.
+        capacity: usize,
+    },
+    /// An offered load outside `[0, 1]` flits per node per cycle (NaN
+    /// included).
+    Offered {
+        /// The refused load.
+        offered: f64,
+    },
+    /// `measure_cycles` is zero: throughputs are per measured cycle.
+    EmptyMeasureWindow,
+    /// `shards` is zero or more than the torus has routers.
+    Shards {
+        /// The configured shard count.
+        shards: usize,
+        /// Routers (nodes) of the configured torus.
+        routers: usize,
+    },
+    /// `lookahead` is `Some(0)`: an epoch must advance a cycle.
+    Lookahead,
+    /// `warmup + measure + drain` cycles do not fit the creation-cycle
+    /// field of a packet id.
+    Horizon {
+        /// Largest allowed total, in cycles.
+        max: u64,
+    },
 }
 
-const PENDING: u64 = u64::MAX;
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ConfigError::FlitsPerPacket { nflits: 0, .. } => {
+                write!(
+                    f,
+                    "flits_per_packet is 0; a packet carries at least one flit"
+                )
+            }
+            ConfigError::FlitsPerPacket { nflits, capacity } => write!(
+                f,
+                "flits_per_packet {nflits}: a {nflits}-flit packet can never fit the \
+                 {capacity}-flit injection queue"
+            ),
+            ConfigError::Offered { offered } => {
+                write!(f, "offered load {offered} is outside [0, 1]")
+            }
+            ConfigError::EmptyMeasureWindow => {
+                write!(
+                    f,
+                    "measure_cycles is 0; the measurement window needs a cycle"
+                )
+            }
+            ConfigError::Shards { shards, routers } => {
+                write!(f, "cannot split {routers} routers into {shards} shards")
+            }
+            ConfigError::Lookahead => write!(f, "lookahead must be at least one cycle"),
+            ConfigError::Horizon { max } => write!(
+                f,
+                "warmup + measure + drain cycles exceed {max}, the most a packet id can stamp"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// An offered load is in flits per node per cycle: `[0, 1]`.
+fn check_offered(offered: f64) -> Result<(), ConfigError> {
+    if (0.0..=1.0).contains(&offered) {
+        Ok(())
+    } else {
+        Err(ConfigError::Offered { offered })
+    }
+}
+
+// A packet id packs what the statistics need, per node and independent
+// of shard count and window: bit 63 whether the packet is tracked, bits
+// 47..63 its creating node, bits 15..47 its creation cycle, and bits
+// 0..15 its rank among the packets the node created that cycle.
+const ID_SEQ_BITS: u32 = 15;
+const ID_CYCLE_BITS: u32 = 32;
+const ID_NODE_SHIFT: u32 = ID_SEQ_BITS + ID_CYCLE_BITS;
+const ID_TRACKED: u64 = 1 << 63;
+
+/// Per-node endpoint state: the node's RNG stream, its source queues
+/// (requests and responses queue separately because they inject in
+/// class order) and its packet-id counter.
+struct Node {
+    rng: SplitMix64,
+    requests: VecDeque<PacketSpec>,
+    responses: VecDeque<PacketSpec>,
+    /// Creation cycle of the last id issued, and the ids issued at it.
+    id_cycle: u64,
+    id_seq: u64,
+}
+
+impl Node {
+    /// The id of a packet `node` creates at `at`.
+    fn next_id(&mut self, node: NodeId, at: u64, tracked: bool) -> u64 {
+        if at != self.id_cycle {
+            (self.id_cycle, self.id_seq) = (at, 0);
+        }
+        assert!(
+            self.id_seq < 1 << ID_SEQ_BITS,
+            "node {node} created more than {} packets in cycle {at}",
+            1u64 << ID_SEQ_BITS
+        );
+        let id = if tracked { ID_TRACKED } else { 0 }
+            | u64::from(node.0) << ID_NODE_SHIFT
+            | at << ID_SEQ_BITS
+            | self.id_seq;
+        self.id_seq += 1;
+        id
+    }
+}
+
+/// The statistics one endpoint gathers — merged across shards, in any
+/// order, into the scenario's [`LoadPoint`]. Counters add exactly, and
+/// the latency moments and sums are sums of integer-valued `f64`s,
+/// exact below 2^53, so the merge is byte-identical to one serial tally.
+#[derive(Default)]
+struct Tally {
+    stats: LatencyStats,
+    /// Injection-to-delivery cycles of delivered tracked packets, per
+    /// class (`[request, response]`).
+    net_sum: [f64; 2],
+    /// Route hops of delivered tracked packets, per class.
+    hop_sum: [f64; 2],
+    /// Tracked packets created, per class.
+    measured: [u64; 2],
+    /// Tracked packets delivered, per class.
+    delivered: [u64; 2],
+    /// Untracked (warmup) packets created and delivered.
+    warmup_created: u64,
+    warmup_delivered: u64,
+    /// Flits delivered inside the measurement window, per class and per
+    /// slice.
+    class_flits: [u64; 2],
+    slice_flits: [u64; SLICES],
+    /// Injection attempts refused by credits inside the window.
+    backpressure: u64,
+}
+
+impl Tally {
+    fn merge(&mut self, other: &Tally) {
+        self.stats.merge(&other.stats);
+        for k in 0..2 {
+            self.net_sum[k] += other.net_sum[k];
+            self.hop_sum[k] += other.hop_sum[k];
+            self.measured[k] += other.measured[k];
+            self.delivered[k] += other.delivered[k];
+            self.class_flits[k] += other.class_flits[k];
+        }
+        self.warmup_created += other.warmup_created;
+        self.warmup_delivered += other.warmup_delivered;
+        for (dst, src) in self.slice_flits.iter_mut().zip(&other.slice_flits) {
+            *dst += src;
+        }
+        self.backpressure += other.backpressure;
+    }
+}
+
+/// What every endpoint of one scenario point reads.
+struct Scenario<'a, W: ?Sized> {
+    workload: &'a W,
+    torus: Torus,
+    /// Generation probability per node and cycle.
+    p_packet: f64,
+    /// The measurement window; generation stops at its end.
+    window: Range<u64>,
+}
+
+/// The node-local half of a scenario over a contiguous node range —
+/// one per shard, run inside the shard's windows ([`Endpoint`]):
+/// Bernoulli generation, per-node source queues retried head-of-line,
+/// delivery accounting and force-return spawns. Every routing draw is
+/// made once, at generation or spawn time inside the workload, so a
+/// blocked injection retries the same spec and backpressure cannot bias
+/// the oblivious randomization (a slice-0 rejection never retries on
+/// slice 1).
+struct NodeEndpoint<'a, W: ?Sized> {
+    scenario: &'a Scenario<'a, W>,
+    /// Index of `nodes[0]`.
+    first: usize,
+    nodes: Vec<Node>,
+    /// Packets waiting in the source queues.
+    queued: usize,
+    /// Workload out-buffer.
+    emitted: Vec<PacketSpec>,
+    tally: Tally,
+}
+
+impl<'a, W: Workload + ?Sized> NodeEndpoint<'a, W> {
+    /// The endpoint of `nodes`, each on its `root.split(node)` stream.
+    fn new(scenario: &'a Scenario<'a, W>, root: &SplitMix64, nodes: Range<usize>) -> Self {
+        let first = nodes.start;
+        let nodes = nodes
+            .map(|i| Node {
+                rng: root.split(i as u64),
+                requests: VecDeque::new(),
+                responses: VecDeque::new(),
+                id_cycle: 0,
+                id_seq: 0,
+            })
+            .collect();
+        NodeEndpoint {
+            scenario,
+            first,
+            nodes,
+            queued: 0,
+            emitted: Vec::new(),
+            tally: Tally::default(),
+        }
+    }
+
+    /// Queues the workload's emitted packets at node `first + i`,
+    /// created at `at`: assigns their ids and counts them.
+    fn enqueue_emitted(&mut self, i: usize, at: u64, tracked: bool) {
+        let src = NodeId((self.first + i) as u16);
+        let node = &mut self.nodes[i];
+        for spec in self.emitted.drain(..) {
+            debug_assert_eq!(spec.src, src, "packets originate at the node creating them");
+            let spec = PacketSpec {
+                id: node.next_id(src, at, tracked),
+                ..spec
+            };
+            let k = (spec.class == TrafficClass::Response) as usize;
+            if tracked {
+                self.tally.measured[k] += 1;
+            } else {
+                self.tally.warmup_created += 1;
+            }
+            match spec.class {
+                TrafficClass::Request => node.requests.push_back(spec),
+                TrafficClass::Response => node.responses.push_back(spec),
+            }
+            self.queued += 1;
+        }
+    }
+}
+
+impl<W: Workload + ?Sized> Endpoint for NodeEndpoint<'_, W> {
+    fn begin_cycle(&mut self, cycle: u64, port: &mut InjectPort<'_>) {
+        let sc = self.scenario;
+        // Generation: a Bernoulli opportunity per node, packets from the
+        // workload.
+        if cycle < sc.window.end {
+            let tracked = sc.window.contains(&cycle);
+            for i in 0..self.nodes.len() {
+                let rng = &mut self.nodes[i].rng;
+                if rng.next_f64() >= sc.p_packet {
+                    continue;
+                }
+                let src = NodeId((self.first + i) as u16);
+                sc.workload
+                    .next_packets(&sc.torus, src, cycle, rng, &mut self.emitted);
+                self.enqueue_emitted(i, cycle, tracked);
+            }
+        }
+        if self.queued == 0 {
+            return;
+        }
+        // Injection: the head-of-line packet per node and class, as
+        // credits allow, each spec resubmitted verbatim until accepted.
+        // Responses go first — they ride their own VC, so the two classes
+        // contend only for link serialization slots.
+        let measuring = sc.window.contains(&cycle);
+        for class in [TrafficClass::Response, TrafficClass::Request] {
+            for node in &mut self.nodes {
+                let queue = match class {
+                    TrafficClass::Request => &mut node.requests,
+                    TrafficClass::Response => &mut node.responses,
+                };
+                let Some(spec) = queue.front() else {
+                    continue;
+                };
+                match inject_packet(port, spec) {
+                    Ok(()) => {
+                        queue.pop_front();
+                        self.queued -= 1;
+                    }
+                    Err(InjectError::NoCredit { .. }) => {
+                        self.tally.backpressure += u64::from(measuring);
+                    }
+                    // Retrying could never succeed: the head would block
+                    // its source queue for the rest of the run.
+                    Err(e) => panic!("{e}"),
+                }
+            }
+        }
+    }
+
+    fn deliver(&mut self, at: u64, flit: &Flit) {
+        let sc = self.scenario;
+        let tag = decode_tag(flit.tag);
+        let k = (tag.class == TrafficClass::Response) as usize;
+        let t = &mut self.tally;
+        if sc.window.contains(&at) {
+            t.class_flits[k] += 1;
+            t.slice_flits[tag.slice] += 1;
+        }
+        if !flit.is_tail() {
+            return;
+        }
+        // Everything the statistics need is in the flit and its id.
+        let tracked = flit.packet & ID_TRACKED != 0;
+        let src = NodeId((flit.packet >> ID_NODE_SHIFT) as u16);
+        let created = (flit.packet >> ID_SEQ_BITS) & ((1 << ID_CYCLE_BITS) - 1);
+        let dst = NodeId(flit.dest as u16);
+        if tracked {
+            t.delivered[k] += 1;
+            t.stats.record(tag.class, tag.kind, at - created);
+            t.net_sum[k] += (at - flit.injected_at) as f64;
+            let (a, b) = (sc.torus.coord(src), sc.torus.coord(dst));
+            let hops = match tag.class {
+                TrafficClass::Request => sc.torus.hop_distance(a, b),
+                TrafficClass::Response => routing::mesh_distance(a, b),
+            };
+            t.hop_sum[k] += f64::from(hops);
+        } else {
+            t.warmup_delivered += 1;
+        }
+        // Completion hook: follow-on packets (force returns) spawn at
+        // the delivery node, drawing from its stream, and inherit the
+        // delivered packet's tracking.
+        let delivered = PacketSpec {
+            src,
+            dst,
+            id: flit.packet,
+            nflits: flit.of,
+            class: tag.class,
+            kind: tag.kind,
+            slice: tag.slice,
+            order_idx: tag.order_idx,
+            base_vc: tag.base_vc,
+        };
+        let i = dst.index() - self.first;
+        sc.workload.on_delivered(
+            &sc.torus,
+            &delivered,
+            at,
+            &mut self.nodes[i].rng,
+            &mut self.emitted,
+        );
+        self.enqueue_emitted(i, at, tracked);
+    }
+
+    fn idle(&self, cycle: u64) -> bool {
+        cycle >= self.scenario.window.end && self.queued == 0
+    }
+}
+
+/// `(tracked, warmup)` packets outstanding across `endpoints`: created
+/// and not yet delivered.
+fn outstanding<W: ?Sized>(endpoints: &[NodeEndpoint<'_, W>]) -> (u64, u64) {
+    let (mut created, mut done) = ([0u64; 2], [0u64; 2]);
+    for t in endpoints.iter().map(|ep| &ep.tally) {
+        created[0] += t.measured[0] + t.measured[1];
+        done[0] += t.delivered[0] + t.delivered[1];
+        created[1] += t.warmup_created;
+        done[1] += t.warmup_delivered;
+    }
+    (created[0] - done[0], created[1] - done[1])
+}
 
 /// One finished scenario: the measured load point plus the fabric it
 /// ran on, so callers can read the per-link, per-slice, per-[`ByteKind`]
@@ -521,11 +941,14 @@ fn class_point(
 /// drain harness; [`run_point`] wraps it for plain synthetic patterns.
 ///
 /// # Panics
-/// Panics if a packet can never inject ([`InjectError::TooLarge`]: more
-/// flits than the injection queue holds), instead of counting it as
-/// backpressure for the rest of the run.
+/// Panics with the [`ConfigError`]'s message, before building the
+/// fabric, if [`SweepConfig::validate`] refuses `cfg` or `offered` is
+/// outside `[0, 1]`; and if a packet can never inject
+/// ([`InjectError::TooLarge`] or another permanent refusal of a
+/// workload's spec) instead of counting it as backpressure for the rest
+/// of the run.
 pub fn run_scenario<W: Workload + ?Sized>(
-    workload: &mut W,
+    workload: &W,
     cfg: &SweepConfig,
     params: FabricParams,
     offered: f64,
@@ -537,16 +960,17 @@ pub fn run_scenario<W: Workload + ?Sized>(
 /// [`run_scenario`] with an explicit [`Stepper`] choice — the benchmark
 /// entry point for pricing the event-driven core against the retained
 /// reference stepper on identical work (both modes produce the same
-/// [`LoadPoint`], bit for bit).
+/// [`LoadPoint`], fabric state, telemetry and packet trace, bit for
+/// bit).
 pub fn run_scenario_with<W: Workload + ?Sized>(
-    workload: &mut W,
+    workload: &W,
     cfg: &SweepConfig,
     params: FabricParams,
     offered: f64,
     stream: u64,
     stepper: Stepper,
 ) -> ScenarioRun {
-    scenario_impl(workload, cfg, params, offered, stream, stepper, None)
+    run_scenario_on(workload, cfg, params, offered, stream, stepper, None)
 }
 
 /// [`run_scenario`] with fabric telemetry enabled for the whole run:
@@ -557,14 +981,14 @@ pub fn run_scenario_with<W: Workload + ?Sized>(
 /// observational, so the measured [`LoadPoint`] is bit-identical to an
 /// uninstrumented [`run_scenario`] of the same arguments.
 pub fn run_scenario_instrumented<W: Workload + ?Sized>(
-    workload: &mut W,
+    workload: &W,
     cfg: &SweepConfig,
     params: FabricParams,
     offered: f64,
     stream: u64,
     telemetry: TelemetryConfig,
 ) -> ScenarioRun {
-    scenario_impl(
+    run_scenario_on(
         workload,
         cfg,
         params,
@@ -575,8 +999,17 @@ pub fn run_scenario_instrumented<W: Workload + ?Sized>(
     )
 }
 
-fn scenario_impl<W: Workload + ?Sized>(
-    workload: &mut W,
+/// The general scenario entry point the others wrap: [`run_scenario`]
+/// on an explicit [`Stepper`], with telemetry enabled for the whole run
+/// when `telemetry` is set. The two schedules agree on everything the
+/// run leaves behind — the point, the fabric's cycle, counters and
+/// telemetry, and the packet trace — which the endpoint-equivalence
+/// tests check.
+///
+/// # Panics
+/// As [`run_scenario`].
+pub fn run_scenario_on<W: Workload + ?Sized>(
+    workload: &W,
     cfg: &SweepConfig,
     params: FabricParams,
     offered: f64,
@@ -584,251 +1017,101 @@ fn scenario_impl<W: Workload + ?Sized>(
     stepper: Stepper,
     telemetry: Option<TelemetryConfig>,
 ) -> ScenarioRun {
-    assert!(cfg.flits_per_packet >= 1, "packets carry at least one flit");
-    assert!(
-        (0.0..=1.0 + 1e-9).contains(&offered),
-        "offered load {offered} out of range"
-    );
+    if let Err(e) = cfg.validate().and_then(|()| check_offered(offered)) {
+        panic!("{e}");
+    }
     let torus = Torus::new(cfg.dims);
     let mut fabric = TorusFabric::new(torus, params);
     if let Some(tel) = telemetry {
         fabric.enable_telemetry(tel);
     }
-    // A freshly built fabric is empty and idle, so the only rejections
-    // possible here are bad counts or window caps — configuration
-    // errors worth failing loudly on.
     fabric
         .set_shards_with_lookahead(cfg.shards, cfg.lookahead)
-        .unwrap_or_else(|e| panic!("cannot shard the sweep fabric: {e}"));
+        .expect("a validated shard count and window suit a fresh fabric");
     let n = torus.node_count();
     let nflits = cfg.flits_per_packet;
-    let p_packet = offered / nflits as f64;
-
-    let root = SplitMix64::new(cfg.seed).split(stream);
-    let mut node_rng: Vec<SplitMix64> = (0..n as u64).map(|i| root.split(i)).collect();
-    // Every spec's routing draw is made once — at generation or spawn
-    // time, inside the workload — so retried injections resubmit the
-    // same spec and backpressure cannot bias the oblivious
-    // randomization (in particular a slice-0 rejection must not retry
-    // on slice 1). Queues hold packet ids into the spec table; requests
-    // and responses queue separately because they inject in class order.
-    let mut specs: Vec<PacketSpec> = Vec::new();
-    let mut packets: Vec<PacketInfo> = Vec::new();
-    let mut req_queues: Vec<VecDeque<u64>> = Vec::new();
-    req_queues.resize_with(n, VecDeque::new);
-    let mut resp_queues: Vec<VecDeque<u64>> = Vec::new();
-    resp_queues.resize_with(n, VecDeque::new);
-    let mut emitted: Vec<PacketSpec> = Vec::new(); // workload out-buffer
-
-    let window = cfg.warmup_cycles..cfg.warmup_cycles + cfg.measure_cycles;
-    let gen_end = window.end;
-    let horizon = gen_end + cfg.drain_cycles;
-    let mut outstanding: u64 = 0; // tracked packets not yet delivered
-    let mut source_queued: u64 = 0; // packets awaiting injection, all nodes
-    let mut window_flits: u64 = 0; // flits delivered inside the window
-    let mut class_flits = [0u64; 2]; // [request, response] window flits
-    let mut slice_flits = [0u64; SLICES]; // per-slice window flits
-    let mut backpressure: u64 = 0;
-
-    // Registers one emitted spec: assigns its id, precomputes its route
-    // length for the hop statistics, and queues it at its source.
-    let enqueue = |spec: PacketSpec,
-                   at: u64,
-                   tracked: bool,
-                   specs: &mut Vec<PacketSpec>,
-                   packets: &mut Vec<PacketInfo>,
-                   req_queues: &mut [VecDeque<u64>],
-                   resp_queues: &mut [VecDeque<u64>],
-                   outstanding: &mut u64,
-                   source_queued: &mut u64| {
-        let id = specs.len() as u64;
-        let spec = PacketSpec { id, ..spec };
-        let (src, dst) = (torus.coord(spec.src), torus.coord(spec.dst));
-        packets.push(PacketInfo {
-            generated_at: at,
-            injected_at: PENDING,
-            delivered_at: PENDING,
-            hops: match spec.class {
-                TrafficClass::Request => torus.hop_distance(src, dst),
-                TrafficClass::Response => routing::mesh_distance(src, dst),
-            },
-            tracked,
-        });
-        if tracked {
-            *outstanding += 1;
-        }
-        *source_queued += 1;
-        match spec.class {
-            TrafficClass::Request => req_queues[spec.src.index()].push_back(id),
-            TrafficClass::Response => resp_queues[spec.src.index()].push_back(id),
-        }
-        specs.push(spec);
+    let scenario = Scenario {
+        workload,
+        torus,
+        p_packet: offered / nflits as f64,
+        window: cfg.warmup_cycles..cfg.warmup_cycles + cfg.measure_cycles,
     };
+    let gen_end = scenario.window.end;
+    let horizon = gen_end + cfg.drain_cycles;
 
-    let spawning = workload.spawns();
-    let mut cycle = 0u64;
-    while cycle < horizon {
-        // Generation: Bernoulli opportunity per node, packets from the
-        // workload.
-        if cycle < gen_end {
-            for (node, rng) in node_rng.iter_mut().enumerate() {
-                if rng.next_f64() >= p_packet {
-                    continue;
-                }
-                let src = NodeId(node as u16);
-                workload.next_packets(&torus, src, cycle, rng, &mut emitted);
-                let tracked = window.contains(&cycle);
-                for spec in emitted.drain(..) {
-                    debug_assert_eq!(spec.src, src, "workload emitted for the wrong node");
-                    enqueue(
-                        spec,
-                        cycle,
-                        tracked,
-                        &mut specs,
-                        &mut packets,
-                        &mut req_queues,
-                        &mut resp_queues,
-                        &mut outstanding,
-                        &mut source_queued,
-                    );
-                }
-            }
-        }
+    // One endpoint per shard on the windowed schedule, one over every
+    // node on the reference schedule; node streams split from one root
+    // either way.
+    let root = SplitMix64::new(cfg.seed).split(stream);
+    let bounds = match stepper {
+        Stepper::Event => fabric.shard_bounds().to_vec(),
+        Stepper::Reference => vec![0, n],
+    };
+    let mut endpoints: Vec<_> = bounds
+        .windows(2)
+        .map(|b| NodeEndpoint::new(&scenario, &root, b[0]..b[1]))
+        .collect();
 
-        // Injection: head-of-line packet per node and class, as credits
-        // allow, each spec resubmitted verbatim until accepted.
-        // Responses go first — they ride their own VC, so the two
-        // classes contend only for link serialization slots.
-        if source_queued > 0 {
-            for queue in resp_queues.iter_mut().chain(req_queues.iter_mut()) {
-                let Some(&id) = queue.front() else {
-                    continue;
-                };
-                match fabric.inject(specs[id as usize]) {
-                    Ok(_plan) => {
-                        packets[id as usize].injected_at = cycle;
-                        queue.pop_front();
-                        source_queued -= 1;
-                    }
-                    Err(InjectError::NoCredit { .. }) => {
-                        if window.contains(&cycle) {
-                            backpressure += 1;
-                        }
-                    }
-                    // Retrying could never succeed: the head would block
-                    // its source queue for the rest of the run.
-                    Err(e) => panic!("{e}"),
-                }
-            }
-        }
-
+    // The stop rule: the first cycle C >= gen_end at which no tracked
+    // packet is outstanding and the cycle just run delivered a flit, or
+    // the horizon. The reference schedule checks it every cycle. Windows
+    // may not contain C, so they stop at gen_end and the horizon, and
+    // while warmup packets are live they stay short enough that the
+    // tracked ones cannot all land inside: each router ejects at most
+    // one flit per cycle, so T tracked packets on n routers need
+    // ceil(T / n) cycles. With no warmup packet live, the last tracked
+    // delivery drains the fabric, and the kernel's drain rewind stops
+    // the window on C.
+    while fabric.cycle() < horizon {
+        let cycle = fabric.cycle();
         match stepper {
-            // Drain phase with empty source queues: no generation draws,
-            // no injection attempts — only link events can make progress,
-            // so jump event to event. Delivery cycles (and thus every
-            // statistic) are identical to per-cycle stepping. A spawning
-            // workload must see each delivery the cycle it lands (its
-            // follow-on packets enter the source queues that very
-            // cycle), so it steps reactively; a non-spawning one only
-            // reads the delivery log, so full lookahead windows batch
-            // deliveries without changing any recorded time.
-            Stepper::Event if cycle >= gen_end && source_queued == 0 => {
-                if spawning {
-                    fabric.step_next_event(horizon)
+            Stepper::Event => {
+                let limit = if cycle < gen_end {
+                    gen_end
                 } else {
-                    fabric.step_batched(horizon)
-                }
+                    match outstanding(&endpoints) {
+                        (tracked, warmup) if warmup > 0 => {
+                            let cap = tracked.div_ceil(n as u64).saturating_sub(1).max(1);
+                            (cycle + cap).min(horizon)
+                        }
+                        _ => horizon,
+                    }
+                };
+                fabric.step_endpoints(&mut endpoints, limit);
             }
-            Stepper::Event => fabric.step(),
-            Stepper::Reference => fabric.step_reference(),
+            Stepper::Reference => fabric.step_reference_with(&mut endpoints[0]),
         }
-        cycle = fabric.cycle();
-
-        // Collect deliveries whenever the log is non-empty: a spawning
-        // workload may owe follow-on traffic for every tail, and its
-        // completion draws must happen at delivery order regardless of
-        // the config's response-reporting flag. (All recorded times
-        // come from the log's delivery cycles, so for non-spawning
-        // workloads collection timing cannot affect the statistics.)
-        if !fabric.delivered().is_empty() || cycle >= horizon {
-            for (at, flit) in fabric.take_delivered() {
-                let tag = decode_tag(flit.tag);
-                if window.contains(&at) {
-                    window_flits += 1;
-                    class_flits[(tag.class == TrafficClass::Response) as usize] += 1;
-                    slice_flits[tag.slice] += 1;
-                }
-                if !flit.is_tail() {
-                    continue;
-                }
-                let id = flit.packet as usize;
-                packets[id].delivered_at = at;
-                let tracked = packets[id].tracked;
-                if tracked {
-                    outstanding -= 1;
-                }
-                // Completion hook: follow-on packets (force returns)
-                // spawn at the delivered packet's destination, drawing
-                // from that node's stream; they inherit the parent's
-                // tracking window.
-                let spec = specs[id];
-                workload.on_delivered(
-                    &torus,
-                    &spec,
-                    at,
-                    &mut node_rng[spec.dst.index()],
-                    &mut emitted,
-                );
-                for spawned in emitted.drain(..) {
-                    debug_assert_eq!(
-                        spawned.src, spec.dst,
-                        "follow-on packets originate at the delivery node"
-                    );
-                    enqueue(
-                        spawned,
-                        at,
-                        tracked,
-                        &mut specs,
-                        &mut packets,
-                        &mut req_queues,
-                        &mut resp_queues,
-                        &mut outstanding,
-                        &mut source_queued,
-                    );
-                }
-            }
-            // Once the window closed and every tracked packet (and the
-            // follow-ons it spawned) landed, the point is done — no
-            // need to burn the full drain budget.
-            if cycle >= gen_end && outstanding == 0 {
-                break;
-            }
+        let cycle = fabric.cycle();
+        let delivered = fabric
+            .delivered()
+            .last()
+            .is_some_and(|&(at, _)| at + 1 == cycle);
+        fabric.take_delivered();
+        if delivered && cycle >= gen_end && outstanding(&endpoints).0 == 0 {
+            break;
         }
     }
 
-    // Statistics over tracked packets, split by class. Latencies go
-    // straight into mergeable log-bucketed histograms — no clone-and-
-    // sort pass — so the same stats aggregate across threaded sweep
-    // workers by histogram merge.
-    let mut stats = LatencyStats::default();
-    let mut net_sum = [0f64; 2];
-    let mut hop_sum = [0f64; 2];
-    let mut measured = [0u64; 2];
-    let mut incomplete = [0u64; 2];
-    for (info, spec) in packets.iter().zip(&specs).filter(|(i, _)| i.tracked) {
-        let k = (spec.class == TrafficClass::Response) as usize;
-        measured[k] += 1;
-        if info.delivered_at == PENDING {
-            incomplete[k] += 1;
-            continue;
-        }
-        stats.record(spec.class, spec.kind, info.delivered_at - info.generated_at);
-        net_sum[k] += (info.delivered_at - info.injected_at) as f64;
-        hop_sum[k] += info.hops as f64;
+    // Statistics over tracked packets, split by class: the shards'
+    // tallies merged. Latencies went straight into mergeable
+    // log-bucketed histograms, so the same stats aggregate across
+    // threaded sweep workers by histogram merge.
+    let mut total = Tally::default();
+    for ep in &endpoints {
+        total.merge(&ep.tally);
     }
+    let Tally {
+        stats,
+        net_sum,
+        hop_sum,
+        measured,
+        delivered,
+        ..
+    } = total;
+    let incomplete = [measured[0] - delivered[0], measured[1] - delivered[1]];
     let per_node_cycle = |flits: u64| flits as f64 / (n as f64 * cfg.measure_cycles as f64);
     let request = class_point(
-        per_node_cycle(class_flits[0]),
+        per_node_cycle(total.class_flits[0]),
         measured[0],
         incomplete[0],
         &stats.class_hist[0],
@@ -838,7 +1121,7 @@ fn scenario_impl<W: Workload + ?Sized>(
     );
     let response = (cfg.respond || measured[1] > 0).then(|| {
         class_point(
-            per_node_cycle(class_flits[1]),
+            per_node_cycle(total.class_flits[1]),
             measured[1],
             incomplete[1],
             &stats.class_hist[1],
@@ -863,13 +1146,13 @@ fn scenario_impl<W: Workload + ?Sized>(
     let point = LoadPoint {
         offered,
         generated,
-        delivered: per_node_cycle(window_flits),
+        delivered: per_node_cycle(total.class_flits[0] + total.class_flits[1]),
         request,
         response,
-        slice_delivered: slice_flits.map(per_node_cycle),
+        slice_delivered: total.slice_flits.map(per_node_cycle),
         measured_per_hop_ns,
-        backpressure_rejections: backpressure,
-        saturated: outstanding > 0 || request.delivered < generated * 0.90 - 1e-3,
+        backpressure_rejections: total.backpressure,
+        saturated: incomplete != [0, 0] || request.delivered < generated * 0.90 - 1e-3,
     };
     ScenarioRun {
         point,
@@ -902,8 +1185,8 @@ fn run_point_stats(
     offered: f64,
     stream: u64,
 ) -> (LoadPoint, LatencyStats, (u64, u64)) {
-    let mut workload = SyntheticWorkload::new(pattern, cfg.flits_per_packet, cfg.respond);
-    let run = run_scenario(&mut workload, cfg, params, offered, stream);
+    let workload = SyntheticWorkload::new(pattern, cfg.flits_per_packet, cfg.respond);
+    let run = run_scenario(&workload, cfg, params, offered, stream);
     let sync = (run.fabric.sync_ops(), run.fabric.epochs());
     (run.point, run.stats, sync)
 }
@@ -1169,12 +1452,12 @@ mod tests {
         cfg.respond = true;
         let p = params();
         let a = run_point(&UniformRandom, &cfg, p, 0.3, 8);
-        let mut w = crate::workload::SyntheticWorkload::new(
+        let w = crate::workload::SyntheticWorkload::new(
             &UniformRandom,
             cfg.flits_per_packet,
             cfg.respond,
         );
-        let b = run_scenario_with(&mut w, &cfg, p, 0.3, 8, Stepper::Reference).point;
+        let b = run_scenario_with(&w, &cfg, p, 0.3, 8, Stepper::Reference).point;
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "steppers diverged");
     }
 
@@ -1259,6 +1542,94 @@ mod tests {
     }
 
     #[test]
+    fn validate_names_each_bad_field() {
+        let ok = small_cfg();
+        assert_eq!(ok.validate(), Ok(()));
+        let horizon = ConfigError::Horizon { max: 1 << 32 };
+        let cases = [
+            (
+                SweepConfig {
+                    flits_per_packet: 0,
+                    ..ok.clone()
+                },
+                ConfigError::FlitsPerPacket {
+                    nflits: 0,
+                    capacity: 8,
+                },
+            ),
+            (
+                SweepConfig {
+                    loads: vec![0.5, 1.5],
+                    ..ok.clone()
+                },
+                ConfigError::Offered { offered: 1.5 },
+            ),
+            (
+                SweepConfig {
+                    shards: 0,
+                    ..ok.clone()
+                },
+                ConfigError::Shards {
+                    shards: 0,
+                    routers: 16,
+                },
+            ),
+            (
+                SweepConfig {
+                    lookahead: Some(0),
+                    ..ok.clone()
+                },
+                ConfigError::Lookahead,
+            ),
+            (
+                SweepConfig {
+                    drain_cycles: 1 << 32,
+                    ..ok.clone()
+                },
+                horizon,
+            ),
+            (
+                SweepConfig {
+                    drain_cycles: u64::MAX,
+                    ..ok.clone()
+                },
+                horizon,
+            ),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(cfg.validate(), Err(want));
+        }
+        let nan = check_offered(f64::NAN).unwrap_err();
+        assert!(nan.to_string().contains("outside [0, 1]"), "{nan}");
+    }
+
+    #[test]
+    #[should_panic(expected = "measure_cycles is 0")]
+    fn an_empty_measure_window_is_refused_instead_of_measuring_nan() {
+        // Throughputs divide by the measured cycles: a zero window would
+        // report NaN (`null` in the sweep JSON) as an unsaturated point.
+        let mut cfg = small_cfg();
+        cfg.measure_cycles = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::EmptyMeasureWindow));
+        run_point(&UniformRandom, &cfg, params(), 0.2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot split 8 routers into 9 shards")]
+    fn too_many_shards_are_refused_before_the_fabric_is_built() {
+        let mut cfg = small_cfg();
+        (cfg.dims, cfg.shards) = ([2, 2, 2], 9);
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::Shards {
+                shards: 9,
+                routers: 8
+            })
+        );
+        run_point(&UniformRandom, &cfg, params(), 0.2, 1);
+    }
+
+    #[test]
     fn responses_double_delivered_traffic_below_saturation() {
         let mut cfg = small_cfg();
         cfg.respond = true;
@@ -1306,8 +1677,8 @@ mod tests {
                 cfg.respond,
             )
         };
-        let plain = run_scenario(&mut mk(), &cfg, p, 0.2, 7);
-        let tel = run_scenario_instrumented(&mut mk(), &cfg, p, 0.2, 7, TelemetryConfig::default());
+        let plain = run_scenario(&mk(), &cfg, p, 0.2, 7);
+        let tel = run_scenario_instrumented(&mk(), &cfg, p, 0.2, 7, TelemetryConfig::default());
         // Telemetry is observational: the measured point — and the JSON
         // serialized from it — must be byte-identical.
         assert_eq!(format!("{:?}", plain.point), format!("{:?}", tel.point));

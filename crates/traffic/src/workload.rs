@@ -6,8 +6,14 @@
 //! completion hook, which is how request→response protocols (the
 //! paper's force returns) spawn follow-on traffic. The
 //! [`crate::sweep::run_scenario`] driver owns everything else: offered
-//! load, per-node RNG streams, injection queues and the
+//! load, per-node RNG streams, packet ids, injection queues and the
 //! no-retry-bias rule, warmup/measurement windows, and statistics.
+//!
+//! The hooks take `&self` and the trait requires `Sync`: the driver runs
+//! each node's generation and completions inside the shard window that
+//! owns the node, so one workload serves every shard at once. Its
+//! per-node behavior must therefore live in the arguments — the node's
+//! RNG stream, the delivered packet — not in mutable workload state.
 //!
 //! Two families implement it:
 //!
@@ -32,19 +38,19 @@ use anton_sim::rng::SplitMix64;
 /// A traffic workload over the cycle fabric.
 ///
 /// Implementations produce specs with `id = 0`; the scenario driver
-/// assigns packet ids on enqueue. All randomness must flow through the
-/// `rng` argument (the per-node stream handed in by the driver) so a
-/// fixed seed reproduces the workload bit for bit, and every routing
-/// draw must be made here — at generation or spawn time — never at
-/// retry time (see [`PacketSpec`]).
-pub trait Workload {
+/// assigns each packet a per-node id on enqueue. All randomness must
+/// flow through the `rng` argument (the per-node stream handed in by the
+/// driver) so a fixed seed reproduces the workload bit for bit at any
+/// shard count, and every routing draw must be made here — at
+/// generation or spawn time — never at retry time (see [`PacketSpec`]).
+pub trait Workload: Sync {
     /// One generation opportunity: packets `src` emits at `cycle`,
     /// pushed onto `out`. The driver has already gated the opportunity
     /// by offered load; a workload that generates nothing for it (off-
     /// phase storm cycles, self-addressed draws, empty halo) pushes
     /// nothing.
     fn next_packets(
-        &mut self,
+        &self,
         torus: &Torus,
         src: NodeId,
         cycle: u64,
@@ -57,7 +63,7 @@ pub trait Workload {
     /// `out`; they originate at `delivered.dst`, whose node stream is
     /// the `rng` handed in. The default spawns nothing.
     fn on_delivered(
-        &mut self,
+        &self,
         torus: &Torus,
         delivered: &PacketSpec,
         cycle: u64,
@@ -65,17 +71,6 @@ pub trait Workload {
         out: &mut Vec<PacketSpec>,
     ) {
         let _ = (torus, delivered, cycle, rng, out);
-    }
-
-    /// Whether [`Workload::on_delivered`] can ever spawn follow-on
-    /// packets. Drivers use this to pick a stepping mode during the
-    /// drain: a spawning workload must observe every delivery the cycle
-    /// it lands (exact event stepping), while a non-spawning one can
-    /// take full lookahead windows with deliveries batched per epoch —
-    /// every observable is stamped with its delivery cycle either way.
-    /// The default is conservative.
-    fn spawns(&self) -> bool {
-        true
     }
 }
 
@@ -111,12 +106,8 @@ impl<'a> SyntheticWorkload<'a> {
 }
 
 impl Workload for SyntheticWorkload<'_> {
-    fn spawns(&self) -> bool {
-        self.respond
-    }
-
     fn next_packets(
-        &mut self,
+        &self,
         torus: &Torus,
         src: NodeId,
         cycle: u64,
@@ -133,7 +124,7 @@ impl Workload for SyntheticWorkload<'_> {
     }
 
     fn on_delivered(
-        &mut self,
+        &self,
         _torus: &Torus,
         delivered: &PacketSpec,
         _cycle: u64,
@@ -221,7 +212,7 @@ impl MdHaloWorkload {
 
 impl Workload for MdHaloWorkload {
     fn next_packets(
-        &mut self,
+        &self,
         _torus: &Torus,
         src: NodeId,
         _cycle: u64,
@@ -241,7 +232,7 @@ impl Workload for MdHaloWorkload {
     }
 
     fn on_delivered(
-        &mut self,
+        &self,
         _torus: &Torus,
         delivered: &PacketSpec,
         _cycle: u64,
@@ -267,7 +258,7 @@ mod tests {
     #[test]
     fn synthetic_workload_emits_drawn_requests() {
         let t = Torus::new([4, 4, 8]);
-        let mut w = SyntheticWorkload::new(&UniformRandom, 2, true);
+        let w = SyntheticWorkload::new(&UniformRandom, 2, true);
         let mut rng = SplitMix64::new(1);
         let mut out = Vec::new();
         let mut slices = std::collections::HashSet::new();
@@ -291,7 +282,7 @@ mod tests {
     #[test]
     fn synthetic_respond_spawns_one_reply_per_request() {
         let t = Torus::new([2, 2, 2]);
-        let mut w = SyntheticWorkload::new(&UniformRandom, 1, true);
+        let w = SyntheticWorkload::new(&UniformRandom, 1, true);
         let mut rng = SplitMix64::new(2);
         let delivered = PacketSpec::request(NodeId(0), NodeId(5), 9, 1);
         let mut out = Vec::new();
@@ -305,7 +296,7 @@ mod tests {
         w.on_delivered(&t, &r, 200, &mut rng, &mut out);
         assert!(out.is_empty(), "a response must not spawn another");
         // respond = false spawns nothing at all.
-        let mut quiet = SyntheticWorkload::new(&UniformRandom, 1, false);
+        let quiet = SyntheticWorkload::new(&UniformRandom, 1, false);
         quiet.on_delivered(&t, &delivered, 100, &mut rng, &mut out);
         assert!(out.is_empty());
     }
@@ -317,7 +308,7 @@ mod tests {
         // diagonal box-sharers), never the far corner of a 4-ring.
         let t = Torus::new([4, 4, 4]);
         let d = Decomposition::new(t, [40.0; 3], 3.0);
-        let mut w = MdHaloWorkload::from_decomposition(&d, 64, 2, 7);
+        let w = MdHaloWorkload::from_decomposition(&d, 64, 2, 7);
         for node in t.nodes() {
             for &dst in w.destinations(node) {
                 assert_ne!(dst, node, "no self-exports");

@@ -17,17 +17,19 @@ use anton3::traffic::sweep::{run_scenario_instrumented, SweepConfig};
 use anton3::traffic::workload::{SyntheticWorkload, Workload};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Uniform random requests with force returns, two per generation
-/// opportunity, recording the class of every delivered packet by id.
+/// opportunity, recording the class of every delivered packet by id
+/// (shard windows deliver concurrently, hence the lock).
 struct DoubledUniform<'a> {
     inner: SyntheticWorkload<'a>,
-    delivered: HashMap<u64, TrafficClass>,
+    delivered: Mutex<HashMap<u64, TrafficClass>>,
 }
 
 impl Workload for DoubledUniform<'_> {
     fn next_packets(
-        &mut self,
+        &self,
         torus: &Torus,
         src: NodeId,
         cycle: u64,
@@ -39,14 +41,15 @@ impl Workload for DoubledUniform<'_> {
     }
 
     fn on_delivered(
-        &mut self,
+        &self,
         torus: &Torus,
         delivered: &PacketSpec,
         cycle: u64,
         rng: &mut SplitMix64,
         out: &mut Vec<PacketSpec>,
     ) {
-        self.delivered.insert(delivered.id, delivered.class);
+        let mut classes = self.delivered.lock().expect("class map poisoned");
+        classes.insert(delivered.id, delivered.class);
         self.inner.on_delivered(torus, delivered, cycle, rng, out);
     }
 }
@@ -76,12 +79,13 @@ proptest! {
         cfg.drain_cycles = 200_000;
         cfg.shards = shards;
         let params = FabricParams::calibrated(&LatencyModel::default());
-        let mut workload = DoubledUniform {
+        let workload = DoubledUniform {
             inner: SyntheticWorkload::new(&UniformRandom, cfg.flits_per_packet, true),
-            delivered: HashMap::new(),
+            delivered: Mutex::new(HashMap::new()),
         };
         let telemetry = TelemetryConfig { trace: true, ..TelemetryConfig::default() };
-        let run = run_scenario_instrumented(&mut workload, &cfg, params, 1.0, 0, telemetry);
+        let run = run_scenario_instrumented(&workload, &cfg, params, 1.0, 0, telemetry);
+        let classes = workload.delivered.into_inner().expect("class map poisoned");
         let (req, resp) = (run.point.request, run.point.response.expect("responses on"));
         prop_assert!(
             req.packets_incomplete == 0 && resp.packets_incomplete == 0
@@ -99,7 +103,7 @@ proptest! {
         let mut delivers = 0usize;
         for ev in tel.trace_events().iter().filter(|e| e.kind == TraceEventKind::Deliver) {
             delivers += 1;
-            match workload.delivered[&ev.packet] {
+            match classes[&ev.packet] {
                 TrafficClass::Request => prop_assert!(
                     ev.vc < RESPONSE_VC,
                     "request {} delivered on VC {}", ev.packet, ev.vc
@@ -111,7 +115,7 @@ proptest! {
             }
         }
         // One event per flit, so a packet delivered twice fails here.
-        prop_assert_eq!(delivers, 2 * workload.delivered.len(), "one event per flit");
+        prop_assert_eq!(delivers, 2 * classes.len(), "one event per flit");
     }
 
     /// Per-class dateline invariants on random shapes: request plans

@@ -36,7 +36,7 @@ fn md_halo_replay_reconciles_per_kind_link_stats_exactly() {
     // model), so exports reach face/edge/corner sharers only.
     let torus = Torus::new([3, 3, 3]);
     let decomp = Decomposition::new(torus, [30.0; 3], 3.25);
-    let mut workload = MdHaloWorkload::from_decomposition(&decomp, 48, 2, 42);
+    let workload = MdHaloWorkload::from_decomposition(&decomp, 48, 2, 42);
     let params = FabricParams::calibrated(&LatencyModel::default());
     let mut fabric = TorusFabric::new(torus, params);
 
