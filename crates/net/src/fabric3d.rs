@@ -644,13 +644,6 @@ impl TorusFabric {
         self.fabric.step_reference();
     }
 
-    /// One event-driven advance, never past `limit`: jumps dead cycles
-    /// to the next link arrival when no router has work, then steps once
-    /// (see [`crate::router::RouterFabric::step_next_event`]).
-    pub fn step_next_event(&mut self, limit: u64) {
-        self.fabric.step_next_event(limit);
-    }
-
     /// Event-driven advance with full lookahead windows: deliveries are
     /// batched per epoch instead of ending it, for callers that never
     /// react mid-call (see
@@ -944,7 +937,7 @@ pub fn inject_packet(port: &mut InjectPort<'_>, spec: &PacketSpec) -> Result<(),
     let free = port.capacity(router, INJECT_PORT, vc)?;
     if free < nflits {
         // Free plus queued slots is the queue's whole depth.
-        let occupancy = port.queue_len(router, INJECT_PORT, vc);
+        let occupancy = port.queue_len(router, INJECT_PORT, vc)?;
         let capacity = free + occupancy;
         return Err(if nflits > capacity {
             InjectError::TooLarge { nflits, capacity }

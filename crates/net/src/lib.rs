@@ -53,11 +53,12 @@
 //! assert!(brk.total().as_ns() > 40.0 && brk.total().as_ns() < 130.0);
 //! ```
 
-// Unsafe is denied crate-wide and allowed back in exactly one place:
-// `router::shard`, the region-partitioned stepper, whose worker threads
-// borrow disjoint shard ranges of the fabric through a lifetime-erased
-// frame (see that module's safety discipline). Everything else is — and
-// must stay — safe code.
+// Unsafe is denied crate-wide and allowed back in exactly one function:
+// `ShardPool::new` in `router::shard`, whose one `unsafe` block turns the
+// addresses a lookahead epoch publishes back into a pool worker's shared
+// epoch inputs and its own shard's rows (see that module's ownership
+// section). Everything else — the shard windows included — is, and must
+// stay, safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -63,17 +63,22 @@
 //!   the telemetry counters, so nothing is buffered or replayed;
 //! - **allocation-free hot path**: the per-cycle buffers (candidates,
 //!   departures) persist across cycles, so a steady-state step
-//!   allocates nothing but, with telemetry on, each epoch's short list
-//!   of per-shard recorders;
-//! - an event fast-forward ([`RouterFabric::step_next_event`],
-//!   [`RouterFabric::step_batched`]) that jumps the dead cycles between
+//!   allocates nothing but, at more than one shard, each epoch's short
+//!   list of per-shard row views;
+//! - an event fast-forward ([`RouterFabric::step_batched`],
+//!   [`RouterFabric::step_endpoints`]) that jumps the dead cycles between
 //!   link-arrival events when no router has queued work — in-flight wire
 //!   time is the dominant idle span on calibrated tori;
 //! - **node endpoints inside the windows** ([`RouterFabric::step_endpoints`]):
 //!   traffic sources that generate, inject and react to deliveries run in
 //!   the shard owning their routers, at the top of every private cycle
 //!   and at every ejection, so a reacting workload does not pin epochs to
-//!   one cycle.
+//!   one cycle;
+//! - **borrowed shard rows**: each window borrows only its own shard's
+//!   rows of the fabric (routers, links, credit-mirror entries, scratch),
+//!   split off with ordinary slices, so the compiler checks the
+//!   partition; handing the rows to the pool's worker threads is the
+//!   crate's one `unsafe` block.
 //!
 //! The pre-worklist full-scan stepper is retained verbatim as
 //! [`RouterFabric::step_reference`] (arbitrating via
@@ -88,7 +93,6 @@ use crate::telemetry::{
 };
 use anton_model::asic::INPUT_QUEUE_FLITS;
 use core::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A flit in flight through the fabric: routing state plus bookkeeping.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -1416,7 +1420,9 @@ pub struct InjectPort<'a> {
     /// must leave room for; `None` inside a shard window, where fed
     /// ports are out of reach (their upstream shard reserves in them).
     reserved: Option<&'a [Vec<u32>]>,
-    credit_view: &'a [AtomicU32],
+    /// The view's entries of the credit mirror, from its first router's
+    /// first queue on.
+    credits: &'a mut [u32],
     queue_off: &'a [usize],
     /// `Inject` events as `(rank, event)`, while tracing.
     trace: Option<&'a mut Vec<(u8, TraceEvent)>>,
@@ -1466,10 +1472,13 @@ impl InjectPort<'_> {
         Ok(d.free_slots(port, vc) - held)
     }
 
-    /// Flits queued on input `(router, port, vc)`; the queue must be
-    /// in the view ([`Self::capacity`] succeeds).
-    pub fn queue_len(&self, router: usize, port: usize, vc: u8) -> usize {
-        self.routers[router - self.lo].queue_len(port, vc)
+    /// Flits queued on input `(router, port, vc)`.
+    ///
+    /// # Errors
+    /// As [`Self::capacity`].
+    pub fn queue_len(&self, router: usize, port: usize, vc: u8) -> Result<usize, InjectError> {
+        self.capacity(router, port, vc)?;
+        Ok(self.routers[router - self.lo].queue_len(port, vc))
     }
 
     /// Injects a flit into input `(router, port, flit.vc)`, stamped with
@@ -1491,15 +1500,15 @@ impl InjectPort<'_> {
                 router,
                 port,
                 vc,
-                occupancy: self.queue_len(router, port, vc),
+                occupancy: self.queue_len(router, port, vc)?,
             });
         }
         let (cycle, r) = (self.cycle, router - self.lo);
         flit.injected_at = cycle;
         let d = &mut self.routers[r];
         d.accept(port, vc, flit, cycle);
-        self.credit_view[self.queue_off[router] + port * d.vcs + vc as usize]
-            .fetch_sub(1, Ordering::Relaxed);
+        self.credits
+            [self.queue_off[router] - self.queue_off[self.lo] + port * d.vcs + vc as usize] -= 1;
         if !self.is_active[r] {
             self.is_active[r] = true;
             self.activated.push(router);
@@ -1522,41 +1531,39 @@ impl InjectPort<'_> {
 pub use shard::ShardError;
 use shard::{ShardPool, ShardScratch};
 
-/// The region-partitioned lookahead stepper: the one module in the
-/// crate allowed to use `unsafe` (the crate root denies it everywhere
-/// else).
+/// The region-partitioned lookahead stepper.
 ///
-/// # Safety discipline
+/// # Ownership
 ///
-/// All unsafe here serves a single pattern: a per-epoch frame of raw
-/// pointers into the fabric ([`StepShared`]) is shared with a
-/// persistent worker pool, and every dereference falls into one of
-/// four provably data-race-free classes:
+/// Anton 3's routers keep their input queues and credit counters on
+/// their own node, and a neighbour learns of them only through credits
+/// returning over the link. The kernel keeps the same partition with
+/// ordinary borrows. Each epoch, [`RouterFabric::step_epoch`] splits
+/// the fabric into two views:
 ///
-/// 1. **Disjoint mutable rows.** The router index space is partitioned
-///    into contiguous shard ranges (`bounds`); each shard turns a `*mut`
-///    base into per-shard slices that never overlap another shard's.
-///    Its scratch — arrival wheel, boundary outbox and output lists
-///    included — is the one element of the per-shard scratch array at
-///    its own index, and so is its [`Endpoint`], which reaches the
-///    fabric only through an [`InjectPort`] built from the shard's own
-///    router and activity rows: it injects into ports no link feeds,
-///    whose queues, credit-mirror entries and (absent) reservations no
-///    other shard touches. Links flatten in router order, so shard `s`
-///    also owns the links `link_off[bounds[s]]..link_off[bounds[s + 1]]`,
-///    and with them the same rows of telemetry's counters, which it
-///    records into in place through element `s` of the epoch's recorder
-///    array (split without unsafe code by `Telemetry::recorders`).
-/// 2. **Epoch-wide read-only state** (wiring, feeder map, routing
-///    closures, the sorted active list, offset tables, the boundary-slot
-///    map).
-/// 3. **Atomics** (the fabric-wide credit mirror — and each entry is
-///    touched only by the shard owning its router during an epoch; the
-///    atomics survive as the cheapest way to keep the aliasing legal).
-/// 4. **Exclusive shadow slots.** Each boundary-credit shadow entry is
-///    read and written only by the shard owning the *upstream* end of
-///    its link, element-wise through a raw pointer.
+/// - one [`EpochInputs`], which every shard only reads: the wiring,
+///   the offset tables, the boundary-slot map, the routing closures and
+///   the sorted active list;
+/// - one [`ShardRows`] per shard, which only that shard touches: its
+///   contiguous rows `bounds[s]..bounds[s + 1]` of the routers, link
+///   state, activity flags and feeder map, its credit-mirror entries
+///   `queue_off[bounds[s]]..queue_off[bounds[s + 1]]`, and element `s`
+///   of the scratch (arrival wheel, boundary outbox and credit shadows),
+///   of the telemetry recorders and of the endpoints.
 ///
+/// A window indexes its credit entries from its first queue, so a read
+/// of another shard's entry panics (its index falls outside the
+/// window's range) instead of racing; the credit shadows a window reads
+/// and debits are the slots
+/// `partition` numbered in its own scratch for the links leaving it.
+/// An [`Endpoint`] reaches the fabric only through an [`InjectPort`]
+/// built from its shard's rows, and only at ports no link feeds.
+///
+/// Shard 0 runs on the stepping thread, the others on a persistent
+/// pool. The crate's one `unsafe` block, in [`ShardPool::new`], turns
+/// the addresses [`ShardPool::launch`] publishes back into a worker's
+/// `&EpochInputs` and its own `&mut ShardRows`; a compile-time check
+/// holds both types to the `Send`/`Sync` bounds that hand-off needs.
 /// There is exactly one [`SpinBarrier`] fence per multi-shard epoch:
 /// shards run their whole private window with no synchronization (every
 /// positive-latency link is at least one window long, so no cross-shard
@@ -1564,21 +1571,20 @@ use shard::{ShardPool, ShardScratch};
 /// provides the acquire/release edge before the serial epilogue, which
 /// alone moves boundary accepts from one shard's outbox onto another
 /// shard's wheel.
-/// The frame itself lives on the stepping thread's stack and is only
-/// dereferenced between pool launch and that fence, which the stepping
-/// thread also waits on. A panic inside a window does not skip the
+/// The views belong to the stepping thread's `step_epoch` call, and
+/// workers use them only between the pool launch and that fence, which
+/// the stepping thread also waits on. A panic inside a window does not skip the
 /// fence: every party catches its own panic, records the first one in
 /// the pool and waits, and the stepping thread re-raises that payload
 /// only after the fence, so no worker is left spinning and no unwind
-/// frees the frame under a running window. A one-shard fabric has no
-/// pool: the stepping thread runs the window inline and is the frame's
-/// only user, so its panics simply unwind.
-#[allow(unsafe_code)]
+/// frees the views under a running window. A one-shard fabric has no
+/// pool: the stepping thread runs the window inline, so its panics
+/// simply unwind.
 mod shard {
     use super::*;
     use std::any::Any;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex};
 
     /// Why [`RouterFabric::set_shards`] refused a shard count.
@@ -1687,10 +1693,11 @@ mod shard {
 
     /// Shared control block between a sharded fabric and its workers.
     struct PoolCtl {
-        /// Step grant: a bumped epoch plus the current [`StepShared`] frame
-        /// as a raw address (the frame lives on the stepping thread's stack
-        /// and stays valid until every party passes the final barrier).
-        go: Mutex<(u64, usize)>,
+        /// Step grant: a bumped epoch plus the addresses of the epoch's
+        /// [`EpochInputs`] and of the [`ShardRows`] of shards `1..` (the
+        /// stepping thread's `step_epoch` owns both and keeps them valid
+        /// until every party passes the final barrier).
+        go: Mutex<(u64, usize, usize)>,
         cv: Condvar,
         stop: AtomicBool,
         /// The end-of-epoch fence, sized to the shard count.
@@ -1719,9 +1726,10 @@ mod shard {
     }
 
     impl ShardPool {
+        #[allow(unsafe_code)]
         pub(super) fn new(shards: usize) -> Self {
             let ctl = Arc::new(PoolCtl {
-                go: Mutex::new((0, 0)),
+                go: Mutex::new((0, 0, 0)),
                 cv: Condvar::new(),
                 stop: AtomicBool::new(false),
                 barrier: SpinBarrier::new(shards),
@@ -1735,7 +1743,7 @@ mod shard {
                         .spawn(move || {
                             let mut seen = 0u64;
                             loop {
-                                let frame = {
+                                let (inputs, rows) = {
                                     let mut go = ctl.go.lock().expect("pool lock");
                                     loop {
                                         if ctl.stop.load(Ordering::Relaxed) {
@@ -1743,20 +1751,31 @@ mod shard {
                                         }
                                         if go.0 > seen {
                                             seen = go.0;
-                                            break go.1;
+                                            break (go.1, go.2);
                                         }
                                         go = ctl.cv.wait(go).expect("pool lock");
                                     }
                                 };
-                                // SAFETY: the launching thread keeps the
-                                // frame alive until it passes the epoch
-                                // barrier below, which cannot happen
-                                // before this worker reaches it too —
-                                // a panicking window included, since the
-                                // panic is caught here and handed to the
-                                // stepping thread to re-raise.
-                                let window = catch_unwind(AssertUnwindSafe(|| unsafe {
-                                    run_shard_epoch(&*(frame as *const StepShared), s);
+                                let window = catch_unwind(AssertUnwindSafe(|| {
+                                    // SAFETY: `launch` published the epoch's
+                                    // inputs and one row view per worker,
+                                    // for shards `1..` in order, so element
+                                    // `s - 1` exists and is this shard's
+                                    // alone; no other party touches it.
+                                    // The stepping thread keeps both alive
+                                    // until it passes the epoch barrier
+                                    // below, which cannot happen before this
+                                    // worker reaches it too — a panicking
+                                    // window included, since the panic is
+                                    // caught here and handed to the stepping
+                                    // thread to re-raise.
+                                    let (inputs, rows) = unsafe {
+                                        (
+                                            &*(inputs as *const EpochInputs<'_>),
+                                            &mut *(rows as *mut ShardRows<'_>).add(s - 1),
+                                        )
+                                    };
+                                    run_window(inputs, rows);
                                 }));
                                 if let Err(payload) = window {
                                     ctl.record_panic(payload);
@@ -1770,13 +1789,16 @@ mod shard {
             ShardPool { ctl, workers }
         }
 
-        /// Publishes one epoch frame and wakes the workers. The caller
-        /// must then run shard 0's window itself and wait on the epoch
-        /// barrier, which holds it until every worker finishes.
-        fn launch(&self, frame: &StepShared) {
+        /// Publishes one epoch's inputs and the rows of shards `1..` (one
+        /// element per worker, in shard order) and wakes the workers. The
+        /// caller must then run shard 0's window itself and wait on the
+        /// epoch barrier, which holds it until every worker finishes.
+        fn launch(&self, inputs: &EpochInputs<'_>, rest: &mut [ShardRows<'_>]) {
+            assert_eq!(rest.len(), self.workers.len(), "one row view per worker");
             let mut go = self.ctl.go.lock().expect("pool lock");
             go.0 += 1;
-            go.1 = frame as *const StepShared as usize;
+            go.1 = inputs as *const EpochInputs<'_> as usize;
+            go.2 = rest.as_mut_ptr() as usize;
             self.ctl.cv.notify_all();
         }
     }
@@ -1838,6 +1860,13 @@ mod shard {
         /// While tracing, the endpoint's injections as `(rank, event)`,
         /// by cycle, then in the order it made them.
         pub(super) injects: Vec<(u8, TraceEvent)>,
+        /// Credit shadows of the links leaving this shard, one slot per
+        /// boundary `(link, vc)` ([`BoundaryLink::slot`]): refreshed from
+        /// the credit mirror at each epoch prologue, debited at the
+        /// private arrival cycles of this shard's flits, and read by its
+        /// credit checks — the window clamp keeps them bit-exact against
+        /// the serial credit loop.
+        pub(super) shadow: Vec<u32>,
     }
 
     impl ShardScratch {
@@ -1866,6 +1895,7 @@ mod shard {
                 + self.ejected.capacity() * size_of::<(u64, Flit)>()
                 + self.hops.capacity() * size_of::<(u64, usize, usize, Flit)>()
                 + self.injects.capacity() * size_of::<(u8, TraceEvent)>()
+                + self.shadow.capacity() * size_of::<u32>()
         }
     }
 
@@ -1873,84 +1903,77 @@ mod shard {
     /// credit-shadow refresh: a router-to-router link whose two ends live
     /// in different shards.
     pub(super) struct BoundaryLink {
+        /// Shard of the upstream router, which owns the link's shadows.
+        pub(super) shard: u32,
         /// Upstream router.
         pub(super) router: u32,
         /// Upstream output port.
         pub(super) port: u32,
         /// Flat `credit_view` offset of the downstream input queue's VC 0.
         pub(super) queue_base: u32,
-        /// First shadow slot of this link (one per VC).
+        /// First slot of this link in its shard's shadows (one per VC).
         pub(super) slot: u32,
         /// VC count of the link (upstream and downstream agree).
         pub(super) vcs: u32,
     }
 
-    /// The lifetime-erased frame a lookahead epoch hands its workers: raw
-    /// pointers into the fabric plus this window's inputs. Built on the
-    /// stack of [`RouterFabric::step_epoch`] and dereferenced only
-    /// between the pool launch and the end-of-epoch barrier, which the
-    /// main thread also waits on before the frame goes out of scope —
-    /// even when a window panics (see the module's safety discipline).
-    ///
-    /// # Safety discipline
-    ///
-    /// Mutable access is partitioned by the contiguous shard ranges in
-    /// `bounds`: epoch code turns the `*mut` bases into **disjoint**
-    /// per-shard slices (rows `bounds[s]..bounds[s + 1]` of `routers`,
-    /// `channels`, `next_free`, `reserved`, `is_active`; element `s` of
-    /// `scratch`, with the shard's arrival wheel, of `endpoints`, and of
-    /// `recorders`, over links `link_off[bounds[s]]..link_off[bounds[s +
-    /// 1]]` of telemetry's counters). Everything else
-    /// is either read-only for the whole epoch (`wiring`, `feeder`, `route`,
-    /// `classify`, the sorted active list, the offset tables, the
-    /// boundary-slot map), atomic (`credit_view` — and each entry is only
-    /// touched by its owning shard during the window), or an exclusive
-    /// element-wise raw access (`shadow`: each slot belongs to the shard
-    /// owning the upstream end of its boundary link).
-    struct StepShared {
+    /// What every shard window of one epoch only reads.
+    struct EpochInputs<'a> {
         /// First cycle of the window.
         cycle: u64,
         /// Window width: shards privately simulate `cycle..cycle + window`.
         window: u64,
-        n_routers: usize,
-        routers: *mut CycleRouter,
-        channels: *mut Vec<ChannelState>,
-        next_free: *mut Vec<u64>,
-        reserved: *mut Vec<u32>,
-        is_active: *mut bool,
-        wiring: *const Vec<PortLink>,
-        feeder: *const Vec<Option<(u32, u32)>>,
-        bounds: *const usize,
-        queue_off: *const usize,
-        link_off: *const usize,
-        credit_view: *const AtomicU32,
-        credit_len: usize,
+        wiring: &'a [Vec<PortLink>],
+        queue_off: &'a [usize],
+        link_off: &'a [usize],
         /// Per-link first shadow slot (see `RouterFabric::boundary_slot`).
-        boundary_slot: *const u32,
-        boundary_len: usize,
-        /// Boundary credit shadows, one slot per boundary `(link, vc)`.
-        shadow: *mut u32,
-        route: *const Box<RouteFn>,
-        classify: *const Option<Box<FlitClassFn>>,
-        /// One telemetry recorder per shard, over its own links
-        /// ([`Telemetry::recorders`]); `None` when telemetry is off.
-        recorders: Option<*mut LinkRecorder<'static>>,
+        boundary_slot: &'a [u32],
+        route: &'a RouteFn,
+        classify: Option<&'a FlitClassFn>,
         /// Whether any flit was in flight when the epoch started; if not,
         /// nothing lands inside the window.
         in_flight: bool,
-        active_sorted: *const usize,
-        active_len: usize,
-        scratch: *mut ShardScratch,
-        /// One endpoint per shard ([`RouterFabric::step_endpoints`]), or
-        /// null when the epoch runs none.
-        endpoints: *mut &'static mut dyn Endpoint,
+        /// The fabric's active list, sorted.
+        active: &'a [usize],
     }
 
-    // SAFETY: see the struct-level safety discipline — the raw pointers are
-    // only ever turned into disjoint mutable slices or elements (by shard),
-    // shared read-only slices, or atomics.
-    unsafe impl Send for StepShared {}
-    unsafe impl Sync for StepShared {}
+    /// One shard's rows of the fabric for one epoch, split off at the
+    /// shard's bounds: everything its window writes, and its rows of the
+    /// feeder map.
+    struct ShardRows<'a> {
+        /// First router of the shard.
+        lo: usize,
+        routers: &'a mut [CycleRouter],
+        channels: &'a mut [Vec<ChannelState>],
+        next_free: &'a mut [Vec<u64>],
+        reserved: &'a mut [Vec<u32>],
+        is_active: &'a mut [bool],
+        feeder: &'a [Vec<Option<(u32, u32)>>],
+        /// The shard's credit-mirror entries, from `queue_off[lo]` on.
+        credits: &'a mut [u32],
+        scratch: &'a mut ShardScratch,
+        /// The shard's telemetry recorder, over its own links
+        /// ([`Telemetry::recorders`]); `None` when telemetry is off.
+        recorder: Option<LinkRecorder<'a>>,
+        /// The shard's endpoint ([`RouterFabric::step_endpoints`]), if
+        /// the epoch runs endpoints.
+        endpoint: Option<&'a mut dyn Endpoint>,
+    }
+
+    // The pool hands each worker `&EpochInputs` and its own `&mut ShardRows`.
+    const _: () = {
+        const fn shared<T: Send + Sync>() {}
+        const fn owned<T: Send>() {}
+        shared::<EpochInputs<'static>>();
+        owned::<ShardRows<'static>>();
+    };
+
+    /// Splits the first `n` rows off `rest`.
+    fn take_rows<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+        let (rows, tail) = std::mem::take(rest).split_at_mut(n);
+        *rest = tail;
+        rows
+    }
 
     /// Runs one shard's private window of a lookahead epoch: up to
     /// `window` cycles of land / arbitrate / apply with **no internal
@@ -1978,46 +2001,34 @@ mod shard {
     /// and stall classification alike, read the per-boundary credit
     /// shadow, which the window clamp keeps bit-exact (see
     /// [`RouterFabric::step_epoch`]).
-    ///
-    /// # Safety
-    /// `sh` must be a live frame built by `step_epoch`, `s` a valid
-    /// shard index used by exactly one party.
-    unsafe fn run_shard_epoch(sh: &StepShared, s: usize) {
-        let lo = *sh.bounds.add(s);
-        let hi = *sh.bounds.add(s + 1);
-        let routers = std::slice::from_raw_parts_mut(sh.routers.add(lo), hi - lo);
-        let channels = std::slice::from_raw_parts_mut(sh.channels.add(lo), hi - lo);
-        let next_free = std::slice::from_raw_parts_mut(sh.next_free.add(lo), hi - lo);
-        let reserved = std::slice::from_raw_parts_mut(sh.reserved.add(lo), hi - lo);
-        let is_active = std::slice::from_raw_parts_mut(sh.is_active.add(lo), hi - lo);
-        let wiring = std::slice::from_raw_parts(sh.wiring, sh.n_routers);
-        let feeder = std::slice::from_raw_parts(sh.feeder.add(lo), hi - lo);
-        let queue_off = std::slice::from_raw_parts(sh.queue_off, sh.n_routers + 1);
-        let link_off = std::slice::from_raw_parts(sh.link_off, sh.n_routers + 1);
-        let credit_view = std::slice::from_raw_parts(sh.credit_view, sh.credit_len);
-        let boundary_slot = std::slice::from_raw_parts(sh.boundary_slot, sh.boundary_len);
-        let shadow_ptr = sh.shadow;
-        let route: &RouteFn = (*sh.route).as_ref();
-        let classify = (*sh.classify).as_deref();
-        let active = std::slice::from_raw_parts(sh.active_sorted, sh.active_len);
-        let scratch = &mut *sh.scratch.add(s);
-        // SAFETY: element `s` of the recorder array is this shard's alone,
-        // over its own links (class 1), and lives until the epoch ends.
-        let mut rec = sh.recorders.map(|recs| &mut *recs.add(s));
-        // SAFETY: element `s` of the endpoint array is this shard's alone
-        // (class 1), and lives until the epoch ends.
-        let mut endpoint = (!sh.endpoints.is_null()).then(|| &mut **sh.endpoints.add(s));
+    fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
+        let ShardRows {
+            lo,
+            routers,
+            channels,
+            next_free,
+            reserved,
+            is_active,
+            feeder,
+            credits,
+            scratch,
+            recorder: rec,
+            endpoint,
+        } = rows;
+        let (lo, hi) = (*lo, *lo + routers.len());
+        // Credit entries are indexed from the shard's first queue.
+        let base = inp.queue_off[lo];
         let tracing = rec.as_ref().is_some_and(|r| r.trace);
         (scratch.sent, scratch.landed, scratch.last_move) = (0, 0, 0);
-        let t0 = sh.cycle;
-        let tend = t0 + sh.window;
+        let t0 = inp.cycle;
+        let tend = t0 + inp.window;
 
         // Epoch-start worklist: the fabric's sorted active list restricted
         // to this shard's contiguous range.
-        let a = active.partition_point(|&r| r < lo);
-        let b = active.partition_point(|&r| r < hi);
+        let a = inp.active.partition_point(|&r| r < lo);
+        let b = inp.active.partition_point(|&r| r < hi);
         scratch.worklist.clear();
-        scratch.worklist.extend_from_slice(&active[a..b]);
+        scratch.worklist.extend_from_slice(&inp.active[a..b]);
 
         let wheel_len = scratch.wheel.len() as u64;
         let mut cycle = t0;
@@ -2029,14 +2040,14 @@ mod shard {
                 let mut port = InjectPort {
                     cycle,
                     lo,
-                    n_routers: sh.n_routers,
-                    routers: &mut *routers,
-                    is_active: &mut *is_active,
+                    n_routers: inp.wiring.len(),
+                    routers,
+                    is_active,
                     activated: &mut scratch.incoming,
                     feeder,
                     reserved: None,
-                    credit_view,
-                    queue_off,
+                    credits,
+                    queue_off: inp.queue_off,
                     trace: tracing.then_some(&mut scratch.injects),
                     rank: 0,
                 };
@@ -2055,20 +2066,17 @@ mod shard {
                         let vcs = routers[r - lo].vcs;
                         reserved[r - lo][port * vcs + vc as usize] -= 1;
                         if !a.accept {
-                            // SAFETY: the link leaves this shard, which
-                            // owns its shadow slots.
-                            let bslot = boundary_slot[link_off[r] + port] as usize;
-                            *shadow_ptr.add(bslot + vc as usize) -= 1;
+                            let bslot = inp.boundary_slot[inp.link_off[r] + port] as usize;
+                            scratch.shadow[bslot + vc as usize] -= 1;
                         }
                     }
                     if a.accept {
-                        let PortLink::Router { router, port } = wiring[r][port] else {
+                        let PortLink::Router { router, port } = inp.wiring[r][port] else {
                             unreachable!("only router links have flits in flight");
                         };
                         let d = &mut routers[router - lo];
                         d.accept(port, vc, a.flit, cycle);
-                        credit_view[queue_off[router] + port * d.vcs + vc as usize]
-                            .fetch_sub(1, Ordering::Relaxed);
+                        credits[inp.queue_off[router] - base + port * d.vcs + vc as usize] -= 1;
                         if !is_active[router - lo] {
                             is_active[router - lo] = true;
                             scratch.incoming.push(router);
@@ -2087,7 +2095,7 @@ mod shard {
                 // Dead shard-cycle. Later slots may still land flits,
                 // unless nothing was in flight at the epoch start, and the
                 // endpoint may still generate or inject.
-                if !sh.in_flight && endpoint.as_deref().is_none_or(|ep| ep.idle(cycle + 1)) {
+                if !inp.in_flight && endpoint.as_deref().is_none_or(|ep| ep.idle(cycle + 1)) {
                     break;
                 }
                 cycle += 1;
@@ -2100,16 +2108,13 @@ mod shard {
             // downstream queue is in this shard, the boundary shadow when
             // it is not. Arbitration and stall classification both ask
             // here; nothing it reads changes while a cycle arbitrates.
-            let has_credit = |r: usize, vcs: usize, out: usize, vc: u8| match wiring[r][out] {
+            let has_credit = |r: usize, vcs: usize, out: usize, vc: u8| match inp.wiring[r][out] {
                 PortLink::Router { router: dst, port } => {
                     let credit = if (lo..hi).contains(&dst) {
-                        credit_view[queue_off[dst] + port * vcs + vc as usize]
-                            .load(Ordering::Relaxed)
+                        credits[inp.queue_off[dst] - base + port * vcs + vc as usize]
                     } else {
-                        let bslot = boundary_slot[link_off[r] + out];
-                        // SAFETY: `partition` gave each link leaving this
-                        // shard its own slots, owned by this shard.
-                        unsafe { *shadow_ptr.add(bslot as usize + vc as usize) }
+                        let bslot = inp.boundary_slot[inp.link_off[r] + out] as usize;
+                        scratch.shadow[bslot + vc as usize]
                     };
                     reserved[r - lo][out * vcs + vc as usize] < credit
                 }
@@ -2128,7 +2133,7 @@ mod shard {
                 }
                 scratch.worklist[kept] = r;
                 kept += 1;
-                router.mature(cycle, route);
+                router.mature(cycle, inp.route);
                 let vcs = router.vcs;
                 let next_free_r = &next_free[r - lo];
                 router.arbitrate_into(
@@ -2151,10 +2156,10 @@ mod shard {
                 // `for_each_front_target` (targets resolved once per
                 // front, only occupied queues visited).
                 for &(r, out, ref flit) in &scratch.moves {
-                    rec.advance(cycle, link_off[r] + out);
+                    rec.advance(cycle, inp.link_off[r] + out);
                     if rec.trace
                         && flit.is_head()
-                        && matches!(wiring[r][out], PortLink::Router { .. })
+                        && matches!(inp.wiring[r][out], PortLink::Router { .. })
                     {
                         scratch.hops.push((cycle, r, out, *flit));
                     }
@@ -2163,8 +2168,8 @@ mod shard {
                     let router = &mut routers[r - lo];
                     let vcs = router.vcs;
                     let next_free_r = &next_free[r - lo];
-                    router.for_each_front_target(cycle, route, |out, out_vc, immature| {
-                        let link = link_off[r] + out;
+                    router.for_each_front_target(cycle, inp.route, |out, out_vc, immature| {
+                        let link = inp.link_off[r] + out;
                         let cause = StallCause::of(
                             immature,
                             rec.advanced_on(cycle, link),
@@ -2184,7 +2189,7 @@ mod shard {
             // in-shard and ejections deliver, this cycle.
             for (r, out, flit) in scratch.moves.drain(..) {
                 debug_assert!(lo <= r && r < hi, "move escaped its shard");
-                let class = classify.map(|f| f(&flit));
+                let class = inp.classify.map(|f| f(&flit));
                 let vcs = routers[r - lo].vcs;
                 let ch = &mut channels[r - lo][out];
                 next_free[r - lo][out] = cycle + ch.spec.interval;
@@ -2194,7 +2199,7 @@ mod shard {
                     ch.class_flits[c] += 1;
                 }
                 let spec = ch.spec;
-                match wiring[r][out] {
+                match inp.wiring[r][out] {
                     PortLink::Router {
                         router: dst,
                         port: dport,
@@ -2203,8 +2208,7 @@ mod shard {
                         assert!(lo <= dst && dst < hi, "zero-latency link left its shard");
                         let d = &mut routers[dst - lo];
                         d.accept(dport, flit.vc, flit, cycle);
-                        credit_view[queue_off[dst] + dport * d.vcs + flit.vc as usize]
-                            .fetch_sub(1, Ordering::Relaxed);
+                        credits[inp.queue_off[dst] - base + dport * d.vcs + flit.vc as usize] -= 1;
                         if !is_active[dst - lo] {
                             is_active[dst - lo] = true;
                             scratch.incoming.push(dst);
@@ -2235,7 +2239,7 @@ mod shard {
             for &r in &scratch.worklist {
                 let router = &mut routers[r - lo];
                 for &idx in &router.popped {
-                    credit_view[queue_off[r] + idx as usize].fetch_add(1, Ordering::Relaxed);
+                    credits[inp.queue_off[r] - base + idx as usize] += 1;
                 }
                 router.popped.clear();
             }
@@ -2355,9 +2359,9 @@ mod shard {
                     .spec
                     .interval
                     .max(1);
+                let shadow = &mut self.shard_scratch[b.shard as usize].shadow;
                 for vc in 0..b.vcs {
-                    let credit = self.credit_view[b.queue_base as usize + vc as usize]
-                        .load(Ordering::Relaxed);
+                    let credit = self.credit_view[b.queue_base as usize + vc as usize];
                     let held = self.reserved[b.router as usize]
                         [b.port as usize * b.vcs as usize + vc as usize];
                     let headroom = u64::from(credit.saturating_sub(held));
@@ -2367,7 +2371,7 @@ mod shard {
                         1
                     };
                     w = w.min(safe);
-                    self.shadow[(b.slot + vc) as usize] = credit;
+                    shadow[(b.slot + vc) as usize] = credit;
                 }
             }
             let w = w.max(1);
@@ -2375,54 +2379,54 @@ mod shard {
             // ---- Private windows: inline, or one launch + one barrier ----
             let shards = self.bounds.len() - 1;
             {
-                // Each shard records into its own links' telemetry rows.
-                let ends = self.bounds[1..].iter().map(|&b| self.link_off[b]);
-                let tel = self.telemetry.as_deref_mut();
-                let mut recorders: Option<Vec<_>> = tel.map(|t| t.recorders(ends).collect());
-                let frame = StepShared {
+                let inputs = EpochInputs {
                     cycle: t0,
                     window: w,
-                    n_routers: self.routers.len(),
-                    routers: self.routers.as_mut_ptr(),
-                    channels: self.channels.as_mut_ptr(),
-                    next_free: self.next_free.as_mut_ptr(),
-                    reserved: self.reserved.as_mut_ptr(),
-                    is_active: self.is_active.as_mut_ptr(),
-                    wiring: self.wiring.as_ptr(),
-                    feeder: self.feeder.as_ptr(),
-                    bounds: self.bounds.as_ptr(),
-                    queue_off: self.queue_off.as_ptr(),
-                    link_off: self.link_off.as_ptr(),
-                    credit_view: self.credit_view.as_ptr(),
-                    credit_len: self.credit_view.len(),
-                    boundary_slot: self.boundary_slot.as_ptr(),
-                    boundary_len: self.boundary_slot.len(),
-                    shadow: self.shadow.as_mut_ptr(),
-                    route: &self.route,
-                    classify: &self.classify,
-                    recorders: recorders.as_mut().map(|r| r.as_mut_ptr().cast()),
+                    wiring: &self.wiring,
+                    queue_off: &self.queue_off,
+                    link_off: &self.link_off,
+                    boundary_slot: &self.boundary_slot,
+                    route: &*self.route,
+                    classify: self.classify.as_deref(),
                     in_flight: self.in_flight_total > 0,
-                    active_sorted: self.active.as_ptr(),
-                    active_len: self.active.len(),
-                    scratch: self.shard_scratch.as_mut_ptr(),
-                    endpoints: if endpoints.is_empty() {
-                        std::ptr::null_mut()
-                    } else {
-                        endpoints.as_mut_ptr().cast()
-                    },
+                    active: &self.active,
                 };
+                // Each shard records into its own links' telemetry rows.
+                let ends = self.bounds[1..].iter().map(|&b| self.link_off[b]);
+                let mut recorders = self.telemetry.as_deref_mut().map(|t| t.recorders(ends));
+                let mut endpoints = endpoints.iter_mut();
+                let (mut routers, mut channels) = (&mut self.routers[..], &mut self.channels[..]);
+                let (mut next_free, mut reserved) =
+                    (&mut self.next_free[..], &mut self.reserved[..]);
+                let (mut is_active, mut credits) =
+                    (&mut self.is_active[..], &mut self.credit_view[..]);
+                let bounds = self.bounds.windows(2).zip(&mut self.shard_scratch);
+                let mut rows = bounds.map(|(b, scratch)| {
+                    let (lo, hi) = (b[0], b[1]);
+                    ShardRows {
+                        lo,
+                        routers: take_rows(&mut routers, hi - lo),
+                        channels: take_rows(&mut channels, hi - lo),
+                        next_free: take_rows(&mut next_free, hi - lo),
+                        reserved: take_rows(&mut reserved, hi - lo),
+                        is_active: take_rows(&mut is_active, hi - lo),
+                        feeder: &self.feeder[lo..hi],
+                        credits: take_rows(&mut credits, self.queue_off[hi] - self.queue_off[lo]),
+                        scratch,
+                        recorder: recorders.as_mut().and_then(Iterator::next),
+                        endpoint: endpoints.next().map(|ep| &mut **ep as &mut dyn Endpoint),
+                    }
+                });
                 match &self.pool {
+                    None => run_window(&inputs, &mut rows.next().expect("one shard")),
                     Some(pool) => {
-                        pool.launch(&frame);
-                        // SAFETY: the frame stays on this stack until every
-                        // party — including this thread, as shard 0 —
-                        // passes the epoch barrier, after which no worker
-                        // touches it. Shard 0's own panic is caught too and
-                        // re-raised only past the barrier, so unwinding
-                        // never frees the frame under a running worker.
-                        let window = catch_unwind(AssertUnwindSafe(|| unsafe {
-                            run_shard_epoch(&frame, 0)
-                        }));
+                        let mut rows: Vec<ShardRows> = rows.collect();
+                        let (first, rest) = rows.split_first_mut().expect("shard 0");
+                        pool.launch(&inputs, rest);
+                        // Shard 0's own panic is caught too and re-raised
+                        // only past the barrier, so unwinding never frees
+                        // the views under a running worker.
+                        let window = catch_unwind(AssertUnwindSafe(|| run_window(&inputs, first)));
                         if let Err(payload) = window {
                             pool.ctl.record_panic(payload);
                         }
@@ -2432,9 +2436,6 @@ mod shard {
                             resume_unwind(payload);
                         }
                     }
-                    // SAFETY: one shard and no workers: this thread is the
-                    // frame's only party, for as long as the frame lives.
-                    None => unsafe { run_shard_epoch(&frame, 0) },
                 }
             }
             self.epochs += 1;
@@ -2501,7 +2502,7 @@ pub struct MemoryBreakdown {
     /// Links: wiring, channel specs and counters, link timers,
     /// reserved-credit mirrors, and each input port's feeding link.
     pub links: usize,
-    /// The fabric-wide atomic credit mirror plus its queue offsets.
+    /// The fabric-wide credit mirror plus its queue offsets.
     pub credit_view: usize,
     /// Fabric scheduling: active worklists, shard scratch (the per-shard
     /// arrival wheels holding every flit in link flight, boundary
@@ -2557,10 +2558,9 @@ pub struct RouterFabric {
     /// arbitrate later in the scan order. That uniformity is also what
     /// lets [`Self::set_shards`] arbitrate regions concurrently: checks
     /// see the same credits no matter which thread (or order) asks.
-    /// Atomic so shard workers can read any entry while each mutates
-    /// only its own routers' entries; the reference stepper uses plain
-    /// load/store orderings on the same array.
-    credit_view: Vec<AtomicU32>,
+    /// Each entry belongs to the shard owning its router, whose window
+    /// borrows its range of entries alone (see the `shard` module).
+    credit_view: Vec<u32>,
     route: Box<RouteFn>,
     /// Optional per-flit class extraction feeding each channel's
     /// `class_flits` counters.
@@ -2598,15 +2598,10 @@ pub struct RouterFabric {
     /// in ascending link order (empty with one shard). Drives the epoch
     /// window's credit-headroom clamp and the shadow refresh.
     boundary: Vec<shard::BoundaryLink>,
-    /// Per-link first shadow slot, parallel to the flat link index space
+    /// Per-link first slot in the upstream shard's credit shadows
+    /// (`ShardScratch::shadow`), parallel to the flat link index space
     /// (`u32::MAX` for links inside a shard; empty when every link is).
     boundary_slot: Vec<u32>,
-    /// Boundary credit shadows, one slot per boundary `(link, vc)`:
-    /// refreshed from `credit_view` at each epoch prologue, debited by
-    /// the owning upstream shard at its flits' private arrival cycles,
-    /// and read only by that shard's credit checks — the window clamp
-    /// keeps it bit-exact against the serial credit loop.
-    shadow: Vec<u32>,
     /// Minimum latency over every link with latency >= 1 (`u64::MAX`
     /// when no such link exists): the structural lookahead bound — no
     /// window this wide can see a departure land inside itself.
@@ -2676,7 +2671,7 @@ impl RouterFabric {
         let mut credit_view = Vec::with_capacity(off);
         for r in &routers {
             for q in 0..r.ports * r.vcs {
-                credit_view.push(AtomicU32::new(r.store.capacity(q) as u32));
+                credit_view.push(r.store.capacity(q) as u32);
             }
         }
         let mut link_off = Vec::with_capacity(n + 1);
@@ -2708,7 +2703,6 @@ impl RouterFabric {
             shard_scratch: Vec::new(),
             boundary: Vec::new(),
             boundary_slot: Vec::new(),
-            shadow: Vec::new(),
             min_pos_latency: u64::MAX,
             lookahead_cap: None,
             sync_ops: 0,
@@ -2784,14 +2778,13 @@ impl RouterFabric {
         for row in &self.feeder {
             b.links += row.capacity() * size_of::<Option<(u32, u32)>>();
         }
-        b.credit_view = self.credit_view.capacity() * size_of::<AtomicU32>()
+        b.credit_view = self.credit_view.capacity() * size_of::<u32>()
             + self.queue_off.capacity() * size_of::<usize>();
         b.scheduling = (self.active.capacity() + self.bounds.capacity()) * size_of::<usize>()
             + self.is_active.capacity()
             + self.delivered.capacity() * size_of::<(u64, Flit)>()
             + self.boundary.capacity() * size_of::<shard::BoundaryLink>()
             + self.boundary_slot.capacity() * size_of::<u32>()
-            + self.shadow.capacity() * size_of::<u32>()
             + self.shard_scratch.capacity() * size_of::<ShardScratch>()
             + self
                 .shard_scratch
@@ -2880,8 +2873,7 @@ impl RouterFabric {
         let vcs = self.routers[router].vcs;
         for v in 0..vcs {
             let free = self.routers[router].free_slots(port, v as u8) as u32;
-            self.credit_view[self.queue_off[router] + port * vcs + v]
-                .store(free, Ordering::Relaxed);
+            self.credit_view[self.queue_off[router] + port * vcs + v] = free;
         }
     }
 
@@ -2981,6 +2973,10 @@ impl RouterFabric {
     }
 
     /// Flits currently queued on input `(router, port, vc)`.
+    ///
+    /// # Panics
+    /// Panics if the queue does not exist (see
+    /// [`InjectError::QueueOutOfRange`]).
     pub fn queue_len(&self, router: usize, port: usize, vc: u8) -> usize {
         self.routers[router].queue_len(port, vc)
     }
@@ -3019,7 +3015,7 @@ impl RouterFabric {
             activated: &mut self.active,
             feeder: &self.feeder,
             reserved: Some(&self.reserved),
-            credit_view: &self.credit_view,
+            credits: &mut self.credit_view,
             queue_off: &self.queue_off,
             trace: tracing.then_some(&mut *injects),
             rank: 0,
@@ -3091,8 +3087,7 @@ impl RouterFabric {
     fn file(&mut self, router: usize, port: usize, flit: Flit, cycle: u64) {
         self.routers[router].accept(port, flit.vc, flit, cycle);
         let vcs = self.routers[router].vcs;
-        self.credit_view[self.queue_off[router] + port * vcs + flit.vc as usize]
-            .fetch_sub(1, Ordering::Relaxed);
+        self.credit_view[self.queue_off[router] + port * vcs + flit.vc as usize] -= 1;
         if !self.is_active[router] {
             self.is_active[router] = true;
             self.active.push(router);
@@ -3249,7 +3244,6 @@ impl RouterFabric {
                             self.reserved[r][out * vcs + out_vc as usize]
                                 >= self.credit_view
                                     [self.queue_off[dst] + dport * vcs + out_vc as usize]
-                                    .load(Ordering::Relaxed)
                         }
                         // Ejection links never lack credits; nothing is
                         // ever granted toward an unused port.
@@ -3319,7 +3313,6 @@ impl RouterFabric {
                             scratch[out * vcs + vc] = serializable
                                 && (self.reserved[r][out * vcs + vc] as usize)
                                     < self.credit_view[self.queue_off[*router] + port * vcs + vc]
-                                        .load(Ordering::Relaxed)
                                         as usize;
                         }
                     }
@@ -3360,7 +3353,7 @@ impl RouterFabric {
     fn return_credits(&mut self, r: usize) {
         let off = self.queue_off[r];
         for idx in self.routers[r].popped.drain(..) {
-            self.credit_view[off + idx as usize].fetch_add(1, Ordering::Relaxed);
+            self.credit_view[off + idx as usize] += 1;
         }
     }
 
@@ -3508,11 +3501,11 @@ impl RouterFabric {
         self.shard_scratch = (0..shards).map(|_| ShardScratch::new(wheel_len)).collect();
 
         // Boundary tables: every router-to-router link whose ends fall in
-        // different regions gets a per-VC credit-shadow slot.
+        // different regions gets a per-VC credit-shadow slot in the
+        // scratch of the shard it leaves.
         self.boundary.clear();
         self.boundary_slot = Vec::new();
-        self.shadow.clear();
-        for region in self.bounds.windows(2).map(|b| b[0]..b[1]) {
+        for (s, region) in self.bounds.windows(2).map(|b| b[0]..b[1]).enumerate() {
             for r in region.clone() {
                 for (port, link) in self.wiring[r].iter().enumerate() {
                     let PortLink::Router {
@@ -3529,10 +3522,12 @@ impl RouterFabric {
                         self.boundary_slot.resize(self.link_off[n], u32::MAX);
                     }
                     let vcs = self.routers[r].vcs;
-                    let slot = self.shadow.len() as u32;
+                    let shadow = &mut self.shard_scratch[s].shadow;
+                    let slot = shadow.len() as u32;
                     self.boundary_slot[self.link_off[r] + port] = slot;
-                    self.shadow.extend(std::iter::repeat_n(0, vcs));
+                    shadow.extend(std::iter::repeat_n(0, vcs));
                     self.boundary.push(shard::BoundaryLink {
+                        shard: s as u32,
                         router: r as u32,
                         port: port as u32,
                         queue_base: (self.queue_off[dst] + dport * vcs) as u32,
@@ -3564,32 +3559,17 @@ impl RouterFabric {
         })
     }
 
-    /// One event-driven advance, never past `limit`: if no router has
-    /// work, jumps over the dead cycles to the next link arrival (or to
-    /// `limit` when nothing is in flight), then runs one [`Self::step`].
-    /// Equivalent to calling `step()` through every skipped cycle —
-    /// those cycles are provably no-ops (no queued work, no due arrival)
-    /// — so delivery logs and counters are bit-identical, only cheaper.
-    ///
-    /// A caller reacting to deliveries (injecting follow-on traffic,
-    /// checking completion) thus observes exactly the cycles per-cycle
-    /// stepping would hand it. Callers that only consume the delivery
-    /// log after the fact should prefer [`Self::step_batched`], which
-    /// runs full lookahead windows.
-    pub fn step_next_event(&mut self, limit: u64) {
-        if self.skip_dead_cycles(limit) {
-            self.step();
-        }
-    }
-
-    /// Event-driven advance with full lookahead windows: like
-    /// [`Self::step_next_event`], but after the dead-cycle jump it runs
-    /// one epoch of up to the lookahead window (never past `limit`),
-    /// batching any deliveries it produces rather than stopping at the
-    /// first one. Every delivery is still stamped with its exact cycle
-    /// in [`Self::delivered`]; only the cycle at which the caller
-    /// regains control differs. Use when nothing reacts mid-drain
-    /// (replaying a fixed schedule, draining without follow-on traffic).
+    /// Event-driven advance with full lookahead windows: if no router
+    /// has work, jumps over the dead cycles to the next link arrival (or
+    /// to `limit` when nothing is in flight) — provably no-ops, so
+    /// skipping them changes no observable — then runs one epoch of up
+    /// to the lookahead window (never past `limit`), batching any
+    /// deliveries it produces rather than stopping at the first one.
+    /// Every delivery is still stamped with its exact cycle in
+    /// [`Self::delivered`]; only the cycle at which the caller regains
+    /// control differs. Use when nothing reacts mid-drain (replaying a
+    /// fixed schedule, draining without follow-on traffic); a caller
+    /// reacting to each delivery steps with [`Self::step`].
     pub fn step_batched(&mut self, limit: u64) {
         if self.skip_dead_cycles(limit) {
             self.step_epoch(limit, &mut []);
@@ -3817,6 +3797,8 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err, InjectError::QueueOutOfRange { router, port, vc });
             assert!(err.to_string().contains("no input queue"));
+            let queued = fabric.inject_with(|view| view.queue_len(router, port, vc));
+            assert_eq!(queued, Err(err));
         }
         assert_eq!(fabric.queue_len(0, 1, 0), 0, "nothing was filed");
         assert!(fabric.run_until_drained(100));
@@ -4055,8 +4037,8 @@ mod tests {
     }
 
     #[test]
-    fn step_next_event_matches_per_cycle_stepping_over_dead_time() {
-        // A 40-cycle link: the event stepper jumps the dead wire time;
+    fn step_batched_matches_per_cycle_stepping_over_dead_time() {
+        // A 40-cycle link: the batched stepper jumps the dead wire time;
         // delivered cycles and the final clock must match per-cycle
         // stepping exactly.
         let build = || {
@@ -4080,7 +4062,7 @@ mod tests {
         }
         let mut by_event = build();
         while by_event.cycle() < 120 {
-            by_event.step_next_event(120);
+            by_event.step_batched(120);
         }
         assert_eq!(by_event.cycle(), 120);
         assert_eq!(by_event.cycle(), by_cycle.cycle());
@@ -4318,6 +4300,66 @@ mod tests {
         // shard too (where it caps the inline kernel's window).
         assert!(f.set_shards_with_lookahead(1, Some(3)).is_ok());
         assert_eq!(f.shards(), 1);
+    }
+
+    #[test]
+    fn a_shard_window_refuses_queues_outside_its_injection_ports() {
+        // Shard 0 of a 4-router row at 2 shards owns routers 0-1. Inside
+        // its window, its endpoint may inject only at ports no link feeds:
+        // router 1's port 0 is fed by router 0's link, router 2 is shard
+        // 1's, and port 3 and VC 2 do not exist.
+        const QUEUES: [(usize, usize, u8); 5] =
+            [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 2)];
+        type Answer = (
+            Result<usize, InjectError>,
+            Result<usize, InjectError>,
+            Result<(), InjectError>,
+        );
+        struct Probe {
+            probe: bool,
+            answers: Vec<Answer>,
+        }
+        impl Endpoint for Probe {
+            fn begin_cycle(&mut self, cycle: u64, port: &mut InjectPort<'_>) {
+                if self.idle(cycle) {
+                    return;
+                }
+                for (router, p, vc) in QUEUES {
+                    let capacity = port.capacity(router, p, vc);
+                    let queued = port.queue_len(router, p, vc);
+                    let injected = port.inject(router, p, flit(router as u64, 0, 1, 3, vc));
+                    self.answers.push((capacity, queued, injected));
+                }
+            }
+            fn deliver(&mut self, _: u64, _: &Flit) {}
+            fn idle(&self, cycle: u64) -> bool {
+                !self.probe || cycle > 0
+            }
+        }
+        let mut fabric = latency1_row(4);
+        fabric.set_shards(2).unwrap();
+        let mut eps = [true, false].map(|probe| Probe {
+            probe,
+            answers: Vec::new(),
+        });
+        fabric.step_endpoints(&mut eps, 1);
+        let answers = &eps[0].answers;
+        assert_eq!(answers.len(), QUEUES.len(), "shard 0 probed at cycle 0");
+        assert_eq!(answers[0], (Ok(INPUT_QUEUE_FLITS), Ok(0), Ok(())));
+        for (&(router, port, vc), answer) in QUEUES.iter().zip(answers).skip(1) {
+            let e = InjectError::QueueOutOfRange { router, port, vc };
+            assert_eq!(
+                *answer,
+                (Err(e), Err(e), Err(e)),
+                "({router}, {port}, {vc})"
+            );
+        }
+        // Only the accepted flit was filed, and it crosses the row.
+        assert_eq!(fabric.occupancy(), 1);
+        assert_eq!(fabric.queue_len(0, 0, 0), 1);
+        assert!(fabric.run_until_drained(100));
+        let packets: Vec<u64> = fabric.delivered().iter().map(|(_, f)| f.packet).collect();
+        assert_eq!(packets, [0]);
     }
 
     #[test]

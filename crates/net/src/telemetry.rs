@@ -35,18 +35,20 @@
 //! Time is divided into fixed-length epochs
 //! ([`TelemetryConfig::epoch_cycles`]). Per link, a bounded ring buffer
 //! ([`TelemetryConfig::epoch_ring`]) records one [`EpochRecord`] per
-//! epoch *in which the fabric executed at least one cycle*: the flits
-//! that entered the link, the stall cycles charged to it, and a
-//! point-in-time occupancy sample (downstream queue plus in-flight
-//! flits, taken at the epoch boundary). Epochs fully jumped over by
-//! `step_next_event` produce no record — they are idle by construction.
-//! A link's ring stays **empty until the link first sees activity** (an
-//! advance, a stall charge, or a non-zero occupancy sample); from then
-//! on every executed epoch is recorded, so series stay contiguous. A
-//! mega-fabric (16³/32³) has hundreds of thousands of directed links of
-//! which a sweep touches a fraction — the never-active majority costs an
-//! empty ring header each instead of `epoch_ring` records, which is the
-//! difference between megabytes and gigabytes under `--telemetry`.
+//! epoch: the flits that entered the link, the stall cycles charged to
+//! it, and a point-in-time occupancy sample (downstream queue plus
+//! in-flight flits, taken at the epoch boundary). Every stepper rolls
+//! every boundary it passes, the dead-cycle jump of
+//! [`crate::router::RouterFabric::step_batched`] included, so an epoch
+//! it jumps over records no flits and no stalls, like per-cycle
+//! stepping. A link's ring stays **empty until the link first sees
+//! activity** (an advance, a stall charge, or a non-zero occupancy
+//! sample); from then on every epoch is recorded, so series stay
+//! contiguous. A mega-fabric (16³/32³) has hundreds of thousands of
+//! directed links of which a sweep touches a fraction — the never-active
+//! majority costs an empty ring header each instead of `epoch_ring`
+//! records, which is the difference between megabytes and gigabytes
+//! under `--telemetry`.
 //!
 //! ## Packet traces
 //!

@@ -19,6 +19,8 @@
 //! let cfg = MachineConfig::torus([2, 2, 2]);
 //! assert_eq!(cfg.node_count(), 8);
 //! ```
+#![forbid(unsafe_code)]
+
 pub use anton_compress as compress;
 pub use anton_machine as machine;
 pub use anton_md as md;
