@@ -36,6 +36,7 @@ struct Row {
 }
 
 fn main() {
+    let args = anton_bench::Args::from_env(anton_bench::Reads::Json);
     // Real force payloads from an equilibrated water box.
     let mut sim = Simulation::water(2000, 31);
     sim.run(8);
@@ -92,7 +93,7 @@ fn main() {
             reduction_pct: (1.0 - full / raw) * 100.0,
         },
     ];
-    if anton_bench::maybe_json(
+    if args.emit_json(
         &rows
             .iter()
             .map(|r| (r.encoder, r.mean_payload_bytes))

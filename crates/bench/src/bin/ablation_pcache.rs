@@ -44,6 +44,7 @@ struct GeometryRow {
 }
 
 fn main() {
+    let args = anton_bench::Args::from_env(anton_bench::Reads::JsonAndQuick);
     // --- predictor order -------------------------------------------------
     let mut sim = Simulation::water(600, 77);
     sim.run(5);
@@ -77,8 +78,7 @@ fn main() {
     println!(" any polynomial order — it sets the delta-byte floor)");
 
     // --- cache geometry ---------------------------------------------------
-    let quick = std::env::args().any(|a| a == "--quick");
-    let atoms = if quick { 6_000 } else { 20_000 };
+    let atoms = if args.quick { 6_000 } else { 20_000 };
     println!("\nABLATION B: cache capacity ({atoms}-atom water, 2x2x2)");
     println!(
         "{:<8} {:>14} {:>10} {:>12}",
@@ -100,7 +100,7 @@ fn main() {
         );
         rows.push(row);
     }
-    let _ = anton_bench::maybe_json(&rows);
+    args.emit_json(&rows);
     println!("\n(256 sets x 4 ways is the hardware point: big enough for the");
     println!(" communication-bound low-atom-count regime, §IV-C)");
 }

@@ -7,9 +7,10 @@ use anton_model::MachineConfig;
 use anton_sim::stats::linear_fit;
 
 fn main() {
+    let args = anton_bench::Args::from_env(anton_bench::Reads::Json);
     let cfg = MachineConfig::torus([4, 4, 8]);
     let rows = barrier::fig11(&cfg);
-    if anton_bench::maybe_json(&rows) {
+    if args.emit_json(&rows) {
         return;
     }
     println!("FIGURE 11. GC-to-GC network fence barrier latency (4x4x8)");

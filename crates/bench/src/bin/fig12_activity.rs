@@ -16,15 +16,15 @@ struct Both {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let atoms = if quick { 8_000 } else { 32_751 };
+    let args = anton_bench::Args::from_env(anton_bench::Reads::JsonAndQuick);
+    let atoms = if args.quick { 8_000 } else { 32_751 };
     let disabled = experiments::fig12(
         MachineConfig::torus([2, 2, 2]).without_compression(),
         atoms,
         2026,
     );
     let enabled = experiments::fig12(MachineConfig::torus([2, 2, 2]), atoms, 2026);
-    if anton_bench::maybe_json(&Both {
+    if args.emit_json(&Both {
         disabled: disabled.clone(),
         enabled: enabled.clone(),
     }) {

@@ -6,9 +6,10 @@ use anton_machine::pingpong;
 use anton_model::MachineConfig;
 
 fn main() {
+    let args = anton_bench::Args::from_env(anton_bench::Reads::Json);
     let cfg = MachineConfig::torus([4, 4, 8]).without_compression();
     let result = pingpong::fig5(&cfg, 400, 2026);
-    if anton_bench::maybe_json(&result) {
+    if args.emit_json(&result) {
         return;
     }
     println!("FIGURE 5. One-way end-to-end latency vs inter-node hops (4x4x8, 16B payload)");

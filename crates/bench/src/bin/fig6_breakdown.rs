@@ -12,6 +12,7 @@ struct Row {
 }
 
 fn main() {
+    let args = anton_bench::Args::from_env(anton_bench::Reads::Json);
     let cfg = MachineConfig::torus([4, 4, 8]).without_compression();
     let b = pingpong::fig6_breakdown(&cfg);
     let rows: Vec<Row> = b
@@ -22,7 +23,7 @@ fn main() {
             ns: s.time.as_ns(),
         })
         .collect();
-    if anton_bench::maybe_json(&rows) {
+    if args.emit_json(&rows) {
         return;
     }
     println!("FIGURE 6. Breakdown of the minimum inter-node end-to-end latency");

@@ -13,6 +13,7 @@ struct Demo {
 }
 
 fn main() {
+    let args = anton_bench::Args::from_env(anton_bench::Reads::Json);
     // Two signed words with ~11 significant bits each, as in the figure.
     let words = [0x321i32, -0x456];
     let unsigned: Vec<u32> = words.iter().map(|&w| w as u32).collect();
@@ -23,7 +24,7 @@ fn main() {
         wire_bytes_with_descriptor: enc.wire_len(),
         bytes_saved: 8 - enc.payload_len(),
     };
-    if anton_bench::maybe_json(&demo) {
+    if args.emit_json(&demo) {
         return;
     }
     println!("FIGURE 7. INZ encoding example");

@@ -10,15 +10,15 @@
 use anton_machine::experiments;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let sizes: &[usize] = if quick {
+    let args = anton_bench::Args::from_env(anton_bench::Reads::JsonAndQuick);
+    let sizes: &[usize] = if args.quick {
         &[8_000, 32_751]
     } else {
         &[8_000, 32_751, 131_072, 524_288, 1_048_576]
     };
-    let (warmup, measure) = if quick { (4, 3) } else { (5, 5) };
+    let (warmup, measure) = if args.quick { (4, 3) } else { (5, 5) };
     let rows = experiments::fig9(sizes, warmup, measure, 2026);
-    if anton_bench::maybe_json(&rows) {
+    if args.emit_json(&rows) {
         return;
     }
     println!("FIGURE 9. Channel traffic reduction and application speedup (2x2x2, water)");

@@ -3,7 +3,8 @@
 use anton_model::asic::GENERATIONS;
 
 fn main() {
-    if anton_bench::maybe_json(&GENERATIONS.to_vec()) {
+    let args = anton_bench::Args::from_env(anton_bench::Reads::Json);
+    if args.emit_json(&GENERATIONS.to_vec()) {
         return;
     }
     println!("TABLE I. KEY FEATURES FOR THE THREE ANTON ASICS");

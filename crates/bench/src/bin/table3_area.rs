@@ -11,6 +11,7 @@ struct Row {
 }
 
 fn main() {
+    let args = anton_bench::Args::from_env(anton_bench::Reads::Json);
     let t = TechConstants::default();
     let rows: Vec<Row> = table3_rows()
         .iter()
@@ -19,7 +20,7 @@ fn main() {
             pct_of_die: r.pct_of_die(&t),
         })
         .collect();
-    if anton_bench::maybe_json(&rows) {
+    if args.emit_json(&rows) {
         return;
     }
     println!("TABLE III. Implementation costs of network features");

@@ -1,9 +1,8 @@
 //! # anton-machine — full-system Anton 3 model and the paper's experiments
 //!
 //! Assembles the network ([`anton_net`]), compression
-//! ([`anton_compress`]), synchronized memory ([`anton_mem`]) and the MD
-//! substrate ([`anton_md`]) into runnable machines, and implements every
-//! measurement the paper reports:
+//! ([`anton_compress`]) and the MD substrate ([`anton_md`]) into runnable
+//! machines, and implements every measurement the paper reports:
 //!
 //! - [`machine`] — the directed channel-link fabric of a torus machine;
 //! - [`pingpong`] — end-to-end latency vs. hop count (Figures 5, 6);
@@ -28,5 +27,3 @@ pub mod experiments;
 pub mod machine;
 pub mod mdrun;
 pub mod pingpong;
-pub mod protocol;
-pub mod tiles;

@@ -613,6 +613,13 @@ mod tests {
     }
 
     #[test]
+    fn per_node_rates_follow_table1_and_the_core_rows() {
+        let table1 = asic::anton3().pairwise_gops as f64 / asic::anton3().clock_ghz;
+        assert!((table1 - PPIM_INTERACTIONS_PER_CYCLE).abs() < 1.0);
+        assert_eq!((asic::CORE_ROWS * 2) as f64, STREAM_POSITIONS_PER_CYCLE);
+    }
+
+    #[test]
     fn compression_reduces_traffic() {
         let base = run(MachineConfig::torus([2, 2, 2]).without_compression(), 4000);
         let inz = run(MachineConfig::torus([2, 2, 2]).inz_only(), 4000);

@@ -1,6 +1,6 @@
 //! Time, frequency, and bandwidth units used throughout the simulator.
 //!
-//! The discrete-event engine keeps time in integer **picoseconds** ([`Ps`]).
+//! The analytic models keep time in integer **picoseconds** ([`Ps`]).
 //! One Anton 3 core cycle at 2.8 GHz is rounded to [`PS_PER_CORE_CYCLE`]
 //! (357 ps, a 0.04% rounding error — far below the precision at which the
 //! paper reports latencies). On-chip latencies are expressed in [`Cycles`]
@@ -23,7 +23,7 @@ pub const SERDES_GBPS: f64 = 29.0;
 
 /// A duration or point in simulated time, in integer picoseconds.
 ///
-/// `Ps` is the native unit of the event queue. It is a thin newtype over
+/// `Ps` is the native unit of the analytic models. It is a thin newtype over
 /// `u64` with saturating-free arithmetic (overflow would indicate a bug, so
 /// plain checked-in-debug arithmetic is used).
 ///

@@ -70,7 +70,6 @@ pub mod fabric3d;
 pub mod fence;
 pub mod packet;
 pub mod path;
-pub mod reduction;
 pub mod router;
 pub mod routing;
 pub mod telemetry;

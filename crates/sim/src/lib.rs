@@ -1,169 +1,14 @@
-//! # anton-sim — deterministic discrete-event simulation engine
+//! # anton-sim — deterministic simulation utilities
 //!
-//! A small, dependency-light core for the Anton 3 network simulator:
-//!
-//! - [`event::EventQueue`] — a `(time, sequence)`-ordered queue with
-//!   deterministic FIFO tie-breaking;
-//! - [`Engine`] — the simulation driver: current time, scheduling helpers,
-//!   and the event-pump loop;
 //! - [`rng::SplitMix64`] — reproducible randomness for oblivious routing
 //!   decisions;
 //! - [`stats`] — accumulators, histograms and the least-squares fits used
 //!   to report results the way the paper does;
 //! - [`trace::ActivityTrace`] — busy-span recording behind Figure 12.
-//!
-//! ```
-//! use anton_sim::Engine;
-//! use anton_model::units::Ps;
-//!
-//! // Count down three ticks, 10 ns apart.
-//! let mut engine: Engine<u32> = Engine::new();
-//! engine.schedule_in(Ps::from_ns(10.0), 3);
-//! let mut fired = Vec::new();
-//! while let Some((t, n)) = engine.next_event() {
-//!     fired.push((t.as_ns(), n));
-//!     if n > 1 {
-//!         engine.schedule_in(Ps::from_ns(10.0), n - 1);
-//!     }
-//! }
-//! assert_eq!(fired, vec![(10.0, 3), (20.0, 2), (30.0, 1)]);
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod rng;
 pub mod stats;
 pub mod trace;
-
-use anton_model::units::Ps;
-use event::EventQueue;
-
-/// The simulation driver: an event queue plus the current simulated time.
-///
-/// `E` is the caller's event payload type. The engine is intentionally
-/// minimal: callers pump events with [`Engine::next_event`] in a
-/// `while let` loop so the handler retains full mutable access to both the
-/// engine (to schedule follow-ups) and their own state.
-#[derive(Debug)]
-pub struct Engine<E> {
-    queue: EventQueue<E>,
-    now: Ps,
-}
-
-impl<E> Default for Engine<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Engine<E> {
-    /// Creates an engine at time zero with an empty queue.
-    pub fn new() -> Self {
-        Engine {
-            queue: EventQueue::new(),
-            now: Ps::ZERO,
-        }
-    }
-
-    /// The current simulated time (the timestamp of the most recently
-    /// popped event).
-    pub fn now(&self) -> Ps {
-        self.now
-    }
-
-    /// Schedules an event at an absolute time.
-    ///
-    /// # Panics
-    /// Panics if `time` is in the past — events may not travel backwards.
-    pub fn schedule_at(&mut self, time: Ps, payload: E) {
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past ({time} < {})",
-            self.now
-        );
-        self.queue.push(time, payload);
-    }
-
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: Ps, payload: E) {
-        self.queue.push(self.now + delay, payload);
-    }
-
-    /// Pops the next event, advancing the clock to its timestamp.
-    pub fn next_event(&mut self) -> Option<(Ps, E)> {
-        let (t, e) = self.queue.pop()?;
-        debug_assert!(t >= self.now, "event queue went backwards");
-        self.now = t;
-        Some((t, e))
-    }
-
-    /// Pops the next event only if it occurs at or before `deadline`.
-    pub fn next_event_before(&mut self, deadline: Ps) -> Option<(Ps, E)> {
-        if self.queue.peek_time()? <= deadline {
-            self.next_event()
-        } else {
-            None
-        }
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Total events ever scheduled (for run statistics).
-    pub fn total_scheduled(&self) -> u64 {
-        self.queue.total_scheduled()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn clock_advances_with_events() {
-        let mut e: Engine<&str> = Engine::new();
-        e.schedule_at(Ps::new(100), "b");
-        e.schedule_at(Ps::new(50), "a");
-        assert_eq!(e.now(), Ps::ZERO);
-        assert_eq!(e.next_event(), Some((Ps::new(50), "a")));
-        assert_eq!(e.now(), Ps::new(50));
-        assert_eq!(e.next_event(), Some((Ps::new(100), "b")));
-        assert_eq!(e.now(), Ps::new(100));
-        assert_eq!(e.next_event(), None);
-        // Time holds after drain.
-        assert_eq!(e.now(), Ps::new(100));
-    }
-
-    #[test]
-    fn deadline_gating() {
-        let mut e: Engine<u8> = Engine::new();
-        e.schedule_at(Ps::new(10), 1);
-        e.schedule_at(Ps::new(30), 2);
-        assert_eq!(e.next_event_before(Ps::new(20)), Some((Ps::new(10), 1)));
-        assert_eq!(e.next_event_before(Ps::new(20)), None);
-        assert_eq!(e.pending(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn rejects_past_events() {
-        let mut e: Engine<u8> = Engine::new();
-        e.schedule_at(Ps::new(10), 1);
-        e.next_event();
-        e.schedule_at(Ps::new(5), 2);
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut e: Engine<u8> = Engine::new();
-        e.schedule_at(Ps::new(10), 1);
-        e.next_event();
-        e.schedule_in(Ps::new(7), 2);
-        assert_eq!(e.next_event(), Some((Ps::new(17), 2)));
-        assert_eq!(e.total_scheduled(), 2);
-    }
-}

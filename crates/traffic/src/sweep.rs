@@ -1228,21 +1228,9 @@ fn parallel_indexed<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + 
         .collect()
 }
 
-/// Runs a pattern across the whole load axis.
-pub fn run_curve(
-    pattern: &dyn TrafficPattern,
-    cfg: &SweepConfig,
-    params: FabricParams,
-    stream: u64,
-) -> PatternCurve {
-    run_curve_threaded(pattern, cfg, params, stream, 1)
-}
-
-/// [`run_curve`] with the independent offered-load points distributed
-/// over `threads` worker threads. Every point seeds its RNG from
-/// `(cfg.seed, stream * 1024 + point index)` exactly as the serial path
-/// does, so the curve — and any JSON serialized from it — is
-/// byte-identical at any thread count.
+/// Runs a pattern across the whole load axis on `threads` workers. Each
+/// point seeds its RNG from `(cfg.seed, stream * 1024 + point index)`, so
+/// the curve — and its JSON — is byte-identical at any thread count.
 pub fn run_curve_threaded(
     pattern: &dyn TrafficPattern,
     cfg: &SweepConfig,
@@ -1275,20 +1263,9 @@ fn assemble_curve(name: &str, results: Vec<(LoadPoint, LatencyStats, (u64, u64))
     }
 }
 
-/// Runs every pattern in `patterns` and assembles the report.
-pub fn run_sweep(
-    patterns: &[Box<dyn TrafficPattern>],
-    cfg: &SweepConfig,
-    params: FabricParams,
-) -> SweepReport {
-    run_sweep_threaded(patterns, cfg, params, 1)
-}
-
-/// [`run_sweep`] with every (pattern, offered load) point of the whole
-/// suite flattened into one task pool over `threads` workers — the
-/// per-point RNG streams match the serial nesting (`pattern index + 1`
-/// as the curve stream), so the report is byte-identical at any thread
-/// count.
+/// Runs every pattern as one pool of (pattern, load) points on `threads`
+/// workers; pattern `i` runs as [`run_curve_threaded`]'s stream `i + 1`,
+/// so the report is byte-identical at any thread count.
 pub fn run_sweep_threaded(
     patterns: &[Box<dyn TrafficPattern>],
     cfg: &SweepConfig,
@@ -1499,7 +1476,7 @@ mod tests {
         cfg.respond = true;
         cfg.loads = vec![0.05, 0.2, 0.4];
         let p = params();
-        let serial = run_curve(&UniformRandom, &cfg, p, 5);
+        let serial = run_curve_threaded(&UniformRandom, &cfg, p, 5, 1);
         let threaded = run_curve_threaded(&UniformRandom, &cfg, p, 5, 3);
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
@@ -1508,7 +1485,7 @@ mod tests {
         );
         let suite: Vec<Box<dyn crate::patterns::TrafficPattern>> =
             vec![Box::new(UniformRandom), Box::new(NearestNeighbor)];
-        let sweep_serial = run_sweep(&suite, &cfg, p);
+        let sweep_serial = run_sweep_threaded(&suite, &cfg, p, 1);
         let mut sweep_threaded = run_sweep_threaded(&suite, &cfg, p, 4);
         // The echo block records execution provenance, so its thread
         // count differs by design; every measurement must not.
@@ -1716,7 +1693,7 @@ mod tests {
         cfg.warmup_cycles = 200;
         cfg.measure_cycles = 400;
         let suite: Vec<Box<dyn crate::patterns::TrafficPattern>> = vec![Box::new(UniformRandom)];
-        let report = run_sweep(&suite, &cfg, params());
+        let report = run_sweep_threaded(&suite, &cfg, params(), 1);
         let json = serde_json::to_string_pretty(&report).unwrap();
         assert!(json.contains("\"uniform_random\""));
         assert!(json.contains("\"analytic_per_hop_ns\""));

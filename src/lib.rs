@@ -4,7 +4,7 @@
 //! downstream users can depend on a single crate:
 //!
 //! - [`model`] — machine geometry, units, latency/area parameter sets
-//! - [`sim`] — deterministic discrete-event simulation engine
+//! - [`sim`] — deterministic RNG, statistics and activity traces
 //! - [`compress`] — INZ encoding and the particle cache
 //! - [`mem`] — counted-write / blocking-read SRAM
 //! - [`net`] — routers, adapters, channels, torus routing, network fences,
