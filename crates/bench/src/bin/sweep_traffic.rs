@@ -69,11 +69,12 @@
 //!   path ends in `.jsonl`, Chrome `trace_event` JSON (loadable in
 //!   `chrome://tracing` / Perfetto) otherwise.
 //!
-//! Any other argument, a valued flag without its value, a numeric value
-//! that is not a positive integer, a flag given twice, or more than one
-//! of the mode flags (`--calibrate`, `--md-replay`, `--overload-smoke`,
-//! `--mega-smoke`) is rejected with exit status 2 before anything runs,
-//! and so is a mode configuration `SweepConfig::validate` refuses.
+//! Any other argument, an argument that is not UTF-8, a valued flag
+//! without its value, a numeric value that is not a positive integer, a
+//! flag given twice, or more than one of the mode flags (`--calibrate`,
+//! `--md-replay`, `--overload-smoke`, `--mega-smoke`) is rejected with
+//! exit status 2 before anything runs, and so is a mode configuration
+//! `SweepConfig::validate` refuses.
 
 use anton_machine::mdrun::MdNetworkRun;
 use anton_machine::pingpong::LoadedCalibration;
@@ -93,6 +94,7 @@ use anton_traffic::sweep::{
     SweepConfig,
 };
 use anton_traffic::workload::SyntheticWorkload;
+use std::ffi::OsString;
 
 /// Flags that stand alone.
 const SWITCHES: &[&str] = &[
@@ -264,6 +266,18 @@ impl Args {
     }
 }
 
+/// The run's arguments as UTF-8 strings. An argument that is not UTF-8
+/// is refused rather than converted lossily: a lossy `--telemetry-out`
+/// or `--trace-out` path would silently name a different file.
+fn utf8_args(args: impl IntoIterator<Item = OsString>) -> Result<Vec<String>, String> {
+    args.into_iter()
+        .map(|a| {
+            a.into_string()
+                .map_err(|a| format!("argument {a:?} is not UTF-8"))
+        })
+        .collect()
+}
+
 /// Every flag, for error messages: the switches, then `FLAG VALUE` for
 /// the valued flags.
 fn known_flags() -> String {
@@ -413,11 +427,13 @@ fn write_telemetry_artifacts(fabric: &TorusFabric, args: &Args) {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(&argv).unwrap_or_else(|e| {
-        eprintln!("sweep_traffic: {e}");
-        std::process::exit(2);
-    });
+    let argv = utf8_args(std::env::args_os().skip(1));
+    let args = argv
+        .and_then(|argv| Args::parse(&argv))
+        .unwrap_or_else(|e| {
+            eprintln!("sweep_traffic: {e}");
+            std::process::exit(2);
+        });
     let params = FabricParams::calibrated(&LatencyModel::default());
     match args.mode {
         Mode::Calibrate => return calibrate(params, &args),
@@ -958,6 +974,29 @@ mod tests {
         assert!(err(&["--json", "stray"]).starts_with("unknown argument `stray`"));
         assert!(err(&["--threads"]).starts_with("--threads takes a value"));
         assert!(err(&["--threads", "--json"]).starts_with("--threads takes a value"));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn non_utf8_arguments_are_refused_not_converted() {
+        use std::os::unix::ffi::OsStringExt;
+        let os = |a: &[u8]| OsString::from_vec(a.to_vec());
+        assert_eq!(
+            utf8_args([os(b"--quick"), os(b"--telemetry-out"), os(b"t.json")]),
+            Ok(vec![
+                "--quick".into(),
+                "--telemetry-out".into(),
+                "t.json".into()
+            ])
+        );
+        assert_eq!(
+            utf8_args([os(b"--quick"), os(b"--telemetry-out"), os(b"/tmp/x\xff")]),
+            Err(r#"argument "/tmp/x\xFF" is not UTF-8"#.into())
+        );
+        assert_eq!(
+            utf8_args([os(b"\xff")]),
+            Err(r#"argument "\xFF" is not UTF-8"#.into())
+        );
     }
 
     #[test]

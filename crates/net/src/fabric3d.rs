@@ -29,8 +29,9 @@
 //! Calibration ([`FabricParams::calibrated`]) splits the analytic
 //! per-hop latency of [`crate::path::one_way`] into a short router
 //! pipeline (CA processing + INZ + two Edge Router hops, where the
-//! paper's 8-flit credit loop applies) and a long credit-reserved link
-//! delay line (SERDES PHYs + wire), so that under zero load the cycle
+//! paper's 8-flit credit loop applies) and a long link delay line
+//! (SERDES PHYs + wire), whose flits in flight hold their sender's
+//! credits for the queue they land in, so that under zero load the cycle
 //! fabric and the closed-form model agree on the per-hop constant, while
 //! under load the fabric exhibits real contention: arbitration, HOL
 //! blocking, credit exhaustion and saturation. Each slice serializes 192

@@ -41,19 +41,22 @@
 //!   dropped when they go idle, so arbitration visits only routers that
 //!   can possibly act;
 //! - **per-shard arrival wheels**: a departure onto a positive-latency
-//!   link books the flit on its shard's calendar wheel at the arrival
-//!   cycle, where one landing releases the upstream credit and accepts
-//!   the flit downstream — no per-link delay line, no serial replay;
+//!   link books the flit on the downstream shard's calendar wheel at the
+//!   arrival cycle, where its landing accepts it into the downstream
+//!   queue — no per-link delay line, no serial replay;
 //! - **occupied-input candidate lists**: route computation walks the
 //!   non-empty input queues instead of every port × VC slot, and
 //!   arbitration visits only the outputs those heads requested (plus
 //!   outputs owned by a cut-through packet), in the same ascending
 //!   output order as a full scan;
-//! - **direct credit checks**: arbitration asks the downstream credit
-//!   question itself, for exactly the (output, VC) pairs it visits, and
-//!   stall classification asks the same question through the same check
-//!   — the credit state cannot change while a cycle arbitrates, so no
-//!   snapshot or probe table is needed;
+//! - **sender-held credits**: each router keeps one credit count per
+//!   (output, VC) for the queue its link feeds. A departure spends one,
+//!   a pop returns one to the link feeding the popped queue at the end
+//!   of the cycle, and a landing touches none, so a credit check is one
+//!   read of the router's own row. Arbitration asks it for exactly the
+//!   (output, VC) pairs it visits, and stall classification asks the
+//!   same check — the counts cannot change while a cycle arbitrates, so
+//!   no snapshot or probe table is needed;
 //! - **occupied-front stall classification, recorded in place**: with
 //!   telemetry on, each router walks an occupied-queue bitset and reads
 //!   every front's target from a per-queue memo keyed by front version,
@@ -75,7 +78,7 @@
 //!   and at every ejection, so a reacting workload does not pin epochs to
 //!   one cycle;
 //! - **borrowed shard rows**: each window borrows only its own shard's
-//!   rows of the fabric (routers, links, credit-mirror entries, scratch),
+//!   rows of the fabric (routers, links, credit rows, scratch),
 //!   split off with ordinary slices, so the compiler checks the
 //!   partition; handing the rows to the pool's worker threads is the
 //!   crate's one `unsafe` block.
@@ -488,7 +491,8 @@ pub struct CycleRouter {
     arb_outs: Vec<u16>,
     /// Queues this router popped during the current arbitration phase,
     /// as flat indices. The fabric drains this after every router has
-    /// arbitrated and returns the credits then — credit return is
+    /// arbitrated and returns each credit to the link feeding the popped
+    /// queue then — credit return is
     /// uniformly visible one cycle later, never mid-arbitration, so a
     /// credit check cannot depend on router visit order (the invariant
     /// the sharded stepper rests on).
@@ -620,9 +624,9 @@ impl CycleRouter {
         self.store.free_slots(port * self.vcs + vc as usize) > 0
     }
 
-    /// Free slots on input `(port, vc)` — the upstream credit count.
-    /// (The fabric's arbitration credit checks read its own cycle-stable
-    /// credit mirror instead; see `RouterFabric::credit_view`.)
+    /// Free slots on input `(port, vc)`. (The fabric's arbitration reads
+    /// the upstream sender's credit count instead, which lags a pop by a
+    /// cycle; see `RouterFabric::credits`.)
     pub fn free_slots(&self, port: usize, vc: u8) -> usize {
         self.store.free_slots(port * self.vcs + vc as usize)
     }
@@ -1195,9 +1199,9 @@ pub enum PortLink {
 /// wire crossing is tens of nanoseconds long and pipelined, so it is
 /// modeled as a pipelined wire: flits depart at most one per `interval`
 /// cycles (serialization bandwidth) and arrive `latency` cycles later.
-/// Credits are reserved at departure — queued plus in-flight flits never
-/// exceed the 8-flit downstream queue, exactly as a hardware credit loop
-/// sized to the round trip would behave.
+/// A departure spends one of the sender's credits — queued plus
+/// in-flight flits never exceed the 8-flit downstream queue, exactly as
+/// a hardware credit loop sized to the round trip would behave.
 ///
 /// Only router-to-router links have flight time: an ejection link
 /// delivers the cycle its flit departs (the endpoint's receive path is
@@ -1222,11 +1226,10 @@ impl Default for LinkSpec {
 }
 
 /// One link's spec and traffic counters. The serialization timer and
-/// reserved credits live in the fabric's flat `next_free` / `reserved`
-/// arrays — they are the arbitration hot path, and a compact per-router
+/// the sender's credits live in the fabric's `next_free` / `credits`
+/// rows — they are the arbitration hot path, and a compact per-router
 /// array is far cheaper to read than a stride through these (much
-/// larger) channel records. Each flit in flight ([`Arrival`]) holds one
-/// `reserved` credit on its link until it lands.
+/// larger) channel records.
 #[derive(Clone, Debug, Default)]
 struct ChannelState {
     spec: LinkSpec,
@@ -1239,45 +1242,19 @@ struct ChannelState {
     class_flits: Vec<u64>,
 }
 
-/// One booking on a shard's arrival wheel: a flit in flight on the link
-/// leaving `router` through `port`, landing at the cycle of its wheel
-/// slot (the destination comes from the wiring).
+/// One booking on an arrival wheel: a flit in flight toward input `port`
+/// of `router`, landing at the cycle of its wheel slot. It sits on the
+/// wheel of the shard owning `router`, and its landing touches no
+/// credit (the sender spent one at departure).
 #[derive(Clone, Copy, Debug)]
 struct Arrival {
     flit: Flit,
     router: u32,
     port: u8,
-    /// Release the link's reserved credit (and, without `accept`, debit
-    /// the boundary credit shadow, mirroring the remote accept).
-    release: bool,
-    /// Accept the flit into the downstream input queue.
-    accept: bool,
 }
 
 // A saturated fabric keeps thousands of bookings live; keep them small.
 const _: () = assert!(std::mem::size_of::<Arrival>() <= 40);
-
-impl Arrival {
-    /// The bookings of `flit` leaving `router` through `port`: one with
-    /// both halves when the link stays inside a shard (`local`), else
-    /// the release for the upstream shard's wheel and the accept for the
-    /// downstream shard's — so each shard touches only its own routers.
-    fn book(flit: Flit, router: usize, port: usize, local: bool) -> (Self, Option<Self>) {
-        let release = Arrival {
-            flit,
-            router: router as u32,
-            port: port as u8,
-            release: true,
-            accept: local,
-        };
-        let accept = Arrival {
-            release: false,
-            accept: true,
-            ..release
-        };
-        (release, (!local).then_some(accept))
-    }
-}
 
 /// Why an injection was refused. Callers (injection harnesses, endpoint
 /// models) use this to distinguish *source queuing* — the local input
@@ -1287,9 +1264,9 @@ impl Arrival {
 pub enum InjectError {
     /// The input VC queue has no credit: every slot of its configured
     /// depth (default [`INPUT_QUEUE_FLITS`], see
-    /// [`CycleRouter::set_input_depth`]) is occupied or reserved, so the
-    /// fabric is backpressuring the source. Transient: the same
-    /// injection succeeds once the queue drains.
+    /// [`CycleRouter::set_input_depth`]) is occupied or held by a flit in
+    /// flight toward it, so the fabric is backpressuring the source.
+    /// Transient: the same injection succeeds once the queue drains.
     NoCredit {
         /// Router whose input port refused the flit.
         router: usize,
@@ -1401,8 +1378,9 @@ pub trait Endpoint: Send {
 /// a shard window ([`Endpoint::begin_cycle`]), and every input queue from
 /// serial code ([`RouterFabric::inject`] and
 /// [`RouterFabric::step_reference_with`] go through a view over the
-/// whole fabric). An injection debits the credit mirror, activates the
-/// router and, while tracing, lists an `Inject` event.
+/// whole fabric). An injection into a port a link feeds spends that
+/// link's credit; every injection activates its router and, while
+/// tracing, lists an `Inject` event.
 pub struct InjectPort<'a> {
     cycle: u64,
     /// First router of the view.
@@ -1416,14 +1394,10 @@ pub struct InjectPort<'a> {
     activated: &'a mut Vec<usize>,
     /// The view's rows of `RouterFabric::feeder`.
     feeder: &'a [Vec<Option<(u32, u32)>>],
-    /// Every link's reservations, which an injection into a fed port
-    /// must leave room for; `None` inside a shard window, where fed
-    /// ports are out of reach (their upstream shard reserves in them).
-    reserved: Option<&'a [Vec<u32>]>,
-    /// The view's entries of the credit mirror, from its first router's
-    /// first queue on.
-    credits: &'a mut [u32],
-    queue_off: &'a [usize],
+    /// Every router's credit row, which an injection into a fed port
+    /// spends from; `None` inside a shard window, where fed ports are out
+    /// of reach (their sender may be another shard's router).
+    credits: Option<&'a mut [Vec<u32>]>,
     /// `Inject` events as `(rank, event)`, while tracing.
     trace: Option<&'a mut Vec<(u8, TraceEvent)>>,
     /// Order of this view's injections among one cycle's `Inject`
@@ -1443,8 +1417,8 @@ impl InjectPort<'_> {
         self.n_routers
     }
 
-    /// Free credit slots an injection into `(router, port, vc)` may take
-    /// now ([`RouterFabric::inject_capacity`]).
+    /// The credits an injection into `(router, port, vc)` may spend now
+    /// ([`RouterFabric::inject_capacity`]).
     ///
     /// # Errors
     /// [`InjectError::QueueOutOfRange`] when the queue does not exist or
@@ -1462,14 +1436,13 @@ impl InjectPort<'_> {
         if port >= d.ports || vc as usize >= d.vcs {
             return Err(out_of_range);
         }
-        let held = match (self.feeder[r][port], self.reserved) {
-            (None, _) => 0,
-            (Some((up, out)), Some(reserved)) => {
-                reserved[up as usize][out as usize * d.vcs + vc as usize] as usize
+        match (self.feeder[r][port], self.credits.as_deref()) {
+            (None, _) => Ok(d.free_slots(port, vc)),
+            (Some((up, out)), Some(credits)) => {
+                Ok(credits[up as usize][out as usize * d.vcs + vc as usize] as usize)
             }
-            (Some(_), None) => return Err(out_of_range),
-        };
-        Ok(d.free_slots(port, vc) - held)
+            (Some(_), None) => Err(out_of_range),
+        }
     }
 
     /// Flits queued on input `(router, port, vc)`.
@@ -1507,8 +1480,11 @@ impl InjectPort<'_> {
         flit.injected_at = cycle;
         let d = &mut self.routers[r];
         d.accept(port, vc, flit, cycle);
-        self.credits
-            [self.queue_off[router] - self.queue_off[self.lo] + port * d.vcs + vc as usize] -= 1;
+        if let (Some((up, out)), Some(credits)) =
+            (self.feeder[r][port], self.credits.as_deref_mut())
+        {
+            credits[up as usize][out as usize * d.vcs + vc as usize] -= 1;
+        }
         if !self.is_active[r] {
             self.is_active[r] = true;
             self.activated.push(router);
@@ -1538,24 +1514,24 @@ use shard::{ShardPool, ShardScratch};
 /// Anton 3's routers keep their input queues and credit counters on
 /// their own node, and a neighbour learns of them only through credits
 /// returning over the link. The kernel keeps the same partition with
-/// ordinary borrows. Each epoch, [`RouterFabric::step_epoch`] splits
-/// the fabric into two views:
+/// ordinary borrows. Each router holds one credit count per (output,
+/// VC): the sender's count for the queue its link feeds, which only the
+/// sender spends. Each epoch, [`RouterFabric::step_epoch`] splits the
+/// fabric into two views:
 ///
 /// - one [`EpochInputs`], which every shard only reads: the wiring,
-///   the offset tables, the boundary-slot map, the routing closures and
-///   the sorted active list;
+///   the link offsets, the routing closures and the sorted active list;
 /// - one [`ShardRows`] per shard, which only that shard touches: its
 ///   contiguous rows `bounds[s]..bounds[s + 1]` of the routers, link
-///   state, activity flags and feeder map, its credit-mirror entries
-///   `queue_off[bounds[s]]..queue_off[bounds[s + 1]]`, and element `s`
-///   of the scratch (arrival wheel, boundary outbox and credit shadows),
-///   of the telemetry recorders and of the endpoints.
+///   state, credit rows, activity flags and feeder map, and element `s`
+///   of the scratch (arrival wheel, boundary outbox and credit return
+///   list), of the telemetry recorders and of the endpoints.
 ///
-/// A window indexes its credit entries from its first queue, so a read
-/// of another shard's entry panics (its index falls outside the
-/// window's range) instead of racing; the credit shadows a window reads
-/// and debits are the slots
-/// `partition` numbered in its own scratch for the links leaving it.
+/// A window indexes its rows from its first router, so a read of another
+/// shard's row panics (its index falls outside the window's range)
+/// instead of racing. A flit bound for another shard goes in the outbox,
+/// and a pop whose credit belongs to another shard's sender goes on the
+/// return list; the serial epilogue moves both to their owners.
 /// An [`Endpoint`] reaches the fabric only through an [`InjectPort`]
 /// built from its shard's rows, and only at ports no link feeds.
 ///
@@ -1569,8 +1545,8 @@ use shard::{ShardPool, ShardScratch};
 /// positive-latency link is at least one window long, so no cross-shard
 /// effect can land inside it), then the single end-of-epoch fence
 /// provides the acquire/release edge before the serial epilogue, which
-/// alone moves boundary accepts from one shard's outbox onto another
-/// shard's wheel.
+/// alone moves boundary flits from one shard's outbox onto another
+/// shard's wheel and applies the boundary credit returns.
 /// The views belong to the stepping thread's `step_epoch` call, and
 /// workers use them only between the pool launch and that fence, which
 /// the stepping thread also waits on. A panic inside a window does not skip the
@@ -1831,10 +1807,13 @@ mod shard {
         /// link latency (see [`RouterFabric::set_link_spec`]), so a slot
         /// never mixes cycles.
         pub(super) wheel: Vec<Vec<Arrival>>,
-        /// Accept halves of this window's boundary departures, as
-        /// `(wheel slot, downstream router, booking)`, for the epilogue
-        /// to move onto the downstream shard's wheel.
-        outbox: Vec<(usize, usize, Arrival)>,
+        /// This window's departures into other shards, as `(wheel slot,
+        /// booking)`, for the epilogue to move onto the downstream
+        /// shard's wheel.
+        outbox: Vec<(usize, Arrival)>,
+        /// Credits this window's pops return to senders in other shards,
+        /// as `(router, credit-row index)`, for the epilogue to apply.
+        returns: Vec<(usize, usize)>,
         /// Flits this window sent onto positive-latency links.
         sent: usize,
         /// Flits this window landed into its routers.
@@ -1860,13 +1839,6 @@ mod shard {
         /// While tracing, the endpoint's injections as `(rank, event)`,
         /// by cycle, then in the order it made them.
         pub(super) injects: Vec<(u8, TraceEvent)>,
-        /// Credit shadows of the links leaving this shard, one slot per
-        /// boundary `(link, vc)` ([`BoundaryLink::slot`]): refreshed from
-        /// the credit mirror at each epoch prologue, debited at the
-        /// private arrival cycles of this shard's flits, and read by its
-        /// credit checks — the window clamp keeps them bit-exact against
-        /// the serial credit loop.
-        pub(super) shadow: Vec<u32>,
     }
 
     impl ShardScratch {
@@ -1889,32 +1861,14 @@ mod shard {
                     .map(|s| s.capacity() * size_of::<Arrival>())
                     .sum::<usize>();
             wheel
-                + self.outbox.capacity() * size_of::<(usize, usize, Arrival)>()
+                + self.outbox.capacity() * size_of::<(usize, Arrival)>()
+                + self.returns.capacity() * size_of::<(usize, usize)>()
                 + (self.worklist.capacity() + self.incoming.capacity()) * size_of::<usize>()
                 + self.moves.capacity() * size_of::<(usize, usize, Flit)>()
                 + self.ejected.capacity() * size_of::<(u64, Flit)>()
                 + self.hops.capacity() * size_of::<(u64, usize, usize, Flit)>()
                 + self.injects.capacity() * size_of::<(u8, TraceEvent)>()
-                + self.shadow.capacity() * size_of::<u32>()
         }
-    }
-
-    /// One boundary link's constants for the epoch window clamp and the
-    /// credit-shadow refresh: a router-to-router link whose two ends live
-    /// in different shards.
-    pub(super) struct BoundaryLink {
-        /// Shard of the upstream router, which owns the link's shadows.
-        pub(super) shard: u32,
-        /// Upstream router.
-        pub(super) router: u32,
-        /// Upstream output port.
-        pub(super) port: u32,
-        /// Flat `credit_view` offset of the downstream input queue's VC 0.
-        pub(super) queue_base: u32,
-        /// First slot of this link in its shard's shadows (one per VC).
-        pub(super) slot: u32,
-        /// VC count of the link (upstream and downstream agree).
-        pub(super) vcs: u32,
     }
 
     /// What every shard window of one epoch only reads.
@@ -1924,10 +1878,7 @@ mod shard {
         /// Window width: shards privately simulate `cycle..cycle + window`.
         window: u64,
         wiring: &'a [Vec<PortLink>],
-        queue_off: &'a [usize],
         link_off: &'a [usize],
-        /// Per-link first shadow slot (see `RouterFabric::boundary_slot`).
-        boundary_slot: &'a [u32],
         route: &'a RouteFn,
         classify: Option<&'a FlitClassFn>,
         /// Whether any flit was in flight when the epoch started; if not,
@@ -1946,11 +1897,9 @@ mod shard {
         routers: &'a mut [CycleRouter],
         channels: &'a mut [Vec<ChannelState>],
         next_free: &'a mut [Vec<u64>],
-        reserved: &'a mut [Vec<u32>],
+        credits: &'a mut [Vec<u32>],
         is_active: &'a mut [bool],
         feeder: &'a [Vec<Option<(u32, u32)>>],
-        /// The shard's credit-mirror entries, from `queue_off[lo]` on.
-        credits: &'a mut [u32],
         scratch: &'a mut ShardScratch,
         /// The shard's telemetry recorder, over its own links
         /// ([`Telemetry::recorders`]); `None` when telemetry is off.
@@ -1997,9 +1946,9 @@ mod shard {
     /// boundary accept an earlier epilogue moved in. Zero-latency router
     /// links never leave a shard (`set_shards` and `set_link_spec`
     /// refuse them), so their flits land in-shard the cycle they depart.
-    /// Credit checks against remote downstream queues, for arbitration
-    /// and stall classification alike, read the per-boundary credit
-    /// shadow, which the window clamp keeps bit-exact (see
+    /// Every credit check reads the sender's own row. A pop's credit
+    /// returns to a sender in another shard only at the epilogue, and the
+    /// window clamp keeps that delay invisible (see
     /// [`RouterFabric::step_epoch`]).
     fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
         let ShardRows {
@@ -2007,17 +1956,14 @@ mod shard {
             routers,
             channels,
             next_free,
-            reserved,
+            credits,
             is_active,
             feeder,
-            credits,
             scratch,
             recorder: rec,
             endpoint,
         } = rows;
         let (lo, hi) = (*lo, *lo + routers.len());
-        // Credit entries are indexed from the shard's first queue.
-        let base = inp.queue_off[lo];
         let tracing = rec.as_ref().is_some_and(|r| r.trace);
         (scratch.sent, scratch.landed, scratch.last_move) = (0, 0, 0);
         let t0 = inp.cycle;
@@ -2035,7 +1981,8 @@ mod shard {
         while cycle < tend {
             // The endpoint stage, ahead of the landings: the view reaches
             // only this shard's routers, and only their injection ports —
-            // a port a link feeds may hold another shard's reservations.
+            // a port a link feeds spends its sender's credit, which may
+            // be another shard's.
             if let Some(ep) = endpoint.as_deref_mut() {
                 let mut port = InjectPort {
                     cycle,
@@ -2045,45 +1992,27 @@ mod shard {
                     is_active,
                     activated: &mut scratch.incoming,
                     feeder,
-                    reserved: None,
-                    credits,
-                    queue_off: inp.queue_off,
+                    credits: None,
                     trace: tracing.then_some(&mut scratch.injects),
                     rank: 0,
                 };
                 ep.begin_cycle(cycle, &mut port);
             }
-            // Land this cycle's wheel slot. A release whose accept is
-            // another shard's debits the credit shadow, mirroring that
-            // remote accept. Departures book at least one window out, so
-            // the slot cannot grow while it lands.
+            // Land this cycle's wheel slot into this shard's queues.
+            // Departures book at least one window out, so the slot cannot
+            // grow while it lands.
             let slot = (cycle % wheel_len) as usize;
             if !scratch.wheel[slot].is_empty() {
                 let mut bucket = std::mem::take(&mut scratch.wheel[slot]);
                 for a in &bucket {
-                    let (r, port, vc) = (a.router as usize, a.port as usize, a.flit.vc);
-                    if a.release {
-                        let vcs = routers[r - lo].vcs;
-                        reserved[r - lo][port * vcs + vc as usize] -= 1;
-                        if !a.accept {
-                            let bslot = inp.boundary_slot[inp.link_off[r] + port] as usize;
-                            scratch.shadow[bslot + vc as usize] -= 1;
-                        }
-                    }
-                    if a.accept {
-                        let PortLink::Router { router, port } = inp.wiring[r][port] else {
-                            unreachable!("only router links have flits in flight");
-                        };
-                        let d = &mut routers[router - lo];
-                        d.accept(port, vc, a.flit, cycle);
-                        credits[inp.queue_off[router] - base + port * d.vcs + vc as usize] -= 1;
-                        if !is_active[router - lo] {
-                            is_active[router - lo] = true;
-                            scratch.incoming.push(router);
-                        }
-                        scratch.landed += 1;
+                    let r = a.router as usize;
+                    routers[r - lo].accept(a.port as usize, a.flit.vc, a.flit, cycle);
+                    if !is_active[r - lo] {
+                        is_active[r - lo] = true;
+                        scratch.incoming.push(r);
                     }
                 }
+                scratch.landed += bucket.len();
                 bucket.clear();
                 scratch.wheel[slot] = bucket;
             }
@@ -2104,22 +2033,11 @@ mod shard {
 
             // The downstream-credit half of a departure check for router
             // `r`'s output `out` on VC `vc` (`vcs` is `r`'s VC count, the
-            // stride of its `reserved` row): the credit mirror when the
-            // downstream queue is in this shard, the boundary shadow when
-            // it is not. Arbitration and stall classification both ask
-            // here; nothing it reads changes while a cycle arbitrates.
-            let has_credit = |r: usize, vcs: usize, out: usize, vc: u8| match inp.wiring[r][out] {
-                PortLink::Router { router: dst, port } => {
-                    let credit = if (lo..hi).contains(&dst) {
-                        credits[inp.queue_off[dst] - base + port * vcs + vc as usize]
-                    } else {
-                        let bslot = inp.boundary_slot[inp.link_off[r] + out] as usize;
-                        scratch.shadow[bslot + vc as usize]
-                    };
-                    reserved[r - lo][out * vcs + vc as usize] < credit
-                }
-                PortLink::Endpoint(_) => true,
-                PortLink::Unused => false,
+            // stride of its credit row): one entry of the router's own
+            // row. Arbitration and stall classification both ask here;
+            // nothing it reads changes while a cycle arbitrates.
+            let has_credit = |r: usize, vcs: usize, out: usize, vc: u8| {
+                credits[r - lo][out * vcs + vc as usize] > 0
             };
 
             // Arbitration over the worklist.
@@ -2181,12 +2099,12 @@ mod shard {
                 }
             }
 
-            // Apply: departures enter their links. Every booking lands at
-            // or beyond the epoch barrier (no positive link latency is
-            // shorter than the window): a hop inside the shard books one
-            // entry on the shard's wheel, a boundary hop books its release
-            // there and its accept in the outbox. Zero-latency hops land
-            // in-shard and ejections deliver, this cycle.
+            // Apply: departures spend their credits and enter their
+            // links. Every booking lands at or beyond the epoch barrier
+            // (no positive link latency is shorter than the window): a hop
+            // inside the shard books on the shard's wheel, a boundary hop
+            // in the outbox. Zero-latency hops land in-shard and
+            // ejections deliver, this cycle.
             for (r, out, flit) in scratch.moves.drain(..) {
                 debug_assert!(lo <= r && r < hi, "move escaped its shard");
                 let class = inp.classify.map(|f| f(&flit));
@@ -2203,26 +2121,35 @@ mod shard {
                     PortLink::Router {
                         router: dst,
                         port: dport,
-                    } if spec.latency == 0 => {
-                        // Flight folds into the downstream pipeline.
-                        assert!(lo <= dst && dst < hi, "zero-latency link left its shard");
-                        let d = &mut routers[dst - lo];
-                        d.accept(dport, flit.vc, flit, cycle);
-                        credits[inp.queue_off[dst] - base + dport * d.vcs + flit.vc as usize] -= 1;
-                        if !is_active[dst - lo] {
-                            is_active[dst - lo] = true;
-                            scratch.incoming.push(dst);
+                    } => {
+                        credits[r - lo][out * vcs + flit.vc as usize] -= 1;
+                        if spec.latency == 0 {
+                            // Flight folds into the downstream pipeline.
+                            assert!(lo <= dst && dst < hi, "zero-latency link left its shard");
+                            routers[dst - lo].accept(dport, flit.vc, flit, cycle);
+                            if !is_active[dst - lo] {
+                                is_active[dst - lo] = true;
+                                scratch.incoming.push(dst);
+                            }
+                        } else {
+                            debug_assert!(spec.latency < wheel_len, "arrival beyond the wheel");
+                            debug_assert!(
+                                cycle + spec.latency >= tend,
+                                "booking inside the window"
+                            );
+                            let slot = ((cycle + spec.latency) % wheel_len) as usize;
+                            let a = Arrival {
+                                flit,
+                                router: dst as u32,
+                                port: dport as u8,
+                            };
+                            if (lo..hi).contains(&dst) {
+                                scratch.wheel[slot].push(a);
+                            } else {
+                                scratch.outbox.push((slot, a));
+                            }
+                            scratch.sent += 1;
                         }
-                    }
-                    PortLink::Router { router: dst, .. } => {
-                        reserved[r - lo][out * vcs + flit.vc as usize] += 1;
-                        debug_assert!(spec.latency < wheel_len, "arrival beyond the wheel");
-                        debug_assert!(cycle + spec.latency >= tend, "booking inside the window");
-                        let slot = ((cycle + spec.latency) % wheel_len) as usize;
-                        let (own, remote) = Arrival::book(flit, r, out, lo <= dst && dst < hi);
-                        scratch.wheel[slot].push(own);
-                        scratch.outbox.extend(remote.map(|a| (slot, dst, a)));
-                        scratch.sent += 1;
                     }
                     PortLink::Endpoint(_) => {
                         if let Some(ep) = endpoint.as_deref_mut() {
@@ -2234,12 +2161,23 @@ mod shard {
                 }
             }
 
-            // Credit returns, uniformly visible one private cycle later —
-            // only routers that arbitrated can have parked credits.
+            // Credit returns, uniformly visible one private cycle later, to
+            // the link feeding each popped queue: in the sender's row when
+            // it is this shard's, else through the epilogue. Only routers
+            // that arbitrated can have parked credits.
             for &r in &scratch.worklist {
                 let router = &mut routers[r - lo];
+                let vcs = router.vcs;
                 for &idx in &router.popped {
-                    credits[inp.queue_off[r] - base + idx as usize] += 1;
+                    let (port, vc) = (idx as usize / vcs, idx as usize % vcs);
+                    if let Some((up, out)) = feeder[r - lo][port] {
+                        let (up, at) = (up as usize, out as usize * vcs + vc);
+                        if (lo..hi).contains(&up) {
+                            credits[up - lo][at] += 1;
+                        } else {
+                            scratch.returns.push((up, at));
+                        }
+                    }
                 }
                 router.popped.clear();
             }
@@ -2302,8 +2240,9 @@ mod shard {
         /// output: it appends the shards' deliveries (and, while tracing,
         /// hops) in shard order and sorts them stably by cycle, which over
         /// contiguous ascending regions is the reference stepper's
-        /// (cycle, ascending router) order, and it moves the window's
-        /// boundary accepts onto their downstream wheels.
+        /// (cycle, ascending router) order; it moves the window's
+        /// boundary flits onto their downstream wheels, and it applies
+        /// the credits the window's pops return across boundaries.
         ///
         /// Window selection takes the minimum of:
         /// - the caller's stepping limit (`limit - cycle`),
@@ -2314,15 +2253,16 @@ mod shard {
         ///   tests pin degenerate windows of 1),
         /// - the distance to the next telemetry epoch boundary, so rolls
         ///   always happen serially at a prologue,
-        /// - per boundary `(link, vc)`: `(headroom - 1) * interval + 1`
-        ///   cycles, where `headroom` is the downstream queue's free
-        ///   credits minus the upstream's in-flight reservations at the
-        ///   epoch start. A link serializes at most one flit per
-        ///   `interval` cycles, so within that window the upstream shard
-        ///   cannot send enough flits for its private credit shadow
-        ///   (which misses the downstream's mid-window credit *returns*,
-        ///   never its debits) to disagree with the serial credit loop —
-        ///   credit checks, grants, and stall causes stay bit-exact.
+        /// - per boundary `(link, vc)`: `(credits - 1) * interval + 1`
+        ///   cycles, where `credits` is the sender's count at the epoch
+        ///   start. A link serializes at most one flit per `interval`
+        ///   cycles, so within that window the sender spends its last
+        ///   credit no earlier than the window's last cycle. Its count
+        ///   misses the downstream's mid-window credit *returns* until
+        ///   the epilogue applies them, but no check inside the window
+        ///   finds it at zero unless the serial credit loop's is zero
+        ///   too — credit checks, grants, and stall causes stay
+        ///   bit-exact.
         ///
         /// When the window drains the fabric, the cycle counter rewinds
         /// to one past the last cycle with any activity — the exact cycle
@@ -2345,7 +2285,7 @@ mod shard {
             // Injections since the last epoch append out of order.
             self.active.sort_unstable();
 
-            // ---- Window selection + boundary credit-shadow refresh ----
+            // ---- Window selection ----
             let mut w = (limit - t0).min(self.min_pos_latency);
             if let Some(cap) = self.lookahead_cap {
                 w = w.min(cap);
@@ -2354,24 +2294,11 @@ mod shard {
                 let len = tel.epoch_cycles();
                 w = w.min(len - t0 % len);
             }
-            for b in &self.boundary {
-                let interval = self.channels[b.router as usize][b.port as usize]
-                    .spec
-                    .interval
-                    .max(1);
-                let shadow = &mut self.shard_scratch[b.shard as usize].shadow;
-                for vc in 0..b.vcs {
-                    let credit = self.credit_view[b.queue_base as usize + vc as usize];
-                    let held = self.reserved[b.router as usize]
-                        [b.port as usize * b.vcs as usize + vc as usize];
-                    let headroom = u64::from(credit.saturating_sub(held));
-                    let safe = if headroom >= 1 {
-                        (headroom - 1) * interval + 1
-                    } else {
-                        1
-                    };
-                    w = w.min(safe);
-                    shadow[(b.slot + vc) as usize] = credit;
+            for &(r, out) in &self.boundary {
+                let interval = self.channels[r][out].spec.interval;
+                let vcs = self.routers[r].vcs;
+                for &credit in &self.credits[r][out * vcs..(out + 1) * vcs] {
+                    w = w.min(u64::from(credit.saturating_sub(1)) * interval + 1);
                 }
             }
             let w = w.max(1);
@@ -2383,9 +2310,7 @@ mod shard {
                     cycle: t0,
                     window: w,
                     wiring: &self.wiring,
-                    queue_off: &self.queue_off,
                     link_off: &self.link_off,
-                    boundary_slot: &self.boundary_slot,
                     route: &*self.route,
                     classify: self.classify.as_deref(),
                     in_flight: self.in_flight_total > 0,
@@ -2396,10 +2321,8 @@ mod shard {
                 let mut recorders = self.telemetry.as_deref_mut().map(|t| t.recorders(ends));
                 let mut endpoints = endpoints.iter_mut();
                 let (mut routers, mut channels) = (&mut self.routers[..], &mut self.channels[..]);
-                let (mut next_free, mut reserved) =
-                    (&mut self.next_free[..], &mut self.reserved[..]);
-                let (mut is_active, mut credits) =
-                    (&mut self.is_active[..], &mut self.credit_view[..]);
+                let (mut next_free, mut credits) = (&mut self.next_free[..], &mut self.credits[..]);
+                let mut is_active = &mut self.is_active[..];
                 let bounds = self.bounds.windows(2).zip(&mut self.shard_scratch);
                 let mut rows = bounds.map(|(b, scratch)| {
                     let (lo, hi) = (b[0], b[1]);
@@ -2408,10 +2331,9 @@ mod shard {
                         routers: take_rows(&mut routers, hi - lo),
                         channels: take_rows(&mut channels, hi - lo),
                         next_free: take_rows(&mut next_free, hi - lo),
-                        reserved: take_rows(&mut reserved, hi - lo),
+                        credits: take_rows(&mut credits, hi - lo),
                         is_active: take_rows(&mut is_active, hi - lo),
                         feeder: &self.feeder[lo..hi],
-                        credits: take_rows(&mut credits, self.queue_off[hi] - self.queue_off[lo]),
                         scratch,
                         recorder: recorders.as_mut().and_then(Iterator::next),
                         endpoint: endpoints.next().map(|ep| &mut **ep as &mut dyn Endpoint),
@@ -2445,8 +2367,9 @@ mod shard {
             // and hops by cycle, then router, so appending the lists in
             // shard order and sorting them stably by cycle gives the
             // reference stepper's (cycle, ascending router) order. The
-            // surviving actives come out ascending too, and boundary
-            // accepts go onto their downstream shard's wheel.
+            // surviving actives come out ascending too, boundary flits go
+            // onto their downstream shard's wheel, and boundary credit
+            // returns reach their senders' rows.
             let from = self.delivered.len();
             let mut last_active = t0;
             self.active.clear();
@@ -2459,9 +2382,12 @@ mod shard {
                 last_active = last_active.max(sc.last_move);
                 self.active.extend_from_slice(&sc.worklist);
                 self.in_flight_total = self.in_flight_total + sc.sent - sc.landed;
+                for (r, at) in sc.returns.drain(..) {
+                    self.credits[r][at] += 1;
+                }
                 let mut outbox = std::mem::take(&mut sc.outbox);
-                for (slot, dst, a) in outbox.drain(..) {
-                    let d = self.shard_of(dst);
+                for (slot, a) in outbox.drain(..) {
+                    let d = self.shard_of(a.router as usize);
                     self.shard_scratch[d].wheel[slot].push(a);
                 }
                 self.shard_scratch[s].outbox = outbox;
@@ -2499,14 +2425,13 @@ pub struct MemoryBreakdown {
     /// Per-router scheduler state: the router structs plus their ring
     /// cursors, candidate worklists, maturity wheels, and scratch.
     pub routers: usize,
-    /// Links: wiring, channel specs and counters, link timers,
-    /// reserved-credit mirrors, and each input port's feeding link.
+    /// Links: wiring, channel specs and counters, link timers, the
+    /// senders' credit rows, and each input port's feeding link.
     pub links: usize,
-    /// The fabric-wide credit mirror plus its queue offsets.
-    pub credit_view: usize,
     /// Fabric scheduling: active worklists, shard scratch (the per-shard
     /// arrival wheels holding every flit in link flight, boundary
-    /// outboxes and departure buffers), and the delivery log.
+    /// outboxes, credit return lists and departure buffers), and the
+    /// delivery log.
     pub scheduling: usize,
     /// Telemetry counters, epoch rings, and trace buffer (0 when off).
     pub telemetry: usize,
@@ -2515,12 +2440,7 @@ pub struct MemoryBreakdown {
 impl MemoryBreakdown {
     /// Total bytes across all buckets.
     pub fn total(&self) -> usize {
-        self.flit_slabs
-            + self.routers
-            + self.links
-            + self.credit_view
-            + self.scheduling
-            + self.telemetry
+        self.flit_slabs + self.routers + self.links + self.scheduling + self.telemetry
     }
 }
 
@@ -2534,33 +2454,32 @@ pub struct RouterFabric {
     /// `next_free[router][output_port]`: first cycle each link can
     /// serialize another flit — flat mirror of the per-link timer.
     next_free: Vec<Vec<u64>>,
-    /// `reserved[router][output_port * vcs + vc]`: downstream credits
-    /// reserved by flits in flight on each link.
-    reserved: Vec<Vec<u32>>,
-    /// `feeder[router][input_port]`: the link `(upstream router, output
-    /// port)` landing on each input port, if any — the reservations an
-    /// injection into that port must leave room for.
-    feeder: Vec<Vec<Option<(u32, u32)>>>,
-    /// Flat start offset of each router's queues in [`Self::credit_view`]
-    /// (prefix sums of `ports * vcs`).
-    queue_off: Vec<usize>,
-    /// The fabric-wide credit mirror: free slots per input queue, flat
-    /// across routers (`credit_view[queue_off[r] + port * vcs + vc]`).
+    /// `credits[router][output_port * vcs + vc]`: the credits the router
+    /// holds for the input queue its link feeds — that queue's free
+    /// slots, less the flits already in flight toward it. An ejection
+    /// link never runs out (`u32::MAX`) and an unused port never has one
+    /// (0), so every departure's credit check is one read of the
+    /// router's own row.
     ///
-    /// This is what arbitration's downstream-credit checks read, and it
-    /// is **cycle-start stable**: accepts (link landings, injections)
-    /// decrement it, but a departure's credit return is parked on the
-    /// router's `popped` list and applied only after every router has
-    /// arbitrated. Credit return is thus uniformly visible one cycle
-    /// later — matching the hardware credit loop, where a credit rides
-    /// the reverse channel and can never beat the grant that freed it —
+    /// A departure onto a router link spends one, and so does an
+    /// injection into a port a link feeds; a landing touches none. A pop
+    /// parks its credit on the router's `popped` list, and once every
+    /// router has arbitrated it returns to the link feeding the popped
+    /// port. Credit return is thus uniformly visible one cycle later —
+    /// matching the hardware credit loop, where a credit rides the
+    /// reverse channel and can never beat the grant that freed it —
     /// instead of leaking mid-cycle to routers that happened to
     /// arbitrate later in the scan order. That uniformity is also what
     /// lets [`Self::set_shards`] arbitrate regions concurrently: checks
-    /// see the same credits no matter which thread (or order) asks.
-    /// Each entry belongs to the shard owning its router, whose window
-    /// borrows its range of entries alone (see the `shard` module).
-    credit_view: Vec<u32>,
+    /// see the same credits no matter which thread (or order) asks. A
+    /// row belongs to the shard owning its router; a pop whose sender is
+    /// another shard's returns the credit at the epoch epilogue, and the
+    /// window clamp of `step_epoch` keeps that delay invisible.
+    credits: Vec<Vec<u32>>,
+    /// `feeder[router][input_port]`: the link `(upstream router, output
+    /// port)` landing on each input port, if any — whose credit an
+    /// injection into that port spends, and a pop there returns.
+    feeder: Vec<Vec<Option<(u32, u32)>>>,
     route: Box<RouteFn>,
     /// Optional per-flit class extraction feeding each channel's
     /// `class_flits` counters.
@@ -2592,16 +2511,13 @@ pub struct RouterFabric {
     link_off: Vec<usize>,
     /// Per-shard state: the arrival wheel (landed by the owning shard's
     /// window, or by the reference stepper), plus the window's worklists,
-    /// boundary outbox and the deliveries and hops the epilogue orders.
+    /// boundary outbox, credit return list and the deliveries and hops
+    /// the epilogue orders.
     shard_scratch: Vec<ShardScratch>,
     /// Every router-to-router link whose ends live in different shards,
-    /// in ascending link order (empty with one shard). Drives the epoch
-    /// window's credit-headroom clamp and the shadow refresh.
-    boundary: Vec<shard::BoundaryLink>,
-    /// Per-link first slot in the upstream shard's credit shadows
-    /// (`ShardScratch::shadow`), parallel to the flat link index space
-    /// (`u32::MAX` for links inside a shard; empty when every link is).
-    boundary_slot: Vec<u32>,
+    /// as `(router, output port)` in ascending link order (empty with
+    /// one shard). Drives the epoch window's credit-headroom clamp.
+    boundary: Vec<(usize, usize)>,
     /// Minimum latency over every link with latency >= 1 (`u64::MAX`
     /// when no such link exists): the structural lookahead bound — no
     /// window this wide can see a departure land inside itself.
@@ -2642,8 +2558,8 @@ impl RouterFabric {
                 if let PortLink::Router { router, port } = *link {
                     assert_eq!(
                         routers[router].vcs, routers[r].vcs,
-                        "connected routers must share a VC count (the flat \
-                         credit arrays use one stride per row)"
+                        "connected routers must share a VC count (a credit \
+                         return indexes the sender's row by the popped VC)"
                     );
                     let fed = feeder[router][port].replace((r as u32, out as u32));
                     assert!(fed.is_none(), "two links land on input ({router}, {port})");
@@ -2655,25 +2571,26 @@ impl RouterFabric {
             .map(|row| row.iter().map(|_| ChannelState::default()).collect())
             .collect();
         let next_free = wiring.iter().map(|row| vec![0; row.len()]).collect();
-        let reserved = wiring
+        // Each sender starts with the depth of the queue its link feeds.
+        let credits = wiring
             .iter()
             .enumerate()
-            .map(|(r, row)| vec![0; row.len() * routers[r].vcs])
+            .map(|(r, row)| {
+                let vcs = routers[r].vcs;
+                let mut credit_row = Vec::with_capacity(row.len() * vcs);
+                for link in row {
+                    credit_row.extend((0..vcs).map(|v| match *link {
+                        PortLink::Router { router, port } => {
+                            routers[router].store.capacity(port * vcs + v) as u32
+                        }
+                        PortLink::Endpoint(_) => u32::MAX,
+                        PortLink::Unused => 0,
+                    }));
+                }
+                credit_row
+            })
             .collect();
         let n = routers.len();
-        let mut queue_off = Vec::with_capacity(n + 1);
-        let mut off = 0usize;
-        for r in &routers {
-            queue_off.push(off);
-            off += r.ports * r.vcs;
-        }
-        queue_off.push(off);
-        let mut credit_view = Vec::with_capacity(off);
-        for r in &routers {
-            for q in 0..r.ports * r.vcs {
-                credit_view.push(r.store.capacity(q) as u32);
-            }
-        }
         let mut link_off = Vec::with_capacity(n + 1);
         let mut loff = 0usize;
         for row in &wiring {
@@ -2686,10 +2603,8 @@ impl RouterFabric {
             wiring,
             channels,
             next_free,
-            reserved,
+            credits,
             feeder,
-            queue_off,
-            credit_view,
             route,
             classify: None,
             cycle: 0,
@@ -2702,7 +2617,6 @@ impl RouterFabric {
             link_off,
             shard_scratch: Vec::new(),
             boundary: Vec::new(),
-            boundary_slot: Vec::new(),
             min_pos_latency: u64::MAX,
             lookahead_cap: None,
             sync_ops: 0,
@@ -2757,7 +2671,7 @@ impl RouterFabric {
         b.links = self.wiring.capacity() * size_of::<Vec<PortLink>>()
             + self.channels.capacity() * size_of::<Vec<ChannelState>>()
             + self.next_free.capacity() * size_of::<Vec<u64>>()
-            + self.reserved.capacity() * size_of::<Vec<u32>>()
+            + self.credits.capacity() * size_of::<Vec<u32>>()
             + self.feeder.capacity() * size_of::<Vec<Option<(u32, u32)>>>()
             + self.link_off.capacity() * size_of::<usize>();
         for row in &self.wiring {
@@ -2772,19 +2686,16 @@ impl RouterFabric {
         for row in &self.next_free {
             b.links += row.capacity() * size_of::<u64>();
         }
-        for row in &self.reserved {
+        for row in &self.credits {
             b.links += row.capacity() * size_of::<u32>();
         }
         for row in &self.feeder {
             b.links += row.capacity() * size_of::<Option<(u32, u32)>>();
         }
-        b.credit_view = self.credit_view.capacity() * size_of::<u32>()
-            + self.queue_off.capacity() * size_of::<usize>();
         b.scheduling = (self.active.capacity() + self.bounds.capacity()) * size_of::<usize>()
             + self.is_active.capacity()
             + self.delivered.capacity() * size_of::<(u64, Flit)>()
-            + self.boundary.capacity() * size_of::<shard::BoundaryLink>()
-            + self.boundary_slot.capacity() * size_of::<u32>()
+            + self.boundary.capacity() * size_of::<(usize, usize)>()
             + self.shard_scratch.capacity() * size_of::<ShardScratch>()
             + self
                 .shard_scratch
@@ -2849,8 +2760,9 @@ impl RouterFabric {
     }
 
     /// Resizes the input buffers of `(router, port)` — see
-    /// [`CycleRouter::set_input_depth`]. A setup-time operation: credits
-    /// already reserved by flits in flight on the feeding link would
+    /// [`CycleRouter::set_input_depth`] — and sets the feeding link's
+    /// credits to the new free slots. A setup-time operation: credits
+    /// already spent by flits in flight on the feeding link would
     /// outlive a shrink and overflow the smaller queue, so resizing a
     /// port whose link has traffic in flight is rejected.
     ///
@@ -2858,22 +2770,24 @@ impl RouterFabric {
     /// Panics if the feeding link has flits in flight, or if the port
     /// already holds more flits than `depth`.
     pub fn set_input_depth(&mut self, router: usize, port: usize, depth: usize) {
-        // Skip the feeding link's cache-cold reservations when nothing is
-        // in flight anywhere — always so on the construction path, where
-        // a torus fabric resizes every neighbor port.
-        let feeding = self.feeder[router][port].filter(|_| self.in_flight_total > 0);
-        if let Some((r, out)) = feeding {
+        let feeding = self.feeder[router][port];
+        // Skip the in-flight count when nothing is in flight anywhere —
+        // always so on the construction path, where a torus fabric
+        // resizes every neighbor port.
+        if let Some((r, out)) = feeding.filter(|_| self.in_flight_total > 0) {
             assert_eq!(
                 self.in_flight_on(r as usize, out as usize),
                 0,
-                "cannot resize input ({router}, {port}): feeding link has flits in flight holding reserved credits"
+                "cannot resize input ({router}, {port}): feeding link has flits in flight holding its credits"
             );
         }
         self.routers[router].set_input_depth(port, depth);
-        let vcs = self.routers[router].vcs;
-        for v in 0..vcs {
-            let free = self.routers[router].free_slots(port, v as u8) as u32;
-            self.credit_view[self.queue_off[router] + port * vcs + v] = free;
+        if let Some((r, out)) = feeding {
+            let vcs = self.routers[router].vcs;
+            for v in 0..vcs {
+                self.credits[r as usize][out as usize * vcs + v] =
+                    self.routers[router].free_slots(port, v as u8) as u32;
+            }
         }
     }
 
@@ -2903,18 +2817,28 @@ impl RouterFabric {
         (ch.flits_sent, ch.packets_sent)
     }
 
-    /// Flits in flight on the link leaving `router` via `port`: each
-    /// holds exactly one of the link's reserved credits until it lands.
+    /// Flits in flight on the link leaving `router` via `port`: the free
+    /// slots of the downstream queue its sender holds no credit for.
+    /// Exact between steps, when every credit return has landed.
     fn in_flight_on(&self, router: usize, port: usize) -> usize {
+        let PortLink::Router {
+            router: dst,
+            port: dport,
+        } = self.wiring[router][port]
+        else {
+            return 0;
+        };
         let vcs = self.routers[router].vcs;
-        self.reserved[router][port * vcs..(port + 1) * vcs]
-            .iter()
-            .map(|&held| held as usize)
+        (0..vcs)
+            .map(|v| {
+                self.routers[dst].free_slots(dport, v as u8)
+                    - self.credits[router][port * vcs + v] as usize
+            })
             .sum()
     }
 
     /// Instantaneous occupancy of the link leaving `router` via `port`:
-    /// flits in flight on the link (counted from its reserved credits)
+    /// flits in flight on the link (counted from its sender's credits)
     /// plus flits queued in the downstream input port it feeds — the
     /// same sample the telemetry epoch rings record at each boundary,
     /// exposed so exports can close the final partial epoch with a
@@ -2956,20 +2880,23 @@ impl RouterFabric {
         &self.channels[router][port].class_flits
     }
 
-    /// Free credit slots on input `(router, port, vc)` that no flit in
-    /// flight toward it has reserved — how many flits [`Self::inject`]
-    /// accepts there now, so sources can check room for a whole packet
-    /// before injecting any flit.
+    /// The credits an injection into input `(router, port, vc)` may
+    /// spend: the credits of the link feeding that port, or the queue's
+    /// free slots when no link feeds it — how many flits
+    /// [`Self::inject`] accepts there now, so sources can check room for
+    /// a whole packet before injecting any flit.
     ///
     /// # Panics
     /// Panics if the queue does not exist (see
     /// [`InjectError::QueueOutOfRange`]).
     pub fn inject_capacity(&self, router: usize, port: usize, vc: u8) -> usize {
-        let held = self.feeder[router][port].map_or(0, |(r, out)| {
-            let vcs = self.routers[router].vcs;
-            self.reserved[r as usize][out as usize * vcs + vc as usize] as usize
-        });
-        self.routers[router].free_slots(port, vc) - held
+        match self.feeder[router][port] {
+            Some((r, out)) => {
+                let vcs = self.routers[router].vcs;
+                self.credits[r as usize][out as usize * vcs + vc as usize] as usize
+            }
+            None => self.routers[router].free_slots(port, vc),
+        }
     }
 
     /// Flits currently queued on input `(router, port, vc)`.
@@ -2982,8 +2909,7 @@ impl RouterFabric {
     }
 
     /// Injects a flit into input `(router, port, flit.vc)` if a credit
-    /// is available: a free slot that no flit in flight on the link
-    /// landing there has reserved ([`Self::inject_capacity`]).
+    /// is available ([`Self::inject_capacity`]).
     ///
     /// Multi-flit packets must be injected with their flits contiguous
     /// on one `(port, vc)` — interleaving two packets' flits on the same
@@ -3014,9 +2940,7 @@ impl RouterFabric {
             is_active: &mut self.is_active,
             activated: &mut self.active,
             feeder: &self.feeder,
-            reserved: Some(&self.reserved),
-            credits: &mut self.credit_view,
-            queue_off: &self.queue_off,
+            credits: Some(&mut self.credits[..]),
             trace: tracing.then_some(&mut *injects),
             rank: 0,
         };
@@ -3081,13 +3005,11 @@ impl RouterFabric {
         }
     }
 
-    /// Files `flit` into input `(router, port, flit.vc)` at `cycle`,
-    /// debiting the credit mirror and putting the router on the active
-    /// worklist. The caller has checked the credit.
+    /// Files `flit` into input `(router, port, flit.vc)` at `cycle` and
+    /// puts the router on the active worklist. The sender has spent the
+    /// credit.
     fn file(&mut self, router: usize, port: usize, flit: Flit, cycle: u64) {
         self.routers[router].accept(port, flit.vc, flit, cycle);
-        let vcs = self.routers[router].vcs;
-        self.credit_view[self.queue_off[router] + port * vcs + flit.vc as usize] -= 1;
         if !self.is_active[router] {
             self.is_active[router] = true;
             self.active.push(router);
@@ -3095,9 +3017,7 @@ impl RouterFabric {
     }
 
     /// Phase 1 of a reference step: every shard's wheel slot for this
-    /// cycle lands — releases free their links' reserved credits, and
-    /// accepts enter their downstream queues. The credit shadows are the
-    /// kernel's alone, refreshed at every epoch, so this leaves them be.
+    /// cycle lands into its downstream queues.
     fn land_arrivals(&mut self, cycle: u64) {
         if self.in_flight_total == 0 {
             return;
@@ -3112,19 +3032,9 @@ impl RouterFabric {
             // is processed; taking it out keeps its allocation for reuse.
             let mut bucket = std::mem::take(&mut self.shard_scratch[s].wheel[slot]);
             for a in &bucket {
-                let (r, port, vc) = (a.router as usize, a.port as usize, a.flit.vc);
-                if a.release {
-                    let vcs = self.routers[r].vcs;
-                    self.reserved[r][port * vcs + vc as usize] -= 1;
-                }
-                if a.accept {
-                    let PortLink::Router { router, port } = self.wiring[r][port] else {
-                        unreachable!("only router links have flits in flight");
-                    };
-                    self.file(router, port, a.flit, cycle);
-                    self.in_flight_total -= 1;
-                }
+                self.file(a.router as usize, a.port as usize, a.flit, cycle);
             }
+            self.in_flight_total -= bucket.len();
             bucket.clear();
             self.shard_scratch[s].wheel[slot] = bucket;
         }
@@ -3148,24 +3058,28 @@ impl RouterFabric {
                 ch.spec
             };
             match self.wiring[r][out] {
-                PortLink::Router { router, port } if spec.latency == 0 => {
-                    // Link flight is folded into the downstream pipeline
-                    // constant (the paper's per-hop cycle counts are
-                    // inclusive), so arrival lands this cycle.
-                    self.file(router, port, flit, cycle);
-                }
-                PortLink::Router { router, .. } => {
-                    // The kernel's bookings, so the steppers interleave.
+                PortLink::Router { router, port } => {
                     let vcs = self.routers[r].vcs;
-                    self.reserved[r][out * vcs + flit.vc as usize] += 1;
-                    let w = self.wheel_len();
-                    let slot = ((cycle + spec.latency) % w) as usize;
-                    debug_assert!(spec.latency < w, "arrival beyond the wheel");
-                    let (src, dst) = (self.shard_of(r), self.shard_of(router));
-                    let (own, remote) = Arrival::book(flit, r, out, src == dst);
-                    self.shard_scratch[src].wheel[slot].push(own);
-                    self.shard_scratch[dst].wheel[slot].extend(remote);
-                    self.in_flight_total += 1;
+                    self.credits[r][out * vcs + flit.vc as usize] -= 1;
+                    if spec.latency == 0 {
+                        // Link flight is folded into the downstream
+                        // pipeline constant (the paper's per-hop cycle
+                        // counts are inclusive), so arrival lands this
+                        // cycle.
+                        self.file(router, port, flit, cycle);
+                    } else {
+                        // The kernel's booking, so the steppers interleave.
+                        let w = self.wheel_len();
+                        let slot = ((cycle + spec.latency) % w) as usize;
+                        debug_assert!(spec.latency < w, "arrival beyond the wheel");
+                        let d = self.shard_of(router);
+                        self.shard_scratch[d].wheel[slot].push(Arrival {
+                            flit,
+                            router: router as u32,
+                            port: port as u8,
+                        });
+                        self.in_flight_total += 1;
+                    }
                 }
                 PortLink::Endpoint(_) => self.delivered.push((cycle, flit)),
                 PortLink::Unused => unreachable!("flit departed through an unused port"),
@@ -3198,7 +3112,7 @@ impl RouterFabric {
     /// their own link ranges with. Runs post-arbitration,
     /// pre-[`Self::apply_moves`]: departed flits are
     /// already popped from their queues, but the link timers
-    /// (`next_free`) and credit reservations (`reserved`) still hold
+    /// (`next_free`) and credit rows (`credits`) still hold
     /// the state this cycle's arbitration read. Each departure marks
     /// its link's advance cycle (and traces a head's hop); every
     /// occupied queue front is then classified into a [`StallCause`]
@@ -3236,20 +3150,9 @@ impl RouterFabric {
                             None => continue,
                         }
                     };
-                    let starved = || match self.wiring[r][out] {
-                        PortLink::Router {
-                            router: dst,
-                            port: dport,
-                        } => {
-                            self.reserved[r][out * vcs + out_vc as usize]
-                                >= self.credit_view
-                                    [self.queue_off[dst] + dport * vcs + out_vc as usize]
-                        }
-                        // Ejection links never lack credits; nothing is
-                        // ever granted toward an unused port.
-                        PortLink::Endpoint(_) => false,
-                        PortLink::Unused => true,
-                    };
+                    // Ejection links never lack credits; nothing is ever
+                    // granted toward an unused port (see `Self::credits`).
+                    let starved = || self.credits[r][out * vcs + out_vc as usize] == 0;
                     let link = self.link_off[r] + out;
                     let cause = StallCause::of(
                         arrived + router.pipeline > cycle,
@@ -3280,9 +3183,9 @@ impl RouterFabric {
     }
 
     /// Advances the fabric one cycle with the retained **reference**
-    /// stepper: the pre-worklist full scan over every router, snapshotting
-    /// downstream credits for all ports × VCs and arbitrating via
-    /// [`CycleRouter::tick`]. Kept as the executable specification of
+    /// stepper: the pre-worklist full scan over every router, arbitrating
+    /// via [`CycleRouter::tick`] against each router's link timers and
+    /// credit row. Kept as the executable specification of
     /// [`Self::step`] — the `stepper_equivalence` property tests (and
     /// the committed benchmark's traced run, which also times both) run
     /// the two side by side and require identical delivery logs and
@@ -3294,38 +3197,18 @@ impl RouterFabric {
         }
         self.land_arrivals(cycle);
 
-        // Full-scan arbitration with a fresh credit snapshot per router —
-        // deliberately naive; this is the spec, not the fast path.
-        let mut scratch: Vec<bool> = Vec::new();
+        // Full-scan arbitration over every router — deliberately naive;
+        // this is the spec, not the fast path. Nothing a departure check
+        // reads changes until every router has arbitrated.
         let mut moves: Vec<(usize, usize, Flit)> = Vec::new();
         for r in 0..self.routers.len() {
             if self.routers[r].is_idle() {
                 continue;
             }
             let vcs = self.routers[r].vcs;
-            scratch.clear();
-            scratch.resize(self.wiring[r].len() * vcs, false);
-            for (out, link) in self.wiring[r].iter().enumerate() {
-                let serializable = self.next_free[r][out] <= cycle;
-                match link {
-                    PortLink::Router { router, port } => {
-                        for vc in 0..vcs {
-                            scratch[out * vcs + vc] = serializable
-                                && (self.reserved[r][out * vcs + vc] as usize)
-                                    < self.credit_view[self.queue_off[*router] + port * vcs + vc]
-                                        as usize;
-                        }
-                    }
-                    PortLink::Endpoint(_) => {
-                        for vc in 0..vcs {
-                            scratch[out * vcs + vc] = serializable;
-                        }
-                    }
-                    PortLink::Unused => {} // input-only: never a departure target
-                }
-            }
+            let (next_free, credits) = (&self.next_free[r], &self.credits[r]);
             let sent = self.routers[r].tick(cycle, &*self.route, |out, vc| {
-                scratch[out * vcs + vc as usize]
+                next_free[out] <= cycle && credits[out * vcs + vc as usize] > 0
             });
             for (out, flit) in sent {
                 moves.push((r, out, flit));
@@ -3347,13 +3230,17 @@ impl RouterFabric {
         self.cycle += 1;
     }
 
-    /// Applies the credits parked by router `r`'s departures this cycle
-    /// (its drained `popped` list) to the credit mirror — the reference
-    /// stepper's uniform end-of-cycle credit return.
+    /// Returns the credits parked by router `r`'s departures this cycle
+    /// (its drained `popped` list) to the links feeding the popped
+    /// queues — the reference stepper's uniform end-of-cycle credit
+    /// return.
     fn return_credits(&mut self, r: usize) {
-        let off = self.queue_off[r];
+        let vcs = self.routers[r].vcs;
         for idx in self.routers[r].popped.drain(..) {
-            self.credit_view[off + idx as usize] += 1;
+            let (port, vc) = (idx as usize / vcs, idx as usize % vcs);
+            if let Some((up, out)) = self.feeder[r][port] {
+                self.credits[up as usize][out as usize * vcs + vc] += 1;
+            }
         }
     }
 
@@ -3410,12 +3297,13 @@ impl RouterFabric {
     /// stepped in parallel by a persistent worker pool, exchanging
     /// cross-shard effects at lookahead-epoch barriers only. Results
     /// stay bit-identical to [`Self::step_reference`] at every shard
-    /// count and every window: the cycle-start-stable credit mirror
-    /// makes arbitration outcomes independent of router visit order,
+    /// count and every window: credit returns visible only from the next
+    /// cycle make arbitration outcomes independent of router visit order,
     /// link latency ≥ 1 bounds the epoch window so no departure can
-    /// land inside its own window, the per-boundary credit shadow (with
-    /// its headroom clamp on the window) reproduces every credit check the
-    /// serial credit loop would answer, each shard records telemetry
+    /// land inside its own window, the credit-headroom clamp on the
+    /// window keeps every boundary sender's count (which sees returns
+    /// only at the epoch epilogue) answering each credit check as the
+    /// serial credit loop would, each shard records telemetry
     /// into its own links' counters, and the serial epilogue puts the
     /// shards' deliveries and hops in the serial (cycle, ascending
     /// router) order.
@@ -3484,9 +3372,8 @@ impl RouterFabric {
 
     /// Installs a partition into `shards` contiguous router regions with
     /// window cap `lookahead` — region bounds, shard scratch, the
-    /// boundary credit-shadow tables, and pool workers for shards `1..`
-    /// — on a drained fabric. A fresh fabric starts with one shard and
-    /// no cap.
+    /// boundary links, and pool workers for shards `1..` — on a drained
+    /// fabric. A fresh fabric starts with one shard and no cap.
     fn partition(&mut self, shards: usize, lookahead: Option<u64>) {
         let n = self.routers.len();
         self.pool = None; // joins any previous workers first
@@ -3500,40 +3387,16 @@ impl RouterFabric {
         let wheel_len = self.shard_scratch.first().map_or(1, |sc| sc.wheel.len());
         self.shard_scratch = (0..shards).map(|_| ShardScratch::new(wheel_len)).collect();
 
-        // Boundary tables: every router-to-router link whose ends fall in
-        // different regions gets a per-VC credit-shadow slot in the
-        // scratch of the shard it leaves.
+        // Boundary links: every router-to-router link whose ends fall in
+        // different regions.
         self.boundary.clear();
-        self.boundary_slot = Vec::new();
-        for (s, region) in self.bounds.windows(2).map(|b| b[0]..b[1]).enumerate() {
+        for region in self.bounds.windows(2).map(|b| b[0]..b[1]) {
             for r in region.clone() {
                 for (port, link) in self.wiring[r].iter().enumerate() {
-                    let PortLink::Router {
-                        router: dst,
-                        port: dport,
-                    } = *link
-                    else {
-                        continue;
-                    };
-                    if region.contains(&dst) {
-                        continue;
+                    if matches!(*link, PortLink::Router { router, .. } if !region.contains(&router))
+                    {
+                        self.boundary.push((r, port));
                     }
-                    if self.boundary_slot.is_empty() {
-                        self.boundary_slot.resize(self.link_off[n], u32::MAX);
-                    }
-                    let vcs = self.routers[r].vcs;
-                    let shadow = &mut self.shard_scratch[s].shadow;
-                    let slot = shadow.len() as u32;
-                    self.boundary_slot[self.link_off[r] + port] = slot;
-                    shadow.extend(std::iter::repeat_n(0, vcs));
-                    self.boundary.push(shard::BoundaryLink {
-                        shard: s as u32,
-                        router: r as u32,
-                        port: port as u32,
-                        queue_base: (self.queue_off[dst] + dport * vcs) as u32,
-                        slot,
-                        vcs: vcs as u32,
-                    });
                 }
             }
         }
@@ -3943,7 +3806,8 @@ mod tests {
     fn link_latency_delays_arrival_without_costing_bandwidth() {
         // A 20-cycle link between two 2-cycle routers: latency adds to
         // the end-to-end time, but back-to-back flits still stream at one
-        // per cycle because credits are reserved, not round-tripped.
+        // per cycle because credits are spent at departure, not
+        // round-tripped.
         let mut fabric = build_row(2, 2, 2);
         fabric.set_link_spec(
             0,
@@ -4157,12 +4021,14 @@ mod tests {
     }
 
     #[test]
-    fn link_occupancy_counts_in_flight_flits_from_reservations() {
-        // Every flit that entered link (0, 1) and has not left router 1
-        // is in flight on the link, holding one reserved credit, or
-        // queued at router 1's input port 0 — the only port it feeds,
-        // since traffic is injected at router 0 alone.
-        for reference in [false, true] {
+    fn link_occupancy_counts_in_flight_flits_from_credits() {
+        // Every flit that entered link (r, 1) and has not left router
+        // r + 1 is in flight on the link, holding one of its sender's
+        // credits, or queued at router r + 1's input port 0 — the only
+        // port it feeds, since traffic is injected at router 0 alone. At
+        // 2 and 4 shards some of those links cross a shard boundary, where
+        // a pop returns its credit only at the epoch epilogue.
+        for (reference, shards) in [(true, 1), (false, 1), (false, 2), (false, 4)] {
             let mut f = build_row(4, 2, 2);
             for r in 0..3 {
                 f.set_link_spec(
@@ -4174,6 +4040,7 @@ mod tests {
                     },
                 );
             }
+            f.set_shards(shards).unwrap();
             let mut p = 0u64;
             for cycle in 0..300u64 {
                 let vc = (p % 2) as u8;
@@ -4189,13 +4056,16 @@ mod tests {
                 } else {
                     f.step();
                 }
-                let entered = f.link_traffic(0, 1).0;
-                let left = f.link_traffic(1, 1).0 + f.link_traffic(1, 2).0;
-                assert_eq!(
-                    f.link_occupancy(0, 1) as u64,
-                    entered - left,
-                    "cycle {cycle}, reference stepper: {reference}"
-                );
+                for r in 0..3 {
+                    let entered = f.link_traffic(r, 1).0;
+                    let left = f.link_traffic(r + 1, 1).0 + f.link_traffic(r + 1, 2).0;
+                    assert_eq!(
+                        f.link_occupancy(r, 1) as u64,
+                        entered - left,
+                        "link ({r}, 1), cycle {cycle}, reference stepper: {reference}, \
+                         shards: {shards}"
+                    );
+                }
             }
             assert_eq!(f.occupancy(), 0, "the row drains");
             assert_eq!(f.delivered().len() as u64, 2 * p);
@@ -4457,8 +4327,8 @@ mod tests {
         // Router 4's right link serializes one flit per 3 cycles, so the
         // queue behind it fills and the links into router 4 run out of
         // credits: the credit check decides grants and stall causes, both
-        // inside a shard (the credit mirror) and across a shard boundary
-        // (the credit shadow).
+        // inside a shard and across a shard boundary, where the sender's
+        // count sees the downstream's pops only at the epoch epilogue.
         let run = |sharding: Option<(usize, Option<u64>)>| {
             let mut f = latency1_row(8);
             f.set_link_spec(

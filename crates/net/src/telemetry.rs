@@ -72,7 +72,8 @@ use std::fmt::Write as _;
 /// on a cycle it was counted as stalled.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum StallCause {
-    /// The downstream input VC had no free (unreserved) credit slot.
+    /// The sender held no credit for the downstream input VC: its free
+    /// slots were all taken by queued flits or flits in flight.
     CreditStarved,
     /// Credits and the link were available, but another front won the
     /// output this cycle (or the front was exposed mid-cycle by its own
@@ -111,10 +112,10 @@ impl StallCause {
     /// (`immature`); else its target output moved a flit this cycle
     /// (`output_advanced` — possibly the front's own predecessor), so it
     /// lost the output whatever the credit state; else the link cannot
-    /// serialize yet (`link_busy`); else the downstream VC has no
-    /// unreserved credit (`starved`); else another front won. `starved`
+    /// serialize yet (`link_busy`); else the sender holds no credit for
+    /// the downstream VC (`starved`); else another front won. `starved`
     /// is asked only when the earlier causes do not apply: it is the
-    /// one question that reads downstream credit state.
+    /// one question that reads credit state.
     pub(crate) fn of(
         immature: bool,
         output_advanced: bool,

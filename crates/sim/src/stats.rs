@@ -2,8 +2,6 @@
 //! the least-squares fits the paper uses to report latency (e.g. the
 //! "55.9 ns + 34.2 ns/hop" line of Figure 5).
 
-use anton_model::units::Ps;
-
 /// Online mean/min/max/variance accumulator.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Accumulator {
@@ -33,11 +31,6 @@ impl Accumulator {
         self.sumsq += v * v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Adds a duration sample in nanoseconds.
-    pub fn add_ps(&mut self, v: Ps) {
-        self.add(v.as_ns());
     }
 
     /// Number of samples.
@@ -396,13 +389,6 @@ mod tests {
         assert!((a.mean() - 4.0).abs() < 1e-12);
         assert_eq!(a.min(), Some(1.0));
         assert_eq!(a.max(), Some(10.0));
-    }
-
-    #[test]
-    fn accumulator_accepts_ps() {
-        let mut a = Accumulator::new();
-        a.add_ps(Ps::from_ns(55.0));
-        assert!((a.mean() - 55.0).abs() < 1e-12);
     }
 
     #[test]

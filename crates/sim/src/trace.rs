@@ -56,11 +56,6 @@ impl ActivityTrace {
         }
     }
 
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Registers a named lane and returns its ID. Lanes may be registered
     /// even while disabled so IDs stay stable across configurations.
     pub fn register_lane(&mut self, name: impl Into<String>) -> LaneId {
@@ -95,34 +90,6 @@ impl ActivityTrace {
     /// All recorded spans.
     pub fn spans(&self) -> &[Span] {
         &self.spans
-    }
-
-    /// Total busy time on a lane, optionally filtered to one kind.
-    /// Overlapping spans are counted once (the union of intervals).
-    pub fn busy_time(&self, lane: LaneId, kind: Option<ActivityKind>) -> Ps {
-        let mut intervals: Vec<(Ps, Ps)> = self
-            .spans
-            .iter()
-            .filter(|s| s.lane == lane && kind.is_none_or(|k| s.kind == k))
-            .map(|s| (s.start, s.end))
-            .collect();
-        intervals.sort_unstable();
-        let mut total = Ps::ZERO;
-        let mut cur: Option<(Ps, Ps)> = None;
-        for (s, e) in intervals {
-            match cur {
-                Some((cs, ce)) if s <= ce => cur = Some((cs, ce.max(e))),
-                Some((cs, ce)) => {
-                    total += ce - cs;
-                    cur = Some((s, e));
-                }
-                None => cur = Some((s, e)),
-            }
-        }
-        if let Some((cs, ce)) = cur {
-            total += ce - cs;
-        }
-        total
     }
 
     /// Bucketizes one lane into occupancy fractions over `[t0, t1)` using
@@ -178,7 +145,6 @@ mod tests {
     use super::*;
 
     const K: ActivityKind = ActivityKind(0);
-    const K2: ActivityKind = ActivityKind(1);
 
     #[test]
     fn disabled_trace_records_nothing() {
@@ -186,19 +152,6 @@ mod tests {
         let lane = t.register_lane("ch0");
         t.record(lane, K, Ps::new(0), Ps::new(10));
         assert!(t.spans().is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn busy_time_unions_overlaps() {
-        let mut t = ActivityTrace::enabled();
-        let lane = t.register_lane("ch0");
-        t.record(lane, K, Ps::new(0), Ps::new(10));
-        t.record(lane, K, Ps::new(5), Ps::new(15)); // overlaps
-        t.record(lane, K, Ps::new(20), Ps::new(30)); // disjoint
-        assert_eq!(t.busy_time(lane, Some(K)), Ps::new(25));
-        assert_eq!(t.busy_time(lane, None), Ps::new(25));
-        assert_eq!(t.busy_time(lane, Some(K2)), Ps::ZERO);
     }
 
     #[test]

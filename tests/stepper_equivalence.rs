@@ -96,8 +96,9 @@ fn drive(
     // Drain with the mode under test (alternating keeps alternating).
     // Sharded fabrics drain through the batched epoch path, so the
     // lookahead window actually opens past one cycle: multi-cycle
-    // epochs, boundary credit shadows, the telemetry-epoch clamp, and
-    // the drain rewind all run under the bit-identity assertion.
+    // epochs, boundary credit returns at the epilogue under the credit
+    // headroom clamp, the telemetry-epoch clamp, and the drain rewind all
+    // run under the bit-identity assertion.
     if matches!(mode, Mode::Sharded(..)) {
         let deadline = fabric.cycle() + 3_000_000;
         while fabric.occupancy() > 0 && fabric.cycle() < deadline {
@@ -171,7 +172,7 @@ proptest! {
         packets in 40u64..120,
     ) {
         // The two steppers share all fabric state (queues, credit
-        // mirrors, maturity wheels, the occupied-queue bitset and the
+        // rows, maturity wheels, the occupied-queue bitset and the
         // front-target memo both steppers' pops invalidate), so a fabric
         // may switch between them mid-run, recording telemetry, without
         // diverging from either pure schedule.
