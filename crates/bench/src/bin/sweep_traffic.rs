@@ -46,9 +46,11 @@
 //!   1.0 that must deliver every request and response it generates —
 //!   exercising the dateline-VC deadlock margins on a larger machine;
 //! - `--mega-smoke` runs a time-budgeted 16x16x16 (4096-node) sweep
-//!   point with both classes, printing the fabric's bytes/router memory
-//!   audit first — the routine check that mega-fabric construction and
-//!   table routing stay O(n). Both smokes print their thread and shard
+//!   point with both classes, printing the bytes/router memory audit of
+//!   that fabric and of a fresh 32x32x32 one (built and dropped without
+//!   stepping) first — the routine check that mega-fabric construction
+//!   and table routing stay O(n), and the source of README's
+//!   constructed-memory table. Both smokes print their thread and shard
 //!   counts, and the drain's sync ops and epochs, on stderr, so their
 //!   stdout is byte-identical at any `--threads`, `--shards` and
 //!   `--lookahead` (CI `cmp`s it across shard counts);
@@ -83,7 +85,7 @@ use anton_model::topology::Torus;
 use anton_model::units::PS_PER_CORE_CYCLE;
 use anton_model::MachineConfig;
 use anton_net::channel::LinkStats;
-use anton_net::fabric3d::{FabricParams, TorusFabric, TrafficClass, SLICES};
+use anton_net::fabric3d::{FabricMemoryReport, FabricParams, TorusFabric, TrafficClass, SLICES};
 use anton_net::path::ContentionModel;
 use anton_net::telemetry::{
     ChromeTraceSink, JsonlTraceSink, LinkSummary, StallBreakdown, TelemetryConfig, TraceSink,
@@ -763,8 +765,20 @@ fn md_replay(params: FabricParams, args: &Args) {
     write_telemetry_artifacts(&scenario.fabric, args);
 }
 
+/// A constructed-memory audit as `<MiB> MiB total, <B> bytes/router
+/// (separable route tables: <B> bytes)`.
+fn memory_summary(report: &FabricMemoryReport) -> String {
+    format!(
+        "{:.1} MiB total, {} bytes/router (separable route tables: {} bytes)",
+        report.total_bytes as f64 / (1024.0 * 1024.0),
+        report.bytes_per_router,
+        report.route_table_bytes
+    )
+}
+
 /// A time-budgeted 16x16x16 (4096-node) smoke: prints the constructed
-/// fabric's bytes/router memory audit, then runs one short mid-load
+/// fabric's bytes/router memory audit, and that of a fresh 32x32x32
+/// fabric it drops without stepping, then runs one short mid-load
 /// uniform-random sweep point (responses on) through the standard
 /// scenario driver. The separable route tables are what make this shape
 /// routine — the old quadratic tables would need 100+ MB here and fell
@@ -792,12 +806,12 @@ fn mega_smoke(params: FabricParams, args: &Args) {
         "mega smoke: {} thread(s), {} shard(s)",
         args.threads, args.shards
     );
+    println!("constructed fabric memory: {}", memory_summary(&report));
+    // README's 32³ row: the fabric is dropped at the end of the statement.
+    let big = TorusFabric::new(Torus::new([32, 32, 32]), params).memory_report();
     println!(
-        "constructed fabric memory: {:.1} MiB total, {} bytes/router \
-         (separable route tables: {} bytes)",
-        report.total_bytes as f64 / (1024.0 * 1024.0),
-        report.bytes_per_router,
-        report.route_table_bytes
+        "constructed 32x32x32 fabric memory: {}",
+        memory_summary(&big)
     );
     let curve = run_curve_threaded(&UniformRandom, &cfg, params, 1, args.threads);
     let p = curve.points.last().expect("mega point");

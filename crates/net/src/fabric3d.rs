@@ -612,12 +612,6 @@ impl TorusFabric {
         self.fabric.set_shards_with_lookahead(shards, lookahead)
     }
 
-    /// The widest lookahead-epoch window the epoch kernel may attempt
-    /// (see [`crate::router::RouterFabric::lookahead`]).
-    pub fn lookahead(&self) -> u64 {
-        self.fabric.lookahead()
-    }
-
     /// Synchronization operations (pool launches + barrier crossings);
     /// 0 at one shard (see [`crate::router::RouterFabric::sync_ops`]).
     pub fn sync_ops(&self) -> u64 {

@@ -44,27 +44,25 @@
 //!   link books the flit on the downstream shard's calendar wheel at the
 //!   arrival cycle, where its landing accepts it into the downstream
 //!   queue — no per-link delay line, no serial replay;
-//! - **occupied-input candidate lists**: route computation walks the
-//!   non-empty input queues instead of every port × VC slot, and
-//!   arbitration visits only the outputs those heads requested (plus
-//!   outputs owned by a cut-through packet), in the same ascending
-//!   output order as a full scan;
 //! - **sender-held credits**: each router keeps one credit count per
 //!   (output, VC) for the queue its link feeds. A departure spends one,
 //!   a pop returns one to the link feeding the popped queue at the end
 //!   of the cycle, and a landing touches none, so a credit check is one
-//!   read of the router's own row. Arbitration asks it for exactly the
-//!   (output, VC) pairs it visits, and stall classification asks the
-//!   same check — the counts cannot change while a cycle arbitrates, so
-//!   no snapshot or probe table is needed;
-//! - **occupied-front stall classification, recorded in place**: with
-//!   telemetry on, each router walks an occupied-queue bitset and reads
-//!   every front's target from a per-queue memo keyed by front version,
-//!   so a head is routed once (shared with candidate filing) and a
-//!   stalled front costs no slab read or route call on later cycles;
-//!   each shard writes its own links' advances and stalls straight into
-//!   the telemetry counters, so nothing is buffered or replayed;
-//! - **allocation-free hot path**: the per-cycle buffers (candidates,
+//!   read of the router's own row. Arbitration asks it for the target
+//!   of each ready head front it walks, and stall classification asks
+//!   the same check — the counts cannot change while a cycle
+//!   arbitrates, so no snapshot or probe table is needed;
+//! - **one walk over the occupied queue fronts**: each router keeps a
+//!   bitset of its occupied input queues, the subset whose front is a
+//!   head, and a per-queue memo of each front's target (a head's route
+//!   decision, a body flit's owned output), filled once and cleared
+//!   when the front pops. Arbitration walks the head fronts that have
+//!   cleared the pipeline in ascending order, keeping per output the
+//!   head the round-robin scan would grant; with telemetry on, stall
+//!   classification walks every occupied front through the same memo,
+//!   and each shard writes its own links' advances and stalls straight
+//!   into the telemetry counters, so nothing is buffered or replayed;
+//! - **allocation-free hot path**: the per-cycle buffers (picks,
 //!   departures) persist across cycles, so a steady-state step
 //!   allocates nothing but, at more than one shard, each epoch's short
 //!   list of per-shard row views;
@@ -149,19 +147,18 @@ const NULL_FLIT: Flit = Flit {
 ///
 /// # Layout
 ///
-/// Queues are indexed flat (`port * vcs + vc`, the same rank the
-/// candidate worklists and credit checks use). Queue `q` is a ring of
-/// `alloc[q]` allocated entries occupying slots
+/// Queues are indexed flat (`port * vcs + vc`, the round-robin rank and
+/// the bit of the router's occupied-queue bitsets). Queue `q` is a ring
+/// of `alloc[q]` allocated entries occupying slots
 /// `slots[off[q] .. off[q] + alloc[q]]` (rings never interleave). The
 /// ring cursors — `head[q]`, `len[q]`, `cap[q]`, `alloc[q]` — are
 /// themselves dense parallel arrays, so the hot per-queue questions a
-/// saturated fabric asks thousands of times per cycle (front lookup for
-/// candidate scans and maturity records, occupancy for credit checks)
-/// walk small contiguous memory instead of chasing per-queue heap
-/// blocks. Entries carry their arrival cycle next to the flit so
-/// pipeline latency and queue occupancy stay decoupled: the router is
-/// fully pipelined (one flit per cycle per output) with a fixed
-/// traversal latency.
+/// saturated fabric asks thousands of times per cycle (front lookup,
+/// occupancy for credit checks) walk small contiguous memory instead
+/// of chasing per-queue heap blocks. Entries carry their arrival cycle
+/// next to the flit so pipeline latency and queue occupancy stay
+/// decoupled: the router is fully pipelined (one flit per cycle per
+/// output) with a fixed traversal latency.
 ///
 /// # Capacity versus allocation
 ///
@@ -373,13 +370,11 @@ impl RouteDecision {
 /// The per-hop routing function: maps a head flit at a router to the
 /// output port / outgoing VC / updated tag.
 ///
-/// A route function must be a pure function of the flit's **routing
-/// fields** — [`Flit::dest`], [`Flit::vc`], [`Flit::tag`] — and the
-/// router id. The event-driven core routes a head from its scheduled
-/// maturity record (which carries exactly those fields) rather than
-/// re-reading the queue, so a function that keyed on `packet`, `index`
-/// or `injected_at` would diverge between the event and reference
-/// steppers (the `stepper_equivalence` tests would catch it).
+/// A route function must be a **pure** function of the flit and the
+/// router id. The epoch kernel routes a head once and keeps the
+/// decision until the head departs, while the reference stepper routes
+/// it again every cycle, so a function with hidden state would diverge
+/// between the two (the `stepper_equivalence` tests would catch it).
 /// Route functions are `Send + Sync`: the sharded stepper
 /// ([`RouterFabric::set_shards`]) calls one route function from every
 /// shard worker concurrently.
@@ -403,37 +398,11 @@ struct OutputOwner {
     out_tag: u16,
 }
 
-/// One routed head flit's claim on an output port: the flat input index
-/// (`port * vcs + vc`, the round-robin rank) plus the outgoing VC/tag
-/// from its route decision.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Candidate {
-    idx: u16,
-    vc: u8,
-    tag: u16,
-}
-
-/// A head front awaiting its pipeline-maturity cycle. Carries the
-/// front's routing fields so filing it as a candidate needs no queue
-/// access (the queues are the large, cache-cold part of a saturated
-/// fabric); the version pins it to the exact front it was scheduled
-/// for.
-#[derive(Clone, Copy, Debug)]
-struct MatureEntry {
-    ready: u64,
-    idx: u16,
-    version: u32,
-    dest: u32,
-    tag: u16,
-}
-
 /// A queue front's resolved target: the output it waits on and the VC
-/// it takes there — a head's route decision (with the outgoing tag
-/// candidate filing needs), or a body flit's owned output. Valid while
-/// `version` equals its queue's front version.
+/// it takes there — a head's route decision (with the outgoing tag its
+/// departure carries), or a body flit's owned output.
 #[derive(Clone, Copy, Debug)]
 struct FrontTarget {
-    version: u32,
     tag: u16,
     out: u8,
     out_vc: u8,
@@ -462,33 +431,6 @@ pub struct CycleRouter {
     queued: usize,
     /// Output ports currently owned by an in-flight packet.
     owned: usize,
-    /// Sorted output ports currently owned by a cut-through packet
-    /// (the list form of `output_owner`, for the arbitration worklist).
-    owned_outs: Vec<u16>,
-    /// **Persistent** per-output candidate lists, sorted by flat input
-    /// index: every queue whose current front is a head flit that has
-    /// cleared the pipeline is filed here, from the cycle it matures
-    /// until it departs. Maintained event-driven — on front changes and
-    /// pipeline maturity — so steady-state cycles never rescan queues.
-    out_cands: Vec<Vec<Candidate>>,
-    /// Sorted outputs whose candidate list is non-empty (the candidate
-    /// side of the arbitration worklist).
-    cand_outs: Vec<u16>,
-    /// Where each queue's front is currently filed: `out + 1`, or 0 when
-    /// the front is not a candidate (body, immature, or empty).
-    cand_out: Vec<u16>,
-    /// Maturity calendar: slot `ready % len` holds the head fronts
-    /// still traversing the router pipeline; drained each arbitrated
-    /// cycle to file newly eligible candidates.
-    mature_wheel: Vec<Vec<MatureEntry>>,
-    /// Fronts revealed with their pipeline already cleared (a pop
-    /// exposing an old arrival): filed at the next maturity drain,
-    /// exactly when a full rescan would first see them.
-    ripe: Vec<MatureEntry>,
-    /// Last cycle whose maturity slots were drained.
-    last_matured: u64,
-    /// Merged (owner ∪ candidate) output worklist scratch.
-    arb_outs: Vec<u16>,
     /// Queues this router popped during the current arbitration phase,
     /// as flat indices. The fabric drains this after every router has
     /// arbitrated and returns each credit to the link feeding the popped
@@ -500,22 +442,22 @@ pub struct CycleRouter {
     /// Flat per-queue cycle at which the current front flit clears the
     /// router pipeline (`u64::MAX` when the queue is empty).
     front_ready: Vec<u64>,
-    /// Flat per-queue version, bumped whenever the front changes — the
-    /// validity key of scheduled maturity entries and of `front_target`
-    /// (a pop invalidates any pending filing of the popped front).
-    front_version: Vec<u32>,
     /// Occupied-queue bitset, bit `port * vcs + vc` set while that
-    /// queue holds a flit (kept by [`Self::accept`] and the pops), so
-    /// stall classification walks the occupied fronts instead of every
-    /// port × VC slot.
+    /// queue holds a flit, so stall classification walks the occupied
+    /// fronts instead of every port × VC slot.
     occupied: Vec<u64>,
-    /// Per-queue memo of the front's target, keyed by `front_version`
-    /// and filled lazily: by stall classification for every front it
-    /// meets, and by candidate filing for heads once the memo exists.
-    /// A head is thus routed at most once whether telemetry is on or
-    /// off, and a body front looks up its owned output once. Empty
-    /// (allocating nothing) until telemetry first classifies.
-    front_target: Vec<FrontTarget>,
+    /// The bits of `occupied` whose front is a head flit: the fronts
+    /// arbitration walks. [`Self::accept`] and the pops keep both
+    /// bitsets, so both steppers keep them.
+    heads: Vec<u64>,
+    /// Per-queue memo of the front's target, filled on first use by
+    /// arbitration or stall classification and cleared when the front
+    /// pops: a head is routed once while it waits, and a body front
+    /// looks up its owned output once.
+    front_target: Vec<Option<FrontTarget>>,
+    /// Each output's pick while [`Self::arbitrate_into`] runs, as a
+    /// flat queue index; all `None` between calls.
+    picks: Vec<Option<u16>>,
     /// Per-cycle head-flit route snapshot (`[port * vcs + vc]`) used by
     /// the reference full-scan arbiter [`Self::tick`]; reused across
     /// ticks to avoid per-cycle allocation.
@@ -526,14 +468,15 @@ impl CycleRouter {
     /// Creates a router with `ports` input/output ports, `vcs` VCs and a
     /// `pipeline`-cycle traversal latency.
     pub fn new(id: usize, ports: usize, vcs: usize, pipeline: u64) -> Self {
+        let queues = ports * vcs;
         assert!(
-            ports * vcs <= u16::MAX as usize + 1,
-            "flat (port, vc) index must fit the u16 worklists"
+            queues <= u16::MAX as usize + 1,
+            "flat (port, vc) index must fit the u16 picks and pop list"
         );
         assert!(ports <= 256, "port index must fit the packed route memo");
         CycleRouter {
             id,
-            store: FlitStore::new(ports * vcs),
+            store: FlitStore::new(queues),
             ports,
             output_owner: vec![None; ports],
             rr: vec![0; ports],
@@ -541,19 +484,12 @@ impl CycleRouter {
             vcs,
             queued: 0,
             owned: 0,
-            owned_outs: Vec::new(),
-            out_cands: vec![Vec::new(); ports],
-            cand_outs: Vec::new(),
-            cand_out: vec![0; ports * vcs],
-            mature_wheel: vec![Vec::new(); pipeline as usize + 1],
-            ripe: Vec::new(),
-            last_matured: 0,
-            arb_outs: Vec::new(),
             popped: Vec::new(),
-            front_ready: vec![u64::MAX; ports * vcs],
-            front_version: vec![0; ports * vcs],
-            occupied: vec![0; (ports * vcs).div_ceil(64)],
-            front_target: Vec::new(),
+            front_ready: vec![u64::MAX; queues],
+            occupied: vec![0; queues.div_ceil(64)],
+            heads: vec![0; queues.div_ceil(64)],
+            front_target: vec![None; queues],
+            picks: vec![None; ports],
             decision_scratch: Vec::new(),
         }
     }
@@ -566,42 +502,22 @@ impl CycleRouter {
 
     /// Heap bytes behind this router as `(flit slab, scheduler state)`:
     /// the slab is the [`FlitStore`] slot storage; the state covers ring
-    /// cursors, candidate worklists, the maturity wheel, the front
-    /// mirrors (with the occupied-queue bitset and the front-target
-    /// memo), and arbitration scratch. Capacity-based — what the
-    /// allocator actually handed out.
+    /// cursors, the front mirrors (pipeline-ready cycles, the occupied
+    /// and head bitsets and the front-target memo), output ownership and
+    /// arbitration scratch. Capacity-based — what the allocator actually
+    /// handed out.
     pub fn memory_bytes(&self) -> (usize, usize) {
         use std::mem::size_of;
         let (slab, cursors) = self.store.memory_bytes();
-        let wheels = self.mature_wheel.capacity() * size_of::<Vec<MatureEntry>>()
-            + self
-                .mature_wheel
-                .iter()
-                .map(|s| s.capacity() * size_of::<MatureEntry>())
-                .sum::<usize>()
-            + self.ripe.capacity() * size_of::<MatureEntry>();
-        let cands = self.out_cands.capacity() * size_of::<Vec<Candidate>>()
-            + self
-                .out_cands
-                .iter()
-                .map(|c| c.capacity() * size_of::<Candidate>())
-                .sum::<usize>();
-        let worklists = (self.owned_outs.capacity()
-            + self.cand_outs.capacity()
-            + self.cand_out.capacity()
-            + self.arb_outs.capacity()
-            + self.popped.capacity())
-            * size_of::<u16>();
-        let fronts = (self.front_ready.capacity() + self.occupied.capacity()) * size_of::<u64>()
-            + self.front_version.capacity() * size_of::<u32>()
-            + self.front_target.capacity() * size_of::<FrontTarget>();
+        let words = self.front_ready.capacity() + self.occupied.capacity() + self.heads.capacity();
+        let fronts = words * size_of::<u64>()
+            + self.front_target.capacity() * size_of::<Option<FrontTarget>>();
         let state = cursors
-            + wheels
-            + cands
-            + worklists
             + fronts
             + self.output_owner.capacity() * size_of::<Option<OutputOwner>>()
             + self.rr.capacity() * size_of::<usize>()
+            + self.popped.capacity() * size_of::<u16>()
+            + self.picks.capacity() * size_of::<Option<u16>>()
             + self.decision_scratch.capacity() * size_of::<Option<(usize, u8, u16)>>();
         (slab, state)
     }
@@ -617,11 +533,6 @@ impl CycleRouter {
         for v in 0..self.vcs {
             self.store.set_cap(port * self.vcs + v, depth);
         }
-    }
-
-    /// Whether input `(port, vc)` can accept a flit this cycle.
-    pub fn can_accept(&self, port: usize, vc: u8) -> bool {
-        self.store.free_slots(port * self.vcs + vc as usize) > 0
     }
 
     /// Free slots on input `(port, vc)`. (The fabric's arbitration reads
@@ -646,201 +557,52 @@ impl CycleRouter {
     ///
     /// # Panics
     /// Panics (in debug) if no credit was available — callers must check
-    /// [`Self::can_accept`], exactly as the upstream credit counter would.
+    /// [`Self::free_slots`], exactly as the upstream credit counter would.
     pub fn accept(&mut self, port: usize, vc: u8, flit: Flit, cycle: u64) {
-        if self.is_idle() && cycle > self.last_matured {
-            // Re-activation after an idle span: an idle router has no
-            // live fronts, so any maturity entries still on the wheel or
-            // ripe list are version-stale (dropped lazily whenever their
-            // slot next drains). Jump the drain cursor across the gap
-            // rather than growing the wheel or catching up slot by slot
-            // — exactly the dead time the worklists exist to skip.
-            self.last_matured = cycle;
-        }
         let idx = port * self.vcs + vc as usize;
         if self.store.is_empty(idx) {
-            self.occupied[idx / 64] |= 1 << (idx % 64);
-            self.front_version[idx] = self.front_version[idx].wrapping_add(1);
-            let ready = cycle + self.pipeline;
-            self.front_ready[idx] = ready;
+            let bit = 1 << (idx % 64);
+            self.occupied[idx / 64] |= bit;
             if flit.is_head() {
-                self.schedule_front(idx, ready, flit.dest, flit.tag);
+                self.heads[idx / 64] |= bit;
             }
+            self.front_ready[idx] = cycle + self.pipeline;
         }
         self.store.push(idx, flit, cycle);
         self.queued += 1;
     }
 
     /// Pops the front flit of input `(p, v)`, maintaining the queued
-    /// total, the flat front mirrors, and the occupied-queue bitset.
+    /// total, the front mirrors and memo, and the bitsets.
     fn take_front(&mut self, p: usize, v: u8) -> Flit {
         let idx = p * self.vcs + v as usize;
-        // A filed front that departs (or is popped by the reference
-        // stepper) leaves the candidate lists immediately.
-        let filed = self.cand_out[idx];
-        if filed != 0 {
-            let out = (filed - 1) as usize;
-            let pos = self.out_cands[out]
-                .binary_search_by_key(&(idx as u16), |c| c.idx)
-                .expect("filed candidate must be listed");
-            self.out_cands[out].remove(pos);
-            if self.out_cands[out].is_empty() {
-                let op = self
-                    .cand_outs
-                    .binary_search(&(out as u16))
-                    .expect("non-empty candidate output must be listed");
-                self.cand_outs.remove(op);
-            }
-            self.cand_out[idx] = 0;
-        }
         let flit = self.store.pop(idx).expect("front exists");
         self.queued -= 1;
         self.popped.push(idx as u16);
-        self.front_version[idx] = self.front_version[idx].wrapping_add(1);
+        self.front_target[idx] = None;
+        let (w, bit) = (idx / 64, 1 << (idx % 64));
         match self.store.front(idx) {
             Some(&(next, arrived)) => {
-                let ready = arrived + self.pipeline;
-                self.front_ready[idx] = ready;
+                self.front_ready[idx] = arrived + self.pipeline;
                 if next.is_head() {
-                    self.schedule_front(idx, ready, next.dest, next.tag);
+                    self.heads[w] |= bit;
+                } else {
+                    self.heads[w] &= !bit;
                 }
             }
             None => {
                 self.front_ready[idx] = u64::MAX;
-                self.occupied[idx / 64] &= !(1 << (idx % 64));
+                self.occupied[w] &= !bit;
+                self.heads[w] &= !bit;
             }
         }
         flit
     }
 
-    /// Books the queue's newly revealed head front for candidate filing
-    /// at `ready` (its pipeline-maturity cycle): on the maturity wheel
-    /// for future cycles, or on the ripe list when the cycle has already
-    /// been drained — either way it is filed exactly when a full rescan
-    /// would first see it.
-    fn schedule_front(&mut self, idx: usize, ready: u64, dest: u32, tag: u16) {
-        self.dispatch(MatureEntry {
-            ready,
-            idx: idx as u16,
-            version: self.front_version[idx],
-            dest,
-            tag,
-        });
-    }
-
-    /// Places a maturity entry where the drain will find it at its ready
-    /// cycle: the ripe list when already due, the wheel when within the
-    /// drain cursor's horizon, and otherwise parked on the ripe list to
-    /// be re-dispatched once the cursor advances (a long
-    /// reference-stepped span can leave the cursor arbitrarily far
-    /// behind; the wheel itself never grows).
-    fn dispatch(&mut self, entry: MatureEntry) {
-        if entry.ready <= self.last_matured {
-            self.ripe.push(entry);
-            return;
-        }
-        let w = self.mature_wheel.len() as u64;
-        if entry.ready - self.last_matured >= w {
-            self.ripe.push(entry);
-            return;
-        }
-        self.mature_wheel[(entry.ready % w) as usize].push(entry);
-    }
-
-    /// Files one matured front as a candidate, unless its queue's front
-    /// has changed since it was scheduled (`version` mismatch — e.g. the
-    /// reference stepper popped it without touching the lists' source
-    /// events).
-    fn try_file(&mut self, entry: MatureEntry, route: &RouteFn) {
-        let (idx, version) = (entry.idx, entry.version);
-        let i = idx as usize;
-        if self.front_version[i] != version {
-            return;
-        }
-        debug_assert_eq!(self.cand_out[i], 0, "front filed twice");
-        let v = i % self.vcs;
-        #[cfg(debug_assertions)]
-        {
-            let &(head, _) = self.store.front(i).expect("scheduled front exists");
-            debug_assert!(
-                head.is_head() && head.dest == entry.dest && head.tag == entry.tag,
-                "maturity record diverged from the queue front"
-            );
-        }
-        // Route from the scheduled record — see the [`RouteFn`] purity
-        // contract; the debug assertion above pins record == front —
-        // unless stall classification already resolved this front.
-        let rd = match self.front_target.get(i) {
-            Some(t) if t.version == version => RouteDecision {
-                port: t.out as usize,
-                vc: t.out_vc,
-                tag: t.tag,
-            },
-            _ => {
-                let head = Flit {
-                    packet: 0,
-                    index: 0,
-                    of: 1,
-                    dest: entry.dest,
-                    vc: v as u8,
-                    tag: entry.tag,
-                    injected_at: 0,
-                };
-                let rd = route(&head, self.id);
-                if let Some(t) = self.front_target.get_mut(i) {
-                    *t = FrontTarget {
-                        version,
-                        tag: rd.tag,
-                        out: rd.port as u8,
-                        out_vc: rd.vc,
-                    };
-                }
-                rd
-            }
-        };
-        let pos = self.out_cands[rd.port]
-            .binary_search_by_key(&idx, |c| c.idx)
-            .expect_err("front filed twice");
-        if self.out_cands[rd.port].is_empty() {
-            let op = self
-                .cand_outs
-                .binary_search(&(rd.port as u16))
-                .expect_err("empty candidate output cannot be listed");
-            self.cand_outs.insert(op, rd.port as u16);
-        }
-        self.out_cands[rd.port].insert(
-            pos,
-            Candidate {
-                idx,
-                vc: rd.vc,
-                tag: rd.tag,
-            },
-        );
-        self.cand_out[i] = rd.port as u16 + 1;
-    }
-
-    /// Drains one maturity slot at `now`, filing entries whose ready
-    /// cycle has been reached and keeping the rest.
-    fn drain_slot(&mut self, s: usize, now: u64, route: &RouteFn) {
-        if self.mature_wheel[s].is_empty() {
-            return;
-        }
-        let mut bucket = std::mem::take(&mut self.mature_wheel[s]);
-        bucket.retain(|&entry| {
-            if entry.ready <= now {
-                self.try_file(entry, route);
-                false
-            } else {
-                true
-            }
-        });
-        self.mature_wheel[s] = bucket;
-    }
-
     /// Completes one departure through `out`: pops the flit from input
     /// `(p, v)`, applies the outgoing VC/tag, and updates the cut-through
-    /// ownership, round-robin pointer, and worklist bookkeeping. Shared
-    /// by the reference arbiter ([`Self::tick`]) and the event-driven one
+    /// ownership and round-robin pointer. Shared by the reference arbiter
+    /// ([`Self::tick`]) and the event-driven one
     /// ([`Self::arbitrate_into`]) so the two cannot drift.
     fn depart(&mut self, out: usize, p: usize, v: u8, out_vc: u8, out_tag: u16) -> Flit {
         let mut flit = self.take_front(p, v);
@@ -848,23 +610,9 @@ impl CycleRouter {
         flit.tag = out_tag;
         let was_owned = self.output_owner[out].is_some();
         if flit.is_tail() {
-            if was_owned {
-                let pos = self
-                    .owned_outs
-                    .binary_search(&(out as u16))
-                    .expect("owner must be on the owned-outs list");
-                self.owned_outs.remove(pos);
-            }
             self.output_owner[out] = None;
             self.rr[out] = (p * self.vcs + v as usize + 1) % (self.ports * self.vcs);
         } else {
-            if !was_owned {
-                let pos = self
-                    .owned_outs
-                    .binary_search(&(out as u16))
-                    .expect_err("fresh owner cannot already be listed");
-                self.owned_outs.insert(pos, out as u16);
-            }
             self.output_owner[out] = Some(OutputOwner {
                 packet: flit.packet,
                 in_port: p,
@@ -893,141 +641,115 @@ impl CycleRouter {
         self.queued
     }
 
-    /// Maturity phase of the event-driven arbiter: files every head
-    /// front whose pipeline-ready cycle has arrived since the last
-    /// drain, catching up over jumped or reference-stepped spans (the
-    /// wheel entries carry absolute cycles and front versions, so late
-    /// draining files exactly the fronts a full rescan would find).
-    /// After this, the persistent candidate lists are current for
-    /// `now`.
-    pub(crate) fn mature(&mut self, now: u64, route: &RouteFn) {
-        let w = self.mature_wheel.len() as u64;
-        if now > self.last_matured {
-            if now - self.last_matured >= w {
-                for slot in 0..self.mature_wheel.len() {
-                    self.drain_slot(slot, now, route);
-                }
-            } else {
-                for c in self.last_matured + 1..=now {
-                    self.drain_slot((c % w) as usize, now, route);
-                }
-            }
-            self.last_matured = now;
+    /// The target of occupied queue `i`'s front, memoized until the
+    /// front pops: a head's route decision, or a body flit's owned
+    /// output. `None` for a body front whose packet owns no output,
+    /// which the cut-through protocol rules out.
+    fn target(&mut self, i: usize, route: &RouteFn) -> Option<FrontTarget> {
+        if let Some(t) = self.front_target[i] {
+            return Some(t);
         }
-        if !self.ripe.is_empty() {
-            let mut ripe = std::mem::take(&mut self.ripe);
-            for &entry in &ripe {
-                if entry.ready <= now {
-                    self.try_file(entry, route);
-                } else {
-                    // Parked beyond the old horizon; the cursor has
-                    // advanced, so this lands on the wheel (its ready
-                    // is at most `now + pipeline`, within reach).
-                    self.dispatch(entry);
-                }
+        let &(front, _) = self.store.front(i).expect("occupied queue has a front");
+        let t = if front.is_head() {
+            let d = route(&front, self.id);
+            FrontTarget {
+                tag: d.tag,
+                out: d.port as u8,
+                out_vc: d.vc,
             }
-            ripe.clear();
-            if self.ripe.is_empty() {
-                self.ripe = ripe; // keep the allocation
+        } else {
+            let (out, out_vc) = self.owner_output(i / self.vcs, (i % self.vcs) as u8)?;
+            FrontTarget {
+                tag: 0,
+                out: out as u8,
+                out_vc,
             }
-        }
+        };
+        self.front_target[i] = Some(t);
+        Some(t)
     }
 
-    /// Event-driven arbitration over the outputs with filed candidates
-    /// (plus owned outputs), pushing departures as `(router id, output,
-    /// flit)` with the outgoing VC/tag applied. `out_live` reports
-    /// whether an output's link can serialize this cycle (a dead output
-    /// skips its candidates wholesale); `downstream_ok` answers the full
-    /// departure question for `(output, outgoing vc)`, serialization and
-    /// downstream credit, exactly as for [`Self::tick`]. Behaviorally
-    /// identical to the reference [`Self::tick`]: same owner precedence,
-    /// same round-robin order, same single read port per input queue —
-    /// the `stepper_equivalence` tests pin this bit for bit.
+    /// Event-driven arbitration, pushing departures as `(router id,
+    /// output, flit)` with the outgoing VC/tag applied. `downstream_ok`
+    /// answers the full departure question for `(output, outgoing vc)`,
+    /// serialization and downstream credit, exactly as for
+    /// [`Self::tick`].
+    ///
+    /// One ascending walk over the head fronts that have cleared the
+    /// pipeline picks, for each unowned output, the first head at or
+    /// after the output's round-robin pointer whose check passes, or
+    /// else the first one before it: the head `tick`'s rotated scan
+    /// grants. Nothing a check reads changes while a router arbitrates,
+    /// so asking the checks in walk order changes no grant. Departures
+    /// follow in ascending output order, an owner continuing its packet,
+    /// and none happens before every pick is made, so a front a pop
+    /// reveals waits a cycle, as in `tick`'s route snapshot. The
+    /// `stepper_equivalence` tests pin the two bit for bit.
     pub(crate) fn arbitrate_into(
         &mut self,
         cycle: u64,
-        mut out_live: impl FnMut(usize) -> bool,
+        route: &RouteFn,
         mut downstream_ok: impl FnMut(usize, u8) -> bool,
         moves: &mut Vec<(usize, usize, Flit)>,
     ) {
-        // Merge owned and candidate outputs ascending — the same output
-        // order the reference full scan visits. Snapshot before any
-        // departure: owners installed or cleared mid-cycle only affect
-        // their own (already visited) output.
-        let mut arb = std::mem::take(&mut self.arb_outs);
-        arb.clear();
-        let (mut oi, mut ti) = (0, 0);
-        while oi < self.owned_outs.len() || ti < self.cand_outs.len() {
-            let next = match (self.owned_outs.get(oi), self.cand_outs.get(ti)) {
-                (Some(&a), Some(&b)) => {
-                    oi += usize::from(a <= b);
-                    ti += usize::from(b <= a);
-                    a.min(b)
+        let mut picked = false;
+        for w in 0..self.heads.len() {
+            let mut bits = self.heads[w];
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.front_ready[i] > cycle {
+                    continue;
                 }
-                (Some(&a), None) => {
-                    oi += 1;
-                    a
+                let t = self.target(i, route).expect("a head front is routed");
+                let out = t.out as usize;
+                let rr = self.rr[out];
+                // A pick at or after the pointer is final, and so is one
+                // before it while the walk is still before it.
+                let settled = self.picks[out].is_some_and(|p| p as usize >= rr || i < rr);
+                if self.output_owner[out].is_none() && !settled && downstream_ok(out, t.out_vc) {
+                    self.picks[out] = Some(i as u16);
+                    picked = true;
                 }
-                (None, Some(&b)) => {
-                    ti += 1;
-                    b
-                }
-                (None, None) => unreachable!(),
-            };
-            arb.push(next);
+            }
         }
-        for &arb_out in &arb {
-            let out = arb_out as usize;
-            // If an owner holds the output, it continues its packet;
-            // otherwise round-robin over this output's candidates, which
-            // have cleared the pipeline and routed here.
-            let depart: Option<(usize, u8, u8, u16)> = match self.output_owner[out] {
+        if !picked && self.owned == 0 {
+            return;
+        }
+        for out in 0..self.ports {
+            let depart = match self.output_owner[out] {
+                // Cut-through owners continue their own packet: sources
+                // must keep a packet's flits contiguous per (port, VC) —
+                // see [`RouterFabric::inject`].
                 Some(o) => {
                     let oidx = o.in_port * self.vcs + o.in_vc as usize;
-                    if self.front_ready[oidx] <= cycle && downstream_ok(out, o.out_vc) {
-                        // Cut-through owners continue their own packet:
-                        // sources must keep a packet's flits contiguous
-                        // per (port, VC) — see [`RouterFabric::inject`].
-                        debug_assert_eq!(
-                            self.store.front(oidx).expect("ready front").0.packet,
-                            o.packet,
-                            "interleaved flits of two packets on one input VC"
-                        );
-                        Some((o.in_port, o.in_vc, o.out_vc, o.out_tag))
-                    } else {
-                        None
-                    }
+                    let go = self.front_ready[oidx] <= cycle && downstream_ok(out, o.out_vc);
+                    debug_assert!(
+                        !go || self.store.front(oidx).expect("ready front").0.packet == o.packet,
+                        "interleaved flits of two packets on one input VC"
+                    );
+                    go.then_some((o.in_port, o.in_vc, o.out_vc, o.out_tag))
                 }
-                None if !out_live(out) => None, // link can't serialize: every check would fail
-                None => {
-                    let cands = &self.out_cands[out];
-                    let start = cands.partition_point(|c| (c.idx as usize) < self.rr[out]);
-                    let mut found = None;
-                    for c in cands[start..].iter().chain(cands[..start].iter()) {
-                        if downstream_ok(out, c.vc) {
-                            let idx = c.idx as usize;
-                            found = Some((idx / self.vcs, (idx % self.vcs) as u8, c.vc, c.tag));
-                            break;
-                        }
-                    }
-                    found
-                }
+                None => self.picks[out].take().map(|i| {
+                    let i = i as usize;
+                    let t = self.front_target[i].expect("a pick is routed");
+                    (i / self.vcs, (i % self.vcs) as u8, t.out_vc, t.tag)
+                }),
             };
             if let Some((p, v, out_vc, out_tag)) = depart {
                 let flit = self.depart(out, p, v, out_vc, out_tag);
                 moves.push((self.id, out, flit));
             }
         }
-        self.arb_outs = arb;
     }
 
     /// The output port (and outgoing VC) currently owned by input
     /// `(p, v)`'s in-flight packet, if any — the continuation target of
     /// a body flit at that queue's front.
     fn owner_output(&self, p: usize, v: u8) -> Option<(usize, u8)> {
-        self.owned_outs.iter().find_map(|&out| {
-            let o = self.output_owner[out as usize].expect("listed owner");
-            (o.in_port == p && o.in_vc == v).then_some((out as usize, o.out_vc))
+        self.output_owner.iter().enumerate().find_map(|(out, o)| {
+            o.filter(|o| o.in_port == p && o.in_vc == v)
+                .map(|o| (out, o.out_vc))
         })
     }
 
@@ -1035,10 +757,9 @@ impl CycleRouter {
     /// (the reference classifier's port × VC order) as `(output,
     /// outgoing VC, immature)`, where `immature` means the front is
     /// still inside the router pipeline at `cycle` — the per-front
-    /// inputs of the epoch kernel's stall classification. Each front's
-    /// target is resolved once and memoized by front version (a head
-    /// routed, a body front's owned output looked up); later cycles read
-    /// neither the flit slab nor the route function. A body front whose
+    /// inputs of the epoch kernel's stall classification. Targets come
+    /// from the memo arbitration fills too, so a stalled front costs no
+    /// slab read or route call after its first cycle. A body front whose
     /// packet owns no output is skipped, as [`RouterFabric`]'s reference
     /// classifier skips it.
     pub(crate) fn for_each_front_target(
@@ -1047,45 +768,14 @@ impl CycleRouter {
         route: &RouteFn,
         mut f: impl FnMut(usize, u8, bool),
     ) {
-        if self.front_target.is_empty() {
-            // Stale against every live front: versions only move forward.
-            self.front_target = self
-                .front_version
-                .iter()
-                .map(|&v| FrontTarget {
-                    version: v.wrapping_sub(1),
-                    tag: 0,
-                    out: 0,
-                    out_vc: 0,
-                })
-                .collect();
-        }
         for w in 0..self.occupied.len() {
             let mut bits = self.occupied[w];
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let version = self.front_version[i];
-                if self.front_target[i].version != version {
-                    let &(front, _) = self.store.front(i).expect("occupied queue has a front");
-                    let (out, out_vc, tag) = if front.is_head() {
-                        let d = route(&front, self.id);
-                        (d.port, d.vc, d.tag)
-                    } else {
-                        match self.owner_output(i / self.vcs, (i % self.vcs) as u8) {
-                            Some((out, out_vc)) => (out, out_vc, 0),
-                            None => continue,
-                        }
-                    };
-                    self.front_target[i] = FrontTarget {
-                        version,
-                        tag,
-                        out: out as u8,
-                        out_vc,
-                    };
+                if let Some(t) = self.target(i, route) {
+                    f(t.out as usize, t.out_vc, self.front_ready[i] > cycle);
                 }
-                let t = self.front_target[i];
-                f(t.out as usize, t.out_vc, self.front_ready[i] > cycle);
             }
         }
     }
@@ -1242,9 +932,9 @@ struct ChannelState {
     class_flits: Vec<u64>,
 }
 
-/// One booking on an arrival wheel: a flit in flight toward input `port`
-/// of `router`, landing at the cycle of its wheel slot. It sits on the
-/// wheel of the shard owning `router`, and its landing touches no
+/// A flit bound for input `port` of `router`. On an arrival wheel it is
+/// a flit in flight, landing at the cycle of its wheel slot: it sits on
+/// the wheel of the shard owning `router`, and its landing touches no
 /// credit (the sender spent one at departure).
 #[derive(Clone, Copy, Debug)]
 struct Arrival {
@@ -1255,6 +945,27 @@ struct Arrival {
 
 // A saturated fabric keeps thousands of bookings live; keep them small.
 const _: () = assert!(std::mem::size_of::<Arrival>() <= 40);
+
+/// Files `a.flit` into input `(a.port, a.flit.vc)` of router `a.router`
+/// at `cycle`, and lists the router on `activated` unless it is active
+/// already. The one accept routine of a row view whose first router is
+/// `lo`: a shard window's landings and zero-latency hops, and
+/// [`InjectPort::inject`]. The sender has spent the credit.
+fn accept_and_activate(
+    routers: &mut [CycleRouter],
+    is_active: &mut [bool],
+    activated: &mut Vec<usize>,
+    lo: usize,
+    a: Arrival,
+    cycle: u64,
+) {
+    let r = a.router as usize;
+    routers[r - lo].accept(a.port as usize, a.flit.vc, a.flit, cycle);
+    if !is_active[r - lo] {
+        is_active[r - lo] = true;
+        activated.push(r);
+    }
+}
 
 /// Why an injection was refused. Callers (injection harnesses, endpoint
 /// models) use this to distinguish *source queuing* — the local input
@@ -1478,16 +1189,24 @@ impl InjectPort<'_> {
         }
         let (cycle, r) = (self.cycle, router - self.lo);
         flit.injected_at = cycle;
-        let d = &mut self.routers[r];
-        d.accept(port, vc, flit, cycle);
+        let a = Arrival {
+            flit,
+            router: router as u32,
+            port: port as u8,
+        };
+        accept_and_activate(
+            self.routers,
+            self.is_active,
+            self.activated,
+            self.lo,
+            a,
+            cycle,
+        );
         if let (Some((up, out)), Some(credits)) =
             (self.feeder[r][port], self.credits.as_deref_mut())
         {
-            credits[up as usize][out as usize * d.vcs + vc as usize] -= 1;
-        }
-        if !self.is_active[r] {
-            self.is_active[r] = true;
-            self.activated.push(router);
+            let vcs = self.routers[r].vcs;
+            credits[up as usize][out as usize * vcs + vc as usize] -= 1;
         }
         if let Some(trace) = self.trace.as_mut().filter(|_| flit.is_head()) {
             let event = TraceEvent {
@@ -2004,13 +1723,8 @@ mod shard {
             let slot = (cycle % wheel_len) as usize;
             if !scratch.wheel[slot].is_empty() {
                 let mut bucket = std::mem::take(&mut scratch.wheel[slot]);
-                for a in &bucket {
-                    let r = a.router as usize;
-                    routers[r - lo].accept(a.port as usize, a.flit.vc, a.flit, cycle);
-                    if !is_active[r - lo] {
-                        is_active[r - lo] = true;
-                        scratch.incoming.push(r);
-                    }
+                for &a in &bucket {
+                    accept_and_activate(routers, is_active, &mut scratch.incoming, lo, a, cycle);
                 }
                 scratch.landed += bucket.len();
                 bucket.clear();
@@ -2051,12 +1765,11 @@ mod shard {
                 }
                 scratch.worklist[kept] = r;
                 kept += 1;
-                router.mature(cycle, inp.route);
                 let vcs = router.vcs;
                 let next_free_r = &next_free[r - lo];
                 router.arbitrate_into(
                     cycle,
-                    |out| next_free_r[out] <= cycle,
+                    inp.route,
                     |out, vc| next_free_r[out] <= cycle && has_credit(r, vcs, out, vc),
                     &mut scratch.moves,
                 );
@@ -2071,8 +1784,8 @@ mod shard {
                 // occupied front against the same private-cycle state
                 // arbitration read, into the shard's own counters — the
                 // epoch mirror of `telemetry_record`, fed per front by
-                // `for_each_front_target` (targets resolved once per
-                // front, only occupied queues visited).
+                // `for_each_front_target` (targets read from the memo
+                // arbitration shares, only occupied queues visited).
                 for &(r, out, ref flit) in &scratch.moves {
                     rec.advance(cycle, inp.link_off[r] + out);
                     if rec.trace
@@ -2123,14 +1836,22 @@ mod shard {
                         port: dport,
                     } => {
                         credits[r - lo][out * vcs + flit.vc as usize] -= 1;
+                        let a = Arrival {
+                            flit,
+                            router: dst as u32,
+                            port: dport as u8,
+                        };
                         if spec.latency == 0 {
                             // Flight folds into the downstream pipeline.
                             assert!(lo <= dst && dst < hi, "zero-latency link left its shard");
-                            routers[dst - lo].accept(dport, flit.vc, flit, cycle);
-                            if !is_active[dst - lo] {
-                                is_active[dst - lo] = true;
-                                scratch.incoming.push(dst);
-                            }
+                            accept_and_activate(
+                                routers,
+                                is_active,
+                                &mut scratch.incoming,
+                                lo,
+                                a,
+                                cycle,
+                            );
                         } else {
                             debug_assert!(spec.latency < wheel_len, "arrival beyond the wheel");
                             debug_assert!(
@@ -2138,11 +1859,6 @@ mod shard {
                                 "booking inside the window"
                             );
                             let slot = ((cycle + spec.latency) % wheel_len) as usize;
-                            let a = Arrival {
-                                flit,
-                                router: dst as u32,
-                                port: dport as u8,
-                            };
                             if (lo..hi).contains(&dst) {
                                 scratch.wheel[slot].push(a);
                             } else {
@@ -2423,7 +2139,7 @@ pub struct MemoryBreakdown {
     /// toward the credit windows; see [`FlitStore`]).
     pub flit_slabs: usize,
     /// Per-router scheduler state: the router structs plus their ring
-    /// cursors, candidate worklists, maturity wheels, and scratch.
+    /// cursors, front mirrors, bitsets, target memos and scratch.
     pub routers: usize,
     /// Links: wiring, channel specs and counters, link timers, the
     /// senders' credit rows, and each input port's feeding link.
@@ -3602,6 +3318,31 @@ mod tests {
             vec![0, 1, 2, 3, 4],
             "per-VC FIFO order is the fence foundation"
         );
+    }
+
+    #[test]
+    fn round_robin_rotates_grants_across_contending_inputs() {
+        // Router 0's three injection VCs hold two packets each, and all
+        // six eject through one output. Each grant moves that output's
+        // pointer past the granted queue, so the VCs take turns; a pointer
+        // that never moved would drain VC 0 first (0, 3, 1, 4, 2, 5).
+        for reference in [false, true] {
+            let mut fabric = build_row(1, 3, 2);
+            for p in 0..6u64 {
+                fabric
+                    .inject(0, 0, flit(p, 0, 1, 0, (p % 3) as u8))
+                    .unwrap();
+            }
+            for _ in 0..20 {
+                if reference {
+                    fabric.step_reference();
+                } else {
+                    fabric.step();
+                }
+            }
+            let order: Vec<u64> = fabric.delivered().iter().map(|(_, f)| f.packet).collect();
+            assert_eq!(order, [0, 1, 2, 3, 4, 5], "reference stepper: {reference}");
+        }
     }
 
     #[test]

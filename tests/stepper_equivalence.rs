@@ -1,7 +1,7 @@
 //! Property test pinning the event-driven fabric core to the retained
 //! naive reference stepper: random torus shapes and mixed-class loads
-//! run through both `TorusFabric::step` (worklists, persistent
-//! candidate lists, maturity wheels, direct credit checks) and
+//! run through both `TorusFabric::step` (worklists, the walk over the
+//! occupied head fronts, the front-target memo, direct credit checks) and
 //! `TorusFabric::step_reference` (the pre-worklist full scan kept as the
 //! executable specification), asserting **bit-identical** `(cycle,
 //! Flit)` delivery logs and per-link, per-slice, per-`ByteKind` traffic
@@ -172,8 +172,8 @@ proptest! {
         packets in 40u64..120,
     ) {
         // The two steppers share all fabric state (queues, credit
-        // rows, maturity wheels, the occupied-queue bitset and the
-        // front-target memo both steppers' pops invalidate), so a fabric
+        // rows, the occupied and head bitsets and the front-target memo
+        // both steppers' pops keep), so a fabric
         // may switch between them mid-run, recording telemetry, without
         // diverging from either pure schedule.
         let dims = [dims.0, dims.1, dims.2];
