@@ -71,11 +71,13 @@
 //!   path ends in `.jsonl`, Chrome `trace_event` JSON (loadable in
 //!   `chrome://tracing` / Perfetto) otherwise.
 //!
-//! Any other argument, an argument that is not UTF-8, a valued flag
-//! without its value, a numeric value that is not a positive integer, a
-//! flag given twice, or more than one of the mode flags (`--calibrate`,
-//! `--md-replay`, `--overload-smoke`, `--mega-smoke`) is rejected with
-//! exit status 2 before anything runs, and so is a mode configuration
+//! `--help` prints a usage text listing every flag to stdout and exits
+//! 0 without running anything. Any other argument, an argument that is
+//! not UTF-8, a valued flag without its value, a numeric value that is
+//! not a positive integer, a flag given twice, or more than one of the
+//! mode flags (`--calibrate`, `--md-replay`, `--overload-smoke`,
+//! `--mega-smoke`) is rejected with exit status 2 before anything runs,
+//! `--help` or not, and so is a mode configuration
 //! `SweepConfig::validate` refuses.
 
 use anton_machine::mdrun::MdNetworkRun;
@@ -98,27 +100,33 @@ use anton_traffic::sweep::{
 use anton_traffic::workload::SyntheticWorkload;
 use std::ffi::OsString;
 
-/// Flags that stand alone.
-const SWITCHES: &[&str] = &[
-    "--json",
-    "--quick",
-    "--calibrate",
-    "--md-replay",
-    "--overload-smoke",
-    "--mega-smoke",
-    "--telemetry",
+/// Flags that stand alone, with their usage lines.
+const SWITCHES: &[(&str, &str)] = &[
+    ("--json", "print the sweep report as JSON"),
+    ("--quick", "run the sweep's coarse load axis"),
+    ("--calibrate", "fit the loaded-latency constants"),
+    ("--md-replay", "replay MD halo traffic, telemetry on"),
+    ("--overload-smoke", "8x8x8 overload point and drain check"),
+    ("--mega-smoke", "16x16x16 point after memory audits"),
+    ("--telemetry", "record telemetry, print the stall digest"),
+    ("--help", "print this text and exit"),
 ];
 
-/// Flags that take a value.
-const VALUED: &[&str] = &[
-    "--threads",
-    "--shards",
-    "--lookahead",
-    "--telemetry-out",
-    "--epoch-cycles",
-    "--epoch-ring",
-    "--trace-out",
+/// Flags that take a value, with their usage lines.
+const VALUED: &[(&str, &str)] = &[
+    ("--threads", "worker threads across points (default 1)"),
+    ("--shards", "shards within each fabric step (default 1)"),
+    ("--lookahead", "cap on the epoch window, in cycles"),
+    ("--telemetry-out", "telemetry summary JSON path"),
+    ("--epoch-cycles", "telemetry epoch length (default 1024)"),
+    ("--epoch-ring", "epoch records kept per link (default 256)"),
+    ("--trace-out", "packet trace path (.jsonl: JSON Lines)"),
 ];
+
+/// The flag column of [`SWITCHES`] or [`VALUED`].
+fn names(table: &'static [(&'static str, &str)]) -> impl Iterator<Item = &'static str> {
+    table.iter().map(|&(flag, _)| flag)
+}
 
 /// What one run of the binary does: the default latency–throughput
 /// sweep, or the mode one mode flag selects instead.
@@ -161,6 +169,8 @@ const MODES: [(&str, Mode); 4] = [
 #[derive(PartialEq, Debug, Default)]
 struct Args {
     mode: Mode,
+    /// `--help`: print [`usage`] instead of running.
+    help: bool,
     json: bool,
     quick: bool,
     /// Sweep workers (default 1).
@@ -199,8 +209,8 @@ impl Args {
         let mut mode_flag: Option<&str> = None;
         let mut args = args.iter().map(AsRef::as_ref);
         while let Some(flag) = args.next() {
-            let valued = VALUED.contains(&flag);
-            if !valued && !SWITCHES.contains(&flag) {
+            let valued = names(VALUED).any(|v| v == flag);
+            if !valued && !names(SWITCHES).any(|s| s == flag) {
                 return Err(format!(
                     "unknown argument `{flag}`; known flags: {}",
                     known_flags()
@@ -222,6 +232,7 @@ impl Args {
             seen.push(flag);
             let tcfg = &mut parsed.telemetry_config;
             match flag {
+                "--help" => parsed.help = true,
                 "--json" => parsed.json = true,
                 "--quick" => parsed.quick = true,
                 "--telemetry" => parsed.telemetry_requested = true,
@@ -283,9 +294,31 @@ fn utf8_args(args: impl IntoIterator<Item = OsString>) -> Result<Vec<String>, St
 /// Every flag, for error messages: the switches, then `FLAG VALUE` for
 /// the valued flags.
 fn known_flags() -> String {
-    let switches = SWITCHES.iter().map(|s| s.to_string());
-    let valued = VALUED.iter().map(|v| format!("{v} VALUE"));
+    let switches = names(SWITCHES).map(str::to_string);
+    let valued = names(VALUED).map(|v| format!("{v} VALUE"));
     switches.chain(valued).collect::<Vec<_>>().join(", ")
+}
+
+/// The `--help` text, one line per flag of [`SWITCHES`] and [`VALUED`],
+/// with the [`MODES`] flags listed first.
+fn usage() -> String {
+    let (mut modes, mut switches, mut valued) = (String::new(), String::new(), String::new());
+    for &(flag, help) in SWITCHES {
+        let is_mode = MODES.iter().any(|&(m, _)| m == flag);
+        let group = if is_mode { &mut modes } else { &mut switches };
+        *group += &format!("  {flag:<24}{help}\n");
+    }
+    for &(flag, help) in VALUED {
+        valued += &format!("  {:<24}{help}\n", format!("{flag} VALUE"));
+    }
+    format!(
+        "usage: sweep_traffic [FLAG]...\n\n\
+         Runs the latency-throughput sweep of the 4x4x8 torus, or the mode one\n\
+         mode flag selects. A VALUE is a positive integer or a path.\n\n\
+         modes (give at most one):\n{modes}\n\
+         switches:\n{switches}\n\
+         flags with a value:\n{valued}"
+    )
 }
 
 /// `flag`'s value as a positive integer.
@@ -310,22 +343,22 @@ fn checked(cfg: SweepConfig) -> SweepConfig {
     cfg
 }
 
-/// The stall cause carrying most of a breakdown, as a label.
-fn dominant_cause(s: &StallBreakdown) -> &'static str {
-    let causes = [
+/// A breakdown's three stall causes as `(count, label)`.
+fn causes(s: &StallBreakdown) -> [(u64, &'static str); 3] {
+    [
         (s.credit_starved, "credit-starved"),
         (s.lost_arbitration, "lost-arbitration"),
-        (s.pipeline_immature, "pipeline-immature"),
         (s.serialization_busy, "serialization-busy"),
-    ];
-    if s.total() == 0 {
-        return "-";
+    ]
+}
+
+/// The stall cause carrying most of a breakdown, as a label (the last
+/// listed of a tie).
+fn dominant_cause(s: &StallBreakdown) -> &'static str {
+    match causes(s).into_iter().max_by_key(|&(n, _)| n) {
+        Some((n, label)) if n > 0 => label,
+        _ => "-",
     }
-    causes
-        .iter()
-        .max_by_key(|(n, _)| *n)
-        .expect("four causes")
-        .1
 }
 
 /// Prints the per-link stall/occupancy digest of an instrumented fabric:
@@ -351,16 +384,8 @@ fn print_telemetry(fabric: &TorusFabric) {
         }
     );
     for c in &summary.classes {
-        let s = &c.stalls;
-        println!(
-            "  {:<8} stalls: {:>9} credit-starved {:>9} lost-arbitration \
-             {:>9} pipeline-immature {:>9} serialization-busy",
-            c.class,
-            s.credit_starved,
-            s.lost_arbitration,
-            s.pipeline_immature,
-            s.serialization_busy
-        );
+        let counts = causes(&c.stalls).map(|(n, label)| format!("{n:>9} {label}"));
+        println!("  {:<8} stalls: {}", c.class, counts.join(" "));
     }
     let mut hot: Vec<&LinkSummary> = summary
         .links
@@ -436,6 +461,10 @@ fn main() {
             eprintln!("sweep_traffic: {e}");
             std::process::exit(2);
         });
+    if args.help {
+        print!("{}", usage());
+        return;
+    }
     let params = FabricParams::calibrated(&LatencyModel::default());
     match args.mode {
         Mode::Calibrate => return calibrate(params, &args),
@@ -975,6 +1004,45 @@ mod tests {
         assert_eq!((tcfg.epoch_ring, tcfg.trace), (8, false));
         let a = parse(&["--trace-out", "t.jsonl"]).unwrap();
         assert!(a.telemetry().expect("--trace-out implies telemetry").trace);
+        assert!(!a.help);
+        let a = parse(&["--help"]).unwrap();
+        assert!(a.help && a.mode == Mode::Sweep);
+        assert!(
+            parse(&["--md-replay", "--shards", "2", "--help"])
+                .unwrap()
+                .help
+        );
+    }
+
+    #[test]
+    fn help_is_refused_beside_a_bad_argument_and_names_every_flag() {
+        // `--help` is a switch like any other: a bad argument beside it,
+        // before or after, is still refused.
+        for args in [&["--help", "--quik"][..], &["--quik", "--help"]] {
+            assert!(parse(args)
+                .unwrap_err()
+                .starts_with("unknown argument `--quik`"));
+        }
+        assert_eq!(
+            parse(&["--help", "--help"]),
+            Err("--help is given twice".into())
+        );
+        assert!(parse(&["--help", "--threads", "0"]).is_err());
+        let text = usage();
+        assert!(
+            text.starts_with("usage: sweep_traffic [FLAG]...\n"),
+            "{text}"
+        );
+        for (flag, help) in SWITCHES.iter().chain(VALUED) {
+            let lines: Vec<_> = text.lines().filter(|l| l.contains(help)).collect();
+            assert_eq!(lines.len(), 1, "{flag}: {text}");
+            assert!(lines[0].trim_start().starts_with(flag), "{flag}: {text}");
+        }
+        let modes = text.find("modes (").expect("a mode list");
+        let switches = text.find("switches:").expect("a switch list");
+        for (flag, _) in MODES {
+            assert!(text[modes..switches].contains(flag), "{flag} is a mode");
+        }
     }
 
     #[test]
@@ -1055,7 +1123,10 @@ mod tests {
         assert_eq!(mode_of(&[]), Ok(Mode::Sweep));
         assert_eq!(mode_of(&["--quick", "--threads", "2"]), Ok(Mode::Sweep));
         for (flag, expect) in MODES {
-            assert!(SWITCHES.contains(&flag), "{flag} must pass the flag check");
+            assert!(
+                names(SWITCHES).any(|s| s == flag),
+                "{flag} must pass the flag check"
+            );
             assert_eq!(mode_of(&["--json", flag, "--shards", "2"]), Ok(expect));
             assert_eq!(
                 mode_of(&[flag, flag]),

@@ -20,6 +20,29 @@ pub enum Reads {
     JsonAndQuick,
 }
 
+impl Reads {
+    /// The switches, with their usage lines: `--json`, then `--quick`
+    /// where read, then `--help`, which every binary reads.
+    fn switches(self) -> &'static [(&'static str, &'static str)] {
+        const JSON: (&str, &str) = ("--json", "print the result as JSON");
+        const HELP: (&str, &str) = ("--help", "print this text and exit");
+        match self {
+            Reads::Json => &[JSON, HELP],
+            Reads::JsonAndQuick => &[JSON, ("--quick", "run a smaller configuration"), HELP],
+        }
+    }
+
+    /// The `--help` text of `program`, one line per switch it reads.
+    fn usage(self, program: &str) -> String {
+        let (mut flags, mut lines) = (String::new(), String::new());
+        for &(flag, help) in self.switches() {
+            flags += &format!(" [{flag}]");
+            lines += &format!("  {flag:<10}{help}\n");
+        }
+        format!("usage: {program}{flags}\n\n{lines}")
+    }
+}
+
 /// A figure or table binary's arguments.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Args {
@@ -27,6 +50,8 @@ pub struct Args {
     json: bool,
     /// `--quick`: run the binary's smaller configuration.
     pub quick: bool,
+    /// `--help`: print the usage text instead of running.
+    help: bool,
 }
 
 impl Args {
@@ -35,10 +60,13 @@ impl Args {
     fn parse<S: AsRef<str>>(args: &[S], reads: Reads) -> Result<Args, String> {
         let mut parsed = Args::default();
         for arg in args.iter().map(AsRef::as_ref) {
-            let given = match (arg, reads) {
-                ("--json", _) => &mut parsed.json,
-                ("--quick", Reads::JsonAndQuick) => &mut parsed.quick,
-                _ => return Err(format!("unknown argument `{arg}`")),
+            if !reads.switches().iter().any(|&(flag, _)| flag == arg) {
+                return Err(format!("unknown argument `{arg}`"));
+            }
+            let given = match arg {
+                "--json" => &mut parsed.json,
+                "--quick" => &mut parsed.quick,
+                _ => &mut parsed.help,
             };
             if *given {
                 return Err(format!("{arg} is given twice"));
@@ -50,14 +78,21 @@ impl Args {
 
     /// This process's arguments, parsed before any work. An argument the
     /// binary does not read, or one given twice, prints an error naming it
-    /// and exits with status 2, so a typo never runs the default.
+    /// and exits with status 2, so a typo never runs the default; with
+    /// `--help` and nothing refused, the binary prints its usage text to
+    /// stdout and exits 0 instead of running.
     pub fn from_env(reads: Reads) -> Args {
         let mut argv = std::env::args_os().map(|a| a.to_string_lossy().into_owned());
         let program = argv.next().unwrap_or_default();
-        Args::parse(&argv.collect::<Vec<_>>(), reads).unwrap_or_else(|e| {
+        let args = Args::parse(&argv.collect::<Vec<_>>(), reads).unwrap_or_else(|e| {
             eprintln!("{program}: {e}");
             std::process::exit(2);
-        })
+        });
+        if args.help {
+            print!("{}", reads.usage(&program));
+            std::process::exit(0);
+        }
+        args
     }
 
     /// Prints `value` as pretty JSON if `--json` was given, and says
@@ -96,5 +131,36 @@ mod tests {
         assert_eq!(json(&["--json", "stray"]), unknown("stray"));
         assert_eq!(json(&["--json", "--json"]), twice("--json"));
         assert_eq!(quick(&["--quick", "--quick"]), twice("--quick"));
+        // Every binary reads `--help`, once, and refuses a bad argument
+        // beside it.
+        let help = |args: &[&str], reads| Args::parse(args, reads).map(|a| a.help);
+        assert_eq!(help(&["--help"], Json), Ok(true));
+        assert_eq!(help(&["--quick", "--help"], JsonAndQuick), Ok(true));
+        assert_eq!(help(&["--json"], Json), Ok(false));
+        let refused = |args: &[&str]| Args::parse(args, Json).unwrap_err();
+        assert_eq!(
+            refused(&["--help", "--bogus"]),
+            "unknown argument `--bogus`"
+        );
+        assert_eq!(
+            refused(&["--help", "--quick"]),
+            "unknown argument `--quick`"
+        );
+        assert_eq!(refused(&["--help", "--help"]), "--help is given twice");
+    }
+
+    #[test]
+    fn usage_names_every_switch_a_binary_reads() {
+        assert_eq!(
+            Json.usage("table1"),
+            "usage: table1 [--json] [--help]\n\n  \
+             --json    print the result as JSON\n  \
+             --help    print this text and exit\n"
+        );
+        let text = JsonAndQuick.usage("fig9_compression");
+        for flag in ["--json", "--quick", "--help"] {
+            assert!(text.contains(&format!("[{flag}]")), "{text}");
+            assert_eq!(text.matches(&format!("\n  {flag} ")).count(), 1, "{text}");
+        }
     }
 }

@@ -59,9 +59,11 @@
 //!   when the front pops. Arbitration walks the head fronts that have
 //!   cleared the pipeline in ascending order, keeping per output the
 //!   head the round-robin scan would grant; with telemetry on, stall
-//!   classification walks every occupied front through the same memo,
-//!   and each shard writes its own links' advances and stalls straight
-//!   into the telemetry counters, so nothing is buffered or replayed;
+//!   classification walks every occupied front that has cleared the
+//!   pipeline through the same memo (one compare skips a front still in
+//!   it: pipeline time is not a stall), and each shard writes its own
+//!   links' advances and stalls straight into the telemetry counters,
+//!   so nothing is buffered or replayed;
 //! - **allocation-free hot path**: the per-cycle buffers (picks,
 //!   departures) persist across cycles, so a steady-state step
 //!   allocates nothing but, at more than one shard, each epoch's short
@@ -753,28 +755,32 @@ impl CycleRouter {
         })
     }
 
-    /// Visits every occupied queue front in ascending flat-index order
-    /// (the reference classifier's port × VC order) as `(output,
-    /// outgoing VC, immature)`, where `immature` means the front is
-    /// still inside the router pipeline at `cycle` — the per-front
-    /// inputs of the epoch kernel's stall classification. Targets come
-    /// from the memo arbitration fills too, so a stalled front costs no
-    /// slab read or route call after its first cycle. A body front whose
-    /// packet owns no output is skipped, as [`RouterFabric`]'s reference
-    /// classifier skips it.
+    /// Visits every occupied queue front that has cleared the router
+    /// pipeline at `cycle`, in ascending flat-index order (the reference
+    /// classifier's port × VC order), as `(output, outgoing VC)` — the
+    /// per-front inputs of the epoch kernel's stall classification. A
+    /// front still in the pipeline costs one compare and is not visited:
+    /// pipeline time is not a stall. Targets come from the memo
+    /// arbitration fills too, so a stalled front costs no slab read or
+    /// route call after its first cycle. A body front whose packet owns
+    /// no output is skipped, as [`RouterFabric`]'s reference classifier
+    /// skips it.
     pub(crate) fn for_each_front_target(
         &mut self,
         cycle: u64,
         route: &RouteFn,
-        mut f: impl FnMut(usize, u8, bool),
+        mut f: impl FnMut(usize, u8),
     ) {
         for w in 0..self.occupied.len() {
             let mut bits = self.occupied[w];
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
+                if self.front_ready[i] > cycle {
+                    continue;
+                }
                 if let Some(t) = self.target(i, route) {
-                    f(t.out as usize, t.out_vc, self.front_ready[i] > cycle);
+                    f(t.out as usize, t.out_vc);
                 }
             }
         }
@@ -1781,9 +1787,10 @@ mod shard {
 
             if let Some(rec) = rec.as_mut() {
                 // Record this cycle's advances, then classify every
-                // occupied front against the same private-cycle state
-                // arbitration read, into the shard's own counters — the
-                // epoch mirror of `telemetry_record`, fed per front by
+                // occupied front that has cleared the pipeline against
+                // the same private-cycle state arbitration read, into the
+                // shard's own counters — the epoch mirror of
+                // `telemetry_record`, fed per front by
                 // `for_each_front_target` (targets read from the memo
                 // arbitration shares, only occupied queues visited).
                 for &(r, out, ref flit) in &scratch.moves {
@@ -1799,10 +1806,9 @@ mod shard {
                     let router = &mut routers[r - lo];
                     let vcs = router.vcs;
                     let next_free_r = &next_free[r - lo];
-                    router.for_each_front_target(cycle, inp.route, |out, out_vc, immature| {
+                    router.for_each_front_target(cycle, inp.route, |out, out_vc| {
                         let link = inp.link_off[r] + out;
                         let cause = StallCause::of(
-                            immature,
                             rec.advanced_on(cycle, link),
                             next_free_r[out] > cycle,
                             || !has_credit(r, vcs, out, out_vc),
@@ -2831,9 +2837,11 @@ impl RouterFabric {
     /// (`next_free`) and credit rows (`credits`) still hold
     /// the state this cycle's arbitration read. Each departure marks
     /// its link's advance cycle (and traces a head's hop); every
-    /// occupied queue front is then classified into a [`StallCause`]
-    /// against that same state. Purely observational — nothing here
-    /// mutates fabric state, so telemetry cannot perturb the run.
+    /// occupied queue front that has cleared the router pipeline is then
+    /// classified into a [`StallCause`] against that same state (a front
+    /// still in the pipeline is not stalled). Purely observational —
+    /// nothing here mutates fabric state, so telemetry cannot perturb
+    /// the run.
     fn telemetry_record(&mut self, moves: &[(usize, usize, Flit)], cycle: u64) {
         let Some(tel) = self.telemetry.as_deref_mut() else {
             return;
@@ -2855,6 +2863,9 @@ impl RouterFabric {
                     let Some(&(front, arrived)) = router.front(p, v as u8) else {
                         continue;
                     };
+                    if arrived + router.pipeline > cycle {
+                        continue;
+                    }
                     let (out, out_vc) = if front.is_head() {
                         let d = (self.route)(&front, r);
                         (d.port, d.vc)
@@ -2871,7 +2882,6 @@ impl RouterFabric {
                     let starved = || self.credits[r][out * vcs + out_vc as usize] == 0;
                     let link = self.link_off[r] + out;
                     let cause = StallCause::of(
-                        arrived + router.pipeline > cycle,
                         rec.advanced_on(cycle, link),
                         self.next_free[r][out] > cycle,
                         starved,
@@ -3252,6 +3262,7 @@ pub fn build_row(n: usize, vcs: usize, pipeline: u64) -> RouterFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::StallBreakdown;
 
     fn flit(packet: u64, index: u8, of: u8, dest: u32, vc: u8) -> Flit {
         Flit {
@@ -3342,6 +3353,54 @@ mod tests {
             }
             let order: Vec<u64> = fabric.delivered().iter().map(|(_, f)| f.packet).collect();
             assert_eq!(order, [0, 1, 2, 3, 4, 5], "reference stepper: {reference}");
+        }
+    }
+
+    #[test]
+    fn pipeline_time_is_not_a_stall() {
+        // Three routers with a 4-cycle pipeline. A lone flit waits out
+        // each router's pipeline with nothing in its way, so nothing
+        // stalls; two flits that clear router 0's pipeline together
+        // contend for its output, and the loser stalls one head-cycle,
+        // on a cycle its link advanced the winner (no link stall cycle).
+        let run = |vcs: &[u8], reference: bool| {
+            let mut fabric = build_row(3, 2, 4);
+            fabric.enable_telemetry(TelemetryConfig::default());
+            for (p, &vc) in vcs.iter().enumerate() {
+                fabric.inject(0, 0, flit(p as u64, 0, 1, 2, vc)).unwrap();
+            }
+            for _ in 0..30 {
+                if reference {
+                    fabric.step_reference();
+                } else {
+                    fabric.step();
+                }
+            }
+            assert_eq!(fabric.delivered().len(), vcs.len());
+            let tel = fabric.telemetry().expect("telemetry on");
+            let mut stalls = StallBreakdown::default();
+            let mut stall_cycles = 0;
+            for (r, out) in (0..3).flat_map(|r| (0..3).map(move |out| (r, out))) {
+                stalls.merge(&tel.stalls_for_link(r, out));
+                stall_cycles += tel.stall_cycles(r, out);
+            }
+            (stalls, stall_cycles)
+        };
+        for reference in [false, true] {
+            assert_eq!(
+                run(&[0], reference),
+                (StallBreakdown::default(), 0),
+                "reference stepper: {reference}"
+            );
+            let lost = StallBreakdown {
+                lost_arbitration: 1,
+                ..StallBreakdown::default()
+            };
+            assert_eq!(
+                run(&[0, 1], reference),
+                (lost, 0),
+                "reference stepper: {reference}"
+            );
         }
     }
 

@@ -10,19 +10,23 @@
 //! - **advance** — a flit entered the link this cycle (links carry at
 //!   most one flit per cycle, so advance cycles equal flits sent);
 //! - **stall** — no flit entered, but at least one queue front upstream
-//!   was targeting the link;
+//!   that had cleared the router pipeline was targeting the link;
 //! - **idle** — neither (derived: `elapsed − advance − stall`, which
 //!   also covers the dead cycles the event stepper jumps over — a
-//!   jumped cycle has no queued work by construction).
+//!   jumped cycle has no queued work by construction — and the cycles
+//!   whose only waiting fronts are still in the pipeline).
 //!
-//! Each stalled queue front is further classified into a
-//! [`StallCause`] and counted per (router, output port, outgoing VC) —
-//! the VC dimension is what lets the torus layer split request from
-//! response traffic. Recording is **purely observational**: it reads
-//! post-arbitration state and never influences arbitration, so
-//! telemetry-on and telemetry-off runs produce bit-identical delivery
-//! logs and link counters (pinned by the `telemetry_equivalence`
-//! property tests).
+//! Pipeline time is not a stall: every hop spends it whether or not
+//! anything contends, and the paper's latency breakdown counts it as
+//! zero-load latency. So each stalled front that has cleared the
+//! pipeline is classified into a [`StallCause`] and counted per
+//! (router, output port, outgoing VC) — the VC dimension is what lets
+//! the torus layer split request from response traffic — and the stall
+//! counters measure contention alone. Recording is **purely
+//! observational**: it reads post-arbitration state and never
+//! influences arbitration, so telemetry-on and telemetry-off runs
+//! produce bit-identical delivery logs and link counters (pinned by the
+//! `telemetry_equivalence` property tests).
 //!
 //! Every counter is per link, and links flatten in router order, so
 //! each shard of the epoch kernel (a contiguous router range) owns a
@@ -68,8 +72,10 @@ use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// Why a queue front failed to advance through its target output port
-/// on a cycle it was counted as stalled.
+/// Why a queue front that had cleared the router pipeline failed to
+/// advance through its target output port on a cycle it was counted as
+/// stalled. A front still in the pipeline is not stalled, whatever else
+/// holds: it waits out time every hop spends.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum StallCause {
     /// The sender held no credit for the downstream input VC: its free
@@ -79,37 +85,33 @@ pub enum StallCause {
     /// output this cycle (or the front was exposed mid-cycle by its own
     /// predecessor's departure).
     LostArbitration,
-    /// The front had not yet cleared the router pipeline.
-    PipelineImmature,
     /// The link could not serialize this cycle (inter-flit interval).
     SerializationBusy,
 }
 
 impl StallCause {
     /// All causes, in counter-index order.
-    pub const ALL: [StallCause; 4] = [
+    pub const ALL: [StallCause; 3] = [
         StallCause::CreditStarved,
         StallCause::LostArbitration,
-        StallCause::PipelineImmature,
         StallCause::SerializationBusy,
     ];
 
     /// Number of causes (the stride of per-cause counter blocks).
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 3;
 
     /// Dense counter index, the order of [`StallCause::ALL`].
     pub const fn index(self) -> usize {
         match self {
             StallCause::CreditStarved => 0,
             StallCause::LostArbitration => 1,
-            StallCause::PipelineImmature => 2,
-            StallCause::SerializationBusy => 3,
+            StallCause::SerializationBusy => 2,
         }
     }
 
-    /// The cause of one stalled queue front, by the single precedence
-    /// rule every stepper classifies with: still in the router pipeline
-    /// (`immature`); else its target output moved a flit this cycle
+    /// The cause of one stalled queue front that has cleared the
+    /// pipeline, by the single precedence rule every stepper classifies
+    /// with: its target output moved a flit this cycle
     /// (`output_advanced` — possibly the front's own predecessor), so it
     /// lost the output whatever the credit state; else the link cannot
     /// serialize yet (`link_busy`); else the sender holds no credit for
@@ -117,14 +119,11 @@ impl StallCause {
     /// is asked only when the earlier causes do not apply: it is the
     /// one question that reads credit state.
     pub(crate) fn of(
-        immature: bool,
         output_advanced: bool,
         link_busy: bool,
         starved: impl FnOnce() -> bool,
     ) -> StallCause {
-        if immature {
-            StallCause::PipelineImmature
-        } else if output_advanced {
+        if output_advanced {
             StallCause::LostArbitration
         } else if link_busy {
             StallCause::SerializationBusy
@@ -137,14 +136,18 @@ impl StallCause {
 }
 
 /// Per-cause stall-cycle counts for one aggregation bucket (a link, a
-/// VC on a link, or a whole traffic class).
+/// VC on a link, or a whole traffic class): one counter per
+/// [`StallCause`], so cycles a front spends in the router pipeline are
+/// in none of them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize)]
 pub struct StallBreakdown {
     /// Cycles stalled waiting for downstream credits.
     pub credit_starved: u64,
     /// Cycles lost to another front winning the output.
     pub lost_arbitration: u64,
-    /// Cycles still traversing the router pipeline.
+    /// Always 0: pipeline time is not a stall (schema version 3). Kept
+    /// only because the committed benchmark's harness prints it in its
+    /// telemetry fingerprint; the field goes once that read does.
     pub pipeline_immature: u64,
     /// Cycles blocked on link serialization bandwidth.
     pub serialization_busy: u64,
@@ -153,10 +156,7 @@ pub struct StallBreakdown {
 impl StallBreakdown {
     /// Total stalled head-cycles across all causes.
     pub fn total(&self) -> u64 {
-        self.credit_starved
-            + self.lost_arbitration
-            + self.pipeline_immature
-            + self.serialization_busy
+        self.credit_starved + self.lost_arbitration + self.serialization_busy
     }
 
     /// Adds `n` cycles to the counter for `cause`.
@@ -164,7 +164,6 @@ impl StallBreakdown {
         match cause {
             StallCause::CreditStarved => self.credit_starved += n,
             StallCause::LostArbitration => self.lost_arbitration += n,
-            StallCause::PipelineImmature => self.pipeline_immature += n,
             StallCause::SerializationBusy => self.serialization_busy += n,
         }
     }
@@ -173,7 +172,6 @@ impl StallBreakdown {
     pub fn merge(&mut self, other: &StallBreakdown) {
         self.credit_starved += other.credit_starved;
         self.lost_arbitration += other.lost_arbitration;
-        self.pipeline_immature += other.pipeline_immature;
         self.serialization_busy += other.serialization_busy;
     }
 }
@@ -365,10 +363,11 @@ pub struct LinkSummary {
     /// Cycles a flit entered the link (equal to flits sent while
     /// telemetry was enabled).
     pub advance_cycles: u64,
-    /// Cycles at least one upstream front targeted the link but none
-    /// advanced.
+    /// Cycles no flit entered the link while at least one upstream
+    /// front that had cleared the router pipeline targeted it.
     pub stall_cycles: u64,
-    /// Remaining cycles (elapsed − advance − stall).
+    /// Remaining cycles (elapsed − advance − stall), the cycles whose
+    /// only waiting fronts were still in the pipeline included.
     pub idle_cycles: u64,
     /// Per-cause breakdown of the stalled head-cycles charged upstream
     /// of this link (may exceed `stall_cycles`: several VCs can stall
@@ -424,8 +423,11 @@ pub struct TelemetrySummary {
 
 /// Current [`TelemetrySummary::schema_version`]. Version 2 added
 /// [`EpochRecord::cycles`] (true window width) and the final partial
-/// epoch flushed into each link's series at export.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
+/// epoch flushed into each link's series at export. Version 3 stopped
+/// counting a front still in the router pipeline as stalled: its cycles
+/// are idle on the link, the cause `PipelineImmature` is gone, and
+/// [`StallBreakdown::pipeline_immature`] always reads 0.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 3;
 
 /// One link's cycle accounting: totals since enabling, the open epoch's
 /// deltas, and the per-cycle dedup stamps of [`LinkRecorder`].
@@ -937,17 +939,10 @@ mod tests {
         // Each cause wins over every one listed after it, and the credit
         // question is not asked once an earlier cause applies.
         let unasked = || -> bool { panic!("credit state read") };
-        assert_eq!(StallCause::of(true, true, true, unasked), PipelineImmature);
-        assert_eq!(StallCause::of(false, true, true, unasked), LostArbitration);
-        assert_eq!(
-            StallCause::of(false, false, true, unasked),
-            SerializationBusy
-        );
-        assert_eq!(StallCause::of(false, false, false, || true), CreditStarved);
-        assert_eq!(
-            StallCause::of(false, false, false, || false),
-            LostArbitration
-        );
+        assert_eq!(StallCause::of(true, true, unasked), LostArbitration);
+        assert_eq!(StallCause::of(false, true, unasked), SerializationBusy);
+        assert_eq!(StallCause::of(false, false, || true), CreditStarved);
+        assert_eq!(StallCause::of(false, false, || false), LostArbitration);
     }
 
     #[test]
@@ -1146,9 +1141,10 @@ mod tests {
         for c in StallCause::ALL {
             b.add(c, 2);
         }
-        assert_eq!(b.total(), 8);
+        assert_eq!(b.total(), 6);
         let mut b2 = b;
         b2.merge(&b);
-        assert_eq!(b2.total(), 16);
+        assert_eq!(b2.total(), 12);
+        assert_eq!(b2.pipeline_immature, 0);
     }
 }
