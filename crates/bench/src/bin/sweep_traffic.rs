@@ -12,8 +12,9 @@
 //! low-load per-hop latency against the analytic `path` model (the
 //! Figure 5 constant). Flags:
 //!
-//! - `--json` emits the full report;
-//! - `--quick` runs a coarse load axis for smoke testing;
+//! - `--json` emits the full report (the default sweep only);
+//! - `--quick` runs a coarse load axis for smoke testing (the default
+//!   sweep only);
 //! - `--threads N` distributes independent sweep points over `N`
 //!   worker threads — output (including `--json`) is byte-identical at
 //!   any worker count, because every point seeds its RNG streams from
@@ -74,12 +75,17 @@
 //! `--help` prints a usage text listing every flag to stdout and exits
 //! 0 without running anything. Any other argument, an argument that is
 //! not UTF-8, a valued flag without its value, a numeric value that is
-//! not a positive integer, a flag given twice, or more than one of the
+//! not a positive integer, a flag given twice, more than one of the
 //! mode flags (`--calibrate`, `--md-replay`, `--overload-smoke`,
-//! `--mega-smoke`) is rejected with exit status 2 before anything runs,
-//! `--help` or not, and so is a mode configuration
-//! `SweepConfig::validate` refuses.
+//! `--mega-smoke`), or a flag the selected mode does not read
+//! (`--threads` with the one-point `--md-replay`, the telemetry flags
+//! with `--calibrate`) is rejected with exit status 2 before anything
+//! runs, `--help` or not, and so is a mode configuration
+//! `SweepConfig::validate` refuses. Output goes through
+//! `anton_bench::outln!`, so a closed stdout (`| head -1`) ends the run
+//! quietly with status 0.
 
+use anton_bench::outln;
 use anton_machine::mdrun::MdNetworkRun;
 use anton_machine::pingpong::LoadedCalibration;
 use anton_model::latency::LatencyModel;
@@ -163,6 +169,34 @@ const MODES: [(&str, Mode); 4] = [
     ("--mega-smoke", Mode::MegaSmoke),
 ];
 
+/// The telemetry flags, which every mode but `--calibrate` reads.
+const TELEMETRY: &str = "--telemetry --telemetry-out --epoch-cycles --epoch-ring --trace-out";
+
+/// The flags each mode flag's run reads besides `--help`, in groups
+/// separated by spaces; [`Args::parse`] refuses any other flag with a
+/// mode. The default sweep reads every flag.
+const READS: [(&str, &[&str]); 4] = [
+    ("--calibrate", &["--threads --shards --lookahead"]),
+    ("--md-replay", &["--shards --lookahead", TELEMETRY]),
+    (
+        "--overload-smoke",
+        &["--threads --shards --lookahead", TELEMETRY],
+    ),
+    (
+        "--mega-smoke",
+        &["--threads --shards --lookahead", TELEMETRY],
+    ),
+];
+
+/// The flags mode flag `mode` reads ([`READS`]).
+fn reads(mode: &str) -> impl Iterator<Item = &'static str> {
+    let (_, read) = READS
+        .into_iter()
+        .find(|&(m, _)| m == mode)
+        .expect("every mode flag is in READS");
+    read.iter().flat_map(|group| group.split(' '))
+}
+
 /// One run's arguments, parsed and checked before any work; `main`
 /// hands them to the mode they select. The module docs describe each
 /// flag.
@@ -195,9 +229,10 @@ impl Args {
     /// Parses a run's arguments (without the program name). Refuses an
     /// unknown argument, a valued flag that is last or followed by
     /// another `--flag`, a numeric value that is not a positive integer,
-    /// a flag given twice, a second mode flag and more shards than the
-    /// mode's torus has routers, so a typo or a bad value fails before
-    /// any work instead of running a default mode or panicking mid-run.
+    /// a flag given twice, a second mode flag, a flag the mode does not
+    /// read ([`READS`]) and more shards than the mode's torus has
+    /// routers, so a typo or a bad value fails before any work instead
+    /// of running a default mode, ignoring the flag or panicking mid-run.
     /// The error names the offending flag.
     fn parse<S: AsRef<str>>(args: &[S]) -> Result<Args, String> {
         let mut parsed = Args {
@@ -252,12 +287,16 @@ impl Args {
                 },
             }
         }
-        if let Some(flag) = mode_flag {
+        if let Some(mode) = mode_flag {
             parsed.mode = MODES
                 .into_iter()
-                .find(|&(f, _)| f == flag)
+                .find(|&(f, _)| f == mode)
                 .expect("every mode flag is in MODES")
                 .1;
+            let read = |f: &&str| *f == "--help" || *f == mode || reads(mode).any(|r| r == *f);
+            if let Some(flag) = seen.iter().find(|f| !read(f)) {
+                return Err(format!("{mode} does not read {flag}"));
+            }
         }
         let [x, y, z] = parsed.mode.dims();
         let routers = Torus::new([x, y, z]).node_count();
@@ -300,13 +339,26 @@ fn known_flags() -> String {
 }
 
 /// The `--help` text, one line per flag of [`SWITCHES`] and [`VALUED`],
-/// with the [`MODES`] flags listed first.
+/// with the [`MODES`] flags listed first, each followed by the flags it
+/// reads ([`READS`]).
 fn usage() -> String {
     let (mut modes, mut switches, mut valued) = (String::new(), String::new(), String::new());
     for &(flag, help) in SWITCHES {
-        let is_mode = MODES.iter().any(|&(m, _)| m == flag);
-        let group = if is_mode { &mut modes } else { &mut switches };
-        *group += &format!("  {flag:<24}{help}\n");
+        if MODES.iter().any(|&(m, _)| m == flag) {
+            modes += &format!("  {flag:<24}{help}\n");
+            // The read flags, wrapped at 78 columns.
+            let mut line = format!("{:26}reads", "");
+            for read in reads(flag) {
+                if line.len() + 1 + read.len() > 78 {
+                    modes += &format!("{line}\n");
+                    line = format!("{:31}", "");
+                }
+                line += &format!(" {read}");
+            }
+            modes += &format!("{line}\n");
+        } else {
+            switches += &format!("  {flag:<24}{help}\n");
+        }
     }
     for &(flag, help) in VALUED {
         valued += &format!("  {:<24}{help}\n", format!("{flag} VALUE"));
@@ -314,7 +366,9 @@ fn usage() -> String {
     format!(
         "usage: sweep_traffic [FLAG]...\n\n\
          Runs the latency-throughput sweep of the 4x4x8 torus, or the mode one\n\
-         mode flag selects. A VALUE is a positive integer or a path.\n\n\
+         mode flag selects. A VALUE is a positive integer or a path. The\n\
+         sweep reads every flag; a mode reads --help and the flags listed\n\
+         under it.\n\n\
          modes (give at most one):\n{modes}\n\
          switches:\n{switches}\n\
          flags with a value:\n{valued}"
@@ -368,8 +422,8 @@ fn print_telemetry(fabric: &TorusFabric) {
     let Some(summary) = fabric.telemetry_summary() else {
         return;
     };
-    println!();
-    println!(
+    outln!();
+    outln!(
         "TELEMETRY. {} cycles observed (from cycle {}), epoch {} cycles, \
          {} links with flushed epoch series, {} trace events{}",
         summary.elapsed_cycles,
@@ -385,7 +439,7 @@ fn print_telemetry(fabric: &TorusFabric) {
     );
     for c in &summary.classes {
         let counts = causes(&c.stalls).map(|(n, label)| format!("{n:>9} {label}"));
-        println!("  {:<8} stalls: {}", c.class, counts.join(" "));
+        outln!("  {:<8} stalls: {}", c.class, counts.join(" "));
     }
     let mut hot: Vec<&LinkSummary> = summary
         .links
@@ -393,13 +447,17 @@ fn print_telemetry(fabric: &TorusFabric) {
         .filter(|l| l.stall_cycles + l.advance_cycles > 0)
         .collect();
     hot.sort_by_key(|l| std::cmp::Reverse((l.stall_cycles, l.advance_cycles)));
-    println!(
+    outln!(
         "  {:>12} {:>9} {:>9} {:>9} {:>6}  dominant cause",
-        "link", "advance", "stall", "idle", "busy%"
+        "link",
+        "advance",
+        "stall",
+        "idle",
+        "busy%"
     );
     for l in hot.iter().take(10) {
         let elapsed = (l.advance_cycles + l.stall_cycles + l.idle_cycles).max(1);
-        println!(
+        outln!(
             "  {:>12} {:>9} {:>9} {:>9} {:>5.1}%  {}",
             l.link,
             l.advance_cycles,
@@ -410,7 +468,7 @@ fn print_telemetry(fabric: &TorusFabric) {
         );
     }
     if hot.len() > 10 {
-        println!("  ... and {} more active links", hot.len() - 10);
+        outln!("  ... and {} more active links", hot.len() - 10);
     }
 }
 
@@ -462,7 +520,7 @@ fn main() {
             std::process::exit(2);
         });
     if args.help {
-        print!("{}", usage());
+        anton_bench::write_stdout(format_args!("{}", usage()));
         return;
     }
     let params = FabricParams::calibrated(&LatencyModel::default());
@@ -501,14 +559,14 @@ fn main() {
 
     if args.json {
         let json = serde_json::to_string_pretty(&report).expect("serializable report");
-        println!("{json}");
+        outln!("{json}");
         if let Some(run) = &instrumented {
             write_telemetry_artifacts(&run.fabric, &args);
         }
         return;
     }
 
-    println!(
+    outln!(
         "TRAFFIC SWEEP. {}x{}x{} torus, {}-flit packets, responses {}, seed {:#x}",
         cfg.dims[0],
         cfg.dims[1],
@@ -517,7 +575,7 @@ fn main() {
         if cfg.respond { "on" } else { "off" },
         cfg.seed
     );
-    println!(
+    outln!(
         "fabric: {} router + {} link cycles/hop = {:.2} ns/hop (analytic {:.2} ns), \
          slice serialization {} cycles/flit",
         report.router_cycles,
@@ -535,14 +593,19 @@ fn main() {
         None => format!("{:>9}/{:<9}", "-", "-"),
     };
     for curve in &report.curves {
-        println!();
-        println!("pattern: {}", curve.pattern);
-        println!(
+        outln!();
+        outln!("pattern: {}", curve.pattern);
+        outln!(
             "{:>8} {:>10} {:^19} {:^19} {:^13} {:>4}",
-            "offered", "delivered", "req mean/p99 (cyc)", "rsp mean/p99 (cyc)", "slice 0/1", "sat"
+            "offered",
+            "delivered",
+            "req mean/p99 (cyc)",
+            "rsp mean/p99 (cyc)",
+            "slice 0/1",
+            "sat"
         );
         for p in &curve.points {
-            println!(
+            outln!(
                 "{:>8.3} {:>10.3} {} {} {:>6.3}/{:<6.3} {:>4}",
                 p.offered,
                 p.delivered,
@@ -553,7 +616,7 @@ fn main() {
                 if p.saturated { "yes" } else { "" }
             );
         }
-        println!(
+        outln!(
             "  saturation throughput: {:.3} flits/node/cycle total, {:.3} request-class",
             curve.saturation_throughput(),
             curve.class_saturation_throughput(TrafficClass::Request)
@@ -607,7 +670,7 @@ fn calibrate(params: FabricParams, args: &Args) {
         1,
         args,
     );
-    println!();
+    outln!();
     calibrate_pattern(
         params,
         &NearestNeighbor,
@@ -617,7 +680,7 @@ fn calibrate(params: FabricParams, args: &Args) {
         2,
         args,
     );
-    println!();
+    outln!();
     calibrate_pattern(
         params,
         &UniformRandom,
@@ -639,9 +702,12 @@ fn calibrate_pattern(
     stream: u64,
     args: &Args,
 ) {
-    println!(
+    outln!(
         "CALIBRATION SWEEP. {}x{}x{} {label}, request-only, seed {:#x}",
-        cfg.dims[0], cfg.dims[1], cfg.dims[2], cfg.seed
+        cfg.dims[0],
+        cfg.dims[1],
+        cfg.dims[2],
+        cfg.seed
     );
     let curve = run_curve_threaded(pattern, &cfg, params, stream, args.threads);
     let saturation = curve.class_saturation_throughput(TrafficClass::Request);
@@ -649,15 +715,19 @@ fn calibrate_pattern(
     // onto — fit and prediction must share it exactly. The mean hop
     // count is the pattern's closed form carried by the calibration.
     let unloaded = params.unloaded_mean_cycles(shipped.mean_hops, cfg.flits_per_packet);
-    println!(
+    outln!(
         "{:>8} {:>7} {:>11} {:>12} {:>4}",
-        "offered", "rho", "mean (cyc)", "extra (cyc)", "sat"
+        "offered",
+        "rho",
+        "mean (cyc)",
+        "extra (cyc)",
+        "sat"
     );
     let mut samples = Vec::new();
     for p in &curve.points {
         let rho = p.offered / saturation;
         let extra = p.request.mean_latency_cycles - unloaded;
-        println!(
+        outln!(
             "{:>8.3} {:>7.3} {:>11.1} {:>12.1} {:>4}",
             p.offered,
             rho,
@@ -670,8 +740,8 @@ fn calibrate_pattern(
         }
     }
     if samples.is_empty() {
-        println!();
-        println!(
+        outln!();
+        outln!(
             "no unsaturated points below 0.85 of the measured saturation \
              ({saturation:.3}) — the fabric timing has shifted too far to \
              fit; inspect the curve above and widen the load axis"
@@ -679,8 +749,8 @@ fn calibrate_pattern(
         return;
     }
     let fit = ContentionModel::fit(&samples);
-    println!();
-    println!(
+    outln!();
+    outln!(
         "fit over {} points: saturation = {saturation:.3} flits/node/cycle, \
          alpha = {:.2} cycles (mean hops {:.3})",
         samples.len(),
@@ -700,7 +770,7 @@ fn calibrate_pattern(
     );
     for rho in [0.2, 0.4, 0.6] {
         let predicted = shipped.predicted_mean_latency_cycles(&params, 2, rho * shipped.saturation);
-        println!("  shipped model at rho={rho}: {predicted:.1} cycles mean");
+        outln!("  shipped model at rho={rho}: {predicted:.1} cycles mean");
     }
 }
 
@@ -722,7 +792,7 @@ fn md_replay(params: FabricParams, args: &Args) {
     let run = MdNetworkRun::new(mcfg, 40_000, 99, false);
     let workload = run.halo_workload(64, 0x4D5F_4841);
     let offered = 0.3;
-    println!(
+    outln!(
         "MD HALO REPLAY. {}x{}x{} torus, {} atoms, import radius {:.2} A, offered {offered}",
         dims[0],
         dims[1],
@@ -738,10 +808,14 @@ fn md_replay(params: FabricParams, args: &Args) {
     let scenario = run_scenario_instrumented(&workload, &cfg, params, offered, 7, tcfg);
     let p = &scenario.point;
     let resp = p.response.expect("halo replay spawns force returns");
-    println!(
+    outln!(
         "delivered {:.3} flits/node/cycle ({:.3} position requests / {:.3} force returns), \
          mean hops {:.2} req / {:.2} rsp",
-        p.delivered, p.request.delivered, resp.delivered, p.request.mean_hops, resp.mean_hops
+        p.delivered,
+        p.request.delivered,
+        resp.delivered,
+        p.request.mean_hops,
+        resp.mean_hops
     );
     let mut total = LinkStats::default();
     for s in 0..SLICES {
@@ -755,9 +829,11 @@ fn md_replay(params: FabricParams, args: &Args) {
         total.other_bytes == 0,
         "halo replay carries only typed traffic"
     );
-    println!(
+    outln!(
         "machine-wide wire bytes: {} position + {} force = {} total (conservation OK)",
-        total.position_bytes, total.force_bytes, total.wire_bytes
+        total.position_bytes,
+        total.force_bytes,
+        total.wire_bytes
     );
     // The analytic loaded step-time estimate consuming the shape's
     // cycle-fabric-fitted LoadedCalibration, over this decomposition's
@@ -765,7 +841,7 @@ fn md_replay(params: FabricParams, args: &Args) {
     let est = run
         .loaded_halo_estimate(offered, 64, 0x4D5F_4841)
         .expect("4x4x8 ships a uniform calibration");
-    println!(
+    outln!(
         "loaded step estimate at offered {offered}: export {:.0} + turnaround + return {:.0} \
          cycles over {:.2}/{:.2} mean hops -> halo round trip {}, step floor {} with barrier",
         est.request_cycles,
@@ -827,24 +903,27 @@ fn mega_smoke(params: FabricParams, args: &Args) {
     let cfg = checked(cfg);
     let torus = Torus::new(dims);
     let report = TorusFabric::new(torus, params).memory_report();
-    println!(
+    outln!(
         "MEGA SMOKE. {}x{}x{} torus ({} nodes), responses on",
-        dims[0], dims[1], dims[2], report.nodes
+        dims[0],
+        dims[1],
+        dims[2],
+        report.nodes
     );
     eprintln!(
         "mega smoke: {} thread(s), {} shard(s)",
         args.threads, args.shards
     );
-    println!("constructed fabric memory: {}", memory_summary(&report));
+    outln!("constructed fabric memory: {}", memory_summary(&report));
     // README's 32³ row: the fabric is dropped at the end of the statement.
     let big = TorusFabric::new(Torus::new([32, 32, 32]), params).memory_report();
-    println!(
+    outln!(
         "constructed 32x32x32 fabric memory: {}",
         memory_summary(&big)
     );
     let curve = run_curve_threaded(&UniformRandom, &cfg, params, 1, args.threads);
     let p = curve.points.last().expect("mega point");
-    println!(
+    outln!(
         "offered {:.2}: delivered {:.3} total ({:.3} request / {:.3} response), \
          slices {:.3}/{:.3}, {} backpressure rejections",
         p.offered,
@@ -863,7 +942,7 @@ fn mega_smoke(params: FabricParams, args: &Args) {
         p.slice_delivered[0] > 0.0 && p.slice_delivered[1] > 0.0,
         "both channel slices must carry traffic"
     );
-    println!("mega smoke: PASS");
+    outln!("mega smoke: PASS");
     if let Some(tcfg) = args.telemetry() {
         let workload = SyntheticWorkload::new(&UniformRandom, cfg.flits_per_packet, cfg.respond);
         let run = run_scenario_instrumented(&workload, &cfg, params, 0.15, 1, tcfg);
@@ -898,7 +977,7 @@ fn overload_smoke(params: FabricParams, args: &Args) {
         drain_cycles: 400_000,
         ..cfg.clone()
     });
-    println!(
+    outln!(
         "OVERLOAD SMOKE. {}x{}x{} torus ({} nodes), responses on",
         dims[0],
         dims[1],
@@ -911,7 +990,7 @@ fn overload_smoke(params: FabricParams, args: &Args) {
     );
     let curve = run_curve_threaded(&UniformRandom, &cfg, params, 1, args.threads);
     let p = curve.points.last().expect("overload point");
-    println!(
+    outln!(
         "offered {:.2}: delivered {:.3} total ({:.3} request / {:.3} response), \
          slices {:.3}/{:.3}, {} backpressure rejections",
         p.offered,
@@ -955,7 +1034,7 @@ fn overload_smoke(params: FabricParams, args: &Args) {
         resp.packets_incomplete,
         run.fabric.occupancy()
     );
-    println!(
+    outln!(
         "drain check: PASS ({} requests + {} responses delivered, fabric empty at cycle {})",
         req.packets_measured,
         resp.packets_measured,
@@ -1127,7 +1206,10 @@ mod tests {
                 names(SWITCHES).any(|s| s == flag),
                 "{flag} must pass the flag check"
             );
-            assert_eq!(mode_of(&["--json", flag, "--shards", "2"]), Ok(expect));
+            assert_eq!(
+                mode_of(&["--lookahead", "2", flag, "--shards", "2"]),
+                Ok(expect)
+            );
             assert_eq!(
                 mode_of(&[flag, flag]),
                 Err(format!("{flag} is given twice")),
@@ -1140,6 +1222,50 @@ mod tests {
             "give at most one mode, not --md-replay and --overload-smoke"
         );
         assert!(mode_of(&["--mega-smoke", "--calibrate", "--md-replay"]).is_err());
+    }
+
+    #[test]
+    fn a_mode_refuses_the_flags_it_does_not_read() {
+        let refused = |args: &[&str], mode: &str, flag: &str| {
+            let want = Err(format!("{mode} does not read {flag}"));
+            assert_eq!(parse(args), want, "{args:?}");
+        };
+        for (mode, _) in MODES {
+            refused(&[mode, "--json"], mode, "--json");
+            refused(&["--quick", mode], mode, "--quick");
+            refused(&["--help", mode, "--json"], mode, "--json");
+        }
+        refused(
+            &["--md-replay", "--threads", "2"],
+            "--md-replay",
+            "--threads",
+        );
+        let telemetry = [
+            &["--telemetry"][..],
+            &["--telemetry-out", "t.json"],
+            &["--trace-out", "t.jsonl"],
+            &["--epoch-cycles", "512"],
+            &["--epoch-ring", "8"],
+        ];
+        for flag in telemetry {
+            refused(
+                &[&["--calibrate"][..], flag].concat(),
+                "--calibrate",
+                flag[0],
+            );
+        }
+        // Each mode reads its listed flags, and only known non-mode ones.
+        assert_eq!(READS.map(|(m, _)| m), MODES.map(|(m, _)| m));
+        for (mode, _) in READS {
+            for flag in reads(mode) {
+                let valued = names(VALUED).any(|v| v == flag);
+                assert!(valued || names(SWITCHES).any(|s| s == flag), "{flag}");
+                assert!(MODES.iter().all(|&(m, _)| m != flag), "{flag}");
+                let args = [mode, flag, "2"];
+                let args = if valued { &args[..] } else { &args[..2] };
+                assert!(parse(args).is_ok(), "{args:?}");
+            }
+        }
     }
 
     #[test]

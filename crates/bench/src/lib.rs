@@ -106,9 +106,34 @@ impl Args {
     }
 }
 
+/// Writes `text` to stdout. When stdout is closed — a reader such as
+/// `head` has exited — the process ends quietly with status 0, writing
+/// nothing to stderr; any other write error panics, as `print!` does.
+pub fn write_stdout(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `println!` through [`write_stdout`], so a closed stdout ends the
+/// process quietly.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// A standard paper-vs-measured comparison line.
 pub fn compare(label: &str, paper: &str, measured: &str) {
-    println!("  {label:<44} paper: {paper:<18} measured: {measured}");
+    outln!("  {label:<44} paper: {paper:<18} measured: {measured}");
 }
 
 #[cfg(test)]

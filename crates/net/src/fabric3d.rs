@@ -1321,8 +1321,9 @@ mod tests {
     fn mega_fabric_constructs_within_memory_budget() {
         // A freshly built fabric must stay inside a small per-router
         // budget at every scale: flit slabs are allocated lazily, so
-        // construction cost is cursors + worklists + link state,
-        // independent of the queue depths traffic would eventually reach.
+        // construction cost is ring cursors, front mirrors and link
+        // state, independent of the queue depths traffic would
+        // eventually reach.
         let mut largest = None;
         for n in [8u8, 16, 32] {
             let f = fabric([n, n, n]);

@@ -32,26 +32,30 @@
 //! Every production step runs one kernel, the lookahead-epoch kernel of
 //! the `shard` module: inline on the calling thread at one shard, with
 //! pool workers for the other regions after [`RouterFabric::set_shards`].
-//! Large fabrics are mostly idle, and even saturated ones keep most
-//! (port, VC) pairs empty, so the kernel is organized around work lists
-//! rather than full scans:
+//! Even saturated fabrics keep most (port, VC) pairs empty, so the
+//! kernel walks each router's occupied queues rather than every pair;
+//! the routers themselves it scans:
 //!
-//! - an **active-router worklist**: routers enqueue themselves when they
-//!   accept a flit (link arrival, same-cycle move, or injection) and are
-//!   dropped when they go idle, so arbitration visits only routers that
-//!   can possibly act;
+//! - an **index-order scan**: each private cycle arbitrates a shard's
+//!   routers in ascending index order, skipping a router with no work
+//!   after one O(1) check. No list of active routers is kept, because
+//!   every hop holds its flit in a router for the whole pipeline and
+//!   few routers are idle: routers had work in 93.5% of the (router,
+//!   cycle) pairs the kernel stepped on `sweep_traffic --md-replay`,
+//!   88.6% on `--overload-smoke --shards 2`, 75.7% on `--mega-smoke`
+//!   (16³) and 72.2% on `--quick`;
 //! - **per-shard arrival wheels**: a departure onto a positive-latency
 //!   link books the flit on the downstream shard's calendar wheel at the
 //!   arrival cycle, where its landing accepts it into the downstream
 //!   queue — no per-link delay line, no serial replay;
 //! - **sender-held credits**: each router keeps one credit count per
 //!   (output, VC) for the queue its link feeds. A departure spends one,
-//!   a pop returns one to the link feeding the popped queue at the end
-//!   of the cycle, and a landing touches none, so a credit check is one
-//!   read of the router's own row. Arbitration asks it for the target
-//!   of each ready head front it walks, and stall classification asks
-//!   the same check — the counts cannot change while a cycle
-//!   arbitrates, so no snapshot or probe table is needed;
+//!   and when it is applied, after the cycle's arbitration, it returns
+//!   one to the link feeding the queue it left; a landing touches none.
+//!   A credit check is one read of the router's own row. Arbitration
+//!   asks it for the target of each ready head front it walks, and stall
+//!   classification asks the same check — the counts cannot change
+//!   while a cycle arbitrates, so no snapshot or probe table is needed;
 //! - **one walk over the occupied queue fronts**: each router keeps a
 //!   bitset of its occupied input queues, the subset whose front is a
 //!   head, and a per-queue memo of each front's target (a head's route
@@ -83,8 +87,8 @@
 //!   partition; handing the rows to the pool's worker threads is the
 //!   crate's one `unsafe` block.
 //!
-//! The pre-worklist full-scan stepper is retained verbatim as
-//! [`RouterFabric::step_reference`] (arbitrating via
+//! The naive full-scan stepper is retained as
+//! [`RouterFabric::step_reference`] (arbitrating every (port, VC) via
 //! [`CycleRouter::tick`]): it is the executable specification the
 //! kernel must match bit for bit at every shard count and window — same
 //! delivery log, same cycle numbers, same per-link counters, telemetry
@@ -429,18 +433,10 @@ pub struct CycleRouter {
     pub pipeline: u64,
     vcs: usize,
     /// Total flits across all input queues (kept incrementally so the
-    /// per-cycle idle check is O(1) — large fabrics are mostly idle).
+    /// kernel's per-cycle idle check is O(1)).
     queued: usize,
     /// Output ports currently owned by an in-flight packet.
     owned: usize,
-    /// Queues this router popped during the current arbitration phase,
-    /// as flat indices. The fabric drains this after every router has
-    /// arbitrated and returns each credit to the link feeding the popped
-    /// queue then — credit return is
-    /// uniformly visible one cycle later, never mid-arbitration, so a
-    /// credit check cannot depend on router visit order (the invariant
-    /// the sharded stepper rests on).
-    popped: Vec<u16>,
     /// Flat per-queue cycle at which the current front flit clears the
     /// router pipeline (`u64::MAX` when the queue is empty).
     front_ready: Vec<u64>,
@@ -473,7 +469,7 @@ impl CycleRouter {
         let queues = ports * vcs;
         assert!(
             queues <= u16::MAX as usize + 1,
-            "flat (port, vc) index must fit the u16 picks and pop list"
+            "flat (port, vc) index must fit the u16 picks"
         );
         assert!(ports <= 256, "port index must fit the packed route memo");
         CycleRouter {
@@ -486,7 +482,6 @@ impl CycleRouter {
             vcs,
             queued: 0,
             owned: 0,
-            popped: Vec::new(),
             front_ready: vec![u64::MAX; queues],
             occupied: vec![0; queues.div_ceil(64)],
             heads: vec![0; queues.div_ceil(64)],
@@ -518,7 +513,6 @@ impl CycleRouter {
             + fronts
             + self.output_owner.capacity() * size_of::<Option<OutputOwner>>()
             + self.rr.capacity() * size_of::<usize>()
-            + self.popped.capacity() * size_of::<u16>()
             + self.picks.capacity() * size_of::<Option<u16>>()
             + self.decision_scratch.capacity() * size_of::<Option<(usize, u8, u16)>>();
         (slab, state)
@@ -538,8 +532,8 @@ impl CycleRouter {
     }
 
     /// Free slots on input `(port, vc)`. (The fabric's arbitration reads
-    /// the upstream sender's credit count instead, which lags a pop by a
-    /// cycle; see `RouterFabric::credits`.)
+    /// the upstream sender's credit count instead, which lags a departure
+    /// by a cycle; see `RouterFabric::credits`.)
     pub fn free_slots(&self, port: usize, vc: u8) -> usize {
         self.store.free_slots(port * self.vcs + vc as usize)
     }
@@ -580,7 +574,6 @@ impl CycleRouter {
         let idx = p * self.vcs + v as usize;
         let flit = self.store.pop(idx).expect("front exists");
         self.queued -= 1;
-        self.popped.push(idx as u16);
         self.front_target[idx] = None;
         let (w, bit) = (idx / 64, 1 << (idx % 64));
         match self.store.front(idx) {
@@ -672,7 +665,8 @@ impl CycleRouter {
     }
 
     /// Event-driven arbitration, pushing departures as `(router id,
-    /// output, flit)` with the outgoing VC/tag applied. `downstream_ok`
+    /// input queue, output, flit)`, the queue flat (`port * vcs + vc`)
+    /// and the flit with its outgoing VC/tag applied. `downstream_ok`
     /// answers the full departure question for `(output, outgoing vc)`,
     /// serialization and downstream credit, exactly as for
     /// [`Self::tick`].
@@ -692,7 +686,7 @@ impl CycleRouter {
         cycle: u64,
         route: &RouteFn,
         mut downstream_ok: impl FnMut(usize, u8) -> bool,
-        moves: &mut Vec<(usize, usize, Flit)>,
+        moves: &mut Vec<(usize, usize, usize, Flit)>,
     ) {
         let mut picked = false;
         for w in 0..self.heads.len() {
@@ -740,7 +734,7 @@ impl CycleRouter {
             };
             if let Some((p, v, out_vc, out_tag)) = depart {
                 let flit = self.depart(out, p, v, out_vc, out_tag);
-                moves.push((self.id, out, flit));
+                moves.push((self.id, p * self.vcs + v as usize, out, flit));
             }
         }
     }
@@ -793,7 +787,8 @@ impl CycleRouter {
     /// tests run both and require bit-identical results). Selects at
     /// most one flit per output port (and at most one per input VC queue
     /// — a single queue read port) and returns the departures as
-    /// `(output_port, flit)` with the outgoing VC/tag already applied.
+    /// `(input queue, output port, flit)`, the queue flat
+    /// (`port * vcs + vc`) and the flit with its outgoing VC/tag applied.
     /// `downstream_ok` reports whether the downstream queue for
     /// `(output_port, outgoing vc)` has a credit and the link is free to
     /// serialize.
@@ -802,7 +797,7 @@ impl CycleRouter {
         cycle: u64,
         route: &RouteFn,
         mut downstream_ok: impl FnMut(usize, u8) -> bool,
-    ) -> Vec<(usize, Flit)> {
+    ) -> Vec<(usize, usize, Flit)> {
         let ports = self.ports;
         let mut sent = Vec::new();
         if self.is_idle() {
@@ -859,7 +854,7 @@ impl CycleRouter {
             };
             if let Some((p, v, out_vc, out_tag)) = depart {
                 let flit = self.depart(out, p, v, out_vc, out_tag);
-                sent.push((out, flit));
+                sent.push((p * self.vcs + v as usize, out, flit));
             }
         }
         self.decision_scratch = decisions;
@@ -951,27 +946,6 @@ struct Arrival {
 
 // A saturated fabric keeps thousands of bookings live; keep them small.
 const _: () = assert!(std::mem::size_of::<Arrival>() <= 40);
-
-/// Files `a.flit` into input `(a.port, a.flit.vc)` of router `a.router`
-/// at `cycle`, and lists the router on `activated` unless it is active
-/// already. The one accept routine of a row view whose first router is
-/// `lo`: a shard window's landings and zero-latency hops, and
-/// [`InjectPort::inject`]. The sender has spent the credit.
-fn accept_and_activate(
-    routers: &mut [CycleRouter],
-    is_active: &mut [bool],
-    activated: &mut Vec<usize>,
-    lo: usize,
-    a: Arrival,
-    cycle: u64,
-) {
-    let r = a.router as usize;
-    routers[r - lo].accept(a.port as usize, a.flit.vc, a.flit, cycle);
-    if !is_active[r - lo] {
-        is_active[r - lo] = true;
-        activated.push(r);
-    }
-}
 
 /// Why an injection was refused. Callers (injection harnesses, endpoint
 /// models) use this to distinguish *source queuing* — the local input
@@ -1096,8 +1070,8 @@ pub trait Endpoint: Send {
 /// serial code ([`RouterFabric::inject`] and
 /// [`RouterFabric::step_reference_with`] go through a view over the
 /// whole fabric). An injection into a port a link feeds spends that
-/// link's credit; every injection activates its router and, while
-/// tracing, lists an `Inject` event.
+/// link's credit; while tracing, a head's injection lists an `Inject`
+/// event.
 pub struct InjectPort<'a> {
     cycle: u64,
     /// First router of the view.
@@ -1105,10 +1079,6 @@ pub struct InjectPort<'a> {
     /// Routers in the whole fabric.
     n_routers: usize,
     routers: &'a mut [CycleRouter],
-    is_active: &'a mut [bool],
-    /// Where activated routers go: the shard's incoming list, or the
-    /// fabric's active list.
-    activated: &'a mut Vec<usize>,
     /// The view's rows of `RouterFabric::feeder`.
     feeder: &'a [Vec<Option<(u32, u32)>>],
     /// Every router's credit row, which an injection into a fed port
@@ -1195,19 +1165,7 @@ impl InjectPort<'_> {
         }
         let (cycle, r) = (self.cycle, router - self.lo);
         flit.injected_at = cycle;
-        let a = Arrival {
-            flit,
-            router: router as u32,
-            port: port as u8,
-        };
-        accept_and_activate(
-            self.routers,
-            self.is_active,
-            self.activated,
-            self.lo,
-            a,
-            cycle,
-        );
+        self.routers[r].accept(port, vc, flit, cycle);
         if let (Some((up, out)), Some(credits)) =
             (self.feeder[r][port], self.credits.as_deref_mut())
         {
@@ -1245,18 +1203,18 @@ use shard::{ShardPool, ShardScratch};
 /// fabric into two views:
 ///
 /// - one [`EpochInputs`], which every shard only reads: the wiring,
-///   the link offsets, the routing closures and the sorted active list;
+///   the link offsets and the routing closures;
 /// - one [`ShardRows`] per shard, which only that shard touches: its
 ///   contiguous rows `bounds[s]..bounds[s + 1]` of the routers, link
-///   state, credit rows, activity flags and feeder map, and element `s`
-///   of the scratch (arrival wheel, boundary outbox and credit return
-///   list), of the telemetry recorders and of the endpoints.
+///   state, credit rows and feeder map, and element `s` of the scratch
+///   (arrival wheel, boundary outbox and credit return list), of the
+///   telemetry recorders and of the endpoints.
 ///
 /// A window indexes its rows from its first router, so a read of another
 /// shard's row panics (its index falls outside the window's range)
 /// instead of racing. A flit bound for another shard goes in the outbox,
-/// and a pop whose credit belongs to another shard's sender goes on the
-/// return list; the serial epilogue moves both to their owners.
+/// and a departure whose credit belongs to another shard's sender puts
+/// it on the return list; the serial epilogue moves both to their owners.
 /// An [`Endpoint`] reaches the fabric only through an [`InjectPort`]
 /// built from its shard's rows, and only at ports no link feeds.
 ///
@@ -1536,8 +1494,9 @@ mod shard {
         /// booking)`, for the epilogue to move onto the downstream
         /// shard's wheel.
         outbox: Vec<(usize, Arrival)>,
-        /// Credits this window's pops return to senders in other shards,
-        /// as `(router, credit-row index)`, for the epilogue to apply.
+        /// Credits this window's departures return to senders in other
+        /// shards, as `(router, credit-row index)`, for the epilogue to
+        /// apply.
         returns: Vec<(usize, usize)>,
         /// Flits this window sent onto positive-latency links.
         sent: usize,
@@ -1546,15 +1505,9 @@ mod shard {
         /// The last cycle of this window in which a router of the shard
         /// moved a flit (0 when none did), for the drain rewind.
         last_move: u64,
-        /// Current private cycle's arbitration worklist, sorted ascending;
-        /// holds the shard's surviving actives when the epoch ends.
-        worklist: Vec<usize>,
-        /// Routers activated by accepts (arrivals, zero-latency hops),
-        /// merged into the worklist before arbitration and at window end.
-        incoming: Vec<usize>,
-        /// The current private cycle's departures, `(router, out, flit)`,
-        /// in ascending router order.
-        moves: Vec<(usize, usize, Flit)>,
+        /// The current private cycle's departures, `(router, input
+        /// queue, output, flit)`, in ascending router order.
+        moves: Vec<(usize, usize, usize, Flit)>,
         /// Ejections across the window as `(cycle, flit)`, in the serial
         /// order within the shard: by cycle, then by departure.
         ejected: Vec<(u64, Flit)>,
@@ -1588,8 +1541,7 @@ mod shard {
             wheel
                 + self.outbox.capacity() * size_of::<(usize, Arrival)>()
                 + self.returns.capacity() * size_of::<(usize, usize)>()
-                + (self.worklist.capacity() + self.incoming.capacity()) * size_of::<usize>()
-                + self.moves.capacity() * size_of::<(usize, usize, Flit)>()
+                + self.moves.capacity() * size_of::<(usize, usize, usize, Flit)>()
                 + self.ejected.capacity() * size_of::<(u64, Flit)>()
                 + self.hops.capacity() * size_of::<(u64, usize, usize, Flit)>()
                 + self.injects.capacity() * size_of::<(u8, TraceEvent)>()
@@ -1609,8 +1561,6 @@ mod shard {
         /// Whether any flit was in flight when the epoch started; if not,
         /// nothing lands inside the window.
         in_flight: bool,
-        /// The fabric's active list, sorted.
-        active: &'a [usize],
     }
 
     /// One shard's rows of the fabric for one epoch, split off at the
@@ -1623,7 +1573,6 @@ mod shard {
         channels: &'a mut [Vec<ChannelState>],
         next_free: &'a mut [Vec<u64>],
         credits: &'a mut [Vec<u32>],
-        is_active: &'a mut [bool],
         feeder: &'a [Vec<Option<(u32, u32)>>],
         scratch: &'a mut ShardScratch,
         /// The shard's telemetry recorder, over its own links
@@ -1654,9 +1603,10 @@ mod shard {
     /// synchronization**. Each cycle first runs the shard's endpoint, if
     /// the epoch has endpoints — generation and injection into the
     /// shard's own injection ports — then lands the shard's wheel slot,
-    /// then arbitrates unless the worklist is still empty; ejections go
-    /// to the endpoint as they apply. The window ends early at an empty
-    /// worklist if nothing was in flight when the epoch began and the
+    /// then arbitrates every router of the shard that has work, in
+    /// ascending index order; ejections go to the endpoint as they
+    /// apply. The window ends early at a cycle in which no router had
+    /// work if nothing was in flight when the epoch began and the
     /// endpoint is idle. Every party — the stepping thread as shard 0, one
     /// pool worker per remaining shard — calls this exactly once per
     /// epoch, then waits on the epoch barrier, having caught any panic
@@ -1671,9 +1621,9 @@ mod shard {
     /// boundary accept an earlier epilogue moved in. Zero-latency router
     /// links never leave a shard (`set_shards` and `set_link_spec`
     /// refuse them), so their flits land in-shard the cycle they depart.
-    /// Every credit check reads the sender's own row. A pop's credit
-    /// returns to a sender in another shard only at the epilogue, and the
-    /// window clamp keeps that delay invisible (see
+    /// Every credit check reads the sender's own row. A departure's
+    /// credit returns to a sender in another shard only at the epilogue,
+    /// and the window clamp keeps that delay invisible (see
     /// [`RouterFabric::step_epoch`]).
     fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
         let ShardRows {
@@ -1682,7 +1632,6 @@ mod shard {
             channels,
             next_free,
             credits,
-            is_active,
             feeder,
             scratch,
             recorder: rec,
@@ -1693,13 +1642,6 @@ mod shard {
         (scratch.sent, scratch.landed, scratch.last_move) = (0, 0, 0);
         let t0 = inp.cycle;
         let tend = t0 + inp.window;
-
-        // Epoch-start worklist: the fabric's sorted active list restricted
-        // to this shard's contiguous range.
-        let a = inp.active.partition_point(|&r| r < lo);
-        let b = inp.active.partition_point(|&r| r < hi);
-        scratch.worklist.clear();
-        scratch.worklist.extend_from_slice(&inp.active[a..b]);
 
         let wheel_len = scratch.wheel.len() as u64;
         let mut cycle = t0;
@@ -1714,8 +1656,6 @@ mod shard {
                     lo,
                     n_routers: inp.wiring.len(),
                     routers,
-                    is_active,
-                    activated: &mut scratch.incoming,
                     feeder,
                     credits: None,
                     trace: tracing.then_some(&mut scratch.injects),
@@ -1729,18 +1669,41 @@ mod shard {
             let slot = (cycle % wheel_len) as usize;
             if !scratch.wheel[slot].is_empty() {
                 let mut bucket = std::mem::take(&mut scratch.wheel[slot]);
-                for &a in &bucket {
-                    accept_and_activate(routers, is_active, &mut scratch.incoming, lo, a, cycle);
+                for a in &bucket {
+                    let i = a.router as usize - lo;
+                    routers[i].accept(a.port as usize, a.flit.vc, a.flit, cycle);
                 }
                 scratch.landed += bucket.len();
                 bucket.clear();
                 scratch.wheel[slot] = bucket;
             }
-            if !scratch.incoming.is_empty() {
-                scratch.worklist.append(&mut scratch.incoming);
-                scratch.worklist.sort_unstable();
+
+            // The downstream-credit half of a departure check for the
+            // shard's router `i` (its row index), output `out`, VC `vc`
+            // (`vcs` is the router's VC count, the stride of its credit
+            // row): one entry of the router's own row. Arbitration and
+            // stall classification both ask here; nothing it reads
+            // changes while a cycle arbitrates.
+            let has_credit =
+                |i: usize, vcs: usize, out: usize, vc: u8| credits[i][out * vcs + vc as usize] > 0;
+
+            // Arbitration: every router with work, in index order.
+            let mut busy = false;
+            for (i, router) in routers.iter_mut().enumerate() {
+                if router.is_idle() {
+                    continue;
+                }
+                busy = true;
+                let vcs = router.vcs;
+                let next_free_r = &next_free[i];
+                router.arbitrate_into(
+                    cycle,
+                    inp.route,
+                    |out, vc| next_free_r[out] <= cycle && has_credit(i, vcs, out, vc),
+                    &mut scratch.moves,
+                );
             }
-            if scratch.worklist.is_empty() {
+            if !busy {
                 // Dead shard-cycle. Later slots may still land flits,
                 // unless nothing was in flight at the epoch start, and the
                 // endpoint may still generate or inject.
@@ -1750,37 +1713,6 @@ mod shard {
                 cycle += 1;
                 continue;
             }
-
-            // The downstream-credit half of a departure check for router
-            // `r`'s output `out` on VC `vc` (`vcs` is `r`'s VC count, the
-            // stride of its credit row): one entry of the router's own
-            // row. Arbitration and stall classification both ask here;
-            // nothing it reads changes while a cycle arbitrates.
-            let has_credit = |r: usize, vcs: usize, out: usize, vc: u8| {
-                credits[r - lo][out * vcs + vc as usize] > 0
-            };
-
-            // Arbitration over the worklist.
-            let mut kept = 0;
-            for i in 0..scratch.worklist.len() {
-                let r = scratch.worklist[i];
-                let router = &mut routers[r - lo];
-                if router.is_idle() {
-                    is_active[r - lo] = false;
-                    continue;
-                }
-                scratch.worklist[kept] = r;
-                kept += 1;
-                let vcs = router.vcs;
-                let next_free_r = &next_free[r - lo];
-                router.arbitrate_into(
-                    cycle,
-                    inp.route,
-                    |out, vc| next_free_r[out] <= cycle && has_credit(r, vcs, out, vc),
-                    &mut scratch.moves,
-                );
-            }
-            scratch.worklist.truncate(kept);
             if !scratch.moves.is_empty() {
                 scratch.last_move = cycle;
             }
@@ -1793,7 +1725,7 @@ mod shard {
                 // `telemetry_record`, fed per front by
                 // `for_each_front_target` (targets read from the memo
                 // arbitration shares, only occupied queues visited).
-                for &(r, out, ref flit) in &scratch.moves {
+                for &(r, _, out, ref flit) in &scratch.moves {
                     rec.advance(cycle, inp.link_off[r] + out);
                     if rec.trace
                         && flit.is_head()
@@ -1802,32 +1734,46 @@ mod shard {
                         scratch.hops.push((cycle, r, out, *flit));
                     }
                 }
-                for &r in &scratch.worklist {
-                    let router = &mut routers[r - lo];
-                    let vcs = router.vcs;
-                    let next_free_r = &next_free[r - lo];
+                for (i, router) in routers.iter_mut().enumerate() {
+                    if router.is_idle() {
+                        continue;
+                    }
+                    let (vcs, link0) = (router.vcs, inp.link_off[lo + i]);
+                    let next_free_r = &next_free[i];
                     router.for_each_front_target(cycle, inp.route, |out, out_vc| {
-                        let link = inp.link_off[r] + out;
+                        let link = link0 + out;
                         let cause = StallCause::of(
                             rec.advanced_on(cycle, link),
                             next_free_r[out] > cycle,
-                            || !has_credit(r, vcs, out, out_vc),
+                            || !has_credit(i, vcs, out, out_vc),
                         );
                         rec.stall(cycle, link, out_vc, cause);
                     });
                 }
             }
 
-            // Apply: departures spend their credits and enter their
-            // links. Every booking lands at or beyond the epoch barrier
-            // (no positive link latency is shorter than the window): a hop
-            // inside the shard books on the shard's wheel, a boundary hop
-            // in the outbox. Zero-latency hops land in-shard and
-            // ejections deliver, this cycle.
-            for (r, out, flit) in scratch.moves.drain(..) {
+            // Apply: each departure returns the credit of the queue it
+            // left to the link feeding that queue — in the sender's row
+            // when it is this shard's, else through the epilogue — spends
+            // its own and enters its link. Arbitration and classification
+            // are done, so no credit check sees the return before the
+            // next cycle. Every booking lands at or beyond the epoch
+            // barrier (no positive link latency is shorter than the
+            // window): a hop inside the shard books on the shard's wheel,
+            // a boundary hop in the outbox. Zero-latency hops land
+            // in-shard and ejections deliver, this cycle.
+            for (r, q, out, flit) in scratch.moves.drain(..) {
                 debug_assert!(lo <= r && r < hi, "move escaped its shard");
-                let class = inp.classify.map(|f| f(&flit));
                 let vcs = routers[r - lo].vcs;
+                if let Some((up, up_out)) = feeder[r - lo][q / vcs] {
+                    let (up, at) = (up as usize, up_out as usize * vcs + q % vcs);
+                    if (lo..hi).contains(&up) {
+                        credits[up - lo][at] += 1;
+                    } else {
+                        scratch.returns.push((up, at));
+                    }
+                }
+                let class = inp.classify.map(|f| f(&flit));
                 let ch = &mut channels[r - lo][out];
                 next_free[r - lo][out] = cycle + ch.spec.interval;
                 ch.flits_sent += 1;
@@ -1842,22 +1788,10 @@ mod shard {
                         port: dport,
                     } => {
                         credits[r - lo][out * vcs + flit.vc as usize] -= 1;
-                        let a = Arrival {
-                            flit,
-                            router: dst as u32,
-                            port: dport as u8,
-                        };
                         if spec.latency == 0 {
                             // Flight folds into the downstream pipeline.
                             assert!(lo <= dst && dst < hi, "zero-latency link left its shard");
-                            accept_and_activate(
-                                routers,
-                                is_active,
-                                &mut scratch.incoming,
-                                lo,
-                                a,
-                                cycle,
-                            );
+                            routers[dst - lo].accept(dport, flit.vc, flit, cycle);
                         } else {
                             debug_assert!(spec.latency < wheel_len, "arrival beyond the wheel");
                             debug_assert!(
@@ -1865,6 +1799,11 @@ mod shard {
                                 "booking inside the window"
                             );
                             let slot = ((cycle + spec.latency) % wheel_len) as usize;
+                            let a = Arrival {
+                                flit,
+                                router: dst as u32,
+                                port: dport as u8,
+                            };
                             if (lo..hi).contains(&dst) {
                                 scratch.wheel[slot].push(a);
                             } else {
@@ -1882,35 +1821,7 @@ mod shard {
                     PortLink::Unused => unreachable!("flit departed through an unused port"),
                 }
             }
-
-            // Credit returns, uniformly visible one private cycle later, to
-            // the link feeding each popped queue: in the sender's row when
-            // it is this shard's, else through the epilogue. Only routers
-            // that arbitrated can have parked credits.
-            for &r in &scratch.worklist {
-                let router = &mut routers[r - lo];
-                let vcs = router.vcs;
-                for &idx in &router.popped {
-                    let (port, vc) = (idx as usize / vcs, idx as usize % vcs);
-                    if let Some((up, out)) = feeder[r - lo][port] {
-                        let (up, at) = (up as usize, out as usize * vcs + vc);
-                        if (lo..hi).contains(&up) {
-                            credits[up - lo][at] += 1;
-                        } else {
-                            scratch.returns.push((up, at));
-                        }
-                    }
-                }
-                router.popped.clear();
-            }
             cycle += 1;
-        }
-
-        // Routers a same-cycle hop activated in the last executed cycle
-        // start the next epoch on the worklist.
-        if !scratch.incoming.is_empty() {
-            scratch.worklist.append(&mut scratch.incoming);
-            scratch.worklist.sort_unstable();
         }
     }
 
@@ -1964,7 +1875,7 @@ mod shard {
         /// contiguous ascending regions is the reference stepper's
         /// (cycle, ascending router) order; it moves the window's
         /// boundary flits onto their downstream wheels, and it applies
-        /// the credits the window's pops return across boundaries.
+        /// the credits the window's departures return across boundaries.
         ///
         /// Window selection takes the minimum of:
         /// - the caller's stepping limit (`limit - cycle`),
@@ -1986,12 +1897,13 @@ mod shard {
         ///   too — credit checks, grants, and stall causes stay
         ///   bit-exact.
         ///
-        /// When the window drains the fabric, the cycle counter rewinds
-        /// to one past the last cycle with any activity — the exact cycle
-        /// per-cycle stepping stops at, so drain-loop observables do not
-        /// depend on the window width — provided every endpoint is idle
-        /// from there on, so the rewind never moves back over a cycle in
-        /// which an endpoint drew a random number or tried to inject.
+        /// When the window drains the fabric (no flit in flight, and
+        /// [`CycleRouter::is_idle`] for every router), the cycle counter
+        /// rewinds to one past the last cycle a flit moved — the exact
+        /// cycle per-cycle stepping stops at, so drain-loop observables
+        /// do not depend on the window width — provided every endpoint is
+        /// idle from there on, so the rewind never moves back over a cycle
+        /// in which an endpoint drew a random number or tried to inject.
         ///
         /// Ejections deliver *inside* shard windows, where no prologue
         /// can foresee them and no epoch can be unwound past them. Work
@@ -2004,8 +1916,6 @@ mod shard {
             if self.telemetry.is_some() {
                 self.telemetry_begin_step();
             }
-            // Injections since the last epoch append out of order.
-            self.active.sort_unstable();
 
             // ---- Window selection ----
             let mut w = (limit - t0).min(self.min_pos_latency);
@@ -2036,7 +1946,6 @@ mod shard {
                     route: &*self.route,
                     classify: self.classify.as_deref(),
                     in_flight: self.in_flight_total > 0,
-                    active: &self.active,
                 };
                 // Each shard records into its own links' telemetry rows.
                 let ends = self.bounds[1..].iter().map(|&b| self.link_off[b]);
@@ -2044,7 +1953,6 @@ mod shard {
                 let mut endpoints = endpoints.iter_mut();
                 let (mut routers, mut channels) = (&mut self.routers[..], &mut self.channels[..]);
                 let (mut next_free, mut credits) = (&mut self.next_free[..], &mut self.credits[..]);
-                let mut is_active = &mut self.is_active[..];
                 let bounds = self.bounds.windows(2).zip(&mut self.shard_scratch);
                 let mut rows = bounds.map(|(b, scratch)| {
                     let (lo, hi) = (b[0], b[1]);
@@ -2054,7 +1962,6 @@ mod shard {
                         channels: take_rows(&mut channels, hi - lo),
                         next_free: take_rows(&mut next_free, hi - lo),
                         credits: take_rows(&mut credits, hi - lo),
-                        is_active: take_rows(&mut is_active, hi - lo),
                         feeder: &self.feeder[lo..hi],
                         scratch,
                         recorder: recorders.as_mut().and_then(Iterator::next),
@@ -2088,21 +1995,15 @@ mod shard {
             // Shards own ascending router ranges and list their deliveries
             // and hops by cycle, then router, so appending the lists in
             // shard order and sorting them stably by cycle gives the
-            // reference stepper's (cycle, ascending router) order. The
-            // surviving actives come out ascending too, boundary flits go
-            // onto their downstream shard's wheel, and boundary credit
-            // returns reach their senders' rows.
+            // reference stepper's (cycle, ascending router) order.
+            // Boundary flits go onto their downstream shard's wheel, and
+            // boundary credit returns reach their senders' rows.
             let from = self.delivered.len();
             let mut last_active = t0;
-            self.active.clear();
             for s in 0..shards {
                 let sc = &mut self.shard_scratch[s];
                 self.delivered.append(&mut sc.ejected);
-                // A router can linger in the worklist one cycle past its
-                // last departure; only real moves count toward the drain
-                // rewind, so the stop cycle matches per-cycle stepping.
                 last_active = last_active.max(sc.last_move);
-                self.active.extend_from_slice(&sc.worklist);
                 self.in_flight_total = self.in_flight_total + sc.sent - sc.landed;
                 for (r, at) in sc.returns.drain(..) {
                     self.credits[r][at] += 1;
@@ -2120,8 +2021,10 @@ mod shard {
             // An endpoint idle from the rewind target on did nothing after
             // it: its packets' moves would be later, and its draws are
             // generation it still has ahead.
-            let idle = endpoints.iter().all(|ep| ep.idle(last_active + 1));
-            self.cycle = if self.active.is_empty() && self.in_flight_total == 0 && idle {
+            let drained = self.in_flight_total == 0
+                && endpoints.iter().all(|ep| ep.idle(last_active + 1))
+                && self.routers.iter().all(CycleRouter::is_idle);
+            self.cycle = if drained {
                 // Drained inside the window: stop where per-cycle
                 // stepping stops, independent of the window width.
                 last_active + 1
@@ -2150,10 +2053,10 @@ pub struct MemoryBreakdown {
     /// Links: wiring, channel specs and counters, link timers, the
     /// senders' credit rows, and each input port's feeding link.
     pub links: usize,
-    /// Fabric scheduling: active worklists, shard scratch (the per-shard
-    /// arrival wheels holding every flit in link flight, boundary
-    /// outboxes, credit return lists and departure buffers), and the
-    /// delivery log.
+    /// Fabric scheduling: the shard bounds, shard scratch (the
+    /// per-shard arrival wheels holding every flit in link flight,
+    /// boundary outboxes, credit return lists and departure buffers),
+    /// the boundary links and the delivery log.
     pub scheduling: usize,
     /// Telemetry counters, epoch rings, and trace buffer (0 when off).
     pub telemetry: usize,
@@ -2184,23 +2087,25 @@ pub struct RouterFabric {
     /// router's own row.
     ///
     /// A departure onto a router link spends one, and so does an
-    /// injection into a port a link feeds; a landing touches none. A pop
-    /// parks its credit on the router's `popped` list, and once every
-    /// router has arbitrated it returns to the link feeding the popped
-    /// port. Credit return is thus uniformly visible one cycle later —
-    /// matching the hardware credit loop, where a credit rides the
-    /// reverse channel and can never beat the grant that freed it —
+    /// injection into a port a link feeds; a landing touches none. Each
+    /// departure also returns one credit to the link feeding the queue
+    /// it left, when the departure is applied: every router has
+    /// arbitrated and every stall is classified by then, and nothing
+    /// else reads a credit, so a return is uniformly visible one cycle
+    /// later — matching the hardware credit loop, where a credit rides
+    /// the reverse channel and can never beat the grant that freed it —
     /// instead of leaking mid-cycle to routers that happened to
     /// arbitrate later in the scan order. That uniformity is also what
     /// lets [`Self::set_shards`] arbitrate regions concurrently: checks
     /// see the same credits no matter which thread (or order) asks. A
-    /// row belongs to the shard owning its router; a pop whose sender is
-    /// another shard's returns the credit at the epoch epilogue, and the
-    /// window clamp of `step_epoch` keeps that delay invisible.
+    /// row belongs to the shard owning its router; a departure whose
+    /// feeding sender is another shard's returns the credit at the epoch
+    /// epilogue, and the window clamp of `step_epoch` keeps that delay
+    /// invisible.
     credits: Vec<Vec<u32>>,
     /// `feeder[router][input_port]`: the link `(upstream router, output
     /// port)` landing on each input port, if any — whose credit an
-    /// injection into that port spends, and a pop there returns.
+    /// injection into that port spends, and a departure from it returns.
     feeder: Vec<Vec<Option<(u32, u32)>>>,
     route: Box<RouteFn>,
     /// Optional per-flit class extraction feeding each channel's
@@ -2211,11 +2116,6 @@ pub struct RouterFabric {
     /// Flits currently in link flight, booked on the shards' arrival
     /// wheels (skip arrival scans at 0).
     in_flight_total: usize,
-    /// Active-router worklist: every non-idle router is on it (routers
-    /// enqueue themselves on accept/injection and are pruned when idle).
-    active: Vec<usize>,
-    /// Membership flags for `active` (no duplicate enqueues).
-    is_active: Vec<bool>,
     /// Optional observability state (see [`crate::telemetry`]). `None`
     /// costs one branch per step phase; recording is purely
     /// observational, so enabling it never changes delivery logs or
@@ -2232,9 +2132,9 @@ pub struct RouterFabric {
     /// row lengths; `len == routers + 1`).
     link_off: Vec<usize>,
     /// Per-shard state: the arrival wheel (landed by the owning shard's
-    /// window, or by the reference stepper), plus the window's worklists,
-    /// boundary outbox, credit return list and the deliveries and hops
-    /// the epilogue orders.
+    /// window, or by the reference stepper), plus the window's
+    /// departures, boundary outbox, credit return list and the
+    /// deliveries and hops the epilogue orders.
     shard_scratch: Vec<ShardScratch>,
     /// Every router-to-router link whose ends live in different shards,
     /// as `(router, output port)` in ascending link order (empty with
@@ -2332,8 +2232,6 @@ impl RouterFabric {
             cycle: 0,
             delivered: Vec::new(),
             in_flight_total: 0,
-            active: Vec::new(),
-            is_active: vec![false; n],
             telemetry: None,
             bounds: Vec::new(),
             link_off,
@@ -2414,8 +2312,7 @@ impl RouterFabric {
         for row in &self.feeder {
             b.links += row.capacity() * size_of::<Option<(u32, u32)>>();
         }
-        b.scheduling = (self.active.capacity() + self.bounds.capacity()) * size_of::<usize>()
-            + self.is_active.capacity()
+        b.scheduling = self.bounds.capacity() * size_of::<usize>()
             + self.delivered.capacity() * size_of::<(u64, Flit)>()
             + self.boundary.capacity() * size_of::<(usize, usize)>()
             + self.shard_scratch.capacity() * size_of::<ShardScratch>()
@@ -2659,8 +2556,6 @@ impl RouterFabric {
             lo: 0,
             n_routers: self.routers.len(),
             routers: &mut self.routers,
-            is_active: &mut self.is_active,
-            activated: &mut self.active,
             feeder: &self.feeder,
             credits: Some(&mut self.credits[..]),
             trace: tracing.then_some(&mut *injects),
@@ -2727,17 +2622,6 @@ impl RouterFabric {
         }
     }
 
-    /// Files `flit` into input `(router, port, flit.vc)` at `cycle` and
-    /// puts the router on the active worklist. The sender has spent the
-    /// credit.
-    fn file(&mut self, router: usize, port: usize, flit: Flit, cycle: u64) {
-        self.routers[router].accept(port, flit.vc, flit, cycle);
-        if !self.is_active[router] {
-            self.is_active[router] = true;
-            self.active.push(router);
-        }
-    }
-
     /// Phase 1 of a reference step: every shard's wheel slot for this
     /// cycle lands into its downstream queues.
     fn land_arrivals(&mut self, cycle: u64) {
@@ -2754,7 +2638,8 @@ impl RouterFabric {
             // is processed; taking it out keeps its allocation for reuse.
             let mut bucket = std::mem::take(&mut self.shard_scratch[s].wheel[slot]);
             for a in &bucket {
-                self.file(a.router as usize, a.port as usize, a.flit, cycle);
+                let r = a.router as usize;
+                self.routers[r].accept(a.port as usize, a.flit.vc, a.flit, cycle);
             }
             self.in_flight_total -= bucket.len();
             bucket.clear();
@@ -2762,12 +2647,16 @@ impl RouterFabric {
         }
     }
 
-    /// Phase 3 of a reference step: departures enter their links
-    /// (same-cycle for latency-0 links), counters update, ejections are
-    /// recorded, and same-cycle accepts activate their routers. Drains
-    /// `moves` in place.
-    fn apply_moves(&mut self, moves: &mut Vec<(usize, usize, Flit)>, cycle: u64) {
-        for (r, out, flit) in moves.drain(..) {
+    /// Phase 3 of a reference step: each departure returns its input
+    /// queue's credit to the link feeding that queue and enters its own
+    /// link (same-cycle for latency-0 links), counters update, and
+    /// ejections are recorded. Drains `moves` in place.
+    fn apply_moves(&mut self, moves: &mut Vec<(usize, usize, usize, Flit)>, cycle: u64) {
+        for (r, q, out, flit) in moves.drain(..) {
+            let vcs = self.routers[r].vcs;
+            if let Some((up, up_out)) = self.feeder[r][q / vcs] {
+                self.credits[up as usize][up_out as usize * vcs + q % vcs] += 1;
+            }
             let class = self.classify.as_deref().map(|f| f(&flit));
             let spec = {
                 let ch = &mut self.channels[r][out];
@@ -2781,14 +2670,13 @@ impl RouterFabric {
             };
             match self.wiring[r][out] {
                 PortLink::Router { router, port } => {
-                    let vcs = self.routers[r].vcs;
                     self.credits[r][out * vcs + flit.vc as usize] -= 1;
                     if spec.latency == 0 {
                         // Link flight is folded into the downstream
                         // pipeline constant (the paper's per-hop cycle
                         // counts are inclusive), so arrival lands this
                         // cycle.
-                        self.file(router, port, flit, cycle);
+                        self.routers[router].accept(port, flit.vc, flit, cycle);
                     } else {
                         // The kernel's booking, so the steppers interleave.
                         let w = self.wheel_len();
@@ -2842,11 +2730,11 @@ impl RouterFabric {
     /// still in the pipeline is not stalled). Purely observational —
     /// nothing here mutates fabric state, so telemetry cannot perturb
     /// the run.
-    fn telemetry_record(&mut self, moves: &[(usize, usize, Flit)], cycle: u64) {
+    fn telemetry_record(&mut self, moves: &[(usize, usize, usize, Flit)], cycle: u64) {
         let Some(tel) = self.telemetry.as_deref_mut() else {
             return;
         };
-        for &(r, out, ref flit) in moves {
+        for &(r, _, out, ref flit) in moves {
             tel.recorder().advance(cycle, self.link_off[r] + out);
             if matches!(self.wiring[r][out], PortLink::Router { .. }) {
                 tel.note_hop(cycle, r, out, flit);
@@ -2893,9 +2781,9 @@ impl RouterFabric {
     }
 
     /// Advances the fabric one cycle: link arrivals land, every router
-    /// **with work** arbitrates (the active worklist — idle routers are
-    /// never visited), departures enter their links (same-cycle for
-    /// latency-0 links), ejections are recorded. A one-cycle epoch of
+    /// with work arbitrates, in index order, departures return their
+    /// credits and enter their links (same-cycle for latency-0 links),
+    /// ejections are recorded. A one-cycle epoch of
     /// the lookahead kernel at the configured shard count, bit-identical
     /// to [`Self::step_reference`].
     ///
@@ -2909,9 +2797,9 @@ impl RouterFabric {
     }
 
     /// Advances the fabric one cycle with the retained **reference**
-    /// stepper: the pre-worklist full scan over every router, arbitrating
-    /// via [`CycleRouter::tick`] against each router's link timers and
-    /// credit row. Kept as the executable specification of
+    /// stepper: the naive full scan over every router, arbitrating every
+    /// (port, VC) via [`CycleRouter::tick`] against each router's link
+    /// timers and credit row. Kept as the executable specification of
     /// [`Self::step`] — the `stepper_equivalence` property tests (and
     /// the committed benchmark's traced run, which also times both) run
     /// the two side by side and require identical delivery logs and
@@ -2926,7 +2814,7 @@ impl RouterFabric {
         // Full-scan arbitration over every router — deliberately naive;
         // this is the spec, not the fast path. Nothing a departure check
         // reads changes until every router has arbitrated.
-        let mut moves: Vec<(usize, usize, Flit)> = Vec::new();
+        let mut moves: Vec<(usize, usize, usize, Flit)> = Vec::new();
         for r in 0..self.routers.len() {
             if self.routers[r].is_idle() {
                 continue;
@@ -2936,8 +2824,8 @@ impl RouterFabric {
             let sent = self.routers[r].tick(cycle, &*self.route, |out, vc| {
                 next_free[out] <= cycle && credits[out * vcs + vc as usize] > 0
             });
-            for (out, flit) in sent {
-                moves.push((r, out, flit));
+            for (q, out, flit) in sent {
+                moves.push((r, q, out, flit));
             }
         }
 
@@ -2945,29 +2833,10 @@ impl RouterFabric {
             self.telemetry_record(&moves, cycle);
         }
         self.apply_moves(&mut moves, cycle);
-        for r in 0..self.routers.len() {
-            if !self.routers[r].popped.is_empty() {
-                self.return_credits(r);
-            }
-        }
         if self.telemetry.is_some() {
             self.telemetry_note_deliveries();
         }
         self.cycle += 1;
-    }
-
-    /// Returns the credits parked by router `r`'s departures this cycle
-    /// (its drained `popped` list) to the links feeding the popped
-    /// queues — the reference stepper's uniform end-of-cycle credit
-    /// return.
-    fn return_credits(&mut self, r: usize) {
-        let vcs = self.routers[r].vcs;
-        for idx in self.routers[r].popped.drain(..) {
-            let (port, vc) = (idx as usize / vcs, idx as usize % vcs);
-            if let Some((up, out)) = self.feeder[r][port] {
-                self.credits[up as usize][out as usize * vcs + vc] += 1;
-            }
-        }
     }
 
     /// Slots per arrival wheel (every shard's wheel has this length).
@@ -3126,11 +2995,6 @@ impl RouterFabric {
                 }
             }
         }
-
-        // A drained fabric's worklist holds only idle stragglers; start
-        // the new partition from a clean one.
-        self.active.clear();
-        self.is_active.fill(false);
         self.pool = (shards > 1).then(|| ShardPool::new(shards));
     }
 
@@ -3172,7 +3036,7 @@ impl RouterFabric {
     /// per-cycle stepping would: nothing lands in between, so every
     /// boundary samples the same occupancy.
     fn skip_dead_cycles(&mut self, limit: u64) -> bool {
-        if self.active.is_empty() {
+        if self.routers.iter().all(CycleRouter::is_idle) {
             let to = match self.next_arrival() {
                 Some(t) if t < limit => t,
                 _ => limit,
@@ -3189,21 +3053,9 @@ impl RouterFabric {
     }
 
     /// Total flits resident in the fabric: router queues plus flits in
-    /// link flight. Costs O(active routers), not O(all routers).
+    /// link flight. Costs O(routers).
     pub fn occupancy(&self) -> usize {
-        let queued: usize = self
-            .active
-            .iter()
-            .map(|&r| self.routers[r].occupancy())
-            .sum();
-        debug_assert_eq!(
-            queued,
-            self.routers
-                .iter()
-                .map(CycleRouter::occupancy)
-                .sum::<usize>(),
-            "a router with queued flits escaped the active worklist"
-        );
+        let queued: usize = self.routers.iter().map(CycleRouter::occupancy).sum();
         queued + self.in_flight_total
     }
 
@@ -3827,7 +3679,7 @@ mod tests {
         // credits, or queued at router r + 1's input port 0 — the only
         // port it feeds, since traffic is injected at router 0 alone. At
         // 2 and 4 shards some of those links cross a shard boundary, where
-        // a pop returns its credit only at the epoch epilogue.
+        // a departure returns its credit only at the epoch epilogue.
         for (reference, shards) in [(true, 1), (false, 1), (false, 2), (false, 4)] {
             let mut f = build_row(4, 2, 2);
             for r in 0..3 {

@@ -2,8 +2,8 @@
 //!
 //! - [`rng::SplitMix64`] — reproducible randomness for oblivious routing
 //!   decisions;
-//! - [`stats`] — accumulators, histograms and the least-squares fits used
-//!   to report results the way the paper does;
+//! - [`stats`] — accumulators, a log-bucketed latency histogram and the
+//!   least-squares fits used to report results the way the paper does;
 //! - [`trace::ActivityTrace`] — busy-span recording behind Figure 12.
 
 #![forbid(unsafe_code)]

@@ -1,6 +1,7 @@
-//! Statistics helpers for experiments: online accumulators, histograms and
-//! the least-squares fits the paper uses to report latency (e.g. the
-//! "55.9 ns + 34.2 ns/hop" line of Figure 5).
+//! Statistics helpers for experiments: online accumulators, a
+//! log-bucketed latency histogram and the least-squares fits the paper
+//! uses to report latency (e.g. the "55.9 ns + 34.2 ns/hop" line of
+//! Figure 5).
 
 /// Online mean/min/max/variance accumulator.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -144,72 +145,6 @@ pub fn linear_fit(points: &[(f64, f64)]) -> LinearFit {
         intercept,
         slope,
         r2,
-    }
-}
-
-/// Fixed-width histogram over non-negative values.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    samples: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of the given `width`.
-    ///
-    /// # Panics
-    /// Panics if `width <= 0` or `buckets == 0`.
-    pub fn new(width: f64, buckets: usize) -> Self {
-        assert!(width > 0.0 && buckets > 0, "invalid histogram shape");
-        Histogram {
-            width,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            samples: 0,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, v: f64) {
-        self.samples += 1;
-        let idx = (v / self.width) as usize;
-        if v < 0.0 || idx >= self.buckets.len() {
-            self.overflow += 1;
-        } else {
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Samples that fell outside the bucketed range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples added.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// The value below which `q` (0..=1) of the samples fall, estimated
-    /// from bucket boundaries.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        let target = (q * self.samples as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as f64 + 1.0) * self.width;
-            }
-        }
-        self.buckets.len() as f64 * self.width
     }
 }
 
@@ -533,19 +468,5 @@ mod tests {
         }
         assert_eq!(seen, h.count());
         assert_eq!(h.quantile(1.0), u64::from(u32::MAX));
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(10.0, 10);
-        for v in 0..100 {
-            h.add(v as f64);
-        }
-        assert_eq!(h.samples(), 100);
-        assert_eq!(h.bucket(0), 10);
-        assert_eq!(h.overflow(), 0);
-        assert!((h.quantile(0.5) - 50.0).abs() < 10.0);
-        h.add(1e9);
-        assert_eq!(h.overflow(), 1);
     }
 }

@@ -491,7 +491,7 @@ pub struct SweepReport {
 /// ([`TorusFabric::step_reference`]) it is held bit-identical to, one
 /// cycle at a time. Both run the same endpoint code — generation,
 /// source queues, injection retries, delivery accounting and spawns —
-/// so the reference mode prices the pre-worklist simulator on exactly
+/// so the reference mode prices the naive full-scan stepper on exactly
 /// the same workload: the committed benchmark's traced run times one
 /// scenario in each mode and checks the measured points are equal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -1,11 +1,12 @@
 //! Property test pinning the event-driven fabric core to the retained
 //! naive reference stepper: random torus shapes and mixed-class loads
-//! run through both `TorusFabric::step` (worklists, the walk over the
-//! occupied head fronts, the front-target memo, direct credit checks) and
-//! `TorusFabric::step_reference` (the pre-worklist full scan kept as the
-//! executable specification), asserting **bit-identical** `(cycle,
-//! Flit)` delivery logs and per-link, per-slice, per-`ByteKind` traffic
-//! counters. Every shipped calibration constant and every loaded-latency
+//! run through both `TorusFabric::step` (the index-order router scan,
+//! the walk over the occupied head fronts, the front-target memo, direct
+//! credit checks, credit returns at apply) and
+//! `TorusFabric::step_reference` (the naive full scan over every router
+//! and (port, VC), kept as the executable specification), asserting
+//! **bit-identical** `(cycle, Flit)` delivery logs and per-link,
+//! per-slice, per-`ByteKind` traffic counters. Every shipped calibration constant and every loaded-latency
 //! regression rides on this equivalence.
 
 use anton3::model::latency::LatencyModel;
