@@ -101,6 +101,13 @@ use crate::telemetry::{
 use anton_model::asic::INPUT_QUEUE_FLITS;
 use core::fmt;
 
+mod cycle;
+mod reference;
+mod store;
+
+pub use cycle::CycleRouter;
+pub use store::FlitStore;
+
 /// A flit in flight through the fabric: routing state plus bookkeeping.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Flit {
@@ -133,218 +140,6 @@ impl Flit {
     /// Whether this is the tail flit (frees the VC allocation).
     pub fn is_tail(&self) -> bool {
         self.index + 1 == self.of
-    }
-}
-
-/// The placeholder flit filling unoccupied [`FlitStore`] slots.
-const NULL_FLIT: Flit = Flit {
-    packet: 0,
-    index: 0,
-    of: 1,
-    dest: 0,
-    vc: 0,
-    tag: 0,
-    injected_at: 0,
-};
-
-/// Structure-of-arrays flit store: every per-VC input queue of one
-/// router lives in a single contiguous slab instead of one `VecDeque`
-/// per `(port, VC)` pair.
-///
-/// # Layout
-///
-/// Queues are indexed flat (`port * vcs + vc`, the round-robin rank and
-/// the bit of the router's occupied-queue bitsets). Queue `q` is a ring
-/// of `alloc[q]` allocated entries occupying slots
-/// `slots[off[q] .. off[q] + alloc[q]]` (rings never interleave). The
-/// ring cursors — `head[q]`, `len[q]`, `cap[q]`, `alloc[q]` — are
-/// themselves dense parallel arrays, so the hot per-queue questions a
-/// saturated fabric asks thousands of times per cycle (front lookup,
-/// occupancy for credit checks) walk small contiguous memory instead
-/// of chasing per-queue heap blocks. Entries carry their arrival cycle
-/// next to the flit so pipeline latency and queue occupancy stay
-/// decoupled: the router is fully pipelined (one flit per cycle per
-/// output) with a fixed traversal latency.
-///
-/// # Capacity versus allocation
-///
-/// `cap[q]` is the queue's **credit window** — the flow-control
-/// behavior, untouched by anything below. `alloc[q] <= cap[q]` is how
-/// many slots are physically allocated, grown geometrically on demand
-/// by the (private) `push`. A fresh store allocates **nothing**: a
-/// 32³ fabric has ~2.3 M input queues whose deep bandwidth-delay-product
-/// credit windows would cost gigabytes if materialized eagerly, yet in
-/// any real run only the queues traffic actually reaches ever hold a
-/// flit. Growth re-packs the store's slab (amortized by doubling, and a
-/// queue never shrinks), so steady state is allocation-free exactly like
-/// the eager layout was. Credit math reads `cap` only — allocation is
-/// invisible to arbitration, injection, and the sharded stepper, which
-/// keeps every stepper bit-identical to the eager layout.
-///
-/// Queues default to the paper's 8-flit router depth
-/// ([`INPUT_QUEUE_FLITS`]); ports standing in for bigger buffers (the
-/// Channel Adapter's receive buffering on inter-node links) get a
-/// deeper credit window via [`CycleRouter::set_input_depth`] (a
-/// setup-time operation that adjusts `cap` alone).
-#[derive(Clone, Debug)]
-pub struct FlitStore {
-    /// The slab: per-queue rings at their individual offsets.
-    slots: Vec<(Flit, u64)>,
-    /// Start of each queue's ring within `slots`.
-    off: Vec<u32>,
-    /// Ring read cursor per queue.
-    head: Vec<u16>,
-    /// Occupancy per queue.
-    len: Vec<u16>,
-    /// Credit window per queue (flow control; may exceed `alloc`).
-    cap: Vec<u16>,
-    /// Allocated ring slots per queue (`len <= alloc <= cap`).
-    alloc: Vec<u16>,
-}
-
-impl FlitStore {
-    /// A store of `queues` rings with an 8-flit credit window and no
-    /// slots allocated yet.
-    fn new(queues: usize) -> Self {
-        FlitStore {
-            slots: Vec::new(),
-            off: vec![0; queues],
-            head: vec![0; queues],
-            len: vec![0; queues],
-            cap: vec![INPUT_QUEUE_FLITS as u16; queues],
-            alloc: vec![0; queues],
-        }
-    }
-
-    /// Number of queues in the store.
-    fn queues(&self) -> usize {
-        self.cap.len()
-    }
-
-    /// Sets queue `q`'s credit window to `cap` slots. Allocation is
-    /// untouched (it grows lazily on push and is clamped here if the
-    /// window shrank below it).
-    ///
-    /// # Panics
-    /// Panics if the queue holds more flits than the new capacity, or if
-    /// the capacity exceeds the `u16` ring cursors.
-    fn set_cap(&mut self, q: usize, cap: usize) {
-        assert!(cap <= u16::MAX as usize, "queue depth must fit u16");
-        assert!(self.len[q] as usize <= cap, "cannot shrink below occupancy");
-        self.cap[q] = cap as u16;
-        if self.alloc[q] > self.cap[q] {
-            // Occupancy fits the new window (asserted above); re-pack the
-            // ring into a smaller allocation so `alloc <= cap` holds.
-            self.grow(q, cap.max(self.len[q] as usize));
-        }
-    }
-
-    /// Re-sizes queue `q`'s ring to exactly `alloc` slots, rebuilding
-    /// the slab with every queue's ring compacted to `head == 0`. Cold:
-    /// called only when a push meets a full allocation (amortized by
-    /// doubling) or a credit window shrinks at setup time.
-    fn grow(&mut self, q: usize, alloc: usize) {
-        let mut slots = Vec::new();
-        let total: usize = (0..self.queues())
-            .map(|i| {
-                if i == q {
-                    alloc
-                } else {
-                    self.alloc[i] as usize
-                }
-            })
-            .sum();
-        slots.resize(total, (NULL_FLIT, 0));
-        let mut off = 0usize;
-        for i in 0..self.queues() {
-            let new_alloc = if i == q {
-                alloc
-            } else {
-                self.alloc[i] as usize
-            };
-            for k in 0..self.len[i] as usize {
-                let from = (self.head[i] as usize + k) % self.alloc[i] as usize;
-                slots[off + k] = self.slots[self.off[i] as usize + from];
-            }
-            self.off[i] = off as u32;
-            self.head[i] = 0;
-            self.alloc[i] = new_alloc as u16;
-            off += new_alloc;
-        }
-        self.slots = slots;
-    }
-
-    /// Capacity of queue `q` (its credit window).
-    #[inline]
-    fn capacity(&self, q: usize) -> usize {
-        self.cap[q] as usize
-    }
-
-    /// Occupancy of queue `q` in flits.
-    #[inline]
-    fn len(&self, q: usize) -> usize {
-        self.len[q] as usize
-    }
-
-    /// Whether queue `q` is empty.
-    #[inline]
-    fn is_empty(&self, q: usize) -> bool {
-        self.len[q] == 0
-    }
-
-    /// Free flit slots on queue `q` (credits not yet consumed).
-    #[inline]
-    fn free_slots(&self, q: usize) -> usize {
-        (self.cap[q] - self.len[q]) as usize
-    }
-
-    /// The front entry of queue `q`, as `(flit, arrival cycle)`.
-    #[inline]
-    fn front(&self, q: usize) -> Option<&(Flit, u64)> {
-        if self.len[q] == 0 {
-            return None;
-        }
-        Some(&self.slots[self.off[q] as usize + self.head[q] as usize])
-    }
-
-    /// Appends a flit to queue `q`, growing its ring if the allocation
-    /// is exhausted (never beyond the credit window).
-    #[inline]
-    fn push(&mut self, q: usize, f: Flit, cycle: u64) {
-        debug_assert!(self.len[q] < self.cap[q], "flit accepted without a credit");
-        if self.len[q] == self.alloc[q] {
-            let grown = (self.alloc[q] as usize * 2)
-                .max(INPUT_QUEUE_FLITS)
-                .min(self.cap[q] as usize);
-            self.grow(q, grown);
-        }
-        let at = (self.head[q] + self.len[q]) % self.alloc[q];
-        self.slots[self.off[q] as usize + at as usize] = (f, cycle);
-        self.len[q] += 1;
-    }
-
-    /// Pops the front flit of queue `q`.
-    #[inline]
-    fn pop(&mut self, q: usize) -> Option<Flit> {
-        if self.len[q] == 0 {
-            return None;
-        }
-        let f = self.slots[self.off[q] as usize + self.head[q] as usize].0;
-        self.head[q] = (self.head[q] + 1) % self.alloc[q];
-        self.len[q] -= 1;
-        Some(f)
-    }
-
-    /// Heap bytes behind the store, as `(flit slab, ring cursors)`.
-    fn memory_bytes(&self) -> (usize, usize) {
-        let slab = self.slots.capacity() * std::mem::size_of::<(Flit, u64)>();
-        let cursors = self.off.capacity() * std::mem::size_of::<u32>()
-            + (self.head.capacity()
-                + self.len.capacity()
-                + self.cap.capacity()
-                + self.alloc.capacity())
-                * std::mem::size_of::<u16>();
-        (slab, cursors)
     }
 }
 
@@ -392,475 +187,6 @@ pub type RouteFn = dyn Fn(&Flit, usize /*router id*/) -> RouteDecision + Send + 
 /// torus fabric uses this to type wire bytes by
 /// [`crate::channel::ByteKind`].
 pub type FlitClassFn = dyn Fn(&Flit) -> usize + Send + Sync;
-
-/// The (input port, input VC, outgoing VC, outgoing tag) of the packet
-/// currently owning an output port.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct OutputOwner {
-    packet: u64,
-    in_port: usize,
-    in_vc: u8,
-    out_vc: u8,
-    out_tag: u16,
-}
-
-/// A queue front's resolved target: the output it waits on and the VC
-/// it takes there — a head's route decision (with the outgoing tag its
-/// departure carries), or a body flit's owned output.
-#[derive(Clone, Copy, Debug)]
-struct FrontTarget {
-    tag: u16,
-    out: u8,
-    out_vc: u8,
-}
-
-/// An input-queued, credit-flow-controlled router stepped per cycle.
-#[derive(Clone)]
-pub struct CycleRouter {
-    /// Router id within its fabric (passed to the routing function).
-    pub id: usize,
-    /// All input queues, flat-indexed `port * vcs + vc` (see
-    /// [`FlitStore`] for the slab layout).
-    store: FlitStore,
-    ports: usize,
-    /// In-flight VC allocation: which (input port, vc) currently owns each
-    /// output port (packet-granular cut-through: interleaving flits of
-    /// different packets on one output VC is not allowed).
-    output_owner: Vec<Option<OutputOwner>>,
-    /// Round-robin arbitration pointer per output port.
-    rr: Vec<usize>,
-    /// Pipeline latency in cycles from head arrival to head departure.
-    pub pipeline: u64,
-    vcs: usize,
-    /// Total flits across all input queues (kept incrementally so the
-    /// kernel's per-cycle idle check is O(1)).
-    queued: usize,
-    /// Output ports currently owned by an in-flight packet.
-    owned: usize,
-    /// Flat per-queue cycle at which the current front flit clears the
-    /// router pipeline (`u64::MAX` when the queue is empty).
-    front_ready: Vec<u64>,
-    /// Occupied-queue bitset, bit `port * vcs + vc` set while that
-    /// queue holds a flit, so stall classification walks the occupied
-    /// fronts instead of every port × VC slot.
-    occupied: Vec<u64>,
-    /// The bits of `occupied` whose front is a head flit: the fronts
-    /// arbitration walks. [`Self::accept`] and the pops keep both
-    /// bitsets, so both steppers keep them.
-    heads: Vec<u64>,
-    /// Per-queue memo of the front's target, filled on first use by
-    /// arbitration or stall classification and cleared when the front
-    /// pops: a head is routed once while it waits, and a body front
-    /// looks up its owned output once.
-    front_target: Vec<Option<FrontTarget>>,
-    /// Each output's pick while [`Self::arbitrate_into`] runs, as a
-    /// flat queue index; all `None` between calls.
-    picks: Vec<Option<u16>>,
-    /// Per-cycle head-flit route snapshot (`[port * vcs + vc]`) used by
-    /// the reference full-scan arbiter [`Self::tick`]; reused across
-    /// ticks to avoid per-cycle allocation.
-    decision_scratch: Vec<Option<(usize, u8, u16)>>,
-}
-
-impl CycleRouter {
-    /// Creates a router with `ports` input/output ports, `vcs` VCs and a
-    /// `pipeline`-cycle traversal latency.
-    pub fn new(id: usize, ports: usize, vcs: usize, pipeline: u64) -> Self {
-        let queues = ports * vcs;
-        assert!(
-            queues <= u16::MAX as usize + 1,
-            "flat (port, vc) index must fit the u16 picks"
-        );
-        assert!(ports <= 256, "port index must fit the packed route memo");
-        CycleRouter {
-            id,
-            store: FlitStore::new(queues),
-            ports,
-            output_owner: vec![None; ports],
-            rr: vec![0; ports],
-            pipeline,
-            vcs,
-            queued: 0,
-            owned: 0,
-            front_ready: vec![u64::MAX; queues],
-            occupied: vec![0; queues.div_ceil(64)],
-            heads: vec![0; queues.div_ceil(64)],
-            front_target: vec![None; queues],
-            picks: vec![None; ports],
-            decision_scratch: Vec::new(),
-        }
-    }
-
-    /// Whether this router can do no work this cycle (no queued flits
-    /// and no output owned by a packet still streaming through).
-    pub fn is_idle(&self) -> bool {
-        self.queued == 0 && self.owned == 0
-    }
-
-    /// Heap bytes behind this router as `(flit slab, scheduler state)`:
-    /// the slab is the [`FlitStore`] slot storage; the state covers ring
-    /// cursors, the front mirrors (pipeline-ready cycles, the occupied
-    /// and head bitsets and the front-target memo), output ownership and
-    /// arbitration scratch. Capacity-based — what the allocator actually
-    /// handed out.
-    pub fn memory_bytes(&self) -> (usize, usize) {
-        use std::mem::size_of;
-        let (slab, cursors) = self.store.memory_bytes();
-        let words = self.front_ready.capacity() + self.occupied.capacity() + self.heads.capacity();
-        let fronts = words * size_of::<u64>()
-            + self.front_target.capacity() * size_of::<Option<FrontTarget>>();
-        let state = cursors
-            + fronts
-            + self.output_owner.capacity() * size_of::<Option<OutputOwner>>()
-            + self.rr.capacity() * size_of::<usize>()
-            + self.picks.capacity() * size_of::<Option<u16>>()
-            + self.decision_scratch.capacity() * size_of::<Option<(usize, u8, u16)>>();
-        (slab, state)
-    }
-
-    /// Resizes the input buffers of one port (all VCs) to `depth` flits.
-    /// Ports that model a whole Channel Adapter receive path rather than
-    /// a bare Edge Router queue need a credit window covering the link's
-    /// bandwidth-delay product, or the wire idles waiting on credits.
-    ///
-    /// # Panics
-    /// Panics if the port already holds more flits than `depth`.
-    pub fn set_input_depth(&mut self, port: usize, depth: usize) {
-        for v in 0..self.vcs {
-            self.store.set_cap(port * self.vcs + v, depth);
-        }
-    }
-
-    /// Free slots on input `(port, vc)`. (The fabric's arbitration reads
-    /// the upstream sender's credit count instead, which lags a departure
-    /// by a cycle; see `RouterFabric::credits`.)
-    pub fn free_slots(&self, port: usize, vc: u8) -> usize {
-        self.store.free_slots(port * self.vcs + vc as usize)
-    }
-
-    /// Flits currently queued on input `(port, vc)`.
-    pub fn queue_len(&self, port: usize, vc: u8) -> usize {
-        self.store.len(port * self.vcs + vc as usize)
-    }
-
-    /// The front entry of input queue `(port, vc)` as
-    /// `(flit, arrival cycle)`, if any.
-    pub(crate) fn front(&self, port: usize, vc: u8) -> Option<&(Flit, u64)> {
-        self.store.front(port * self.vcs + vc as usize)
-    }
-
-    /// Delivers a flit to input `(port, vc)` at `cycle`.
-    ///
-    /// # Panics
-    /// Panics (in debug) if no credit was available — callers must check
-    /// [`Self::free_slots`], exactly as the upstream credit counter would.
-    pub fn accept(&mut self, port: usize, vc: u8, flit: Flit, cycle: u64) {
-        let idx = port * self.vcs + vc as usize;
-        if self.store.is_empty(idx) {
-            let bit = 1 << (idx % 64);
-            self.occupied[idx / 64] |= bit;
-            if flit.is_head() {
-                self.heads[idx / 64] |= bit;
-            }
-            self.front_ready[idx] = cycle + self.pipeline;
-        }
-        self.store.push(idx, flit, cycle);
-        self.queued += 1;
-    }
-
-    /// Pops the front flit of input `(p, v)`, maintaining the queued
-    /// total, the front mirrors and memo, and the bitsets.
-    fn take_front(&mut self, p: usize, v: u8) -> Flit {
-        let idx = p * self.vcs + v as usize;
-        let flit = self.store.pop(idx).expect("front exists");
-        self.queued -= 1;
-        self.front_target[idx] = None;
-        let (w, bit) = (idx / 64, 1 << (idx % 64));
-        match self.store.front(idx) {
-            Some(&(next, arrived)) => {
-                self.front_ready[idx] = arrived + self.pipeline;
-                if next.is_head() {
-                    self.heads[w] |= bit;
-                } else {
-                    self.heads[w] &= !bit;
-                }
-            }
-            None => {
-                self.front_ready[idx] = u64::MAX;
-                self.occupied[w] &= !bit;
-                self.heads[w] &= !bit;
-            }
-        }
-        flit
-    }
-
-    /// Completes one departure through `out`: pops the flit from input
-    /// `(p, v)`, applies the outgoing VC/tag, and updates the cut-through
-    /// ownership and round-robin pointer. Shared by the reference arbiter
-    /// ([`Self::tick`]) and the event-driven one
-    /// ([`Self::arbitrate_into`]) so the two cannot drift.
-    fn depart(&mut self, out: usize, p: usize, v: u8, out_vc: u8, out_tag: u16) -> Flit {
-        let mut flit = self.take_front(p, v);
-        flit.vc = out_vc;
-        flit.tag = out_tag;
-        let was_owned = self.output_owner[out].is_some();
-        if flit.is_tail() {
-            self.output_owner[out] = None;
-            self.rr[out] = (p * self.vcs + v as usize + 1) % (self.ports * self.vcs);
-        } else {
-            self.output_owner[out] = Some(OutputOwner {
-                packet: flit.packet,
-                in_port: p,
-                in_vc: v,
-                out_vc,
-                out_tag,
-            });
-        }
-        match (was_owned, flit.is_tail()) {
-            (false, false) => self.owned += 1,
-            (true, true) => self.owned -= 1,
-            _ => {}
-        }
-        flit
-    }
-
-    /// Total queued flits (for drain checks).
-    pub fn occupancy(&self) -> usize {
-        debug_assert_eq!(
-            self.queued,
-            (0..self.store.queues())
-                .map(|q| self.store.len(q))
-                .sum::<usize>(),
-            "incremental occupancy diverged"
-        );
-        self.queued
-    }
-
-    /// The target of occupied queue `i`'s front, memoized until the
-    /// front pops: a head's route decision, or a body flit's owned
-    /// output. `None` for a body front whose packet owns no output,
-    /// which the cut-through protocol rules out.
-    fn target(&mut self, i: usize, route: &RouteFn) -> Option<FrontTarget> {
-        if let Some(t) = self.front_target[i] {
-            return Some(t);
-        }
-        let &(front, _) = self.store.front(i).expect("occupied queue has a front");
-        let t = if front.is_head() {
-            let d = route(&front, self.id);
-            FrontTarget {
-                tag: d.tag,
-                out: d.port as u8,
-                out_vc: d.vc,
-            }
-        } else {
-            let (out, out_vc) = self.owner_output(i / self.vcs, (i % self.vcs) as u8)?;
-            FrontTarget {
-                tag: 0,
-                out: out as u8,
-                out_vc,
-            }
-        };
-        self.front_target[i] = Some(t);
-        Some(t)
-    }
-
-    /// Event-driven arbitration, pushing departures as `(router id,
-    /// input queue, output, flit)`, the queue flat (`port * vcs + vc`)
-    /// and the flit with its outgoing VC/tag applied. `downstream_ok`
-    /// answers the full departure question for `(output, outgoing vc)`,
-    /// serialization and downstream credit, exactly as for
-    /// [`Self::tick`].
-    ///
-    /// One ascending walk over the head fronts that have cleared the
-    /// pipeline picks, for each unowned output, the first head at or
-    /// after the output's round-robin pointer whose check passes, or
-    /// else the first one before it: the head `tick`'s rotated scan
-    /// grants. Nothing a check reads changes while a router arbitrates,
-    /// so asking the checks in walk order changes no grant. Departures
-    /// follow in ascending output order, an owner continuing its packet,
-    /// and none happens before every pick is made, so a front a pop
-    /// reveals waits a cycle, as in `tick`'s route snapshot. The
-    /// `stepper_equivalence` tests pin the two bit for bit.
-    pub(crate) fn arbitrate_into(
-        &mut self,
-        cycle: u64,
-        route: &RouteFn,
-        mut downstream_ok: impl FnMut(usize, u8) -> bool,
-        moves: &mut Vec<(usize, usize, usize, Flit)>,
-    ) {
-        let mut picked = false;
-        for w in 0..self.heads.len() {
-            let mut bits = self.heads[w];
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.front_ready[i] > cycle {
-                    continue;
-                }
-                let t = self.target(i, route).expect("a head front is routed");
-                let out = t.out as usize;
-                let rr = self.rr[out];
-                // A pick at or after the pointer is final, and so is one
-                // before it while the walk is still before it.
-                let settled = self.picks[out].is_some_and(|p| p as usize >= rr || i < rr);
-                if self.output_owner[out].is_none() && !settled && downstream_ok(out, t.out_vc) {
-                    self.picks[out] = Some(i as u16);
-                    picked = true;
-                }
-            }
-        }
-        if !picked && self.owned == 0 {
-            return;
-        }
-        for out in 0..self.ports {
-            let depart = match self.output_owner[out] {
-                // Cut-through owners continue their own packet: sources
-                // must keep a packet's flits contiguous per (port, VC) —
-                // see [`RouterFabric::inject`].
-                Some(o) => {
-                    let oidx = o.in_port * self.vcs + o.in_vc as usize;
-                    let go = self.front_ready[oidx] <= cycle && downstream_ok(out, o.out_vc);
-                    debug_assert!(
-                        !go || self.store.front(oidx).expect("ready front").0.packet == o.packet,
-                        "interleaved flits of two packets on one input VC"
-                    );
-                    go.then_some((o.in_port, o.in_vc, o.out_vc, o.out_tag))
-                }
-                None => self.picks[out].take().map(|i| {
-                    let i = i as usize;
-                    let t = self.front_target[i].expect("a pick is routed");
-                    (i / self.vcs, (i % self.vcs) as u8, t.out_vc, t.tag)
-                }),
-            };
-            if let Some((p, v, out_vc, out_tag)) = depart {
-                let flit = self.depart(out, p, v, out_vc, out_tag);
-                moves.push((self.id, p * self.vcs + v as usize, out, flit));
-            }
-        }
-    }
-
-    /// The output port (and outgoing VC) currently owned by input
-    /// `(p, v)`'s in-flight packet, if any — the continuation target of
-    /// a body flit at that queue's front.
-    fn owner_output(&self, p: usize, v: u8) -> Option<(usize, u8)> {
-        self.output_owner.iter().enumerate().find_map(|(out, o)| {
-            o.filter(|o| o.in_port == p && o.in_vc == v)
-                .map(|o| (out, o.out_vc))
-        })
-    }
-
-    /// Visits every occupied queue front that has cleared the router
-    /// pipeline at `cycle`, in ascending flat-index order (the reference
-    /// classifier's port × VC order), as `(output, outgoing VC)` — the
-    /// per-front inputs of the epoch kernel's stall classification. A
-    /// front still in the pipeline costs one compare and is not visited:
-    /// pipeline time is not a stall. Targets come from the memo
-    /// arbitration fills too, so a stalled front costs no slab read or
-    /// route call after its first cycle. A body front whose packet owns
-    /// no output is skipped, as [`RouterFabric`]'s reference classifier
-    /// skips it.
-    pub(crate) fn for_each_front_target(
-        &mut self,
-        cycle: u64,
-        route: &RouteFn,
-        mut f: impl FnMut(usize, u8),
-    ) {
-        for w in 0..self.occupied.len() {
-            let mut bits = self.occupied[w];
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.front_ready[i] > cycle {
-                    continue;
-                }
-                if let Some(t) = self.target(i, route) {
-                    f(t.out as usize, t.out_vc);
-                }
-            }
-        }
-    }
-
-    /// One **reference** arbitration cycle — the naive full scan over
-    /// every (port, VC) pair and every output, retained as the
-    /// executable specification of the event-driven
-    /// `arbitrate_into` path (the `stepper_equivalence` property
-    /// tests run both and require bit-identical results). Selects at
-    /// most one flit per output port (and at most one per input VC queue
-    /// — a single queue read port) and returns the departures as
-    /// `(input queue, output port, flit)`, the queue flat
-    /// (`port * vcs + vc`) and the flit with its outgoing VC/tag applied.
-    /// `downstream_ok` reports whether the downstream queue for
-    /// `(output_port, outgoing vc)` has a credit and the link is free to
-    /// serialize.
-    pub fn tick(
-        &mut self,
-        cycle: u64,
-        route: &RouteFn,
-        mut downstream_ok: impl FnMut(usize, u8) -> bool,
-    ) -> Vec<(usize, usize, Flit)> {
-        let ports = self.ports;
-        let mut sent = Vec::new();
-        if self.is_idle() {
-            return sent;
-        }
-        // Route computation runs once per eligible head flit per cycle
-        // (it is a pure function of the flit, so the snapshot stays valid
-        // through the per-output arbitration below). An entry is cleared
-        // when its flit departs, which also enforces the single read port
-        // per input queue.
-        let mut decisions = std::mem::take(&mut self.decision_scratch);
-        decisions.clear();
-        decisions.resize(ports * self.vcs, None);
-        for (q, decision) in decisions.iter_mut().enumerate() {
-            if let Some(&(head, arrived)) = self.store.front(q) {
-                if head.is_head() && arrived + self.pipeline <= cycle {
-                    let d = route(&head, self.id);
-                    *decision = Some((d.port, d.vc, d.tag));
-                }
-            }
-        }
-        for out in 0..ports {
-            // If an owner holds the output, it continues its packet;
-            // otherwise round-robin over (port, vc) pairs whose head flit
-            // routes to this output, has cleared the pipeline, and can be
-            // accepted downstream.
-            let depart: Option<(usize, u8, u8, u16)> = match self.output_owner[out] {
-                Some(o) => match self.store.front(o.in_port * self.vcs + o.in_vc as usize) {
-                    Some(&(body, arrived))
-                        if arrived + self.pipeline <= cycle && downstream_ok(out, o.out_vc) =>
-                    {
-                        debug_assert_eq!(
-                            body.packet, o.packet,
-                            "interleaved flits of two packets on one input VC"
-                        );
-                        Some((o.in_port, o.in_vc, o.out_vc, o.out_tag))
-                    }
-                    _ => None,
-                },
-                None => {
-                    let mut found = None;
-                    for i in 0..ports * self.vcs {
-                        let idx = (self.rr[out] + i) % (ports * self.vcs);
-                        if let Some((dout, dvc, dtag)) = decisions[idx] {
-                            if dout == out && downstream_ok(out, dvc) {
-                                decisions[idx] = None;
-                                found = Some((idx / self.vcs, (idx % self.vcs) as u8, dvc, dtag));
-                                break;
-                            }
-                        }
-                    }
-                    found
-                }
-            };
-            if let Some((p, v, out_vc, out_tag)) = depart {
-                let flit = self.depart(out, p, v, out_vc, out_tag);
-                sent.push((p * self.vcs + v as usize, out, flit));
-            }
-        }
-        self.decision_scratch = decisions;
-        sent
-    }
-}
 
 /// A wiring entry: output port `port` of router `router` feeds input port
 /// `dest_port` of router `dest_router` (or an ejection endpoint).
@@ -1239,802 +565,7 @@ use shard::{ShardPool, ShardScratch};
 /// frees the views under a running window. A one-shard fabric has no
 /// pool: the stepping thread runs the window inline, so its panics
 /// simply unwind.
-mod shard {
-    use super::*;
-    use std::any::Any;
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
-
-    /// Why [`RouterFabric::set_shards`] refused a shard count.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub enum ShardError {
-        /// The count was zero or exceeded the router count.
-        InvalidCount {
-            /// Requested shard count.
-            shards: usize,
-            /// Routers available to partition.
-            routers: usize,
-        },
-        /// The fabric still holds traffic: queued flits, flits in link
-        /// flight, or a packet mid-cut-through. Re-partitioning would hand
-        /// live state to new owners mid-protocol; drain the fabric first.
-        Busy {
-            /// Flits resident in queues and in link flight.
-            resident: usize,
-        },
-        /// A router-to-router link has zero latency, so a departure would
-        /// have to land in another shard *within the same cycle* — there is
-        /// no transmission window to hide the exchange barrier in. (Links of
-        /// a calibrated torus are always at least one cycle long; latency-0
-        /// router links occur only in single-chip test fabrics, which step
-        /// with one shard.)
-        ZeroLatencyLink {
-            /// Upstream router of the offending link.
-            router: usize,
-            /// Upstream output port of the offending link.
-            port: usize,
-        },
-        /// A lookahead window of zero cycles was requested. Shards must
-        /// advance at least one cycle per epoch; pass `None` (or omit the
-        /// knob) for the automatic structural window.
-        InvalidLookahead,
-    }
-
-    impl fmt::Display for ShardError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                ShardError::InvalidCount { shards, routers } => {
-                    write!(f, "cannot split {routers} routers into {shards} shards")
-                }
-                ShardError::Busy { resident } => write!(
-                    f,
-                    "cannot re-shard a busy fabric ({resident} flits resident); drain first"
-                ),
-                ShardError::ZeroLatencyLink { router, port } => write!(
-                    f,
-                    "router link ({router}, {port}) has zero latency; sharded stepping needs \
-                 every inter-router link to be at least one cycle long"
-                ),
-                ShardError::InvalidLookahead => write!(
-                    f,
-                    "lookahead window must be at least one cycle (use None for the \
-                 automatic structural window)"
-                ),
-            }
-        }
-    }
-
-    impl std::error::Error for ShardError {}
-
-    /// A counting barrier for the end-of-epoch fence of a sharded step.
-    /// Spins briefly then yields: epochs are microseconds apart, so
-    /// parking in the kernel between them would dominate, but the
-    /// busy-wait must stay polite when shards exceed cores (single-core
-    /// machines still run the multi-shard equivalence tests).
-    struct SpinBarrier {
-        total: usize,
-        count: AtomicUsize,
-        generation: AtomicUsize,
-    }
-
-    impl SpinBarrier {
-        fn new(total: usize) -> Self {
-            SpinBarrier {
-                total,
-                count: AtomicUsize::new(0),
-                generation: AtomicUsize::new(0),
-            }
-        }
-
-        fn wait(&self) {
-            let generation = self.generation.load(Ordering::Acquire);
-            if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-                // Last arrival resets the count for the next fence and
-                // releases the waiters; the reset is ordered before the
-                // generation bump, so a released party re-entering `wait`
-                // always sees the fresh count.
-                self.count.store(0, Ordering::Relaxed);
-                self.generation.fetch_add(1, Ordering::Release);
-            } else {
-                let mut spins = 0u32;
-                while self.generation.load(Ordering::Acquire) == generation {
-                    spins = spins.wrapping_add(1);
-                    if spins < 128 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Shared control block between a sharded fabric and its workers.
-    struct PoolCtl {
-        /// Step grant: a bumped epoch plus the addresses of the epoch's
-        /// [`EpochInputs`] and of the [`ShardRows`] of shards `1..` (the
-        /// stepping thread's `step_epoch` owns both and keeps them valid
-        /// until every party passes the final barrier).
-        go: Mutex<(u64, usize, usize)>,
-        cv: Condvar,
-        stop: AtomicBool,
-        /// The end-of-epoch fence, sized to the shard count.
-        barrier: SpinBarrier,
-        /// The first panic caught in any party's window this epoch,
-        /// re-raised by the stepping thread once every party has passed
-        /// the fence.
-        panic: Mutex<Option<Box<dyn Any + Send>>>,
-    }
-
-    impl PoolCtl {
-        /// Keeps `payload` unless an earlier party's panic is recorded.
-        fn record_panic(&self, payload: Box<dyn Any + Send>) {
-            self.panic.lock().expect("pool lock").get_or_insert(payload);
-        }
-    }
-
-    /// The persistent worker pool of a sharded fabric: shard 0 runs on the
-    /// stepping thread itself; shards `1..` each own one worker parked on a
-    /// condvar between steps. Steps happen far too often (tens of
-    /// microseconds apart) to spawn threads per cycle, and parked workers
-    /// cost nothing while the fabric idles or steps via the reference path.
-    pub(super) struct ShardPool {
-        ctl: Arc<PoolCtl>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    }
-
-    impl ShardPool {
-        #[allow(unsafe_code)]
-        pub(super) fn new(shards: usize) -> Self {
-            let ctl = Arc::new(PoolCtl {
-                go: Mutex::new((0, 0, 0)),
-                cv: Condvar::new(),
-                stop: AtomicBool::new(false),
-                barrier: SpinBarrier::new(shards),
-                panic: Mutex::new(None),
-            });
-            let workers = (1..shards)
-                .map(|s| {
-                    let ctl = Arc::clone(&ctl);
-                    std::thread::Builder::new()
-                        .name(format!("shard-{s}"))
-                        .spawn(move || {
-                            let mut seen = 0u64;
-                            loop {
-                                let (inputs, rows) = {
-                                    let mut go = ctl.go.lock().expect("pool lock");
-                                    loop {
-                                        if ctl.stop.load(Ordering::Relaxed) {
-                                            return;
-                                        }
-                                        if go.0 > seen {
-                                            seen = go.0;
-                                            break (go.1, go.2);
-                                        }
-                                        go = ctl.cv.wait(go).expect("pool lock");
-                                    }
-                                };
-                                let window = catch_unwind(AssertUnwindSafe(|| {
-                                    // SAFETY: `launch` published the epoch's
-                                    // inputs and one row view per worker,
-                                    // for shards `1..` in order, so element
-                                    // `s - 1` exists and is this shard's
-                                    // alone; no other party touches it.
-                                    // The stepping thread keeps both alive
-                                    // until it passes the epoch barrier
-                                    // below, which cannot happen before this
-                                    // worker reaches it too — a panicking
-                                    // window included, since the panic is
-                                    // caught here and handed to the stepping
-                                    // thread to re-raise.
-                                    let (inputs, rows) = unsafe {
-                                        (
-                                            &*(inputs as *const EpochInputs<'_>),
-                                            &mut *(rows as *mut ShardRows<'_>).add(s - 1),
-                                        )
-                                    };
-                                    run_window(inputs, rows);
-                                }));
-                                if let Err(payload) = window {
-                                    ctl.record_panic(payload);
-                                }
-                                ctl.barrier.wait();
-                            }
-                        })
-                        .expect("spawn shard worker")
-                })
-                .collect();
-            ShardPool { ctl, workers }
-        }
-
-        /// Publishes one epoch's inputs and the rows of shards `1..` (one
-        /// element per worker, in shard order) and wakes the workers. The
-        /// caller must then run shard 0's window itself and wait on the
-        /// epoch barrier, which holds it until every worker finishes.
-        fn launch(&self, inputs: &EpochInputs<'_>, rest: &mut [ShardRows<'_>]) {
-            assert_eq!(rest.len(), self.workers.len(), "one row view per worker");
-            let mut go = self.ctl.go.lock().expect("pool lock");
-            go.0 += 1;
-            go.1 = inputs as *const EpochInputs<'_> as usize;
-            go.2 = rest.as_mut_ptr() as usize;
-            self.ctl.cv.notify_all();
-        }
-    }
-
-    impl Drop for ShardPool {
-        fn drop(&mut self) {
-            self.ctl.stop.store(true, Ordering::Relaxed);
-            // Taking the lock fences the flag against a worker mid-way into
-            // its wait, so the notify below cannot be missed.
-            drop(self.ctl.go.lock().expect("pool lock"));
-            self.ctl.cv.notify_all();
-            for w in self.workers.drain(..) {
-                let _ = w.join();
-            }
-        }
-    }
-
-    /// Per-shard state of the epoch kernel: the arrival wheel, and
-    /// per-epoch buffers reused across epochs. Written only by the owning
-    /// shard inside its window, and by serial code outside windows.
-    ///
-    /// Aligned to its own cache lines: windows keep writing `sent`,
-    /// `landed` and `last_move` while they run, and no line may hold
-    /// fields of two shards.
-    #[derive(Default)]
-    #[repr(align(128))]
-    pub(super) struct ShardScratch {
-        /// Calendar wheel of this shard's landings: slot `t % len` holds
-        /// the bookings landing at cycle `t`. The length exceeds every
-        /// link latency (see [`RouterFabric::set_link_spec`]), so a slot
-        /// never mixes cycles.
-        pub(super) wheel: Vec<Vec<Arrival>>,
-        /// This window's departures into other shards, as `(wheel slot,
-        /// booking)`, for the epilogue to move onto the downstream
-        /// shard's wheel.
-        outbox: Vec<(usize, Arrival)>,
-        /// Credits this window's departures return to senders in other
-        /// shards, as `(router, credit-row index)`, for the epilogue to
-        /// apply.
-        returns: Vec<(usize, usize)>,
-        /// Flits this window sent onto positive-latency links.
-        sent: usize,
-        /// Flits this window landed into its routers.
-        landed: usize,
-        /// The last cycle of this window in which a router of the shard
-        /// moved a flit (0 when none did), for the drain rewind.
-        last_move: u64,
-        /// The current private cycle's departures, `(router, input
-        /// queue, output, flit)`, in ascending router order.
-        moves: Vec<(usize, usize, usize, Flit)>,
-        /// Ejections across the window as `(cycle, flit)`, in the serial
-        /// order within the shard: by cycle, then by departure.
-        ejected: Vec<(u64, Flit)>,
-        /// While tracing, the window's head hops onto router links as
-        /// `(cycle, router, out, flit)`, in the same order as `ejected`.
-        hops: Vec<(u64, usize, usize, Flit)>,
-        /// While tracing, the endpoint's injections as `(rank, event)`,
-        /// by cycle, then in the order it made them.
-        pub(super) injects: Vec<(u8, TraceEvent)>,
-    }
-
-    impl ShardScratch {
-        /// A shard's state with an empty `wheel_len`-slot arrival wheel.
-        pub(super) fn new(wheel_len: usize) -> Self {
-            ShardScratch {
-                wheel: vec![Vec::new(); wheel_len],
-                ..ShardScratch::default()
-            }
-        }
-
-        /// Heap bytes behind this shard's wheel and scratch buffers (for
-        /// the fabric memory audit).
-        pub(super) fn memory_bytes(&self) -> usize {
-            use std::mem::size_of;
-            let wheel = self.wheel.capacity() * size_of::<Vec<Arrival>>()
-                + self
-                    .wheel
-                    .iter()
-                    .map(|s| s.capacity() * size_of::<Arrival>())
-                    .sum::<usize>();
-            wheel
-                + self.outbox.capacity() * size_of::<(usize, Arrival)>()
-                + self.returns.capacity() * size_of::<(usize, usize)>()
-                + self.moves.capacity() * size_of::<(usize, usize, usize, Flit)>()
-                + self.ejected.capacity() * size_of::<(u64, Flit)>()
-                + self.hops.capacity() * size_of::<(u64, usize, usize, Flit)>()
-                + self.injects.capacity() * size_of::<(u8, TraceEvent)>()
-        }
-    }
-
-    /// What every shard window of one epoch only reads.
-    struct EpochInputs<'a> {
-        /// First cycle of the window.
-        cycle: u64,
-        /// Window width: shards privately simulate `cycle..cycle + window`.
-        window: u64,
-        wiring: &'a [Vec<PortLink>],
-        link_off: &'a [usize],
-        route: &'a RouteFn,
-        classify: Option<&'a FlitClassFn>,
-        /// Whether any flit was in flight when the epoch started; if not,
-        /// nothing lands inside the window.
-        in_flight: bool,
-    }
-
-    /// One shard's rows of the fabric for one epoch, split off at the
-    /// shard's bounds: everything its window writes, and its rows of the
-    /// feeder map.
-    struct ShardRows<'a> {
-        /// First router of the shard.
-        lo: usize,
-        routers: &'a mut [CycleRouter],
-        channels: &'a mut [Vec<ChannelState>],
-        next_free: &'a mut [Vec<u64>],
-        credits: &'a mut [Vec<u32>],
-        feeder: &'a [Vec<Option<(u32, u32)>>],
-        scratch: &'a mut ShardScratch,
-        /// The shard's telemetry recorder, over its own links
-        /// ([`Telemetry::recorders`]); `None` when telemetry is off.
-        recorder: Option<LinkRecorder<'a>>,
-        /// The shard's endpoint ([`RouterFabric::step_endpoints`]), if
-        /// the epoch runs endpoints.
-        endpoint: Option<&'a mut dyn Endpoint>,
-    }
-
-    // The pool hands each worker `&EpochInputs` and its own `&mut ShardRows`.
-    const _: () = {
-        const fn shared<T: Send + Sync>() {}
-        const fn owned<T: Send>() {}
-        shared::<EpochInputs<'static>>();
-        owned::<ShardRows<'static>>();
-    };
-
-    /// Splits the first `n` rows off `rest`.
-    fn take_rows<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
-        let (rows, tail) = std::mem::take(rest).split_at_mut(n);
-        *rest = tail;
-        rows
-    }
-
-    /// Runs one shard's private window of a lookahead epoch: up to
-    /// `window` cycles of land / arbitrate / apply with **no internal
-    /// synchronization**. Each cycle first runs the shard's endpoint, if
-    /// the epoch has endpoints — generation and injection into the
-    /// shard's own injection ports — then lands the shard's wheel slot,
-    /// then arbitrates every router of the shard that has work, in
-    /// ascending index order; ejections go to the endpoint as they
-    /// apply. The window ends early at a cycle in which no router had
-    /// work if nothing was in flight when the epoch began and the
-    /// endpoint is idle. Every party — the stepping thread as shard 0, one
-    /// pool worker per remaining shard — calls this exactly once per
-    /// epoch, then waits on the epoch barrier, having caught any panic
-    /// of the window first (a one-shard fabric has neither workers nor
-    /// barrier).
-    ///
-    /// Cross-shard effects cannot occur inside the window: every
-    /// positive-latency link is at least `window` cycles long, so a flit
-    /// departing during the window lands at or beyond the barrier, and
-    /// every landing *inside* the window was booked on this shard's
-    /// wheel before the epoch began — by its own departures, or as a
-    /// boundary accept an earlier epilogue moved in. Zero-latency router
-    /// links never leave a shard (`set_shards` and `set_link_spec`
-    /// refuse them), so their flits land in-shard the cycle they depart.
-    /// Every credit check reads the sender's own row. A departure's
-    /// credit returns to a sender in another shard only at the epilogue,
-    /// and the window clamp keeps that delay invisible (see
-    /// [`RouterFabric::step_epoch`]).
-    fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
-        let ShardRows {
-            lo,
-            routers,
-            channels,
-            next_free,
-            credits,
-            feeder,
-            scratch,
-            recorder: rec,
-            endpoint,
-        } = rows;
-        let (lo, hi) = (*lo, *lo + routers.len());
-        let tracing = rec.as_ref().is_some_and(|r| r.trace);
-        (scratch.sent, scratch.landed, scratch.last_move) = (0, 0, 0);
-        let t0 = inp.cycle;
-        let tend = t0 + inp.window;
-
-        let wheel_len = scratch.wheel.len() as u64;
-        let mut cycle = t0;
-        while cycle < tend {
-            // The endpoint stage, ahead of the landings: the view reaches
-            // only this shard's routers, and only their injection ports —
-            // a port a link feeds spends its sender's credit, which may
-            // be another shard's.
-            if let Some(ep) = endpoint.as_deref_mut() {
-                let mut port = InjectPort {
-                    cycle,
-                    lo,
-                    n_routers: inp.wiring.len(),
-                    routers,
-                    feeder,
-                    credits: None,
-                    trace: tracing.then_some(&mut scratch.injects),
-                    rank: 0,
-                };
-                ep.begin_cycle(cycle, &mut port);
-            }
-            // Land this cycle's wheel slot into this shard's queues.
-            // Departures book at least one window out, so the slot cannot
-            // grow while it lands.
-            let slot = (cycle % wheel_len) as usize;
-            if !scratch.wheel[slot].is_empty() {
-                let mut bucket = std::mem::take(&mut scratch.wheel[slot]);
-                for a in &bucket {
-                    let i = a.router as usize - lo;
-                    routers[i].accept(a.port as usize, a.flit.vc, a.flit, cycle);
-                }
-                scratch.landed += bucket.len();
-                bucket.clear();
-                scratch.wheel[slot] = bucket;
-            }
-
-            // The downstream-credit half of a departure check for the
-            // shard's router `i` (its row index), output `out`, VC `vc`
-            // (`vcs` is the router's VC count, the stride of its credit
-            // row): one entry of the router's own row. Arbitration and
-            // stall classification both ask here; nothing it reads
-            // changes while a cycle arbitrates.
-            let has_credit =
-                |i: usize, vcs: usize, out: usize, vc: u8| credits[i][out * vcs + vc as usize] > 0;
-
-            // Arbitration: every router with work, in index order.
-            let mut busy = false;
-            for (i, router) in routers.iter_mut().enumerate() {
-                if router.is_idle() {
-                    continue;
-                }
-                busy = true;
-                let vcs = router.vcs;
-                let next_free_r = &next_free[i];
-                router.arbitrate_into(
-                    cycle,
-                    inp.route,
-                    |out, vc| next_free_r[out] <= cycle && has_credit(i, vcs, out, vc),
-                    &mut scratch.moves,
-                );
-            }
-            if !busy {
-                // Dead shard-cycle. Later slots may still land flits,
-                // unless nothing was in flight at the epoch start, and the
-                // endpoint may still generate or inject.
-                if !inp.in_flight && endpoint.as_deref().is_none_or(|ep| ep.idle(cycle + 1)) {
-                    break;
-                }
-                cycle += 1;
-                continue;
-            }
-            if !scratch.moves.is_empty() {
-                scratch.last_move = cycle;
-            }
-
-            if let Some(rec) = rec.as_mut() {
-                // Record this cycle's advances, then classify every
-                // occupied front that has cleared the pipeline against
-                // the same private-cycle state arbitration read, into the
-                // shard's own counters — the epoch mirror of
-                // `telemetry_record`, fed per front by
-                // `for_each_front_target` (targets read from the memo
-                // arbitration shares, only occupied queues visited).
-                for &(r, _, out, ref flit) in &scratch.moves {
-                    rec.advance(cycle, inp.link_off[r] + out);
-                    if rec.trace
-                        && flit.is_head()
-                        && matches!(inp.wiring[r][out], PortLink::Router { .. })
-                    {
-                        scratch.hops.push((cycle, r, out, *flit));
-                    }
-                }
-                for (i, router) in routers.iter_mut().enumerate() {
-                    if router.is_idle() {
-                        continue;
-                    }
-                    let (vcs, link0) = (router.vcs, inp.link_off[lo + i]);
-                    let next_free_r = &next_free[i];
-                    router.for_each_front_target(cycle, inp.route, |out, out_vc| {
-                        let link = link0 + out;
-                        let cause = StallCause::of(
-                            rec.advanced_on(cycle, link),
-                            next_free_r[out] > cycle,
-                            || !has_credit(i, vcs, out, out_vc),
-                        );
-                        rec.stall(cycle, link, out_vc, cause);
-                    });
-                }
-            }
-
-            // Apply: each departure returns the credit of the queue it
-            // left to the link feeding that queue — in the sender's row
-            // when it is this shard's, else through the epilogue — spends
-            // its own and enters its link. Arbitration and classification
-            // are done, so no credit check sees the return before the
-            // next cycle. Every booking lands at or beyond the epoch
-            // barrier (no positive link latency is shorter than the
-            // window): a hop inside the shard books on the shard's wheel,
-            // a boundary hop in the outbox. Zero-latency hops land
-            // in-shard and ejections deliver, this cycle.
-            for (r, q, out, flit) in scratch.moves.drain(..) {
-                debug_assert!(lo <= r && r < hi, "move escaped its shard");
-                let vcs = routers[r - lo].vcs;
-                if let Some((up, up_out)) = feeder[r - lo][q / vcs] {
-                    let (up, at) = (up as usize, up_out as usize * vcs + q % vcs);
-                    if (lo..hi).contains(&up) {
-                        credits[up - lo][at] += 1;
-                    } else {
-                        scratch.returns.push((up, at));
-                    }
-                }
-                let class = inp.classify.map(|f| f(&flit));
-                let ch = &mut channels[r - lo][out];
-                next_free[r - lo][out] = cycle + ch.spec.interval;
-                ch.flits_sent += 1;
-                ch.packets_sent += u64::from(flit.is_tail());
-                if let Some(c) = class {
-                    ch.class_flits[c] += 1;
-                }
-                let spec = ch.spec;
-                match inp.wiring[r][out] {
-                    PortLink::Router {
-                        router: dst,
-                        port: dport,
-                    } => {
-                        credits[r - lo][out * vcs + flit.vc as usize] -= 1;
-                        if spec.latency == 0 {
-                            // Flight folds into the downstream pipeline.
-                            assert!(lo <= dst && dst < hi, "zero-latency link left its shard");
-                            routers[dst - lo].accept(dport, flit.vc, flit, cycle);
-                        } else {
-                            debug_assert!(spec.latency < wheel_len, "arrival beyond the wheel");
-                            debug_assert!(
-                                cycle + spec.latency >= tend,
-                                "booking inside the window"
-                            );
-                            let slot = ((cycle + spec.latency) % wheel_len) as usize;
-                            let a = Arrival {
-                                flit,
-                                router: dst as u32,
-                                port: dport as u8,
-                            };
-                            if (lo..hi).contains(&dst) {
-                                scratch.wheel[slot].push(a);
-                            } else {
-                                scratch.outbox.push((slot, a));
-                            }
-                            scratch.sent += 1;
-                        }
-                    }
-                    PortLink::Endpoint(_) => {
-                        if let Some(ep) = endpoint.as_deref_mut() {
-                            ep.deliver(cycle, &flit);
-                        }
-                        scratch.ejected.push((cycle, flit));
-                    }
-                    PortLink::Unused => unreachable!("flit departed through an unused port"),
-                }
-            }
-            cycle += 1;
-        }
-    }
-
-    /// Sorts `list` stably by `key`, unless it already is.
-    fn sort_stably<T, K: Ord>(list: &mut [T], key: impl Fn(&T) -> K) {
-        if !list.is_sorted_by_key(&key) {
-            list.sort_by_key(key);
-        }
-    }
-
-    impl RouterFabric {
-        /// Telemetry post-phase, shared by both steppers: traces the
-        /// injections and hops the shards listed (in shard order, then
-        /// stably by cycle — and injections by rank within a cycle —
-        /// like their deliveries; the reference stepper traced its own
-        /// in `inject_with` and `telemetry_record`) and the step's new
-        /// delivery-log entries, each cycle's injections, then hops, then
-        /// deliveries.
-        pub(super) fn telemetry_note_deliveries(&mut self) {
-            let Some(tel) = self.telemetry.as_deref_mut() else {
-                return;
-            };
-            let (first, rest) = self.shard_scratch.split_at_mut(1);
-            let (injects, hops) = (&mut first[0].injects, &mut first[0].hops);
-            for sc in rest {
-                injects.append(&mut sc.injects);
-                hops.append(&mut sc.hops);
-            }
-            sort_stably(injects, |&(rank, ref ev)| (ev.cycle, rank));
-            sort_stably(hops, |h| h.0);
-            tel.note_stepped(injects, hops, &self.delivered);
-            injects.clear();
-            hops.clear();
-        }
-
-        /// The shard owning router `r` under the current partition.
-        pub(super) fn shard_of(&self, r: usize) -> usize {
-            self.bounds.partition_point(|&b| b <= r) - 1
-        }
-
-        /// The lookahead-epoch step, at every shard count: selects the
-        /// widest window `W` every shard can legally simulate alone, runs
-        /// all shards privately for up to `W` cycles — each landing its
-        /// own arrival wheel and recording telemetry into its own links'
-        /// counters — inline when there is one shard, else with **one**
-        /// pool launch and **one** end-of-epoch barrier, where the
-        /// retired per-cycle protocol paid one launch plus four barriers
-        /// per simulated cycle. The serial epilogue then only orders
-        /// output: it appends the shards' deliveries (and, while tracing,
-        /// hops) in shard order and sorts them stably by cycle, which over
-        /// contiguous ascending regions is the reference stepper's
-        /// (cycle, ascending router) order; it moves the window's
-        /// boundary flits onto their downstream wheels, and it applies
-        /// the credits the window's departures return across boundaries.
-        ///
-        /// Window selection takes the minimum of:
-        /// - the caller's stepping limit (`limit - cycle`),
-        /// - the fabric's minimum positive link latency, so no departure
-        ///   booked inside the window can also *land* inside it — every
-        ///   window landing is already on its shard's wheel,
-        /// - the configured cap ([`RouterFabric::set_shards_with_lookahead`];
-        ///   tests pin degenerate windows of 1),
-        /// - the distance to the next telemetry epoch boundary, so rolls
-        ///   always happen serially at a prologue,
-        /// - per boundary `(link, vc)`: `(credits - 1) * interval + 1`
-        ///   cycles, where `credits` is the sender's count at the epoch
-        ///   start. A link serializes at most one flit per `interval`
-        ///   cycles, so within that window the sender spends its last
-        ///   credit no earlier than the window's last cycle. Its count
-        ///   misses the downstream's mid-window credit *returns* until
-        ///   the epilogue applies them, but no check inside the window
-        ///   finds it at zero unless the serial credit loop's is zero
-        ///   too — credit checks, grants, and stall causes stay
-        ///   bit-exact.
-        ///
-        /// When the window drains the fabric (no flit in flight, and
-        /// [`CycleRouter::is_idle`] for every router), the cycle counter
-        /// rewinds to one past the last cycle a flit moved — the exact
-        /// cycle per-cycle stepping stops at, so drain-loop observables
-        /// do not depend on the window width — provided every endpoint is
-        /// idle from there on, so the rewind never moves back over a cycle
-        /// in which an endpoint drew a random number or tried to inject.
-        ///
-        /// Ejections deliver *inside* shard windows, where no prologue
-        /// can foresee them and no epoch can be unwound past them. Work
-        /// that reacts to a delivery runs in the shard's endpoint
-        /// (`endpoints`, one per shard, or none); a caller that reacts
-        /// itself must pass `limit = cycle + 1` ([`RouterFabric::step`]).
-        pub(super) fn step_epoch(&mut self, limit: u64, endpoints: &mut [&mut dyn Endpoint]) {
-            let t0 = self.cycle;
-            debug_assert!(limit > t0, "epoch must advance at least one cycle");
-            if self.telemetry.is_some() {
-                self.telemetry_begin_step();
-            }
-
-            // ---- Window selection ----
-            let mut w = (limit - t0).min(self.min_pos_latency);
-            if let Some(cap) = self.lookahead_cap {
-                w = w.min(cap);
-            }
-            if let Some(tel) = self.telemetry.as_deref() {
-                let len = tel.epoch_cycles();
-                w = w.min(len - t0 % len);
-            }
-            for &(r, out) in &self.boundary {
-                let interval = self.channels[r][out].spec.interval;
-                let vcs = self.routers[r].vcs;
-                for &credit in &self.credits[r][out * vcs..(out + 1) * vcs] {
-                    w = w.min(u64::from(credit.saturating_sub(1)) * interval + 1);
-                }
-            }
-            let w = w.max(1);
-
-            // ---- Private windows: inline, or one launch + one barrier ----
-            let shards = self.bounds.len() - 1;
-            {
-                let inputs = EpochInputs {
-                    cycle: t0,
-                    window: w,
-                    wiring: &self.wiring,
-                    link_off: &self.link_off,
-                    route: &*self.route,
-                    classify: self.classify.as_deref(),
-                    in_flight: self.in_flight_total > 0,
-                };
-                // Each shard records into its own links' telemetry rows.
-                let ends = self.bounds[1..].iter().map(|&b| self.link_off[b]);
-                let mut recorders = self.telemetry.as_deref_mut().map(|t| t.recorders(ends));
-                let mut endpoints = endpoints.iter_mut();
-                let (mut routers, mut channels) = (&mut self.routers[..], &mut self.channels[..]);
-                let (mut next_free, mut credits) = (&mut self.next_free[..], &mut self.credits[..]);
-                let bounds = self.bounds.windows(2).zip(&mut self.shard_scratch);
-                let mut rows = bounds.map(|(b, scratch)| {
-                    let (lo, hi) = (b[0], b[1]);
-                    ShardRows {
-                        lo,
-                        routers: take_rows(&mut routers, hi - lo),
-                        channels: take_rows(&mut channels, hi - lo),
-                        next_free: take_rows(&mut next_free, hi - lo),
-                        credits: take_rows(&mut credits, hi - lo),
-                        feeder: &self.feeder[lo..hi],
-                        scratch,
-                        recorder: recorders.as_mut().and_then(Iterator::next),
-                        endpoint: endpoints.next().map(|ep| &mut **ep as &mut dyn Endpoint),
-                    }
-                });
-                match &self.pool {
-                    None => run_window(&inputs, &mut rows.next().expect("one shard")),
-                    Some(pool) => {
-                        let mut rows: Vec<ShardRows> = rows.collect();
-                        let (first, rest) = rows.split_first_mut().expect("shard 0");
-                        pool.launch(&inputs, rest);
-                        // Shard 0's own panic is caught too and re-raised
-                        // only past the barrier, so unwinding never frees
-                        // the views under a running worker.
-                        let window = catch_unwind(AssertUnwindSafe(|| run_window(&inputs, first)));
-                        if let Err(payload) = window {
-                            pool.ctl.record_panic(payload);
-                        }
-                        pool.ctl.barrier.wait();
-                        self.sync_ops += 2;
-                        if let Some(payload) = pool.ctl.panic.lock().expect("pool lock").take() {
-                            resume_unwind(payload);
-                        }
-                    }
-                }
-            }
-            self.epochs += 1;
-
-            // ---- Serial epilogue: outputs in the reference order ----
-            // Shards own ascending router ranges and list their deliveries
-            // and hops by cycle, then router, so appending the lists in
-            // shard order and sorting them stably by cycle gives the
-            // reference stepper's (cycle, ascending router) order.
-            // Boundary flits go onto their downstream shard's wheel, and
-            // boundary credit returns reach their senders' rows.
-            let from = self.delivered.len();
-            let mut last_active = t0;
-            for s in 0..shards {
-                let sc = &mut self.shard_scratch[s];
-                self.delivered.append(&mut sc.ejected);
-                last_active = last_active.max(sc.last_move);
-                self.in_flight_total = self.in_flight_total + sc.sent - sc.landed;
-                for (r, at) in sc.returns.drain(..) {
-                    self.credits[r][at] += 1;
-                }
-                let mut outbox = std::mem::take(&mut sc.outbox);
-                for (slot, a) in outbox.drain(..) {
-                    let d = self.shard_of(a.router as usize);
-                    self.shard_scratch[d].wheel[slot].push(a);
-                }
-                self.shard_scratch[s].outbox = outbox;
-            }
-            sort_stably(&mut self.delivered[from..], |d| d.0);
-            self.telemetry_note_deliveries();
-
-            // An endpoint idle from the rewind target on did nothing after
-            // it: its packets' moves would be later, and its draws are
-            // generation it still has ahead.
-            let drained = self.in_flight_total == 0
-                && endpoints.iter().all(|ep| ep.idle(last_active + 1))
-                && self.routers.iter().all(CycleRouter::is_idle);
-            self.cycle = if drained {
-                // Drained inside the window: stop where per-cycle
-                // stepping stops, independent of the window width.
-                last_active + 1
-            } else {
-                t0 + w
-            };
-            self.cycles_stepped += self.cycle - t0;
-        }
-    }
-} // mod shard
+mod shard;
 
 /// Heap memory behind a [`RouterFabric`], bucketed by subsystem — the
 /// audit that keeps mega-fabric construction honest: the 8 KB/router
@@ -2607,96 +1138,6 @@ impl RouterFabric {
         self.step_epoch(limit, &mut eps);
     }
 
-    /// One cycle of [`Self::step_reference`] with `endpoint` run around
-    /// it serially: its [`Endpoint::begin_cycle`] injects through a view
-    /// of the whole fabric before the cycle, and it receives the cycle's
-    /// deliveries afterward, in delivery-log order. The oracle schedule
-    /// for [`Self::step_endpoints`], with one endpoint over every router.
-    pub fn step_reference_with(&mut self, endpoint: &mut dyn Endpoint) {
-        let cycle = self.cycle;
-        self.inject_with(|view| endpoint.begin_cycle(cycle, view));
-        let from = self.delivered.len();
-        self.step_reference();
-        for (at, flit) in &self.delivered[from..] {
-            endpoint.deliver(*at, flit);
-        }
-    }
-
-    /// Phase 1 of a reference step: every shard's wheel slot for this
-    /// cycle lands into its downstream queues.
-    fn land_arrivals(&mut self, cycle: u64) {
-        if self.in_flight_total == 0 {
-            return;
-        }
-        let slot = (cycle % self.wheel_len()) as usize;
-        for s in 0..self.shard_scratch.len() {
-            if self.shard_scratch[s].wheel[slot].is_empty() {
-                continue;
-            }
-            // Departures this cycle land at least one cycle out (latency-0
-            // links bypass the wheels), so the bucket cannot grow while it
-            // is processed; taking it out keeps its allocation for reuse.
-            let mut bucket = std::mem::take(&mut self.shard_scratch[s].wheel[slot]);
-            for a in &bucket {
-                let r = a.router as usize;
-                self.routers[r].accept(a.port as usize, a.flit.vc, a.flit, cycle);
-            }
-            self.in_flight_total -= bucket.len();
-            bucket.clear();
-            self.shard_scratch[s].wheel[slot] = bucket;
-        }
-    }
-
-    /// Phase 3 of a reference step: each departure returns its input
-    /// queue's credit to the link feeding that queue and enters its own
-    /// link (same-cycle for latency-0 links), counters update, and
-    /// ejections are recorded. Drains `moves` in place.
-    fn apply_moves(&mut self, moves: &mut Vec<(usize, usize, usize, Flit)>, cycle: u64) {
-        for (r, q, out, flit) in moves.drain(..) {
-            let vcs = self.routers[r].vcs;
-            if let Some((up, up_out)) = self.feeder[r][q / vcs] {
-                self.credits[up as usize][up_out as usize * vcs + q % vcs] += 1;
-            }
-            let class = self.classify.as_deref().map(|f| f(&flit));
-            let spec = {
-                let ch = &mut self.channels[r][out];
-                self.next_free[r][out] = cycle + ch.spec.interval;
-                ch.flits_sent += 1;
-                ch.packets_sent += u64::from(flit.is_tail());
-                if let Some(c) = class {
-                    ch.class_flits[c] += 1;
-                }
-                ch.spec
-            };
-            match self.wiring[r][out] {
-                PortLink::Router { router, port } => {
-                    self.credits[r][out * vcs + flit.vc as usize] -= 1;
-                    if spec.latency == 0 {
-                        // Link flight is folded into the downstream
-                        // pipeline constant (the paper's per-hop cycle
-                        // counts are inclusive), so arrival lands this
-                        // cycle.
-                        self.routers[router].accept(port, flit.vc, flit, cycle);
-                    } else {
-                        // The kernel's booking, so the steppers interleave.
-                        let w = self.wheel_len();
-                        let slot = ((cycle + spec.latency) % w) as usize;
-                        debug_assert!(spec.latency < w, "arrival beyond the wheel");
-                        let d = self.shard_of(router);
-                        self.shard_scratch[d].wheel[slot].push(Arrival {
-                            flit,
-                            router: router as u32,
-                            port: port as u8,
-                        });
-                        self.in_flight_total += 1;
-                    }
-                }
-                PortLink::Endpoint(_) => self.delivered.push((cycle, flit)),
-                PortLink::Unused => unreachable!("flit departed through an unused port"),
-            }
-        }
-    }
-
     /// Telemetry pre-phase, shared by both steppers: clamps the
     /// delivery-trace watermark after any caller drain, and flushes the
     /// per-link epoch ring when this cycle has crossed an epoch
@@ -2717,69 +1158,6 @@ impl RouterFabric {
         self.telemetry = Some(tel);
     }
 
-    /// Telemetry recording of the reference stepper, through the same
-    /// [`LinkRecorder`](crate::telemetry::LinkRecorder) routine the epoch kernel's shard windows record
-    /// their own link ranges with. Runs post-arbitration,
-    /// pre-[`Self::apply_moves`]: departed flits are
-    /// already popped from their queues, but the link timers
-    /// (`next_free`) and credit rows (`credits`) still hold
-    /// the state this cycle's arbitration read. Each departure marks
-    /// its link's advance cycle (and traces a head's hop); every
-    /// occupied queue front that has cleared the router pipeline is then
-    /// classified into a [`StallCause`] against that same state (a front
-    /// still in the pipeline is not stalled). Purely observational —
-    /// nothing here mutates fabric state, so telemetry cannot perturb
-    /// the run.
-    fn telemetry_record(&mut self, moves: &[(usize, usize, usize, Flit)], cycle: u64) {
-        let Some(tel) = self.telemetry.as_deref_mut() else {
-            return;
-        };
-        for &(r, _, out, ref flit) in moves {
-            tel.recorder().advance(cycle, self.link_off[r] + out);
-            if matches!(self.wiring[r][out], PortLink::Router { .. }) {
-                tel.note_hop(cycle, r, out, flit);
-            }
-        }
-        let mut rec = tel.recorder();
-        for (r, router) in self.routers.iter().enumerate() {
-            if router.queued == 0 {
-                continue;
-            }
-            let vcs = router.vcs;
-            for p in 0..router.ports {
-                for v in 0..vcs {
-                    let Some(&(front, arrived)) = router.front(p, v as u8) else {
-                        continue;
-                    };
-                    if arrived + router.pipeline > cycle {
-                        continue;
-                    }
-                    let (out, out_vc) = if front.is_head() {
-                        let d = (self.route)(&front, r);
-                        (d.port, d.vc)
-                    } else {
-                        match router.owner_output(p, v as u8) {
-                            Some(t) => t,
-                            // A body front's packet owns an output by the
-                            // cut-through protocol; defensive skip only.
-                            None => continue,
-                        }
-                    };
-                    // Ejection links never lack credits; nothing is ever
-                    // granted toward an unused port (see `Self::credits`).
-                    let starved = || self.credits[r][out * vcs + out_vc as usize] == 0;
-                    let link = self.link_off[r] + out;
-                    let cause = StallCause::of(
-                        rec.advanced_on(cycle, link),
-                        self.next_free[r][out] > cycle,
-                        starved,
-                    );
-                    rec.stall(cycle, link, out_vc, cause);
-                }
-            }
-        }
-    }
-
     /// Advances the fabric one cycle: link arrivals land, every router
     /// with work arbitrates, in index order, departures return their
     /// credits and enter their links (same-cycle for latency-0 links),
@@ -2794,49 +1172,6 @@ impl RouterFabric {
     /// then only be dropped, which joins the shard workers.
     pub fn step(&mut self) {
         self.step_epoch(self.cycle + 1, &mut []);
-    }
-
-    /// Advances the fabric one cycle with the retained **reference**
-    /// stepper: the naive full scan over every router, arbitrating every
-    /// (port, VC) via [`CycleRouter::tick`] against each router's link
-    /// timers and credit row. Kept as the executable specification of
-    /// [`Self::step`] — the `stepper_equivalence` property tests (and
-    /// the committed benchmark's traced run, which also times both) run
-    /// the two side by side and require identical delivery logs and
-    /// link counters. The two may be freely interleaved on one fabric.
-    pub fn step_reference(&mut self) {
-        let cycle = self.cycle;
-        if self.telemetry.is_some() {
-            self.telemetry_begin_step();
-        }
-        self.land_arrivals(cycle);
-
-        // Full-scan arbitration over every router — deliberately naive;
-        // this is the spec, not the fast path. Nothing a departure check
-        // reads changes until every router has arbitrated.
-        let mut moves: Vec<(usize, usize, usize, Flit)> = Vec::new();
-        for r in 0..self.routers.len() {
-            if self.routers[r].is_idle() {
-                continue;
-            }
-            let vcs = self.routers[r].vcs;
-            let (next_free, credits) = (&self.next_free[r], &self.credits[r]);
-            let sent = self.routers[r].tick(cycle, &*self.route, |out, vc| {
-                next_free[out] <= cycle && credits[out * vcs + vc as usize] > 0
-            });
-            for (q, out, flit) in sent {
-                moves.push((r, q, out, flit));
-            }
-        }
-
-        if self.telemetry.is_some() {
-            self.telemetry_record(&moves, cycle);
-        }
-        self.apply_moves(&mut moves, cycle);
-        if self.telemetry.is_some() {
-            self.telemetry_note_deliveries();
-        }
-        self.cycle += 1;
     }
 
     /// Slots per arrival wheel (every shard's wheel has this length).
@@ -3116,7 +1451,7 @@ mod tests {
     use super::*;
     use crate::telemetry::StallBreakdown;
 
-    fn flit(packet: u64, index: u8, of: u8, dest: u32, vc: u8) -> Flit {
+    pub(super) fn flit(packet: u64, index: u8, of: u8, dest: u32, vc: u8) -> Flit {
         Flit {
             packet,
             index,
@@ -3351,51 +1686,6 @@ mod tests {
         seen.sort_unstable();
         let sent: Vec<u64> = (0..8).chain(100..100 + accepted).collect();
         assert_eq!(seen, sent, "no loss, no duplication");
-    }
-
-    #[test]
-    fn queue_depth_is_eight_flits() {
-        let mut store = FlitStore::new(2);
-        for i in 0..INPUT_QUEUE_FLITS {
-            assert!(store.free_slots(0) > 0, "flit {i}");
-            store.push(0, flit(i as u64, 0, 1, 0, 0), 0);
-        }
-        assert_eq!(
-            store.free_slots(0),
-            0,
-            "ninth flit must be refused by credits"
-        );
-        assert_eq!(store.len(0), 8);
-        assert!(store.is_empty(1), "neighboring ring untouched");
-    }
-
-    #[test]
-    fn flit_store_repacks_on_deepening() {
-        // Fill two rings, deepen one: the slab re-packs as the rings grow
-        // lazily and both rings keep their contents and FIFO order.
-        let mut store = FlitStore::new(2);
-        let (slab, _) = store.memory_bytes();
-        assert_eq!(slab, 0, "a fresh store allocates no flit slots");
-        for i in 0..6u64 {
-            store.push(0, flit(i, 0, 1, 0, 0), i);
-            store.push(1, flit(100 + i, 0, 1, 0, 1), i);
-        }
-        // Rotate ring 0 so its head is mid-slab before the re-pack.
-        for i in 0..3u64 {
-            assert_eq!(store.pop(0).unwrap().packet, i);
-        }
-        store.set_cap(0, 32);
-        assert_eq!(store.capacity(0), 32);
-        assert_eq!(store.capacity(1), INPUT_QUEUE_FLITS);
-        for i in 6..30u64 {
-            store.push(0, flit(i, 0, 1, 0, 0), i);
-        }
-        for i in 3..30u64 {
-            assert_eq!(store.pop(0).unwrap().packet, i, "FIFO order after re-pack");
-        }
-        for i in 0..6u64 {
-            assert_eq!(store.pop(1).unwrap().packet, 100 + i);
-        }
     }
 
     #[test]
