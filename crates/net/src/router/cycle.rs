@@ -63,10 +63,6 @@ pub struct CycleRouter {
     /// Each output's pick while [`Self::arbitrate_into`] runs, as a
     /// flat queue index; all `None` between calls.
     picks: Vec<Option<u16>>,
-    /// Per-cycle head-flit route snapshot (`[port * vcs + vc]`) used by
-    /// the reference full-scan arbiter [`Self::tick`]; reused across
-    /// ticks to avoid per-cycle allocation.
-    pub(super) decision_scratch: Vec<Option<(usize, u8, u16)>>,
 }
 
 impl CycleRouter {
@@ -94,7 +90,6 @@ impl CycleRouter {
             heads: vec![0; queues.div_ceil(64)],
             front_target: vec![None; queues],
             picks: vec![None; ports],
-            decision_scratch: Vec::new(),
         }
     }
 
@@ -120,8 +115,7 @@ impl CycleRouter {
             + fronts
             + self.output_owner.capacity() * size_of::<Option<OutputOwner>>()
             + self.rr.capacity() * size_of::<usize>()
-            + self.picks.capacity() * size_of::<Option<u16>>()
-            + self.decision_scratch.capacity() * size_of::<Option<(usize, u8, u16)>>();
+            + self.picks.capacity() * size_of::<Option<u16>>();
         (slab, state)
     }
 

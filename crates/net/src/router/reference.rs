@@ -227,9 +227,7 @@ impl CycleRouter {
         // through the per-output arbitration below). An entry is cleared
         // when its flit departs, which also enforces the single read port
         // per input queue.
-        let mut decisions = std::mem::take(&mut self.decision_scratch);
-        decisions.clear();
-        decisions.resize(ports * self.vcs, None);
+        let mut decisions = vec![None; ports * self.vcs];
         for (q, decision) in decisions.iter_mut().enumerate() {
             if let Some(&(head, arrived)) = self.store.front(q) {
                 if head.is_head() && arrived + self.pipeline <= cycle {
@@ -276,7 +274,6 @@ impl CycleRouter {
                 sent.push((p * self.vcs + v as usize, out, flit));
             }
         }
-        self.decision_scratch = decisions;
         sent
     }
 }
