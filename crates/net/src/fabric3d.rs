@@ -1736,4 +1736,90 @@ mod tests {
             "every flit exactly once"
         );
     }
+
+    #[test]
+    fn a_cycles_trace_lists_injections_by_class_then_hops_then_deliveries() {
+        // Node 0 (shard 0 of two) and node 7 (shard 1) each inject, in
+        // cycle 0, a 2-flit request two hops away and then a 2-flit
+        // response one hop away, on different outputs, so nothing
+        // contends. A head clears each 16-cycle router pipeline and
+        // crosses an 80-cycle link, and a tail follows its head two
+        // cycles behind, so the responses deliver in the cycle the
+        // requests take their second hop.
+        struct Burst(Vec<PacketSpec>);
+        impl Endpoint for Burst {
+            fn begin_cycle(&mut self, cycle: u64, port: &mut InjectPort<'_>) {
+                if cycle == 0 {
+                    for spec in &self.0 {
+                        inject_packet(port, spec).unwrap();
+                    }
+                }
+            }
+            fn deliver(&mut self, _: u64, _: &Flit) {}
+            fn idle(&self, cycle: u64) -> bool {
+                cycle > 0
+            }
+        }
+        // Node `src` sends request `2 * src + 1` to `req` (XYZ order) and
+        // response `2 * src + 2` to `resp`.
+        let burst = |src: u16, req: u16, resp: u16| {
+            let id = 2 * src as u64;
+            let src = NodeId(src);
+            vec![
+                PacketSpec::request(src, NodeId(req), id + 1, 2).with_draw(0, 0, 0),
+                PacketSpec::response(src, NodeId(resp), id + 2, 2),
+            ]
+        };
+        let (a, b) = (burst(0, 3, 2), burst(7, 4, 5));
+        let traced = |shards: Option<usize>| {
+            let mut f = fabric([2, 2, 2]);
+            f.set_shards(shards.unwrap_or(1)).unwrap();
+            f.enable_telemetry(TelemetryConfig {
+                trace: true,
+                ..TelemetryConfig::default()
+            });
+            match shards {
+                Some(1) => {
+                    let mut eps = [Burst([a.clone(), b.clone()].concat())];
+                    while f.cycle() < 250 {
+                        f.step_endpoints(&mut eps, 250);
+                    }
+                }
+                Some(_) => {
+                    let mut eps = [Burst(a.clone()), Burst(b.clone())];
+                    while f.cycle() < 250 {
+                        f.step_endpoints(&mut eps, 250);
+                    }
+                }
+                None => {
+                    let mut ep = Burst([a.clone(), b.clone()].concat());
+                    for _ in 0..250 {
+                        f.step_reference_with(&mut ep);
+                    }
+                }
+            }
+            assert_eq!(f.delivered().len(), 8, "every flit delivered");
+            f.disable_telemetry()
+                .expect("telemetry on")
+                .trace_events()
+                .to_vec()
+        };
+        use crate::telemetry::TraceEventKind::*;
+        #[rustfmt::skip]
+        let expected = [
+            (Inject, 0, 0), (Inject, 0, 7), (Inject, 0, 0), (Inject, 0, 7),
+            (Hop, 16, 0), (Hop, 16, 0), (Hop, 16, 7), (Hop, 16, 7),
+            (Hop, 112, 1), (Hop, 112, 6), (Deliver, 112, 2), (Deliver, 112, 5),
+            (Deliver, 114, 2), (Deliver, 114, 5),
+            (Deliver, 208, 3), (Deliver, 208, 4),
+            (Deliver, 210, 3), (Deliver, 210, 4),
+        ];
+        for shards in [Some(1), Some(2), None] {
+            let trace = traced(shards);
+            let events: Vec<_> = trace.iter().map(|e| (e.kind, e.cycle, e.router)).collect();
+            assert_eq!(events, expected, "shards: {shards:?} (None: reference)");
+            let injected: Vec<_> = trace[..4].iter().map(|e| e.packet).collect();
+            assert_eq!(injected, [2, 16, 1, 15], "responses inject first");
+        }
+    }
 }

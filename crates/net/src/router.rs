@@ -411,11 +411,12 @@ pub struct InjectPort<'a> {
     /// spends from; `None` inside a shard window, where fed ports are out
     /// of reach (their sender may be another shard's router).
     credits: Option<&'a mut [Vec<u32>]>,
-    /// `Inject` events as `(rank, event)`, while tracing.
+    /// While tracing, the trace list of the view's shard, where a
+    /// head's injection lists its `Inject` event under `rank`.
     trace: Option<&'a mut Vec<(u8, TraceEvent)>>,
-    /// Order of this view's injections among one cycle's `Inject`
-    /// events: the merged trace lists a cycle's events by rank, then by
-    /// router.
+    /// The trace order of this view's injections among one cycle's
+    /// events ([`Telemetry::trace_listed`]): injections trace by rank,
+    /// below every hop and delivery.
     pub(crate) rank: u8,
 }
 
@@ -664,8 +665,8 @@ pub struct RouterFabric {
     link_off: Vec<usize>,
     /// Per-shard state: the arrival wheel (landed by the owning shard's
     /// window, or by the reference stepper), plus the window's
-    /// departures, boundary outbox, credit return list and the
-    /// deliveries and hops the epilogue orders.
+    /// departures, boundary outbox, credit return list, deliveries and
+    /// trace list.
     shard_scratch: Vec<ShardScratch>,
     /// Every router-to-router link whose ends live in different shards,
     /// as `(router, output port)` in ascending link order (empty with
@@ -786,8 +787,7 @@ impl RouterFabric {
     /// and link counters are bit-identical with telemetry on or off.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         let vcs = self.routers.iter().map(|r| r.vcs).max().unwrap_or(1);
-        let mut tel = Telemetry::new(cfg, &self.link_off, vcs, self.cycle);
-        tel.set_delivered_mark(self.delivered.len());
+        let tel = Telemetry::new(cfg, &self.link_off, vcs, self.cycle);
         self.telemetry = Some(Box::new(tel));
     }
 
@@ -1081,7 +1081,6 @@ impl RouterFabric {
     /// endpoint.
     pub(crate) fn inject_with<R>(&mut self, f: impl FnOnce(&mut InjectPort<'_>) -> R) -> R {
         let tracing = self.telemetry.as_ref().is_some_and(|t| t.config().trace);
-        let injects = &mut self.shard_scratch[0].injects;
         let mut view = InjectPort {
             cycle: self.cycle,
             lo: 0,
@@ -1089,15 +1088,33 @@ impl RouterFabric {
             routers: &mut self.routers,
             feeder: &self.feeder,
             credits: Some(&mut self.credits[..]),
-            trace: tracing.then_some(&mut *injects),
+            trace: tracing.then_some(&mut self.shard_scratch[0].trace),
             rank: 0,
         };
         let out = f(&mut view);
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            tel.note_injects(injects);
-            injects.clear();
-        }
+        self.flush_trace();
         out
+    }
+
+    /// Traces the events the steppers listed where they happened —
+    /// injections, head hops onto router links and deliveries, in one
+    /// `(order, event)` list per shard — through
+    /// [`Telemetry::trace_listed`]'s one stable sort on (cycle, order),
+    /// over the lists in shard order. Shards own ascending router ranges
+    /// and list a cycle's hops and deliveries in router order, so each
+    /// cycle's hops and deliveries trace by ascending router, at every
+    /// shard count. Flushed by the epoch kernel's epilogue, at the end
+    /// of [`Self::step_reference`] and by [`Self::inject_with`].
+    fn flush_trace(&mut self) {
+        let Some(tel) = self.telemetry.as_deref_mut() else {
+            return;
+        };
+        let (first, rest) = self.shard_scratch.split_at_mut(1);
+        let trace = &mut first[0].trace;
+        for sc in rest {
+            trace.append(&mut sc.trace);
+        }
+        tel.trace_listed(trace);
     }
 
     /// The shard partition: shard `s` owns routers
@@ -1138,8 +1155,7 @@ impl RouterFabric {
         self.step_epoch(limit, &mut eps);
     }
 
-    /// Telemetry pre-phase, shared by both steppers: clamps the
-    /// delivery-trace watermark after any caller drain, and flushes the
+    /// Telemetry pre-phase, shared by both steppers: flushes the
     /// per-link epoch ring when this cycle has crossed an epoch
     /// boundary (sampling each link's occupancy — in-flight flits plus
     /// the downstream queue — at the boundary).
@@ -1147,7 +1163,6 @@ impl RouterFabric {
         let Some(mut tel) = self.telemetry.take() else {
             return;
         };
-        tel.sync_delivered(self.delivered.len());
         if tel.roll_due(self.cycle) {
             let mut occ = tel.take_occ_scratch();
             for (r, row) in self.wiring.iter().enumerate() {
@@ -1235,8 +1250,8 @@ impl RouterFabric {
     /// only at the epoch epilogue) answering each credit check as the
     /// serial credit loop would, each shard records telemetry
     /// into its own links' counters, and the serial epilogue puts the
-    /// shards' deliveries and hops in the serial (cycle, ascending
-    /// router) order.
+    /// shards' deliveries and trace events in the serial (cycle,
+    /// ascending router) order.
     ///
     /// `lookahead` caps the epoch window below the structural bound, at
     /// one shard too — `Some(1)` degenerates to one-cycle epochs (the

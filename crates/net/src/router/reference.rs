@@ -38,9 +38,7 @@ impl RouterFabric {
             self.telemetry_record(&moves, cycle);
         }
         self.apply_moves(&mut moves, cycle);
-        if self.telemetry.is_some() {
-            self.telemetry_note_deliveries();
-        }
+        self.flush_trace();
         self.cycle += 1;
     }
 
@@ -87,8 +85,10 @@ impl RouterFabric {
     /// Phase 3 of a reference step: each departure returns its input
     /// queue's credit to the link feeding that queue and enters its own
     /// link (same-cycle for latency-0 links), counters update, and
-    /// ejections are recorded. Drains `moves` in place.
+    /// ejections are recorded (and, while tracing, listed in shard 0's
+    /// trace list). Drains `moves` in place.
     fn apply_moves(&mut self, moves: &mut Vec<(usize, usize, usize, Flit)>, cycle: u64) {
+        let tracing = self.telemetry.as_ref().is_some_and(|t| t.config().trace);
         for (r, q, out, flit) in moves.drain(..) {
             let vcs = self.routers[r].vcs;
             if let Some((up, up_out)) = self.feeder[r][q / vcs] {
@@ -128,7 +128,14 @@ impl RouterFabric {
                         self.in_flight_total += 1;
                     }
                 }
-                PortLink::Endpoint(_) => self.delivered.push((cycle, flit)),
+                PortLink::Endpoint(_) => {
+                    if tracing {
+                        self.shard_scratch[0]
+                            .trace
+                            .push(TraceEvent::deliver(cycle, &flit));
+                    }
+                    self.delivered.push((cycle, flit));
+                }
                 PortLink::Unused => unreachable!("flit departed through an unused port"),
             }
         }
@@ -141,7 +148,8 @@ impl RouterFabric {
     /// already popped from their queues, but the link timers
     /// (`next_free`) and credit rows (`credits`) still hold
     /// the state this cycle's arbitration read. Each departure marks
-    /// its link's advance cycle (and traces a head's hop); every
+    /// its link's advance cycle (and lists a head's hop onto a router
+    /// link in shard 0's trace list); every
     /// occupied queue front that has cleared the router pipeline is then
     /// classified into a [`StallCause`] against that same state (a front
     /// still in the pipeline is not stalled). Purely observational —
@@ -151,13 +159,15 @@ impl RouterFabric {
         let Some(tel) = self.telemetry.as_deref_mut() else {
             return;
         };
+        let mut rec = tel.recorder();
         for &(r, _, out, ref flit) in moves {
-            tel.recorder().advance(cycle, self.link_off[r] + out);
-            if matches!(self.wiring[r][out], PortLink::Router { .. }) {
-                tel.note_hop(cycle, r, out, flit);
+            rec.advance(cycle, self.link_off[r] + out);
+            if rec.trace && flit.is_head() && matches!(self.wiring[r][out], PortLink::Router { .. })
+            {
+                let hop = TraceEvent::hop(cycle, r, out, flit);
+                self.shard_scratch[0].trace.push(hop);
             }
         }
-        let mut rec = tel.recorder();
         for (r, router) in self.routers.iter().enumerate() {
             if router.queued == 0 {
                 continue;

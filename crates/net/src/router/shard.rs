@@ -269,12 +269,12 @@ pub(super) struct ShardScratch {
     /// Ejections across the window as `(cycle, flit)`, in the serial
     /// order within the shard: by cycle, then by departure.
     ejected: Vec<(u64, Flit)>,
-    /// While tracing, the window's head hops onto router links as
-    /// `(cycle, router, out, flit)`, in the same order as `ejected`.
-    hops: Vec<(u64, usize, usize, Flit)>,
-    /// While tracing, the endpoint's injections as `(rank, event)`,
-    /// by cycle, then in the order it made them.
-    pub(super) injects: Vec<(u8, TraceEvent)>,
+    /// While tracing, the trace events listed where they happen, as
+    /// `(order, event)`: the endpoint's injections, the head hops onto
+    /// router links and the ejections, in the order the window makes
+    /// them (the reference stepper lists its own in shard 0's). Every
+    /// step flushes it ([`RouterFabric::flush_trace`]).
+    pub(super) trace: Vec<(u8, TraceEvent)>,
 }
 
 impl ShardScratch {
@@ -301,8 +301,7 @@ impl ShardScratch {
             + self.returns.capacity() * size_of::<(usize, usize)>()
             + self.moves.capacity() * size_of::<(usize, usize, usize, Flit)>()
             + self.ejected.capacity() * size_of::<(u64, Flit)>()
-            + self.hops.capacity() * size_of::<(u64, usize, usize, Flit)>()
-            + self.injects.capacity() * size_of::<(u8, TraceEvent)>()
+            + self.trace.capacity() * size_of::<(u8, TraceEvent)>()
     }
 }
 
@@ -416,7 +415,7 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
                 routers,
                 feeder,
                 credits: None,
-                trace: tracing.then_some(&mut scratch.injects),
+                trace: tracing.then_some(&mut scratch.trace),
                 rank: 0,
             };
             ep.begin_cycle(cycle, &mut port);
@@ -485,11 +484,11 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
             // arbitration shares, only occupied queues visited).
             for &(r, _, out, ref flit) in &scratch.moves {
                 rec.advance(cycle, inp.link_off[r] + out);
-                if rec.trace
+                if tracing
                     && flit.is_head()
                     && matches!(inp.wiring[r][out], PortLink::Router { .. })
                 {
-                    scratch.hops.push((cycle, r, out, *flit));
+                    scratch.trace.push(TraceEvent::hop(cycle, r, out, flit));
                 }
             }
             for (i, router) in routers.iter_mut().enumerate() {
@@ -571,6 +570,9 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
                     if let Some(ep) = endpoint.as_deref_mut() {
                         ep.deliver(cycle, &flit);
                     }
+                    if tracing {
+                        scratch.trace.push(TraceEvent::deliver(cycle, &flit));
+                    }
                     scratch.ejected.push((cycle, flit));
                 }
                 PortLink::Unused => unreachable!("flit departed through an unused port"),
@@ -588,30 +590,6 @@ fn sort_stably<T, K: Ord>(list: &mut [T], key: impl Fn(&T) -> K) {
 }
 
 impl RouterFabric {
-    /// Telemetry post-phase, shared by both steppers: traces the
-    /// injections and hops the shards listed (in shard order, then
-    /// stably by cycle — and injections by rank within a cycle —
-    /// like their deliveries; the reference stepper traced its own
-    /// in `inject_with` and `telemetry_record`) and the step's new
-    /// delivery-log entries, each cycle's injections, then hops, then
-    /// deliveries.
-    pub(super) fn telemetry_note_deliveries(&mut self) {
-        let Some(tel) = self.telemetry.as_deref_mut() else {
-            return;
-        };
-        let (first, rest) = self.shard_scratch.split_at_mut(1);
-        let (injects, hops) = (&mut first[0].injects, &mut first[0].hops);
-        for sc in rest {
-            injects.append(&mut sc.injects);
-            hops.append(&mut sc.hops);
-        }
-        sort_stably(injects, |&(rank, ref ev)| (ev.cycle, rank));
-        sort_stably(hops, |h| h.0);
-        tel.note_stepped(injects, hops, &self.delivered);
-        injects.clear();
-        hops.clear();
-    }
-
     /// The shard owning router `r` under the current partition.
     pub(super) fn shard_of(&self, r: usize) -> usize {
         self.bounds.partition_point(|&b| b <= r) - 1
@@ -625,10 +603,11 @@ impl RouterFabric {
     /// pool launch and **one** end-of-epoch barrier, where the
     /// retired per-cycle protocol paid one launch plus four barriers
     /// per simulated cycle. The serial epilogue then only orders
-    /// output: it appends the shards' deliveries (and, while tracing,
-    /// hops) in shard order and sorts them stably by cycle, which over
-    /// contiguous ascending regions is the reference stepper's
-    /// (cycle, ascending router) order; it moves the window's
+    /// output: it appends the shards' deliveries in shard order and
+    /// sorts them stably by cycle, which over contiguous ascending
+    /// regions is the reference stepper's (cycle, ascending router)
+    /// order, and traces the shards' listed events the same way
+    /// ([`RouterFabric::flush_trace`]); it moves the window's
     /// boundary flits onto their downstream wheels, and it applies
     /// the credits the window's departures return across boundaries.
     ///
@@ -748,8 +727,8 @@ impl RouterFabric {
 
         // ---- Serial epilogue: outputs in the reference order ----
         // Shards own ascending router ranges and list their deliveries
-        // and hops by cycle, then router, so appending the lists in
-        // shard order and sorting them stably by cycle gives the
+        // and trace events by cycle, then router, so appending the lists
+        // in shard order and sorting them stably by cycle gives the
         // reference stepper's (cycle, ascending router) order.
         // Boundary flits go onto their downstream shard's wheel, and
         // boundary credit returns reach their senders' rows.
@@ -771,7 +750,7 @@ impl RouterFabric {
             self.shard_scratch[s].outbox = outbox;
         }
         sort_stably(&mut self.delivered[from..], |d| d.0);
-        self.telemetry_note_deliveries();
+        self.flush_trace();
 
         // An endpoint idle from the rewind target on did nothing after
         // it: its packets' moves would be later, and its draws are

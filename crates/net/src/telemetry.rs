@@ -251,6 +251,44 @@ pub struct TraceEvent {
     pub vc: u8,
 }
 
+/// The trace order of a head flit's hop among its cycle's events: after
+/// every injection, whose order is its class rank
+/// ([`Telemetry::trace_listed`]).
+pub(crate) const HOP_ORDER: u8 = u8::MAX - 1;
+
+/// The trace order of a delivery: last among its cycle's events.
+pub(crate) const DELIVER_ORDER: u8 = u8::MAX;
+
+impl TraceEvent {
+    /// Head flit `flit`'s hop from router `r` through output `out` at
+    /// `cycle`, with its trace order.
+    pub(crate) fn hop(cycle: u64, r: usize, out: usize, flit: &Flit) -> (u8, TraceEvent) {
+        let ev = TraceEvent {
+            kind: TraceEventKind::Hop,
+            cycle,
+            packet: flit.packet,
+            router: r,
+            port: out,
+            vc: flit.vc,
+        };
+        (HOP_ORDER, ev)
+    }
+
+    /// `flit`'s delivery to its endpoint at `cycle`, with its trace
+    /// order.
+    pub(crate) fn deliver(cycle: u64, flit: &Flit) -> (u8, TraceEvent) {
+        let ev = TraceEvent {
+            kind: TraceEventKind::Deliver,
+            cycle,
+            packet: flit.packet,
+            router: flit.dest as usize,
+            port: 0,
+            vc: flit.vc,
+        };
+        (DELIVER_ORDER, ev)
+    }
+}
+
 /// A consumer of packet lifecycle events: [`Telemetry::write_trace`]
 /// replays the buffered events into one, and [`TraceSink::render`]
 /// yields the formatted document.
@@ -461,8 +499,8 @@ pub(crate) struct LinkCounters {
 pub(crate) struct LinkRecorder<'a> {
     first: usize,
     vcs: usize,
-    /// Whether packet traces are on (the epoch kernel then lists its
-    /// window's head hops for the epilogue to trace).
+    /// Whether packet traces are on (each stepper then lists its head
+    /// hops where they happen).
     pub(crate) trace: bool,
     links: &'a mut [LinkCounters],
     /// Stalled head-cycles per `((link - first) * vcs + vc) * COUNT + cause`.
@@ -533,8 +571,6 @@ pub struct Telemetry {
     trace: Vec<TraceEvent>,
     /// Events discarded after [`TelemetryConfig::trace_limit`].
     trace_dropped: u64,
-    /// Delivery-log watermark for emitting `Deliver` events exactly once.
-    delivered_mark: usize,
 }
 
 impl Telemetry {
@@ -561,7 +597,6 @@ impl Telemetry {
             occ_scratch: Vec::new(),
             trace: Vec::new(),
             trace_dropped: 0,
-            delivered_mark: 0,
         }
     }
 
@@ -618,91 +653,17 @@ impl Telemetry {
         })
     }
 
-    /// Records `flit`'s departure from router `r` through output `out`
-    /// toward another router at `cycle`: a hop event if it is a head
-    /// flit and tracing is on (body flits trace nothing).
-    pub(crate) fn note_hop(&mut self, cycle: u64, r: usize, out: usize, flit: &Flit) {
-        if self.cfg.trace && flit.is_head() {
-            self.push_trace(TraceEvent {
-                kind: TraceEventKind::Hop,
-                cycle,
-                packet: flit.packet,
-                router: r,
-                port: out,
-                vc: flit.vc,
-            });
-        }
-    }
-
-    /// Traces injections listed as `(rank, event)`, in list order.
-    pub(crate) fn note_injects(&mut self, injects: &[(u8, TraceEvent)]) {
-        for &(_, ev) in injects {
+    /// Traces the events a step listed where they happened, as
+    /// `(order, event)` — an injection under its class rank, a head
+    /// flit's hop under [`HOP_ORDER`], a flit's delivery under
+    /// [`DELIVER_ORDER`] — and empties the list. One stable sort on
+    /// (cycle, order) gives the trace order: per cycle, injections by
+    /// rank, then hops, then deliveries, each in listed order.
+    pub(crate) fn trace_listed(&mut self, events: &mut Vec<(u8, TraceEvent)>) {
+        events.sort_by_key(|&(order, ref ev)| (ev.cycle, order));
+        for (_, ev) in events.drain(..) {
             self.push_trace(ev);
         }
-    }
-
-    /// Emits the trace events of the cycles just stepped: `injects`, the
-    /// window's injections as `(rank, event)` sorted by cycle, then rank;
-    /// `hops`, its head hops as `(cycle, router, out, flit)` sorted by
-    /// cycle; and a `Deliver` event per delivery-log entry past the
-    /// watermark — each cycle's injections, then hops, then deliveries,
-    /// the order serial stepping emits them in, one cycle at a time.
-    /// `delivered` is the fabric's (possibly caller-drained) delivery
-    /// log.
-    pub(crate) fn note_stepped(
-        &mut self,
-        injects: &[(u8, TraceEvent)],
-        hops: &[(u64, usize, usize, Flit)],
-        delivered: &[(u64, Flit)],
-    ) {
-        if self.cfg.trace {
-            let mut injects = injects.iter().peekable();
-            let mut hops = hops.iter().peekable();
-            let mut deliveries = delivered[self.delivered_mark..].iter().peekable();
-            loop {
-                // The next cycle with an event, then that cycle's events
-                // in stage order.
-                let next = [
-                    injects.peek().map(|i| i.1.cycle),
-                    hops.peek().map(|h| h.0),
-                    deliveries.peek().map(|d| d.0),
-                ];
-                let Some(cycle) = next.into_iter().flatten().min() else {
-                    break;
-                };
-                while let Some(&(_, ev)) = injects.next_if(|i| i.1.cycle == cycle) {
-                    self.push_trace(ev);
-                }
-                while let Some(&(c, r, out, ref hop)) = hops.next_if(|h| h.0 == cycle) {
-                    self.note_hop(c, r, out, hop);
-                }
-                while let Some(&(c, ref flit)) = deliveries.next_if(|d| d.0 == cycle) {
-                    self.push_trace(TraceEvent {
-                        kind: TraceEventKind::Deliver,
-                        cycle: c,
-                        packet: flit.packet,
-                        router: flit.dest as usize,
-                        port: 0,
-                        vc: flit.vc,
-                    });
-                }
-            }
-        }
-        self.delivered_mark = delivered.len();
-    }
-
-    /// Clamps the delivery watermark after the caller may have drained
-    /// the log (called at the start of each step).
-    pub(crate) fn sync_delivered(&mut self, len: usize) {
-        if self.delivered_mark > len {
-            self.delivered_mark = len;
-        }
-    }
-
-    /// Sets the delivery watermark outright — used at enable time so
-    /// deliveries that predate telemetry are never traced.
-    pub(crate) fn set_delivered_mark(&mut self, len: usize) {
-        self.delivered_mark = len;
     }
 
     fn push_trace(&mut self, ev: TraceEvent) {
@@ -1055,20 +1016,17 @@ mod tests {
     #[test]
     fn trace_buffer_caps_and_sinks_render() {
         let mut t = tel(true);
-        t.note_injects(&[inject(0, 42, 0)]);
-        t.note_hop(1, 0, 0, &flit(42, 0));
-        t.note_hop(1, 0, 1, &flit(42, 1)); // body: no hop event
-        t.note_stepped(&[], &[], &[(5, flit(42, 1))]);
-        assert_eq!(t.trace_events().len(), 3);
-        // Watermark: re-reporting the same log adds nothing.
-        t.note_stepped(&[], &[], &[(5, flit(42, 1))]);
-        assert_eq!(t.trace_events().len(), 3);
-        // A drained log resets the watermark.
-        t.sync_delivered(0);
-        t.note_stepped(&[], &[], &[(6, flit(43, 0))]);
+        let mut listed = vec![
+            inject(0, 42, 0),
+            TraceEvent::hop(1, 0, 0, &flit(42, 0)),
+            TraceEvent::deliver(5, &flit(42, 1)),
+            TraceEvent::deliver(6, &flit(43, 0)),
+        ];
+        t.trace_listed(&mut listed);
+        assert!(listed.is_empty(), "the list is flushed");
         assert_eq!(t.trace_events().len(), 4);
         // Buffer is full now (limit 4): further events count as dropped.
-        t.note_injects(&[inject(7, 44, 1)]);
+        t.trace_listed(&mut vec![inject(7, 44, 1)]);
         assert_eq!(t.trace_dropped(), 1);
 
         let mut jsonl = JsonlTraceSink::new();
@@ -1091,38 +1049,9 @@ mod tests {
     }
 
     #[test]
-    fn a_window_traces_each_cycles_hops_before_its_deliveries() {
-        let cfg = TelemetryConfig {
-            trace: true,
-            ..TelemetryConfig::default()
-        };
-        let mut t = Telemetry::new(cfg, &[0, 2, 5], 2, 0);
-        let hops: Vec<_> = (1..4).map(|c| (c, 0, 0, flit(c, 0))).collect();
-        // Injections listed by cycle come first in their cycle.
-        let injects = [inject(2, 7, 1), inject(2, 8, 0), inject(4, 9, 0)];
-        t.note_stepped(&injects, &hops, &[(2, flit(9, 1))]);
-        let order: Vec<_> = t.trace_events().iter().map(|e| (e.kind, e.cycle)).collect();
-        use TraceEventKind::*;
-        assert_eq!(
-            order,
-            vec![
-                (Hop, 1),
-                (Inject, 2),
-                (Inject, 2),
-                (Hop, 2),
-                (Deliver, 2),
-                (Hop, 3),
-                (Inject, 4)
-            ]
-        );
-        let routers: Vec<_> = t.trace_events()[1..3].iter().map(|e| e.router).collect();
-        assert_eq!(routers, vec![1, 0], "injections keep their listed order");
-    }
-
-    #[test]
     fn untruncated_traces_render_without_a_footer() {
         let mut t = tel(true);
-        t.note_injects(&[inject(0, 1, 0)]);
+        t.trace_listed(&mut vec![inject(0, 1, 0)]);
         assert_eq!(t.trace_dropped(), 0);
         let mut jsonl = JsonlTraceSink::new();
         t.write_trace(&mut jsonl);
