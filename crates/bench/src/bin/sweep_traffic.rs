@@ -81,7 +81,9 @@
 //! (`--threads` with the one-point `--md-replay`, the telemetry flags
 //! with `--calibrate`) is rejected with exit status 2 before anything
 //! runs, `--help` or not, and so is a mode configuration
-//! `SweepConfig::validate` refuses. Output goes through
+//! `SweepConfig::validate` refuses, and a `--telemetry-out` or
+//! `--trace-out` path that cannot be opened for writing (it is created
+//! if missing). Output goes through
 //! `anton_bench::outln!`, so a closed stdout (`| head -1`) ends the run
 //! quietly with status 0.
 
@@ -472,6 +474,22 @@ fn print_telemetry(fabric: &TorusFabric) {
     }
 }
 
+/// Opens each `--telemetry-out` and `--trace-out` path for writing,
+/// creating it if missing and leaving its contents for the run to
+/// replace, so a path the run could not write is refused before any
+/// work. The error names the path and the OS error.
+fn open_outputs(args: &Args) -> Result<(), String> {
+    for path in [&args.telemetry_out, &args.trace_out].into_iter().flatten() {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    }
+    Ok(())
+}
+
 /// Writes the `--telemetry-out` summary JSON and the `--trace-out`
 /// packet trace (JSONL for `.jsonl` paths, Chrome `trace_event`
 /// otherwise). Confirmations go to stderr so `--json` stdout artifacts
@@ -522,6 +540,10 @@ fn main() {
     if args.help {
         anton_bench::write_stdout(format_args!("{}", usage()));
         return;
+    }
+    if let Err(e) = open_outputs(&args) {
+        eprintln!("sweep_traffic: {e}");
+        std::process::exit(2);
     }
     let params = FabricParams::calibrated(&LatencyModel::default());
     match args.mode {
@@ -1266,6 +1288,23 @@ mod tests {
                 assert!(parse(args).is_ok(), "{args:?}");
             }
         }
+    }
+
+    #[test]
+    fn an_output_path_under_a_missing_directory_is_refused() {
+        for flag in ["--telemetry-out", "--trace-out"] {
+            let args = parse(&["--md-replay", flag, "/nonexistent/dir/t.json"]).unwrap();
+            let e = open_outputs(&args).unwrap_err();
+            assert!(
+                e.starts_with("cannot write /nonexistent/dir/t.json: "),
+                "{flag}: {e}"
+            );
+        }
+        let path = std::env::temp_dir().join(format!("sweep_traffic_{}.json", std::process::id()));
+        let path = path.to_str().expect("a UTF-8 temporary path");
+        let args = parse(&["--md-replay", "--telemetry-out", path]).unwrap();
+        assert_eq!(open_outputs(&args), Ok(()));
+        std::fs::remove_file(path).expect("the path was created");
     }
 
     #[test]
