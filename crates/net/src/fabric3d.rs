@@ -746,19 +746,6 @@ impl TorusFabric {
         self.fabric.telemetry()
     }
 
-    /// Stall-cause breakdown charged upstream of the slice link from
-    /// `node` toward `dir` on `slice`, summed over VCs. `None` when
-    /// telemetry is disabled.
-    pub fn link_stalls(
-        &self,
-        node: NodeId,
-        dir: Direction,
-        slice: usize,
-    ) -> Option<StallBreakdown> {
-        let tel = self.fabric.telemetry()?;
-        Some(tel.stalls_for_link(node.index(), slice_port(dir, slice)))
-    }
-
     /// Cycle accounting `(advance, stall, idle)` of the slice link from
     /// `node` toward `dir` on `slice` since telemetry was enabled;
     /// the three always sum to the elapsed enabled cycles. `None` when

@@ -62,7 +62,6 @@ use crate::workload::{SyntheticWorkload, Workload};
 use anton_model::asic::INPUT_QUEUE_FLITS;
 use anton_model::topology::{NodeId, Torus};
 use anton_model::units::PS_PER_CORE_CYCLE;
-use anton_net::channel::ByteKind;
 use anton_net::fabric3d::{
     decode_tag, inject_packet, FabricParams, PacketSpec, TorusFabric, TrafficClass, SLICES,
 };
@@ -312,8 +311,8 @@ pub struct LoadPoint {
 
 /// Mergeable latency statistics of one scenario — or of many, via
 /// [`LatencyStats::merge`]: log-bucketed histograms
-/// ([`LogHistogram`]) per traffic class and per [`ByteKind`], plus
-/// moment accumulators ([`Accumulator`]) alongside each histogram.
+/// ([`LogHistogram`]) per traffic class, plus moment accumulators
+/// ([`Accumulator`]) alongside each histogram.
 /// Merging is order-independent on the histograms and counters, so
 /// `run_sweep_threaded` workers can each fill their own copy and the
 /// harness folds them together afterward; the harness still merges in
@@ -323,25 +322,17 @@ pub struct LatencyStats {
     /// Generation-to-delivery latency histograms, indexed `[request,
     /// response]`.
     pub class_hist: [LogHistogram; 2],
-    /// Latency histograms per [`ByteKind`] counter index
-    /// ([`ByteKind::index`]), for the Figure 9a payload-typed view.
-    pub kind_hist: [LogHistogram; 3],
     /// Moment accumulators per class, same indexing as `class_hist`.
     pub class_moments: [Accumulator; 2],
-    /// Moment accumulators per [`ByteKind`], same indexing as
-    /// `kind_hist`.
-    pub kind_moments: [Accumulator; 3],
 }
 
 impl LatencyStats {
     /// Records one delivered packet's generation-to-delivery latency
-    /// under its traffic class and payload [`ByteKind`].
-    pub fn record(&mut self, class: TrafficClass, kind: ByteKind, latency_cycles: u64) {
+    /// under its traffic class.
+    pub fn record(&mut self, class: TrafficClass, latency_cycles: u64) {
         let k = (class == TrafficClass::Response) as usize;
         self.class_hist[k].record(latency_cycles);
         self.class_moments[k].add(latency_cycles as f64);
-        self.kind_hist[kind.index()].record(latency_cycles);
-        self.kind_moments[kind.index()].add(latency_cycles as f64);
     }
 
     /// Folds another scenario's statistics into this one.
@@ -349,13 +340,7 @@ impl LatencyStats {
         for (dst, src) in self.class_hist.iter_mut().zip(&other.class_hist) {
             dst.merge(src);
         }
-        for (dst, src) in self.kind_hist.iter_mut().zip(&other.kind_hist) {
-            dst.merge(src);
-        }
         for (dst, src) in self.class_moments.iter_mut().zip(&other.class_moments) {
-            dst.merge(src);
-        }
-        for (dst, src) in self.kind_moments.iter_mut().zip(&other.kind_moments) {
             dst.merge(src);
         }
     }
@@ -364,14 +349,6 @@ impl LatencyStats {
     pub fn class_summary(&self, class: TrafficClass) -> LatencySummary {
         let k = (class == TrafficClass::Response) as usize;
         summarize(&self.class_hist[k], &self.class_moments[k])
-    }
-
-    /// The serializable summary of one payload [`ByteKind`].
-    pub fn kind_summary(&self, kind: ByteKind) -> LatencySummary {
-        summarize(
-            &self.kind_hist[kind.index()],
-            &self.kind_moments[kind.index()],
-        )
     }
 }
 
@@ -825,7 +802,7 @@ impl<W: Workload + ?Sized> Endpoint for NodeEndpoint<'_, W> {
         let dst = NodeId(flit.dest as u16);
         if tracked {
             t.delivered[k] += 1;
-            t.stats.record(tag.class, tag.kind, at - created);
+            t.stats.record(tag.class, at - created);
             t.net_sum[k] += (at - flit.injected_at) as f64;
             let (a, b) = (sc.torus.coord(src), sc.torus.coord(dst));
             let hops = match tag.class {
@@ -894,7 +871,7 @@ pub struct ScenarioRun {
     /// via [`run_scenario_instrumented`]).
     pub fabric: TorusFabric,
     /// Mergeable latency histograms and moments of every tracked
-    /// delivered packet, per class and [`ByteKind`].
+    /// delivered packet, per class.
     pub stats: LatencyStats,
 }
 
