@@ -54,11 +54,12 @@
 //! ```
 
 // Unsafe is denied crate-wide and allowed back in exactly one function:
-// `ShardPool::new` in `router::shard`, whose one `unsafe` block turns the
-// addresses a lookahead epoch publishes back into a pool worker's shared
-// epoch inputs and its own shard's rows (see that module's ownership
+// `ShardPool::new` in `router/shard.rs`, whose one `unsafe` block turns
+// the addresses a lookahead epoch publishes back into a pool worker's
+// shared epoch inputs and its own shard's rows (see that file's ownership
 // section). Everything else — the shard windows included — is, and must
-// stay, safe code.
+// stay, safe code; CI fails on `unsafe` anywhere else outside the
+// vendored crates.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -5,17 +5,26 @@
 //! information runs two cycles ahead of the datapath so the per-hop
 //! latency stays at 2 cycles (Core Router U direction), 5 cycles (V
 //! direction) or 3 cycles (Edge Router). This module implements that
-//! microarchitecture at flit granularity:
+//! microarchitecture at flit granularity, one role per file:
 //!
-//! - [`FlitStore`] — all of a router's 8-flit per-VC input queues as
-//!   one structure-of-arrays slab with credit accounting;
-//! - [`CycleRouter`] — input-queued router: per-cycle route computation,
-//!   round-robin output arbitration across (port, VC), cut-through
-//!   forwarding, credit return;
-//! - [`RouterFabric`] — a network of routers wired port-to-port, stepped
-//!   cycle by cycle, with injection/ejection endpoints and per-link
-//!   latency/bandwidth channels ([`LinkSpec`]) for modeling the long
-//!   SERDES + wire crossings between nodes.
+//! - `router/store.rs`: [`FlitStore`] — all of a router's 8-flit per-VC
+//!   input queues as one structure-of-arrays slab with credit
+//!   accounting;
+//! - `router/cycle.rs`: [`CycleRouter`] — input-queued router: route
+//!   computation, round-robin output arbitration across (port, VC),
+//!   cut-through forwarding, and the occupied-front walk the kernel
+//!   arbitrates and classifies stalls with;
+//! - `router/shard.rs`: the lookahead-epoch kernel every production step
+//!   runs, and its worker pool, home of the crate's one `unsafe` block;
+//! - `router/reference.rs`: the reference stepper
+//!   ([`RouterFabric::step_reference`] and its full-scan arbiter
+//!   [`CycleRouter::tick`]), the executable specification the kernel
+//!   matches bit for bit;
+//! - `router.rs`: the fabric API — [`RouterFabric`], a network of
+//!   routers wired port-to-port, stepped cycle by cycle, with
+//!   injection/ejection endpoints ([`InjectPort`], [`Endpoint`]) and
+//!   per-link latency/bandwidth channels ([`LinkSpec`]) for modeling the
+//!   long SERDES + wire crossings between nodes.
 //!
 //! Route decisions are computed per hop by a [`RouteFn`] from the head
 //! flit itself: each [`Flit`] carries an opaque [`Flit::tag`] so routing
@@ -30,7 +39,7 @@
 //! # Event-driven stepping
 //!
 //! Every production step runs one kernel, the lookahead-epoch kernel of
-//! the `shard` module: inline on the calling thread at one shard, with
+//! `router/shard.rs`: inline on the calling thread at one shard, with
 //! pool workers for the other regions after [`RouterFabric::set_shards`].
 //! Even saturated fabrics keep most (port, VC) pairs empty, so the
 //! kernel walks each router's occupied queues rather than every pair;
@@ -103,9 +112,12 @@ use core::fmt;
 
 mod cycle;
 mod reference;
+mod shard;
 mod store;
 
 pub use cycle::CycleRouter;
+pub use shard::ShardError;
+use shard::{ShardPool, ShardScratch};
 pub use store::FlitStore;
 
 /// A flit in flight through the fabric: routing state plus bookkeeping.
@@ -513,60 +525,6 @@ impl InjectPort<'_> {
         Ok(())
     }
 }
-
-pub use shard::ShardError;
-use shard::{ShardPool, ShardScratch};
-
-/// The region-partitioned lookahead stepper.
-///
-/// # Ownership
-///
-/// Anton 3's routers keep their input queues and credit counters on
-/// their own node, and a neighbour learns of them only through credits
-/// returning over the link. The kernel keeps the same partition with
-/// ordinary borrows. Each router holds one credit count per (output,
-/// VC): the sender's count for the queue its link feeds, which only the
-/// sender spends. Each epoch, [`RouterFabric::step_epoch`] splits the
-/// fabric into two views:
-///
-/// - one [`EpochInputs`], which every shard only reads: the wiring,
-///   the link offsets and the routing closures;
-/// - one [`ShardRows`] per shard, which only that shard touches: its
-///   contiguous rows `bounds[s]..bounds[s + 1]` of the routers, link
-///   state, credit rows and feeder map, and element `s` of the scratch
-///   (arrival wheel, boundary outbox and credit return list), of the
-///   telemetry recorders and of the endpoints.
-///
-/// A window indexes its rows from its first router, so a read of another
-/// shard's row panics (its index falls outside the window's range)
-/// instead of racing. A flit bound for another shard goes in the outbox,
-/// and a departure whose credit belongs to another shard's sender puts
-/// it on the return list; the serial epilogue moves both to their owners.
-/// An [`Endpoint`] reaches the fabric only through an [`InjectPort`]
-/// built from its shard's rows, and only at ports no link feeds.
-///
-/// Shard 0 runs on the stepping thread, the others on a persistent
-/// pool. The crate's one `unsafe` block, in [`ShardPool::new`], turns
-/// the addresses [`ShardPool::launch`] publishes back into a worker's
-/// `&EpochInputs` and its own `&mut ShardRows`; a compile-time check
-/// holds both types to the `Send`/`Sync` bounds that hand-off needs.
-/// There is exactly one [`SpinBarrier`] fence per multi-shard epoch:
-/// shards run their whole private window with no synchronization (every
-/// positive-latency link is at least one window long, so no cross-shard
-/// effect can land inside it), then the single end-of-epoch fence
-/// provides the acquire/release edge before the serial epilogue, which
-/// alone moves boundary flits from one shard's outbox onto another
-/// shard's wheel and applies the boundary credit returns.
-/// The views belong to the stepping thread's `step_epoch` call, and
-/// workers use them only between the pool launch and that fence, which
-/// the stepping thread also waits on. A panic inside a window does not skip the
-/// fence: every party catches its own panic, records the first one in
-/// the pool and waits, and the stepping thread re-raises that payload
-/// only after the fence, so no worker is left spinning and no unwind
-/// frees the views under a running window. A one-shard fabric has no
-/// pool: the stepping thread runs the window inline, so its panics
-/// simply unwind.
-mod shard;
 
 /// Heap memory behind a [`RouterFabric`], bucketed by subsystem — the
 /// audit that keeps mega-fabric construction honest: the 8 KB/router

@@ -1,3 +1,9 @@
+//! The cycle router: one input-queued, credit-flow-controlled router's
+//! queue fronts, cut-through ownership and round-robin pointers, with
+//! the epoch kernel's arbiter (one walk over the occupied head fronts)
+//! and the front walk its stall classification reads. Both steppers pop
+//! through the same `depart`, so their grants cannot drift.
+
 use super::*;
 
 /// The (input port, input VC, outgoing VC, outgoing tag) of the packet

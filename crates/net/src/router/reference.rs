@@ -1,3 +1,10 @@
+//! The reference stepper: a naive full scan over every router and every
+//! (port, VC) each cycle, retained as the executable specification the
+//! epoch kernel (`router/shard.rs`) must match bit for bit — delivery
+//! log, link counters, telemetry and packet trace. It shares the flit
+//! store, the routers' `depart`, the arrival wheels, the telemetry
+//! recorder and the trace merge with the kernel.
+
 use super::*;
 
 impl RouterFabric {

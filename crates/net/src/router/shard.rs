@@ -1,3 +1,54 @@
+//! The region-partitioned lookahead stepper: the epoch kernel every
+//! production step runs, and its worker pool.
+//!
+//! # Ownership
+//!
+//! Anton 3's routers keep their input queues and credit counters on
+//! their own node, and a neighbour learns of them only through credits
+//! returning over the link. The kernel keeps the same partition with
+//! ordinary borrows. Each router holds one credit count per (output,
+//! VC): the sender's count for the queue its link feeds, which only the
+//! sender spends. Each epoch, [`RouterFabric::step_epoch`] splits the
+//! fabric into two views:
+//!
+//! - one [`EpochInputs`], which every shard only reads: the wiring,
+//!   the link offsets and the routing closures;
+//! - one [`ShardRows`] per shard, which only that shard touches: its
+//!   contiguous rows `bounds[s]..bounds[s + 1]` of the routers, link
+//!   state, credit rows and feeder map, and element `s` of the scratch
+//!   (arrival wheel, boundary outbox and credit return list), of the
+//!   telemetry recorders and of the endpoints.
+//!
+//! A window indexes its rows from its first router, so a read of another
+//! shard's row panics (its index falls outside the window's range)
+//! instead of racing. A flit bound for another shard goes in the outbox,
+//! and a departure whose credit belongs to another shard's sender puts
+//! it on the return list; the serial epilogue moves both to their owners.
+//! An [`Endpoint`] reaches the fabric only through an [`InjectPort`]
+//! built from its shard's rows, and only at ports no link feeds.
+//!
+//! Shard 0 runs on the stepping thread, the others on a persistent
+//! pool. The crate's one `unsafe` block, in [`ShardPool::new`], turns
+//! the addresses [`ShardPool::launch`] publishes back into a worker's
+//! `&EpochInputs` and its own `&mut ShardRows`; a compile-time check
+//! holds both types to the `Send`/`Sync` bounds that hand-off needs.
+//! There is exactly one [`SpinBarrier`] fence per multi-shard epoch:
+//! shards run their whole private window with no synchronization (every
+//! positive-latency link is at least one window long, so no cross-shard
+//! effect can land inside it), then the single end-of-epoch fence
+//! provides the acquire/release edge before the serial epilogue, which
+//! alone moves boundary flits from one shard's outbox onto another
+//! shard's wheel and applies the boundary credit returns.
+//! The views belong to the stepping thread's `step_epoch` call, and
+//! workers use them only between the pool launch and that fence, which
+//! the stepping thread also waits on. A panic inside a window does not skip the
+//! fence: every party catches its own panic, records the first one in
+//! the pool and waits, and the stepping thread re-raises that payload
+//! only after the fence, so no worker is left spinning and no unwind
+//! frees the views under a running window. A one-shard fabric has no
+//! pool: the stepping thread runs the window inline, so its panics
+//! simply unwind.
+
 use super::*;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -1,3 +1,7 @@
+//! The flit store: all of one router's per-VC input queues in one
+//! structure-of-arrays slab, grown lazily toward each queue's credit
+//! window.
+
 use super::*;
 
 /// The placeholder flit filling unoccupied [`FlitStore`] slots.

@@ -58,11 +58,17 @@
 //!
 //! When [`TelemetryConfig::trace`] is set, packet lifecycle events —
 //! [`TraceEventKind::Inject`], one [`TraceEventKind::Hop`] per
-//! router-to-router head-flit departure, and [`TraceEventKind::Deliver`]
-//! — are buffered up to [`TelemetryConfig::trace_limit`] in the
-//! reference stepper's order at every shard count and window (per cycle:
-//! injections, hops by ascending router, then deliveries), and replayed
-//! through any [`TraceSink`]: [`JsonlTraceSink`] (one JSON object per
+//! router-to-router head-flit departure, and one
+//! [`TraceEventKind::Deliver`] per ejected flit — are buffered up to
+//! [`TelemetryConfig::trace_limit`] in one order at every shard count
+//! and window, and under either stepper: per cycle, injections by class
+//! rank (responses first), then hops by ascending router, then
+//! deliveries by ascending router. Each stepper lists an event where it
+//! happens, under that order, in one list per shard, and one merge per
+//! step (a stable sort on cycle, then order) puts the lists in trace
+//! order. The delivery log plays no part, so a caller draining it
+//! cannot lose or repeat an event. The buffer is replayed through any
+//! [`TraceSink`]: [`JsonlTraceSink`] (one JSON object per
 //! line) or [`ChromeTraceSink`] (a `trace_event` JSON document loadable
 //! in Perfetto / `chrome://tracing`, with one cycle mapped to one
 //! microsecond of viewer time and packets shown as async spans).
