@@ -1732,19 +1732,19 @@ mod tests {
         // contends. A head clears each 16-cycle router pipeline and
         // crosses an 80-cycle link, and a tail follows its head two
         // cycles behind, so the responses deliver in the cycle the
-        // requests take their second hop.
-        struct Burst(Vec<PacketSpec>);
+        // requests take their second hop. Node 0 injects once more in
+        // cycle 120, inside the kernel window that holds those hops and
+        // deliveries, so a merge that ignored cycle order would move it.
+        struct Burst(Vec<(u64, PacketSpec)>);
         impl Endpoint for Burst {
             fn begin_cycle(&mut self, cycle: u64, port: &mut InjectPort<'_>) {
-                if cycle == 0 {
-                    for spec in &self.0 {
-                        inject_packet(port, spec).unwrap();
-                    }
+                for (_, spec) in self.0.iter().filter(|&&(at, _)| at == cycle) {
+                    inject_packet(port, spec).unwrap();
                 }
             }
             fn deliver(&mut self, _: u64, _: &Flit) {}
             fn idle(&self, cycle: u64) -> bool {
-                cycle > 0
+                self.0.iter().all(|&(at, _)| at < cycle)
             }
         }
         // Node `src` sends request `2 * src + 1` to `req` (XYZ order) and
@@ -1753,39 +1753,42 @@ mod tests {
             let id = 2 * src as u64;
             let src = NodeId(src);
             vec![
-                PacketSpec::request(src, NodeId(req), id + 1, 2).with_draw(0, 0, 0),
-                PacketSpec::response(src, NodeId(resp), id + 2, 2),
+                (
+                    0,
+                    PacketSpec::request(src, NodeId(req), id + 1, 2).with_draw(0, 0, 0),
+                ),
+                (0, PacketSpec::response(src, NodeId(resp), id + 2, 2)),
             ]
         };
-        let (a, b) = (burst(0, 3, 2), burst(7, 4, 5));
+        let mut a = burst(0, 3, 2);
+        a.push((120, PacketSpec::response(NodeId(0), NodeId(1), 3, 1)));
+        let b = burst(7, 4, 5);
         let traced = |shards: Option<usize>| {
             let mut f = fabric([2, 2, 2]);
-            f.set_shards(shards.unwrap_or(1)).unwrap();
             f.enable_telemetry(TelemetryConfig {
                 trace: true,
                 ..TelemetryConfig::default()
             });
+            let all = Burst([a.clone(), b.clone()].concat());
             match shards {
-                Some(1) => {
-                    let mut eps = [Burst([a.clone(), b.clone()].concat())];
-                    while f.cycle() < 250 {
-                        f.step_endpoints(&mut eps, 250);
-                    }
-                }
-                Some(_) => {
-                    let mut eps = [Burst(a.clone()), Burst(b.clone())];
-                    while f.cycle() < 250 {
-                        f.step_endpoints(&mut eps, 250);
-                    }
-                }
                 None => {
-                    let mut ep = Burst([a.clone(), b.clone()].concat());
+                    let mut ep = all;
                     for _ in 0..250 {
                         f.step_reference_with(&mut ep);
                     }
                 }
+                Some(shards) => {
+                    f.set_shards(shards).unwrap();
+                    let mut eps = match shards {
+                        1 => vec![all],
+                        _ => vec![Burst(a.clone()), Burst(b.clone())],
+                    };
+                    while f.cycle() < 250 {
+                        f.step_endpoints(&mut eps, 250);
+                    }
+                }
             }
-            assert_eq!(f.delivered().len(), 8, "every flit delivered");
+            assert_eq!(f.delivered().len(), 9, "every flit delivered");
             f.disable_telemetry()
                 .expect("telemetry on")
                 .trace_events()
@@ -1798,8 +1801,11 @@ mod tests {
             (Hop, 16, 0), (Hop, 16, 0), (Hop, 16, 7), (Hop, 16, 7),
             (Hop, 112, 1), (Hop, 112, 6), (Deliver, 112, 2), (Deliver, 112, 5),
             (Deliver, 114, 2), (Deliver, 114, 5),
+            (Inject, 120, 0),
+            (Hop, 136, 0),
             (Deliver, 208, 3), (Deliver, 208, 4),
             (Deliver, 210, 3), (Deliver, 210, 4),
+            (Deliver, 232, 1),
         ];
         for shards in [Some(1), Some(2), None] {
             let trace = traced(shards);
