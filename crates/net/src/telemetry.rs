@@ -260,10 +260,10 @@ pub struct TraceEvent {
 /// The trace order of a head flit's hop among its cycle's events: after
 /// every injection, whose order is its class rank
 /// ([`Telemetry::trace_listed`]).
-pub(crate) const HOP_ORDER: u8 = u8::MAX - 1;
+const HOP_ORDER: u8 = u8::MAX - 1;
 
 /// The trace order of a delivery: last among its cycle's events.
-pub(crate) const DELIVER_ORDER: u8 = u8::MAX;
+const DELIVER_ORDER: u8 = u8::MAX;
 
 impl TraceEvent {
     /// Head flit `flit`'s hop from router `r` through output `out` at
