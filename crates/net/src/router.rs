@@ -57,26 +57,31 @@
 //!   link books the flit on the downstream shard's calendar wheel at the
 //!   arrival cycle, where its landing accepts it into the downstream
 //!   queue — no per-link delay line, no serial replay;
-//! - **sender-held credits**: each router keeps one credit count per
-//!   (output, VC) for the queue its link feeds. A departure spends one,
-//!   and when it is applied, after the cycle's arbitration, it returns
-//!   one to the link feeding the queue it left; a landing touches none.
-//!   A credit check is one read of the router's own row. Arbitration
-//!   asks it for the target of each ready head front it walks, and stall
-//!   classification asks the same check — the counts cannot change
-//!   while a cycle arbitrates, so no snapshot or probe table is needed;
+//! - **sender-held credits**: each link keeps one credit count per VC
+//!   for the queue it feeds, in one credit table indexed `link * vcs +
+//!   vc` by the flat link id every per-link table and the telemetry
+//!   share (router `r`'s output `out`, and its input port `out`, are
+//!   link `link_off[r] + out`). A departure spends one, and when it is
+//!   applied, after the cycle's arbitration, it returns one to the link
+//!   feeding the queue it left; a landing touches none. A credit check
+//!   is one read of the sender's own entry. Arbitration asks it for the
+//!   target of each ready head front it walks, and stall classification
+//!   asks the same check — the counts cannot change while a cycle
+//!   arbitrates, so no snapshot or probe table is needed;
 //! - **one walk over the occupied queue fronts**: each router keeps a
 //!   bitset of its occupied input queues, the subset whose front is a
 //!   head, and a per-queue memo of each front's target (a head's route
 //!   decision, a body flit's owned output), filled once and cleared
 //!   when the front pops. Arbitration walks the head fronts that have
 //!   cleared the pipeline in ascending order, keeping per output the
-//!   head the round-robin scan would grant; with telemetry on, stall
-//!   classification walks every occupied front that has cleared the
-//!   pipeline through the same memo (one compare skips a front still in
-//!   it: pipeline time is not a stall), and each shard writes its own
-//!   links' advances and stalls straight into the telemetry counters,
-//!   so nothing is buffered or replayed;
+//!   head the round-robin scan would grant; with telemetry on, each
+//!   router's departures are recorded right after it arbitrates, and
+//!   stall classification then walks each of its occupied fronts that
+//!   has cleared the pipeline through the same memo (one compare skips
+//!   a front still in it: pipeline time is not a stall), in the same
+//!   pass over the routers. Each shard writes its own links' advances
+//!   and stalls straight into the telemetry counters, so nothing is
+//!   buffered or replayed;
 //! - **allocation-free hot path**: the per-cycle buffers (picks,
 //!   departures) persist across cycles, so a steady-state step
 //!   allocates nothing but, at more than one shard, each epoch's short
@@ -90,10 +95,11 @@
 //!   the shard owning their routers, at the top of every private cycle
 //!   and at every ejection, so a reacting workload does not pin epochs to
 //!   one cycle;
-//! - **borrowed shard rows**: each window borrows only its own shard's
-//!   rows of the fabric (routers, links, credit rows, scratch),
-//!   split off with ordinary slices, so the compiler checks the
-//!   partition; handing the rows to the pool's worker threads is the
+//! - **borrowed shard ranges**: each window borrows only its own
+//!   shard's routers and its contiguous range of every per-link table
+//!   (channels, link timers, credits, class counters, feeders) and its
+//!   scratch, split off with ordinary slices, so the compiler checks the
+//!   partition; handing them to the pool's worker threads is the
 //!   crate's one `unsafe` block.
 //!
 //! The naive full-scan stepper is retained as
@@ -254,21 +260,19 @@ impl Default for LinkSpec {
     }
 }
 
-/// One link's spec and traffic counters. The serialization timer and
-/// the sender's credits live in the fabric's `next_free` / `credits`
-/// rows — they are the arbitration hot path, and a compact per-router
-/// array is far cheaper to read than a stride through these (much
-/// larger) channel records.
-#[derive(Clone, Debug, Default)]
+/// One link's spec and traffic counters, owning no heap memory. The
+/// serialization timer and the sender's credits live in the fabric's
+/// flat `next_free` / `credits` tables — they are the arbitration hot
+/// path, and a compact array is far cheaper to read than a stride
+/// through these (larger) channel records — and the per-class counts in
+/// its `class_flits` table.
+#[derive(Clone, Copy, Debug, Default)]
 struct ChannelState {
     spec: LinkSpec,
     /// Flits that have entered this link since construction.
     flits_sent: u64,
     /// Packets (tail flits) that have entered this link.
     packets_sent: u64,
-    /// Flits that have entered this link, split by the fabric's flit
-    /// classes (empty until [`RouterFabric::set_flit_classes`]).
-    class_flits: Vec<u64>,
 }
 
 /// A flit bound for input `port` of `router`. On an arrival wheel it is
@@ -414,15 +418,16 @@ pub struct InjectPort<'a> {
     cycle: u64,
     /// First router of the view.
     lo: usize,
-    /// Routers in the whole fabric.
-    n_routers: usize,
     routers: &'a mut [CycleRouter],
-    /// The view's rows of `RouterFabric::feeder`.
-    feeder: &'a [Vec<Option<(u32, u32)>>],
-    /// Every router's credit row, which an injection into a fed port
+    /// The whole fabric's `RouterFabric::link_off`.
+    link_off: &'a [usize],
+    /// The view's range of `RouterFabric::feeder`, from its first
+    /// router's first input port.
+    feeder: &'a [Option<u32>],
+    /// The whole credit table, which an injection into a fed port
     /// spends from; `None` inside a shard window, where fed ports are out
     /// of reach (their sender may be another shard's router).
-    credits: Option<&'a mut [Vec<u32>]>,
+    credits: Option<&'a mut [u32]>,
     /// While tracing, the trace list of the view's shard, where a
     /// head's injection lists its `Inject` event under `rank`.
     trace: Option<&'a mut Vec<(u8, TraceEvent)>>,
@@ -440,7 +445,7 @@ impl InjectPort<'_> {
 
     /// Routers in the whole fabric (valid endpoint ids).
     pub fn router_count(&self) -> usize {
-        self.n_routers
+        self.link_off.len() - 1
     }
 
     /// The credits an injection into `(router, port, vc)` may spend now
@@ -462,13 +467,19 @@ impl InjectPort<'_> {
         if port >= d.ports || vc as usize >= d.vcs {
             return Err(out_of_range);
         }
-        match (self.feeder[r][port], self.credits.as_deref()) {
+        match (self.credit_of(router, port, vc), self.credits.as_deref()) {
             (None, _) => Ok(d.free_slots(port, vc)),
-            (Some((up, out)), Some(credits)) => {
-                Ok(credits[up as usize][out as usize * d.vcs + vc as usize] as usize)
-            }
+            (Some(at), Some(credits)) => Ok(credits[at] as usize),
             (Some(_), None) => Err(out_of_range),
         }
+    }
+
+    /// The credit an injection into the view's input `(router, port,
+    /// vc)` spends, if a link feeds that port.
+    fn credit_of(&self, router: usize, port: usize, vc: u8) -> Option<usize> {
+        let input = self.link_off[router] + port - self.link_off[self.lo];
+        let vcs = self.routers[router - self.lo].vcs;
+        self.feeder[input].map(|up| up as usize * vcs + vc as usize)
     }
 
     /// Flits queued on input `(router, port, vc)`.
@@ -502,14 +513,11 @@ impl InjectPort<'_> {
                 occupancy: self.queue_len(router, port, vc)?,
             });
         }
-        let (cycle, r) = (self.cycle, router - self.lo);
+        let cycle = self.cycle;
         flit.injected_at = cycle;
-        self.routers[r].accept(port, vc, flit, cycle);
-        if let (Some((up, out)), Some(credits)) =
-            (self.feeder[r][port], self.credits.as_deref_mut())
-        {
-            let vcs = self.routers[r].vcs;
-            credits[up as usize][out as usize * vcs + vc as usize] -= 1;
+        self.routers[router - self.lo].accept(port, vc, flit, cycle);
+        if let (Some(at), Some(credits)) = (self.credit_of(router, port, vc), &mut self.credits) {
+            credits[at] -= 1;
         }
         if let Some(trace) = self.trace.as_mut().filter(|_| flit.is_head()) {
             let event = TraceEvent {
@@ -540,8 +548,9 @@ pub struct MemoryBreakdown {
     /// Per-router scheduler state: the router structs plus their ring
     /// cursors, front mirrors, bitsets, target memos and scratch.
     pub routers: usize,
-    /// Links: wiring, channel specs and counters, link timers, the
-    /// senders' credit rows, and each input port's feeding link.
+    /// Links: the flat per-link tables (wiring, channel specs and
+    /// counters, link timers, the senders' credits, per-class flit
+    /// counts and each input port's feeding link) and the link offsets.
     pub links: usize,
     /// Fabric scheduling: the shard bounds, shard scratch (the
     /// per-shard arrival wheels holding every flit in link flight,
@@ -562,19 +571,26 @@ impl MemoryBreakdown {
 /// A fabric of cycle routers plus its wiring, stepped together.
 pub struct RouterFabric {
     routers: Vec<CycleRouter>,
-    /// `wiring[router][output_port]`.
-    wiring: Vec<Vec<PortLink>>,
-    /// `channels[router][output_port]`, parallel to `wiring`.
-    channels: Vec<Vec<ChannelState>>,
-    /// `next_free[router][output_port]`: first cycle each link can
-    /// serialize another flit — flat mirror of the per-link timer.
-    next_free: Vec<Vec<u64>>,
-    /// `credits[router][output_port * vcs + vc]`: the credits the router
-    /// holds for the input queue its link feeds — that queue's free
-    /// slots, less the flits already in flight toward it. An ejection
-    /// link never runs out (`u32::MAX`) and an unused port never has one
-    /// (0), so every departure's credit check is one read of the
-    /// router's own row.
+    /// VCs per router, one count fabric-wide: the stride of `credits`.
+    vcs: usize,
+    /// Flat start of each router's links (prefix sums of its port
+    /// counts; `len == routers + 1`): router `r`'s output `out` is link
+    /// `link_off[r] + out`, and its input port `out` has the same id.
+    /// Every table below is indexed by these ids.
+    link_off: Vec<usize>,
+    /// `wiring[link]`: where each link leads.
+    wiring: Vec<PortLink>,
+    /// `channels[link]`, parallel to `wiring`.
+    channels: Vec<ChannelState>,
+    /// `next_free[link]`: first cycle each link can serialize another
+    /// flit — flat mirror of the per-link timer.
+    next_free: Vec<u64>,
+    /// `credits[link * vcs + vc]`: the credits the link's sender holds
+    /// for the input queue the link feeds — that queue's free slots,
+    /// less the flits already in flight toward it. An ejection link
+    /// never runs out (`u32::MAX`) and an unused port never has one (0),
+    /// so every departure's credit check is one read of the sender's own
+    /// entry.
     ///
     /// A departure onto a router link spends one, and so does an
     /// injection into a port a link feeds; a landing touches none. Each
@@ -587,20 +603,24 @@ pub struct RouterFabric {
     /// instead of leaking mid-cycle to routers that happened to
     /// arbitrate later in the scan order. That uniformity is also what
     /// lets [`Self::set_shards`] arbitrate regions concurrently: checks
-    /// see the same credits no matter which thread (or order) asks. A
-    /// row belongs to the shard owning its router; a departure whose
-    /// feeding sender is another shard's returns the credit at the epoch
-    /// epilogue, and the window clamp of `step_epoch` keeps that delay
-    /// invisible.
-    credits: Vec<Vec<u32>>,
-    /// `feeder[router][input_port]`: the link `(upstream router, output
-    /// port)` landing on each input port, if any — whose credit an
-    /// injection into that port spends, and a departure from it returns.
-    feeder: Vec<Vec<Option<(u32, u32)>>>,
+    /// see the same credits no matter which thread (or order) asks. An
+    /// entry belongs to the shard owning its link's sender; a departure
+    /// whose feeding sender is another shard's returns the credit at the
+    /// epoch epilogue, and the window clamp of `step_epoch` keeps that
+    /// delay invisible.
+    credits: Vec<u32>,
+    /// `feeder[input]`: the link landing on each input port (by the
+    /// port's link id), if any — whose credit an injection into that
+    /// port spends, and a departure from it returns.
+    feeder: Vec<Option<u32>>,
     route: Box<RouteFn>,
-    /// Optional per-flit class extraction feeding each channel's
-    /// `class_flits` counters.
+    /// Optional per-flit class extraction feeding `class_flits`.
     classify: Option<Box<FlitClassFn>>,
+    /// Flit classes per link (0 until [`Self::set_flit_classes`]).
+    classes: usize,
+    /// `class_flits[link * classes + class]`: flits that have entered
+    /// each link, split by class.
+    class_flits: Vec<u64>,
     cycle: u64,
     delivered: Vec<(u64, Flit)>, // (cycle, flit)
     /// Flits currently in link flight, booked on the shards' arrival
@@ -618,18 +638,15 @@ pub struct RouterFabric {
     /// ascending router order, which is what keeps every shard count
     /// bit-identical.
     bounds: Vec<usize>,
-    /// Flat start offset of each router's links (prefix sums of wiring
-    /// row lengths; `len == routers + 1`).
-    link_off: Vec<usize>,
     /// Per-shard state: the arrival wheel (landed by the owning shard's
     /// window, or by the reference stepper), plus the window's
     /// departures, boundary outbox, credit return list, deliveries and
     /// trace list.
     shard_scratch: Vec<ShardScratch>,
     /// Every router-to-router link whose ends live in different shards,
-    /// as `(router, output port)` in ascending link order (empty with
-    /// one shard). Drives the epoch window's credit-headroom clamp.
-    boundary: Vec<(usize, usize)>,
+    /// ascending (empty with one shard). Drives the epoch window's
+    /// credit-headroom clamp.
+    boundary: Vec<usize>,
     /// Minimum latency over every link with latency >= 1 (`u64::MAX`
     /// when no such link exists): the structural lookahead bound — no
     /// window this wide can see a departure land inside itself.
@@ -655,76 +672,73 @@ impl RouterFabric {
     /// override long links with [`Self::set_link_spec`].
     ///
     /// # Panics
-    /// Panics if the wiring table shape does not match the routers, or
-    /// if two links land on one input port.
+    /// Panics unless the wiring has one row per router and each row one
+    /// entry per port of its router, and every router has the first
+    /// router's VC count; and if a link lands on an input port that does
+    /// not exist, or two links land on one input port.
     pub fn new(routers: Vec<CycleRouter>, wiring: Vec<Vec<PortLink>>, route: Box<RouteFn>) -> Self {
         assert_eq!(
             routers.len(),
             wiring.len(),
             "wiring rows must match routers"
         );
-        let mut feeder: Vec<Vec<Option<(u32, u32)>>> =
-            routers.iter().map(|r| vec![None; r.ports]).collect();
-        for (r, row) in wiring.iter().enumerate() {
-            for (out, link) in row.iter().enumerate() {
-                if let PortLink::Router { router, port } = *link {
-                    assert_eq!(
-                        routers[router].vcs, routers[r].vcs,
-                        "connected routers must share a VC count (a credit \
-                         return indexes the sender's row by the popped VC)"
-                    );
-                    let fed = feeder[router][port].replace((r as u32, out as u32));
-                    assert!(fed.is_none(), "two links land on input ({router}, {port})");
-                }
+        let vcs = routers.first().map_or(1, |r| r.vcs);
+        let mut link_off = Vec::with_capacity(routers.len() + 1);
+        link_off.push(0);
+        for (r, (router, row)) in routers.iter().zip(&wiring).enumerate() {
+            assert_eq!(
+                row.len(),
+                router.ports,
+                "wiring row {r} needs one entry per port"
+            );
+            assert_eq!(
+                router.vcs, vcs,
+                "router {r} must have the fabric's VC count"
+            );
+            link_off.push(link_off[r] + row.len());
+        }
+        // Exact-size tables: a fresh mega-fabric pays for every byte of
+        // capacity.
+        let links = link_off[routers.len()];
+        let (mut flat, mut feeder) = (Vec::with_capacity(links), vec![None; links]);
+        let mut credits = Vec::with_capacity(links * vcs);
+        for link in wiring.into_iter().flatten() {
+            if let PortLink::Router { router, port } = link {
+                assert!(
+                    port < routers[router].ports,
+                    "a link lands on missing input ({router}, {port})"
+                );
+                let fed = feeder[link_off[router] + port].replace(flat.len() as u32);
+                assert!(fed.is_none(), "two links land on input ({router}, {port})");
             }
-        }
-        let channels: Vec<Vec<ChannelState>> = wiring
-            .iter()
-            .map(|row| row.iter().map(|_| ChannelState::default()).collect())
-            .collect();
-        let next_free = wiring.iter().map(|row| vec![0; row.len()]).collect();
-        // Each sender starts with the depth of the queue its link feeds.
-        let credits = wiring
-            .iter()
-            .enumerate()
-            .map(|(r, row)| {
-                let vcs = routers[r].vcs;
-                let mut credit_row = Vec::with_capacity(row.len() * vcs);
-                for link in row {
-                    credit_row.extend((0..vcs).map(|v| match *link {
-                        PortLink::Router { router, port } => {
-                            routers[router].store.capacity(port * vcs + v) as u32
-                        }
-                        PortLink::Endpoint(_) => u32::MAX,
-                        PortLink::Unused => 0,
-                    }));
+            // Each sender starts with the depth of the queue its link feeds.
+            credits.extend((0..vcs).map(|v| match link {
+                PortLink::Router { router, port } => {
+                    routers[router].store.capacity(port * vcs + v) as u32
                 }
-                credit_row
-            })
-            .collect();
-        let n = routers.len();
-        let mut link_off = Vec::with_capacity(n + 1);
-        let mut loff = 0usize;
-        for row in &wiring {
-            link_off.push(loff);
-            loff += row.len();
+                PortLink::Endpoint(_) => u32::MAX,
+                PortLink::Unused => 0,
+            }));
+            flat.push(link);
         }
-        link_off.push(loff);
         let mut fabric = RouterFabric {
             routers,
-            wiring,
-            channels,
-            next_free,
+            vcs,
+            link_off,
+            wiring: flat,
+            channels: vec![ChannelState::default(); links],
+            next_free: vec![0; links],
             credits,
             feeder,
             route,
             classify: None,
+            classes: 0,
+            class_flits: Vec::new(),
             cycle: 0,
             delivered: Vec::new(),
             in_flight_total: 0,
             telemetry: None,
             bounds: Vec::new(),
-            link_off,
             shard_scratch: Vec::new(),
             boundary: Vec::new(),
             min_pos_latency: u64::MAX,
@@ -744,8 +758,7 @@ impl RouterFabric {
     /// Recording is purely observational — arbitration, delivery logs
     /// and link counters are bit-identical with telemetry on or off.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        let vcs = self.routers.iter().map(|r| r.vcs).max().unwrap_or(1);
-        let tel = Telemetry::new(cfg, &self.link_off, vcs, self.cycle);
+        let tel = Telemetry::new(cfg, &self.link_off, self.vcs, self.cycle);
         self.telemetry = Some(Box::new(tel));
     }
 
@@ -777,33 +790,16 @@ impl RouterFabric {
             b.flit_slabs += slab;
             b.routers += state;
         }
-        b.links = self.wiring.capacity() * size_of::<Vec<PortLink>>()
-            + self.channels.capacity() * size_of::<Vec<ChannelState>>()
-            + self.next_free.capacity() * size_of::<Vec<u64>>()
-            + self.credits.capacity() * size_of::<Vec<u32>>()
-            + self.feeder.capacity() * size_of::<Vec<Option<(u32, u32)>>>()
+        b.links = self.wiring.capacity() * size_of::<PortLink>()
+            + self.channels.capacity() * size_of::<ChannelState>()
+            + self.next_free.capacity() * size_of::<u64>()
+            + self.credits.capacity() * size_of::<u32>()
+            + self.feeder.capacity() * size_of::<Option<u32>>()
+            + self.class_flits.capacity() * size_of::<u64>()
             + self.link_off.capacity() * size_of::<usize>();
-        for row in &self.wiring {
-            b.links += row.capacity() * size_of::<PortLink>();
-        }
-        for row in &self.channels {
-            b.links += row.capacity() * size_of::<ChannelState>();
-            for ch in row {
-                b.links += ch.class_flits.capacity() * size_of::<u64>();
-            }
-        }
-        for row in &self.next_free {
-            b.links += row.capacity() * size_of::<u64>();
-        }
-        for row in &self.credits {
-            b.links += row.capacity() * size_of::<u32>();
-        }
-        for row in &self.feeder {
-            b.links += row.capacity() * size_of::<Option<(u32, u32)>>();
-        }
         b.scheduling = self.bounds.capacity() * size_of::<usize>()
             + self.delivered.capacity() * size_of::<(u64, Flit)>()
-            + self.boundary.capacity() * size_of::<(usize, usize)>()
+            + self.boundary.capacity() * size_of::<usize>()
             + self.shard_scratch.capacity() * size_of::<ShardScratch>()
             + self
                 .shard_scratch
@@ -831,7 +827,8 @@ impl RouterFabric {
             spec.interval >= 1,
             "link interval must be at least one cycle"
         );
-        let to_router = matches!(self.wiring[router][port], PortLink::Router { .. });
+        let link = self.link(router, port);
+        let to_router = matches!(self.wiring[link], PortLink::Router { .. });
         assert!(
             spec.latency == 0 || to_router,
             "only router-to-router links have latency; ({router}, {port}) does not lead to a router"
@@ -843,8 +840,8 @@ impl RouterFabric {
         );
         assert!(
             self.in_flight_total == 0
-                || spec.latency == self.channels[router][port].spec.latency
-                || self.in_flight_on(router, port) == 0,
+                || spec.latency == self.channels[link].spec.latency
+                || self.in_flight_on(link) == 0,
             "cannot change the latency of link ({router}, {port}) with flits in flight"
         );
         if spec.latency + 1 > self.wheel_len() {
@@ -864,7 +861,7 @@ impl RouterFabric {
         if spec.latency >= 1 {
             self.min_pos_latency = self.min_pos_latency.min(spec.latency);
         }
-        self.channels[router][port].spec = spec;
+        self.channels[link].spec = spec;
     }
 
     /// Resizes the input buffers of `(router, port)` — see
@@ -878,22 +875,21 @@ impl RouterFabric {
     /// Panics if the feeding link has flits in flight, or if the port
     /// already holds more flits than `depth`.
     pub fn set_input_depth(&mut self, router: usize, port: usize, depth: usize) {
-        let feeding = self.feeder[router][port];
+        let feeding = self.feeder[self.link(router, port)].map(|up| up as usize);
         // Skip the in-flight count when nothing is in flight anywhere —
         // always so on the construction path, where a torus fabric
         // resizes every neighbor port.
-        if let Some((r, out)) = feeding.filter(|_| self.in_flight_total > 0) {
+        if let Some(up) = feeding.filter(|_| self.in_flight_total > 0) {
             assert_eq!(
-                self.in_flight_on(r as usize, out as usize),
+                self.in_flight_on(up),
                 0,
                 "cannot resize input ({router}, {port}): feeding link has flits in flight holding its credits"
             );
         }
         self.routers[router].set_input_depth(port, depth);
-        if let Some((r, out)) = feeding {
-            let vcs = self.routers[router].vcs;
-            for v in 0..vcs {
-                self.credits[r as usize][out as usize * vcs + v] =
+        if let Some(up) = feeding {
+            for v in 0..self.vcs {
+                self.credits[up * self.vcs + v] =
                     self.routers[router].free_slots(port, v as u8) as u32;
             }
         }
@@ -921,49 +917,59 @@ impl RouterFabric {
     /// only. Feeds the per-slice [`crate::channel::LinkStats`]
     /// accounting of [`crate::fabric3d::TorusFabric`].
     pub fn link_traffic(&self, router: usize, port: usize) -> (u64, u64) {
-        let ch = &self.channels[router][port];
+        let ch = &self.channels[self.link(router, port)];
         (ch.flits_sent, ch.packets_sent)
     }
 
-    /// Flits in flight on the link leaving `router` via `port`: the free
-    /// slots of the downstream queue its sender holds no credit for.
-    /// Exact between steps, when every credit return has landed.
-    fn in_flight_on(&self, router: usize, port: usize) -> usize {
-        let PortLink::Router {
-            router: dst,
-            port: dport,
-        } = self.wiring[router][port]
-        else {
+    /// The flat id of `router`'s link (and input port) `port`; panics
+    /// if the router has no such port.
+    fn link(&self, router: usize, port: usize) -> usize {
+        let link = self.link_off[router] + port;
+        assert!(
+            link < self.link_off[router + 1],
+            "router {router} has no port {port}"
+        );
+        link
+    }
+
+    /// Flits in flight on `link`: the free slots of the downstream queue
+    /// its sender holds no credit for. Exact between steps, when every
+    /// credit return has landed.
+    fn in_flight_on(&self, link: usize) -> usize {
+        let PortLink::Router { router, port } = self.wiring[link] else {
             return 0;
         };
-        let vcs = self.routers[router].vcs;
-        (0..vcs)
+        (0..self.vcs)
             .map(|v| {
-                self.routers[dst].free_slots(dport, v as u8)
-                    - self.credits[router][port * vcs + v] as usize
+                self.routers[router].free_slots(port, v as u8)
+                    - self.credits[link * self.vcs + v] as usize
             })
             .sum()
     }
 
     /// Instantaneous occupancy of the link leaving `router` via `port`:
-    /// flits in flight on the link (counted from its sender's credits)
-    /// plus flits queued in the downstream input port it feeds — the
-    /// same sample the telemetry epoch rings record at each boundary,
-    /// exposed so exports can close the final partial epoch with a
-    /// matching sample.
+    /// flits in flight on the link plus flits queued in the downstream
+    /// input port it feeds — the same sample the telemetry epoch rings
+    /// record at each boundary, exposed so exports can close the final
+    /// partial epoch with a matching sample.
     pub fn link_occupancy(&self, router: usize, port: usize) -> usize {
-        let mut o = self.in_flight_on(router, port);
-        if let PortLink::Router {
-            router: dst,
-            port: dport,
-        } = self.wiring[router][port]
-        {
-            let vcs = self.routers[dst].vcs;
-            for v in 0..vcs {
-                o += self.routers[dst].queue_len(dport, v as u8);
-            }
-        }
-        o
+        self.occupancy_of(self.link(router, port))
+    }
+
+    /// [`Self::link_occupancy`] of `link`, counted from its sender's
+    /// credits: between steps every credit return has landed, so the
+    /// downstream queue's depth less the credits is exactly the flits
+    /// in flight and queued there. Other links hold none.
+    fn occupancy_of(&self, link: usize) -> usize {
+        let PortLink::Router { router, port } = self.wiring[link] else {
+            return 0;
+        };
+        let store = &self.routers[router].store;
+        (0..self.vcs)
+            .map(|v| {
+                store.capacity(port * self.vcs + v) - self.credits[link * self.vcs + v] as usize
+            })
+            .sum()
     }
 
     /// Enables per-class link traffic counters: every flit entering a
@@ -972,11 +978,8 @@ impl RouterFabric {
     /// it resets any previously accumulated per-class counts.
     pub fn set_flit_classes(&mut self, classes: usize, classify: Box<FlitClassFn>) {
         assert!(classes > 0, "need at least one flit class");
-        for row in &mut self.channels {
-            for ch in row {
-                ch.class_flits = vec![0; classes];
-            }
-        }
+        self.classes = classes;
+        self.class_flits = vec![0; self.wiring.len() * classes];
         self.classify = Some(classify);
     }
 
@@ -985,7 +988,8 @@ impl RouterFabric {
     /// [`Self::set_flit_classes`] was called. Feeds the per-kind wire
     /// byte accounting of [`crate::fabric3d::TorusFabric::link_stats`].
     pub fn link_class_traffic(&self, router: usize, port: usize) -> &[u64] {
-        &self.channels[router][port].class_flits
+        let link = self.link(router, port);
+        &self.class_flits[link * self.classes..(link + 1) * self.classes]
     }
 
     /// The credits an injection into input `(router, port, vc)` may
@@ -998,11 +1002,8 @@ impl RouterFabric {
     /// Panics if the queue does not exist (see
     /// [`InjectError::QueueOutOfRange`]).
     pub fn inject_capacity(&self, router: usize, port: usize, vc: u8) -> usize {
-        match self.feeder[router][port] {
-            Some((r, out)) => {
-                let vcs = self.routers[router].vcs;
-                self.credits[r as usize][out as usize * vcs + vc as usize] as usize
-            }
+        match self.feeder[self.link(router, port)] {
+            Some(up) => self.credits[up as usize * self.vcs + vc as usize] as usize,
             None => self.routers[router].free_slots(port, vc),
         }
     }
@@ -1042,8 +1043,8 @@ impl RouterFabric {
         let mut view = InjectPort {
             cycle: self.cycle,
             lo: 0,
-            n_routers: self.routers.len(),
             routers: &mut self.routers,
+            link_off: &self.link_off,
             feeder: &self.feeder,
             credits: Some(&mut self.credits[..]),
             trace: tracing.then_some(&mut self.shard_scratch[0].trace),
@@ -1123,9 +1124,7 @@ impl RouterFabric {
         };
         if tel.roll_due(self.cycle) {
             let mut occ = tel.take_occ_scratch();
-            for (r, row) in self.wiring.iter().enumerate() {
-                occ.extend((0..row.len()).map(|out| self.link_occupancy(r, out) as u32));
-            }
+            occ.extend((0..self.wiring.len()).map(|link| self.occupancy_of(link) as u32));
             tel.roll(self.cycle, occ);
         }
         self.telemetry = Some(tel);
@@ -1249,26 +1248,26 @@ impl RouterFabric {
             return Err(ShardError::Busy { resident });
         }
         if shards > 1 {
-            for (r, row) in self.wiring.iter().enumerate() {
-                for (port, link) in row.iter().enumerate() {
-                    if matches!(link, PortLink::Router { .. })
-                        && self.channels[r][port].spec.latency == 0
+            for router in 0..n {
+                for link in self.link_off[router]..self.link_off[router + 1] {
+                    if matches!(self.wiring[link], PortLink::Router { .. })
+                        && self.channels[link].spec.latency == 0
                     {
-                        return Err(ShardError::ZeroLatencyLink { router: r, port });
+                        let port = link - self.link_off[router];
+                        return Err(ShardError::ZeroLatencyLink { router, port });
                     }
                 }
             }
         }
         // Exact recompute of the structural lookahead bound (link specs
         // may have been raised since construction).
-        self.min_pos_latency = u64::MAX;
-        for row in &self.channels {
-            for ch in row {
-                if ch.spec.latency >= 1 {
-                    self.min_pos_latency = self.min_pos_latency.min(ch.spec.latency);
-                }
-            }
-        }
+        self.min_pos_latency = self
+            .channels
+            .iter()
+            .map(|ch| ch.spec.latency)
+            .filter(|&latency| latency >= 1)
+            .min()
+            .unwrap_or(u64::MAX);
         self.partition(shards, lookahead);
         Ok(())
     }
@@ -1294,12 +1293,10 @@ impl RouterFabric {
         // different regions.
         self.boundary.clear();
         for region in self.bounds.windows(2).map(|b| b[0]..b[1]) {
-            for r in region.clone() {
-                for (port, link) in self.wiring[r].iter().enumerate() {
-                    if matches!(*link, PortLink::Router { router, .. } if !region.contains(&router))
-                    {
-                        self.boundary.push((r, port));
-                    }
+            for link in self.link_off[region.start]..self.link_off[region.end] {
+                if matches!(self.wiring[link], PortLink::Router { router, .. } if !region.contains(&router))
+                {
+                    self.boundary.push(link);
                 }
             }
         }
@@ -1985,6 +1982,89 @@ mod tests {
             assert_eq!(f.occupancy(), 0, "the row drains");
             assert_eq!(f.delivered().len() as u64, 2 * p);
         }
+    }
+
+    #[test]
+    fn link_occupancy_is_what_entered_and_has_not_left() {
+        // Every flit router 0 forwards crosses a 30-cycle link into
+        // router 1's queue and ejects there, so the link's sample — read
+        // from its sender's credits — is the flits injected, less those
+        // still queued at router 0 and those delivered, at every cycle
+        // and under both steppers.
+        for reference in [false, true] {
+            let mut f = build_row(2, 2, 2);
+            let spec = LinkSpec {
+                latency: 30,
+                interval: 1,
+            };
+            f.set_link_spec(0, 1, spec);
+            let mut injected = 0;
+            for cycle in 0..1_000u64 {
+                if cycle < 200
+                    && f.inject(0, 0, flit(cycle, 0, 1, 1, cycle as u8 % 2))
+                        .is_ok()
+                {
+                    injected += 1;
+                }
+                if reference {
+                    f.step_reference();
+                } else {
+                    f.step();
+                }
+                let queued: usize = (0..2).map(|vc| f.queue_len(0, 0, vc)).sum();
+                assert_eq!(
+                    f.link_occupancy(0, 1),
+                    injected - queued - f.delivered().len(),
+                    "cycle {cycle}, reference stepper: {reference}"
+                );
+                if cycle >= 200 && f.occupancy() == 0 {
+                    break;
+                }
+            }
+            assert_eq!(f.occupancy(), 0, "the row drains");
+            assert_eq!(f.delivered().len(), injected);
+        }
+    }
+
+    /// Builds a fabric of 2-port routers with `vcs[r]` VCs each, wired
+    /// by `wiring`.
+    fn fabric_of(vcs: &[usize], wiring: Vec<Vec<PortLink>>) -> RouterFabric {
+        let routers = vcs
+            .iter()
+            .enumerate()
+            .map(|(r, &vcs)| CycleRouter::new(r, 2, vcs, 1))
+            .collect();
+        RouterFabric::new(
+            routers,
+            wiring,
+            Box::new(|f: &Flit, _| RouteDecision::keep(1, f)),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "wiring row 1 needs one entry per port")]
+    fn a_short_wiring_row_is_refused() {
+        // Flat link ids would give router 1's port 1 no link at all.
+        let eject = |id| vec![PortLink::Unused, PortLink::Endpoint(id)];
+        fabric_of(&[1, 1], vec![eject(0), vec![PortLink::Unused]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wiring row 0 needs one entry per port")]
+    fn a_long_wiring_row_is_refused() {
+        // Router 0's third entry would take router 1's first link id.
+        let eject = |id| vec![PortLink::Unused, PortLink::Endpoint(id)];
+        let mut long = eject(0);
+        long.push(PortLink::Endpoint(9));
+        fabric_of(&[1, 1], vec![long, eject(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "router 1 must have the fabric's VC count")]
+    fn mixed_vc_counts_are_refused() {
+        // Unconnected routers too: the credit table has one stride.
+        let eject = |id| vec![PortLink::Unused, PortLink::Endpoint(id)];
+        fabric_of(&[2, 1], vec![eject(0), eject(1)]);
     }
 
     /// A row whose inter-router links all have one-cycle latency — the

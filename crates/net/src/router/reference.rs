@@ -11,7 +11,7 @@ impl RouterFabric {
     /// Advances the fabric one cycle with the retained **reference**
     /// stepper: the naive full scan over every router, arbitrating every
     /// (port, VC) via [`CycleRouter::tick`] against each router's link
-    /// timers and credit row. Kept as the executable specification of
+    /// timers and credits. Kept as the executable specification of
     /// [`Self::step`] — the `stepper_equivalence` property tests (and
     /// the committed benchmark's traced run, which also times both) run
     /// the two side by side and require identical delivery logs and
@@ -31,10 +31,10 @@ impl RouterFabric {
             if self.routers[r].is_idle() {
                 continue;
             }
-            let vcs = self.routers[r].vcs;
-            let (next_free, credits) = (&self.next_free[r], &self.credits[r]);
+            let first = self.link_off[r];
             let sent = self.routers[r].tick(cycle, &*self.route, |out, vc| {
-                next_free[out] <= cycle && credits[out * vcs + vc as usize] > 0
+                let link = first + out;
+                self.next_free[link] <= cycle && self.credits[link * self.vcs + vc as usize] > 0
             });
             for (q, out, flit) in sent {
                 moves.push((r, q, out, flit));
@@ -96,25 +96,23 @@ impl RouterFabric {
     /// trace list). Drains `moves` in place.
     fn apply_moves(&mut self, moves: &mut Vec<(usize, usize, usize, Flit)>, cycle: u64) {
         let tracing = self.telemetry.as_ref().is_some_and(|t| t.config().trace);
+        let vcs = self.vcs;
         for (r, q, out, flit) in moves.drain(..) {
-            let vcs = self.routers[r].vcs;
-            if let Some((up, up_out)) = self.feeder[r][q / vcs] {
-                self.credits[up as usize][up_out as usize * vcs + q % vcs] += 1;
+            if let Some(up) = self.feeder[self.link_off[r] + q / vcs] {
+                self.credits[up as usize * vcs + q % vcs] += 1;
             }
-            let class = self.classify.as_deref().map(|f| f(&flit));
-            let spec = {
-                let ch = &mut self.channels[r][out];
-                self.next_free[r][out] = cycle + ch.spec.interval;
-                ch.flits_sent += 1;
-                ch.packets_sent += u64::from(flit.is_tail());
-                if let Some(c) = class {
-                    ch.class_flits[c] += 1;
-                }
-                ch.spec
-            };
-            match self.wiring[r][out] {
+            let link = self.link_off[r] + out;
+            if let Some(classify) = self.classify.as_deref() {
+                self.class_flits[link * self.classes + classify(&flit)] += 1;
+            }
+            let ch = &mut self.channels[link];
+            self.next_free[link] = cycle + ch.spec.interval;
+            ch.flits_sent += 1;
+            ch.packets_sent += u64::from(flit.is_tail());
+            let spec = ch.spec;
+            match self.wiring[link] {
                 PortLink::Router { router, port } => {
-                    self.credits[r][out * vcs + flit.vc as usize] -= 1;
+                    self.credits[link * vcs + flit.vc as usize] -= 1;
                     if spec.latency == 0 {
                         // Link flight is folded into the downstream
                         // pipeline constant (the paper's per-hop cycle
@@ -153,7 +151,7 @@ impl RouterFabric {
     /// their own link ranges with. Runs post-arbitration,
     /// pre-[`Self::apply_moves`]: departed flits are
     /// already popped from their queues, but the link timers
-    /// (`next_free`) and credit rows (`credits`) still hold
+    /// (`next_free`) and credits (`credits`) still hold
     /// the state this cycle's arbitration read. Each departure marks
     /// its link's advance cycle (and lists a head's hop onto a router
     /// link in shard 0's trace list); every
@@ -168,9 +166,9 @@ impl RouterFabric {
         };
         let mut rec = tel.recorder();
         for &(r, _, out, ref flit) in moves {
-            rec.advance(cycle, self.link_off[r] + out);
-            if rec.trace && flit.is_head() && matches!(self.wiring[r][out], PortLink::Router { .. })
-            {
+            let link = self.link_off[r] + out;
+            rec.advance(cycle, link);
+            if rec.trace && flit.is_head() && matches!(self.wiring[link], PortLink::Router { .. }) {
                 let hop = TraceEvent::hop(cycle, r, out, flit);
                 self.shard_scratch[0].trace.push(hop);
             }
@@ -179,7 +177,7 @@ impl RouterFabric {
             if router.queued == 0 {
                 continue;
             }
-            let vcs = router.vcs;
+            let vcs = self.vcs;
             for p in 0..router.ports {
                 for v in 0..vcs {
                     let Some(&(front, arrived)) = router.front(p, v as u8) else {
@@ -201,11 +199,11 @@ impl RouterFabric {
                     };
                     // Ejection links never lack credits; nothing is ever
                     // granted toward an unused port (see `Self::credits`).
-                    let starved = || self.credits[r][out * vcs + out_vc as usize] == 0;
                     let link = self.link_off[r] + out;
+                    let starved = || self.credits[link * vcs + out_vc as usize] == 0;
                     let cause = StallCause::of(
                         rec.advanced_on(cycle, link),
-                        self.next_free[r][out] > cycle,
+                        self.next_free[link] > cycle,
                         starved,
                     );
                     rec.stall(cycle, link, out_vc, cause);

@@ -6,24 +6,27 @@
 //! Anton 3's routers keep their input queues and credit counters on
 //! their own node, and a neighbour learns of them only through credits
 //! returning over the link. The kernel keeps the same partition with
-//! ordinary borrows. Each router holds one credit count per (output,
-//! VC): the sender's count for the queue its link feeds, which only the
-//! sender spends. Each epoch, [`RouterFabric::step_epoch`] splits the
-//! fabric into two views:
+//! ordinary borrows. Each link holds one credit count per VC: the
+//! sender's count for the queue the link feeds, which only the sender
+//! spends. Shard `s`'s routers `bounds[s]..bounds[s + 1]` own the links
+//! `link_off[bounds[s]]..link_off[bounds[s + 1]]` (their outputs, and
+//! their input ports under the same ids). Each epoch,
+//! [`RouterFabric::step_epoch`] splits the fabric into two views:
 //!
 //! - one [`EpochInputs`], which every shard only reads: the wiring,
 //!   the link offsets and the routing closures;
 //! - one [`ShardRows`] per shard, which only that shard touches: its
-//!   contiguous rows `bounds[s]..bounds[s + 1]` of the routers, link
-//!   state, credit rows and feeder map, and element `s` of the scratch
-//!   (arrival wheel, boundary outbox and credit return list), of the
-//!   telemetry recorders and of the endpoints.
+//!   routers, its link range of every per-link table (channels, link
+//!   timers, credits, class counts and feeders), and element `s` of the
+//!   scratch (arrival wheel, boundary outbox and credit return list), of
+//!   the telemetry recorders and of the endpoints.
 //!
-//! A window indexes its rows from its first router, so a read of another
-//! shard's row panics (its index falls outside the window's range)
-//! instead of racing. A flit bound for another shard goes in the outbox,
-//! and a departure whose credit belongs to another shard's sender puts
-//! it on the return list; the serial epilogue moves both to their owners.
+//! A window indexes its tables from its first router and first link, so
+//! a read of another shard's entry panics (its index falls outside the
+//! window's range) instead of racing. A flit bound for another shard
+//! goes in the outbox, and a departure whose credit belongs to another
+//! shard's sender puts the credit's index on the return list; the
+//! serial epilogue moves both to their owners.
 //! An [`Endpoint`] reaches the fabric only through an [`InjectPort`]
 //! built from its shard's rows, and only at ports no link feeds.
 //!
@@ -304,9 +307,8 @@ pub(super) struct ShardScratch {
     /// shard's wheel.
     outbox: Vec<(usize, Arrival)>,
     /// Credits this window's departures return to senders in other
-    /// shards, as `(router, credit-row index)`, for the epilogue to
-    /// apply.
-    returns: Vec<(usize, usize)>,
+    /// shards, as credit-table indices, for the epilogue to apply.
+    returns: Vec<usize>,
     /// Flits this window sent onto positive-latency links.
     sent: usize,
     /// Flits this window landed into its routers.
@@ -349,7 +351,7 @@ impl ShardScratch {
                 .sum::<usize>();
         wheel
             + self.outbox.capacity() * size_of::<(usize, Arrival)>()
-            + self.returns.capacity() * size_of::<(usize, usize)>()
+            + self.returns.capacity() * size_of::<usize>()
             + self.moves.capacity() * size_of::<(usize, usize, usize, Flit)>()
             + self.ejected.capacity() * size_of::<(u64, Flit)>()
             + self.trace.capacity() * size_of::<(u8, TraceEvent)>()
@@ -362,8 +364,11 @@ struct EpochInputs<'a> {
     cycle: u64,
     /// Window width: shards privately simulate `cycle..cycle + window`.
     window: u64,
-    wiring: &'a [Vec<PortLink>],
+    wiring: &'a [PortLink],
     link_off: &'a [usize],
+    /// The credit and class tables' strides.
+    vcs: usize,
+    classes: usize,
     route: &'a RouteFn,
     classify: Option<&'a FlitClassFn>,
     /// Whether any flit was in flight when the epoch started; if not,
@@ -371,17 +376,19 @@ struct EpochInputs<'a> {
     in_flight: bool,
 }
 
-/// One shard's rows of the fabric for one epoch, split off at the
-/// shard's bounds: everything its window writes, and its rows of the
-/// feeder map.
+/// One shard's part of the fabric for one epoch: its routers, split
+/// off at the shard's bounds, and its link range of every per-link
+/// table, split off at those routers' link offsets — everything its
+/// window writes, and its range of the feeder map.
 struct ShardRows<'a> {
     /// First router of the shard.
     lo: usize,
     routers: &'a mut [CycleRouter],
-    channels: &'a mut [Vec<ChannelState>],
-    next_free: &'a mut [Vec<u64>],
-    credits: &'a mut [Vec<u32>],
-    feeder: &'a [Vec<Option<(u32, u32)>>],
+    channels: &'a mut [ChannelState],
+    next_free: &'a mut [u64],
+    credits: &'a mut [u32],
+    class_flits: &'a mut [u64],
+    feeder: &'a [Option<u32>],
     scratch: &'a mut ShardScratch,
     /// The shard's telemetry recorder, over its own links
     /// ([`Telemetry::recorders`]); `None` when telemetry is off.
@@ -399,7 +406,7 @@ const _: () = {
     owned::<ShardRows<'static>>();
 };
 
-/// Splits the first `n` rows off `rest`.
+/// Splits the first `n` entries off `rest`.
 fn take_rows<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
     let (rows, tail) = std::mem::take(rest).split_at_mut(n);
     *rest = tail;
@@ -412,14 +419,14 @@ fn take_rows<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
 /// the epoch has endpoints — generation and injection into the
 /// shard's own injection ports — then lands the shard's wheel slot,
 /// then arbitrates every router of the shard that has work, in
-/// ascending index order; ejections go to the endpoint as they
-/// apply. The window ends early at a cycle in which no router had
-/// work if nothing was in flight when the epoch began and the
-/// endpoint is idle. Every party — the stepping thread as shard 0, one
-/// pool worker per remaining shard — calls this exactly once per
-/// epoch, then waits on the epoch barrier, having caught any panic
-/// of the window first (a one-shard fabric has neither workers nor
-/// barrier).
+/// ascending index order, each recording its telemetry as it
+/// arbitrates; ejections go to the endpoint as they apply. The window
+/// ends early at a cycle in which no router had work if nothing was in
+/// flight when the epoch began and the endpoint is idle. Every party —
+/// the stepping thread as shard 0, one pool worker per remaining shard
+/// — calls this exactly once per epoch, then waits on the epoch
+/// barrier, having caught any panic of the window first (a one-shard
+/// fabric has neither workers nor barrier).
 ///
 /// Cross-shard effects cannot occur inside the window: every
 /// positive-latency link is at least `window` cycles long, so a flit
@@ -429,7 +436,7 @@ fn take_rows<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
 /// boundary accept an earlier epilogue moved in. Zero-latency router
 /// links never leave a shard (`set_shards` and `set_link_spec`
 /// refuse them), so their flits land in-shard the cycle they depart.
-/// Every credit check reads the sender's own row. A departure's
+/// Every credit check reads the sender's own entry. A departure's
 /// credit returns to a sender in another shard only at the epilogue,
 /// and the window clamp keeps that delay invisible (see
 /// [`RouterFabric::step_epoch`]).
@@ -440,12 +447,17 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
         channels,
         next_free,
         credits,
+        class_flits,
         feeder,
         scratch,
         recorder: rec,
         endpoint,
     } = rows;
     let (lo, hi) = (*lo, *lo + routers.len());
+    let (vcs, classes) = (inp.vcs, inp.classes);
+    // The shard's links start at `l0`, its credits at `owned.start`.
+    let l0 = inp.link_off[lo];
+    let owned = l0 * vcs..l0 * vcs + credits.len();
     let tracing = rec.as_ref().is_some_and(|r| r.trace);
     (scratch.sent, scratch.landed, scratch.last_move) = (0, 0, 0);
     let t0 = inp.cycle;
@@ -462,8 +474,8 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
             let mut port = InjectPort {
                 cycle,
                 lo,
-                n_routers: inp.wiring.len(),
                 routers,
+                link_off: inp.link_off,
                 feeder,
                 credits: None,
                 trace: tracing.then_some(&mut scratch.trace),
@@ -486,30 +498,51 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
             scratch.wheel[slot] = bucket;
         }
 
-        // The downstream-credit half of a departure check for the
-        // shard's router `i` (its row index), output `out`, VC `vc`
-        // (`vcs` is the router's VC count, the stride of its credit
-        // row): one entry of the router's own row. Arbitration and
-        // stall classification both ask here; nothing it reads
-        // changes while a cycle arbitrates.
-        let has_credit =
-            |i: usize, vcs: usize, out: usize, vc: u8| credits[i][out * vcs + vc as usize] > 0;
-
-        // Arbitration: every router with work, in index order.
+        // One pass over the routers with work, in index order: each
+        // arbitrates, then, with telemetry on, records its departures'
+        // advances (and traced head hops) and classifies each occupied
+        // front that has cleared the pipeline into the shard's own
+        // counters — the epoch mirror of `telemetry_record`, with
+        // targets from the memo arbitration shares. Classification
+        // reads only the router's own links' advance stamps, timers and
+        // credits, which no other router's arbitration writes:
+        // departures apply after the pass.
         let mut busy = false;
         for (i, router) in routers.iter_mut().enumerate() {
             if router.is_idle() {
                 continue;
             }
             busy = true;
-            let vcs = router.vcs;
-            let next_free_r = &next_free[i];
+            // The router's first link, shard-relative. Arbitration and
+            // classification ask the same two checks of its links.
+            let first = inp.link_off[lo + i] - l0;
+            let free = |out: usize| next_free[first + out] <= cycle;
+            let has_credit = |out: usize, vc: u8| credits[(first + out) * vcs + vc as usize] > 0;
+            let from = scratch.moves.len();
             router.arbitrate_into(
                 cycle,
                 inp.route,
-                |out, vc| next_free_r[out] <= cycle && has_credit(i, vcs, out, vc),
+                |out, vc| free(out) && has_credit(out, vc),
                 &mut scratch.moves,
             );
+            let Some(rec) = rec.as_mut() else {
+                continue;
+            };
+            for &(r, _, out, ref flit) in &scratch.moves[from..] {
+                let link = l0 + first + out;
+                rec.advance(cycle, link);
+                if tracing && flit.is_head() && matches!(inp.wiring[link], PortLink::Router { .. })
+                {
+                    scratch.trace.push(TraceEvent::hop(cycle, r, out, flit));
+                }
+            }
+            router.for_each_front_target(cycle, inp.route, |out, out_vc| {
+                let link = l0 + first + out;
+                let cause = StallCause::of(rec.advanced_on(cycle, link), !free(out), || {
+                    !has_credit(out, out_vc)
+                });
+                rec.stall(cycle, link, out_vc, cause);
+            });
         }
         if !busy {
             // Dead shard-cycle. Later slots may still land flits,
@@ -525,77 +558,42 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
             scratch.last_move = cycle;
         }
 
-        if let Some(rec) = rec.as_mut() {
-            // Record this cycle's advances, then classify every
-            // occupied front that has cleared the pipeline against
-            // the same private-cycle state arbitration read, into the
-            // shard's own counters — the epoch mirror of
-            // `telemetry_record`, fed per front by
-            // `for_each_front_target` (targets read from the memo
-            // arbitration shares, only occupied queues visited).
-            for &(r, _, out, ref flit) in &scratch.moves {
-                rec.advance(cycle, inp.link_off[r] + out);
-                if tracing
-                    && flit.is_head()
-                    && matches!(inp.wiring[r][out], PortLink::Router { .. })
-                {
-                    scratch.trace.push(TraceEvent::hop(cycle, r, out, flit));
-                }
-            }
-            for (i, router) in routers.iter_mut().enumerate() {
-                if router.is_idle() {
-                    continue;
-                }
-                let (vcs, link0) = (router.vcs, inp.link_off[lo + i]);
-                let next_free_r = &next_free[i];
-                router.for_each_front_target(cycle, inp.route, |out, out_vc| {
-                    let link = link0 + out;
-                    let cause = StallCause::of(
-                        rec.advanced_on(cycle, link),
-                        next_free_r[out] > cycle,
-                        || !has_credit(i, vcs, out, out_vc),
-                    );
-                    rec.stall(cycle, link, out_vc, cause);
-                });
-            }
-        }
-
         // Apply: each departure returns the credit of the queue it
-        // left to the link feeding that queue — in the sender's row
-        // when it is this shard's, else through the epilogue — spends
-        // its own and enters its link. Arbitration and classification
-        // are done, so no credit check sees the return before the
-        // next cycle. Every booking lands at or beyond the epoch
-        // barrier (no positive link latency is shorter than the
+        // left to the link feeding that queue — in this shard's credits
+        // when it is one of its links, else through the epilogue —
+        // spends its own and enters its link. Arbitration and
+        // classification are done, so no credit check sees the return
+        // before the next cycle. Every booking lands at or beyond the
+        // epoch barrier (no positive link latency is shorter than the
         // window): a hop inside the shard books on the shard's wheel,
         // a boundary hop in the outbox. Zero-latency hops land
         // in-shard and ejections deliver, this cycle.
         for (r, q, out, flit) in scratch.moves.drain(..) {
             debug_assert!(lo <= r && r < hi, "move escaped its shard");
-            let vcs = routers[r - lo].vcs;
-            if let Some((up, up_out)) = feeder[r - lo][q / vcs] {
-                let (up, at) = (up as usize, up_out as usize * vcs + q % vcs);
-                if (lo..hi).contains(&up) {
-                    credits[up - lo][at] += 1;
+            let first = inp.link_off[r] - l0;
+            if let Some(up) = feeder[first + q / vcs] {
+                let at = up as usize * vcs + q % vcs;
+                if owned.contains(&at) {
+                    credits[at - owned.start] += 1;
                 } else {
-                    scratch.returns.push((up, at));
+                    scratch.returns.push(at);
                 }
             }
-            let class = inp.classify.map(|f| f(&flit));
-            let ch = &mut channels[r - lo][out];
-            next_free[r - lo][out] = cycle + ch.spec.interval;
+            let link = first + out;
+            if let Some(classify) = inp.classify {
+                class_flits[link * classes + classify(&flit)] += 1;
+            }
+            let ch = &mut channels[link];
+            next_free[link] = cycle + ch.spec.interval;
             ch.flits_sent += 1;
             ch.packets_sent += u64::from(flit.is_tail());
-            if let Some(c) = class {
-                ch.class_flits[c] += 1;
-            }
             let spec = ch.spec;
-            match inp.wiring[r][out] {
+            match inp.wiring[l0 + link] {
                 PortLink::Router {
                     router: dst,
                     port: dport,
                 } => {
-                    credits[r - lo][out * vcs + flit.vc as usize] -= 1;
+                    credits[link * vcs + flit.vc as usize] -= 1;
                     if spec.latency == 0 {
                         // Flight folds into the downstream pipeline.
                         assert!(lo <= dst && dst < hi, "zero-latency link left its shard");
@@ -711,10 +709,9 @@ impl RouterFabric {
             let len = tel.epoch_cycles();
             w = w.min(len - t0 % len);
         }
-        for &(r, out) in &self.boundary {
-            let interval = self.channels[r][out].spec.interval;
-            let vcs = self.routers[r].vcs;
-            for &credit in &self.credits[r][out * vcs..(out + 1) * vcs] {
+        for &link in &self.boundary {
+            let interval = self.channels[link].spec.interval;
+            for &credit in &self.credits[link * self.vcs..(link + 1) * self.vcs] {
                 w = w.min(u64::from(credit.saturating_sub(1)) * interval + 1);
             }
         }
@@ -728,6 +725,8 @@ impl RouterFabric {
                 window: w,
                 wiring: &self.wiring,
                 link_off: &self.link_off,
+                vcs: self.vcs,
+                classes: self.classes,
                 route: &*self.route,
                 classify: self.classify.as_deref(),
                 in_flight: self.in_flight_total > 0,
@@ -738,16 +737,19 @@ impl RouterFabric {
             let mut endpoints = endpoints.iter_mut();
             let (mut routers, mut channels) = (&mut self.routers[..], &mut self.channels[..]);
             let (mut next_free, mut credits) = (&mut self.next_free[..], &mut self.credits[..]);
+            let mut class_flits = &mut self.class_flits[..];
             let bounds = self.bounds.windows(2).zip(&mut self.shard_scratch);
             let mut rows = bounds.map(|(b, scratch)| {
                 let (lo, hi) = (b[0], b[1]);
+                let links = self.link_off[lo]..self.link_off[hi];
                 ShardRows {
                     lo,
                     routers: take_rows(&mut routers, hi - lo),
-                    channels: take_rows(&mut channels, hi - lo),
-                    next_free: take_rows(&mut next_free, hi - lo),
-                    credits: take_rows(&mut credits, hi - lo),
-                    feeder: &self.feeder[lo..hi],
+                    channels: take_rows(&mut channels, links.len()),
+                    next_free: take_rows(&mut next_free, links.len()),
+                    credits: take_rows(&mut credits, links.len() * self.vcs),
+                    class_flits: take_rows(&mut class_flits, links.len() * self.classes),
+                    feeder: &self.feeder[links],
                     scratch,
                     recorder: recorders.as_mut().and_then(Iterator::next),
                     endpoint: endpoints.next().map(|ep| &mut **ep as &mut dyn Endpoint),
@@ -790,8 +792,8 @@ impl RouterFabric {
             self.delivered.append(&mut sc.ejected);
             last_active = last_active.max(sc.last_move);
             self.in_flight_total = self.in_flight_total + sc.sent - sc.landed;
-            for (r, at) in sc.returns.drain(..) {
-                self.credits[r][at] += 1;
+            for at in sc.returns.drain(..) {
+                self.credits[at] += 1;
             }
             let mut outbox = std::mem::take(&mut sc.outbox);
             for (slot, a) in outbox.drain(..) {
