@@ -12,7 +12,7 @@
 //! crosses each channel of its dimension-ordered multicast tree once,
 //! regardless of how many destinations share the edge.
 
-use anton_model::topology::{Dim, DimOrder, Direction, NodeId, Torus, TorusCoord};
+use anton_model::topology::{DimOrder, Direction, NodeId, Torus, TorusCoord};
 use std::collections::HashSet;
 
 /// The static geometry of a spatial decomposition.
@@ -72,35 +72,50 @@ impl Decomposition {
         self.torus.node_id(TorusCoord::new(c[0], c[1], c[2]))
     }
 
-    /// Minimal periodic distance from a point to a node's box, per
-    /// dimension; zero inside the box.
-    fn box_distance(&self, pos: [f64; 3], node: TorusCoord) -> f64 {
-        let mut d2 = 0.0;
-        #[allow(clippy::needless_range_loop)] // three index-parallel arrays
-        for k in 0..3 {
-            let w = self.node_box[k];
-            let l = self.box_len[k];
-            let lo = node.get(Dim::from_index(k)) as f64 * w;
-            let delta = (pos[k] - lo).rem_euclid(l);
-            if delta >= w {
-                let dk = (delta - w).min(l - delta);
-                d2 += dk * dk;
-            }
-        }
-        d2.sqrt()
-    }
-
     /// The remote nodes that must receive this atom's position: every node
     /// whose box lies within the import radius of `pos` (midpoint method:
-    /// half the interaction cutoff), excluding the home node.
+    /// half the interaction cutoff), excluding the home node, in
+    /// [`NodeId`] order.
+    ///
+    /// A node's distance is the minimal periodic distance from `pos` to
+    /// its box, zero inside it. The node boxes of one torus coordinate
+    /// `c` along dimension `k` form a slab, so the squared distance to
+    /// each slab is computed once per call: with `w` the node box width,
+    /// `l` the box length and `δ = (pos[k] − c·w) mod l`, it is
+    /// `min(δ − w, l − δ)²` when `δ ≥ w`, else 0. A node's distance is
+    /// then `sqrt(t_x + t_y + t_z)` over its three slabs, summed in that
+    /// order.
     pub fn export_targets(&self, pos: [f64; 3]) -> Vec<NodeId> {
         let home = self.home_node(pos);
-        self.torus
-            .nodes()
-            .filter(|&n| {
-                n != home && self.box_distance(pos, self.torus.coord(n)) < self.import_radius
-            })
-            .collect()
+        let dims = self.torus.dims().map(usize::from);
+        let mut slabs = Vec::with_capacity(dims.iter().sum());
+        for k in 0..3 {
+            let (w, l) = (self.node_box[k], self.box_len[k]);
+            slabs.extend((0..dims[k]).map(|c| {
+                let delta = (pos[k] - c as f64 * w).rem_euclid(l);
+                if delta >= w {
+                    let dk = (delta - w).min(l - delta);
+                    dk * dk
+                } else {
+                    0.0
+                }
+            }));
+        }
+        let (tx, rest) = slabs.split_at(dims[0]);
+        let (ty, tz) = rest.split_at(dims[1]);
+        // Node ids count x fastest, then y, then z.
+        let mut nodes = self.torus.nodes();
+        let mut targets = Vec::new();
+        for &z in tz {
+            for &y in ty {
+                for (&x, n) in tx.iter().zip(&mut nodes) {
+                    if n != home && (x + y + z).sqrt() < self.import_radius {
+                        targets.push(n);
+                    }
+                }
+            }
+        }
+        targets
     }
 }
 
@@ -163,6 +178,8 @@ pub fn unicast_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anton_model::topology::Dim;
+    use anton_sim::rng::SplitMix64;
 
     fn decomp_2x2x2(box_len: f64, cutoff: f64) -> Decomposition {
         Decomposition::new(Torus::new([2, 2, 2]), [box_len; 3], cutoff)
@@ -228,6 +245,63 @@ mod tests {
         let narrow = decomp_2x2x2(40.0, 4.0);
         let pos = [19.0, 19.0, 10.0];
         assert!(wide.export_targets(pos).len() >= narrow.export_targets(pos).len());
+    }
+
+    /// The minimal periodic distance from `pos` to `node`'s box, zero
+    /// inside it, computed per node as `export_targets` did before it
+    /// summed per-slab terms.
+    fn box_distance(d: &Decomposition, pos: [f64; 3], node: TorusCoord) -> f64 {
+        let mut d2 = 0.0;
+        #[allow(clippy::needless_range_loop)] // three index-parallel arrays
+        for k in 0..3 {
+            let w = d.node_box[k];
+            let l = d.box_len[k];
+            let lo = node.get(Dim::from_index(k)) as f64 * w;
+            let delta = (pos[k] - lo).rem_euclid(l);
+            if delta >= w {
+                let dk = (delta - w).min(l - delta);
+                d2 += dk * dk;
+            }
+        }
+        d2.sqrt()
+    }
+
+    #[test]
+    fn export_targets_match_a_brute_force_scan() {
+        let machines = [
+            ([4, 4, 8], [73.0; 3]),
+            ([2, 2, 2], [40.0; 3]),
+            ([3, 5, 4], [30.0, 50.0, 41.0]),
+        ];
+        let mut rng = SplitMix64::new(17);
+        for (dims, box_len) in machines {
+            for radius in [3.25, 6.5, 15.0] {
+                let d = Decomposition::new(Torus::new(dims), box_len, radius);
+                let w = d.node_box();
+                // Random positions, then node box faces, the box's far
+                // faces and points just outside the box.
+                let mut positions: Vec<[f64; 3]> = (0..500)
+                    .map(|_| std::array::from_fn(|k| rng.next_f64() * box_len[k]))
+                    .collect();
+                for c in 0..=8 {
+                    positions.push(std::array::from_fn(|k| (c as f64 * w[k]).min(box_len[k])));
+                }
+                positions.push([-1.0, box_len[1] + 1.0, 0.5 * w[2]]);
+                for pos in positions {
+                    let home = d.home_node(pos);
+                    let scan: Vec<NodeId> = d
+                        .torus
+                        .nodes()
+                        .filter(|&n| n != home && box_distance(&d, pos, d.torus.coord(n)) < radius)
+                        .collect();
+                    assert_eq!(
+                        d.export_targets(pos),
+                        scan,
+                        "{dims:?} r={radius} at {pos:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
