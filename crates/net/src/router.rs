@@ -932,6 +932,14 @@ impl RouterFabric {
         link
     }
 
+    /// The flat id of `router`'s input `port`, checking that input VC
+    /// `vc` exists; panics if the router has no such port or the fabric
+    /// no such VC.
+    fn queue(&self, router: usize, port: usize, vc: u8) -> usize {
+        assert!((vc as usize) < self.vcs, "the fabric has no VC {vc}");
+        self.link(router, port)
+    }
+
     /// Flits in flight on `link`: the free slots of the downstream queue
     /// its sender holds no credit for. Exact between steps, when every
     /// credit return has landed.
@@ -1002,7 +1010,7 @@ impl RouterFabric {
     /// Panics if the queue does not exist (see
     /// [`InjectError::QueueOutOfRange`]).
     pub fn inject_capacity(&self, router: usize, port: usize, vc: u8) -> usize {
-        match self.feeder[self.link(router, port)] {
+        match self.feeder[self.queue(router, port, vc)] {
             Some(up) => self.credits[up as usize * self.vcs + vc as usize] as usize,
             None => self.routers[router].free_slots(port, vc),
         }
@@ -1014,6 +1022,7 @@ impl RouterFabric {
     /// Panics if the queue does not exist (see
     /// [`InjectError::QueueOutOfRange`]).
     pub fn queue_len(&self, router: usize, port: usize, vc: u8) -> usize {
+        self.queue(router, port, vc);
         self.routers[router].queue_len(port, vc)
     }
 
@@ -1895,6 +1904,21 @@ mod tests {
         }
         assert_eq!(batched.delivered(), naive.delivered());
         assert_eq!(batched.cycle(), naive.cycle(), "stop cycles");
+    }
+
+    #[test]
+    #[should_panic(expected = "the fabric has no VC 2")]
+    fn inject_capacity_refuses_a_vc_past_the_last() {
+        // Unchecked, the credit index `up * vcs + vc` reads the next
+        // link's entry (router 0's ejection sentinel).
+        build_row(2, 2, 2).inject_capacity(1, 0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "the fabric has no VC 2")]
+    fn queue_len_refuses_a_vc_past_the_last() {
+        // Unchecked, queue `port * vcs + vc` is port 1's VC 0.
+        build_row(2, 2, 2).queue_len(0, 0, 2);
     }
 
     #[test]

@@ -552,7 +552,9 @@ impl LinkRecorder<'_> {
 /// packet trace buffer. Constructed by
 /// [`RouterFabric::enable_telemetry`](crate::router::RouterFabric::enable_telemetry);
 /// read back through the fabric (or
-/// [`TorusFabric`](crate::fabric3d::TorusFabric)) accessors.
+/// [`TorusFabric`](crate::fabric3d::TorusFabric)) accessors. Each
+/// per-link accessor panics if router `r` has no output `out`, and each
+/// per-VC one if the fabric has no VC `vc`.
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     cfg: TelemetryConfig,
@@ -621,9 +623,15 @@ impl Telemetry {
         *self.link_offset.last().expect("offsets non-empty") as usize
     }
 
-    #[inline]
+    /// The flat id of link `(r, out)`; panics if router `r` has no port
+    /// `out`.
     fn link(&self, r: usize, out: usize) -> usize {
-        self.link_offset[r] as usize + out
+        let link = self.link_offset[r] as usize + out;
+        assert!(
+            link < self.link_offset[r + 1] as usize,
+            "router {r} has no port {out}"
+        );
+        link
     }
 
     /// The recorder over every link (the reference stepper's).
@@ -747,7 +755,11 @@ impl Telemetry {
     }
 
     /// Stalled head-cycles at `(r, out, vc)` attributed to `cause`.
+    ///
+    /// # Panics
+    /// Panics if router `r` has no port `out` or the fabric no VC `vc`.
     pub fn stall_count(&self, r: usize, out: usize, vc: u8, cause: StallCause) -> u64 {
+        assert!((vc as usize) < self.vcs, "the fabric has no VC {vc}");
         let l = self.link(r, out);
         self.stalls[(l * self.vcs + vc as usize) * StallCause::COUNT + cause.index()]
     }
@@ -910,6 +922,28 @@ mod tests {
         assert_eq!(StallCause::of(false, true, unasked), SerializationBusy);
         assert_eq!(StallCause::of(false, false, || true), CreditStarved);
         assert_eq!(StallCause::of(false, false, || false), LostArbitration);
+    }
+
+    /// A 3-port, 2-VC row of two routers recording telemetry.
+    fn recorded_row() -> crate::router::RouterFabric {
+        let mut fabric = crate::router::build_row(2, 2, 2);
+        fabric.enable_telemetry(TelemetryConfig::default());
+        fabric
+    }
+
+    #[test]
+    #[should_panic(expected = "router 0 has no port 4")]
+    fn per_link_accessors_refuse_a_port_past_the_routers_last() {
+        // Unchecked, `link_offset[0] + 4` is router 1's port 1.
+        recorded_row().telemetry().unwrap().advance_cycles(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "the fabric has no VC 2")]
+    fn stall_count_refuses_a_vc_past_the_last() {
+        let fabric = recorded_row();
+        let tel = fabric.telemetry().unwrap();
+        tel.stall_count(0, 1, 2, StallCause::CreditStarved);
     }
 
     #[test]
