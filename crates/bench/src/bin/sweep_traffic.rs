@@ -858,10 +858,11 @@ fn md_replay(params: FabricParams, args: &Args) {
         total.wire_bytes
     );
     // The analytic loaded step-time estimate consuming the shape's
-    // cycle-fabric-fitted LoadedCalibration, over this decomposition's
-    // own route lengths (see MdNetworkRun::loaded_halo_estimate).
+    // cycle-fabric-fitted LoadedCalibration, over the route lengths of
+    // the very tables the replay sampled (see
+    // MdNetworkRun::loaded_halo_estimate).
     let est = run
-        .loaded_halo_estimate(offered, 64, 0x4D5F_4841)
+        .loaded_halo_estimate(offered, &workload)
         .expect("4x4x8 ships a uniform calibration");
     outln!(
         "loaded step estimate at offered {offered}: export {:.0} + turnaround + return {:.0} \

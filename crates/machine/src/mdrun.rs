@@ -261,7 +261,7 @@ impl MdNetworkRun {
     /// predicted by the machine shape's cycle-fabric-fitted
     /// [`LoadedCalibration`] (`UNIFORM_4X4X8` / `UNIFORM_8X8X8`) with
     /// the unloaded walk taken over **this decomposition's** mean route
-    /// lengths — derived from the same [`Self::halo_workload`]
+    /// lengths — read from `workload`, the [`Self::halo_workload`]
     /// destination tables the cycle-level replay samples (requests ride
     /// torus-minimal routes, force returns mesh routes). Shapes with no
     /// shipped calibration fall back to the nearest calibrated shape
@@ -270,19 +270,25 @@ impl MdNetworkRun {
     /// surfaced in the estimate's `calibrated_shape` /
     /// `calibration_exact` fields. Returns `None` only when `offered`
     /// is at or past the (possibly rescaled) saturation.
+    ///
+    /// # Panics
+    /// Panics if `workload` was sampled on another machine shape.
     pub fn loaded_halo_estimate(
         &self,
         offered: f64,
-        samples_per_node: usize,
-        seed: u64,
+        workload: &MdHaloWorkload,
     ) -> Option<HaloStepEstimate> {
         let torus = self.machine.cfg.torus;
+        assert_eq!(
+            *workload.torus(),
+            torus,
+            "halo tables sampled on another machine shape"
+        );
         let choice = LoadedCalibration::uniform_nearest(&torus);
         let cal = choice.calibration;
         if offered >= cal.saturation {
             return None;
         }
-        let workload = self.halo_workload(samples_per_node, seed);
         let (mut req_hops, mut resp_hops, mut pairs) = (0u64, 0u64, 0u64);
         for node in torus.nodes() {
             let home = torus.coord(node);
@@ -714,7 +720,8 @@ mod tests {
             false,
         );
         let cal = LoadedCalibration::UNIFORM_4X4X8;
-        let at = |offered: f64| r.loaded_halo_estimate(offered, 32, 5).unwrap();
+        let halo = r.halo_workload(32, 5);
+        let at = |offered: f64| r.loaded_halo_estimate(offered, &halo).unwrap();
         let (lo, mid, hi) = (at(0.05), at(0.15), at(0.25));
         assert_eq!(lo.calibration, cal, "shape selects its calibration");
         assert!(lo.mean_request_hops >= 1.0, "halo exports leave the node");
@@ -737,12 +744,14 @@ mod tests {
         assert!(lo.calibration_exact, "4x4x8 is a shipped shape");
         assert_eq!(lo.calibrated_shape, [4, 4, 8]);
         // Past saturation the model honestly declines to answer.
-        assert!(r.loaded_halo_estimate(cal.saturation, 32, 5).is_none());
+        assert!(r.loaded_halo_estimate(cal.saturation, &halo).is_none());
         // A shape with no shipped calibration falls back to the nearest
         // calibrated one, rescaled, and says so instead of yielding
         // nothing.
         let tiny = MdNetworkRun::new(MachineConfig::torus([2, 2, 2]), 3_000, 7, false);
-        let e = tiny.loaded_halo_estimate(0.1, 16, 5).unwrap();
+        let e = tiny
+            .loaded_halo_estimate(0.1, &tiny.halo_workload(16, 5))
+            .unwrap();
         assert!(!e.calibration_exact, "2x2x2 has no shipped fit");
         assert_eq!(e.calibrated_shape, [4, 4, 8], "nearest by mean hops");
         assert!(
@@ -759,7 +768,9 @@ mod tests {
             13,
             false,
         );
-        let e = r.loaded_halo_estimate(0.1, 16, 3).unwrap();
+        let e = r
+            .loaded_halo_estimate(0.1, &r.halo_workload(16, 3))
+            .unwrap();
         assert_eq!(e.calibration, LoadedCalibration::UNIFORM_8X8X8);
         // The halo exchange is near-neighbor: its routes are far shorter
         // than uniform-random's ~6-hop mean, so the per-decomposition
@@ -770,6 +781,14 @@ mod tests {
             e.mean_request_hops
         );
         assert!(e.step_floor > e.halo_round_trip);
+    }
+
+    #[test]
+    #[should_panic(expected = "halo tables sampled on another machine shape")]
+    fn loaded_halo_estimate_refuses_another_machines_tables() {
+        let small = MdNetworkRun::new(MachineConfig::torus([2, 2, 2]), 3_000, 7, false);
+        let other = MdNetworkRun::new(MachineConfig::torus([2, 2, 4]), 3_000, 7, false);
+        small.loaded_halo_estimate(0.1, &other.halo_workload(16, 5));
     }
 
     #[test]
