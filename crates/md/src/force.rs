@@ -24,18 +24,19 @@
 //! subtraction is the same IEEE operation, and a pair rejected one way
 //! is rejected the other.
 //!
-//! **Where the per-pair image stays.** [`CellList::build`] decides per
-//! dimension, once, before any pair is visited, and the pair loop is
-//! compiled once per choice of the three dimensions. A dimension keeps
-//! the per-pair image unless `l − 2w − rc > 16·ε·l` (ε the f64 machine
-//! epsilon, a margin above the rounding of the cell binning, which can
-//! place an atom a few ε·l outside its cell). That fails with fewer than
-//! three cells, where deduplication makes one neighbour cell stand for
-//! two images, and with three cells exactly a cutoff wide, where binning
-//! can place an atom one cell off. A dimension in which some position
-//! lies outside `[+0, l]` (a [`System`] keeps them inside) keeps it too.
+//! **Where the per-pair image stays.** [`CellList::build`] chooses one
+//! path per call, before any pair is visited, and the pair loop is
+//! compiled once for each. Pairs take the shifts only if every dimension
+//! has `l − 2w − rc > 16·ε·l` (ε the f64 machine epsilon, a margin above
+//! the rounding of the cell binning, which can place an atom a few ε·l
+//! outside its cell) and every position lies inside `[+0, l]` (a
+//! [`System`] keeps them inside); otherwise every pair takes the
+//! per-pair image in every dimension. The margin test fails with fewer
+//! than three cells, where deduplication makes one neighbour cell stand
+//! for two images, and with three cells exactly a cutoff wide, where
+//! binning can place an atom one cell off.
 
-use crate::system::{System, WaterParams};
+use crate::system::{min_image_1d, System, WaterParams};
 
 /// The result of one force evaluation.
 #[derive(Clone, Debug)]
@@ -55,14 +56,14 @@ pub struct CellList {
     dims: [usize; 3],
     start: Vec<u32>,
     atoms: Vec<u32>,
-    /// Per dimension, whether pairs take the per-pair minimum image in
-    /// place of the cell pair's image shift (see the module doc).
-    per_pair: [bool; 3],
+    /// Whether pairs take the cell pair's image shift in place of the
+    /// per-pair minimum image (see the module doc).
+    shifts: bool,
 }
 
 impl CellList {
     /// Bins atoms into cells at least `cutoff` wide, each cell's atoms in
-    /// ascending index order, and chooses each dimension's image path.
+    /// ascending index order, and chooses the pairs' image path.
     ///
     /// # Panics
     /// Panics if the box is smaller than one cutoff in any dimension.
@@ -85,12 +86,8 @@ impl CellList {
         };
         let cells = dims[0] * dims[1] * dims[2];
         let mut start = vec![0u32; cells + 1];
-        let mut in_box = [true; 3];
         for r in &sys.pos {
             start[cell_of(r) + 1] += 1;
-            for k in 0..3 {
-                in_box[k] &= r[k].is_sign_positive() && r[k] <= sys.box_len[k];
-            }
         }
         for c in 0..cells {
             start[c + 1] += start[c];
@@ -102,17 +99,20 @@ impl CellList {
             atoms[*slot as usize] = i as u32;
             *slot += 1;
         }
-        let mut per_pair = [true; 3];
-        for k in 0..3 {
+        let shifts = (0..3).all(|k| {
             let l = sys.box_len[k];
             let w = l / dims[k] as f64;
-            per_pair[k] = !(in_box[k] && l - 2.0 * w - cutoff > 16.0 * f64::EPSILON * l);
-        }
+            l - 2.0 * w - cutoff > 16.0 * f64::EPSILON * l
+        }) && sys.pos.iter().all(|r| {
+            r.iter()
+                .zip(sys.box_len)
+                .all(|(&x, l)| x.is_sign_positive() && x <= l)
+        });
         CellList {
             dims,
             start,
             atoms,
-            per_pair,
+            shifts,
         }
     }
 
@@ -163,15 +163,10 @@ impl CellList {
 /// Evaluates cutoff-shifted Lennard-Jones forces using a cell list.
 pub fn compute_forces(sys: &System, params: &WaterParams) -> Forces {
     let list = CellList::build(sys, params.cutoff);
-    match list.per_pair {
-        [false, false, false] => pair_loop::<false, false, false>(&list, sys, params),
-        [true, false, false] => pair_loop::<true, false, false>(&list, sys, params),
-        [false, true, false] => pair_loop::<false, true, false>(&list, sys, params),
-        [true, true, false] => pair_loop::<true, true, false>(&list, sys, params),
-        [false, false, true] => pair_loop::<false, false, true>(&list, sys, params),
-        [true, false, true] => pair_loop::<true, false, true>(&list, sys, params),
-        [false, true, true] => pair_loop::<false, true, true>(&list, sys, params),
-        [true, true, true] => pair_loop::<true, true, true>(&list, sys, params),
+    if list.shifts {
+        pair_loop::<false>(&list, sys, params)
+    } else {
+        pair_loop::<true>(&list, sys, params)
     }
 }
 
@@ -179,21 +174,16 @@ pub fn compute_forces(sys: &System, params: &WaterParams) -> Forces {
 /// the per-pair path, else the cell pair's image `shift`.
 #[inline(always)]
 fn image<const PER_PAIR: bool>(a: f64, b: f64, l: f64, shift: f64) -> f64 {
-    let d = b - a;
     if PER_PAIR {
-        d - l * (d / l).round()
+        min_image_1d(b - a, l)
     } else {
-        d - shift
+        (b - a) - shift
     }
 }
 
-/// The pair loop of [`compute_forces`], with each dimension's image path
-/// (`X`, `Y`, `Z`: per-pair) fixed at compile time.
-fn pair_loop<const X: bool, const Y: bool, const Z: bool>(
-    list: &CellList,
-    sys: &System,
-    params: &WaterParams,
-) -> Forces {
+/// The pair loop of [`compute_forces`], with its image path fixed at
+/// compile time.
+fn pair_loop<const PER_PAIR: bool>(list: &CellList, sys: &System, params: &WaterParams) -> Forces {
     let mut f = vec![[0.0f64; 3]; sys.n];
     let mut potential = 0.0;
     let mut pair_count = 0u64;
@@ -219,9 +209,9 @@ fn pair_loop<const X: bool, const Y: bool, const Z: bool>(
                     let j = j as usize;
                     let pb = sys.pos[j];
                     let d = [
-                        image::<X>(pa[0], pb[0], l[0], shift[0]),
-                        image::<Y>(pa[1], pb[1], l[1], shift[1]),
-                        image::<Z>(pa[2], pb[2], l[2], shift[2]),
+                        image::<PER_PAIR>(pa[0], pb[0], l[0], shift[0]),
+                        image::<PER_PAIR>(pa[1], pb[1], l[1], shift[1]),
+                        image::<PER_PAIR>(pa[2], pb[2], l[2], shift[2]),
                     ];
                     let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
                     if r2 >= rc2 || r2 == 0.0 {
@@ -328,8 +318,8 @@ mod tests {
     }
 
     /// Lattice boxes at the default 6.5 Å cutoff, with the cells per
-    /// dimension each one has: both image paths, the exact-width 3-cell
-    /// case that keeps the per-pair image, and a box mixing them.
+    /// dimension each one has: boxes on either image path, the exact-width
+    /// 3-cell case that keeps the per-pair image, and a mixed box.
     const BOXES: [([f64; 3], [usize; 3]); 6] = [
         ([14.0; 3], [2; 3]),
         ([19.5; 3], [3; 3]),
@@ -350,21 +340,25 @@ mod tests {
     }
 
     #[test]
-    fn cell_list_picks_each_dimensions_image_path() {
+    fn cell_list_picks_its_image_path() {
         let p = WaterParams::default();
         for (i, (box_len, dims)) in BOXES.into_iter().enumerate() {
             let list = CellList::build(&lattice_box(box_len, i as u64), p.cutoff);
             assert_eq!(list.dims, dims, "box {box_len:?}");
-            // Shifts need three cells wider than the cutoff.
-            let per_pair = std::array::from_fn(|k| dims[k] < 3 || box_len[k] == 3.0 * p.cutoff);
-            assert_eq!(list.per_pair, per_pair, "box {box_len:?}");
+            // Shifts need three cells wider than the cutoff in every
+            // dimension.
+            let shifts = (0..3).all(|k| dims[k] >= 3 && box_len[k] != 3.0 * p.cutoff);
+            assert_eq!(list.shifts, shifts, "box {box_len:?}");
         }
-        // A position outside [+0, l] keeps the per-pair image there.
-        let mut sys = lattice_box([30.0; 3], 0);
-        sys.pos[5][1] = -0.0;
-        sys.pos[9][2] = 30.5;
-        let list = CellList::build(&sys, p.cutoff);
-        assert_eq!(list.per_pair, [false, true, true]);
+        // A position outside [+0, l] keeps the per-pair image.
+        for (k, x) in [(1, -0.0), (2, 30.5)] {
+            let mut sys = lattice_box([30.0; 3], 0);
+            sys.pos[5][k] = x;
+            assert!(
+                !CellList::build(&sys, p.cutoff).shifts,
+                "{x} in dimension {k}"
+            );
+        }
     }
 
     #[test]

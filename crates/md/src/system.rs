@@ -129,14 +129,7 @@ impl System {
     /// Minimum-image displacement from `a` to `b` under periodic
     /// boundaries.
     pub fn min_image(&self, a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
-        let mut d = [0.0; 3];
-        for k in 0..3 {
-            let l = self.box_len[k];
-            let mut dk = b[k] - a[k];
-            dk -= l * (dk / l).round();
-            d[k] = dk;
-        }
-        d
+        std::array::from_fn(|k| min_image_1d(b[k] - a[k], self.box_len[k]))
     }
 
     /// Instantaneous kinetic energy, kcal/mol.
@@ -153,6 +146,13 @@ impl System {
     pub fn temperature(&self, mass: f64) -> f64 {
         2.0 * self.kinetic_energy(mass) / (3.0 * self.n as f64 * BOLTZMANN_KCAL_MOL_K)
     }
+}
+
+/// The minimum image of displacement `d` in one periodic dimension of
+/// length `l`.
+#[inline]
+pub(crate) fn min_image_1d(d: f64, l: f64) -> f64 {
+    d - l * (d / l).round()
 }
 
 /// Box-Muller standard normal deviate.
