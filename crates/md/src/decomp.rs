@@ -103,7 +103,9 @@ impl Decomposition {
         }
         let (tx, rest) = slabs.split_at(dims[0]);
         let (ty, tz) = rest.split_at(dims[1]);
-        // Node ids count x fastest, then y, then z.
+        // Node ids count x fastest, then y, then z, as `Torus::coord`
+        // documents; the brute-force test scans through `Torus::coord`,
+        // so it fails if that order changes.
         let mut nodes = self.torus.nodes();
         let mut targets = Vec::new();
         for &z in tz {
