@@ -158,7 +158,6 @@ pub struct MdHaloWorkload {
     /// generation time. Sampling frequency ∝ real export traffic share.
     dests: Vec<Vec<NodeId>>,
     nflits: u8,
-    torus: Torus,
 }
 
 impl MdHaloWorkload {
@@ -201,16 +200,7 @@ impl MdHaloWorkload {
             dests.iter().any(|d| !d.is_empty()),
             "no sampled atom exports anywhere: import radius too small"
         );
-        MdHaloWorkload {
-            dests,
-            nflits,
-            torus: *torus,
-        }
-    }
-
-    /// The machine the tables were sampled on.
-    pub fn torus(&self) -> &Torus {
-        &self.torus
+        MdHaloWorkload { dests, nflits }
     }
 
     /// The sampled export-destination table of `node` (one entry per
