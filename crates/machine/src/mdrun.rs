@@ -98,15 +98,9 @@ pub struct HaloStepEstimate {
     /// Offered request load the estimate is evaluated at,
     /// flits/node/cycle.
     pub offered: f64,
-    /// The calibration constants used (rescaled when `calibration_exact`
-    /// is false — see [`LoadedCalibration::uniform_nearest`]).
+    /// The calibration constants used: the shipped fit for this
+    /// machine's shape ([`LoadedCalibration::shipped_uniform`]).
     pub calibration: LoadedCalibration,
-    /// Sorted extents of the shipped shape those constants came from.
-    pub calibrated_shape: [usize; 3],
-    /// Whether that shape matched this machine exactly; when false the
-    /// constants were rescaled by the mean-hops ratio from the nearest
-    /// calibrated shape.
-    pub calibration_exact: bool,
     /// Mean torus-minimal hop count of this decomposition's position
     /// exports.
     pub mean_request_hops: f64,
@@ -263,21 +257,16 @@ impl MdNetworkRun {
     /// the unloaded walk taken over **this decomposition's** mean route
     /// lengths — read from `workload`, the [`Self::halo_workload`]
     /// destination tables the cycle-level replay samples (requests ride
-    /// torus-minimal routes, force returns mesh routes). Shapes with no
-    /// shipped calibration fall back to the nearest calibrated shape
-    /// rescaled by the mean-hops ratio
-    /// ([`LoadedCalibration::uniform_nearest`]), with the choice
-    /// surfaced in the estimate's `calibrated_shape` /
-    /// `calibration_exact` fields. Returns `None` only when `offered`
-    /// is at or past the (possibly rescaled) saturation.
+    /// torus-minimal routes, force returns mesh routes). Returns `None`
+    /// for a machine shape with no shipped calibration, and when
+    /// `offered` is at or past the calibration's saturation.
     pub fn loaded_halo_estimate(
         &self,
         offered: f64,
         workload: &MdHaloWorkload,
     ) -> Option<HaloStepEstimate> {
         let torus = self.machine.cfg.torus;
-        let choice = LoadedCalibration::uniform_nearest(&torus);
-        let cal = choice.calibration;
+        let cal = LoadedCalibration::shipped_uniform(&torus)?;
         if offered >= cal.saturation {
             return None;
         }
@@ -314,8 +303,6 @@ impl MdNetworkRun {
         Some(HaloStepEstimate {
             offered,
             calibration: cal,
-            calibrated_shape: choice.calibrated_shape,
-            calibration_exact: choice.exact,
             mean_request_hops: req_hops,
             mean_response_hops: resp_hops,
             request_cycles,
@@ -733,23 +720,12 @@ mod tests {
             hi.step_floor - mid.step_floor > mid.step_floor - lo.step_floor,
             "queueing growth must be convex"
         );
-        assert!(lo.calibration_exact, "4x4x8 is a shipped shape");
-        assert_eq!(lo.calibrated_shape, [4, 4, 8]);
         // Past saturation the model honestly declines to answer.
         assert!(r.loaded_halo_estimate(cal.saturation, &halo).is_none());
-        // A shape with no shipped calibration falls back to the nearest
-        // calibrated one, rescaled, and says so instead of yielding
-        // nothing.
+        // So it does on a shape with no shipped calibration.
         let tiny = MdNetworkRun::new(MachineConfig::torus([2, 2, 2]), 3_000, 7, false);
-        let e = tiny
-            .loaded_halo_estimate(0.1, &tiny.halo_workload(16, 5))
-            .unwrap();
-        assert!(!e.calibration_exact, "2x2x2 has no shipped fit");
-        assert_eq!(e.calibrated_shape, [4, 4, 8], "nearest by mean hops");
-        assert!(
-            e.calibration.alpha_cycles < LoadedCalibration::UNIFORM_4X4X8.alpha_cycles,
-            "shorter routes shrink the donor's contention coefficient"
-        );
+        let e = tiny.loaded_halo_estimate(0.1, &tiny.halo_workload(16, 5));
+        assert!(e.is_none(), "2x2x2 has no shipped fit");
     }
 
     #[test]

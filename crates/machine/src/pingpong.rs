@@ -180,36 +180,6 @@ pub fn mean_uniform_hops(torus: &Torus) -> f64 {
     sum as f64 / pairs as f64
 }
 
-/// The torus extents sorted ascending — the order-insensitive shape key
-/// the calibration table is indexed by.
-fn sorted_extents(torus: &Torus) -> [usize; 3] {
-    use anton_model::topology::Dim;
-    let mut dims = [
-        torus.extent(Dim::X) as usize,
-        torus.extent(Dim::Y) as usize,
-        torus.extent(Dim::Z) as usize,
-    ];
-    dims.sort_unstable();
-    dims
-}
-
-/// The outcome of [`LoadedCalibration::uniform_nearest`]: the constants
-/// to evaluate with, plus the provenance consumers report instead of
-/// silently failing (or silently extrapolating) on shapes with no
-/// shipped fit.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize)]
-pub struct CalibrationChoice {
-    /// The constants to evaluate with. For a non-exact match these are
-    /// the nearest shipped fit rescaled by the mean-hops ratio, and
-    /// `calibration.mean_hops` is the target shape's own closed form.
-    pub calibration: LoadedCalibration,
-    /// Sorted extents of the shipped shape the constants came from.
-    pub calibrated_shape: [usize; 3],
-    /// `true` when the torus matched the shipped shape exactly (no
-    /// rescaling applied).
-    pub exact: bool,
-}
-
 /// A loaded-latency calibration of the analytic model against the cycle
 /// fabric for one (topology, pattern) pair: the measured saturation
 /// throughput, the fitted contention coefficient, and the pattern's
@@ -271,59 +241,21 @@ impl LoadedCalibration {
         mean_hops: 3072.0 / 511.0,
     };
 
-    /// Every shipped uniform-random fit, keyed by the sorted extents of
-    /// the machine it was measured on.
-    const SHIPPED_UNIFORM: [([usize; 3], LoadedCalibration); 2] = [
+    /// Every shipped uniform-random fit, keyed by the extents of the
+    /// machine it was measured on.
+    const SHIPPED_UNIFORM: [([u8; 3], LoadedCalibration); 2] = [
         ([4, 4, 8], Self::UNIFORM_4X4X8),
         ([8, 8, 8], Self::UNIFORM_8X8X8),
     ];
 
-    /// The uniform-random calibration for `torus`, never failing: an
-    /// exact shipped fit when the shape has one (dimensions compared
-    /// order-insensitively: uniform random traffic draws all six
-    /// dimension orders symmetrically, so an [8, 4, 4] machine is
-    /// physically the 4x4x8 one), otherwise the nearest
-    /// shipped fit (by mean uniform route length) rescaled by the
-    /// mean-hops ratio. Contention per flit grows with route length, so
-    /// `alpha_cycles` scales up with the ratio; per-node saturation
-    /// throughput shrinks with it (each flit occupies proportionally
-    /// more link-cycles), clamped at the one-flit-per-node-per-cycle
-    /// injection bound; `mean_hops` is the target shape's own exact
-    /// closed form. The returned [`CalibrationChoice`] names the shipped
-    /// shape used and whether the match was exact, so consumers surface
-    /// the provenance instead of silently yielding nothing (or silently
-    /// extrapolating).
-    pub fn uniform_nearest(torus: &Torus) -> CalibrationChoice {
-        let dims = sorted_extents(torus);
-        if let Some((shape, cal)) = Self::SHIPPED_UNIFORM
+    /// The shipped uniform-random calibration measured on `torus`'s
+    /// shape, extents compared in order, or `None` when no shipped fit
+    /// was measured on it.
+    pub fn shipped_uniform(torus: &Torus) -> Option<LoadedCalibration> {
+        Self::SHIPPED_UNIFORM
             .iter()
-            .find(|(shape, _)| *shape == dims)
-        {
-            return CalibrationChoice {
-                calibration: *cal,
-                calibrated_shape: *shape,
-                exact: true,
-            };
-        }
-        let target_hops = mean_uniform_hops(torus);
-        let (shape, base) = Self::SHIPPED_UNIFORM
-            .iter()
-            .min_by(|(_, a), (_, b)| {
-                (target_hops - a.mean_hops)
-                    .abs()
-                    .total_cmp(&(target_hops - b.mean_hops).abs())
-            })
-            .expect("shipped calibration table is non-empty");
-        let ratio = target_hops / base.mean_hops;
-        CalibrationChoice {
-            calibration: LoadedCalibration {
-                saturation: (base.saturation / ratio).min(1.0),
-                alpha_cycles: base.alpha_cycles * ratio,
-                mean_hops: target_hops,
-            },
-            calibrated_shape: *shape,
-            exact: false,
-        }
+            .find(|(dims, _)| *dims == torus.dims())
+            .map(|&(_, cal)| cal)
     }
 
     /// The contention model of this calibration.
@@ -489,6 +421,9 @@ mod tests {
         // regime: higher saturation, smaller contention coefficient.
         let uni = LoadedCalibration::UNIFORM_4X4X8;
         assert!((uni.mean_hops - mean_uniform_hops(&Torus::new([4, 4, 8]))).abs() < 1e-12);
+        let shipped = |dims| LoadedCalibration::shipped_uniform(&Torus::new(dims));
+        assert_eq!(shipped([4, 4, 8]), Some(uni));
+        assert_eq!(shipped([8, 4, 4]), None, "extents are compared in order");
         let nn = LoadedCalibration::NEAREST_NEIGHBOR_4X4X8;
         assert_eq!(nn.mean_hops, 1.0);
         assert!(
@@ -499,39 +434,5 @@ mod tests {
             nn.alpha_cycles < uni.alpha_cycles,
             "and queues less per rho"
         );
-    }
-
-    #[test]
-    fn uniform_nearest_scales_the_closest_shipped_fit() {
-        // An exact shape (order-insensitively) returns its own fit,
-        // untouched and marked exact.
-        let c = LoadedCalibration::uniform_nearest(&Torus::new([8, 4, 4]));
-        assert!(c.exact);
-        assert_eq!(c.calibrated_shape, [4, 4, 8]);
-        assert_eq!(c.calibration, LoadedCalibration::UNIFORM_4X4X8);
-
-        // The asymmetric 512-node 4x8x16 sits nearest the 8x8x8 fit:
-        // its ~7-hop routes stretch the contention coefficient and
-        // depress saturation, and the mean hops are its own closed
-        // form, not the donor's.
-        let up = LoadedCalibration::uniform_nearest(&Torus::new([4, 8, 16]));
-        assert!(!up.exact);
-        assert_eq!(up.calibrated_shape, [8, 8, 8]);
-        let base = LoadedCalibration::UNIFORM_8X8X8;
-        let hops = mean_uniform_hops(&Torus::new([4, 8, 16]));
-        assert!((up.calibration.mean_hops - hops).abs() < 1e-12);
-        assert!(up.calibration.alpha_cycles > base.alpha_cycles);
-        assert!(up.calibration.saturation < base.saturation);
-        let ratio = hops / base.mean_hops;
-        assert!((up.calibration.alpha_cycles - base.alpha_cycles * ratio).abs() < 1e-12);
-        assert!((up.calibration.saturation - base.saturation / ratio).abs() < 1e-12);
-
-        // A tiny 2x2x2 falls back to the 4x4x8 fit scaled down; the
-        // inverse-ratio saturation stays clamped at the injection bound.
-        let down = LoadedCalibration::uniform_nearest(&Torus::new([2, 2, 2]));
-        assert!(!down.exact);
-        assert_eq!(down.calibrated_shape, [4, 4, 8]);
-        assert!(down.calibration.saturation <= 1.0);
-        assert!(down.calibration.alpha_cycles < LoadedCalibration::UNIFORM_4X4X8.alpha_cycles);
     }
 }
