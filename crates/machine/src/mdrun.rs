@@ -4,11 +4,11 @@
 //! Each step reproduces the three-phase dataflow of paper §II-C:
 //!
 //! 1. **Position export**: every atom's position is multicast along its
-//!    XYZ dimension-order tree to all nodes whose home boxes lie within
-//!    the cutoff. Positions hash to a fixed Channel Adapter so the
-//!    particle caches stay warm across steps; each tree edge pushes one
-//!    position packet through that CA's serializer (FIFO, compression
-//!    applied).
+//!    dimension-ordered tree (order `DimOrder::ALL[atom % 6]`) to all
+//!    nodes whose home boxes lie within the import radius. Positions
+//!    hash to a fixed Channel Adapter so the particle caches stay warm
+//!    across steps; each tree edge pushes one position packet through
+//!    that CA's serializer (FIFO, compression applied).
 //! 2. **Streaming + pairwise interactions**: ICBs stream arrived
 //!    positions across PPIM rows; stream-set forces return to the home
 //!    node as the interactions complete (overlapping the export phase).
@@ -18,16 +18,27 @@
 //! 3. **Integration**: once all forces for its atoms have arrived
 //!    (blocking reads on counted force quads), each GC integrates. A
 //!    GC-to-GC fence at the machine diameter closes the step.
+//!
+//! Both halves of the halo exchange are routes over a [`MulticastTree`],
+//! which records each edge's parent and the edge reaching each
+//! destination. A position export is the atom's tree from its home node
+//! to its export targets; a force return is the one-destination tree
+//! from an importing node back home, whose first edge is ready
+//! `FORCE_TURNAROUND_CYCLES` after the position arrived there. One walk
+//! (`MdNetworkRun::send_routes`) sends both halves and owns the send
+//! policy: edge `d` of every route goes out in level `d`, each level in
+//! (link, ready time, atom) order, and an edge is ready when its parent
+//! edge's packet has arrived.
 
 use crate::barrier;
 use crate::machine::NetworkMachine;
 use crate::pingpong::LoadedCalibration;
 use anton_compress::pcache::ParticleKey;
-use anton_md::decomp::{multicast_tree, unicast_edges, Decomposition};
+use anton_md::decomp::{multicast_tree, Decomposition, MulticastTree};
 use anton_md::integrate::Simulation;
 use anton_md::units::{exported_position, quantize_force};
 use anton_model::asic::{self, CAS_PER_NEIGHBOR};
-use anton_model::topology::{DimOrder, NodeId, TorusCoord};
+use anton_model::topology::{DimOrder, NodeId};
 use anton_model::units::{Cycles, Ps, PS_PER_CORE_CYCLE};
 use anton_model::MachineConfig;
 use anton_net::channel::LinkStats;
@@ -37,7 +48,6 @@ use anton_net::packet::PacketKind;
 use anton_sim::trace::{ActivityKind, ActivityTrace, LaneId};
 use anton_traffic::workload::MdHaloWorkload;
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// Activity kind: position packets on a channel (red in Figure 12).
 pub const ACT_POSITION: ActivityKind = ActivityKind(0);
@@ -140,6 +150,34 @@ pub struct MdRunResult {
     pub mean_app_step: Ps,
     /// Send-side particle cache hit rate, if enabled.
     pub pcache_hit_rate: Option<f64>,
+}
+
+/// One route of a step's halo exchange: an atom's multicast tree, the
+/// time its first edges are ready, and each sent edge's arrival at its
+/// far end, relay included.
+struct Route {
+    atom: u32,
+    start: Ps,
+    tree: MulticastTree,
+    arrive: Vec<Ps>,
+}
+
+impl Route {
+    fn new(atom: u32, start: Ps, tree: MulticastTree) -> Route {
+        let arrive = Vec::with_capacity(tree.edges().len());
+        Route {
+            atom,
+            start,
+            tree,
+            arrive,
+        }
+    }
+
+    /// When the packet reaches the far end of `edge`, or the source for
+    /// `None`: the route's start.
+    fn arrival(&self, edge: Option<usize>) -> Ps {
+        edge.map_or(self.start, |i| self.arrive[i])
+    }
 }
 
 /// An MD simulation coupled to a simulated Anton 3 machine.
@@ -324,7 +362,6 @@ impl MdNetworkRun {
 
         // On-chip constants (averages; the channels dominate this phase).
         let inject = lat.core_to_edge(asic::CORE_COLS as u32 / 2, 4);
-        let relay = lat.edge_hop.to_ps() * 3;
         let turnaround = Cycles(FORCE_TURNAROUND_CYCLES).to_ps();
 
         let mut pos_phase_start = vec![Ps::new(u64::MAX); n_nodes];
@@ -332,149 +369,42 @@ impl MdNetworkRun {
         let mut last_force_arrival = vec![t0; n_nodes];
         let mut imports = vec![0u64; n_nodes];
 
-        // Phase 1: export positions along multicast trees, processed in
-        // tree-depth levels so each link transmits in ready-time order
-        // (the hardware CA arbitrates by arrival, not by atom index; a
-        // single per-atom pass would insert artificial idle bubbles).
-        struct PendingPos {
-            atom: u32,
-            edge: anton_md::decomp::TreeEdge,
-            ready: Ps,
-        }
-        // Per-atom tree structures and per-(atom, node) arrival times.
-        let mut trees: Vec<(
-            u32,
-            Vec<anton_md::decomp::TreeEdge>,
-            Vec<anton_model::topology::NodeId>,
-        )> = Vec::new();
-        let mut arrivals: Vec<HashMap<TorusCoord, Ps>> = Vec::new();
+        // Phase 1: export each atom's position along its multicast tree.
+        let mut exports = Vec::new();
         for atom in 0..self.sim.system.n {
             let pos = self.sim.system.pos[atom];
             let targets = self.decomp.export_targets(pos);
             if targets.is_empty() {
                 continue;
             }
-            let home_c = torus.coord(self.decomp.home_node(pos));
-            let order = DimOrder::ALL[atom % 6];
-            let edges = multicast_tree(&torus, home_c, &targets, order);
-            let mut map = HashMap::with_capacity(edges.len() + 1);
-            map.insert(home_c, t0 + inject);
-            trees.push((atom as u32, edges, targets));
-            arrivals.push(map);
+            let home = torus.coord(self.decomp.home_node(pos));
+            let tree = multicast_tree(&torus, home, &targets, DimOrder::ALL[atom % 6]);
+            exports.push(Route::new(atom as u32, t0 + inject, tree));
         }
-        let mut depth = 0usize;
-        loop {
-            let mut level: Vec<(usize, PendingPos)> = Vec::new();
-            // Depth-leveling by edge index is sufficient: multicast_tree
-            // emits edges in path order, so edge `depth` of a tree never
-            // depends on a later edge.
-            for (ti, (atom, edges, _)) in trees.iter().enumerate() {
-                if let Some(edge) = edges.get(depth) {
-                    let ready = arrivals[ti][&edge.from];
-                    level.push((
-                        ti,
-                        PendingPos {
-                            atom: *atom,
-                            edge: *edge,
-                            ready,
-                        },
-                    ));
-                }
-            }
-            if level.is_empty() {
-                break;
-            }
-            // Ready-time order per link: sort by (link, ready, atom).
-            level.sort_by_key(|(_, p)| {
-                let from_node = torus.node_id(p.edge.from);
-                (
-                    (from_node.index() * 6 + p.edge.dir.index()),
-                    p.ready,
-                    p.atom,
-                )
-            });
-            for (ti, p) in level {
-                let from_node = torus.node_id(p.edge.from);
-                let ca = p.atom as usize % CAS_PER_NEIGHBOR;
-                let pos = self.sim.system.pos[p.atom as usize];
-                let qpos = exported_position(pos, p.atom, self.sim.step_count, self.sim.params.dt);
-                let link = self.machine.link_mut(from_node, p.edge.dir, ca);
-                let key = particle_static_field(p.atom);
-                let (transit, _) = link.send_position(p.ready, key, qpos);
-                let ser_done = transit.arrive - link.crossing_fixed();
-                let lane = self.channel_lane(from_node, p.edge.dir);
-                self.trace
-                    .record(lane, ACT_POSITION, transit.depart, ser_done);
-                let to = torus.neighbor(p.edge.from, p.edge.dir);
-                arrivals[ti].insert(to, transit.arrive + relay);
-            }
-            depth += 1;
-        }
+        self.send_routes(&mut exports, ACT_POSITION);
 
-        // Phase 2a: stream-set force returns, also in depth levels sorted
-        // by ready time. Each (atom, importing node) returns one force
-        // packet along the reverse XYZ path.
-        struct PendingForce {
-            atom: u32,
-            home: usize,
-            path: Vec<anton_md::decomp::TreeEdge>,
-            next: usize,
-            ready: Ps,
-        }
-        let mut pending: Vec<PendingForce> = Vec::new();
-        for (ti, (atom, _, targets)) in trees.iter().enumerate() {
-            let pos = self.sim.system.pos[*atom as usize];
-            let home = self.decomp.home_node(pos);
-            let home_c = torus.coord(home);
-            for &target in targets {
-                let tc = torus.coord(target);
-                let arr = arrivals[ti][&tc];
+        // Phase 2a: each (atom, importing node) returns one stream-set
+        // force home, along the one-destination tree from the importer.
+        let mut returns = Vec::new();
+        for r in &exports {
+            let home = self.decomp.home_node(self.sim.system.pos[r.atom as usize]);
+            let order = DimOrder::ALL[r.atom as usize % 6];
+            for &(target, reach) in r.tree.destinations() {
+                let arr = r.arrival(reach);
                 let ni = target.index();
                 imports[ni] += 1;
                 last_pos_arrival[ni] = last_pos_arrival[ni].max(arr);
                 pos_phase_start[ni] = pos_phase_start[ni].min(arr);
-                pending.push(PendingForce {
-                    atom: *atom,
-                    home: home.index(),
-                    path: unicast_edges(&torus, tc, home_c, DimOrder::ALL[*atom as usize % 6]),
-                    next: 0,
-                    ready: arr + turnaround,
-                });
+                let tree = multicast_tree(&torus, torus.coord(target), &[home], order);
+                returns.push(Route::new(r.atom, arr + turnaround, tree));
             }
         }
-        loop {
-            let mut active: Vec<usize> = (0..pending.len())
-                .filter(|&i| pending[i].next < pending[i].path.len())
-                .collect();
-            if active.is_empty() {
-                break;
+        self.send_routes(&mut returns, ACT_FORCE);
+        for r in &returns {
+            for &(home, reach) in r.tree.destinations() {
+                let hi = home.index();
+                last_force_arrival[hi] = last_force_arrival[hi].max(r.arrival(reach));
             }
-            active.sort_by_key(|&i| {
-                let p = &pending[i];
-                let edge = p.path[p.next];
-                let from_node = torus.node_id(edge.from);
-                ((from_node.index() * 6 + edge.dir.index()), p.ready, p.atom)
-            });
-            for i in active {
-                let (edge, ready, atom) = {
-                    let p = &pending[i];
-                    (p.path[p.next], p.ready, p.atom)
-                };
-                let from_node = torus.node_id(edge.from);
-                let ca = atom as usize % CAS_PER_NEIGHBOR;
-                let qforce = quantize_force(self.sim.forces.f[atom as usize]);
-                let link = self.machine.link_mut(from_node, edge.dir, ca);
-                let transit = link.send_force(ready, qforce);
-                let ser_done = transit.arrive - link.crossing_fixed();
-                let lane = self.channel_lane(from_node, edge.dir);
-                self.trace.record(lane, ACT_FORCE, transit.depart, ser_done);
-                let p = &mut pending[i];
-                p.next += 1;
-                p.ready = transit.arrive + relay;
-            }
-        }
-        for p in &pending {
-            last_force_arrival[p.home] = last_force_arrival[p.home].max(p.ready);
         }
 
         // GC-to-ICB fence after the last position on every channel: it
@@ -560,6 +490,59 @@ impl MdNetworkRun {
         self.sim.step();
         self.rebin_atoms();
         timing
+    }
+
+    /// Sends every edge of `routes` through the channels, one half of
+    /// the halo exchange: each edge carries its atom's position when
+    /// `kind` is [`ACT_POSITION`] and its force when it is
+    /// [`ACT_FORCE`], and each send is recorded as a `kind` span.
+    ///
+    /// Level `d` holds edge `d` of every route that has one, so a
+    /// parent is always sent before its children; levels are edge
+    /// indices, not tree depths, because moving a later edge to an
+    /// earlier level would reorder the serializer FIFOs. Each level is
+    /// stably sorted by (link, ready, atom), so every link transmits in
+    /// ready-time order (the hardware CA arbitrates by arrival, not by
+    /// atom index; one pass per route would insert idle bubbles). An
+    /// edge is ready when its parent's packet arrives, relay included,
+    /// or at its route's start for an edge leaving the source. It goes
+    /// through Channel Adapter `atom % CAS_PER_NEIGHBOR` of its
+    /// channel.
+    fn send_routes(&mut self, routes: &mut [Route], kind: ActivityKind) {
+        let torus = self.machine.cfg.torus;
+        let relay = self.machine.cfg.latency.edge_hop.to_ps() * 3;
+        for depth in 0.. {
+            let mut level: Vec<(usize, Ps, u32, usize)> = Vec::new();
+            for (ri, r) in routes.iter().enumerate() {
+                if let Some(edge) = r.tree.edges().get(depth) {
+                    let link = torus.node_id(edge.from).index() * 6 + edge.dir.index();
+                    level.push((link, r.arrival(r.tree.parent(depth)), r.atom, ri));
+                }
+            }
+            if level.is_empty() {
+                return;
+            }
+            level.sort_by_key(|&(link, ready, atom, _)| (link, ready, atom));
+            for (_, ready, atom, ri) in level {
+                let edge = routes[ri].tree.edges()[depth];
+                let from = torus.node_id(edge.from);
+                let a = atom as usize;
+                let link = self.machine.link_mut(from, edge.dir, a % CAS_PER_NEIGHBOR);
+                let transit = if kind == ACT_POSITION {
+                    let sim = &self.sim;
+                    let qpos =
+                        exported_position(sim.system.pos[a], atom, sim.step_count, sim.params.dt);
+                    link.send_position(ready, particle_static_field(atom), qpos)
+                        .0
+                } else {
+                    link.send_force(ready, quantize_force(self.sim.forces.f[a]))
+                };
+                let ser_done = transit.arrive - link.crossing_fixed();
+                let lane = self.channel_lane(from, edge.dir);
+                self.trace.record(lane, kind, transit.depart, ser_done);
+                routes[ri].arrive.push(transit.arrive + relay);
+            }
+        }
     }
 
     /// Runs `warmup` unmeasured steps (cache warm-up) then `measure`
@@ -749,6 +732,34 @@ mod tests {
             e.mean_request_hops
         );
         assert!(e.step_floor > e.halo_round_trip);
+    }
+
+    #[test]
+    fn a_step_sends_every_route_edge_once() {
+        for cfg in [
+            MachineConfig::torus([2, 2, 2]),
+            MachineConfig::torus([2, 2, 2]).without_compression(),
+        ] {
+            let mut r = MdNetworkRun::new(cfg, 3000, 7, false);
+            let torus = cfg.torus;
+            // Tree edges out and one path back per (atom, importer),
+            // counted from the positions the step exports.
+            let mut edges = 0u64;
+            for (atom, &pos) in r.sim.system.pos.iter().enumerate() {
+                let targets = r.decomp.export_targets(pos);
+                let home = torus.coord(r.decomp.home_node(pos));
+                let tree = multicast_tree(&torus, home, &targets, DimOrder::ALL[atom % 6]);
+                edges += tree.edges().len() as u64;
+                for &t in &targets {
+                    edges += torus.hop_distance(torus.coord(t), home) as u64;
+                }
+            }
+            // A fence and an end-of-step marker on every CA link.
+            let markers = 2 * (cfg.node_count() * 6 * CAS_PER_NEIGHBOR) as u64;
+            assert!(edges > markers, "the halo exchange dominates the packets");
+            r.step();
+            assert_eq!(r.machine.total_stats().packets, edges + markers);
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! regardless of how many destinations share the edge.
 
 use anton_model::topology::{DimOrder, Direction, NodeId, Torus, TorusCoord};
-use std::collections::HashSet;
 
 /// The static geometry of a spatial decomposition.
 #[derive(Clone, Debug)]
@@ -28,10 +27,9 @@ impl Decomposition {
     /// Splits a periodic box across a torus machine.
     ///
     /// # Panics
-    /// Panics if any node box dimension is smaller than the cutoff — the
-    /// decomposition would need beyond-nearest-neighbor import in a single
-    /// dimension step, which this model (like small Anton configurations)
-    /// handles, but a *negative* box is a configuration error.
+    /// Panics unless every node box dimension and `import_radius` are
+    /// positive. Node boxes narrower than the import radius are
+    /// accepted: their atoms export beyond the nearest neighbours.
     pub fn new(torus: Torus, box_len: [f64; 3], import_radius: f64) -> Decomposition {
         let dims = torus.dims();
         let node_box = [
@@ -131,50 +129,80 @@ pub struct TreeEdge {
     pub dir: Direction,
 }
 
-/// Builds the dimension-ordered multicast tree from `home` to `dests`:
-/// the union of each destination's `order` path, deduplicated. Using a
-/// per-atom static order spreads through-traffic across all dimensions
-/// while keeping each atom's channels fixed step-to-step (so the particle
-/// caches stay warm).
-/// With a fixed dimension order every node is reached along a unique
-/// prefix, so the union is a tree and each edge carries the position once
-/// — the in-network multicast of paper footnote 3.
-pub fn multicast_tree(
-    torus: &Torus,
-    home: TorusCoord,
-    dests: &[NodeId],
-    order: DimOrder,
-) -> Vec<TreeEdge> {
-    let mut edges = Vec::new();
-    let mut seen: HashSet<TreeEdge> = HashSet::new();
-    for &dest in dests {
-        let mut cur = home;
-        for dir in torus.route(home, torus.coord(dest), order) {
-            let edge = TreeEdge { from: cur, dir };
-            if seen.insert(edge) {
-                edges.push(edge);
-            }
-            cur = torus.neighbor(cur, dir);
-        }
-    }
-    edges
+/// A dimension-ordered multicast tree from one source node, as
+/// [`multicast_tree`] builds it: its edges, each edge's parent, and the
+/// edge that reaches each destination.
+///
+/// Edges are listed in the order the destinations' paths first cross
+/// them, so a parent always comes before its children. Edge `i`'s
+/// parent is the edge reaching its `from` node, or `None` when `from`
+/// is the source. A destination's reaching edge is `None` only when the
+/// destination is the source itself. A one-destination tree is that
+/// destination's dimension-order path, edge after edge.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct MulticastTree {
+    edges: Vec<TreeEdge>,
+    parents: Vec<Option<usize>>,
+    reaching: Vec<(NodeId, Option<usize>)>,
 }
 
-/// The dimension-order unicast path from `from` to `to`, as edges (used
-/// for force returns).
-pub fn unicast_edges(
-    torus: &Torus,
-    from: TorusCoord,
-    to: TorusCoord,
-    order: DimOrder,
-) -> Vec<TreeEdge> {
-    let mut edges = Vec::new();
-    let mut cur = from;
-    for dir in torus.route(from, to, order) {
-        edges.push(TreeEdge { from: cur, dir });
-        cur = torus.neighbor(cur, dir);
+impl MulticastTree {
+    /// The edges, each after its parent.
+    pub fn edges(&self) -> &[TreeEdge] {
+        &self.edges
     }
-    edges
+
+    /// The parent of edge `i`: the edge reaching its `from` node, or
+    /// `None` for an edge leaving the source.
+    pub fn parent(&self, i: usize) -> Option<usize> {
+        self.parents[i]
+    }
+
+    /// Each destination, in the order given, with the edge that reaches
+    /// it (`None` when the destination is the source).
+    pub fn destinations(&self) -> &[(NodeId, Option<usize>)] {
+        &self.reaching
+    }
+}
+
+/// Builds the dimension-ordered multicast tree from `source` to `dests`:
+/// the union of each destination's `order` path, each shared edge kept
+/// once. Using a per-atom static order spreads through-traffic across
+/// all dimensions while keeping each atom's channels fixed step-to-step
+/// (so the particle caches stay warm).
+/// With a fixed dimension order every node is reached along a unique
+/// prefix, so the union is a tree and each edge carries the position once
+/// — the in-network multicast of paper footnote 3. A force return is
+/// the one-destination tree from the importer back home.
+pub fn multicast_tree(
+    torus: &Torus,
+    source: TorusCoord,
+    dests: &[NodeId],
+    order: DimOrder,
+) -> MulticastTree {
+    let mut tree = MulticastTree {
+        edges: Vec::new(),
+        parents: Vec::new(),
+        reaching: Vec::with_capacity(dests.len()),
+    };
+    for &dest in dests {
+        let (mut cur, mut reach) = (source, None);
+        for dir in torus.route(source, torus.coord(dest), order) {
+            let edge = TreeEdge { from: cur, dir };
+            let i = match tree.edges.iter().position(|&e| e == edge) {
+                Some(i) => i,
+                None => {
+                    tree.edges.push(edge);
+                    tree.parents.push(reach);
+                    tree.edges.len() - 1
+                }
+            };
+            reach = Some(i);
+            cur = torus.neighbor(cur, dir);
+        }
+        tree.reaching.push((dest, reach));
+    }
+    tree
 }
 
 #[cfg(test)]
@@ -315,32 +343,45 @@ mod tests {
             t.node_id(TorusCoord::new(1, 1, 0)),
             t.node_id(TorusCoord::new(1, 0, 1)),
         ];
-        let edges = multicast_tree(&t, home, &dests, DimOrder::XYZ);
+        let tree = multicast_tree(&t, home, &dests, DimOrder::XYZ);
         // Naive unicast would use 4 edges; the tree shares the +x edge.
-        assert_eq!(edges.len(), 3, "{edges:?}");
+        assert_eq!(tree.edges().len(), 3, "{tree:?}");
     }
 
     #[test]
-    fn multicast_tree_reaches_every_destination() {
-        let t = Torus::new([4, 4, 8]);
-        let home = TorusCoord::new(0, 0, 0);
-        let dests: Vec<NodeId> = (1..20u16).map(NodeId).collect();
-        let edges = multicast_tree(&t, home, &dests, DimOrder::XYZ);
-        let mut reached: HashSet<TorusCoord> = HashSet::new();
-        reached.insert(home);
-        // Iterate to fixpoint (edges are in path order, so one pass works).
-        for e in &edges {
-            assert!(
-                reached.contains(&e.from),
-                "edge {e:?} disconnected from tree"
-            );
-            reached.insert(t.neighbor(e.from, e.dir));
-        }
-        for d in &dests {
-            assert!(
-                reached.contains(&t.coord(*d)),
-                "destination {d} not reached"
-            );
+    fn tree_links_each_edge_to_its_parent_and_each_destination_to_its_edge() {
+        for dims in [[4, 4, 8], [4, 4, 4], [2, 2, 2], [3, 5, 4]] {
+            let t = Torus::new(dims);
+            let last = NodeId(t.node_count() as u16 - 1);
+            for source in [t.coord(NodeId(0)), t.coord(last)] {
+                // Every third node: the source is among them on some shapes.
+                let dests: Vec<NodeId> = t.nodes().filter(|n| n.0 % 3 == 0).collect();
+                for order in DimOrder::ALL {
+                    let tree = multicast_tree(&t, source, &dests, order);
+                    let head = |i: usize| {
+                        let e = tree.edges()[i];
+                        t.neighbor(e.from, e.dir)
+                    };
+                    for (i, e) in tree.edges().iter().enumerate() {
+                        match tree.parent(i) {
+                            Some(p) => {
+                                assert!(p < i, "{dims:?} {order}: edge {i}'s parent {p}");
+                                assert_eq!(head(p), e.from, "{dims:?} {order}: edge {i}");
+                            }
+                            None => assert_eq!(e.from, source, "{dims:?} {order}: edge {i}"),
+                        }
+                    }
+                    let listed: Vec<NodeId> = tree.destinations().iter().map(|d| d.0).collect();
+                    assert_eq!(listed, dests);
+                    for &(dest, reach) in tree.destinations() {
+                        let at = t.coord(dest);
+                        match reach {
+                            Some(i) => assert_eq!(head(i), at, "{dims:?} {order}: {dest}"),
+                            None => assert_eq!(at, source, "{dims:?} {order}: {dest} unreached"),
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -350,24 +391,36 @@ mod tests {
         let t = Torus::new([4, 4, 4]);
         let home = TorusCoord::new(2, 2, 2);
         let dests: Vec<NodeId> = t.nodes().filter(|n| n.0 % 3 == 0).collect();
-        let edges = multicast_tree(&t, home, &dests, DimOrder::XYZ);
-        let mut nodes: HashSet<TorusCoord> = HashSet::new();
-        nodes.insert(home);
-        for e in &edges {
+        let tree = multicast_tree(&t, home, &dests, DimOrder::XYZ);
+        let mut nodes: std::collections::HashSet<TorusCoord> = [home].into();
+        for e in tree.edges() {
             nodes.insert(t.neighbor(e.from, e.dir));
         }
-        assert_eq!(edges.len(), nodes.len() - 1, "not a tree");
+        assert_eq!(tree.edges().len(), nodes.len() - 1, "not a tree");
+        // The home node is one of the destinations, reached by no edge.
+        assert!(tree.destinations().contains(&(t.node_id(home), None)));
     }
 
     #[test]
-    fn unicast_edges_follow_xyz() {
+    fn a_one_destination_tree_is_the_dimension_order_path() {
         let t = Torus::new([4, 4, 8]);
         let a = TorusCoord::new(0, 0, 0);
         let b = TorusCoord::new(1, 1, 2);
-        let edges = unicast_edges(&t, a, b, DimOrder::XYZ);
-        assert_eq!(edges.len(), 4);
-        assert_eq!(edges[0].dir.dim(), Dim::X);
-        assert_eq!(edges[1].dir.dim(), Dim::Y);
-        assert_eq!(edges[2].dir.dim(), Dim::Z);
+        for order in DimOrder::ALL {
+            let tree = multicast_tree(&t, a, &[t.node_id(b)], order);
+            let dirs: Vec<Direction> = tree.edges().iter().map(|e| e.dir).collect();
+            assert_eq!(dirs, t.route(a, b, order), "{order}");
+            let mut cur = a;
+            for (i, e) in tree.edges().iter().enumerate() {
+                assert_eq!(e.from, cur, "{order}: edge {i}");
+                assert_eq!(tree.parent(i), i.checked_sub(1), "{order}: edge {i}");
+                cur = t.neighbor(cur, e.dir);
+            }
+            assert_eq!(cur, b);
+            assert_eq!(tree.destinations(), [(t.node_id(b), Some(3))]);
+        }
+        let xyz = multicast_tree(&t, a, &[t.node_id(b)], DimOrder::XYZ);
+        let dims: Vec<Dim> = xyz.edges().iter().map(|e| e.dir.dim()).collect();
+        assert_eq!(dims, [Dim::X, Dim::Y, Dim::Z, Dim::Z]);
     }
 }

@@ -66,7 +66,9 @@ fn import_counts_are_symmetric_in_aggregate() {
         let targets = decomp.export_targets(pos);
         exports += targets.len() as u64;
         let home = torus.coord(decomp.home_node(pos));
-        tree_edges += multicast_tree(&torus, home, &targets, DimOrder::ALL[atom % 6]).len() as u64;
+        tree_edges += multicast_tree(&torus, home, &targets, DimOrder::ALL[atom % 6])
+            .edges()
+            .len() as u64;
     }
     // Multicast saves edges: the tree never uses more edges than unicast.
     assert!(tree_edges <= exports * 3, "trees bounded by path lengths");
@@ -85,9 +87,9 @@ fn multicast_trees_save_traffic_over_unicast() {
         .map(|&d| torus.hop_distance(home, torus.coord(d)) as usize)
         .sum();
     assert!(
-        tree.len() * 2 < unicast_total,
+        tree.edges().len() * 2 < unicast_total,
         "in-network multicast should at least halve edge crossings: {} vs {}",
-        tree.len(),
+        tree.edges().len(),
         unicast_total
     );
 }
