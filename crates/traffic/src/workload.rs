@@ -85,10 +85,6 @@ pub struct SyntheticWorkload<'a> {
     nflits: u8,
     /// Whether deliveries spawn force-return responses.
     pub respond: bool,
-    /// Wire-byte typing of generated requests.
-    pub request_kind: ByteKind,
-    /// Wire-byte typing of spawned responses.
-    pub response_kind: ByteKind,
 }
 
 impl<'a> SyntheticWorkload<'a> {
@@ -99,8 +95,6 @@ impl<'a> SyntheticWorkload<'a> {
             pattern,
             nflits,
             respond,
-            request_kind: ByteKind::Other,
-            response_kind: ByteKind::Other,
         }
     }
 }
@@ -115,11 +109,7 @@ impl Workload for SyntheticWorkload<'_> {
         out: &mut Vec<PacketSpec>,
     ) {
         if let Some(dst) = self.pattern.dest(torus, src, cycle, rng) {
-            out.push(
-                PacketSpec::request(src, dst, 0, self.nflits)
-                    .with_kind(self.request_kind)
-                    .drawn(rng),
-            );
+            out.push(PacketSpec::request(src, dst, 0, self.nflits).drawn(rng));
         }
     }
 
@@ -133,9 +123,7 @@ impl Workload for SyntheticWorkload<'_> {
     ) {
         if self.respond && delivered.class == TrafficClass::Request {
             out.push(
-                PacketSpec::response(delivered.dst, delivered.src, 0, delivered.nflits)
-                    .with_kind(self.response_kind)
-                    .drawn(rng),
+                PacketSpec::response(delivered.dst, delivered.src, 0, delivered.nflits).drawn(rng),
             );
         }
     }
