@@ -13,6 +13,7 @@
 //! 3. sign folding + leading-zero dropping (no interleave)
 //! 4. full INZ (fold + interleave) — the hardware scheme
 
+use anton_bench::outln;
 use anton_compress::inz;
 use anton_md::integrate::Simulation;
 use anton_md::units::quantize_force;
@@ -101,17 +102,19 @@ fn main() {
     ) {
         return;
     }
-    println!(
+    outln!(
         "ABLATION: INZ design choices on {0} real force payloads",
         payloads.len()
     );
-    println!("{:<32} {:>14} {:>12}", "encoder", "mean bytes", "reduction");
+    outln!("{:<32} {:>14} {:>12}", "encoder", "mean bytes", "reduction");
     for r in rows {
-        println!(
+        outln!(
             "{:<32} {:>14.2} {:>11.1}%",
-            r.encoder, r.mean_payload_bytes, r.reduction_pct
+            r.encoder,
+            r.mean_payload_bytes,
+            r.reduction_pct
         );
     }
-    println!("\n(sign folding rescues negative values; interleaving pools the leading");
-    println!(" zeros of same-magnitude words that per-word byte-dropping strands)");
+    outln!("\n(sign folding rescues negative values; interleaving pools the leading");
+    outln!(" zeros of same-magnitude words that per-word byte-dropping strands)");
 }

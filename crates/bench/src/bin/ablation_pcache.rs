@@ -7,6 +7,7 @@
 //! hit-rate sensitivity to cache capacity (the §IV-C observation that the
 //! cache was sized for the communication-bound low-atom-count regime).
 
+use anton_bench::outln;
 use anton_compress::inz;
 use anton_machine::mdrun::MdNetworkRun;
 use anton_md::integrate::Simulation;
@@ -62,27 +63,32 @@ fn main() {
         }
         sim.step();
     }
-    println!("ABLATION A: predictor order (mean INZ delta bytes, 64 atoms x 7 steps)");
-    println!(
+    outln!("ABLATION A: predictor order (mean INZ delta bytes, 64 atoms x 7 steps)");
+    outln!(
         "{:<12} {:>22} {:>24}",
-        "predictor", "smooth trajectory", "with H-vibration"
+        "predictor",
+        "smooth trajectory",
+        "with H-vibration"
     );
     for (order, name) in [(0, "constant"), (1, "linear"), (2, "quadratic")] {
         let m_smooth: f64 =
             smooth.iter().map(|h| delta_bytes(h, order)).sum::<f64>() / smooth.len() as f64;
         let m_vib: f64 = vib.iter().map(|h| delta_bytes(h, order)).sum::<f64>() / vib.len() as f64;
-        println!("{name:<12} {m_smooth:>22.2} {m_vib:>24.2}");
+        outln!("{name:<12} {m_smooth:>22.2} {m_vib:>24.2}");
     }
-    println!("(higher orders pay off on the smooth thermal drift; the ~10 fs");
-    println!(" intramolecular vibration is unpredictable at a 2.5 fs step for");
-    println!(" any polynomial order — it sets the delta-byte floor)");
+    outln!("(higher orders pay off on the smooth thermal drift; the ~10 fs");
+    outln!(" intramolecular vibration is unpredictable at a 2.5 fs step for");
+    outln!(" any polynomial order — it sets the delta-byte floor)");
 
     // --- cache geometry ---------------------------------------------------
     let atoms = if args.quick { 6_000 } else { 20_000 };
-    println!("\nABLATION B: cache capacity ({atoms}-atom water, 2x2x2)");
-    println!(
+    outln!("\nABLATION B: cache capacity ({atoms}-atom water, 2x2x2)");
+    outln!(
         "{:<8} {:>14} {:>10} {:>12}",
-        "sets", "entries/CA", "hit rate", "reduction"
+        "sets",
+        "entries/CA",
+        "hit rate",
+        "reduction"
     );
     let mut rows = Vec::new();
     for sets in [8usize, 32, 128, 256, 512] {
@@ -94,13 +100,16 @@ fn main() {
             hit_rate: r.pcache_hit_rate.unwrap_or(0.0),
             reduction_pct: r.stats.reduction() * 100.0,
         };
-        println!(
+        outln!(
             "{:<8} {:>14} {:>10.2} {:>11.1}%",
-            row.sets, row.entries_per_ca, row.hit_rate, row.reduction_pct
+            row.sets,
+            row.entries_per_ca,
+            row.hit_rate,
+            row.reduction_pct
         );
         rows.push(row);
     }
     args.emit_json(&rows);
-    println!("\n(256 sets x 4 ways is the hardware point: big enough for the");
-    println!(" communication-bound low-atom-count regime, §IV-C)");
+    outln!("\n(256 sets x 4 ways is the hardware point: big enough for the");
+    outln!(" communication-bound low-atom-count regime, §IV-C)");
 }

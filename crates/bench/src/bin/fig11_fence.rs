@@ -2,6 +2,7 @@
 //! (4x4x8) machine. Paper: ~51.5 ns intra-node; fit 91.2 ns + 51.8 ns/hop;
 //! global (8-hop) barrier ~504 ns.
 
+use anton_bench::outln;
 use anton_machine::barrier;
 use anton_model::MachineConfig;
 use anton_sim::stats::linear_fit;
@@ -13,10 +14,10 @@ fn main() {
     if args.emit_json(&rows) {
         return;
     }
-    println!("FIGURE 11. GC-to-GC network fence barrier latency (4x4x8)");
-    println!("{:>5} {:>13}", "hops", "latency (ns)");
+    outln!("FIGURE 11. GC-to-GC network fence barrier latency (4x4x8)");
+    outln!("{:>5} {:>13}", "hops", "latency (ns)");
     for r in &rows {
-        println!("{:>5} {:>13.1}", r.hops, r.latency_ns);
+        outln!("{:>5} {:>13.1}", r.hops, r.latency_ns);
     }
     let pts: Vec<(f64, f64)> = rows
         .iter()
@@ -24,7 +25,7 @@ fn main() {
         .map(|r| (r.hops as f64, r.latency_ns))
         .collect();
     let fit = linear_fit(&pts);
-    println!();
+    outln!();
     anton_bench::compare(
         "intra-node (0-hop) barrier",
         "~51.5 ns",

@@ -5,6 +5,7 @@
 //!
 //! Pass `--quick` for a smaller system, `--json` for the raw matrices.
 
+use anton_bench::outln;
 use anton_machine::experiments;
 use anton_model::MachineConfig;
 use serde::Serialize;
@@ -30,18 +31,18 @@ fn main() {
     }) {
         return;
     }
-    println!("FIGURE 12. Machine activity, {atoms}-atom water on 8 nodes");
-    println!();
-    println!(
+    outln!("FIGURE 12. Machine activity, {atoms}-atom water on 8 nodes");
+    outln!();
+    outln!(
         "(a) compression DISABLED — step = {:.0} ns (paper ~2000 ns)",
         disabled.step_ns
     );
-    println!("{}", render_summary(&disabled));
-    println!(
+    outln!("{}", render_summary(&disabled));
+    outln!(
         "(b) compression ENABLED — step = {:.0} ns (paper ~900 ns)",
         enabled.step_ns
     );
-    println!("{}", render_summary(&enabled));
+    outln!("{}", render_summary(&enabled));
     anton_bench::compare(
         "step-time ratio (disabled/enabled)",
         "~2.2x",

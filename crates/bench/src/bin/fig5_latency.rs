@@ -2,6 +2,7 @@
 //! 128-node (4x4x8) machine. Paper fit: 55.9 ns + 34.2 ns/hop; the 0-hop
 //! case undercuts the fit.
 
+use anton_bench::outln;
 use anton_machine::pingpong;
 use anton_model::MachineConfig;
 
@@ -12,18 +13,26 @@ fn main() {
     if args.emit_json(&result) {
         return;
     }
-    println!("FIGURE 5. One-way end-to-end latency vs inter-node hops (4x4x8, 16B payload)");
-    println!(
+    outln!("FIGURE 5. One-way end-to-end latency vs inter-node hops (4x4x8, 16B payload)");
+    outln!(
         "{:>5} {:>12} {:>10} {:>10} {:>9}",
-        "hops", "mean (ns)", "min (ns)", "max (ns)", "samples"
+        "hops",
+        "mean (ns)",
+        "min (ns)",
+        "max (ns)",
+        "samples"
     );
     for r in &result.rows {
-        println!(
+        outln!(
             "{:>5} {:>12.1} {:>10.1} {:>10.1} {:>9}",
-            r.hops, r.mean_ns, r.min_ns, r.max_ns, r.samples
+            r.hops,
+            r.mean_ns,
+            r.min_ns,
+            r.max_ns,
+            r.samples
         );
     }
-    println!();
+    outln!();
     anton_bench::compare(
         "linear fit: fixed overhead",
         "55.9 ns",

@@ -1,6 +1,7 @@
 //! Figure 6: component breakdown of the minimum inter-node end-to-end
 //! latency (~55 ns).
 
+use anton_bench::outln;
 use anton_machine::pingpong;
 use anton_model::MachineConfig;
 use serde::Serialize;
@@ -26,14 +27,14 @@ fn main() {
     if args.emit_json(&rows) {
         return;
     }
-    println!("FIGURE 6. Breakdown of the minimum inter-node end-to-end latency");
+    outln!("FIGURE 6. Breakdown of the minimum inter-node end-to-end latency");
     let total = b.total().as_ns();
     for s in &b.segments {
         let ns = s.time.as_ns();
         let bar = "#".repeat((ns * 2.5).round() as usize);
-        println!("  {:<42} {:>6.2} ns  {}", s.name, ns, bar);
+        outln!("  {:<42} {:>6.2} ns  {}", s.name, ns, bar);
     }
-    println!("  {:-<42} {:->9}", "", "");
+    outln!("  {:-<42} {:->9}", "", "");
     anton_bench::compare(
         "total minimum one-way latency",
         "~55 ns",

@@ -1,6 +1,7 @@
 //! Figure 7: a worked INZ example — an 8-byte payload of two small words
 //! sheds 5 of its 8 bytes.
 
+use anton_bench::outln;
 use anton_compress::inz;
 use serde::Serialize;
 
@@ -27,30 +28,31 @@ fn main() {
     if args.emit_json(&demo) {
         return;
     }
-    println!("FIGURE 7. INZ encoding example");
-    println!(
+    outln!("FIGURE 7. INZ encoding example");
+    outln!(
         "  input words:              {:#010x} {:#010x} (8 bytes raw)",
-        words[0], words[1]
+        words[0],
+        words[1]
     );
     for (i, &w) in unsigned.iter().enumerate() {
-        println!(
+        outln!(
             "  sign-folded word {i}:       {:#010x}",
             inz::invert_word(w)
         );
     }
-    println!(
+    outln!(
         "  interleaved valid bytes:  {} (descriptor carries msw={})",
         enc.payload_len(),
         enc.msw
     );
-    println!(
+    outln!(
         "  decoded:                  {:?}",
         inz::decode(&enc)
             .iter()
             .map(|&w| w as i32)
             .collect::<Vec<_>>()
     );
-    println!();
+    outln!();
     anton_bench::compare(
         "leading zero bytes eliminated",
         "5 of 8",

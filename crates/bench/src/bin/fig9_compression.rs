@@ -7,6 +7,7 @@
 //!
 //! Pass `--quick` for a reduced sweep (CI-sized), `--json` for JSON rows.
 
+use anton_bench::outln;
 use anton_machine::experiments;
 
 fn main() {
@@ -21,13 +22,19 @@ fn main() {
     if args.emit_json(&rows) {
         return;
     }
-    println!("FIGURE 9. Channel traffic reduction and application speedup (2x2x2, water)");
-    println!(
+    outln!("FIGURE 9. Channel traffic reduction and application speedup (2x2x2, water)");
+    outln!(
         "{:>9} {:>12} {:>18} {:>10} {:>12} {:>12} {:>9}",
-        "atoms", "INZ only", "INZ + pcache", "speedup", "base step", "comp step", "hit rate"
+        "atoms",
+        "INZ only",
+        "INZ + pcache",
+        "speedup",
+        "base step",
+        "comp step",
+        "hit rate"
     );
     for r in &rows {
-        println!(
+        outln!(
             "{:>9} {:>11.1}% {:>17.1}% {:>9.2}x {:>10.0}ns {:>10.0}ns {:>9.2}",
             r.atoms,
             r.inz_reduction_pct,
@@ -38,7 +45,7 @@ fn main() {
             r.pcache_hit_rate
         );
     }
-    println!();
+    outln!();
     anton_bench::compare("INZ-only reduction", "32-40%", "see column 2");
     anton_bench::compare("INZ+pcache reduction", "45-62%, falling", "see column 3");
     anton_bench::compare("application speedup", "1.18-1.62x", "see column 4");

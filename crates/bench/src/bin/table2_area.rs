@@ -2,6 +2,7 @@
 //! Paper: Core Routers 9.4%, Edge Routers 1.4%, Channel Adapters 2.8%,
 //! Row Adapters 0.5% — 14.1% total.
 
+use anton_bench::outln;
 use anton_model::area::{table2_rows, TechConstants};
 use serde::Serialize;
 
@@ -26,19 +27,25 @@ fn main() {
     if args.emit_json(&rows) {
         return;
     }
-    println!("TABLE II. Network component contributions to the total die area");
-    println!(
+    outln!("TABLE II. Network component contributions to the total die area");
+    outln!(
         "{:<20} {:>7} {:>16} {:>10}",
-        "Component", "count", "% of die (ours)", "(paper)"
+        "Component",
+        "count",
+        "% of die (ours)",
+        "(paper)"
     );
     let paper = [9.4, 1.4, 2.8, 0.5];
     let mut total = 0.0;
     for (r, p) in rows.iter().zip(paper) {
-        println!(
+        outln!(
             "{:<20} {:>7} {:>15.1}% {:>9.1}%",
-            r.component, r.count, r.pct_of_die, p
+            r.component,
+            r.count,
+            r.pct_of_die,
+            p
         );
         total += r.pct_of_die;
     }
-    println!("{:<20} {:>7} {:>15.1}% {:>9.1}%", "Total", "", total, 14.1);
+    outln!("{:<20} {:>7} {:>15.1}% {:>9.1}%", "Total", "", total, 14.1);
 }

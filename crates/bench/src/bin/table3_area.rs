@@ -1,6 +1,7 @@
 //! Table III: implementation cost of the particle cache and network fence.
 //! Paper: particle cache 1.6%, network fence 0.2% — 1.8% of the die.
 
+use anton_bench::outln;
 use anton_model::area::{table3_rows, TechConstants};
 use serde::Serialize;
 
@@ -23,16 +24,18 @@ fn main() {
     if args.emit_json(&rows) {
         return;
     }
-    println!("TABLE III. Implementation costs of network features");
-    println!(
+    outln!("TABLE III. Implementation costs of network features");
+    outln!(
         "{:<20} {:>16} {:>10}",
-        "Feature", "% of die (ours)", "(paper)"
+        "Feature",
+        "% of die (ours)",
+        "(paper)"
     );
     let paper = [1.6, 0.2];
     let mut total = 0.0;
     for (r, p) in rows.iter().zip(paper) {
-        println!("{:<20} {:>15.2}% {:>9.1}%", r.feature, r.pct_of_die, p);
+        outln!("{:<20} {:>15.2}% {:>9.1}%", r.feature, r.pct_of_die, p);
         total += r.pct_of_die;
     }
-    println!("{:<20} {:>15.2}% {:>9.1}%", "Total", total, 1.8);
+    outln!("{:<20} {:>15.2}% {:>9.1}%", "Total", total, 1.8);
 }

@@ -3,8 +3,10 @@
 //! One binary per table and figure of the paper (see `src/bin/`), plus
 //! `sweep_traffic`, which drives the cycle-level fabric. Each binary
 //! prints the same rows/series the paper reports and emits
-//! machine-readable JSON on request (`--json`). Simulator speed is
-//! measured by the committed benchmark in `perfbench/`.
+//! machine-readable JSON on request (`--json`). Every binary prints
+//! through [`outln!`] or [`write_stdout`], so a closed stdout ends it
+//! quietly with status 0. Simulator speed is measured by the committed
+//! benchmark in `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,7 +91,7 @@ impl Args {
             std::process::exit(2);
         });
         if args.help {
-            print!("{}", reads.usage(&program));
+            write_stdout(format_args!("{}", reads.usage(&program)));
             std::process::exit(0);
         }
         args
@@ -100,7 +102,7 @@ impl Args {
     pub fn emit_json<T: Serialize>(&self, value: &T) -> bool {
         if self.json {
             let json = serde_json::to_string_pretty(value).expect("serializable result");
-            println!("{json}");
+            outln!("{json}");
         }
         self.json
     }
