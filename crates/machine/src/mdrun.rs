@@ -526,16 +526,14 @@ impl MdNetworkRun {
             for (_, ready, atom, ri) in level {
                 let edge = routes[ri].tree.edges()[depth];
                 let from = torus.node_id(edge.from);
-                let a = atom as usize;
+                let (a, sim) = (atom as usize, &self.sim);
                 let link = self.machine.link_mut(from, edge.dir, a % CAS_PER_NEIGHBOR);
                 let transit = if kind == ACT_POSITION {
-                    let sim = &self.sim;
-                    let qpos =
-                        exported_position(sim.system.pos[a], atom, sim.step_count, sim.params.dt);
-                    link.send_position(ready, particle_static_field(atom), qpos)
-                        .0
+                    let (pos, key) = (sim.system.pos[a], particle_static_field(atom));
+                    let qpos = exported_position(pos, atom, sim.step_count, sim.params.dt);
+                    link.send_position(ready, key, qpos).0
                 } else {
-                    link.send_force(ready, quantize_force(self.sim.forces.f[a]))
+                    link.send_force(ready, quantize_force(sim.forces.f[a]))
                 };
                 let ser_done = transit.arrive - link.crossing_fixed();
                 let lane = self.channel_lane(from, edge.dir);
