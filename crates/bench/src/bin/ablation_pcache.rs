@@ -37,11 +37,25 @@ fn delta_bytes(history: &[[i32; 3]], order: usize) -> f64 {
 }
 
 #[derive(Serialize)]
+struct PredictorRow {
+    predictor: &'static str,
+    smooth_bytes: f64,
+    vibration_bytes: f64,
+}
+
+#[derive(Serialize)]
 struct GeometryRow {
     sets: usize,
     entries_per_ca: usize,
     hit_rate: f64,
     reduction_pct: f64,
+}
+
+/// Both ablations' rows, the one document `--json` prints.
+#[derive(Serialize)]
+struct Ablations {
+    predictor_order: Vec<PredictorRow>,
+    cache_geometry: Vec<GeometryRow>,
 }
 
 fn main() {
@@ -63,6 +77,38 @@ fn main() {
         }
         sim.step();
     }
+    let mean = |histories: &[Vec<[i32; 3]>], order| {
+        histories.iter().map(|h| delta_bytes(h, order)).sum::<f64>() / histories.len() as f64
+    };
+    let predictor_order = [(0, "constant"), (1, "linear"), (2, "quadratic")]
+        .map(|(order, predictor)| PredictorRow {
+            predictor,
+            smooth_bytes: mean(&smooth, order),
+            vibration_bytes: mean(&vib, order),
+        })
+        .into();
+
+    // --- cache geometry ---------------------------------------------------
+    let atoms = if args.quick { 6_000 } else { 20_000 };
+    let mut cache_geometry = Vec::new();
+    for sets in [8usize, 32, 128, 256, 512] {
+        let cfg = MachineConfig::torus([2, 2, 2]).with_pcache_sets(sets);
+        let r = MdNetworkRun::new(cfg, atoms, 7, false).run(4, 3);
+        cache_geometry.push(GeometryRow {
+            sets,
+            entries_per_ca: sets * 4,
+            hit_rate: r.pcache_hit_rate.unwrap_or(0.0),
+            reduction_pct: r.stats.reduction() * 100.0,
+        });
+    }
+    let ablations = Ablations {
+        predictor_order,
+        cache_geometry,
+    };
+    if args.emit_json(&ablations) {
+        return;
+    }
+
     outln!("ABLATION A: predictor order (mean INZ delta bytes, 64 atoms x 7 steps)");
     outln!(
         "{:<12} {:>22} {:>24}",
@@ -70,18 +116,14 @@ fn main() {
         "smooth trajectory",
         "with H-vibration"
     );
-    for (order, name) in [(0, "constant"), (1, "linear"), (2, "quadratic")] {
-        let m_smooth: f64 =
-            smooth.iter().map(|h| delta_bytes(h, order)).sum::<f64>() / smooth.len() as f64;
-        let m_vib: f64 = vib.iter().map(|h| delta_bytes(h, order)).sum::<f64>() / vib.len() as f64;
+    for r in &ablations.predictor_order {
+        let (name, m_smooth, m_vib) = (r.predictor, r.smooth_bytes, r.vibration_bytes);
         outln!("{name:<12} {m_smooth:>22.2} {m_vib:>24.2}");
     }
     outln!("(higher orders pay off on the smooth thermal drift; the ~10 fs");
     outln!(" intramolecular vibration is unpredictable at a 2.5 fs step for");
     outln!(" any polynomial order — it sets the delta-byte floor)");
 
-    // --- cache geometry ---------------------------------------------------
-    let atoms = if args.quick { 6_000 } else { 20_000 };
     outln!("\nABLATION B: cache capacity ({atoms}-atom water, 2x2x2)");
     outln!(
         "{:<8} {:>14} {:>10} {:>12}",
@@ -90,26 +132,10 @@ fn main() {
         "hit rate",
         "reduction"
     );
-    let mut rows = Vec::new();
-    for sets in [8usize, 32, 128, 256, 512] {
-        let cfg = MachineConfig::torus([2, 2, 2]).with_pcache_sets(sets);
-        let r = MdNetworkRun::new(cfg, atoms, 7, false).run(4, 3);
-        let row = GeometryRow {
-            sets,
-            entries_per_ca: sets * 4,
-            hit_rate: r.pcache_hit_rate.unwrap_or(0.0),
-            reduction_pct: r.stats.reduction() * 100.0,
-        };
-        outln!(
-            "{:<8} {:>14} {:>10.2} {:>11.1}%",
-            row.sets,
-            row.entries_per_ca,
-            row.hit_rate,
-            row.reduction_pct
-        );
-        rows.push(row);
+    for r in &ablations.cache_geometry {
+        let (sets, entries, hit, pct) = (r.sets, r.entries_per_ca, r.hit_rate, r.reduction_pct);
+        outln!("{sets:<8} {entries:>14} {hit:>10.2} {pct:>11.1}%");
     }
-    args.emit_json(&rows);
     outln!("\n(256 sets x 4 ways is the hardware point: big enough for the");
     outln!(" communication-bound low-atom-count regime, §IV-C)");
 }

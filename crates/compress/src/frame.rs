@@ -1,18 +1,16 @@
-//! Channel-frame packing — paper §IV-A.
+//! Channel-frame geometry — paper §IV-A.
 //!
 //! Compressed payloads and their headers are densely packed at byte
 //! granularity into fixed-length frames that traverse the SERDES lanes.
-//! This module implements the pack/unpack codec used by the Channel
-//! Adapter model and the exact byte accounting used by the Figure 9a
-//! experiment.
+//! A packet may straddle a frame boundary (the stream is continuous), so
+//! the capacity lost to framing is the fixed per-frame overhead.
 //!
 //! Frame geometry: [`FRAME_BYTES`] total, of which [`FRAME_OVERHEAD_BYTES`]
 //! carry link-level framing (sequence/CRC) and the rest is packed payload.
-//! A packet item may straddle a frame boundary (the stream is continuous),
-//! so the only capacity lost to framing is the fixed per-frame overhead
-//! plus padding in the final partial frame of a burst.
-
-use crate::inz::Encoded;
+//! The channel model charges that overhead as one rate: every packed byte
+//! costs `FRAME_BYTES / FRAME_PAYLOAD_BYTES` bytes of wire time
+//! (`anton_net::channel::Serializer::serialize_time`), while the Figure 9a
+//! accounting counts the packed bytes themselves.
 
 /// Total bytes in one channel frame.
 pub const FRAME_BYTES: usize = 64;
@@ -21,188 +19,9 @@ pub const FRAME_OVERHEAD_BYTES: usize = 2;
 /// Payload capacity of one frame.
 pub const FRAME_PAYLOAD_BYTES: usize = FRAME_BYTES - FRAME_OVERHEAD_BYTES;
 
-/// One packed item: a compacted packet header plus its encoded payload.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct WireItem {
-    /// Compact header bytes (the 64-bit flit header, possibly shortened
-    /// for compressed-position packets that carry a cache index instead).
-    pub header: Vec<u8>,
-    /// The INZ-encoded payload.
-    pub payload: Encoded,
-}
-
-impl WireItem {
-    /// On-wire byte cost: one descriptor byte plus header plus surviving
-    /// payload bytes.
-    pub fn wire_cost(&self) -> usize {
-        self.payload.wire_len() + self.header.len()
-    }
-
-    fn serialize(&self, out: &mut Vec<u8>) {
-        // Descriptor byte: valid-byte count (5 bits), msw (2), raw flag (1).
-        let valid = self.payload.bytes.len() as u8;
-        debug_assert!(valid <= 16);
-        let desc = (valid & 0x1F) | (self.payload.msw << 5) | ((self.payload.raw as u8) << 7);
-        out.push(desc);
-        out.extend_from_slice(&self.header);
-        out.extend_from_slice(&self.payload.bytes);
-    }
-}
-
-/// Packs a sequence of items into fixed-length frames.
-///
-/// Returns the frames (each exactly [`FRAME_BYTES`] long) and the number
-/// of padding bytes in the final frame. Header lengths and payload word
-/// counts must be known to the receiver from the packet kind; the codec
-/// takes them as a callback on unpack.
-pub fn pack(items: &[WireItem]) -> (Vec<[u8; FRAME_BYTES]>, usize) {
-    let mut stream = Vec::new();
-    for item in items {
-        item.serialize(&mut stream);
-    }
-    let mut frames = Vec::new();
-    let mut padding = 0;
-    for chunk in stream.chunks(FRAME_PAYLOAD_BYTES) {
-        let mut frame = [0u8; FRAME_BYTES];
-        // Overhead bytes: frame sequence number low byte + payload length.
-        frame[0] = frames.len() as u8;
-        frame[1] = chunk.len() as u8;
-        frame[FRAME_OVERHEAD_BYTES..FRAME_OVERHEAD_BYTES + chunk.len()].copy_from_slice(chunk);
-        padding = FRAME_PAYLOAD_BYTES - chunk.len();
-        frames.push(frame);
-    }
-    (frames, padding)
-}
-
-/// Unpacks frames produced by [`pack`].
-///
-/// `header_len` and `word_count` report, for the `i`-th item, how many
-/// header bytes it carries and how many payload words its kind implies —
-/// information the real hardware derives from the header contents.
-///
-/// # Panics
-/// Panics if the stream is malformed (truncated item, bad descriptor).
-pub fn unpack(
-    frames: &[[u8; FRAME_BYTES]],
-    mut header_len: impl FnMut(usize) -> usize,
-    mut word_count: impl FnMut(usize) -> usize,
-) -> Vec<WireItem> {
-    let mut stream = Vec::new();
-    for frame in frames {
-        let len = frame[1] as usize;
-        assert!(len <= FRAME_PAYLOAD_BYTES, "corrupt frame length");
-        stream.extend_from_slice(&frame[FRAME_OVERHEAD_BYTES..FRAME_OVERHEAD_BYTES + len]);
-    }
-    let mut items = Vec::new();
-    let mut pos = 0;
-    let mut index = 0;
-    while pos < stream.len() {
-        let desc = stream[pos];
-        pos += 1;
-        let valid = (desc & 0x1F) as usize;
-        let msw = (desc >> 5) & 0x3;
-        let raw = desc >> 7 == 1;
-        let hlen = header_len(index);
-        assert!(pos + hlen + valid <= stream.len(), "truncated item {index}");
-        let header = stream[pos..pos + hlen].to_vec();
-        pos += hlen;
-        let bytes = stream[pos..pos + valid].to_vec();
-        pos += valid;
-        items.push(WireItem {
-            header,
-            payload: Encoded {
-                msw,
-                raw,
-                bytes,
-                word_count: word_count(index) as u8,
-            },
-        });
-        index += 1;
-    }
-    items
-}
-
-/// Exact byte accounting for a stream of items: total frames needed and
-/// total bytes on the wire (frames × frame size).
-pub fn wire_bytes(items: &[WireItem]) -> u64 {
-    let stream: usize = items.iter().map(WireItem::wire_cost).sum();
-    let frames = stream.div_ceil(FRAME_PAYLOAD_BYTES);
-    (frames * FRAME_BYTES) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inz::encode;
-
-    fn item(header: &[u8], words: &[u32]) -> WireItem {
-        WireItem {
-            header: header.to_vec(),
-            payload: encode(words),
-        }
-    }
-
-    #[test]
-    fn roundtrip_single_item() {
-        let items = vec![item(&[1, 2, 3, 4, 5, 6, 7, 8], &[42, -9i32 as u32, 0])];
-        let (frames, padding) = pack(&items);
-        assert_eq!(frames.len(), 1);
-        assert!(padding > 0);
-        let out = unpack(&frames, |_| 8, |_| 3);
-        assert_eq!(out, items);
-    }
-
-    #[test]
-    fn roundtrip_straddles_frames() {
-        // Enough raw 16-byte payloads to cross several frame boundaries.
-        let items: Vec<WireItem> = (0..20)
-            .map(|i| {
-                item(
-                    &[i as u8; 8],
-                    &[0xDEAD_BEEF, 0xFFFF_0000 | i, 0x7FFF_FFFF, 0x8000_0001],
-                )
-            })
-            .collect();
-        let (frames, _) = pack(&items);
-        assert!(frames.len() > 1, "must straddle frames");
-        let out = unpack(&frames, |_| 8, |_| 4);
-        assert_eq!(out, items);
-    }
-
-    #[test]
-    fn mixed_header_lengths() {
-        let items = vec![
-            item(&[9, 9], &[5, 5, 5]), // compressed-position: 2B header
-            item(&[1, 2, 3, 4, 5, 6, 7, 8], &[0, 0, 0]), // full header
-        ];
-        let (frames, _) = pack(&items);
-        let lens = [2usize, 8usize];
-        let words = [3usize, 3usize];
-        let out = unpack(&frames, |i| lens[i], |i| words[i]);
-        assert_eq!(out, items);
-    }
-
-    #[test]
-    fn wire_cost_counts_descriptor() {
-        let it = item(&[0; 8], &[0, 0, 0, 0]);
-        assert_eq!(it.wire_cost(), 9); // 8 header + 1 descriptor, empty payload
-    }
-
-    #[test]
-    fn wire_bytes_quantizes_to_frames() {
-        let items = vec![item(&[0; 8], &[1, 2, 3, 4]); 3];
-        let bytes = wire_bytes(&items);
-        assert_eq!(bytes % FRAME_BYTES as u64, 0);
-        assert!(bytes >= items.iter().map(WireItem::wire_cost).sum::<usize>() as u64);
-    }
-
-    #[test]
-    fn empty_stream_is_empty() {
-        let (frames, padding) = pack(&[]);
-        assert!(frames.is_empty());
-        assert_eq!(padding, 0);
-        assert_eq!(wire_bytes(&[]), 0);
-    }
 
     #[test]
     fn frame_geometry() {

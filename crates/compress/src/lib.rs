@@ -10,8 +10,9 @@
 //!   of each I/O channel that transmit only the delta between a particle's
 //!   position and a quadratic extrapolation from its cached history
 //!   (Figure 8);
-//! - [`frame`] — byte-granularity packing of compressed payloads into
-//!   fixed-length channel frames.
+//! - [`frame`] — the geometry of the fixed-length channel frames that
+//!   compressed payloads are packed into, whose per-frame overhead the
+//!   channel model charges as a rate.
 //!
 //! ```
 //! use anton_compress::inz;

@@ -205,11 +205,6 @@ impl ParticleCache {
         self.stats
     }
 
-    /// The current time-step counter value.
-    pub fn epoch(&self) -> u8 {
-        self.epoch
-    }
-
     /// Advances the time-step counter. The hardware does this upon receipt
     /// of a special end-of-step packet sent by software (§IV-B1).
     pub fn end_of_step(&mut self) {

@@ -27,8 +27,8 @@
 //! `FORCE_TURNAROUND_CYCLES` after the position arrived there. One walk
 //! (`MdNetworkRun::send_routes`) sends both halves and owns the send
 //! policy: edge `d` of every route goes out in level `d`, each level in
-//! (link, ready time, atom) order, and an edge is ready when its parent
-//! edge's packet has arrived.
+//! (link, ready time) order with ties kept in route order, and an edge
+//! is ready when its parent edge's packet has arrived.
 
 use crate::barrier;
 use crate::machine::NetworkMachine;
@@ -435,7 +435,7 @@ impl MdNetworkRun {
             let interactions = total_pairs * local / total_atoms;
             let compute_cycles = (streamed / STREAM_POSITIONS_PER_CYCLE)
                 .max(interactions / PPIM_INTERACTIONS_PER_CYCLE);
-            let compute = Ps::new((compute_cycles * 357.0) as u64);
+            let compute = Ps::new((compute_cycles * PS_PER_CORE_CYCLE as f64) as u64);
             let stream_done = last_pos_arrival[ni].max(t0 + compute);
             // Stored-set force unload is gated by the fence.
             unload_done[ni] = stream_done.max(fence_done[ni]);
@@ -452,13 +452,13 @@ impl MdNetworkRun {
             let forces_ready = last_force_arrival[ni].max(unload_done[ni]);
             let local = self.atoms_per_node[ni] as f64;
             let integ_cycles = local * INTEGRATION_CYCLES_PER_ATOM / asic::GCS_PER_ASIC as f64;
-            let integ = Ps::new((integ_cycles * 357.0) as u64);
+            let integ = Ps::new((integ_cycles * PS_PER_CORE_CYCLE as f64) as u64);
             let done = forces_ready + integ;
             self.trace
                 .record(self.gc_lanes[ni], ACT_INTEGRATE, forces_ready, done);
             step_end = step_end.max(done);
             let other_cycles = OTHER_PHASE_FIXED_CYCLES + local * OTHER_PHASE_CYCLES_PER_ATOM;
-            app_extra = app_extra.max(Ps::new((other_cycles * 357.0) as u64));
+            app_extra = app_extra.max(Ps::new((other_cycles * PS_PER_CORE_CYCLE as f64) as u64));
         }
 
         // End-of-step markers advance the particle-cache epochs, and a
@@ -501,13 +501,14 @@ impl MdNetworkRun {
     /// parent is always sent before its children; levels are edge
     /// indices, not tree depths, because moving a later edge to an
     /// earlier level would reorder the serializer FIFOs. Each level is
-    /// stably sorted by (link, ready, atom), so every link transmits in
-    /// ready-time order (the hardware CA arbitrates by arrival, not by
-    /// atom index; one pass per route would insert idle bubbles). An
-    /// edge is ready when its parent's packet arrives, relay included,
-    /// or at its route's start for an edge leaving the source. It goes
-    /// through Channel Adapter `atom % CAS_PER_NEIGHBOR` of its
-    /// channel.
+    /// stably sorted by (link, ready), so every link transmits in
+    /// ready-time order and ties keep the route order, which `step`
+    /// builds in atom order for both halves (the hardware CA arbitrates
+    /// by arrival, not by atom index; one pass per route would insert
+    /// idle bubbles). An edge is ready when its parent's packet arrives,
+    /// relay included, or at its route's start for an edge leaving the
+    /// source. It goes through Channel Adapter `atom % CAS_PER_NEIGHBOR`
+    /// of its channel.
     fn send_routes(&mut self, routes: &mut [Route], kind: ActivityKind) {
         let torus = self.machine.cfg.torus;
         let relay = self.machine.cfg.latency.edge_hop.to_ps() * 3;
@@ -522,7 +523,7 @@ impl MdNetworkRun {
             if level.is_empty() {
                 return;
             }
-            level.sort_by_key(|&(link, ready, atom, _)| (link, ready, atom));
+            level.sort_by_key(|&(link, ready, _, _)| (link, ready));
             for (_, ready, atom, ri) in level {
                 let edge = routes[ri].tree.edges()[depth];
                 let from = torus.node_id(edge.from);

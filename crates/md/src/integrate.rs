@@ -66,20 +66,6 @@ impl Simulation {
         }
     }
 
-    /// Rescales velocities toward `target` K (equilibration thermostat).
-    pub fn rescale_temperature(&mut self, target: f64) {
-        let current = self.system.temperature(self.params.mass);
-        if current <= 0.0 {
-            return;
-        }
-        let s = (target / current).sqrt();
-        for v in &mut self.system.vel {
-            for vk in v.iter_mut() {
-                *vk *= s;
-            }
-        }
-    }
-
     /// Total (kinetic + potential) energy, kcal/mol.
     pub fn total_energy(&self) -> f64 {
         self.system.kinetic_energy(self.params.mass) + self.forces.potential
@@ -163,14 +149,6 @@ mod tests {
             pred_err < 0.5 * step_disp,
             "extrapolation error {pred_err:.2e} not smaller than displacement {step_disp:.2e}"
         );
-    }
-
-    #[test]
-    fn thermostat_rescales() {
-        let mut sim = Simulation::water(300, 14);
-        sim.rescale_temperature(150.0);
-        let t = sim.system.temperature(sim.params.mass);
-        assert!((t - 150.0).abs() < 1.0);
     }
 
     #[test]

@@ -22,14 +22,8 @@ pub const CORE_ROWS: usize = 12;
 pub const CORE_TILES: usize = CORE_COLS * CORE_ROWS;
 /// Geometry Cores per Core Tile.
 pub const GCS_PER_TILE: usize = 2;
-/// PPIMs per Core Tile.
-pub const PPIMS_PER_TILE: usize = 2;
 /// Geometry Cores per ASIC.
 pub const GCS_PER_ASIC: usize = CORE_TILES * GCS_PER_TILE;
-/// PPIMs per ASIC.
-pub const PPIMS_PER_ASIC: usize = CORE_TILES * PPIMS_PER_TILE;
-/// SRAM bytes attached to each GC.
-pub const SRAM_BYTES_PER_GC: usize = 128 * 1024;
 
 /// Edge Tiles per edge (left or right).
 pub const EDGE_TILES_PER_SIDE: usize = 12;
@@ -235,9 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn chip_has_576_gcs_and_ppims() {
+    fn chip_has_576_gcs_and_48_icbs() {
         assert_eq!(GCS_PER_ASIC, 576);
-        assert_eq!(PPIMS_PER_ASIC, 576);
         assert_eq!(ICBS_PER_ASIC, 48);
     }
 

@@ -385,13 +385,6 @@ impl Torus {
         }
         route
     }
-
-    /// All nodes whose minimal distance from `from` is at most `hops`.
-    pub fn nodes_within(&self, from: TorusCoord, hops: u32) -> Vec<NodeId> {
-        self.nodes()
-            .filter(|&n| self.hop_distance(from, self.coord(n)) <= hops)
-            .collect()
-    }
 }
 
 impl fmt::Display for Torus {
@@ -511,17 +504,6 @@ mod tests {
         let t = Torus::new([2, 2, 2]);
         let a = TorusCoord::new(1, 1, 1);
         assert_eq!(t.first_hop(a, a, DimOrder::XYZ), None);
-    }
-
-    #[test]
-    fn nodes_within_counts() {
-        let t = Torus::new([4, 4, 8]);
-        let origin = TorusCoord::new(0, 0, 0);
-        assert_eq!(t.nodes_within(origin, 0), vec![NodeId(0)]);
-        // 1-hop neighborhood: origin + 6 distinct neighbors in a 4x4x8 torus.
-        assert_eq!(t.nodes_within(origin, 1).len(), 7);
-        // Full diameter covers the machine.
-        assert_eq!(t.nodes_within(origin, t.diameter()).len(), 128);
     }
 
     #[test]

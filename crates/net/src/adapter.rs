@@ -17,6 +17,10 @@
 //! **particle cache** also enabled, position packets that hit are replaced
 //! by a 2-byte compressed header (10-bit cache index + type tag) plus the
 //! INZ-encoded prediction delta (§IV-B).
+//!
+//! Every cost here counts bytes before framing. The per-frame overhead is
+//! charged once, as a rate, when the bytes serialize
+//! ([`crate::channel::Serializer::serialize_time`]).
 
 use crate::channel::{LinkStats, Serializer};
 use crate::packet::PacketKind;
@@ -141,30 +145,9 @@ impl CaLink {
         }
     }
 
-    /// The active compression configuration.
-    pub fn compression(&self) -> Compression {
-        self.comp
-    }
-
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> LinkStats {
         self.stats
-    }
-
-    /// Busy time spent serializing so far.
-    pub fn busy_total(&self) -> Ps {
-        self.serializer.busy_total()
-    }
-
-    /// When the transmitter drains.
-    pub fn busy_until(&self) -> Ps {
-        self.serializer.busy_until()
-    }
-
-    /// Serialization time for `bytes` on this link's lanes (used by
-    /// activity tracing to reconstruct busy windows).
-    pub fn serialize_time(&self, bytes: usize) -> Ps {
-        self.serializer.serialize_time(bytes)
     }
 
     /// The fixed (non-serialization) latency of one crossing on this link.
@@ -235,8 +218,7 @@ impl CaLink {
         self.push(now, bytes, baseline_bytes(4), PacketKind::Force)
     }
 
-    /// Transmits a generic quad-payload packet (counted write, read
-    /// response, ...).
+    /// Transmits a generic quad-payload packet, such as a counted write.
     pub fn send_quad(&mut self, now: Ps, kind: PacketKind, payload: &[u32]) -> Transit {
         let bytes = generic_wire_bytes(kind, &[payload], self.comp);
         self.push(now, bytes, baseline_bytes(payload.len()), kind)

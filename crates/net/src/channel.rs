@@ -14,7 +14,7 @@ use serde::Serialize;
 /// categories. Every byte that crosses a channel is attributed to
 /// exactly one kind: position exports (full or particle-cache
 /// compressed), force returns, or everything else (counted writes,
-/// reads, fences, markers, synthetic traffic). The analytic
+/// fences, markers, synthetic traffic). The analytic
 /// [`crate::adapter::CaLink`] and the cycle-level
 /// [`crate::fabric3d::TorusFabric`] both type their [`LinkStats`]
 /// through this one enum (via [`crate::packet::PacketKind::byte_kind`]
@@ -141,7 +141,6 @@ impl LinkStats {
 pub struct Serializer {
     lanes: u32,
     busy_until: Ps,
-    busy_total: Ps,
 }
 
 impl Serializer {
@@ -154,7 +153,6 @@ impl Serializer {
         Serializer {
             lanes,
             busy_until: Ps::ZERO,
-            busy_total: Ps::ZERO,
         }
     }
 
@@ -173,25 +171,8 @@ impl Serializer {
     pub fn transmit(&mut self, now: Ps, bytes: usize) -> (Ps, Ps) {
         let start = now.max(self.busy_until);
         let done = start + self.serialize_time(bytes);
-        self.busy_total += done - start;
         self.busy_until = done;
         (start, done)
-    }
-
-    /// When the transmitter becomes idle.
-    pub fn busy_until(&self) -> Ps {
-        self.busy_until
-    }
-
-    /// Total time spent transmitting.
-    pub fn busy_total(&self) -> Ps {
-        self.busy_total
-    }
-
-    /// Resets occupancy (between independent experiment phases).
-    pub fn reset(&mut self) {
-        self.busy_until = Ps::ZERO;
-        self.busy_total = Ps::ZERO;
     }
 }
 
@@ -211,6 +192,18 @@ mod tests {
     }
 
     #[test]
+    fn packed_bytes_pay_for_whole_frames_exactly() {
+        // The one framing rule: 62 packed bytes fill one 64-byte frame
+        // (512 bits on the wire) and 124 fill two (1,024 bits). Over 4
+        // lanes at 29 Gb/s that is 4,413.8 and 8,827.6 ps, rounded up.
+        let s = Serializer::new(4);
+        assert_eq!(s.serialize_time(62), serialization_time(512, 4, 29.0));
+        assert_eq!(s.serialize_time(124), serialization_time(1024, 4, 29.0));
+        assert_eq!(s.serialize_time(62), Ps::new(4_414));
+        assert_eq!(s.serialize_time(124), Ps::new(8_828));
+    }
+
+    #[test]
     fn transmissions_serialize_fifo() {
         let mut s = Serializer::new(4);
         let (a0, a1) = s.transmit(Ps::ZERO, 24);
@@ -218,7 +211,6 @@ mod tests {
         assert_eq!(a0, Ps::ZERO);
         assert_eq!(b0, a1, "second packet waits for the first");
         assert!(b1 > a1);
-        assert_eq!(s.busy_total(), b1);
     }
 
     #[test]
@@ -226,9 +218,8 @@ mod tests {
         let mut s = Serializer::new(4);
         let (_, a1) = s.transmit(Ps::ZERO, 24);
         let later = a1 + Ps::from_ns(100.0);
-        let (b0, b1) = s.transmit(later, 24);
+        let (b0, _) = s.transmit(later, 24);
         assert_eq!(b0, later);
-        assert_eq!(s.busy_total(), (a1 - Ps::ZERO) + (b1 - b0));
     }
 
     #[test]
@@ -273,14 +264,5 @@ mod tests {
             assert_eq!(kind.index(), i);
             assert_eq!(ByteKind::from_index(i), kind);
         }
-    }
-
-    #[test]
-    fn reset_clears_occupancy() {
-        let mut s = Serializer::new(8);
-        s.transmit(Ps::ZERO, 1000);
-        s.reset();
-        assert_eq!(s.busy_until(), Ps::ZERO);
-        assert_eq!(s.busy_total(), Ps::ZERO);
     }
 }

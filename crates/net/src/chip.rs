@@ -129,15 +129,6 @@ pub fn u_hops_to_side(col: u8, side: Side) -> u32 {
     }
 }
 
-/// The nearer chip side for a Core Tile column (ties go left).
-pub fn nearest_side(col: u8) -> Side {
-    if u_hops_to_side(col, Side::Left) <= u_hops_to_side(col, Side::Right) {
-        Side::Left
-    } else {
-        Side::Right
-    }
-}
-
 /// Edge Router hops for traffic *injected* from the Core Network at
 /// `entry_row`, reaching the Channel Adapter at `ca_row`: one hop into an
 /// inner column, row travel, one hop to the CA column (paper Figure 4,
@@ -298,8 +289,6 @@ mod tests {
         assert_eq!(u_hops_to_side(23, Side::Right), 1);
         assert_eq!(u_hops_to_side(23, Side::Left), 24);
         assert_eq!(u_hops_to_side(0, Side::Right), 24);
-        assert_eq!(nearest_side(5), Side::Left);
-        assert_eq!(nearest_side(20), Side::Right);
     }
 
     #[test]

@@ -104,11 +104,10 @@ pub fn slice_port(dir: Direction, slice: usize) -> usize {
     dir.index() * SLICES + asic::side_for_slice(slice).index()
 }
 
-/// The two traffic classes of the inter-node network (paper §III-B2) —
-/// the packet-level [`crate::packet::TrafficClass`], shared so the
-/// cycle fabric and the analytic packet model name classes identically.
-/// Requests ride randomized minimal oblivious routes over the four
-/// dateline VCs (`0..4`); responses ride XYZ mesh routes on the single
+/// The two traffic classes of the inter-node network (paper §III-B2),
+/// defined beside the packet kinds in [`crate::packet`]. Requests ride
+/// randomized minimal oblivious routes over the four dateline VCs
+/// (`0..4`); responses ride XYZ mesh routes on the single
 /// [`RESPONSE_VC`].
 pub use crate::packet::TrafficClass;
 
@@ -701,16 +700,6 @@ impl TorusFabric {
         }
         debug_assert_eq!(stats.wire_bytes, flits * FLIT_BYTES);
         stats
-    }
-
-    /// The aggregate counters of one neighbor channel — both slices
-    /// merged, i.e. exactly what the pre-split single fat link counted.
-    pub fn neighbor_stats(&self, node: NodeId, dir: Direction) -> LinkStats {
-        let mut agg = LinkStats::default();
-        for s in 0..SLICES {
-            agg.merge(&self.link_stats(node, dir, s));
-        }
-        agg
     }
 
     /// Machine-wide counters of one channel slice, summed over every
@@ -1601,17 +1590,13 @@ mod tests {
     #[test]
     fn slice_stats_conserve_replayed_trace_exactly() {
         // Replay a deterministic mixed-class, mixed-kind trace with
-        // known draws, drain, and reconcile the counters three ways:
+        // known draws, drain, and reconcile the counters two ways:
         //
-        // 1. per-slice `LinkStats` merged over slices must equal the
-        //    aggregate neighbor counters (what the pre-split fat link
-        //    counted — guards the Figure 9a accounting across the slice
-        //    split);
-        // 2. every directed slice link's counters — including the
+        // 1. every directed slice link's counters — including the
         //    per-`ByteKind` byte split — must equal the totals derived
         //    *independently* by walking the `RoutePlan` that `inject`
         //    returned;
-        // 3. machine totals must conserve flits/bytes, per kind.
+        // 2. machine totals must conserve flits/bytes, per kind.
         use std::collections::HashMap;
         let mut f = fabric([3, 3, 3]);
         let t = *f.torus();
@@ -1654,7 +1639,6 @@ mod tests {
         let mut total = LinkStats::default();
         for node in t.nodes() {
             for dir in Direction::ALL {
-                let mut merged = LinkStats::default();
                 for s in 0..SLICES {
                     let stats = f.link_stats(node, dir, s);
                     assert!(stats.kinds_conserve_wire());
@@ -1679,10 +1663,8 @@ mod tests {
                         (eflits, epackets),
                         "link ({node:?}, {dir}, slice {s}) diverged from its route plans"
                     );
-                    merged.merge(&stats);
+                    total.merge(&stats);
                 }
-                assert_eq!(merged, f.neighbor_stats(node, dir));
-                total.merge(&merged);
             }
         }
         let mut by_slice = LinkStats::default();

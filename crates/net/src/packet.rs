@@ -1,24 +1,25 @@
-//! Packets and flits — paper §III-B.
+//! Packet kinds and traffic classes — paper §III-B.
 //!
 //! The Anton 3 network uses small fixed-size packets of one or two flits;
-//! each flit carries a 64-bit header and a 128-bit payload. Small packets
-//! enable virtual cut-through flow control with 8-flit input queues and
-//! are the unit of routing, compression and fence ordering.
+//! each flit carries a 64-bit header and a 128-bit payload. This module
+//! names what a packet carries and the class it travels in. Each model
+//! describes a packet once: the Channel Adapter model sends a
+//! [`PacketKind`] with payload words ([`crate::adapter::CaLink`]), and
+//! the cycle fabric a [`crate::fabric3d::PacketSpec`].
 
 use crate::channel::ByteKind;
-use crate::chip::ChipLoc;
-use anton_model::asic::{FLIT_PAYLOAD_BITS, GCS_PER_ASIC};
-use anton_model::topology::NodeId;
-use core::fmt;
 
 /// Deadlock-avoidance traffic classes (paper §III-B1): the application
 /// protocol separates requests from responses; most MD traffic is
 /// architected to be request-class.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TrafficClass {
-    /// Request class: counted writes, positions, forces, fences.
+    /// Request class: counted writes, positions, fences and synthetic
+    /// traffic.
     Request,
-    /// Response class: read responses; restricted to XYZ dimension order.
+    /// Response class, restricted to XYZ dimension order. The cycle
+    /// fabric's responses are force returns, spawned by delivered
+    /// requests; no read is modeled.
     Response,
 }
 
@@ -27,10 +28,6 @@ pub enum TrafficClass {
 pub enum PacketKind {
     /// Remote counted write of one quad (§III-A).
     CountedWrite,
-    /// Remote read request (generates a response).
-    ReadRequest,
-    /// Read response carrying one quad.
-    ReadResponse,
     /// A stream-set atom position export (full form).
     Position,
     /// A particle-cache-compressed position (cache index + delta).
@@ -45,18 +42,11 @@ pub enum PacketKind {
 }
 
 impl PacketKind {
-    /// The traffic class this kind travels in.
-    pub fn class(self) -> TrafficClass {
-        match self {
-            PacketKind::ReadResponse => TrafficClass::Response,
-            _ => TrafficClass::Request,
-        }
-    }
-
     /// The Figure 9a wire-byte category this kind is accounted under —
-    /// the one mapping from packet kinds to [`ByteKind`], shared by the
-    /// analytic channel adapters and (via the flit tags of
-    /// [`crate::fabric3d`]) the cycle fabric.
+    /// the one mapping from packet kinds to [`ByteKind`], through which
+    /// the analytic channel adapters type their bytes. The cycle fabric
+    /// carries a [`ByteKind`] in each flit tag of [`crate::fabric3d`]
+    /// instead.
     pub fn byte_kind(self) -> ByteKind {
         match self {
             PacketKind::Position | PacketKind::CompressedPosition => ByteKind::Position,
@@ -77,144 +67,13 @@ impl PacketKind {
     }
 }
 
-/// A network endpoint: a node plus a location on its chip.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct Endpoint {
-    /// Which node (ASIC) in the torus.
-    pub node: NodeId,
-    /// Where on the chip.
-    pub loc: ChipLoc,
-}
-
-impl fmt::Display for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.node, self.loc)
-    }
-}
-
-/// A unique GC index across the machine, used by experiments to enumerate
-/// endpoint pairs.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct GlobalGcId(pub u32);
-
-impl GlobalGcId {
-    /// Builds from a node and the GC's dense on-chip index.
-    pub fn new(node: NodeId, gc_on_chip: usize) -> Self {
-        debug_assert!(gc_on_chip < GCS_PER_ASIC);
-        GlobalGcId(node.0 as u32 * GCS_PER_ASIC as u32 + gc_on_chip as u32)
-    }
-
-    /// The node this GC lives on.
-    pub fn node(self) -> NodeId {
-        NodeId((self.0 / GCS_PER_ASIC as u32) as u16)
-    }
-
-    /// The GC's dense on-chip index (`0..GCS_PER_ASIC`).
-    pub fn on_chip(self) -> usize {
-        (self.0 % GCS_PER_ASIC as u32) as usize
-    }
-}
-
-/// A network packet: the unit of routing and delivery.
-///
-/// Payload words are stored logically (32-bit lanes); wire encoding —
-/// INZ, particle-cache compression, framing — happens at the Channel
-/// Adapter and is accounted separately (see [`crate::adapter`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Packet {
-    /// What the packet carries.
-    pub kind: PacketKind,
-    /// Originating endpoint.
-    pub src: Endpoint,
-    /// Destination endpoint.
-    pub dst: Endpoint,
-    /// Payload words (up to 8: two flits of four words each).
-    pub payload: Vec<u32>,
-}
-
-impl Packet {
-    /// Creates a packet, validating the payload size.
-    ///
-    /// # Panics
-    /// Panics if the payload exceeds two flits (8 words).
-    pub fn new(kind: PacketKind, src: Endpoint, dst: Endpoint, payload: Vec<u32>) -> Self {
-        assert!(
-            payload.len() <= 8,
-            "packets are at most two flits (8 payload words)"
-        );
-        Packet {
-            kind,
-            src,
-            dst,
-            payload,
-        }
-    }
-
-    /// Number of flits: one or two, depending on payload size (§III-B).
-    pub fn flits(&self) -> usize {
-        if self.payload.len() * 32 <= FLIT_PAYLOAD_BITS {
-            1
-        } else {
-            2
-        }
-    }
-
-    /// Total bits on an *on-chip* link (uncompressed flits).
-    pub fn chip_bits(&self) -> u64 {
-        (self.flits() * anton_model::asic::FLIT_BITS) as u64
-    }
-
-    /// The traffic class of this packet.
-    pub fn class(&self) -> TrafficClass {
-        self.kind.class()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chip::ChipLoc;
-
-    fn ep(node: u16) -> Endpoint {
-        Endpoint {
-            node: NodeId(node),
-            loc: ChipLoc::gc(0, 0, 0),
-        }
-    }
-
-    #[test]
-    fn flit_count_follows_payload() {
-        let one = Packet::new(PacketKind::CountedWrite, ep(0), ep(1), vec![1, 2, 3, 4]);
-        assert_eq!(one.flits(), 1);
-        assert_eq!(one.chip_bits(), 192);
-        let two = Packet::new(PacketKind::Position, ep(0), ep(1), vec![1, 2, 3, 4, 5]);
-        assert_eq!(two.flits(), 2);
-        assert_eq!(two.chip_bits(), 384);
-    }
-
-    #[test]
-    #[should_panic(expected = "two flits")]
-    fn oversized_payload_rejected() {
-        let _ = Packet::new(PacketKind::Position, ep(0), ep(1), vec![0; 9]);
-    }
-
-    #[test]
-    fn classes() {
-        assert_eq!(PacketKind::ReadResponse.class(), TrafficClass::Response);
-        assert_eq!(PacketKind::CountedWrite.class(), TrafficClass::Request);
-        assert_eq!(PacketKind::Fence.class(), TrafficClass::Request);
-    }
 
     #[test]
     fn compressed_position_header_is_short() {
         assert_eq!(PacketKind::CompressedPosition.wire_header_bytes(), 2);
         assert_eq!(PacketKind::Position.wire_header_bytes(), 8);
-    }
-
-    #[test]
-    fn global_gc_id_roundtrip() {
-        let id = GlobalGcId::new(NodeId(3), 575);
-        assert_eq!(id.node(), NodeId(3));
-        assert_eq!(id.on_chip(), 575);
     }
 }

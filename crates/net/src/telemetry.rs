@@ -784,16 +784,9 @@ impl Telemetry {
 
     /// The epoch ring of link `(r, out)`, oldest record first. The
     /// current (un-rolled) epoch's partial deltas are not included; see
-    /// [`Telemetry::epoch_partial`].
+    /// [`Telemetry::epoch_partial_record`].
     pub fn epoch_samples(&self, r: usize, out: usize) -> impl Iterator<Item = &EpochRecord> {
         self.rings[self.link(r, out)].iter()
-    }
-
-    /// The current epoch's accumulated `(flits, stall cycles)` deltas
-    /// for link `(r, out)` — activity not yet flushed into the ring.
-    pub fn epoch_partial(&self, r: usize, out: usize) -> (u32, u32) {
-        let c = &self.links[self.link(r, out)];
-        (c.epoch_advance, c.epoch_stall)
     }
 
     /// The current epoch's activity on link `(r, out)` as a record with
@@ -1013,10 +1006,20 @@ mod tests {
                 occupancy: 9
             }]
         );
-        assert_eq!(t.epoch_partial(1, 2), (0, 0));
-        // The freshly opened epoch has no elapsed cycles yet; two cycles
-        // in, a partial record reports its true two-cycle width.
+        // The freshly opened epoch has no elapsed cycles yet. One cycle
+        // in, a partial record shows the roll cleared the deltas; two
+        // cycles in, it reports its true two-cycle width.
         assert_eq!(t.epoch_partial_record(1, 2, 8, 0), None);
+        assert_eq!(
+            t.epoch_partial_record(1, 2, 9, 0),
+            Some(EpochRecord {
+                epoch: 1,
+                cycles: 1,
+                flits: 0,
+                stalls: 0,
+                occupancy: 0
+            })
+        );
         t.recorder().advance(9, 4);
         assert_eq!(
             t.epoch_partial_record(1, 2, 10, 3),

@@ -1,8 +1,7 @@
 //! Property-based tests (proptest) over the core invariants: INZ
-//! roundtrips, particle-cache losslessness and synchrony, frame codec
-//! integrity, routing legality, and torus algebra.
+//! roundtrips, particle-cache losslessness and synchrony, routing
+//! legality, and torus algebra.
 
-use anton3::compress::frame::{self, WireItem};
 use anton3::compress::inz;
 use anton3::compress::pcache::{ChannelPcache, ParticleKey};
 use anton3::model::topology::{DimOrder, NodeId, Torus};
@@ -67,25 +66,6 @@ proptest! {
             }
         }
         ch.assert_synchronized();
-    }
-
-    #[test]
-    fn frame_codec_roundtrips(
-        payloads in prop::collection::vec(
-            (prop::collection::vec(any::<u8>(), 0..=8),
-             prop::collection::vec(any::<u32>(), 1..=4)),
-            0..40,
-        )
-    ) {
-        let items: Vec<WireItem> = payloads
-            .iter()
-            .map(|(h, w)| WireItem { header: h.clone(), payload: inz::encode(w) })
-            .collect();
-        let meta: Vec<(usize, usize)> =
-            payloads.iter().map(|(h, w)| (h.len(), w.len())).collect();
-        let (frames, _) = frame::pack(&items);
-        let out = frame::unpack(&frames, |i| meta[i].0, |i| meta[i].1);
-        prop_assert_eq!(out, items);
     }
 
     #[test]
