@@ -52,9 +52,11 @@
 //!   stepping) first — the routine check that mega-fabric construction
 //!   and table routing stay O(n), and the source of README's
 //!   constructed-memory table. Both smokes print their thread and shard
-//!   counts, and the drain's sync ops and epochs, on stderr, so their
-//!   stdout is byte-identical at any `--threads`, `--shards` and
-//!   `--lookahead` (CI `cmp`s it across shard counts);
+//!   counts, and the drain's sync ops and epochs, on stderr, and so does
+//!   the overload smoke its drain check's loaded memory audit (README's
+//!   loaded-memory row), so their stdout is byte-identical at any
+//!   `--threads`, `--shards` and `--lookahead` (CI `cmp`s it across
+//!   shard counts);
 //! - `--telemetry` turns on fabric telemetry (`net::telemetry`) for the
 //!   mode's instrumented run — the overload drain check, the MD replay
 //!   scenario, or a representative mid-load sweep point — and prints the
@@ -1067,6 +1069,18 @@ fn overload_smoke(params: FabricParams, args: &Args) {
         "drain check: {} sync ops / {} epochs",
         run.fabric.sync_ops(),
         run.fabric.epochs()
+    );
+    // The loaded audit depends on the shard count (each shard has its
+    // own arrival wheel), so it stays off the compared stdout.
+    let memory = run.fabric.memory_report();
+    let mib = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
+    eprintln!(
+        "drain check memory: {:.1} MiB total, {} bytes/router \
+         (flit slabs {:.1} MiB, scheduling {:.1} MiB)",
+        mib(memory.total_bytes),
+        memory.bytes_per_router,
+        mib(memory.breakdown.flit_slabs),
+        mib(memory.breakdown.scheduling)
     );
     if telemetry.is_some() {
         print_telemetry(&run.fabric);

@@ -23,7 +23,6 @@ use anton_model::units::Ps;
 use anton_model::MachineConfig;
 use anton_net::adapter::LANES_PER_CA;
 use anton_net::channel::Serializer;
-use anton_net::fence::{FencePattern, FenceSpec};
 use anton_net::packet::PacketKind;
 use anton_net::routing::REQUEST_VCS;
 use serde::Serialize;
@@ -101,24 +100,14 @@ pub fn intra_node_barrier(lat: &LatencyModel) -> Ps {
         + lat.receive_overhead()
 }
 
-/// Barrier latency for a GC-to-GC fence with hop budget `spec.hops`.
-///
-/// # Panics
-/// Panics if the spec is not a GC-to-GC pattern (other patterns complete
-/// inside the MD timestep model, not as standalone barriers).
-pub fn barrier_latency(cfg: &MachineConfig, spec: FenceSpec) -> Ps {
-    assert_eq!(
-        spec.pattern,
-        FencePattern::GcToGc,
-        "barrier requires GC-to-GC"
-    );
+/// Barrier latency for a GC-to-GC fence sweeping `hops` torus hops
+/// (0 = intra-node; the machine diameter = global barrier).
+pub fn barrier_latency(cfg: &MachineConfig, hops: u32) -> Ps {
     let lat = &cfg.latency;
-    if spec.hops == 0 {
+    if hops == 0 {
         return intra_node_barrier(lat);
     }
-    local_merge_time(lat)
-        + fence_per_hop(lat, cfg.inz_enabled) * spec.hops as u64
-        + delivery_time(lat)
+    local_merge_time(lat) + fence_per_hop(lat, cfg.inz_enabled) * hops as u64 + delivery_time(lat)
 }
 
 /// Runs the Figure 11 sweep: barrier latency for hop budgets 0..=diameter.
@@ -126,14 +115,7 @@ pub fn fig11(cfg: &MachineConfig) -> Vec<Fig11Row> {
     (0..=cfg.torus.diameter())
         .map(|hops| Fig11Row {
             hops,
-            latency_ns: barrier_latency(
-                cfg,
-                FenceSpec {
-                    pattern: FencePattern::GcToGc,
-                    hops,
-                },
-            )
-            .as_ns(),
+            latency_ns: barrier_latency(cfg, hops).as_ns(),
         })
         .collect()
 }
@@ -204,13 +186,7 @@ mod tests {
     #[test]
     fn global_barrier_on_128_nodes_near_504ns() {
         let cfg = cfg_128();
-        let t = barrier_latency(
-            &cfg,
-            FenceSpec {
-                pattern: FencePattern::GcToGc,
-                hops: 8,
-            },
-        );
+        let t = barrier_latency(&cfg, 8);
         assert!(
             (430.0..560.0).contains(&t.as_ns()),
             "global barrier {} ns vs paper's ~504 ns",
@@ -254,18 +230,6 @@ mod tests {
         assert!(
             fence > last_data,
             "fence ({fence}) must arrive after all prior data ({last_data})"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "GC-to-GC")]
-    fn non_barrier_pattern_rejected() {
-        let _ = barrier_latency(
-            &cfg_128(),
-            FenceSpec {
-                pattern: FencePattern::GcToIcb,
-                hops: 1,
-            },
         );
     }
 }

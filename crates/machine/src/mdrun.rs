@@ -43,7 +43,6 @@ use anton_model::units::{Cycles, Ps, PS_PER_CORE_CYCLE};
 use anton_model::MachineConfig;
 use anton_net::channel::LinkStats;
 use anton_net::fabric3d::FabricParams;
-use anton_net::fence::{FencePattern, FenceSpec};
 use anton_net::packet::PacketKind;
 use anton_sim::trace::{ActivityKind, ActivityTrace, LaneId};
 use anton_traffic::workload::MdHaloWorkload;
@@ -330,13 +329,7 @@ impl MdNetworkRun {
         let response_cycles =
             cal.predicted_mean_latency_cycles_for(&params, nflits, offered, resp_hops);
         let round_cycles = request_cycles + FORCE_TURNAROUND_CYCLES as f64 + response_cycles;
-        let barrier = barrier::barrier_latency(
-            &self.machine.cfg,
-            FenceSpec {
-                pattern: FencePattern::GcToGc,
-                hops: torus.diameter(),
-            },
-        );
+        let barrier = barrier::barrier_latency(&self.machine.cfg, torus.diameter());
         let halo_round_trip = Ps::new((round_cycles * PS_PER_CORE_CYCLE as f64) as u64);
         Some(HaloStepEstimate {
             offered,
@@ -472,13 +465,7 @@ impl MdNetworkRun {
                 }
             }
         }
-        let barrier = barrier::barrier_latency(
-            &cfg,
-            FenceSpec {
-                pattern: FencePattern::GcToGc,
-                hops: torus.diameter(),
-            },
-        );
+        let barrier = barrier::barrier_latency(&cfg, torus.diameter());
         let pairwise_step = step_end + barrier - t0;
         let timing = StepTiming {
             pairwise_step,

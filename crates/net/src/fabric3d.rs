@@ -449,6 +449,11 @@ pub struct TorusFabric {
 
 impl TorusFabric {
     /// Builds the fabric for `torus` with the given parameters.
+    ///
+    /// # Panics
+    /// Panics if `params.link_latency` exceeds
+    /// [`MAX_LINK_LATENCY`](crate::router::MAX_LINK_LATENCY), as
+    /// [`RouterFabric::set_link_spec`] does.
     pub fn new(torus: Torus, params: FabricParams) -> Self {
         let n = torus.node_count();
         let routers: Vec<CycleRouter> = (0..n)
@@ -502,9 +507,11 @@ impl TorusFabric {
         // over the flight time, plus the router pipeline and slack for
         // the tail flit) or the wire idles waiting on credit returns.
         // The injection port keeps the bare 8-flit router queue: that is
-        // where fabric backpressure meets the source.
-        let depth =
-            (params.link_latency / params.link_interval + params.router_cycles + 4) as usize;
+        // where fabric backpressure meets the source. `set_link_spec`
+        // refuses a latency past `MAX_LINK_LATENCY` before any depth is
+        // set, so the sum only saturates on a latency it refuses.
+        let depth = (params.link_latency / params.link_interval)
+            .saturating_add(params.router_cycles + 4) as usize;
         for r in 0..n {
             for d in Direction::ALL {
                 for s in 0..SLICES {
@@ -1291,6 +1298,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "link latency 18446744073709551615 exceeds the 65535-cycle maximum")]
+    fn an_oversized_link_latency_is_refused() {
+        let params = FabricParams {
+            link_latency: u64::MAX,
+            ..FabricParams::calibrated(&LatencyModel::default())
+        };
+        TorusFabric::new(Torus::new([2, 2, 2]), params);
     }
 
     #[test]

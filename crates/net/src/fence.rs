@@ -10,31 +10,13 @@
 //! request VCs and both channel slices at every channel crossing (§V-C),
 //! and each VC merges independently.
 //!
-//! This module provides the router-level merge/multicast state machine,
-//! the concurrent-fence slot allocator with adapter flow control (§V-D),
-//! and the software-facing fence descriptor (§V-A).
+//! This module provides the router-level merge/multicast state machine
+//! and the concurrent-fence slot allocator with adapter flow control
+//! (§V-D). A fence's cost depends only on its hop budget (§V-A's
+//! `fence(pattern, number_of_hops)`); `anton-machine`'s
+//! `barrier::barrier_latency` prices the GC-to-GC barrier by it.
 
 use anton_model::asic::MAX_CONCURRENT_FENCES;
-
-/// Pre-defined source/destination component-type pairs for fences (§V-A).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum FencePattern {
-    /// GC sources to GC destinations: the barrier pattern (§V-E).
-    GcToGc,
-    /// GC sources to ICB destinations: "all stream-set positions have
-    /// arrived", the pattern gating PPIM force unload (§V).
-    GcToIcb,
-}
-
-/// A software fence request: `fence(pattern, number_of_hops)` (§V-A).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FenceSpec {
-    /// Which component types participate.
-    pub pattern: FencePattern,
-    /// How many torus hops the fence sweeps (0 = intra-node; the machine
-    /// diameter = global barrier).
-    pub hops: u32,
-}
 
 /// One of the up-to-14 concurrent fence contexts in flight (§V-D).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -285,15 +267,5 @@ mod tests {
         // 576 local GCs plus 6 directions x 2 slices x 4 VCs of merged
         // neighbor fences.
         assert_eq!(node_expected_count(576, 6 * 2 * 4), 624);
-    }
-
-    #[test]
-    fn fence_spec_shapes() {
-        let f = FenceSpec {
-            pattern: FencePattern::GcToIcb,
-            hops: 3,
-        };
-        assert_eq!(f.hops, 3);
-        assert_ne!(FencePattern::GcToGc, FencePattern::GcToIcb);
     }
 }

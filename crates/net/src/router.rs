@@ -56,7 +56,11 @@
 //! - **per-shard arrival wheels**: a departure onto a positive-latency
 //!   link books the flit on the downstream shard's calendar wheel at the
 //!   arrival cycle, where its landing accepts it into the downstream
-//!   queue — no per-link delay line, no serial replay;
+//!   queue — no per-link delay line, no serial replay. A booking is 32
+//!   bytes: the flit without its VC (a [`FlitStore`] slot holds the same
+//!   form, beside its arrival cycle) plus the downstream router, VC and
+//!   port. Each wheel has one slot more than the longest link latency,
+//!   81 at the calibrated 80 cycles;
 //! - **sender-held credits**: each link keeps one credit count per VC
 //!   for the queue it feeds, in one credit table indexed `link * vcs +
 //!   vc` by the flat link id every per-link table and the telemetry
@@ -158,6 +162,47 @@ impl Flit {
     /// Whether this is the tail flit (frees the VC allocation).
     pub fn is_tail(&self) -> bool {
         self.index + 1 == self.of
+    }
+}
+
+/// A [`Flit`] without its VC: 24 bytes where `Flit` takes 32. The
+/// fabric holds every queued and in-flight flit in this form, and the
+/// VC beside it — a queue slot by the queue it sits in, an [`Arrival`]
+/// in a field of its own — so no stored flit can disagree with its VC.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct PackedFlit {
+    packet: u64,
+    injected_at: u64,
+    dest: u32,
+    tag: u16,
+    index: u8,
+    of: u8,
+}
+
+impl PackedFlit {
+    /// `flit` without its VC.
+    fn new(flit: &Flit) -> Self {
+        PackedFlit {
+            packet: flit.packet,
+            injected_at: flit.injected_at,
+            dest: flit.dest,
+            tag: flit.tag,
+            index: flit.index,
+            of: flit.of,
+        }
+    }
+
+    /// The flit on VC `vc`.
+    fn on_vc(self, vc: u8) -> Flit {
+        Flit {
+            packet: self.packet,
+            index: self.index,
+            of: self.of,
+            dest: self.dest,
+            vc,
+            tag: self.tag,
+            injected_at: self.injected_at,
+        }
     }
 }
 
@@ -275,19 +320,45 @@ struct ChannelState {
     packets_sent: u64,
 }
 
-/// A flit bound for input `port` of `router`. On an arrival wheel it is
-/// a flit in flight, landing at the cycle of its wheel slot: it sits on
-/// the wheel of the shard owning `router`, and its landing touches no
-/// credit (the sender spent one at departure).
+/// A flit bound for input `(port, vc)` of `router`. On an arrival wheel
+/// it is a flit in flight, landing at the cycle of its wheel slot: it
+/// sits on the wheel of the shard owning `router`, and its landing
+/// touches no credit (the sender spent one at departure).
 #[derive(Clone, Copy, Debug)]
 struct Arrival {
-    flit: Flit,
+    flit: PackedFlit,
     router: u32,
+    vc: u8,
     port: u8,
 }
 
 // A saturated fabric keeps thousands of bookings live; keep them small.
-const _: () = assert!(std::mem::size_of::<Arrival>() <= 40);
+const _: () = assert!(std::mem::size_of::<Arrival>() == 32);
+
+impl Arrival {
+    /// `flit`, on its VC, bound for input `port` of `router`.
+    fn new(flit: &Flit, router: usize, port: usize) -> Self {
+        Arrival {
+            flit: PackedFlit::new(flit),
+            router: router as u32,
+            vc: flit.vc,
+            port: port as u8,
+        }
+    }
+
+    /// The flit the booking carries, on its VC.
+    fn flit(&self) -> Flit {
+        self.flit.on_vc(self.vc)
+    }
+}
+
+/// The longest link latency, in cycles, that
+/// [`RouterFabric::set_link_spec`] accepts. Each shard's arrival wheel
+/// has one slot per cycle of the longest latency, plus one; and a
+/// torus fabric's neighbour inputs hold a link's whole bandwidth-delay
+/// product ([`crate::fabric3d::TorusFabric::new`]), which must fit the
+/// flit store's `u16` ring cursors anyway.
+pub const MAX_LINK_LATENCY: u64 = u16::MAX as u64;
 
 /// Why an injection was refused. Callers (injection harnesses, endpoint
 /// models) use this to distinguish *source queuing* — the local input
@@ -515,7 +586,7 @@ impl InjectPort<'_> {
         }
         let cycle = self.cycle;
         flit.injected_at = cycle;
-        self.routers[router - self.lo].accept(port, vc, flit, cycle);
+        self.routers[router - self.lo].accept(port, flit, cycle);
         if let (Some(at), Some(credits)) = (self.credit_of(router, port, vc), &mut self.credits) {
             credits[at] -= 1;
         }
@@ -555,7 +626,10 @@ pub struct MemoryBreakdown {
     /// Fabric scheduling: the shard bounds, shard scratch (the
     /// per-shard arrival wheels holding every flit in link flight,
     /// boundary outboxes, credit return lists and departure buffers),
-    /// the boundary links and the delivery log.
+    /// the boundary links and the delivery log. A wheel slot keeps the
+    /// capacity of the busiest cycle it ever held, at 32 bytes a
+    /// booking, so under load the wheels — longest link latency + 1
+    /// slots per shard — dominate this bucket.
     pub scheduling: usize,
     /// Telemetry counters, epoch rings, and trace buffer (0 when off).
     pub telemetry: usize,
@@ -812,20 +886,28 @@ impl RouterFabric {
 
     /// Overrides the latency/bandwidth of the link leaving `router` via
     /// `port` (e.g. the inter-node SERDES crossings of a torus fabric).
+    /// Every arrival wheel grows to one slot more than the longest link
+    /// latency set so far; [`Self::set_shards`] sizes them to the
+    /// longest latency the links have then.
     ///
     /// # Panics
-    /// Panics if `spec.interval` is zero; if `spec.latency` is positive
-    /// on a port that does not lead to another router (ejection links
-    /// deliver the cycle they serialize; see [`LinkSpec`]), or zero on a
-    /// router link of a sharded fabric (see
-    /// [`ShardError::ZeroLatencyLink`]); or if it changes the latency of
-    /// a link with flits in flight (they were booked at the old one), or
-    /// grows the longest link latency while any flit is in flight (the
-    /// arrival wheels would have to grow).
+    /// Panics if `spec.interval` is zero; if `spec.latency` exceeds
+    /// [`MAX_LINK_LATENCY`], or is positive on a port that does not lead
+    /// to another router (ejection links deliver the cycle they
+    /// serialize; see [`LinkSpec`]), or zero on a router link of a
+    /// sharded fabric (see [`ShardError::ZeroLatencyLink`]); or if it
+    /// changes the latency of a link with flits in flight (they were
+    /// booked at the old one), or grows the longest link latency while
+    /// any flit is in flight (the arrival wheels would have to grow).
     pub fn set_link_spec(&mut self, router: usize, port: usize, spec: LinkSpec) {
         assert!(
             spec.interval >= 1,
             "link interval must be at least one cycle"
+        );
+        assert!(
+            spec.latency <= MAX_LINK_LATENCY,
+            "link latency {} exceeds the {MAX_LINK_LATENCY}-cycle maximum",
+            spec.latency
         );
         let link = self.link(router, port);
         let to_router = matches!(self.wiring[link], PortLink::Router { .. });
@@ -849,9 +931,8 @@ impl RouterFabric {
                 self.in_flight_total, 0,
                 "cannot grow the arrival wheels with flits in flight"
             );
-            let len = (spec.latency + 2).next_power_of_two() as usize;
             for sc in &mut self.shard_scratch {
-                sc.wheel = vec![Vec::new(); len];
+                sc.wheel = vec![Vec::new(); spec.latency as usize + 1];
             }
         }
         // Conservative incremental update of the structural lookahead
@@ -1294,8 +1375,10 @@ impl RouterFabric {
             "shards <= routers must yield non-empty regions"
         );
         self.lookahead_cap = lookahead;
-        // Drained, so every wheel is empty; keep their length.
-        let wheel_len = self.shard_scratch.first().map_or(1, |sc| sc.wheel.len());
+        // Drained, so every wheel is empty: size them to the longest
+        // link latency, plus one.
+        let longest = self.channels.iter().map(|ch| ch.spec.latency).max();
+        let wheel_len = longest.unwrap_or(0) as usize + 1;
         self.shard_scratch = (0..shards).map(|_| ShardScratch::new(wheel_len)).collect();
 
         // Boundary links: every router-to-router link whose ends fall in
@@ -1933,6 +2016,112 @@ mod tests {
                 interval: 1,
             },
         );
+    }
+
+    /// A 2-router row whose link `(0, 1)` has `latency` cycles of flight.
+    fn long_link_row(latency: u64) -> RouterFabric {
+        let mut fabric = build_row(2, 2, 2);
+        let spec = LinkSpec {
+            latency,
+            interval: 1,
+        };
+        fabric.set_link_spec(0, 1, spec);
+        fabric
+    }
+
+    #[test]
+    fn the_longest_link_latency_delivers_exactly() {
+        for shards in [1, 2] {
+            let mut fabric = long_link_row(MAX_LINK_LATENCY);
+            fabric.set_shards(shards).unwrap();
+            assert_eq!(fabric.wheel_len(), MAX_LINK_LATENCY + 1);
+            fabric.inject(0, 0, flit(1, 0, 1, 1, 0)).unwrap();
+            assert!(fabric.run_until_drained(MAX_LINK_LATENCY + 10));
+            let (at, f) = fabric.delivered()[0];
+            assert_eq!(at - f.injected_at, 2 + MAX_LINK_LATENCY + 2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "link latency 65536 exceeds the 65535-cycle maximum")]
+    fn a_link_latency_past_the_maximum_is_refused() {
+        long_link_row(MAX_LINK_LATENCY + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "link latency 18446744073709551615 exceeds the 65535-cycle maximum")]
+    fn a_link_latency_of_u64_max_is_refused() {
+        long_link_row(u64::MAX);
+    }
+
+    #[test]
+    fn every_flit_lands_exactly_one_latency_after_departing() {
+        // Around the old power-of-two wheel lengths: one flit departs
+        // per cycle, so a whole latency of flits is in flight and every
+        // wheel slot is reused as soon as it lands.
+        for latency in [1, 2, 63, 64, 65, 79, 80, 81, 127, 128, 129] {
+            for (shards, reference) in [(1, false), (1, true), (2, false), (2, true)] {
+                let case = format!("latency {latency}, {shards} shard(s), reference {reference}");
+                let mut fabric = long_link_row(latency);
+                assert_eq!(fabric.wheel_len(), latency + 1, "{case}: set_link_spec");
+                fabric.set_input_depth(1, 0, latency as usize + 8);
+                fabric.set_shards(shards).unwrap();
+                let lens: Vec<usize> = fabric.shard_scratch.iter().map(|s| s.wheel.len()).collect();
+                assert_eq!(
+                    lens,
+                    vec![latency as usize + 1; shards],
+                    "{case}: set_shards"
+                );
+                let mut departed = Vec::new();
+                while fabric.cycle() < 3 * latency || fabric.occupancy() > 0 {
+                    assert!(fabric.cycle() < 4 * latency + 100, "{case}: no drain");
+                    let cycle = fabric.cycle();
+                    if cycle < 3 * latency && fabric.inject_capacity(0, 0, 0) > 0 {
+                        fabric.inject(0, 0, flit(cycle, 0, 1, 1, 0)).unwrap();
+                    }
+                    let sent = fabric.link_traffic(0, 1).0;
+                    if reference {
+                        fabric.step_reference();
+                    } else {
+                        fabric.step();
+                    }
+                    if fabric.link_traffic(0, 1).0 > sent {
+                        departed.push(cycle + latency);
+                    }
+                }
+                // Router 1 forwards each flit the pipeline's 2 cycles
+                // after it lands: landings are at least a cycle apart.
+                let landed: Vec<u64> = fabric.delivered().iter().map(|d| d.0 - 2).collect();
+                assert_eq!(landed, departed, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn extreme_flits_survive_queue_slots_and_bookings_bit_for_bit() {
+        // Both drop the VC — the queue's or the booking's own — and must
+        // restore it, on every VC a router can have.
+        let mut router = CycleRouter::new(0, 1, 256, 1);
+        for vc in 0..=u8::MAX {
+            let f = Flit {
+                packet: u64::MAX,
+                index: 254,
+                of: 255,
+                dest: u32::MAX,
+                vc,
+                tag: u16::MAX,
+                injected_at: u64::MAX,
+            };
+            let booking = Arrival::new(&f, u32::MAX as usize, 255);
+            assert_eq!(
+                (booking.flit(), booking.router, booking.port),
+                (f, u32::MAX, 255)
+            );
+            router.accept(0, f, 7);
+            assert_eq!(router.front(0, vc), Some((f, 7)));
+            assert_eq!(router.depart(0, 0, vc, vc, u16::MAX), f);
+        }
+        assert!(router.is_idle());
     }
 
     #[test]

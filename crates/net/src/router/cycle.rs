@@ -151,18 +151,22 @@ impl CycleRouter {
     }
 
     /// The front entry of input queue `(port, vc)` as
-    /// `(flit, arrival cycle)`, if any.
-    pub(crate) fn front(&self, port: usize, vc: u8) -> Option<&(Flit, u64)> {
-        self.store.front(port * self.vcs + vc as usize)
+    /// `(flit, arrival cycle)`, if any: the stored flit on the queue's
+    /// VC.
+    pub(crate) fn front(&self, port: usize, vc: u8) -> Option<(Flit, u64)> {
+        let (flit, arrived) = self.store.front(port * self.vcs + vc as usize)?;
+        Some((flit.on_vc(vc), arrived))
     }
 
-    /// Delivers a flit to input `(port, vc)` at `cycle`.
+    /// Delivers a flit to input `(port, flit.vc)` at `cycle`.
     ///
     /// # Panics
     /// Panics (in debug) if no credit was available — callers must check
-    /// [`Self::free_slots`], exactly as the upstream credit counter would.
-    pub fn accept(&mut self, port: usize, vc: u8, flit: Flit, cycle: u64) {
-        let idx = port * self.vcs + vc as usize;
+    /// [`Self::free_slots`], exactly as the upstream credit counter would
+    /// — or if the router has no VC `flit.vc`.
+    pub fn accept(&mut self, port: usize, flit: Flit, cycle: u64) {
+        debug_assert!((flit.vc as usize) < self.vcs, "no VC {}", flit.vc);
+        let idx = port * self.vcs + flit.vc as usize;
         if self.store.is_empty(idx) {
             let bit = 1 << (idx % 64);
             self.occupied[idx / 64] |= bit;
@@ -171,7 +175,7 @@ impl CycleRouter {
             }
             self.front_ready[idx] = cycle + self.pipeline;
         }
-        self.store.push(idx, flit, cycle);
+        self.store.push(idx, PackedFlit::new(&flit), cycle);
         self.queued += 1;
     }
 
@@ -179,12 +183,12 @@ impl CycleRouter {
     /// total, the front mirrors and memo, and the bitsets.
     fn take_front(&mut self, p: usize, v: u8) -> Flit {
         let idx = p * self.vcs + v as usize;
-        let flit = self.store.pop(idx).expect("front exists");
+        let flit = self.store.pop(idx).expect("front exists").on_vc(v);
         self.queued -= 1;
         self.front_target[idx] = None;
         let (w, bit) = (idx / 64, 1 << (idx % 64));
-        match self.store.front(idx) {
-            Some(&(next, arrived)) => {
+        match self.front(p, v) {
+            Some((next, arrived)) => {
                 self.front_ready[idx] = arrived + self.pipeline;
                 if next.is_head() {
                     self.heads[w] |= bit;
@@ -251,7 +255,8 @@ impl CycleRouter {
         if let Some(t) = self.front_target[i] {
             return Some(t);
         }
-        let &(front, _) = self.store.front(i).expect("occupied queue has a front");
+        let (p, v) = (i / self.vcs, (i % self.vcs) as u8);
+        let (front, _) = self.front(p, v).expect("occupied queue has a front");
         let t = if front.is_head() {
             let d = route(&front, self.id);
             FrontTarget {
@@ -260,7 +265,7 @@ impl CycleRouter {
                 out_vc: d.vc,
             }
         } else {
-            let (out, out_vc) = self.owner_output(i / self.vcs, (i % self.vcs) as u8)?;
+            let (out, out_vc) = self.owner_output(p, v)?;
             FrontTarget {
                 tag: 0,
                 out: out as u8,
@@ -328,7 +333,9 @@ impl CycleRouter {
                     let oidx = o.in_port * self.vcs + o.in_vc as usize;
                     let go = self.front_ready[oidx] <= cycle && downstream_ok(out, o.out_vc);
                     debug_assert!(
-                        !go || self.store.front(oidx).expect("ready front").0.packet == o.packet,
+                        !go || self
+                            .front(o.in_port, o.in_vc)
+                            .is_some_and(|f| f.0.packet == o.packet),
                         "interleaved flits of two packets on one input VC"
                     );
                     go.then_some((o.in_port, o.in_vc, o.out_vc, o.out_tag))

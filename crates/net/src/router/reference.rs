@@ -81,7 +81,7 @@ impl RouterFabric {
             let mut bucket = std::mem::take(&mut self.shard_scratch[s].wheel[slot]);
             for a in &bucket {
                 let r = a.router as usize;
-                self.routers[r].accept(a.port as usize, a.flit.vc, a.flit, cycle);
+                self.routers[r].accept(a.port as usize, a.flit(), cycle);
             }
             self.in_flight_total -= bucket.len();
             bucket.clear();
@@ -118,18 +118,14 @@ impl RouterFabric {
                         // pipeline constant (the paper's per-hop cycle
                         // counts are inclusive), so arrival lands this
                         // cycle.
-                        self.routers[router].accept(port, flit.vc, flit, cycle);
+                        self.routers[router].accept(port, flit, cycle);
                     } else {
                         // The kernel's booking, so the steppers interleave.
                         let w = self.wheel_len();
                         let slot = ((cycle + spec.latency) % w) as usize;
                         debug_assert!(spec.latency < w, "arrival beyond the wheel");
                         let d = self.shard_of(router);
-                        self.shard_scratch[d].wheel[slot].push(Arrival {
-                            flit,
-                            router: router as u32,
-                            port: port as u8,
-                        });
+                        self.shard_scratch[d].wheel[slot].push(Arrival::new(&flit, router, port));
                         self.in_flight_total += 1;
                     }
                 }
@@ -180,7 +176,7 @@ impl RouterFabric {
             let vcs = self.vcs;
             for p in 0..router.ports {
                 for v in 0..vcs {
-                    let Some(&(front, arrived)) = router.front(p, v as u8) else {
+                    let Some((front, arrived)) = router.front(p, v as u8) else {
                         continue;
                     };
                     if arrived + router.pipeline > cycle {
@@ -244,7 +240,7 @@ impl CycleRouter {
         // per input queue.
         let mut decisions = vec![None; ports * self.vcs];
         for (q, decision) in decisions.iter_mut().enumerate() {
-            if let Some(&(head, arrived)) = self.store.front(q) {
+            if let Some((head, arrived)) = self.front(q / self.vcs, (q % self.vcs) as u8) {
                 if head.is_head() && arrived + self.pipeline <= cycle {
                     let d = route(&head, self.id);
                     *decision = Some((d.port, d.vc, d.tag));
@@ -257,8 +253,8 @@ impl CycleRouter {
             // routes to this output, has cleared the pipeline, and can be
             // accepted downstream.
             let depart: Option<(usize, u8, u8, u16)> = match self.output_owner[out] {
-                Some(o) => match self.store.front(o.in_port * self.vcs + o.in_vc as usize) {
-                    Some(&(body, arrived))
+                Some(o) => match self.front(o.in_port, o.in_vc) {
+                    Some((body, arrived))
                         if arrived + self.pipeline <= cycle && downstream_ok(out, o.out_vc) =>
                     {
                         debug_assert_eq!(

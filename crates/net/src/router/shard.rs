@@ -298,9 +298,12 @@ impl Drop for ShardPool {
 #[repr(align(128))]
 pub(super) struct ShardScratch {
     /// Calendar wheel of this shard's landings: slot `t % len` holds
-    /// the bookings landing at cycle `t`. The length exceeds every
-    /// link latency (see [`RouterFabric::set_link_spec`]), so a slot
-    /// never mixes cycles.
+    /// the bookings landing at cycle `t`. The length is the longest
+    /// link latency `L`, plus one (see [`RouterFabric::set_link_spec`]):
+    /// at cycle `c` the live bookings land in `c + 1..=c + L`, and a
+    /// departure onto the longest link books slot `(c - 1) % len`, the
+    /// slot cycle `c - 1`'s landing emptied, so a slot never mixes
+    /// cycles.
     pub(super) wheel: Vec<Vec<Arrival>>,
     /// This window's departures into other shards, as `(wheel slot,
     /// booking)`, for the epilogue to move onto the downstream
@@ -491,7 +494,7 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
             let mut bucket = std::mem::take(&mut scratch.wheel[slot]);
             for a in &bucket {
                 let i = a.router as usize - lo;
-                routers[i].accept(a.port as usize, a.flit.vc, a.flit, cycle);
+                routers[i].accept(a.port as usize, a.flit(), cycle);
             }
             scratch.landed += bucket.len();
             bucket.clear();
@@ -597,16 +600,12 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
                     if spec.latency == 0 {
                         // Flight folds into the downstream pipeline.
                         assert!(lo <= dst && dst < hi, "zero-latency link left its shard");
-                        routers[dst - lo].accept(dport, flit.vc, flit, cycle);
+                        routers[dst - lo].accept(dport, flit, cycle);
                     } else {
                         debug_assert!(spec.latency < wheel_len, "arrival beyond the wheel");
                         debug_assert!(cycle + spec.latency >= tend, "booking inside the window");
                         let slot = ((cycle + spec.latency) % wheel_len) as usize;
-                        let a = Arrival {
-                            flit,
-                            router: dst as u32,
-                            port: dport as u8,
-                        };
+                        let a = Arrival::new(&flit, dst, dport);
                         if (lo..hi).contains(&dst) {
                             scratch.wheel[slot].push(a);
                         } else {

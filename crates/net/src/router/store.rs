@@ -5,15 +5,18 @@
 use super::*;
 
 /// The placeholder flit filling unoccupied [`FlitStore`] slots.
-const NULL_FLIT: Flit = Flit {
+const NULL_FLIT: PackedFlit = PackedFlit {
     packet: 0,
+    injected_at: 0,
+    dest: 0,
+    tag: 0,
     index: 0,
     of: 1,
-    dest: 0,
-    vc: 0,
-    tag: 0,
-    injected_at: 0,
 };
+
+// A saturated fabric grows its slabs toward the credit windows; keep a
+// slot small.
+const _: () = assert!(std::mem::size_of::<(PackedFlit, u64)>() == 32);
 
 /// Structure-of-arrays flit store: every per-VC input queue of one
 /// router lives in a single contiguous slab instead of one `VecDeque`
@@ -29,10 +32,12 @@ const NULL_FLIT: Flit = Flit {
 /// themselves dense parallel arrays, so the hot per-queue questions a
 /// saturated fabric asks thousands of times per cycle (front lookup,
 /// occupancy for credit checks) walk small contiguous memory instead
-/// of chasing per-queue heap blocks. Entries carry their arrival cycle
-/// next to the flit so pipeline latency and queue occupancy stay
-/// decoupled: the router is fully pipelined (one flit per cycle per
-/// output) with a fixed traversal latency.
+/// of chasing per-queue heap blocks. A slot is 32 bytes: the flit
+/// without its VC, which is the queue's own (the [`CycleRouter`] puts
+/// it back when it reads or pops the flit), next to its arrival cycle,
+/// so pipeline latency and queue occupancy stay decoupled: the router
+/// is fully pipelined (one flit per cycle per output) with a fixed
+/// traversal latency.
 ///
 /// # Capacity versus allocation
 ///
@@ -56,8 +61,9 @@ const NULL_FLIT: Flit = Flit {
 /// setup-time operation that adjusts `cap` alone).
 #[derive(Clone, Debug)]
 pub struct FlitStore {
-    /// The slab: per-queue rings at their individual offsets.
-    slots: Vec<(Flit, u64)>,
+    /// The slab: per-queue rings at their individual offsets, each
+    /// slot a flit and its arrival cycle.
+    slots: Vec<(PackedFlit, u64)>,
     /// Start of each queue's ring within `slots`.
     off: Vec<u32>,
     /// Ring read cursor per queue.
@@ -168,17 +174,17 @@ impl FlitStore {
 
     /// The front entry of queue `q`, as `(flit, arrival cycle)`.
     #[inline]
-    pub(super) fn front(&self, q: usize) -> Option<&(Flit, u64)> {
+    pub(super) fn front(&self, q: usize) -> Option<(PackedFlit, u64)> {
         if self.len[q] == 0 {
             return None;
         }
-        Some(&self.slots[self.off[q] as usize + self.head[q] as usize])
+        Some(self.slots[self.off[q] as usize + self.head[q] as usize])
     }
 
     /// Appends a flit to queue `q`, growing its ring if the allocation
     /// is exhausted (never beyond the credit window).
     #[inline]
-    pub(super) fn push(&mut self, q: usize, f: Flit, cycle: u64) {
+    pub(super) fn push(&mut self, q: usize, f: PackedFlit, cycle: u64) {
         debug_assert!(self.len[q] < self.cap[q], "flit accepted without a credit");
         if self.len[q] == self.alloc[q] {
             let grown = (self.alloc[q] as usize * 2)
@@ -193,7 +199,7 @@ impl FlitStore {
 
     /// Pops the front flit of queue `q`.
     #[inline]
-    pub(super) fn pop(&mut self, q: usize) -> Option<Flit> {
+    pub(super) fn pop(&mut self, q: usize) -> Option<PackedFlit> {
         if self.len[q] == 0 {
             return None;
         }
@@ -205,7 +211,7 @@ impl FlitStore {
 
     /// Heap bytes behind the store, as `(flit slab, ring cursors)`.
     pub(super) fn memory_bytes(&self) -> (usize, usize) {
-        let slab = self.slots.capacity() * std::mem::size_of::<(Flit, u64)>();
+        let slab = self.slots.capacity() * std::mem::size_of::<(PackedFlit, u64)>();
         let cursors = self.off.capacity() * std::mem::size_of::<u32>()
             + (self.head.capacity()
                 + self.len.capacity()
@@ -221,12 +227,17 @@ mod tests {
     use super::*;
     use crate::router::tests::flit;
 
+    /// A one-flit packet `packet`, as a queue slot holds it.
+    fn packed(packet: u64) -> PackedFlit {
+        PackedFlit::new(&flit(packet, 0, 1, 0, 0))
+    }
+
     #[test]
     fn queue_depth_is_eight_flits() {
         let mut store = FlitStore::new(2);
         for i in 0..INPUT_QUEUE_FLITS {
             assert!(store.free_slots(0) > 0, "flit {i}");
-            store.push(0, flit(i as u64, 0, 1, 0, 0), 0);
+            store.push(0, packed(i as u64), 0);
         }
         assert_eq!(
             store.free_slots(0),
@@ -245,8 +256,8 @@ mod tests {
         let (slab, _) = store.memory_bytes();
         assert_eq!(slab, 0, "a fresh store allocates no flit slots");
         for i in 0..6u64 {
-            store.push(0, flit(i, 0, 1, 0, 0), i);
-            store.push(1, flit(100 + i, 0, 1, 0, 1), i);
+            store.push(0, packed(i), i);
+            store.push(1, packed(100 + i), i);
         }
         // Rotate ring 0 so its head is mid-slab before the re-pack.
         for i in 0..3u64 {
@@ -256,7 +267,7 @@ mod tests {
         assert_eq!(store.capacity(0), 32);
         assert_eq!(store.capacity(1), INPUT_QUEUE_FLITS);
         for i in 6..30u64 {
-            store.push(0, flit(i, 0, 1, 0, 0), i);
+            store.push(0, packed(i), i);
         }
         for i in 3..30u64 {
             assert_eq!(store.pop(0).unwrap().packet, i, "FIFO order after re-pack");

@@ -62,6 +62,7 @@ use crate::workload::{SyntheticWorkload, Workload};
 use anton_model::asic::INPUT_QUEUE_FLITS;
 use anton_model::topology::{NodeId, Torus};
 use anton_model::units::PS_PER_CORE_CYCLE;
+use anton_net::channel::ByteKind;
 use anton_net::fabric3d::{
     decode_tag, inject_packet, FabricParams, PacketSpec, TorusFabric, TrafficClass, SLICES,
 };
@@ -575,13 +576,74 @@ const ID_CYCLE_BITS: u32 = 32;
 const ID_NODE_SHIFT: u32 = ID_SEQ_BITS + ID_CYCLE_BITS;
 const ID_TRACKED: u64 = 1 << 63;
 
+/// A packet waiting in a node's source queue: its [`PacketSpec`] less
+/// the source, which is the node's, and the class, which is the
+/// queue's. 16 bytes where the spec takes 32, with no field narrowed
+/// past a value it can hold (see [`Self::new`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct QueuedPacket {
+    id: u64,
+    dst: NodeId,
+    nflits: u8,
+    kind: ByteKind,
+    slice: u8,
+    order_idx: u8,
+    base_vc: u8,
+}
+
+// An overloaded machine queues hundreds of thousands of packets.
+const _: () = assert!(std::mem::size_of::<QueuedPacket>() == 16);
+
+impl QueuedPacket {
+    /// `spec`, to be queued at its source in its class's queue.
+    ///
+    /// # Panics
+    /// Panics with [`PacketSpec::validate`]'s error, where the packet
+    /// would otherwise panic at its first injection attempt, and with
+    /// the same error for a response's `order_idx` above 255 (which
+    /// `validate` leaves unchecked, since responses ignore it).
+    fn new(spec: &PacketSpec) -> Self {
+        if let Err(e) = spec.validate() {
+            panic!("{e}");
+        }
+        let byte = |field, value: usize| {
+            u8::try_from(value)
+                .unwrap_or_else(|_| panic!("{}", InjectError::InvalidSpec { field, value }))
+        };
+        QueuedPacket {
+            id: spec.id,
+            dst: spec.dst,
+            nflits: spec.nflits,
+            kind: spec.kind,
+            slice: byte("slice", spec.slice),
+            order_idx: byte("order_idx", spec.order_idx),
+            base_vc: spec.base_vc,
+        }
+    }
+
+    /// The spec queued at `src` in `class`'s queue.
+    fn spec(self, src: NodeId, class: TrafficClass) -> PacketSpec {
+        PacketSpec {
+            src,
+            dst: self.dst,
+            id: self.id,
+            nflits: self.nflits,
+            class,
+            kind: self.kind,
+            slice: self.slice.into(),
+            order_idx: self.order_idx.into(),
+            base_vc: self.base_vc,
+        }
+    }
+}
+
 /// Per-node endpoint state: the node's RNG stream, its source queues
 /// (requests and responses queue separately because they inject in
 /// class order) and its packet-id counter.
 struct Node {
     rng: SplitMix64,
-    requests: VecDeque<PacketSpec>,
-    responses: VecDeque<PacketSpec>,
+    requests: VecDeque<QueuedPacket>,
+    responses: VecDeque<QueuedPacket>,
     /// Creation cycle of the last id issued, and the ids issued at it.
     id_cycle: u64,
     id_seq: u64,
@@ -712,7 +774,7 @@ impl<'a, W: Workload + ?Sized> NodeEndpoint<'a, W> {
         let src = NodeId((self.first + i) as u16);
         let node = &mut self.nodes[i];
         for spec in self.emitted.drain(..) {
-            debug_assert_eq!(spec.src, src, "packets originate at the node creating them");
+            assert_eq!(spec.src, src, "packets originate at the node creating them");
             let spec = PacketSpec {
                 id: node.next_id(src, at, tracked),
                 ..spec
@@ -723,9 +785,10 @@ impl<'a, W: Workload + ?Sized> NodeEndpoint<'a, W> {
             } else {
                 self.tally.warmup_created += 1;
             }
+            let queued = QueuedPacket::new(&spec);
             match spec.class {
-                TrafficClass::Request => node.requests.push_back(spec),
-                TrafficClass::Response => node.responses.push_back(spec),
+                TrafficClass::Request => node.requests.push_back(queued),
+                TrafficClass::Response => node.responses.push_back(queued),
             }
             self.queued += 1;
         }
@@ -759,15 +822,16 @@ impl<W: Workload + ?Sized> Endpoint for NodeEndpoint<'_, W> {
         // contend only for link serialization slots.
         let measuring = sc.window.contains(&cycle);
         for class in [TrafficClass::Response, TrafficClass::Request] {
-            for node in &mut self.nodes {
+            for (i, node) in self.nodes.iter_mut().enumerate() {
                 let queue = match class {
                     TrafficClass::Request => &mut node.requests,
                     TrafficClass::Response => &mut node.responses,
                 };
-                let Some(spec) = queue.front() else {
+                let Some(&queued) = queue.front() else {
                     continue;
                 };
-                match inject_packet(port, spec) {
+                let src = NodeId((self.first + i) as u16);
+                match inject_packet(port, &queued.spec(src, class)) {
                     Ok(()) => {
                         queue.pop_front();
                         self.queued -= 1;
@@ -923,7 +987,8 @@ fn class_point(
 /// outside `[0, 1]`; and if a packet can never inject
 /// ([`InjectError::TooLarge`] or another permanent refusal of a
 /// workload's spec) instead of counting it as backpressure for the rest
-/// of the run.
+/// of the run — a spec [`PacketSpec::validate`] refuses panics as it is
+/// queued, before its first injection attempt.
 pub fn run_scenario<W: Workload + ?Sized>(
     workload: &W,
     cfg: &SweepConfig,
@@ -1493,6 +1558,56 @@ mod tests {
         cfg.dims = [2, 2, 2];
         cfg.flits_per_packet = 9;
         run_point(&UniformRandom, &cfg, params(), 0.2, 1);
+    }
+
+    #[test]
+    fn queued_packets_rebuild_their_spec_exactly() {
+        for class in [TrafficClass::Request, TrafficClass::Response] {
+            for kind in ByteKind::ALL {
+                for slice in 0..SLICES {
+                    for order_idx in 0..6 {
+                        for base_vc in 0..2 {
+                            let spec = PacketSpec {
+                                src: NodeId(u16::MAX),
+                                dst: NodeId(u16::MAX),
+                                id: u64::MAX,
+                                nflits: u8::MAX,
+                                class,
+                                kind,
+                                slice,
+                                order_idx,
+                                base_vc,
+                            };
+                            let queued = QueuedPacket::new(&spec);
+                            assert_eq!(queued.spec(spec.src, class), spec);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Requests to the next node, all pinned to channel slice 256.
+    struct MissingSlice;
+
+    impl Workload for MissingSlice {
+        fn next_packets(
+            &self,
+            torus: &Torus,
+            src: NodeId,
+            _: u64,
+            _: &mut SplitMix64,
+            out: &mut Vec<PacketSpec>,
+        ) {
+            let dst = NodeId(((src.index() + 1) % torus.node_count()) as u16);
+            out.push(PacketSpec::request(src, dst, 0, 1).with_slice(256));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 256 is out of range")]
+    fn a_packet_on_a_missing_slice_panics_instead_of_running_on_slice_0() {
+        run_scenario(&MissingSlice, &small_cfg(), params(), 0.2, 1);
     }
 
     #[test]

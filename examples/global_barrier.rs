@@ -6,7 +6,7 @@
 
 use anton3::machine::barrier;
 use anton3::model::MachineConfig;
-use anton3::net::fence::{FenceAllocator, FencePattern, FenceSpec, RouterFence};
+use anton3::net::fence::{FenceAllocator, RouterFence};
 
 fn main() {
     let cfg = MachineConfig::torus([4, 4, 8]);
@@ -15,13 +15,7 @@ fn main() {
         cfg.torus
     );
     for hops in 0..=cfg.torus.diameter() {
-        let t = barrier::barrier_latency(
-            &cfg,
-            FenceSpec {
-                pattern: FencePattern::GcToGc,
-                hops,
-            },
-        );
+        let t = barrier::barrier_latency(&cfg, hops);
         let label = match hops {
             0 => " (intra-node)",
             h if h == cfg.torus.diameter() => " (global barrier)",

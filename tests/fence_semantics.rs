@@ -6,7 +6,7 @@ use anton3::machine::{barrier, machine::NetworkMachine};
 use anton3::model::topology::{Dim, Direction, NodeId};
 use anton3::model::units::Ps;
 use anton3::model::MachineConfig;
-use anton3::net::fence::{FenceAllocator, FencePattern, FenceSpec, RouterFence};
+use anton3::net::fence::{FenceAllocator, RouterFence};
 use anton3::net::packet::PacketKind;
 
 /// Compose RouterFence instances into the Figure 10b scenario: a chain of
@@ -107,20 +107,8 @@ fn barrier_latency_scales_linearly_and_matches_paper() {
 fn smaller_machines_have_cheaper_global_barriers() {
     let small = MachineConfig::torus([2, 2, 2]);
     let large = MachineConfig::torus([4, 4, 8]);
-    let t_small = barrier::barrier_latency(
-        &small,
-        FenceSpec {
-            pattern: FencePattern::GcToGc,
-            hops: small.torus.diameter(),
-        },
-    );
-    let t_large = barrier::barrier_latency(
-        &large,
-        FenceSpec {
-            pattern: FencePattern::GcToGc,
-            hops: large.torus.diameter(),
-        },
-    );
+    let t_small = barrier::barrier_latency(&small, small.torus.diameter());
+    let t_large = barrier::barrier_latency(&large, large.torus.diameter());
     assert!(t_small < t_large);
     assert!(
         t_small > Ps::from_ns(100.0),
@@ -135,13 +123,9 @@ fn hop_limited_fences_price_proportionally() {
     // equals the cost of a 3-hop fence on any machine.
     let a = MachineConfig::torus([4, 4, 8]);
     let b = MachineConfig::torus([8, 8, 8]);
-    let spec = FenceSpec {
-        pattern: FencePattern::GcToGc,
-        hops: 3,
-    };
     assert_eq!(
-        barrier::barrier_latency(&a, spec),
-        barrier::barrier_latency(&b, spec),
+        barrier::barrier_latency(&a, 3),
+        barrier::barrier_latency(&b, 3),
         "hop-limited fences are machine-size independent"
     );
 }
