@@ -30,18 +30,11 @@
 //!   link latency (~80 cycles calibrated) per epoch; `N = 1` pins the
 //!   degenerate one-cycle window. Another pure execution knob: output
 //!   is byte-identical at any window;
-//! - `--calibrate` runs the request-only calibration workloads through
-//!   the Scenario driver and fits the loaded-latency contention
-//!   constants: uniform random and nearest-neighbor halo on 4x4x8, and
-//!   — now that the event-driven fabric core makes 512 nodes routine —
-//!   uniform random on the full 8x8x8 machine
-//!   (`machine::pingpong::LoadedCalibration` ships all three fits);
 //! - `--md-replay` replays MD-shaped halo traffic (an `MdHaloWorkload`
 //!   built from a water-box run's spatial decomposition) on the cycle
 //!   fabric, reconciles the per-`ByteKind` link-stat totals
-//!   (position/force wire bytes) machine-wide, and prints the analytic
-//!   loaded step-time estimate (`MdNetworkRun::loaded_halo_estimate`)
-//!   the shape's calibration feeds;
+//!   (position/force wire bytes) machine-wide, and prints their
+//!   force/position ratio beside the classes' mean-hop ratio;
 //! - `--overload-smoke` runs a short 8x8x8 overload point with both
 //!   classes plus a drain check — a warmup-0 scenario point at offered
 //!   1.0 that must deliver every request and response it generates —
@@ -78,11 +71,10 @@
 //! 0 without running anything. Any other argument, an argument that is
 //! not UTF-8, a valued flag without its value, a numeric value that is
 //! not a positive integer, a flag given twice, more than one of the
-//! mode flags (`--calibrate`, `--md-replay`, `--overload-smoke`,
-//! `--mega-smoke`), or a flag the selected mode does not read
-//! (`--threads` with the one-point `--md-replay`, the telemetry flags
-//! with `--calibrate`) is rejected with exit status 2 before anything
-//! runs, `--help` or not, and so is a mode configuration
+//! mode flags (`--md-replay`, `--overload-smoke`, `--mega-smoke`), or a
+//! flag the selected mode does not read (`--threads` with the one-point
+//! `--md-replay`) is rejected with exit status 2 before anything runs,
+//! `--help` or not, and so is a mode configuration
 //! `SweepConfig::validate` refuses, and a `--telemetry-out` or
 //! `--trace-out` path that cannot be opened for writing (it is created
 //! if missing). Output goes through
@@ -91,18 +83,16 @@
 
 use anton_bench::outln;
 use anton_machine::mdrun::MdNetworkRun;
-use anton_machine::pingpong::LoadedCalibration;
 use anton_model::latency::LatencyModel;
 use anton_model::topology::Torus;
 use anton_model::units::PS_PER_CORE_CYCLE;
 use anton_model::MachineConfig;
 use anton_net::channel::LinkStats;
 use anton_net::fabric3d::{FabricMemoryReport, FabricParams, TorusFabric, TrafficClass, SLICES};
-use anton_net::path::ContentionModel;
 use anton_net::telemetry::{
     ChromeTraceSink, JsonlTraceSink, LinkSummary, StallBreakdown, TelemetryConfig, TraceSink,
 };
-use anton_traffic::patterns::{standard_suite, NearestNeighbor, TrafficPattern, UniformRandom};
+use anton_traffic::patterns::{standard_suite, UniformRandom};
 use anton_traffic::sweep::{
     run_curve_threaded, run_scenario, run_scenario_instrumented, run_sweep_threaded, ClassPoint,
     SweepConfig,
@@ -114,7 +104,6 @@ use std::ffi::OsString;
 const SWITCHES: &[(&str, &str)] = &[
     ("--json", "print the sweep report as JSON"),
     ("--quick", "run the sweep's coarse load axis"),
-    ("--calibrate", "fit the loaded-latency constants"),
     ("--md-replay", "replay MD halo traffic, telemetry on"),
     ("--overload-smoke", "8x8x8 overload point and drain check"),
     ("--mega-smoke", "16x16x16 point after memory audits"),
@@ -144,21 +133,18 @@ fn names(table: &'static [(&'static str, &str)]) -> impl Iterator<Item = &'stati
 enum Mode {
     #[default]
     Sweep,
-    Calibrate,
     MdReplay,
     OverloadSmoke,
     MegaSmoke,
 }
 
 impl Mode {
-    /// The smallest torus this mode's run builds. Each run reads its
-    /// shape from here (`--calibrate` from the calibration configs it
-    /// runs, the smaller of which is 4x4x8), so the `--shards` check at
-    /// parse time and the run cannot disagree.
+    /// The torus this mode's run builds. Each run reads its shape from
+    /// here, so the `--shards` check at parse time and the run cannot
+    /// disagree.
     fn dims(self) -> [u8; 3] {
         match self {
             Mode::Sweep | Mode::MdReplay => [4, 4, 8],
-            Mode::Calibrate => SweepConfig::calibration_4x4x8().dims,
             Mode::OverloadSmoke => [8, 8, 8],
             Mode::MegaSmoke => [16, 16, 16],
         }
@@ -166,21 +152,19 @@ impl Mode {
 }
 
 /// The mode flags (also listed in [`SWITCHES`]) and what they select.
-const MODES: [(&str, Mode); 4] = [
-    ("--calibrate", Mode::Calibrate),
+const MODES: [(&str, Mode); 3] = [
     ("--md-replay", Mode::MdReplay),
     ("--overload-smoke", Mode::OverloadSmoke),
     ("--mega-smoke", Mode::MegaSmoke),
 ];
 
-/// The telemetry flags, which every mode but `--calibrate` reads.
+/// The telemetry flags, which every mode reads.
 const TELEMETRY: &str = "--telemetry --telemetry-out --epoch-cycles --epoch-ring --trace-out";
 
 /// The flags each mode flag's run reads besides `--help`, in groups
 /// separated by spaces; [`Args::parse`] refuses any other flag with a
 /// mode. The default sweep reads every flag.
-const READS: [(&str, &[&str]); 4] = [
-    ("--calibrate", &["--threads --shards --lookahead"]),
+const READS: [(&str, &[&str]); 3] = [
     ("--md-replay", &["--shards --lookahead", TELEMETRY]),
     (
         "--overload-smoke",
@@ -549,7 +533,6 @@ fn main() {
     }
     let params = FabricParams::calibrated(&LatencyModel::default());
     match args.mode {
-        Mode::Calibrate => return calibrate(params, &args),
         Mode::MdReplay => return md_replay(params, &args),
         Mode::OverloadSmoke => return overload_smoke(params, &args),
         Mode::MegaSmoke => return mega_smoke(params, &args),
@@ -663,141 +646,6 @@ fn main() {
     }
 }
 
-/// Runs the shared calibration workloads through the Scenario driver,
-/// fits the contention constants, and compares the shipped
-/// `LoadedCalibration` values against the fresh fits (rerun this after
-/// any change to the fabric timing). Uniform random keeps RNG stream 1
-/// — the stream its shipped constants were fitted on; the 512-node
-/// 8x8x8 fit (stream 3) is what the event-driven core's speedup paid
-/// for — machine-scale calibration as a routine run rather than a
-/// special occasion.
-fn calibrate(params: FabricParams, args: &Args) {
-    let calibration = |base: SweepConfig| {
-        checked(SweepConfig {
-            loads: vec![
-                0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.8,
-                1.0,
-            ],
-            shards: args.shards,
-            lookahead: args.lookahead,
-            ..base
-        })
-    };
-    let small = calibration(SweepConfig::calibration_4x4x8());
-    let machine = calibration(SweepConfig::calibration_8x8x8());
-    calibrate_pattern(
-        params,
-        &UniformRandom,
-        small.clone(),
-        LoadedCalibration::UNIFORM_4X4X8,
-        "uniform",
-        1,
-        args,
-    );
-    outln!();
-    calibrate_pattern(
-        params,
-        &NearestNeighbor,
-        small,
-        LoadedCalibration::NEAREST_NEIGHBOR_4X4X8,
-        "nearest-neighbor",
-        2,
-        args,
-    );
-    outln!();
-    calibrate_pattern(
-        params,
-        &UniformRandom,
-        machine,
-        LoadedCalibration::UNIFORM_8X8X8,
-        "uniform",
-        3,
-        args,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn calibrate_pattern(
-    params: FabricParams,
-    pattern: &dyn TrafficPattern,
-    cfg: SweepConfig,
-    shipped: LoadedCalibration,
-    label: &str,
-    stream: u64,
-    args: &Args,
-) {
-    outln!(
-        "CALIBRATION SWEEP. {}x{}x{} {label}, request-only, seed {:#x}",
-        cfg.dims[0],
-        cfg.dims[1],
-        cfg.dims[2],
-        cfg.seed
-    );
-    let curve = run_curve_threaded(pattern, &cfg, params, stream, args.threads);
-    let saturation = curve.class_saturation_throughput(TrafficClass::Request);
-    // The same unloaded baseline the shipped prediction adds contention
-    // onto — fit and prediction must share it exactly. The mean hop
-    // count is the pattern's closed form carried by the calibration.
-    let unloaded = params.unloaded_mean_cycles(shipped.mean_hops, cfg.flits_per_packet);
-    outln!(
-        "{:>8} {:>7} {:>11} {:>12} {:>4}",
-        "offered",
-        "rho",
-        "mean (cyc)",
-        "extra (cyc)",
-        "sat"
-    );
-    let mut samples = Vec::new();
-    for p in &curve.points {
-        let rho = p.offered / saturation;
-        let extra = p.request.mean_latency_cycles - unloaded;
-        outln!(
-            "{:>8.3} {:>7.3} {:>11.1} {:>12.1} {:>4}",
-            p.offered,
-            rho,
-            p.request.mean_latency_cycles,
-            extra,
-            if p.saturated { "yes" } else { "" }
-        );
-        if !p.saturated && rho < 0.85 {
-            samples.push((rho, extra));
-        }
-    }
-    if samples.is_empty() {
-        outln!();
-        outln!(
-            "no unsaturated points below 0.85 of the measured saturation \
-             ({saturation:.3}) — the fabric timing has shifted too far to \
-             fit; inspect the curve above and widen the load axis"
-        );
-        return;
-    }
-    let fit = ContentionModel::fit(&samples);
-    outln!();
-    outln!(
-        "fit over {} points: saturation = {saturation:.3} flits/node/cycle, \
-         alpha = {:.2} cycles (mean hops {:.3})",
-        samples.len(),
-        fit.alpha_cycles,
-        shipped.mean_hops,
-    );
-    let shape = format!("{}x{}x{}", cfg.dims[0], cfg.dims[1], cfg.dims[2]);
-    anton_bench::compare(
-        &format!("{label} {shape} saturation"),
-        &format!("{:.3} (shipped)", shipped.saturation),
-        &format!("{saturation:.3}"),
-    );
-    anton_bench::compare(
-        &format!("{label} {shape} contention alpha"),
-        &format!("{:.2} cycles (shipped)", shipped.alpha_cycles),
-        &format!("{:.2} cycles", fit.alpha_cycles),
-    );
-    for rho in [0.2, 0.4, 0.6] {
-        let predicted = shipped.predicted_mean_latency_cycles(&params, 2, rho * shipped.saturation);
-        outln!("  shipped model at rho={rho}: {predicted:.1} cycles mean");
-    }
-}
-
 /// Replays MD-shaped halo traffic on the cycle fabric: builds a
 /// water-box run on the paper's 4x4x8 machine, derives its
 /// `MdHaloWorkload` (position exports over the import regions, force
@@ -859,37 +707,14 @@ fn md_replay(params: FabricParams, args: &Args) {
         total.force_bytes,
         total.wire_bytes
     );
-    // The analytic loaded step-time estimate consuming the shape's
-    // cycle-fabric-fitted LoadedCalibration, over the route lengths of
-    // the very tables the replay sampled (see
-    // MdNetworkRun::loaded_halo_estimate).
-    let est = run
-        .loaded_halo_estimate(offered, &workload)
-        .expect("4x4x8 ships a uniform calibration");
-    outln!(
-        "loaded step estimate at offered {offered}: export {:.0} + turnaround + return {:.0} \
-         cycles over {:.2}/{:.2} mean hops -> halo round trip {}, step floor {} with barrier",
-        est.request_cycles,
-        est.response_cycles,
-        est.mean_request_hops,
-        est.mean_response_hops,
-        est.halo_round_trip,
-        est.step_floor,
-    );
     // One equal-size force return per delivered export, but responses
     // ride XYZ mesh routes while requests ride torus-minimal ones — so
-    // the wire-byte ratio (bytes count once per link crossed) must
-    // equal the mean-hop ratio of the two classes.
-    anton_bench::compare(
-        "force/position wire-byte ratio",
-        &format!(
-            "{:.2} (response/request mean-hop ratio)",
-            resp.mean_hops / p.request.mean_hops
-        ),
-        &format!(
-            "{:.2}",
-            total.force_bytes as f64 / total.position_bytes.max(1) as f64
-        ),
+    // the wire-byte ratio (bytes count once per link crossed) tracks
+    // the mean-hop ratio of the two classes. Neither is a paper number.
+    outln!(
+        "force/position wire-byte ratio {:.2}, response/request mean-hop ratio {:.2}",
+        total.force_bytes as f64 / total.position_bytes.max(1) as f64,
+        resp.mean_hops / p.request.mean_hops
     );
     print_telemetry(&scenario.fabric);
     write_telemetry_artifacts(&scenario.fabric, args);
@@ -1167,7 +992,8 @@ mod tests {
         let typo = err(&["--quik"]);
         assert!(typo.starts_with("unknown argument `--quik`"), "{typo}");
         assert!(typo.ends_with(&format!("known flags: {}", known_flags())));
-        assert!(known_flags().starts_with("--json, --quick, --calibrate"));
+        assert!(known_flags().starts_with("--json, --quick, --md-replay"));
+        assert!(err(&["--calibrate"]).starts_with("unknown argument `--calibrate`"));
         assert!(known_flags().ends_with("--epoch-ring VALUE, --trace-out VALUE"));
         assert!(err(&["--json", "stray"]).starts_with("unknown argument `stray`"));
         assert!(err(&["--threads"]).starts_with("--threads takes a value"));
@@ -1258,7 +1084,7 @@ mod tests {
             err,
             "give at most one mode, not --md-replay and --overload-smoke"
         );
-        assert!(mode_of(&["--mega-smoke", "--calibrate", "--md-replay"]).is_err());
+        assert!(mode_of(&["--mega-smoke", "--overload-smoke", "--md-replay"]).is_err());
     }
 
     #[test]
@@ -1277,20 +1103,6 @@ mod tests {
             "--md-replay",
             "--threads",
         );
-        let telemetry = [
-            &["--telemetry"][..],
-            &["--telemetry-out", "t.json"],
-            &["--trace-out", "t.jsonl"],
-            &["--epoch-cycles", "512"],
-            &["--epoch-ring", "8"],
-        ];
-        for flag in telemetry {
-            refused(
-                &[&["--calibrate"][..], flag].concat(),
-                "--calibrate",
-                flag[0],
-            );
-        }
         // Each mode reads its listed flags, and only known non-mode ones.
         assert_eq!(READS.map(|(m, _)| m), MODES.map(|(m, _)| m));
         for (mode, _) in READS {
@@ -1324,11 +1136,9 @@ mod tests {
 
     #[test]
     fn shards_beyond_the_modes_routers_are_refused() {
-        // Each mode's router count, from the smallest torus it runs
-        // (`--calibrate` also runs 8x8x8).
+        // Each mode's router count, from the torus it runs.
         let cases = [
             (&["--quick"][..], 128, "4x4x8"),
-            (&["--calibrate"], 128, "4x4x8"),
             (&["--md-replay"], 128, "4x4x8"),
             (&["--overload-smoke"], 512, "8x8x8"),
             (&["--mega-smoke"], 4096, "16x16x16"),

@@ -32,7 +32,6 @@
 
 use crate::barrier;
 use crate::machine::NetworkMachine;
-use crate::pingpong::LoadedCalibration;
 use anton_compress::pcache::ParticleKey;
 use anton_md::decomp::{multicast_tree, Decomposition, MulticastTree};
 use anton_md::integrate::Simulation;
@@ -42,7 +41,6 @@ use anton_model::topology::{DimOrder, NodeId};
 use anton_model::units::{Cycles, Ps, PS_PER_CORE_CYCLE};
 use anton_model::MachineConfig;
 use anton_net::channel::LinkStats;
-use anton_net::fabric3d::FabricParams;
 use anton_net::packet::PacketKind;
 use anton_sim::trace::{ActivityKind, ActivityTrace, LaneId};
 use anton_traffic::workload::MdHaloWorkload;
@@ -69,11 +67,9 @@ pub const INTEGRATION_CYCLES_PER_ATOM: f64 = 40.0;
 /// Turnaround from a stream position's arrival at an ICB to its stream-set
 /// force entering the return channel, cycles (ICB buffer + row traversal).
 pub const FORCE_TURNAROUND_CYCLES: u64 = 90;
-/// Flits per halo packet on the cycle-level replay (position exports and
-/// the equal-size force returns both ride two-flit packets). One
-/// constant shared by [`MdNetworkRun::halo_workload`] and
-/// [`MdNetworkRun::loaded_halo_estimate`] so the replay and the analytic
-/// estimate cannot drift apart.
+/// Flits per halo packet on the cycle-level replay
+/// ([`MdNetworkRun::halo_workload`]): position exports and the
+/// equal-size force returns both ride two-flit packets.
 pub const HALO_FLITS_PER_PACKET: u8 = 2;
 /// Per-step time spent in phases outside the range-limited pairwise
 /// dataflow (bonded forces, constraints, long-range contribution), per
@@ -96,35 +92,6 @@ pub fn particle_static_field(atom: u32) -> ParticleKey {
     param ^= param >> 16;
     param = param.wrapping_mul(0x9E37_79B9).wrapping_add(0x85EB_CA6B);
     ParticleKey(atom as u64 | (param << 32))
-}
-
-/// Analytic loaded-latency estimate of one MD step's halo exchange —
-/// [`LoadedCalibration`] (fitted against the cycle fabric) applied to a
-/// concrete decomposition's route lengths; produced by
-/// [`MdNetworkRun::loaded_halo_estimate`].
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct HaloStepEstimate {
-    /// Offered request load the estimate is evaluated at,
-    /// flits/node/cycle.
-    pub offered: f64,
-    /// The calibration constants used: the shipped fit for this
-    /// machine's shape ([`LoadedCalibration::shipped_uniform`]).
-    pub calibration: LoadedCalibration,
-    /// Mean torus-minimal hop count of this decomposition's position
-    /// exports.
-    pub mean_request_hops: f64,
-    /// Mean XYZ-mesh hop count of the force returns (mesh routes are
-    /// never shorter than torus-minimal ones).
-    pub mean_response_hops: f64,
-    /// Predicted mean position-export latency under load, cycles.
-    pub request_cycles: f64,
-    /// Predicted mean force-return latency under load, cycles.
-    pub response_cycles: f64,
-    /// Export → ICB turnaround → return, end to end.
-    pub halo_round_trip: Ps,
-    /// The halo round trip plus the closing GC-to-GC barrier — a loaded
-    /// lower bound on the network share of one step's critical path.
-    pub step_floor: Ps,
 }
 
 /// Timing of one simulated step.
@@ -284,63 +251,6 @@ impl MdNetworkRun {
             HALO_FLITS_PER_PACKET,
             seed,
         )
-    }
-
-    /// Analytic **loaded** step-time estimate of this run's halo
-    /// exchange: the mean position-export and force-return latencies
-    /// under an offered request load of `offered` flits/node/cycle,
-    /// predicted by the machine shape's cycle-fabric-fitted
-    /// [`LoadedCalibration`] (`UNIFORM_4X4X8` / `UNIFORM_8X8X8`) with
-    /// the unloaded walk taken over **this decomposition's** mean route
-    /// lengths — read from `workload`, the [`Self::halo_workload`]
-    /// destination tables the cycle-level replay samples (requests ride
-    /// torus-minimal routes, force returns mesh routes). Returns `None`
-    /// for a machine shape with no shipped calibration, and when
-    /// `offered` is at or past the calibration's saturation.
-    pub fn loaded_halo_estimate(
-        &self,
-        offered: f64,
-        workload: &MdHaloWorkload,
-    ) -> Option<HaloStepEstimate> {
-        let torus = self.machine.cfg.torus;
-        let cal = LoadedCalibration::shipped_uniform(&torus)?;
-        if offered >= cal.saturation {
-            return None;
-        }
-        let (mut req_hops, mut resp_hops, mut pairs) = (0u64, 0u64, 0u64);
-        for node in torus.nodes() {
-            let home = torus.coord(node);
-            for &dst in workload.destinations(node) {
-                let there = torus.coord(dst);
-                req_hops += torus.hop_distance(home, there) as u64;
-                resp_hops += anton_net::routing::mesh_distance(there, home) as u64;
-                pairs += 1;
-            }
-        }
-        assert!(pairs > 0, "halo workload is never empty");
-        let (req_hops, resp_hops) = (
-            req_hops as f64 / pairs as f64,
-            resp_hops as f64 / pairs as f64,
-        );
-        let params = FabricParams::calibrated(&self.machine.cfg.latency);
-        let nflits = HALO_FLITS_PER_PACKET;
-        let request_cycles =
-            cal.predicted_mean_latency_cycles_for(&params, nflits, offered, req_hops);
-        let response_cycles =
-            cal.predicted_mean_latency_cycles_for(&params, nflits, offered, resp_hops);
-        let round_cycles = request_cycles + FORCE_TURNAROUND_CYCLES as f64 + response_cycles;
-        let barrier = barrier::barrier_latency(&self.machine.cfg, torus.diameter());
-        let halo_round_trip = Ps::new((round_cycles * PS_PER_CORE_CYCLE as f64) as u64);
-        Some(HaloStepEstimate {
-            offered,
-            calibration: cal,
-            mean_request_hops: req_hops,
-            mean_response_hops: resp_hops,
-            request_cycles,
-            response_cycles,
-            halo_round_trip,
-            step_floor: halo_round_trip + barrier,
-        })
     }
 
     /// Runs one MD step through the network, returning its timing.
@@ -657,70 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn loaded_halo_estimate_consumes_the_shape_calibration() {
-        // 4x4x8 uses UNIFORM_4X4X8; the halo's short routes keep the
-        // loaded estimate convex in offered load and the mesh returns at
-        // least as long as the torus-minimal exports.
-        let r = MdNetworkRun::new(
-            MachineConfig::torus([4, 4, 8]).without_compression(),
-            20_000,
-            11,
-            false,
-        );
-        let cal = LoadedCalibration::UNIFORM_4X4X8;
-        let halo = r.halo_workload(32, 5);
-        let at = |offered: f64| r.loaded_halo_estimate(offered, &halo).unwrap();
-        let (lo, mid, hi) = (at(0.05), at(0.15), at(0.25));
-        assert_eq!(lo.calibration, cal, "shape selects its calibration");
-        assert!(lo.mean_request_hops >= 1.0, "halo exports leave the node");
-        assert!(
-            lo.mean_response_hops >= lo.mean_request_hops - 1e-9,
-            "mesh returns are never shorter than torus-minimal exports"
-        );
-        assert!(
-            lo.halo_round_trip < lo.step_floor,
-            "the closing barrier adds on top of the round trip"
-        );
-        assert!(
-            lo.step_floor < mid.step_floor && mid.step_floor < hi.step_floor,
-            "loaded estimate must grow with offered load"
-        );
-        assert!(
-            hi.step_floor - mid.step_floor > mid.step_floor - lo.step_floor,
-            "queueing growth must be convex"
-        );
-        // Past saturation the model honestly declines to answer.
-        assert!(r.loaded_halo_estimate(cal.saturation, &halo).is_none());
-        // So it does on a shape with no shipped calibration.
-        let tiny = MdNetworkRun::new(MachineConfig::torus([2, 2, 2]), 3_000, 7, false);
-        let e = tiny.loaded_halo_estimate(0.1, &tiny.halo_workload(16, 5));
-        assert!(e.is_none(), "2x2x2 has no shipped fit");
-    }
-
-    #[test]
-    fn machine_scale_estimate_uses_the_8x8x8_constants() {
-        let r = MdNetworkRun::new(
-            MachineConfig::torus([8, 8, 8]).without_compression(),
-            30_000,
-            13,
-            false,
-        );
-        let e = r
-            .loaded_halo_estimate(0.1, &r.halo_workload(16, 3))
-            .unwrap();
-        assert_eq!(e.calibration, LoadedCalibration::UNIFORM_8X8X8);
-        // The halo exchange is near-neighbor: its routes are far shorter
-        // than uniform-random's ~6-hop mean, so the per-decomposition
-        // baseline must undercut the pattern-calibrated one.
-        assert!(
-            e.mean_request_hops < LoadedCalibration::UNIFORM_8X8X8.mean_hops,
-            "halo routes ({}) should undercut uniform mean hops",
-            e.mean_request_hops
-        );
-        assert!(e.step_floor > e.halo_round_trip);
-    }
-
-    #[test]
     fn a_step_sends_every_route_edge_once() {
         for cfg in [
             MachineConfig::torus([2, 2, 2]),
@@ -746,6 +592,34 @@ mod tests {
             r.step();
             assert_eq!(r.machine.total_stats().packets, edges + markers);
         }
+    }
+
+    #[test]
+    fn a_link_sends_its_level_in_ready_order() {
+        // Two one-edge routes over one link and one Channel Adapter
+        // (atoms 0 and CAS_PER_NEIGHBOR). The first in route order is
+        // ready 100 ns after the second, so the second goes out first
+        // and arrives first; a level sorted by link alone would send
+        // them in route order.
+        let cfg = MachineConfig::torus([2, 2, 2]);
+        let mut r = MdNetworkRun::new(cfg, 3000, 7, false);
+        let torus = cfg.torus;
+        let home = torus.coord(NodeId(0));
+        let east = anton_model::topology::Direction::new(anton_model::topology::Dim::X, true);
+        let there = torus.node_id(torus.neighbor(home, east));
+        let tree = || multicast_tree(&torus, home, &[there], DimOrder::XYZ);
+        assert_eq!(tree().edges().len(), 1);
+        let start = Ps::new(1_000);
+        let mut routes = [
+            Route::new(0, start + Ps::new(100_000), tree()),
+            Route::new(CAS_PER_NEIGHBOR as u32, start, tree()),
+        ];
+        r.send_routes(&mut routes, ACT_POSITION);
+        let (later, sooner) = (routes[0].arrive[0], routes[1].arrive[0]);
+        assert!(
+            sooner < later,
+            "the route ready first arrives at {sooner}, after the other's {later}"
+        );
     }
 
     #[test]

@@ -7,19 +7,15 @@
 //! 55.9 ns + 34.2 ns/hop, with the 0-hop (intra-node) case cheaper
 //! because it skips the Edge Network and channels.
 //!
-//! The Figure 5 numbers are *unloaded*. [`LoadedCalibration`] extends
-//! the same analytic machinery under load: a queueing correction
-//! ([`anton_net::path::ContentionModel`]) fitted against the
-//! cycle-level fabric driven by `anton-traffic` sweeps, so the formula
-//! model tracks the loaded mean latency up to ~80% of saturation.
+//! The Figure 5 numbers are *unloaded*, as the paper's are. Loaded
+//! latency comes from the cycle fabric alone (`anton_net::fabric3d`,
+//! driven by `anton-traffic` sweeps).
 
-use anton_model::topology::Torus;
 use anton_model::units::Ps;
 use anton_model::MachineConfig;
 use anton_net::adapter::Compression;
 use anton_net::chip::ChipLoc;
-use anton_net::fabric3d::FabricParams;
-use anton_net::path::{self, ContentionModel, PathBreakdown};
+use anton_net::path::{self, PathBreakdown};
 use anton_net::routing;
 use anton_sim::rng::SplitMix64;
 use anton_sim::stats::{linear_fit, Accumulator, LinearFit};
@@ -163,150 +159,6 @@ pub fn min_inter_node_latency(cfg: &MachineConfig) -> Ps {
     fig6_breakdown(cfg).total()
 }
 
-/// The exact mean torus-minimal hop distance of uniform random traffic
-/// on `torus` (over ordered pairs with distinct endpoints — the sweep
-/// patterns never self-address).
-pub fn mean_uniform_hops(torus: &Torus) -> f64 {
-    let (mut sum, mut pairs) = (0u64, 0u64);
-    for a in torus.nodes() {
-        for b in torus.nodes() {
-            if a != b {
-                sum += torus.hop_distance(torus.coord(a), torus.coord(b)) as u64;
-                pairs += 1;
-            }
-        }
-    }
-    assert!(pairs > 0, "torus needs at least two nodes");
-    sum as f64 / pairs as f64
-}
-
-/// A loaded-latency calibration of the analytic model against the cycle
-/// fabric for one (topology, pattern) pair: the measured saturation
-/// throughput, the fitted contention coefficient, and the pattern's
-/// mean route length (the pattern-dependent part of the unloaded
-/// baseline).
-#[derive(Clone, Copy, PartialEq, Debug, Serialize)]
-pub struct LoadedCalibration {
-    /// Request-class saturation throughput, flits per node per cycle
-    /// (the sweep's knee).
-    pub saturation: f64,
-    /// Fitted queueing coefficient (see
-    /// [`anton_net::path::ContentionModel`]).
-    pub alpha_cycles: f64,
-    /// Mean torus-minimal hop count of the calibrated pattern on the
-    /// calibrated shape (uniform random: [`mean_uniform_hops`];
-    /// nearest-neighbor halo: exactly 1).
-    pub mean_hops: f64,
-}
-
-impl LoadedCalibration {
-    /// The shipped calibration for uniform random request traffic on the
-    /// paper's 128-node 4×4×8 machine, fitted with
-    /// `sweep_traffic --calibrate` (which reprints these constants from
-    /// the cycle fabric; the companion regression test pins them).
-    /// `mean_hops` is the exact closed form `4 · 128/127` over non-self
-    /// ordered pairs.
-    pub const UNIFORM_4X4X8: LoadedCalibration = LoadedCalibration {
-        saturation: 0.557,
-        alpha_cycles: 2.56,
-        mean_hops: 512.0 / 127.0,
-    };
-
-    /// The shipped calibration for the nearest-neighbor halo pattern
-    /// (the MD import-region shape: every packet goes one hop) on the
-    /// same 4×4×8 machine, from the same `--calibrate` harness run
-    /// through the `Scenario` driver. One-hop traffic leaves the Z-ring
-    /// bottleneck untouched, so it saturates near the per-node ejection
-    /// limit and queues almost entirely at the endpoints — a much
-    /// smaller contention coefficient than uniform random.
-    pub const NEAREST_NEIGHBOR_4X4X8: LoadedCalibration = LoadedCalibration {
-        saturation: 0.642,
-        alpha_cycles: 1.26,
-        mean_hops: 1.0,
-    };
-
-    /// The shipped calibration for uniform random request traffic on the
-    /// 512-node 8x8x8 machine — the CI overload shape, fitted with the
-    /// same `sweep_traffic --calibrate` harness on
-    /// `SweepConfig::calibration_8x8x8` (the event-driven fabric core is
-    /// what makes the 512-node fit routine). All three dimensions are
-    /// now 8-rings, so every axis carries the bisection load the 4×4×8
-    /// machine only saw on Z: saturation dips to 0.526 from 0.555 and
-    /// the queueing coefficient grows with the ~6-hop mean routes
-    /// (3.55 vs 2.56 cycles). `mean_hops` is the exact closed form
-    /// `6 · 512/511` over non-self ordered pairs.
-    pub const UNIFORM_8X8X8: LoadedCalibration = LoadedCalibration {
-        saturation: 0.526,
-        alpha_cycles: 3.55,
-        mean_hops: 3072.0 / 511.0,
-    };
-
-    /// Every shipped uniform-random fit, keyed by the extents of the
-    /// machine it was measured on.
-    const SHIPPED_UNIFORM: [([u8; 3], LoadedCalibration); 2] = [
-        ([4, 4, 8], Self::UNIFORM_4X4X8),
-        ([8, 8, 8], Self::UNIFORM_8X8X8),
-    ];
-
-    /// The shipped uniform-random calibration measured on `torus`'s
-    /// shape, extents compared in order, or `None` when no shipped fit
-    /// was measured on it.
-    pub fn shipped_uniform(torus: &Torus) -> Option<LoadedCalibration> {
-        Self::SHIPPED_UNIFORM
-            .iter()
-            .find(|(dims, _)| *dims == torus.dims())
-            .map(|&(_, cal)| cal)
-    }
-
-    /// The contention model of this calibration.
-    pub fn contention(&self) -> ContentionModel {
-        ContentionModel {
-            alpha_cycles: self.alpha_cycles,
-        }
-    }
-
-    /// The load fraction `rho` of an offered request load under this
-    /// calibration.
-    pub fn rho(&self, offered: f64) -> f64 {
-        offered / self.saturation
-    }
-
-    /// Predicted mean generation-to-delivery latency, in core cycles,
-    /// of `nflits`-flit request packets of the calibrated pattern under
-    /// `offered` flits/node/cycle: the unloaded fabric constants (router
-    /// pipeline, the calibration's mean-hop walk, tail-flit slice
-    /// serialization) plus the fitted contention term.
-    ///
-    /// # Panics
-    /// Panics if `offered` reaches the calibrated saturation — mean
-    /// latency is unbounded there.
-    pub fn predicted_mean_latency_cycles(
-        &self,
-        params: &FabricParams,
-        nflits: u8,
-        offered: f64,
-    ) -> f64 {
-        self.predicted_mean_latency_cycles_for(params, nflits, offered, self.mean_hops)
-    }
-
-    /// [`Self::predicted_mean_latency_cycles`] with the unloaded walk
-    /// taken over a caller-supplied mean hop count instead of the
-    /// calibrated pattern's: per-decomposition estimates (an MD halo
-    /// exchange whose import-region shape sets its own route lengths)
-    /// reuse the shape's fitted saturation and contention while the
-    /// unloaded baseline follows the actual traffic.
-    pub fn predicted_mean_latency_cycles_for(
-        &self,
-        params: &FabricParams,
-        nflits: u8,
-        offered: f64,
-        mean_hops: f64,
-    ) -> f64 {
-        params.unloaded_mean_cycles(mean_hops, nflits)
-            + self.contention().extra_cycles(self.rho(offered))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,55 +236,5 @@ mod tests {
         let row = one_way_latency(&machine_128(), 2, 100, 9);
         assert!(row.min_ns <= row.mean_ns && row.mean_ns <= row.max_ns);
         assert_eq!(row.samples, 100);
-    }
-
-    #[test]
-    fn uniform_hops_on_4x4x8_is_four_over_nonself_pairs() {
-        // Per-ring mean distances over all pairs (self included) are 1,
-        // 1, and 2; excluding the 128 self pairs rescales by N/(N-1).
-        let h = mean_uniform_hops(&Torus::new([4, 4, 8]));
-        let exact = 4.0 * 128.0 / 127.0;
-        assert!((h - exact).abs() < 1e-12, "mean hops {h} vs {exact}");
-    }
-
-    #[test]
-    fn loaded_prediction_grows_convexly_toward_saturation() {
-        let cal = LoadedCalibration::UNIFORM_4X4X8;
-        let params = FabricParams::default();
-        let at = |rho: f64| cal.predicted_mean_latency_cycles(&params, 2, rho * cal.saturation);
-        let (l2, l4, l6) = (at(0.2), at(0.4), at(0.6));
-        assert!(l2 < l4 && l4 < l6, "latency must grow with load");
-        assert!(l6 - l4 > l4 - l2, "queueing growth must be convex");
-        // At zero load the prediction is the unloaded constant: router
-        // pipeline + mean hops x per-hop + tail serialization. Spelled
-        // out independently here to pin FabricParams::unloaded_mean_cycles.
-        let unloaded = at(0.0);
-        let expect = params.router_cycles as f64
-            + mean_uniform_hops(&Torus::new([4, 4, 8])) * params.per_hop_cycles() as f64
-            + params.link_interval as f64;
-        assert!((unloaded - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shipped_calibrations_carry_their_patterns_mean_hops() {
-        // The uniform constant is the exact closed form over non-self
-        // ordered pairs; the nearest-neighbor halo is one hop by
-        // construction, and its calibration reflects the endpoint-bound
-        // regime: higher saturation, smaller contention coefficient.
-        let uni = LoadedCalibration::UNIFORM_4X4X8;
-        assert!((uni.mean_hops - mean_uniform_hops(&Torus::new([4, 4, 8]))).abs() < 1e-12);
-        let shipped = |dims| LoadedCalibration::shipped_uniform(&Torus::new(dims));
-        assert_eq!(shipped([4, 4, 8]), Some(uni));
-        assert_eq!(shipped([8, 4, 4]), None, "extents are compared in order");
-        let nn = LoadedCalibration::NEAREST_NEIGHBOR_4X4X8;
-        assert_eq!(nn.mean_hops, 1.0);
-        assert!(
-            nn.saturation > uni.saturation,
-            "one-hop traffic saturates later"
-        );
-        assert!(
-            nn.alpha_cycles < uni.alpha_cycles,
-            "and queues less per rho"
-        );
     }
 }

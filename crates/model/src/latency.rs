@@ -11,10 +11,12 @@
 //! adapter processing, and endpoint (GC issue / SRAM / blocking-read wake)
 //! overheads — are not printed in the paper. They are set here, in one
 //! documented place, to values plausible for a 7 nm ASIC with short
-//! electrical cables, such that the end-to-end experiments land on the
-//! paper's measured fits (55.9 ns + 34.2 ns/hop one-way unicast latency;
-//! 91.2 ns + 51.8 ns/hop fence barrier latency). See EXPERIMENTS.md for the
-//! calibration evidence.
+//! electrical cables, aiming the end-to-end experiments at the paper's
+//! measured fits (55.9 ns + 34.2 ns/hop one-way unicast latency;
+//! 91.2 ns + 51.8 ns/hop fence barrier latency). `fig5_latency` and
+//! `fig11_fence` print where they land: 46.7 ns + 35.0 ns/hop and
+//! 67.1 ns + 52.9 ns/hop, per-hop terms within 3% and intercepts 16% and
+//! 26% low.
 
 use crate::units::{Cycles, Ps};
 use serde::{Deserialize, Serialize};

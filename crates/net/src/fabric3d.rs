@@ -411,21 +411,6 @@ impl FabricParams {
     pub fn per_hop_time(&self) -> Ps {
         Ps::new(self.per_hop_cycles() * PS_PER_CORE_CYCLE)
     }
-
-    /// Mean generation-to-delivery latency, in cycles, of an
-    /// `nflits`-flit packet crossing `mean_hops` hops on an otherwise
-    /// idle fabric: the source router pipeline, the per-hop walk, and
-    /// the tail flit's slice serialization lag. This is the single
-    /// unloaded baseline shared by the loaded-latency calibration fit
-    /// (`sweep_traffic --calibrate`) and the analytic prediction
-    /// (`LoadedCalibration` in `anton-machine`) — both must subtract
-    /// and re-add exactly the same constant or the fitted contention
-    /// coefficient silently corrupts.
-    pub fn unloaded_mean_cycles(&self, mean_hops: f64, nflits: u8) -> f64 {
-        self.router_cycles as f64
-            + mean_hops * self.per_hop_cycles() as f64
-            + nflits.saturating_sub(1) as f64 * self.link_interval as f64
-    }
 }
 
 impl Default for FabricParams {

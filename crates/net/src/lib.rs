@@ -16,8 +16,7 @@
 //! - [`fence`] — fence merge counters, multicast masks, and the
 //!   14-slot concurrent-fence allocator;
 //! - [`path`] — composed end-to-end latency with per-component breakdown
-//!   (Figures 5 and 6), plus the loaded-latency contention model fitted
-//!   against the cycle fabric;
+//!   (Figures 5 and 6);
 //! - [`router`] — the flit-granular cycle-level router microarchitecture
 //!   (credit flow control, cut-through, per-link latency channels and
 //!   traffic counters);

@@ -148,65 +148,6 @@ pub fn one_way(
     b
 }
 
-/// A one-parameter contention correction for the analytic latency model,
-/// calibrated against the loaded cycle-level fabric
-/// ([`crate::fabric3d`] driven by `anton-traffic` sweeps).
-///
-/// [`one_way`] is an *unloaded* model; under offered load the fabric
-/// adds queueing at injection, arbitration, and serialization. For
-/// random traffic below saturation that extra latency follows the
-/// classic open-queueing shape `alpha * rho / (1 - rho)`, where `rho`
-/// is the offered load as a fraction of the pattern's saturation
-/// throughput: linear in `rho` at low load, diverging at the knee. The
-/// single coefficient `alpha_cycles` is fitted to the cycle-level sweep
-/// (`sweep_traffic --calibrate` reprints it), which keeps the formula
-/// model tracking the contention-aware ground truth up to ~80% of
-/// saturation without simulating anything.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ContentionModel {
-    /// Fitted queueing coefficient, in core cycles of extra mean latency
-    /// per unit of `rho / (1 - rho)`.
-    pub alpha_cycles: f64,
-}
-
-impl ContentionModel {
-    /// Mean extra packet latency, in cycles, at load fraction `rho`
-    /// (offered / saturation).
-    ///
-    /// # Panics
-    /// Panics unless `0 <= rho < 1` — at and past saturation mean
-    /// latency is unbounded and the model does not apply.
-    pub fn extra_cycles(&self, rho: f64) -> f64 {
-        assert!(
-            (0.0..1.0).contains(&rho),
-            "load fraction {rho} outside [0, 1): the queueing model only \
-             holds below saturation"
-        );
-        self.alpha_cycles * rho / (1.0 - rho)
-    }
-
-    /// Least-squares fit of `alpha_cycles` from `(rho, extra_cycles)`
-    /// samples measured on the cycle fabric: minimizes the squared error
-    /// of `extra = alpha * rho/(1-rho)` over the given points (a
-    /// one-parameter regression through the origin).
-    ///
-    /// # Panics
-    /// Panics if `points` is empty or any `rho` is outside `[0, 1)`.
-    pub fn fit(points: &[(f64, f64)]) -> ContentionModel {
-        assert!(!points.is_empty(), "fit needs at least one sample");
-        let (mut xy, mut xx) = (0.0, 0.0);
-        for &(rho, extra) in points {
-            assert!((0.0..1.0).contains(&rho), "sample rho {rho} out of range");
-            let x = rho / (1.0 - rho);
-            xy += x * extra;
-            xx += x * x;
-        }
-        ContentionModel {
-            alpha_cycles: if xx > 0.0 { xy / xx } else { 0.0 },
-        }
-    }
-}
-
 /// The best-case (minimum) 1-hop endpoint placement: a GC adjacent to the
 /// chip edge, aligned with its direction's CA row — the configuration
 /// behind the paper's 55 ns minimum (Figure 6).
@@ -331,25 +272,6 @@ mod tests {
         // effects are small compared to the 34 ns crossing.
         let diff = (full.total().as_ns() - plain.as_ns()).abs();
         assert!(diff < 3.0, "compression latency effect {diff} ns too large");
-    }
-
-    #[test]
-    fn contention_fit_recovers_exact_coefficient() {
-        let truth = ContentionModel { alpha_cycles: 37.5 };
-        let points: Vec<(f64, f64)> = [0.1, 0.3, 0.5, 0.7]
-            .iter()
-            .map(|&r| (r, truth.extra_cycles(r)))
-            .collect();
-        let fit = ContentionModel::fit(&points);
-        assert!((fit.alpha_cycles - truth.alpha_cycles).abs() < 1e-9);
-        assert_eq!(fit.extra_cycles(0.0), 0.0);
-        assert!(fit.extra_cycles(0.8) > fit.extra_cycles(0.4) * 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1)")]
-    fn contention_rejects_saturated_load() {
-        let _ = ContentionModel { alpha_cycles: 1.0 }.extra_cycles(1.0);
     }
 
     #[test]

@@ -234,6 +234,12 @@ impl RouteDecision {
 /// The per-hop routing function: maps a head flit at a router to the
 /// output port / outgoing VC / updated tag.
 ///
+/// The decision must name one of the router's ports and one of the
+/// fabric's VCs. Both steppers check it when they route a head and panic
+/// naming the router, the decision and the counts otherwise, in release
+/// builds too: an out-of-range VC would file the flit in another queue,
+/// and an out-of-range port would never be granted.
+///
 /// A route function must be a **pure** function of the flit and the
 /// router id. The epoch kernel routes a head once and keeps the
 /// decision until the head departs, while the reference stepper routes
@@ -2438,6 +2444,60 @@ mod tests {
         assert!(fabric.run_until_drained(100));
         let packets: Vec<u64> = fabric.delivered().iter().map(|(_, f)| f.packet).collect();
         assert_eq!(packets, [0]);
+    }
+
+    /// What stepping a 2-router, 2-VC `build_row` whose route function
+    /// is `decide` does to a one-flit packet from router 0 to router 1,
+    /// under `step_reference` or `step`: the panic message, or
+    /// `"no panic"` after 50 cycles.
+    fn misrouted_row(decide: fn(&Flit, usize) -> RouteDecision, reference: bool) -> String {
+        let mut fabric = build_row(2, 2, 1);
+        fabric.route = Box::new(decide);
+        fabric.inject(0, 0, flit(1, 0, 1, 1, 0)).unwrap();
+        let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for _ in 0..50 {
+                if reference {
+                    fabric.step_reference();
+                } else {
+                    fabric.step();
+                }
+            }
+        }));
+        match stepped {
+            Ok(()) => "no panic".to_string(),
+            Err(payload) => payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default(),
+        }
+    }
+
+    #[test]
+    fn a_route_to_a_vc_past_the_vc_count_is_refused() {
+        let vc2 = |f: &Flit, router: usize| RouteDecision {
+            port: if f.dest as usize == router { 2 } else { 1 },
+            vc: 2,
+            tag: f.tag,
+        };
+        for reference in [false, true] {
+            assert_eq!(
+                misrouted_row(vc2, reference),
+                "router 0 routed a head to port 1 VC 2, but it has 3 ports and 2 VCs",
+                "reference stepper: {reference}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_route_to_a_port_past_the_port_count_is_refused() {
+        let port3 = |f: &Flit, _: usize| RouteDecision::keep(3, f);
+        for reference in [false, true] {
+            assert_eq!(
+                misrouted_row(port3, reference),
+                "router 0 routed a head to port 3 VC 0, but it has 3 ports and 2 VCs",
+                "reference stepper: {reference}"
+            );
+        }
     }
 
     #[test]

@@ -247,6 +247,37 @@ impl CycleRouter {
         self.queued
     }
 
+    /// `route`'s decision for head flit `head` at this router, the one
+    /// place either stepper routes a head: the kernel calls it once per
+    /// head front, when it fills the front's memo, and [`Self::tick`]
+    /// and the reference stall classifier once per head per cycle.
+    ///
+    /// # Panics
+    /// Panics, in release builds too, if the decision names a port at or
+    /// past this router's port count or a VC at or past its VC count,
+    /// which would otherwise file the flit in another queue or leave it
+    /// waiting forever.
+    pub(super) fn route_head(&self, head: &Flit, route: &RouteFn) -> RouteDecision {
+        let d = route(head, self.id);
+        if d.port >= self.ports || usize::from(d.vc) >= self.vcs {
+            self.misrouted(d);
+        }
+        d
+    }
+
+    /// [`Self::route_head`]'s refusal, cold and out of line so the
+    /// arbitration walk that inlines `route_head` stays small: an inline
+    /// `assert!` with this message made perfbench's `overload_sharded`
+    /// 4–6% slower (median `wall_s`, 2-vCPU Xeon VM).
+    #[cold]
+    #[inline(never)]
+    fn misrouted(&self, d: RouteDecision) -> ! {
+        panic!(
+            "router {} routed a head to port {} VC {}, but it has {} ports and {} VCs",
+            self.id, d.port, d.vc, self.ports, self.vcs
+        )
+    }
+
     /// The target of occupied queue `i`'s front, memoized until the
     /// front pops: a head's route decision, or a body flit's owned
     /// output. `None` for a body front whose packet owns no output,
@@ -258,7 +289,7 @@ impl CycleRouter {
         let (p, v) = (i / self.vcs, (i % self.vcs) as u8);
         let (front, _) = self.front(p, v).expect("occupied queue has a front");
         let t = if front.is_head() {
-            let d = route(&front, self.id);
+            let d = self.route_head(&front, route);
             FrontTarget {
                 tag: d.tag,
                 out: d.port as u8,

@@ -183,7 +183,7 @@ impl RouterFabric {
                         continue;
                     }
                     let (out, out_vc) = if front.is_head() {
-                        let d = (self.route)(&front, r);
+                        let d = router.route_head(&front, &*self.route);
                         (d.port, d.vc)
                     } else {
                         match router.owner_output(p, v as u8) {
@@ -242,7 +242,7 @@ impl CycleRouter {
         for (q, decision) in decisions.iter_mut().enumerate() {
             if let Some((head, arrived)) = self.front(q / self.vcs, (q % self.vcs) as u8) {
                 if head.is_head() && arrived + self.pipeline <= cycle {
-                    let d = route(&head, self.id);
+                    let d = self.route_head(&head, route);
                     *decision = Some((d.port, d.vc, d.tag));
                 }
             }

@@ -43,9 +43,9 @@
 //! benchmark's traced run prices the event-driven core against.
 //!
 //! [`run_point`] is the thin synthetic-pattern wrapper (a
-//! [`SyntheticWorkload`] over one [`TrafficPattern`]); it preserves the
-//! draw-for-draw behavior the loaded-latency calibration constants were
-//! fitted against.
+//! [`SyntheticWorkload`] over one [`TrafficPattern`]); it keeps its
+//! draws draw for draw, and `tests/loaded_latency.rs` pins its loaded
+//! outputs exactly.
 //!
 //! Everything is deterministic under the configured seed: node streams
 //! are split from one root [`SplitMix64`], and the fabric itself is
@@ -214,42 +214,6 @@ impl SweepConfig {
     /// The default offered-load axis: dense enough to show the knee.
     pub fn default_loads() -> Vec<f64> {
         vec![0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-    }
-
-    /// The loaded-latency calibration workload: uniform random requests
-    /// (no responses) on the paper's 128-node 4×4×8 machine, with an
-    /// empty load axis for the caller to fill. Shared verbatim by
-    /// `sweep_traffic --calibrate` (which fits the analytic contention
-    /// constants from it) and the regression test that pins them, so
-    /// the fit and the check can never drift apart.
-    pub fn calibration_4x4x8() -> Self {
-        SweepConfig {
-            dims: [4, 4, 8],
-            flits_per_packet: 2,
-            warmup_cycles: 1_500,
-            measure_cycles: 3_000,
-            drain_cycles: 30_000,
-            seed: 0xCA11B,
-            loads: vec![],
-            respond: false,
-            shards: 1,
-            lookahead: None,
-        }
-    }
-
-    /// The machine-scale loaded-latency calibration workload: uniform
-    /// random requests on the 512-node 8x8x8 machine (the CI overload
-    /// shape), windows sized so the regression test that pins the
-    /// shipped `UNIFORM_8X8X8` constants stays affordable at cycle
-    /// level. Shared verbatim by `sweep_traffic --calibrate` and that
-    /// regression, exactly like [`Self::calibration_4x4x8`].
-    pub fn calibration_8x8x8() -> Self {
-        SweepConfig {
-            dims: [8, 8, 8],
-            warmup_cycles: 1_000,
-            measure_cycles: 2_000,
-            ..Self::calibration_4x4x8()
-        }
     }
 }
 
@@ -435,9 +399,8 @@ impl PatternCurve {
     }
 
     /// The saturation throughput of one traffic class (the request
-    /// value is what the offered axis and the loaded-latency
-    /// calibration are expressed against). Returns 0.0 for an empty
-    /// curve or a class the sweep never carried.
+    /// value is what the offered axis is expressed against). Returns
+    /// 0.0 for an empty curve or a class the sweep never carried.
     pub fn class_saturation_throughput(&self, class: TrafficClass) -> f64 {
         self.peak(|p| p.class_point(class).map_or(0.0, |c| c.delivered))
     }
@@ -978,8 +941,8 @@ fn class_point(
 
 /// Runs one workload at one offered load; `stream` decorrelates the RNG
 /// across points while staying reproducible from the config seed. This
-/// is the single driver behind every sweep, calibration, replay and
-/// drain harness; [`run_point`] wraps it for plain synthetic patterns.
+/// is the single driver behind every sweep, replay and drain harness;
+/// [`run_point`] wraps it for plain synthetic patterns.
 ///
 /// # Panics
 /// Panics with the [`ConfigError`]'s message, before building the

@@ -82,7 +82,9 @@ fn reduction_bands_match_figure_9a() {
     let inz_pct = inz_only.stats.reduction() * 100.0;
     let full_pct = full.stats.reduction() * 100.0;
     // Paper: 32-40% and 45-62%; our substrate sits in (or within ~2pp of)
-    // those bands — see EXPERIMENTS.md for the per-size table.
+    // those bands. The full `fig9_compression` run prints 38.4% and 62.9%
+    // at 8,000 atoms, 37.9% and 63.4% at 32,751, and 37.0% and 49.9% at
+    // 1,048,576.
     assert!((30.0..44.0).contains(&inz_pct), "INZ-only {inz_pct:.1}%");
     assert!(
         (45.0..66.0).contains(&full_pct),
