@@ -75,10 +75,14 @@
 //! - **one walk over the occupied queue fronts**: each router keeps a
 //!   bitset of its occupied input queues, the subset whose front is a
 //!   head, and a per-queue memo of each front's target (a head's route
-//!   decision, a body flit's owned output), filled once and cleared
-//!   when the front pops. Arbitration walks the head fronts that have
-//!   cleared the pipeline in ascending order, keeping per output the
-//!   head the round-robin scan would grant; with telemetry on, each
+//!   decision, a body flit's owned output), filled by the pop that
+//!   reveals the front — a body takes the output and VC of the flit
+//!   that just left — or else on first use, and cleared when the queue
+//!   empties. Arbitration walks the head fronts that have cleared the
+//!   pipeline in ascending order, keeping per output the head the
+//!   round-robin scan would grant, then departs, in ascending order,
+//!   only the outputs with a pick or an owner (a 64-bit mask each, so a
+//!   router has at most 64 ports); with telemetry on, each
 //!   router's departures are recorded right after it arbitrates, and
 //!   stall classification then walks each of its occupied fronts that
 //!   has cleared the pipeline through the same memo (one compare skips
@@ -2125,7 +2129,8 @@ mod tests {
             );
             router.accept(0, f, 7);
             assert_eq!(router.front(0, vc), Some((f, 7)));
-            assert_eq!(router.depart(0, 0, vc, vc, u16::MAX), f);
+            let route = |_: &Flit, _: usize| -> RouteDecision { unreachable!("no front follows") };
+            assert_eq!(router.depart(0, 0, vc, vc, u16::MAX, &route), f);
         }
         assert!(router.is_idle());
     }

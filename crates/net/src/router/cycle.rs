@@ -20,12 +20,26 @@ pub(super) struct OutputOwner {
 /// A queue front's resolved target: the output it waits on and the VC
 /// it takes there — a head's route decision (with the outgoing tag its
 /// departure carries), or a body flit's owned output.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct FrontTarget {
     tag: u16,
     out: u8,
     out_vc: u8,
 }
+
+impl From<RouteDecision> for FrontTarget {
+    fn from(d: RouteDecision) -> Self {
+        FrontTarget {
+            tag: d.tag,
+            out: d.port as u8,
+            out_vc: d.vc,
+        }
+    }
+}
+
+/// The most ports a [`CycleRouter`] has: one bit each in its
+/// owned-output mask and its arbiter's picked-output mask.
+const MAX_PORTS: usize = 64;
 
 /// An input-queued, credit-flow-controlled router stepped per cycle.
 #[derive(Clone)]
@@ -48,8 +62,10 @@ pub struct CycleRouter {
     /// Total flits across all input queues (kept incrementally so the
     /// kernel's per-cycle idle check is O(1)).
     pub(super) queued: usize,
-    /// Output ports currently owned by an in-flight packet.
-    owned: usize,
+    /// Bit `out` set while output `out` is owned by an in-flight packet:
+    /// the idle check reads it whole, and [`Self::arbitrate_into`]
+    /// departs only the outputs it or the picks name.
+    owned: u64,
     /// Flat per-queue cycle at which the current front flit clears the
     /// router pipeline (`u64::MAX` when the queue is empty).
     front_ready: Vec<u64>,
@@ -61,10 +77,12 @@ pub struct CycleRouter {
     /// arbitration walks. [`Self::accept`] and the pops keep both
     /// bitsets, so both steppers keep them.
     heads: Vec<u64>,
-    /// Per-queue memo of the front's target, filled on first use by
-    /// arbitration or stall classification and cleared when the front
-    /// pops: a head is routed once while it waits, and a body front
-    /// looks up its owned output once.
+    /// Per-queue memo of the front's target, filled by the pop that
+    /// reveals the front (a head's route, a body's output and VC from
+    /// the flit that just departed) or else on first use by
+    /// arbitration or stall classification, and cleared when the queue
+    /// empties: a head is routed once while it waits, and a body front
+    /// never searches the output owners.
     front_target: Vec<Option<FrontTarget>>,
     /// Each output's pick while [`Self::arbitrate_into`] runs, as a
     /// flat queue index; all `None` between calls.
@@ -74,13 +92,21 @@ pub struct CycleRouter {
 impl CycleRouter {
     /// Creates a router with `ports` input/output ports, `vcs` VCs and a
     /// `pipeline`-cycle traversal latency.
+    ///
+    /// # Panics
+    /// Panics if `ports` exceeds 64, the width of the owned- and
+    /// picked-output masks (every fabric here has at most 14), or if
+    /// `ports * vcs` exceeds the `u16` flat queue index of the picks.
     pub fn new(id: usize, ports: usize, vcs: usize, pipeline: u64) -> Self {
         let queues = ports * vcs;
+        assert!(
+            ports <= MAX_PORTS,
+            "a router has at most {MAX_PORTS} ports (one bit each in the output masks), not {ports}"
+        );
         assert!(
             queues <= u16::MAX as usize + 1,
             "flat (port, vc) index must fit the u16 picks"
         );
-        assert!(ports <= 256, "port index must fit the packed route memo");
         CycleRouter {
             id,
             store: FlitStore::new(queues),
@@ -180,43 +206,63 @@ impl CycleRouter {
     }
 
     /// Pops the front flit of input `(p, v)`, maintaining the queued
-    /// total, the front mirrors and memo, and the bitsets.
-    fn take_front(&mut self, p: usize, v: u8) -> Flit {
+    /// total, the front mirrors and the bitsets, and fills the memo of
+    /// the front the pop reveals: a head through [`Self::route_head`],
+    /// a body with `out` and `out_vc`, the output and VC its packet's
+    /// departing flit took (tag 0, as [`Self::target`] derives it from
+    /// the owner).
+    fn take_front(&mut self, p: usize, v: u8, out: usize, out_vc: u8, route: &RouteFn) -> Flit {
         let idx = p * self.vcs + v as usize;
         let flit = self.store.pop(idx).expect("front exists").on_vc(v);
         self.queued -= 1;
-        self.front_target[idx] = None;
         let (w, bit) = (idx / 64, 1 << (idx % 64));
-        match self.front(p, v) {
+        self.front_target[idx] = match self.front(p, v) {
             Some((next, arrived)) => {
                 self.front_ready[idx] = arrived + self.pipeline;
                 if next.is_head() {
                     self.heads[w] |= bit;
+                    Some(self.route_head(&next, route).into())
                 } else {
                     self.heads[w] &= !bit;
+                    Some(FrontTarget {
+                        tag: 0,
+                        out: out as u8,
+                        out_vc,
+                    })
                 }
             }
             None => {
                 self.front_ready[idx] = u64::MAX;
                 self.occupied[w] &= !bit;
                 self.heads[w] &= !bit;
+                None
             }
-        }
+        };
         flit
     }
 
     /// Completes one departure through `out`: pops the flit from input
-    /// `(p, v)`, applies the outgoing VC/tag, and updates the cut-through
-    /// ownership and round-robin pointer. Shared by the reference arbiter
-    /// ([`Self::tick`]) and the event-driven one
-    /// ([`Self::arbitrate_into`]) so the two cannot drift.
-    pub(super) fn depart(&mut self, out: usize, p: usize, v: u8, out_vc: u8, out_tag: u16) -> Flit {
-        let mut flit = self.take_front(p, v);
+    /// `(p, v)` (filling the revealed front's memo, `route` routing a
+    /// revealed head), applies the outgoing VC/tag, and updates the
+    /// cut-through ownership, its mask and the round-robin pointer.
+    /// Shared by the reference arbiter ([`Self::tick`]) and the
+    /// event-driven one ([`Self::arbitrate_into`]) so the two cannot
+    /// drift.
+    pub(super) fn depart(
+        &mut self,
+        out: usize,
+        p: usize,
+        v: u8,
+        out_vc: u8,
+        out_tag: u16,
+        route: &RouteFn,
+    ) -> Flit {
+        let mut flit = self.take_front(p, v, out, out_vc, route);
         flit.vc = out_vc;
         flit.tag = out_tag;
-        let was_owned = self.output_owner[out].is_some();
         if flit.is_tail() {
             self.output_owner[out] = None;
+            self.owned &= !(1 << out);
             self.rr[out] = (p * self.vcs + v as usize + 1) % (self.ports * self.vcs);
         } else {
             self.output_owner[out] = Some(OutputOwner {
@@ -226,11 +272,7 @@ impl CycleRouter {
                 out_vc,
                 out_tag,
             });
-        }
-        match (was_owned, flit.is_tail()) {
-            (false, false) => self.owned += 1,
-            (true, true) => self.owned -= 1,
-            _ => {}
+            self.owned |= 1 << out;
         }
         flit
     }
@@ -248,9 +290,10 @@ impl CycleRouter {
     }
 
     /// `route`'s decision for head flit `head` at this router, the one
-    /// place either stepper routes a head: the kernel calls it once per
-    /// head front, when it fills the front's memo, and [`Self::tick`]
-    /// and the reference stall classifier once per head per cycle.
+    /// place either stepper routes a head: a head front is routed once
+    /// when its memo fills, whichever stepper's pop reveals it, and
+    /// [`Self::tick`] and the reference stall classifier route each
+    /// head again every cycle.
     ///
     /// # Panics
     /// Panics, in release builds too, if the decision names a port at or
@@ -278,10 +321,11 @@ impl CycleRouter {
         )
     }
 
-    /// The target of occupied queue `i`'s front, memoized until the
-    /// front pops: a head's route decision, or a body flit's owned
-    /// output. `None` for a body front whose packet owns no output,
-    /// which the cut-through protocol rules out.
+    /// The target of occupied queue `i`'s front: the memo a pop filled,
+    /// or, for a front [`Self::accept`] put into an empty queue, a
+    /// head's route decision or a body flit's owned output, memoized
+    /// until the front pops. `None` for a body front whose packet owns
+    /// no output, which the cut-through protocol rules out.
     fn target(&mut self, i: usize, route: &RouteFn) -> Option<FrontTarget> {
         if let Some(t) = self.front_target[i] {
             return Some(t);
@@ -289,12 +333,7 @@ impl CycleRouter {
         let (p, v) = (i / self.vcs, (i % self.vcs) as u8);
         let (front, _) = self.front(p, v).expect("occupied queue has a front");
         let t = if front.is_head() {
-            let d = self.route_head(&front, route);
-            FrontTarget {
-                tag: d.tag,
-                out: d.port as u8,
-                out_vc: d.vc,
-            }
+            self.route_head(&front, route).into()
         } else {
             let (out, out_vc) = self.owner_output(p, v)?;
             FrontTarget {
@@ -320,10 +359,12 @@ impl CycleRouter {
     /// else the first one before it: the head `tick`'s rotated scan
     /// grants. Nothing a check reads changes while a router arbitrates,
     /// so asking the checks in walk order changes no grant. Departures
-    /// follow in ascending output order, an owner continuing its packet,
-    /// and none happens before every pick is made, so a front a pop
-    /// reveals waits a cycle, as in `tick`'s route snapshot. The
-    /// `stepper_equivalence` tests pin the two bit for bit.
+    /// follow in ascending output order, as `tick` makes them, over the
+    /// outputs with a pick or an owner only: an owner continues its
+    /// packet, and no other output can depart. None happens before
+    /// every pick is made, so a front a pop reveals waits a cycle, as
+    /// in `tick`'s route snapshot. The `stepper_equivalence` tests pin
+    /// the two bit for bit.
     pub(crate) fn arbitrate_into(
         &mut self,
         cycle: u64,
@@ -331,7 +372,7 @@ impl CycleRouter {
         mut downstream_ok: impl FnMut(usize, u8) -> bool,
         moves: &mut Vec<(usize, usize, usize, Flit)>,
     ) {
-        let mut picked = false;
+        let mut picked = 0u64;
         for w in 0..self.heads.len() {
             let mut bits = self.heads[w];
             while bits != 0 {
@@ -346,16 +387,18 @@ impl CycleRouter {
                 // A pick at or after the pointer is final, and so is one
                 // before it while the walk is still before it.
                 let settled = self.picks[out].is_some_and(|p| p as usize >= rr || i < rr);
-                if self.output_owner[out].is_none() && !settled && downstream_ok(out, t.out_vc) {
+                if self.owned & (1 << out) == 0 && !settled && downstream_ok(out, t.out_vc) {
                     self.picks[out] = Some(i as u16);
-                    picked = true;
+                    picked |= 1 << out;
                 }
             }
         }
-        if !picked && self.owned == 0 {
-            return;
-        }
-        for out in 0..self.ports {
+        // A departure changes only its own output's owner, so the mask
+        // taken now names every output that can depart.
+        let mut acting = picked | self.owned;
+        while acting != 0 {
+            let out = acting.trailing_zeros() as usize;
+            acting &= acting - 1;
             let depart = match self.output_owner[out] {
                 // Cut-through owners continue their own packet: sources
                 // must keep a packet's flits contiguous per (port, VC) —
@@ -378,7 +421,7 @@ impl CycleRouter {
                 }),
             };
             if let Some((p, v, out_vc, out_tag)) = depart {
-                let flit = self.depart(out, p, v, out_vc, out_tag);
+                let flit = self.depart(out, p, v, out_vc, out_tag, route);
                 moves.push((self.id, p * self.vcs + v as usize, out, flit));
             }
         }
@@ -399,9 +442,9 @@ impl CycleRouter {
     /// classifier's port × VC order), as `(output, outgoing VC)` — the
     /// per-front inputs of the epoch kernel's stall classification. A
     /// front still in the pipeline costs one compare and is not visited:
-    /// pipeline time is not a stall. Targets come from the memo
-    /// arbitration fills too, so a stalled front costs no slab read or
-    /// route call after its first cycle. A body front whose packet owns
+    /// pipeline time is not a stall. Targets come from the memo that
+    /// pops and arbitration fill, so a stalled front costs no slab read
+    /// or route call once it is filled. A body front whose packet owns
     /// no output is skipped, as [`RouterFabric`]'s reference classifier
     /// skips it.
     pub(crate) fn for_each_front_target(
@@ -423,5 +466,123 @@ impl CycleRouter {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::router::tests::flit;
+
+    /// Routes a head to the output its destination names, on VC 1, with
+    /// a tag of its destination plus 100.
+    fn to_dest(f: &Flit, _: usize) -> RouteDecision {
+        RouteDecision {
+            port: f.dest as usize,
+            vc: 1,
+            tag: f.dest as u16 + 100,
+        }
+    }
+
+    /// One cycle of [`CycleRouter::arbitrate_into`] with every output
+    /// free, as `(input queue, output, flit)`.
+    fn arbitrate(router: &mut CycleRouter, cycle: u64) -> Vec<(usize, usize, Flit)> {
+        let mut moves = Vec::new();
+        router.arbitrate_into(cycle, &to_dest, |_, _| true, &mut moves);
+        moves
+            .into_iter()
+            .map(|(_, q, out, f)| (q, out, f))
+            .collect()
+    }
+
+    #[test]
+    fn a_router_takes_64_ports_and_departs_through_the_last() {
+        let mut router = CycleRouter::new(0, MAX_PORTS, 1, 1);
+        router.accept(0, flit(1, 0, 2, 63, 0), 0);
+        router.accept(0, flit(1, 1, 2, 63, 0), 0);
+        let route = |f: &Flit, _: usize| RouteDecision::keep(f.dest as usize, f);
+        for cycle in 1..3 {
+            let mut moves = Vec::new();
+            router.arbitrate_into(cycle, &route, |_, _| true, &mut moves);
+            assert_eq!(moves.len(), 1, "cycle {cycle}");
+            assert_eq!(moves[0].2, 63, "cycle {cycle}");
+            assert_eq!(router.is_idle(), cycle == 2, "cycle {cycle}");
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "a router has at most 64 ports (one bit each in the output masks), not 65"
+    )]
+    fn a_65_port_router_is_refused() {
+        CycleRouter::new(0, MAX_PORTS + 1, 1, 1);
+    }
+
+    #[test]
+    fn an_owner_and_a_pick_depart_in_ascending_output_order() {
+        // Packet 1 (two flits, port 0) takes output 3 at cycle 1 and
+        // continues on it at cycle 2, when packet 2's head (port 1) is
+        // picked on output 1: the lower output departs first, in both
+        // arbiters, the order the fabric applies departures and lists
+        // trace hops in.
+        let mut router = CycleRouter::new(0, 4, 2, 1);
+        router.accept(0, flit(1, 0, 2, 3, 0), 0);
+        router.accept(0, flit(1, 1, 2, 3, 0), 0);
+        router.accept(1, flit(2, 0, 1, 1, 0), 1);
+        let mut reference = router.clone();
+        let mut sent = Vec::new();
+        for cycle in 0..3 {
+            let moves = arbitrate(&mut router, cycle);
+            assert_eq!(
+                moves,
+                reference.tick(cycle, &to_dest, |_, _| true),
+                "cycle {cycle}"
+            );
+            sent.push(moves);
+        }
+        let out = |packet: u64, index: u8, of: u8, dest: u32| Flit {
+            tag: dest as u16 + 100,
+            ..flit(packet, index, of, dest, 1)
+        };
+        assert_eq!(sent[1], vec![(0, 3, out(1, 0, 2, 3))]);
+        assert_eq!(
+            sent[2],
+            vec![(2, 1, out(2, 0, 1, 1)), (0, 3, out(1, 1, 2, 3))]
+        );
+        assert!(router.is_idle());
+    }
+
+    #[test]
+    fn a_pop_fills_the_revealed_fronts_memo() {
+        // Queue 0 holds packet 1's head and body, then packet 2's head.
+        let mut router = CycleRouter::new(0, 4, 2, 1);
+        router.accept(0, flit(1, 0, 2, 3, 0), 0);
+        router.accept(0, flit(1, 1, 2, 3, 0), 0);
+        router.accept(0, flit(2, 0, 1, 2, 0), 0);
+        assert_eq!(router.front_target[0], None, "nothing has popped yet");
+        // The body takes the output and VC its head departed on.
+        assert_eq!(arbitrate(&mut router, 1).len(), 1);
+        let body = FrontTarget {
+            tag: 0,
+            out: 3,
+            out_vc: 1,
+        };
+        assert_eq!(router.front_target[0], Some(body));
+        // The next head is routed as its own packet.
+        assert_eq!(arbitrate(&mut router, 2).len(), 1);
+        let head = router.route_head(&flit(2, 0, 1, 2, 0), &to_dest).into();
+        assert_eq!(router.front_target[0], Some(head));
+        assert_eq!(
+            head,
+            FrontTarget {
+                tag: 102,
+                out: 2,
+                out_vc: 1,
+            }
+        );
+        // The last pop empties the queue and clears the memo.
+        assert_eq!(arbitrate(&mut router, 3).len(), 1);
+        assert_eq!(router.front_target[0], None);
+        assert!(router.is_idle());
     }
 }

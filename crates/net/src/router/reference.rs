@@ -281,7 +281,7 @@ impl CycleRouter {
                 }
             };
             if let Some((p, v, out_vc, out_tag)) = depart {
-                let flit = self.depart(out, p, v, out_vc, out_tag);
+                let flit = self.depart(out, p, v, out_vc, out_tag, route);
                 sent.push((p * self.vcs + v as usize, out, flit));
             }
         }

@@ -25,13 +25,13 @@ const _: () = assert!(std::mem::size_of::<(PackedFlit, u64)>() == 32);
 /// # Layout
 ///
 /// Queues are indexed flat (`port * vcs + vc`, the round-robin rank and
-/// the bit of the router's occupied-queue bitsets). Queue `q` is a ring
-/// of `alloc[q]` allocated entries occupying slots
-/// `slots[off[q] .. off[q] + alloc[q]]` (rings never interleave). The
-/// ring cursors — `head[q]`, `len[q]`, `cap[q]`, `alloc[q]` — are
-/// themselves dense parallel arrays, so the hot per-queue questions a
-/// saturated fabric asks thousands of times per cycle (front lookup,
-/// occupancy for credit checks) walk small contiguous memory instead
+/// the bit of the router's occupied-queue bitsets). Each queue's ring
+/// cursors — `off`, `head`, `len`, `cap`, `alloc` — form one 12-byte
+/// record in one dense `Vec`, and queue `q` is a ring of its `alloc`
+/// entries at `slots[off .. off + alloc]` (rings never interleave). A
+/// push or a pop, and the hot per-queue questions a saturated fabric
+/// asks thousands of times per cycle (front lookup, occupancy for
+/// credit checks), touch one small record in contiguous memory instead
 /// of chasing per-queue heap blocks. A slot is 32 bytes: the flit
 /// without its VC, which is the queue's own (the [`CycleRouter`] puts
 /// it back when it reads or pops the flit), next to its arrival cycle,
@@ -41,8 +41,8 @@ const _: () = assert!(std::mem::size_of::<(PackedFlit, u64)>() == 32);
 ///
 /// # Capacity versus allocation
 ///
-/// `cap[q]` is the queue's **credit window** — the flow-control
-/// behavior, untouched by anything below. `alloc[q] <= cap[q]` is how
+/// A queue's `cap` is its **credit window** — the flow-control
+/// behavior, untouched by anything below. Its `alloc <= cap` is how
 /// many slots are physically allocated, grown geometrically on demand
 /// by the (private) `push`. A fresh store allocates **nothing**: a
 /// 32³ fabric has ~2.3 M input queues whose deep bandwidth-delay-product
@@ -64,35 +64,48 @@ pub struct FlitStore {
     /// The slab: per-queue rings at their individual offsets, each
     /// slot a flit and its arrival cycle.
     slots: Vec<(PackedFlit, u64)>,
-    /// Start of each queue's ring within `slots`.
-    off: Vec<u32>,
-    /// Ring read cursor per queue.
-    head: Vec<u16>,
-    /// Occupancy per queue.
-    len: Vec<u16>,
-    /// Credit window per queue (flow control; may exceed `alloc`).
-    cap: Vec<u16>,
-    /// Allocated ring slots per queue (`len <= alloc <= cap`).
-    alloc: Vec<u16>,
+    /// Each queue's ring cursors.
+    rings: Vec<Ring>,
 }
+
+/// One queue's ring cursors within its [`FlitStore`]'s slab.
+#[derive(Clone, Copy, Debug)]
+struct Ring {
+    /// Start of the ring within the slab.
+    off: u32,
+    /// Read cursor, relative to `off`.
+    head: u16,
+    /// Occupancy.
+    len: u16,
+    /// Credit window (flow control; may exceed `alloc`).
+    cap: u16,
+    /// Allocated ring slots (`len <= alloc <= cap`).
+    alloc: u16,
+}
+
+// A 32³ fabric has ~2.3 M queues; keep a record small.
+const _: () = assert!(std::mem::size_of::<Ring>() == 12);
 
 impl FlitStore {
     /// A store of `queues` rings with an 8-flit credit window and no
     /// slots allocated yet.
     pub(super) fn new(queues: usize) -> Self {
+        let ring = Ring {
+            off: 0,
+            head: 0,
+            len: 0,
+            cap: INPUT_QUEUE_FLITS as u16,
+            alloc: 0,
+        };
         FlitStore {
             slots: Vec::new(),
-            off: vec![0; queues],
-            head: vec![0; queues],
-            len: vec![0; queues],
-            cap: vec![INPUT_QUEUE_FLITS as u16; queues],
-            alloc: vec![0; queues],
+            rings: vec![ring; queues],
         }
     }
 
     /// Number of queues in the store.
     pub(super) fn queues(&self) -> usize {
-        self.cap.len()
+        self.rings.len()
     }
 
     /// Sets queue `q`'s credit window to `cap` slots. Allocation is
@@ -104,12 +117,13 @@ impl FlitStore {
     /// the capacity exceeds the `u16` ring cursors.
     pub(super) fn set_cap(&mut self, q: usize, cap: usize) {
         assert!(cap <= u16::MAX as usize, "queue depth must fit u16");
-        assert!(self.len[q] as usize <= cap, "cannot shrink below occupancy");
-        self.cap[q] = cap as u16;
-        if self.alloc[q] > self.cap[q] {
+        let ring = &mut self.rings[q];
+        assert!(ring.len as usize <= cap, "cannot shrink below occupancy");
+        ring.cap = cap as u16;
+        if ring.alloc > ring.cap {
             // Occupancy fits the new window (asserted above); re-pack the
             // ring into a smaller allocation so `alloc <= cap` holds.
-            self.grow(q, cap.max(self.len[q] as usize));
+            self.grow(q, cap);
         }
     }
 
@@ -118,107 +132,100 @@ impl FlitStore {
     /// called only when a push meets a full allocation (amortized by
     /// doubling) or a credit window shrinks at setup time.
     fn grow(&mut self, q: usize, alloc: usize) {
+        // The slab holds exactly every ring's allocation.
         let mut slots = Vec::new();
-        let total: usize = (0..self.queues())
-            .map(|i| {
-                if i == q {
-                    alloc
-                } else {
-                    self.alloc[i] as usize
-                }
-            })
-            .sum();
-        slots.resize(total, (NULL_FLIT, 0));
+        slots.resize(
+            self.slots.len() - self.rings[q].alloc as usize + alloc,
+            (NULL_FLIT, 0),
+        );
         let mut off = 0usize;
-        for i in 0..self.queues() {
-            let new_alloc = if i == q {
-                alloc
-            } else {
-                self.alloc[i] as usize
-            };
-            for k in 0..self.len[i] as usize {
-                let from = (self.head[i] as usize + k) % self.alloc[i] as usize;
-                slots[off + k] = self.slots[self.off[i] as usize + from];
+        for (i, ring) in self.rings.iter_mut().enumerate() {
+            for k in 0..ring.len as usize {
+                let from = (ring.head as usize + k) % ring.alloc as usize;
+                slots[off + k] = self.slots[ring.off as usize + from];
             }
-            self.off[i] = off as u32;
-            self.head[i] = 0;
-            self.alloc[i] = new_alloc as u16;
-            off += new_alloc;
+            if i == q {
+                ring.alloc = alloc as u16;
+            }
+            ring.off = off as u32;
+            ring.head = 0;
+            off += ring.alloc as usize;
         }
+        debug_assert_eq!(off, slots.len(), "a ring allocation outside the slab");
         self.slots = slots;
     }
 
     /// Capacity of queue `q` (its credit window).
     #[inline]
     pub(super) fn capacity(&self, q: usize) -> usize {
-        self.cap[q] as usize
+        self.rings[q].cap as usize
     }
 
     /// Occupancy of queue `q` in flits.
     #[inline]
     pub(super) fn len(&self, q: usize) -> usize {
-        self.len[q] as usize
+        self.rings[q].len as usize
     }
 
     /// Whether queue `q` is empty.
     #[inline]
     pub(super) fn is_empty(&self, q: usize) -> bool {
-        self.len[q] == 0
+        self.rings[q].len == 0
     }
 
     /// Free flit slots on queue `q` (credits not yet consumed).
     #[inline]
     pub(super) fn free_slots(&self, q: usize) -> usize {
-        (self.cap[q] - self.len[q]) as usize
+        let ring = &self.rings[q];
+        (ring.cap - ring.len) as usize
     }
 
     /// The front entry of queue `q`, as `(flit, arrival cycle)`.
     #[inline]
     pub(super) fn front(&self, q: usize) -> Option<(PackedFlit, u64)> {
-        if self.len[q] == 0 {
+        let ring = &self.rings[q];
+        if ring.len == 0 {
             return None;
         }
-        Some(self.slots[self.off[q] as usize + self.head[q] as usize])
+        Some(self.slots[ring.off as usize + ring.head as usize])
     }
 
     /// Appends a flit to queue `q`, growing its ring if the allocation
     /// is exhausted (never beyond the credit window).
     #[inline]
     pub(super) fn push(&mut self, q: usize, f: PackedFlit, cycle: u64) {
-        debug_assert!(self.len[q] < self.cap[q], "flit accepted without a credit");
-        if self.len[q] == self.alloc[q] {
-            let grown = (self.alloc[q] as usize * 2)
+        let ring = self.rings[q];
+        debug_assert!(ring.len < ring.cap, "flit accepted without a credit");
+        if ring.len == ring.alloc {
+            let grown = (ring.alloc as usize * 2)
                 .max(INPUT_QUEUE_FLITS)
-                .min(self.cap[q] as usize);
+                .min(ring.cap as usize);
             self.grow(q, grown);
         }
-        let at = (self.head[q] + self.len[q]) % self.alloc[q];
-        self.slots[self.off[q] as usize + at as usize] = (f, cycle);
-        self.len[q] += 1;
+        let ring = &mut self.rings[q];
+        let at = (ring.head + ring.len) % ring.alloc;
+        self.slots[ring.off as usize + at as usize] = (f, cycle);
+        ring.len += 1;
     }
 
     /// Pops the front flit of queue `q`.
     #[inline]
     pub(super) fn pop(&mut self, q: usize) -> Option<PackedFlit> {
-        if self.len[q] == 0 {
+        let ring = &mut self.rings[q];
+        if ring.len == 0 {
             return None;
         }
-        let f = self.slots[self.off[q] as usize + self.head[q] as usize].0;
-        self.head[q] = (self.head[q] + 1) % self.alloc[q];
-        self.len[q] -= 1;
+        let f = self.slots[ring.off as usize + ring.head as usize].0;
+        ring.head = (ring.head + 1) % ring.alloc;
+        ring.len -= 1;
         Some(f)
     }
 
     /// Heap bytes behind the store, as `(flit slab, ring cursors)`.
     pub(super) fn memory_bytes(&self) -> (usize, usize) {
-        let slab = self.slots.capacity() * std::mem::size_of::<(PackedFlit, u64)>();
-        let cursors = self.off.capacity() * std::mem::size_of::<u32>()
-            + (self.head.capacity()
-                + self.len.capacity()
-                + self.cap.capacity()
-                + self.alloc.capacity())
-                * std::mem::size_of::<u16>();
-        (slab, cursors)
+        use std::mem::size_of;
+        let slab = self.slots.capacity() * size_of::<(PackedFlit, u64)>();
+        (slab, self.rings.capacity() * size_of::<Ring>())
     }
 }
 

@@ -1573,6 +1573,30 @@ mod tests {
         run_scenario(&MissingSlice, &small_cfg(), params(), 0.2, 1);
     }
 
+    /// Nine-flit requests to the next node: one flit more than an
+    /// injection queue holds, from a configuration that validates.
+    struct NineFlitRequests;
+
+    impl Workload for NineFlitRequests {
+        fn next_packets(
+            &self,
+            torus: &Torus,
+            src: NodeId,
+            _: u64,
+            _: &mut SplitMix64,
+            out: &mut Vec<PacketSpec>,
+        ) {
+            let dst = NodeId(((src.index() + 1) % torus.node_count()) as u16);
+            out.push(PacketSpec::request(src, dst, 0, 9));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a 9-flit packet can never fit the 8-flit injection queue")]
+    fn a_packet_too_large_to_inject_panics_in_run_scenario() {
+        run_scenario(&NineFlitRequests, &small_cfg(), params(), 0.2, 1);
+    }
+
     #[test]
     fn validate_names_each_bad_field() {
         let ok = small_cfg();
