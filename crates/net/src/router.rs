@@ -12,7 +12,7 @@
 //!   accounting;
 //! - `router/cycle.rs`: [`CycleRouter`] — input-queued router: route
 //!   computation, round-robin output arbitration across (port, VC),
-//!   cut-through forwarding, and the occupied-front walk the kernel
+//!   cut-through forwarding, and the ready-front walk the kernel
 //!   arbitrates and classifies stalls with;
 //! - `router/shard.rs`: the lookahead-epoch kernel every production step
 //!   runs, and its worker pool, home of the crate's one `unsafe` block;
@@ -42,8 +42,8 @@
 //! `router/shard.rs`: inline on the calling thread at one shard, with
 //! pool workers for the other regions after [`RouterFabric::set_shards`].
 //! Even saturated fabrics keep most (port, VC) pairs empty, so the
-//! kernel walks each router's occupied queues rather than every pair;
-//! the routers themselves it scans:
+//! kernel walks each router's ready queue fronts rather than every
+//! pair; the routers themselves it scans:
 //!
 //! - an **index-order scan**: each private cycle arbitrates a shard's
 //!   routers in ascending index order, skipping a router with no work
@@ -72,24 +72,30 @@
 //!   target of each ready head front it walks, and stall classification
 //!   asks the same check — the counts cannot change while a cycle
 //!   arbitrates, so no snapshot or probe table is needed;
-//! - **one walk over the occupied queue fronts**: each router keeps a
-//!   bitset of its occupied input queues, the subset whose front is a
-//!   head, and a per-queue memo of each front's target (a head's route
-//!   decision, a body flit's owned output), filled by the pop that
-//!   reveals the front — a body takes the output and VC of the flit
-//!   that just left — or else on first use, and cleared when the queue
-//!   empties. Arbitration walks the head fronts that have cleared the
-//!   pipeline in ascending order, keeping per output the head the
+//! - **one walk over the ready queue fronts**: each router keeps, in
+//!   one `u64` table, a bitset of the input queues whose front is a
+//!   head, a bitset of those whose front has cleared the pipeline, and
+//!   a pipeline-maturity wheel of `pipeline + 1` bitsets: a front that
+//!   lands in an empty queue, or that a pop reveals, is marked ready at
+//!   once if it has cleared the pipeline, else filed once in the slot
+//!   of the cycle it clears, and each router visit merges the slots up
+//!   to its cycle into the ready set. A per-queue memo of each front's
+//!   target (a head's route decision, a body flit's owned output) is
+//!   filled by the pop that reveals the front — a body takes the output
+//!   and VC of the flit that just left — or else on first use, and
+//!   cleared when the queue empties. Arbitration walks the ready head
+//!   fronts in ascending order, keeping per output the head the
 //!   round-robin scan would grant, then departs, in ascending order,
-//!   only the outputs with a pick or an owner (a 64-bit mask each, so a
-//!   router has at most 64 ports); with telemetry on, each
+//!   only the outputs with a pick or an owner whose front is ready (a
+//!   64-bit mask each, so a router has at most 64 ports), and returns
+//!   the mask of the outputs that departed; with telemetry on, each
 //!   router's departures are recorded right after it arbitrates, and
-//!   stall classification then walks each of its occupied fronts that
-//!   has cleared the pipeline through the same memo (one compare skips
-//!   a front still in it: pipeline time is not a stall), in the same
-//!   pass over the routers. Each shard writes its own links' advances
-//!   and stalls straight into the telemetry counters, so nothing is
-//!   buffered or replayed;
+//!   stall classification then walks its ready fronts through the same
+//!   memo (a front still in the pipeline is on the wheel, not walked:
+//!   pipeline time is not a stall), reading "this output advanced" from
+//!   that mask, in the same pass over the routers. Each shard writes
+//!   its own links' advances and stalls straight into the telemetry
+//!   counters, so nothing is buffered or replayed;
 //! - **allocation-free hot path**: the per-cycle buffers (picks,
 //!   departures) persist across cycles, so a steady-state step
 //!   allocates nothing but, at more than one shard, each epoch's short
@@ -2110,8 +2116,10 @@ mod tests {
     #[test]
     fn extreme_flits_survive_queue_slots_and_bookings_bit_for_bit() {
         // Both drop the VC — the queue's or the booking's own — and must
-        // restore it, on every VC a router can have.
-        let mut router = CycleRouter::new(0, 1, 256, 1);
+        // restore it, on every VC a router can have. A zero-cycle
+        // pipeline makes each front ready as it lands, so it can depart
+        // at its arrival cycle.
+        let mut router = CycleRouter::new(0, 1, 256, 0);
         for vc in 0..=u8::MAX {
             let f = Flit {
                 packet: u64::MAX,
@@ -2592,6 +2600,59 @@ mod tests {
                 }
             }
             assert_eq!(sharded.occupancy(), 0, "burst must drain");
+        }
+    }
+
+    #[test]
+    fn a_head_behind_an_owners_continuation_lost_arbitration_not_credit() {
+        // One router with an 8-cycle pipeline: output 1 loops back into
+        // its own input 1, whose VC 1 holds one flit, and output 2
+        // ejects; a flit's first hop loops, its second ejects. At cycle
+        // 8 packet 10 takes VC 1's only credit on output 1 and lands in
+        // the loop queue until it ejects at 16, so packet 11's head,
+        // behind it on VC 1, waits on output 1 with no credit from 8 to
+        // 16. Packet 1 streams through output 1 on VC 0 from 9 to 12:
+        // its head is a pick, its body an owner's continuation. Output 1
+        // advanced on cycles 8 to 12, so packet 11 lost arbitration
+        // then, whatever its credit, and was credit-starved from 13 to
+        // 16.
+        for reference in [false, true] {
+            let mut router = CycleRouter::new(0, 3, 2, 8);
+            // Input 1's VC 1, flat queue `1 * vcs + 1`.
+            router.store.set_cap(3, 1);
+            let wiring = vec![vec![
+                PortLink::Unused,
+                PortLink::Router { router: 0, port: 1 },
+                PortLink::Endpoint(0),
+            ]];
+            let route = Box::new(|f: &Flit, _: usize| RouteDecision {
+                port: 1 + usize::from(f.tag),
+                vc: f.vc,
+                tag: 1,
+            });
+            let mut f = RouterFabric::new(vec![router], wiring, route);
+            f.enable_telemetry(TelemetryConfig::default());
+            for cycle in 0..30 {
+                let sent: &[Flit] = match cycle {
+                    0 => &[flit(10, 0, 1, 0, 1), flit(11, 0, 1, 0, 1)],
+                    1 => &[0, 1, 2, 3].map(|i| flit(1, i, 4, 0, 0)),
+                    _ => &[],
+                };
+                for &flit in sent {
+                    f.inject(0, 0, flit).unwrap();
+                }
+                if reference {
+                    f.step_reference();
+                } else {
+                    f.step();
+                }
+            }
+            let tel = f.telemetry().expect("telemetry on");
+            let count = |cause| tel.stall_count(0, 1, 1, cause);
+            let at = format!("reference={reference}");
+            assert_eq!(count(StallCause::LostArbitration), 5, "{at}");
+            assert_eq!(count(StallCause::CreditStarved), 4, "{at}");
+            assert_eq!(f.delivered().len(), 6, "{at}");
         }
     }
 

@@ -228,6 +228,9 @@ impl CycleRouter {
         route: &RouteFn,
         mut downstream_ok: impl FnMut(usize, u8) -> bool,
     ) -> Vec<(usize, usize, Flit)> {
+        // Brings the kernel's ready set up to `cycle`, as each pop below
+        // files the front it reveals against it.
+        self.merge(cycle);
         let ports = self.ports;
         let mut sent = Vec::new();
         if self.is_idle() {

@@ -506,8 +506,9 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
         // advances (and traced head hops) and classifies each occupied
         // front that has cleared the pipeline into the shard's own
         // counters — the epoch mirror of `telemetry_record`, with
-        // targets from the memo arbitration shares. Classification
-        // reads only the router's own links' advance stamps, timers and
+        // targets from the memo arbitration shares and "this output
+        // advanced" from the outputs arbitration departed.
+        // Classification reads only the router's own links' timers and
         // credits, which no other router's arbitration writes:
         // departures apply after the pass.
         let mut busy = false;
@@ -522,7 +523,7 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
             let free = |out: usize| next_free[first + out] <= cycle;
             let has_credit = |out: usize, vc: u8| credits[(first + out) * vcs + vc as usize] > 0;
             let from = scratch.moves.len();
-            router.arbitrate_into(
+            let departed = router.arbitrate_into(
                 cycle,
                 inp.route,
                 |out, vc| free(out) && has_credit(out, vc),
@@ -539,11 +540,10 @@ fn run_window(inp: &EpochInputs<'_>, rows: &mut ShardRows<'_>) {
                     scratch.trace.push(TraceEvent::hop(cycle, r, out, flit));
                 }
             }
-            router.for_each_front_target(cycle, inp.route, |out, out_vc| {
+            router.for_each_front_target(inp.route, |out, out_vc| {
                 let link = l0 + first + out;
-                let cause = StallCause::of(rec.advanced_on(cycle, link), !free(out), || {
-                    !has_credit(out, out_vc)
-                });
+                let advanced = departed & (1 << out) != 0;
+                let cause = StallCause::of(advanced, !free(out), || !has_credit(out, out_vc));
                 rec.stall(cycle, link, out_vc, cause);
             });
         }

@@ -25,7 +25,7 @@ const _: () = assert!(std::mem::size_of::<(PackedFlit, u64)>() == 32);
 /// # Layout
 ///
 /// Queues are indexed flat (`port * vcs + vc`, the round-robin rank and
-/// the bit of the router's occupied-queue bitsets). Each queue's ring
+/// the bit of the router's front bitsets). Each queue's ring
 /// cursors — `off`, `head`, `len`, `cap`, `alloc` — form one 12-byte
 /// record in one dense `Vec`, and queue `q` is a ring of its `alloc`
 /// entries at `slots[off .. off + alloc]` (rings never interleave). A
