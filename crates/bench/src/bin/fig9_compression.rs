@@ -8,7 +8,7 @@
 //! Pass `--quick` for a reduced sweep (CI-sized), `--json` for JSON rows.
 
 use anton_bench::outln;
-use anton_machine::experiments;
+use anton_machine::experiments::{self, Fig9Row};
 
 fn main() {
     let args = anton_bench::Args::from_env(anton_bench::Reads::JsonAndQuick);
@@ -46,7 +46,15 @@ fn main() {
         );
     }
     outln!();
-    anton_bench::compare("INZ-only reduction", "32-40%", "see column 2");
-    anton_bench::compare("INZ+pcache reduction", "45-62%, falling", "see column 3");
-    anton_bench::compare("application speedup", "1.18-1.62x", "see column 4");
+    // Each measured value at the smallest and at the largest system.
+    let span = |value: fn(&Fig9Row) -> f64, digits: usize, unit: &str| {
+        let (a, z) = (value(&rows[0]), value(&rows[rows.len() - 1]));
+        format!("{a:.digits$}{unit} → {z:.digits$}{unit}")
+    };
+    let inz = span(|r| r.inz_reduction_pct, 1, "%");
+    let full = span(|r| r.full_reduction_pct, 1, "%");
+    let speedup = span(|r| r.app_speedup, 2, "x");
+    anton_bench::compare("INZ-only reduction", "32-40%", &inz);
+    anton_bench::compare("INZ+pcache reduction", "45-62%, falling", &full);
+    anton_bench::compare("application speedup", "1.18-1.62x", &speedup);
 }

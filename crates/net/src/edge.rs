@@ -117,7 +117,7 @@ pub fn build_edge_network() -> RouterFabric {
         };
         RouteDecision::keep(port, f)
     });
-    RouterFabric::new(routers, wiring, route)
+    <RouterFabric>::new(routers, wiring, route)
 }
 
 /// Measures the unloaded flit latency (in cycles) from an injection at

@@ -69,13 +69,13 @@
 
 use crate::channel::{ByteKind, LinkStats};
 use crate::router::{
-    CycleRouter, Endpoint, Flit, InjectError, InjectPort, LinkSpec, MemoryBreakdown, PortLink,
-    RouteDecision, RouterFabric, ShardError,
+    CycleRouter, Flit, InjectError, InjectPort, LinkSpec, MemoryBreakdown, PortLink, RouteDecision,
+    RouterFabric,
 };
 use crate::routing::{self, RoutePlan, RESPONSE_VC};
 use crate::telemetry::{
-    ClassStallSummary, LinkEpochSeries, LinkSummary, StallBreakdown, Telemetry, TelemetryConfig,
-    TelemetrySummary, TELEMETRY_SCHEMA_VERSION,
+    ClassStallSummary, LinkEpochSeries, LinkSummary, StallBreakdown, TelemetrySummary,
+    TELEMETRY_SCHEMA_VERSION,
 };
 use crate::{chip::ChipLoc, path};
 use anton_model::asic::{self, EDGE_VCS, FLIT_BITS, LANES_PER_SLICE, SLICES_PER_NEIGHBOR};
@@ -423,12 +423,24 @@ impl Default for FabricParams {
 /// router per node, two latency-calibrated slice links per neighbor
 /// direction, and the oblivious request / mesh response routing of
 /// [`crate::routing`] evaluated hop by hop.
-pub struct TorusFabric {
+///
+/// It is a [`RouterFabric`] built for a torus, so every fabric method
+/// ([`RouterFabric::step`], [`RouterFabric::step_endpoints`],
+/// [`RouterFabric::set_shards`], [`RouterFabric::run_until_drained`],
+/// [`RouterFabric::telemetry`], ...) applies to it directly; router `r`
+/// is node `NodeId(r)`. Calibrated torus links are at least one cycle
+/// long, so a drained torus fabric accepts any shard count up to its
+/// node count. Traffic enters as whole packets ([`Self::inject`], or
+/// [`inject_packet`] from an endpoint), never as raw flits.
+pub type TorusFabric = RouterFabric<TorusLayout>;
+
+/// What a [`TorusFabric`] adds to its routers and links: the machine
+/// shape, the calibrated cycle parameters, and the size of the shared
+/// separable route tables (captured at construction; the tables are
+/// owned by the route closure).
+pub struct TorusLayout {
     torus: Torus,
     params: FabricParams,
-    fabric: RouterFabric,
-    /// Heap bytes behind the shared separable route tables (captured at
-    /// construction; the tables are owned by the route closure).
     route_table_bytes: usize,
 }
 
@@ -469,10 +481,14 @@ impl TorusFabric {
         // hot path. The direct computation survives as the test oracle
         // ([`torus_route`]).
         let tables = RouteTables::build(&torus);
-        let route_table_bytes = tables.memory_bytes();
+        let layout = TorusLayout {
+            torus,
+            params,
+            route_table_bytes: tables.memory_bytes(),
+        };
         let route: Box<crate::router::RouteFn> =
             Box::new(move |f: &Flit, router: usize| torus_route_tab(&tables, f, router));
-        let mut fabric = RouterFabric::new(routers, wiring, route);
+        let mut fabric = RouterFabric::with_topology(routers, wiring, route, layout);
         // Per-link flit counters split by the packet's wire-byte kind
         // (carried in the tag), feeding the typed `link_stats` below.
         // This runs once per flit per link entry — the innermost hot
@@ -505,12 +521,7 @@ impl TorusFabric {
                 }
             }
         }
-        TorusFabric {
-            torus,
-            params,
-            fabric,
-            route_table_bytes,
-        }
+        fabric
     }
 
     /// The audited memory footprint of this fabric: the router-layer
@@ -520,13 +531,14 @@ impl TorusFabric {
     /// --mega-smoke` prints it; the README Performance section documents
     /// the budget).
     pub fn memory_report(&self) -> FabricMemoryReport {
-        let breakdown = self.fabric.memory_breakdown();
-        let total = breakdown.total() + self.route_table_bytes;
-        let nodes = self.torus.node_count();
+        let breakdown = self.memory_breakdown();
+        let route_table_bytes = self.topology.route_table_bytes;
+        let total = breakdown.total() + route_table_bytes;
+        let nodes = self.torus().node_count();
         FabricMemoryReport {
             nodes,
             breakdown,
-            route_table_bytes: self.route_table_bytes,
+            route_table_bytes,
             total_bytes: total,
             bytes_per_router: total / nodes.max(1),
         }
@@ -534,136 +546,12 @@ impl TorusFabric {
 
     /// The machine shape.
     pub fn torus(&self) -> &Torus {
-        &self.torus
+        &self.topology.torus
     }
 
     /// The calibrated cycle parameters.
     pub fn params(&self) -> &FabricParams {
-        &self.params
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.fabric.cycle()
-    }
-
-    /// Flits delivered so far, with delivery cycles.
-    pub fn delivered(&self) -> &[(u64, Flit)] {
-        self.fabric.delivered()
-    }
-
-    /// Drains the delivery log (sweeps consume it window by window).
-    pub fn take_delivered(&mut self) -> Vec<(u64, Flit)> {
-        self.fabric.take_delivered()
-    }
-
-    /// Flits resident in queues and links.
-    pub fn occupancy(&self) -> usize {
-        self.fabric.occupancy()
-    }
-
-    /// Advances one cycle (a one-cycle epoch of the event-driven kernel:
-    /// only routers with work are visited; see
-    /// [`crate::router::RouterFabric::step`]).
-    pub fn step(&mut self) {
-        self.fabric.step();
-    }
-
-    /// The number of contiguous router regions [`Self::step`] advances
-    /// in parallel (see [`crate::router::RouterFabric::shards`]).
-    pub fn shards(&self) -> usize {
-        self.fabric.shards()
-    }
-
-    /// Re-partitions stepping across `shards` parallel regions; results
-    /// stay bit-identical to [`Self::step_reference`] at every count.
-    /// Calibrated torus links are always at least one cycle long, so any
-    /// drained torus fabric accepts any count up to its router total
-    /// (see [`crate::router::RouterFabric::set_shards`]).
-    ///
-    /// # Errors
-    /// See [`ShardError`].
-    pub fn set_shards(&mut self, shards: usize) -> Result<(), ShardError> {
-        self.fabric.set_shards(shards)
-    }
-
-    /// Like [`Self::set_shards`], with an explicit cap on the lookahead
-    /// epoch window (`None` = structural: the minimum positive link
-    /// latency, ~the calibrated link flight time; `Some(1)` = one-cycle
-    /// epochs). Results are bit-identical at every `(shards, window)`
-    /// pair (see [`crate::router::RouterFabric::set_shards_with_lookahead`]).
-    ///
-    /// # Errors
-    /// See [`ShardError`].
-    pub fn set_shards_with_lookahead(
-        &mut self,
-        shards: usize,
-        lookahead: Option<u64>,
-    ) -> Result<(), ShardError> {
-        self.fabric.set_shards_with_lookahead(shards, lookahead)
-    }
-
-    /// Synchronization operations (pool launches + barrier crossings);
-    /// 0 at one shard (see [`crate::router::RouterFabric::sync_ops`]).
-    pub fn sync_ops(&self) -> u64 {
-        self.fabric.sync_ops()
-    }
-
-    /// Lookahead epochs executed, at any shard count (see
-    /// [`crate::router::RouterFabric::epochs`]).
-    pub fn epochs(&self) -> u64 {
-        self.fabric.epochs()
-    }
-
-    /// Simulated cycles advanced by the epoch kernel (see
-    /// [`crate::router::RouterFabric::cycles_stepped`]).
-    pub fn cycles_stepped(&self) -> u64 {
-        self.fabric.cycles_stepped()
-    }
-
-    /// Advances one cycle with the retained naive reference stepper —
-    /// the executable specification [`Self::step`] is held bit-identical
-    /// to (see [`crate::router::RouterFabric::step_reference`]). Used by
-    /// the `stepper_equivalence` tests and the committed benchmark's
-    /// speedup figure; the two steppers may be interleaved freely.
-    pub fn step_reference(&mut self) {
-        self.fabric.step_reference();
-    }
-
-    /// Event-driven advance with full lookahead windows: deliveries are
-    /// batched per epoch instead of ending it, for callers that never
-    /// react mid-call (see
-    /// [`crate::router::RouterFabric::step_batched`]).
-    pub fn step_batched(&mut self, limit: u64) {
-        self.fabric.step_batched(limit);
-    }
-
-    /// One lookahead epoch never past `limit`, with `endpoints[s]`
-    /// generating, injecting ([`inject_packet`]) and taking deliveries
-    /// inside shard `s`'s window (see
-    /// [`crate::router::RouterFabric::step_endpoints`]).
-    pub fn step_endpoints<E: Endpoint>(&mut self, endpoints: &mut [E], limit: u64) {
-        self.fabric.step_endpoints(endpoints, limit);
-    }
-
-    /// One reference-stepper cycle with `endpoint` run around it
-    /// serially — the oracle schedule of [`Self::step_endpoints`] (see
-    /// [`crate::router::RouterFabric::step_reference_with`]).
-    pub fn step_reference_with(&mut self, endpoint: &mut dyn Endpoint) {
-        self.fabric.step_reference_with(endpoint);
-    }
-
-    /// The shard partition: shard `s` owns nodes
-    /// `bounds[s]..bounds[s + 1]` (see
-    /// [`crate::router::RouterFabric::shard_bounds`]).
-    pub fn shard_bounds(&self) -> &[usize] {
-        self.fabric.shard_bounds()
-    }
-
-    /// Steps until empty or `max_cycles`; returns whether it drained.
-    /// Dead time between link arrivals is fast-forwarded.
-    pub fn run_until_drained(&mut self, max_cycles: u64) -> bool {
-        self.fabric.run_until_drained(max_cycles)
+        &self.topology.params
     }
 
     /// Traffic counters of one directed slice link: the flits and
@@ -676,14 +564,13 @@ impl TorusFabric {
     /// analytic [`crate::adapter::CaLink`] accounting.
     pub fn link_stats(&self, node: NodeId, dir: Direction, slice: usize) -> LinkStats {
         let port = slice_port(dir, slice);
-        let (flits, packets) = self.fabric.link_traffic(node.index(), port);
+        let (flits, packets) = self.link_traffic(node.index(), port);
         let mut stats = LinkStats {
             packets,
             baseline_bytes: flits * FLIT_BYTES,
             ..LinkStats::default()
         };
         for (i, &kind_flits) in self
-            .fabric
             .link_class_traffic(node.index(), port)
             .iter()
             .enumerate()
@@ -698,33 +585,12 @@ impl TorusFabric {
     /// directed neighbor link.
     pub fn slice_stats(&self, slice: usize) -> LinkStats {
         let mut agg = LinkStats::default();
-        for node in self.torus.nodes() {
+        for node in self.torus().nodes() {
             for d in Direction::ALL {
                 agg.merge(&self.link_stats(node, d, slice));
             }
         }
         agg
-    }
-
-    /// Enables fabric telemetry from the current cycle (see
-    /// [`crate::telemetry`]): stall-cause attribution per (link, VC),
-    /// per-link epoch time-series, and optional packet traces.
-    /// Recording is purely observational — delivery logs and
-    /// [`Self::link_stats`] counters are bit-identical with telemetry
-    /// on or off (pinned by the `telemetry_equivalence` tests).
-    pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.fabric.enable_telemetry(cfg);
-    }
-
-    /// Disables telemetry mid-run and returns the recorded state; the
-    /// fabric keeps stepping unchanged.
-    pub fn disable_telemetry(&mut self) -> Option<Box<Telemetry>> {
-        self.fabric.disable_telemetry()
-    }
-
-    /// The telemetry recorded so far, if enabled.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.fabric.telemetry()
     }
 
     /// Cycle accounting `(advance, stall, idle)` of the slice link from
@@ -737,11 +603,11 @@ impl TorusFabric {
         dir: Direction,
         slice: usize,
     ) -> Option<(u64, u64, u64)> {
-        let tel = self.fabric.telemetry()?;
+        let tel = self.telemetry()?;
         let (r, port) = (node.index(), slice_port(dir, slice));
         let advance = tel.advance_cycles(r, port);
         let stall = tel.stall_cycles(r, port);
-        let elapsed = self.fabric.cycle() - tel.enabled_at();
+        let elapsed = self.cycle() - tel.enabled_at();
         Some((advance, stall, elapsed - advance - stall))
     }
 
@@ -752,14 +618,14 @@ impl TorusFabric {
     /// with at least one flushed epoch. `None` when telemetry is
     /// disabled.
     pub fn telemetry_summary(&self) -> Option<TelemetrySummary> {
-        let tel = self.fabric.telemetry()?;
-        let elapsed = self.fabric.cycle() - tel.enabled_at();
+        let tel = self.telemetry()?;
+        let elapsed = self.cycle() - tel.enabled_at();
         let mut request = StallBreakdown::default();
         let mut response = StallBreakdown::default();
         let mut links = Vec::new();
         let mut epochs = Vec::new();
         let mut push_link = |r: usize, port: usize, label: String| {
-            for vc in 0..self.params.vcs as u8 {
+            for vc in 0..self.params().vcs as u8 {
                 let b = tel.stalls_for_vc(r, port, vc);
                 if vc == RESPONSE_VC {
                     response.merge(&b);
@@ -780,8 +646,8 @@ impl TorusFabric {
             // Close the run's final (partial) epoch with its true width;
             // without this, a run not ending on an epoch boundary would
             // silently drop its last window from the series.
-            let occ = self.fabric.link_occupancy(r, port) as u32;
-            if let Some(partial) = tel.epoch_partial_record(r, port, self.fabric.cycle(), occ) {
+            let occ = self.link_occupancy(r, port) as u32;
+            if let Some(partial) = tel.epoch_partial_record(r, port, self.cycle(), occ) {
                 samples.push(partial);
             }
             if !samples.is_empty() {
@@ -791,7 +657,7 @@ impl TorusFabric {
                 });
             }
         };
-        for node in self.torus.nodes() {
+        for node in self.torus().nodes() {
             let r = node.index();
             for dir in Direction::ALL {
                 for slice in 0..SLICES {
@@ -846,7 +712,7 @@ impl TorusFabric {
     /// spec fails [`PacketSpec::validate`]. Every refusal leaves the
     /// fabric untouched.
     pub fn inject(&mut self, spec: PacketSpec) -> Result<RoutePlan, InjectError> {
-        self.fabric.inject_with(|port| inject_packet(port, &spec))?;
+        self.inject_with(|port| inject_packet(port, &spec))?;
         Ok(self.plan(&spec))
     }
 
@@ -855,10 +721,10 @@ impl TorusFabric {
     /// and harnesses can cross-check hop counts and VC sequences without
     /// injecting.
     pub fn plan(&self, spec: &PacketSpec) -> RoutePlan {
-        let (src, dst) = (self.torus.coord(spec.src), self.torus.coord(spec.dst));
+        let (src, dst) = (self.torus().coord(spec.src), self.torus().coord(spec.dst));
         match spec.class {
             TrafficClass::Request => routing::plan_request_fixed(
-                &self.torus,
+                self.torus(),
                 src,
                 dst,
                 DimOrder::ALL[spec.order_idx],
@@ -866,7 +732,7 @@ impl TorusFabric {
                 spec.base_vc,
             ),
             TrafficClass::Response => {
-                routing::plan_response_fixed(&self.torus, src, dst, spec.slice)
+                routing::plan_response_fixed(self.torus(), src, dst, spec.slice)
             }
         }
     }
@@ -976,7 +842,7 @@ pub struct FabricMemoryReport {
 /// [`torus_route`] cannot disagree — pinned exhaustively by the
 /// `route_tables_match_computed_routes` test and on random shapes
 /// (asymmetric, above the old 1024-node cap) by the
-/// `separable_tables_match_direct_routes` proptest.
+/// `separable_tables_match_direct_computation` proptest.
 pub struct RouteTables {
     /// Per node and dimension: the node's coordinate premultiplied by
     /// that dimension's extent — the row base of the per-dim tables
@@ -1165,6 +1031,8 @@ pub fn torus_route(torus: &Torus, f: &Flit, router: usize) -> RouteDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::Endpoint;
+    use crate::telemetry::TelemetryConfig;
 
     fn fabric(dims: [u8; 3]) -> TorusFabric {
         TorusFabric::new(
@@ -1336,6 +1204,40 @@ mod tests {
         assert!(f.run_until_drained(100_000), "a 32³ fabric must drain");
         assert_eq!(f.take_delivered().len(), 16, "every flit delivered");
         assert_eq!(f.occupancy(), 0);
+    }
+
+    #[test]
+    fn shallow_neighbor_inputs_still_drain() {
+        // Every neighbor input cut from its bandwidth-delay depth to 8
+        // flits: each feeding link then holds 8 credits per VC, and one
+        // 2-flit request per node, to the opposite node, still arrives
+        // whole.
+        let mut f = fabric([4, 4, 4]);
+        let (n, p) = (f.torus().node_count(), *f.params());
+        let deep = (p.link_latency / p.link_interval + p.router_cycles + 4) as usize;
+        for r in 0..n {
+            for d in Direction::ALL {
+                for s in 0..SLICES {
+                    let port = slice_port(d, s);
+                    let credits = |f: &TorusFabric| -> Vec<usize> {
+                        (0..p.vcs as u8)
+                            .map(|vc| f.inject_capacity(r, port, vc))
+                            .collect()
+                    };
+                    assert_eq!(credits(&f), vec![deep; p.vcs], "router {r} port {port}");
+                    f.set_input_depth(r, port, 8);
+                    assert_eq!(credits(&f), vec![8; p.vcs], "router {r} port {port}");
+                }
+            }
+        }
+        let mut rng = SplitMix64::new(8);
+        for src in 0..n {
+            let (from, to) = (NodeId(src as u16), NodeId((n - 1 - src) as u16));
+            f.inject(PacketSpec::request(from, to, src as u64, 2).drawn(&mut rng))
+                .unwrap();
+        }
+        assert!(f.run_until_drained(100_000), "a shallow fabric must drain");
+        assert_eq!(f.delivered().len(), 2 * n, "every flit delivered");
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! - [`router`] — the flit-granular cycle-level router microarchitecture
 //!   (credit flow control, cut-through, per-link latency channels and
 //!   traffic counters);
+//! - [`edge`] — one chip side's Edge Network as a fabric of those
+//!   routers, which checks [`chip`]'s Edge Router hop counts;
 //! - [`telemetry`] — zero-cost-when-off fabric observability: stall-cause
 //!   attribution, per-link epoch time-series, and packet lifecycle traces;
-//! - [`fabric3d`] — the full inter-node 3D torus as a cycle fabric:
+//! - [`fabric3d`] — the full inter-node 3D torus as a [`router`] fabric:
 //!   two physical channel slices per neighbor, request and response
 //!   traffic classes on disjoint VC sets, calibrated against [`path`]
 //!   and driven by the `anton-traffic` workload generators.

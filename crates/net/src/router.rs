@@ -31,10 +31,11 @@
 //! schemes with per-packet state — the randomized dimension orders and
 //! dateline VC switches of [`crate::routing`], built into a full torus by
 //! [`crate::fabric3d`] — can thread that state through the fabric. The
-//! latency-formula models in [`crate::path`] are calibrated against this
-//! implementation (see the `hop_latencies_match_paper` tests): the
-//! formulas are what the large experiments use; the cycle model is the
-//! ground truth for the per-hop constants.
+//! torus fabric takes its per-hop split from [`crate::path`]'s formulas
+//! (`FabricParams::calibrated`, checked by `fabric3d`'s
+//! `calibration_matches_analytic_per_hop_within_rounding`), and the Edge
+//! Network fabric of [`crate::edge`] checks [`crate::chip`]'s hop
+//! formulas (`transit_formula_matches_fabric` and its two siblings).
 //!
 //! # Event-driven stepping
 //!
@@ -265,7 +266,7 @@ pub type RouteFn = dyn Fn(&Flit, usize /*router id*/) -> RouteDecision + Send + 
 /// below the count given to [`RouterFabric::set_flit_classes`]. The
 /// torus fabric uses this to type wire bytes by
 /// [`crate::channel::ByteKind`].
-pub type FlitClassFn = dyn Fn(&Flit) -> usize + Send + Sync;
+pub(crate) type FlitClassFn = dyn Fn(&Flit) -> usize + Send + Sync;
 
 /// A wiring entry: output port `port` of router `router` feeds input port
 /// `dest_port` of router `dest_router` (or an ejection endpoint).
@@ -658,8 +659,11 @@ impl MemoryBreakdown {
     }
 }
 
-/// A fabric of cycle routers plus its wiring, stepped together.
-pub struct RouterFabric {
+/// A fabric of cycle routers plus its wiring, stepped together, and what
+/// its constructor adds (`T`): nothing for a hand-wired fabric, which
+/// injects raw flits ([`Self::inject`]), and a shape and parameters for
+/// the torus fabric ([`crate::fabric3d::TorusFabric`]), which injects packets.
+pub struct RouterFabric<T = ()> {
     routers: Vec<CycleRouter>,
     /// VCs per router, one count fabric-wide: the stride of `credits`.
     vcs: usize,
@@ -754,12 +758,15 @@ pub struct RouterFabric {
     cycles_stepped: u64,
     /// Worker threads driving shards `1..` (None when `shards == 1`).
     pool: Option<ShardPool>,
+    /// What the fabric's constructor adds; the steppers never read it.
+    pub(crate) topology: T,
 }
 
 impl RouterFabric {
     /// Builds a fabric from routers, wiring, and a routing function. All
     /// links default to [`LinkSpec::default`] (same-cycle, full-rate);
-    /// override long links with [`Self::set_link_spec`].
+    /// override long links with [`Self::set_link_spec`]. Call it as
+    /// `<RouterFabric>::new`: the torus fabric has a `new` of its own.
     ///
     /// # Panics
     /// Panics unless the wiring has one row per router and each row one
@@ -767,6 +774,35 @@ impl RouterFabric {
     /// router's VC count; and if a link lands on an input port that does
     /// not exist, or two links land on one input port.
     pub fn new(routers: Vec<CycleRouter>, wiring: Vec<Vec<PortLink>>, route: Box<RouteFn>) -> Self {
+        Self::with_topology(routers, wiring, route, ())
+    }
+
+    /// Injects a flit into input `(router, port, flit.vc)` if a credit
+    /// is available ([`Self::inject_capacity`]).
+    ///
+    /// Multi-flit packets must be injected with their flits contiguous
+    /// on one `(port, vc)` — interleaving two packets' flits on the same
+    /// input VC violates the cut-through ownership protocol (checked by
+    /// a debug assertion at the downstream arbiter).
+    ///
+    /// # Errors
+    /// Returns, without taking the flit, [`InjectError::QueueOutOfRange`]
+    /// when the router, port or VC does not exist, and
+    /// [`InjectError::NoCredit`] when the input VC queue has no credit —
+    /// i.e. the fabric is backpressuring this source.
+    pub fn inject(&mut self, router: usize, port: usize, flit: Flit) -> Result<(), InjectError> {
+        self.inject_with(|view| view.inject(router, port, flit))
+    }
+}
+
+impl<T> RouterFabric<T> {
+    /// [`RouterFabric::new`], adding `topology`.
+    pub(crate) fn with_topology(
+        routers: Vec<CycleRouter>,
+        wiring: Vec<Vec<PortLink>>,
+        route: Box<RouteFn>,
+        topology: T,
+    ) -> Self {
         assert_eq!(
             routers.len(),
             wiring.len(),
@@ -837,6 +873,7 @@ impl RouterFabric {
             epochs: 0,
             cycles_stepped: 0,
             pool: None,
+            topology,
         };
         fabric.partition(1, None);
         fabric
@@ -1081,7 +1118,7 @@ impl RouterFabric {
     /// link is additionally counted under `classify(&flit)`, which must
     /// return an index below `classes`. A setup-time operation — calling
     /// it resets any previously accumulated per-class counts.
-    pub fn set_flit_classes(&mut self, classes: usize, classify: Box<FlitClassFn>) {
+    pub(crate) fn set_flit_classes(&mut self, classes: usize, classify: Box<FlitClassFn>) {
         assert!(classes > 0, "need at least one flit class");
         self.classes = classes;
         self.class_flits = vec![0; self.wiring.len() * classes];
@@ -1089,9 +1126,9 @@ impl RouterFabric {
     }
 
     /// Cumulative per-class flit counts of the link leaving `router` via
-    /// `port` (parallel to [`Self::link_traffic`]); empty unless
-    /// [`Self::set_flit_classes`] was called. Feeds the per-kind wire
-    /// byte accounting of [`crate::fabric3d::TorusFabric::link_stats`].
+    /// `port` (parallel to [`Self::link_traffic`]); empty unless the
+    /// constructor set flit classes. Feeds the per-kind wire byte
+    /// accounting of [`crate::fabric3d::TorusFabric::link_stats`].
     pub fn link_class_traffic(&self, router: usize, port: usize) -> &[u64] {
         let link = self.link(router, port);
         &self.class_flits[link * self.classes..(link + 1) * self.classes]
@@ -1121,23 +1158,6 @@ impl RouterFabric {
     pub fn queue_len(&self, router: usize, port: usize, vc: u8) -> usize {
         self.queue(router, port, vc);
         self.routers[router].queue_len(port, vc)
-    }
-
-    /// Injects a flit into input `(router, port, flit.vc)` if a credit
-    /// is available ([`Self::inject_capacity`]).
-    ///
-    /// Multi-flit packets must be injected with their flits contiguous
-    /// on one `(port, vc)` — interleaving two packets' flits on the same
-    /// input VC violates the cut-through ownership protocol (checked by
-    /// a debug assertion at the downstream arbiter).
-    ///
-    /// # Errors
-    /// Returns, without taking the flit, [`InjectError::QueueOutOfRange`]
-    /// when the router, port or VC does not exist, and
-    /// [`InjectError::NoCredit`] when the input VC queue has no credit —
-    /// i.e. the fabric is backpressuring this source.
-    pub fn inject(&mut self, router: usize, port: usize, flit: Flit) -> Result<(), InjectError> {
-        self.inject_with(|view| view.inject(router, port, flit))
     }
 
     /// Runs `f` with an [`InjectPort`] over every router and input
@@ -1521,7 +1541,7 @@ pub fn build_row(n: usize, vcs: usize, pipeline: u64) -> RouterFabric {
             RouteDecision::keep(1, f) // continue along the row
         }
     });
-    RouterFabric::new(routers, wiring, route)
+    <RouterFabric>::new(routers, wiring, route)
 }
 
 #[cfg(test)]
@@ -1814,7 +1834,7 @@ mod tests {
             PortLink::Endpoint(0),
         ]];
         let route = Box::new(|f: &Flit, _router: usize| RouteDecision::keep(0, f)); // self-loop
-        let mut fabric = RouterFabric::new(routers, wiring, route);
+        let mut fabric = <RouterFabric>::new(routers, wiring, route);
         assert!(fabric.inject(0, 0, flit(1, 0, 1, 9, 0)).is_ok());
         assert!(
             !fabric.run_until_drained(50),
@@ -1892,7 +1912,7 @@ mod tests {
             ],
         ];
         let route = Box::new(|f: &Flit, _router: usize| RouteDecision::keep(1, f));
-        let mut fabric = RouterFabric::new(routers, wiring, route);
+        let mut fabric = <RouterFabric>::new(routers, wiring, route);
         fabric.set_link_spec(
             0,
             1,
@@ -2266,7 +2286,7 @@ mod tests {
             .enumerate()
             .map(|(r, &vcs)| CycleRouter::new(r, 2, vcs, 1))
             .collect();
-        RouterFabric::new(
+        <RouterFabric>::new(
             routers,
             wiring,
             Box::new(|f: &Flit, _| RouteDecision::keep(1, f)),
@@ -2630,7 +2650,7 @@ mod tests {
                 vc: f.vc,
                 tag: 1,
             });
-            let mut f = RouterFabric::new(vec![router], wiring, route);
+            let mut f = <RouterFabric>::new(vec![router], wiring, route);
             f.enable_telemetry(TelemetryConfig::default());
             for cycle in 0..30 {
                 let sent: &[Flit] = match cycle {

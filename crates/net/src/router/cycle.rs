@@ -284,9 +284,9 @@ impl CycleRouter {
     /// maturity wheel (ready at once with a zero-cycle pipeline).
     ///
     /// # Panics
-    /// Panics (in debug) if no credit was available — callers must check
+    /// Panics if no credit was available — callers must check
     /// [`Self::free_slots`], exactly as the upstream credit counter would
-    /// — or if the router has no VC `flit.vc`.
+    /// — and, in debug builds, if the router has no VC `flit.vc`.
     pub fn accept(&mut self, port: usize, flit: Flit, cycle: u64) {
         debug_assert!((flit.vc as usize) < self.vcs, "no VC {}", flit.vc);
         let idx = port * self.vcs + flit.vc as usize;
@@ -616,6 +616,17 @@ mod tests {
     #[should_panic(expected = "a router pipeline is at most 65535 cycles, not 65536")]
     fn a_pipeline_past_the_maximum_is_refused() {
         CycleRouter::new(0, 1, 1, MAX_PIPELINE + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "queue 0 is full at its 8-flit depth")]
+    fn a_full_queue_refuses_a_flit_in_every_build() {
+        // A ninth flit in an 8-flit queue has no credit; stored, it
+        // would overwrite the queue's front.
+        let mut router = CycleRouter::new(0, 1, 1, 1);
+        for packet in 0..9 {
+            router.accept(0, flit(packet, 0, 1, 0, 0), 0);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use super::*;
 
-impl RouterFabric {
+impl<T> RouterFabric<T> {
     /// Advances the fabric one cycle with the retained **reference**
     /// stepper: the naive full scan over every router, arbitrating every
     /// (port, VC) via [`CycleRouter::tick`] against each router's link

@@ -637,7 +637,7 @@ fn sort_stably<T, K: Ord>(list: &mut [T], key: impl Fn(&T) -> K) {
     }
 }
 
-impl RouterFabric {
+impl<T> RouterFabric<T> {
     /// The shard owning router `r` under the current partition.
     pub(super) fn shard_of(&self, r: usize) -> usize {
         self.bounds.partition_point(|&b| b <= r) - 1

@@ -191,15 +191,18 @@ impl FlitStore {
     }
 
     /// Appends a flit to queue `q`, growing its ring if the allocation
-    /// is exhausted (never beyond the credit window).
+    /// is exhausted (never beyond the credit window). Panics, in release
+    /// builds too, if the queue is full: the flit had no credit.
     #[inline]
     pub(super) fn push(&mut self, q: usize, f: PackedFlit, cycle: u64) {
         let ring = self.rings[q];
-        debug_assert!(ring.len < ring.cap, "flit accepted without a credit");
         if ring.len == ring.alloc {
+            // Only a full allocation can be a full queue (`alloc <= cap`).
+            let cap = ring.cap;
+            assert!(ring.len < cap, "queue {q} is full at its {cap}-flit depth");
             let grown = (ring.alloc as usize * 2)
                 .max(INPUT_QUEUE_FLITS)
-                .min(ring.cap as usize);
+                .min(cap as usize);
             self.grow(q, grown);
         }
         let ring = &mut self.rings[q];

@@ -551,8 +551,8 @@ impl LinkRecorder<'_> {
 /// (router, output, VC, cause) stall counters, epoch rings, and the
 /// packet trace buffer. Constructed by
 /// [`RouterFabric::enable_telemetry`](crate::router::RouterFabric::enable_telemetry);
-/// read back through the fabric (or
-/// [`TorusFabric`](crate::fabric3d::TorusFabric)) accessors. Each
+/// read back through the fabric's accessors (a
+/// [`TorusFabric`](crate::fabric3d::TorusFabric) adds its summary). Each
 /// per-link accessor panics if router `r` has no output `out`, and each
 /// per-VC one if the fabric has no VC `vc`.
 #[derive(Clone, Debug)]
