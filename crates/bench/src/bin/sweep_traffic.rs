@@ -89,13 +89,10 @@ use anton_model::units::PS_PER_CORE_CYCLE;
 use anton_model::MachineConfig;
 use anton_net::channel::LinkStats;
 use anton_net::fabric3d::{FabricMemoryReport, FabricParams, TorusFabric, TrafficClass, SLICES};
-use anton_net::telemetry::{
-    ChromeTraceSink, JsonlTraceSink, LinkSummary, StallBreakdown, TelemetryConfig, TraceSink,
-};
+use anton_net::telemetry::{LinkSummary, StallBreakdown, TelemetryConfig};
 use anton_traffic::patterns::{standard_suite, UniformRandom};
 use anton_traffic::sweep::{
-    run_curve_threaded, run_scenario, run_scenario_instrumented, run_sweep_threaded, ClassPoint,
-    SweepConfig,
+    run_scenario, run_scenario_instrumented, run_sweep_threaded, ClassPoint, SweepConfig,
 };
 use anton_traffic::workload::SyntheticWorkload;
 use std::ffi::OsString;
@@ -490,13 +487,9 @@ fn write_telemetry_artifacts(fabric: &TorusFabric, args: &Args) {
     if let Some(path) = &args.trace_out {
         let tel = fabric.telemetry().expect("telemetry enabled");
         let rendered = if path.ends_with(".jsonl") {
-            let mut sink = JsonlTraceSink::new();
-            tel.write_trace(&mut sink);
-            sink.render()
+            tel.trace_jsonl()
         } else {
-            let mut sink = ChromeTraceSink::new();
-            tel.write_trace(&mut sink);
-            sink.render()
+            tel.trace_chrome()
         };
         std::fs::write(path, rendered).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!(
@@ -771,8 +764,8 @@ fn mega_smoke(params: FabricParams, args: &Args) {
         "constructed 32x32x32 fabric memory: {}",
         memory_summary(&big)
     );
-    let curve = run_curve_threaded(&UniformRandom, &cfg, params, 1, args.threads);
-    let p = curve.points.last().expect("mega point");
+    let report = run_sweep_threaded(&[Box::new(UniformRandom)], &cfg, params, args.threads);
+    let p = report.curves[0].points.last().expect("mega point");
     outln!(
         "offered {:.2}: delivered {:.3} total ({:.3} request / {:.3} response), \
          slices {:.3}/{:.3}, {} backpressure rejections",
@@ -838,8 +831,8 @@ fn overload_smoke(params: FabricParams, args: &Args) {
         "overload smoke: {} thread(s), {} shard(s)",
         args.threads, args.shards
     );
-    let curve = run_curve_threaded(&UniformRandom, &cfg, params, 1, args.threads);
-    let p = curve.points.last().expect("overload point");
+    let report = run_sweep_threaded(&[Box::new(UniformRandom)], &cfg, params, args.threads);
+    let p = report.curves[0].points.last().expect("overload point");
     outln!(
         "offered {:.2}: delivered {:.3} total ({:.3} request / {:.3} response), \
          slices {:.3}/{:.3}, {} backpressure rejections",

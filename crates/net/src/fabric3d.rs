@@ -604,9 +604,7 @@ impl TorusFabric {
         slice: usize,
     ) -> Option<(u64, u64, u64)> {
         let tel = self.telemetry()?;
-        let (r, port) = (node.index(), slice_port(dir, slice));
-        let advance = tel.advance_cycles(r, port);
-        let stall = tel.stall_cycles(r, port);
+        let (advance, stall) = tel.link_cycles(self.link(node.index(), slice_port(dir, slice)));
         let elapsed = self.cycle() - tel.enabled_at();
         Some((advance, stall, elapsed - advance - stall))
     }
@@ -625,31 +623,30 @@ impl TorusFabric {
         let mut links = Vec::new();
         let mut epochs = Vec::new();
         let mut push_link = |r: usize, port: usize, label: String| {
+            let link = self.link(r, port);
+            let mut stalls = StallBreakdown::default();
             for vc in 0..self.params().vcs as u8 {
-                let b = tel.stalls_for_vc(r, port, vc);
+                let b = tel.stalls(link, vc);
                 if vc == RESPONSE_VC {
                     response.merge(&b);
                 } else {
                     request.merge(&b);
                 }
+                stalls.merge(&b);
             }
-            let advance = tel.advance_cycles(r, port);
-            let stall = tel.stall_cycles(r, port);
+            let (advance, stall) = tel.link_cycles(link);
             links.push(LinkSummary {
                 link: label.clone(),
                 advance_cycles: advance,
                 stall_cycles: stall,
                 idle_cycles: elapsed - advance - stall,
-                stalls: tel.stalls_for_link(r, port),
+                stalls,
             });
-            let mut samples: Vec<_> = tel.epoch_samples(r, port).copied().collect();
-            // Close the run's final (partial) epoch with its true width;
-            // without this, a run not ending on an epoch boundary would
-            // silently drop its last window from the series.
+            // The series closes the run's final (partial) epoch with its
+            // true width; without it, a run not ending on an epoch
+            // boundary would silently drop its last window.
             let occ = self.link_occupancy(r, port) as u32;
-            if let Some(partial) = tel.epoch_partial_record(r, port, self.cycle(), occ) {
-                samples.push(partial);
-            }
+            let samples = tel.epoch_series(link, self.cycle(), occ);
             if !samples.is_empty() {
                 epochs.push(LinkEpochSeries {
                     link: label,

@@ -17,8 +17,8 @@
 //! - `router/shard.rs`: the lookahead-epoch kernel every production step
 //!   runs, and its worker pool, home of the crate's one `unsafe` block;
 //! - `router/reference.rs`: the reference stepper
-//!   ([`RouterFabric::step_reference`] and its full-scan arbiter
-//!   [`CycleRouter::tick`]), the executable specification the kernel
+//!   ([`RouterFabric::step_reference`] and its full-scan arbiter,
+//!   `CycleRouter::tick`), the executable specification the kernel
 //!   matches bit for bit;
 //! - `router.rs`: the fabric API — [`RouterFabric`], a network of
 //!   routers wired port-to-port, stepped cycle by cycle, with
@@ -118,8 +118,8 @@
 //!   crate's one `unsafe` block.
 //!
 //! The naive full-scan stepper is retained as
-//! [`RouterFabric::step_reference`] (arbitrating every (port, VC) via
-//! [`CycleRouter::tick`]): it is the executable specification the
+//! [`RouterFabric::step_reference`] (arbitrating every (port, VC) with
+//! the router's full-scan `tick`): it is the executable specification the
 //! kernel must match bit for bit at every shard count and window — same
 //! delivery log, same cycle numbers, same per-link counters, telemetry
 //! and packet trace — and the `stepper_equivalence` property tests and the
@@ -385,7 +385,7 @@ pub const MAX_LINK_LATENCY: u64 = u16::MAX as u64;
 pub enum InjectError {
     /// The input VC queue has no credit: every slot of its configured
     /// depth (default [`INPUT_QUEUE_FLITS`], see
-    /// [`CycleRouter::set_input_depth`]) is occupied or held by a flit in
+    /// [`RouterFabric::set_input_depth`]) is occupied or held by a flit in
     /// flight toward it, so the fabric is backpressuring the source.
     /// Transient: the same injection succeeds once the queue drains.
     NoCredit {
@@ -885,7 +885,7 @@ impl<T> RouterFabric<T> {
     /// Recording is purely observational — arbitration, delivery logs
     /// and link counters are bit-identical with telemetry on or off.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        let tel = Telemetry::new(cfg, &self.link_off, self.vcs, self.cycle);
+        let tel = Telemetry::new(cfg, self.wiring.len(), self.vcs, self.cycle);
         self.telemetry = Some(Box::new(tel));
     }
 
@@ -998,12 +998,12 @@ impl<T> RouterFabric<T> {
         self.channels[link].spec = spec;
     }
 
-    /// Resizes the input buffers of `(router, port)` — see
-    /// [`CycleRouter::set_input_depth`] — and sets the feeding link's
-    /// credits to the new free slots. A setup-time operation: credits
-    /// already spent by flits in flight on the feeding link would
-    /// outlive a shrink and overflow the smaller queue, so resizing a
-    /// port whose link has traffic in flight is rejected.
+    /// Resizes the input buffers of `(router, port)`, every VC, to
+    /// `depth` flits, and sets the feeding link's credits to the new
+    /// free slots. A setup-time operation: credits already spent by
+    /// flits in flight on the feeding link would outlive a shrink and
+    /// overflow the smaller queue, so resizing a port whose link has
+    /// traffic in flight is rejected.
     ///
     /// # Panics
     /// Panics if the feeding link has flits in flight, or if the port
@@ -1055,9 +1055,10 @@ impl<T> RouterFabric<T> {
         (ch.flits_sent, ch.packets_sent)
     }
 
-    /// The flat id of `router`'s link (and input port) `port`; panics
-    /// if the router has no such port.
-    fn link(&self, router: usize, port: usize) -> usize {
+    /// The flat id of `router`'s link (and input port) `port`, which
+    /// indexes every per-link table, telemetry's included; panics if
+    /// the router has no such port.
+    pub(crate) fn link(&self, router: usize, port: usize) -> usize {
         let link = self.link_off[router] + port;
         assert!(
             link < self.link_off[router + 1],
@@ -1248,11 +1249,7 @@ impl<T> RouterFabric<T> {
         let Some(mut tel) = self.telemetry.take() else {
             return;
         };
-        if tel.roll_due(self.cycle) {
-            let mut occ = tel.take_occ_scratch();
-            occ.extend((0..self.wiring.len()).map(|link| self.occupancy_of(link) as u32));
-            tel.roll(self.cycle, occ);
-        }
+        tel.roll(self.cycle, |link| self.occupancy_of(link) as u32);
         self.telemetry = Some(tel);
     }
 
@@ -1666,8 +1663,11 @@ mod tests {
             let mut stalls = StallBreakdown::default();
             let mut stall_cycles = 0;
             for (r, out) in (0..3).flat_map(|r| (0..3).map(move |out| (r, out))) {
-                stalls.merge(&tel.stalls_for_link(r, out));
-                stall_cycles += tel.stall_cycles(r, out);
+                let link = fabric.link(r, out);
+                for vc in 0..2 {
+                    stalls.merge(&tel.stalls(link, vc));
+                }
+                stall_cycles += tel.link_cycles(link).1;
             }
             (stalls, stall_cycles)
         };
@@ -2668,10 +2668,10 @@ mod tests {
                 }
             }
             let tel = f.telemetry().expect("telemetry on");
-            let count = |cause| tel.stall_count(0, 1, 1, cause);
+            let stalls = tel.stalls(f.link(0, 1), 1);
             let at = format!("reference={reference}");
-            assert_eq!(count(StallCause::LostArbitration), 5, "{at}");
-            assert_eq!(count(StallCause::CreditStarved), 4, "{at}");
+            assert_eq!(stalls.lost_arbitration, 5, "{at}");
+            assert_eq!(stalls.credit_starved, 4, "{at}");
             assert_eq!(f.delivered().len(), 6, "{at}");
         }
     }
@@ -2729,7 +2729,8 @@ mod tests {
             (0..8)
                 .flat_map(|r| (0..3).map(move |port| (r, port)))
                 .map(|(r, port)| {
-                    let stalls = tel.stalls_for_link(r, port);
+                    let link = f.link(r, port);
+                    let stalls = [0, 1].map(|vc| tel.stalls(link, vc));
                     (f.link_traffic(r, port), stalls)
                 })
                 .collect::<Vec<_>>()
@@ -2737,7 +2738,8 @@ mod tests {
         let reference = run(None);
         let starved: u64 = links(&reference)
             .iter()
-            .map(|(_, s)| s.credit_starved)
+            .flat_map(|(_, s)| s)
+            .map(|s| s.credit_starved)
             .sum();
         assert!(starved > 0, "the row must be credit-bound");
         for shards in [1usize, 2, 4] {

@@ -55,6 +55,18 @@ const READY: usize = 1;
 const WHEEL: usize = 2;
 
 /// An input-queued, credit-flow-controlled router stepped per cycle.
+///
+/// Outside this crate a router is built and handed to a
+/// [`RouterFabric`](super::RouterFabric), which alone steps it: only the
+/// fabric's paths check a flit's credit and VC before the router takes
+/// it, so the per-cycle methods are crate-private.
+///
+/// ```compile_fail,E0624
+/// use anton_net::router::{CycleRouter, Flit};
+/// let mut router = CycleRouter::new(0, 2, 1, 0);
+/// let flit = Flit { packet: 0, index: 0, of: 1, dest: 0, vc: 1, tag: 0, injected_at: 0 };
+/// router.accept(0, flit, 0);
+/// ```
 #[derive(Clone)]
 pub struct CycleRouter {
     /// Router id within its fabric (passed to the routing function).
@@ -153,7 +165,7 @@ impl CycleRouter {
 
     /// Whether this router can do no work this cycle (no queued flits
     /// and no output owned by a packet still streaming through).
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.queued == 0 && self.owned == 0
     }
 
@@ -163,7 +175,7 @@ impl CycleRouter {
     /// maturity wheel and the front-target memo), output ownership and
     /// arbitration scratch. Capacity-based — what the allocator actually
     /// handed out.
-    pub fn memory_bytes(&self) -> (usize, usize) {
+    pub(crate) fn memory_bytes(&self) -> (usize, usize) {
         use std::mem::size_of;
         let (slab, cursors) = self.store.memory_bytes();
         let fronts = self.fronts.capacity() * size_of::<u64>()
@@ -253,7 +265,7 @@ impl CycleRouter {
     ///
     /// # Panics
     /// Panics if the port already holds more flits than `depth`.
-    pub fn set_input_depth(&mut self, port: usize, depth: usize) {
+    pub(crate) fn set_input_depth(&mut self, port: usize, depth: usize) {
         for v in 0..self.vcs {
             self.store.set_cap(port * self.vcs + v, depth);
         }
@@ -262,12 +274,12 @@ impl CycleRouter {
     /// Free slots on input `(port, vc)`. (The fabric's arbitration reads
     /// the upstream sender's credit count instead, which lags a departure
     /// by a cycle; see `RouterFabric::credits`.)
-    pub fn free_slots(&self, port: usize, vc: u8) -> usize {
+    pub(crate) fn free_slots(&self, port: usize, vc: u8) -> usize {
         self.store.free_slots(port * self.vcs + vc as usize)
     }
 
     /// Flits currently queued on input `(port, vc)`.
-    pub fn queue_len(&self, port: usize, vc: u8) -> usize {
+    pub(crate) fn queue_len(&self, port: usize, vc: u8) -> usize {
         self.store.len(port * self.vcs + vc as usize)
     }
 
@@ -287,7 +299,7 @@ impl CycleRouter {
     /// Panics if no credit was available — callers must check
     /// [`Self::free_slots`], exactly as the upstream credit counter would
     /// — and, in debug builds, if the router has no VC `flit.vc`.
-    pub fn accept(&mut self, port: usize, flit: Flit, cycle: u64) {
+    pub(crate) fn accept(&mut self, port: usize, flit: Flit, cycle: u64) {
         debug_assert!((flit.vc as usize) < self.vcs, "no VC {}", flit.vc);
         let idx = port * self.vcs + flit.vc as usize;
         if self.store.is_empty(idx) {
@@ -373,7 +385,7 @@ impl CycleRouter {
     }
 
     /// Total queued flits (for drain checks).
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         debug_assert_eq!(
             self.queued,
             (0..self.store.queues())

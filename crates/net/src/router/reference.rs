@@ -10,12 +10,13 @@ use super::*;
 impl<T> RouterFabric<T> {
     /// Advances the fabric one cycle with the retained **reference**
     /// stepper: the naive full scan over every router, arbitrating every
-    /// (port, VC) via [`CycleRouter::tick`] against each router's link
-    /// timers and credits. Kept as the executable specification of
-    /// [`Self::step`] — the `stepper_equivalence` property tests (and
-    /// the committed benchmark's traced run, which also times both) run
-    /// the two side by side and require identical delivery logs and
-    /// link counters. The two may be freely interleaved on one fabric.
+    /// (port, VC) with the router's full-scan `tick` against each
+    /// router's link timers and credits. Kept as the executable
+    /// specification of [`Self::step`] — the `stepper_equivalence`
+    /// property tests (and the committed benchmark's traced run, which
+    /// also times both) run the two side by side and require identical
+    /// delivery logs and link counters. The two may be freely
+    /// interleaved on one fabric.
     pub fn step_reference(&mut self) {
         let cycle = self.cycle;
         if self.telemetry.is_some() {
@@ -222,7 +223,7 @@ impl CycleRouter {
     /// `downstream_ok` reports whether the downstream queue for
     /// `(output_port, outgoing vc)` has a credit and the link is free to
     /// serialize.
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         cycle: u64,
         route: &RouteFn,

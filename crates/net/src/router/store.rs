@@ -57,7 +57,7 @@ const _: () = assert!(std::mem::size_of::<(PackedFlit, u64)>() == 32);
 /// Queues default to the paper's 8-flit router depth
 /// ([`INPUT_QUEUE_FLITS`]); ports standing in for bigger buffers (the
 /// Channel Adapter's receive buffering on inter-node links) get a
-/// deeper credit window via [`CycleRouter::set_input_depth`] (a
+/// deeper credit window via [`RouterFabric::set_input_depth`] (a
 /// setup-time operation that adjusts `cap` alone).
 #[derive(Clone, Debug)]
 pub struct FlitStore {

@@ -28,11 +28,17 @@
 //! produce bit-identical delivery logs and link counters (pinned by the
 //! `telemetry_equivalence` property tests).
 //!
-//! Every counter is per link, and links flatten in router order, so
-//! each shard of the epoch kernel (a contiguous router range) owns a
-//! contiguous block of them and records its window into that block in
-//! place, through `LinkRecorder`, the routine the reference stepper
-//! records through too.
+//! Every counter is per link, addressed only by the fabric's flat link
+//! id (`RouterFabric::link` turns a `(router, port)` pair into one).
+//! Links flatten in router order, so each shard of the epoch kernel (a
+//! contiguous router range) owns a contiguous block of them and records
+//! its window into that block in place, through `LinkRecorder`, the
+//! routine the reference stepper records through too. Per-link results
+//! are read through the fabric: [`TorusFabric::link_cycles`] and
+//! [`TorusFabric::telemetry_summary`], which labels each link.
+//!
+//! [`TorusFabric::link_cycles`]: crate::fabric3d::TorusFabric::link_cycles
+//! [`TorusFabric::telemetry_summary`]: crate::fabric3d::TorusFabric::telemetry_summary
 //!
 //! ## Epoch time-series
 //!
@@ -67,9 +73,9 @@
 //! happens, under that order, in one list per shard, and one merge per
 //! step (a stable sort on cycle, then order) puts the lists in trace
 //! order. The delivery log plays no part, so a caller draining it
-//! cannot lose or repeat an event. The buffer is replayed through any
-//! [`TraceSink`]: [`JsonlTraceSink`] (one JSON object per
-//! line) or [`ChromeTraceSink`] (a `trace_event` JSON document loadable
+//! cannot lose or repeat an event. The buffer renders two ways:
+//! [`Telemetry::trace_jsonl`] (one JSON object per line) and
+//! [`Telemetry::trace_chrome`] (a `trace_event` JSON document loadable
 //! in Perfetto / `chrome://tracing`, with one cycle mapped to one
 //! microsecond of viewer time and packets shown as async spans).
 
@@ -295,109 +301,6 @@ impl TraceEvent {
     }
 }
 
-/// A consumer of packet lifecycle events: [`Telemetry::write_trace`]
-/// replays the buffered events into one, and [`TraceSink::render`]
-/// yields the formatted document.
-pub trait TraceSink {
-    /// Consumes one event.
-    fn emit(&mut self, ev: &TraceEvent);
-    /// Called once after the last event with the number of events the
-    /// buffer dropped at [`TelemetryConfig::trace_limit`], so the
-    /// rendered document can say it is truncated instead of silently
-    /// looking complete. The default does nothing.
-    fn finish(&mut self, _dropped: u64) {}
-    /// The formatted output accumulated so far.
-    fn render(&self) -> String;
-}
-
-/// A [`TraceSink`] emitting one compact JSON object per line (JSONL) —
-/// grep-friendly single-packet debugging.
-#[derive(Clone, Debug, Default)]
-pub struct JsonlTraceSink {
-    out: String,
-}
-
-impl JsonlTraceSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        JsonlTraceSink::default()
-    }
-}
-
-impl TraceSink for JsonlTraceSink {
-    fn emit(&mut self, ev: &TraceEvent) {
-        let _ = writeln!(
-            self.out,
-            "{{\"kind\":\"{:?}\",\"cycle\":{},\"packet\":{},\"router\":{},\"port\":{},\"vc\":{}}}",
-            ev.kind, ev.cycle, ev.packet, ev.router, ev.port, ev.vc
-        );
-    }
-
-    fn finish(&mut self, dropped: u64) {
-        if dropped > 0 {
-            let _ = writeln!(self.out, "{{\"kind\":\"Truncated\",\"dropped\":{dropped}}}");
-        }
-    }
-
-    fn render(&self) -> String {
-        self.out.clone()
-    }
-}
-
-/// A [`TraceSink`] emitting the Chrome `trace_event` JSON format
-/// (loadable in Perfetto or `chrome://tracing`): packets appear as
-/// async spans (`b`/`e`) with one instant (`n`) per hop, `ts` measured
-/// in cycles (one cycle renders as one microsecond), and the event's
-/// router as the thread id.
-#[derive(Clone, Debug, Default)]
-pub struct ChromeTraceSink {
-    events: String,
-    any: bool,
-}
-
-impl ChromeTraceSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        ChromeTraceSink::default()
-    }
-}
-
-impl TraceSink for ChromeTraceSink {
-    fn emit(&mut self, ev: &TraceEvent) {
-        let ph = match ev.kind {
-            TraceEventKind::Inject => "b",
-            TraceEventKind::Hop => "n",
-            TraceEventKind::Deliver => "e",
-        };
-        if self.any {
-            self.events.push(',');
-        }
-        self.any = true;
-        let _ = write!(
-            self.events,
-            "{{\"name\":\"pkt{}\",\"cat\":\"net\",\"ph\":\"{}\",\"id\":{},\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"port\":{},\"vc\":{}}}}}",
-            ev.packet, ph, ev.packet, ev.cycle, ev.router, ev.port, ev.vc
-        );
-    }
-
-    fn finish(&mut self, dropped: u64) {
-        if dropped > 0 {
-            if self.any {
-                self.events.push(',');
-            }
-            self.any = true;
-            let _ = write!(
-                self.events,
-                "{{\"name\":\"trace_truncated\",\"cat\":\"net\",\"ph\":\"i\",\"ts\":0,\"pid\":0,\"tid\":0,\"s\":\"g\",\"args\":{{\"dropped\":{dropped}}}}}",
-            );
-        }
-    }
-
-    fn render(&self) -> String {
-        format!("{{\"traceEvents\":[{}]}}", self.events)
-    }
-}
-
 /// End-of-run cycle accounting for one link, with human-readable label —
 /// the unit of the JSON telemetry summary.
 #[derive(Clone, Debug, Serialize)]
@@ -536,8 +439,9 @@ impl LinkRecorder<'_> {
     #[inline]
     pub(crate) fn stall(&mut self, cycle: u64, link: usize, vc: u8, cause: StallCause) {
         let l = link - self.first;
-        let vc = (vc as usize).min(self.vcs - 1);
-        self.stalls[(l * self.vcs + vc) * StallCause::COUNT + cause.index()] += 1;
+        // `CycleRouter::route_head` refuses a VC the fabric lacks.
+        debug_assert!((vc as usize) < self.vcs, "the fabric has no VC {vc}");
+        self.stalls[(l * self.vcs + vc as usize) * StallCause::COUNT + cause.index()] += 1;
         let c = &mut self.links[l];
         if c.advanced != cycle + 1 && c.stalled != cycle + 1 {
             c.stalled = cycle + 1;
@@ -548,19 +452,15 @@ impl LinkRecorder<'_> {
 }
 
 /// Telemetry state for one fabric: per-link cycle accounting, per
-/// (router, output, VC, cause) stall counters, epoch rings, and the
-/// packet trace buffer. Constructed by
+/// (link, VC, cause) stall counters, epoch rings, and the packet trace
+/// buffer, every per-link entry at the fabric's flat link id.
+/// Constructed by
 /// [`RouterFabric::enable_telemetry`](crate::router::RouterFabric::enable_telemetry);
-/// read back through the fabric's accessors (a
-/// [`TorusFabric`](crate::fabric3d::TorusFabric) adds its summary). Each
-/// per-link accessor panics if router `r` has no output `out`, and each
-/// per-VC one if the fabric has no VC `vc`.
+/// per-link results are read back through a
+/// [`TorusFabric`](crate::fabric3d::TorusFabric), which labels them.
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     cfg: TelemetryConfig,
-    /// Prefix sums of per-router port counts: link `(r, out)` flattens
-    /// to `link_offset[r] + out`.
-    link_offset: Vec<u32>,
     /// VC stride of the per-VC stall counters.
     vcs: usize,
     /// Cycle telemetry was enabled at (elapsed = now − enabled_at).
@@ -573,8 +473,6 @@ pub struct Telemetry {
     epoch: u64,
     /// Per-link epoch rings, oldest record first.
     rings: Vec<VecDeque<EpochRecord>>,
-    /// Occupancy scratch reused across epoch rolls.
-    occ_scratch: Vec<u32>,
     /// Buffered packet lifecycle events.
     trace: Vec<TraceEvent>,
     /// Events discarded after [`TelemetryConfig::trace_limit`].
@@ -582,27 +480,19 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Creates telemetry for a fabric whose links flatten by `link_off`
-    /// (router `r`'s output `out` is link `link_off[r] + out`, the last
-    /// entry the link count) and whose routers have at most `vcs` VCs,
-    /// enabled at `now`.
-    pub(crate) fn new(cfg: TelemetryConfig, link_off: &[usize], vcs: usize, now: u64) -> Self {
+    /// Creates telemetry for a fabric of `links` flat links and `vcs`
+    /// VCs, enabled at `now`.
+    pub(crate) fn new(cfg: TelemetryConfig, links: usize, vcs: usize, now: u64) -> Self {
         assert!(cfg.epoch_cycles > 0, "epoch length must be positive");
         assert!(cfg.epoch_ring > 0, "epoch ring needs capacity");
-        let links = *link_off.last().expect("offsets non-empty");
-        let link_offset = link_off
-            .iter()
-            .map(|&o| u32::try_from(o).expect("links fit u32"));
         Telemetry {
             cfg,
-            link_offset: link_offset.collect(),
             vcs,
             enabled_at: now,
             links: vec![LinkCounters::default(); links],
             stalls: vec![0; links * vcs * StallCause::COUNT],
             epoch: now / cfg.epoch_cycles,
             rings: vec![VecDeque::new(); links],
-            occ_scratch: Vec::new(),
             trace: Vec::new(),
             trace_dropped: 0,
         }
@@ -618,25 +508,9 @@ impl Telemetry {
         self.enabled_at
     }
 
-    /// Number of links tracked.
-    pub fn link_count(&self) -> usize {
-        *self.link_offset.last().expect("offsets non-empty") as usize
-    }
-
-    /// The flat id of link `(r, out)`; panics if router `r` has no port
-    /// `out`.
-    fn link(&self, r: usize, out: usize) -> usize {
-        let link = self.link_offset[r] as usize + out;
-        assert!(
-            link < self.link_offset[r + 1] as usize,
-            "router {r} has no port {out}"
-        );
-        link
-    }
-
     /// The recorder over every link (the reference stepper's).
     pub(crate) fn recorder(&mut self) -> LinkRecorder<'_> {
-        let links = self.link_count();
+        let links = self.links.len();
         self.recorders([links]).next().expect("one link range")
     }
 
@@ -688,11 +562,6 @@ impl Telemetry {
         }
     }
 
-    /// Whether `cycle` has crossed into a new epoch since the last roll.
-    pub(crate) fn roll_due(&self, cycle: u64) -> bool {
-        cycle / self.cfg.epoch_cycles != self.epoch
-    }
-
     /// The configured epoch length, in cycles. The lookahead stepper
     /// clamps its windows to epoch boundaries so rolls always happen
     /// serially at a window prologue, never mid-window.
@@ -700,29 +569,31 @@ impl Telemetry {
         self.cfg.epoch_cycles
     }
 
-    /// Takes the occupancy scratch buffer for the fabric to fill (one
-    /// entry per link, in flat link order).
-    pub(crate) fn take_occ_scratch(&mut self) -> Vec<u32> {
-        let mut v = std::mem::take(&mut self.occ_scratch);
-        v.clear();
-        v
+    /// The first cycle the open epoch covers: its boundary, or the
+    /// enabling cycle for the epoch telemetry was enabled in.
+    fn epoch_start(&self) -> u64 {
+        (self.epoch * self.cfg.epoch_cycles).max(self.enabled_at)
     }
 
-    /// Closes the current epoch: pushes one record per **active** link
-    /// (flit and stall deltas plus the boundary occupancy sample in
-    /// `occ`), resets the deltas, and advances to `cycle`'s epoch.
-    /// Stores `occ` back as the scratch buffer.
+    /// Closes the open epoch once `cycle` has left it, and does nothing
+    /// inside it: pushes one record per **active** link (its flit and
+    /// stall deltas and `occupancy(link)`, the link's occupancy sampled
+    /// at the boundary), resets the deltas, and advances to `cycle`'s
+    /// epoch.
     ///
     /// A link is active once it has ever advanced a flit, been charged a
     /// stall cycle, sampled a non-zero occupancy, or recorded an earlier
     /// epoch — rings for never-touched links stay unallocated, so epoch
     /// telemetry on a mega-fabric costs memory proportional to the links
     /// traffic actually reaches.
-    pub(crate) fn roll(&mut self, cycle: u64, occ: Vec<u32>) {
-        debug_assert_eq!(occ.len(), self.link_count(), "occupancy per link");
-        let end = (self.epoch + 1) * self.cfg.epoch_cycles;
-        let start = (self.epoch * self.cfg.epoch_cycles).max(self.enabled_at);
-        for ((ring, c), &occ) in self.rings.iter_mut().zip(&mut self.links).zip(&occ) {
+    pub(crate) fn roll(&mut self, cycle: u64, occupancy: impl Fn(usize) -> u32) {
+        let epoch = cycle / self.cfg.epoch_cycles;
+        if epoch == self.epoch {
+            return;
+        }
+        let cycles = (self.epoch + 1) * self.cfg.epoch_cycles - self.epoch_start();
+        for (link, (ring, c)) in self.rings.iter_mut().zip(&mut self.links).enumerate() {
+            let occ = occupancy(link);
             let active = !ring.is_empty() || c.advance > 0 || c.stall_cycles > 0 || occ > 0;
             if !active {
                 continue;
@@ -732,7 +603,7 @@ impl Telemetry {
             }
             ring.push_back(EpochRecord {
                 epoch: self.epoch,
-                cycles: end - start,
+                cycles,
                 flits: c.epoch_advance,
                 stalls: c.epoch_stall,
                 occupancy: occ,
@@ -740,81 +611,52 @@ impl Telemetry {
             c.epoch_advance = 0;
             c.epoch_stall = 0;
         }
-        self.epoch = cycle / self.cfg.epoch_cycles;
-        self.occ_scratch = occ;
+        self.epoch = epoch;
     }
 
-    /// Cycles link `(r, out)` advanced a flit since enabling.
-    pub fn advance_cycles(&self, r: usize, out: usize) -> u64 {
-        self.links[self.link(r, out)].advance
+    /// Cycles flat link `link` advanced a flit and stalled since
+    /// enabling, as `(advance, stall)`.
+    pub(crate) fn link_cycles(&self, link: usize) -> (u64, u64) {
+        let c = &self.links[link];
+        (c.advance, c.stall_cycles)
     }
 
-    /// Cycles link `(r, out)` stalled since enabling.
-    pub fn stall_cycles(&self, r: usize, out: usize) -> u64 {
-        self.links[self.link(r, out)].stall_cycles
-    }
-
-    /// Stalled head-cycles at `(r, out, vc)` attributed to `cause`.
+    /// Per-cause stalled head-cycles charged to VC `vc` of flat link
+    /// `link`.
     ///
     /// # Panics
-    /// Panics if router `r` has no port `out` or the fabric no VC `vc`.
-    pub fn stall_count(&self, r: usize, out: usize, vc: u8, cause: StallCause) -> u64 {
+    /// Panics if the fabric has no VC `vc`.
+    pub(crate) fn stalls(&self, link: usize, vc: u8) -> StallBreakdown {
         assert!((vc as usize) < self.vcs, "the fabric has no VC {vc}");
-        let l = self.link(r, out);
-        self.stalls[(l * self.vcs + vc as usize) * StallCause::COUNT + cause.index()]
-    }
-
-    /// Per-cause breakdown for one `(r, out, vc)`.
-    pub fn stalls_for_vc(&self, r: usize, out: usize, vc: u8) -> StallBreakdown {
+        let at = (link * self.vcs + vc as usize) * StallCause::COUNT;
         let mut b = StallBreakdown::default();
         for cause in StallCause::ALL {
-            b.add(cause, self.stall_count(r, out, vc, cause));
+            b.add(cause, self.stalls[at + cause.index()]);
         }
         b
     }
 
-    /// Per-cause breakdown for link `(r, out)`, summed over VCs.
-    pub fn stalls_for_link(&self, r: usize, out: usize) -> StallBreakdown {
-        let mut b = StallBreakdown::default();
-        for vc in 0..self.vcs {
-            b.merge(&self.stalls_for_vc(r, out, vc as u8));
-        }
-        b
-    }
-
-    /// The epoch ring of link `(r, out)`, oldest record first. The
-    /// current (un-rolled) epoch's partial deltas are not included; see
-    /// [`Telemetry::epoch_partial_record`].
-    pub fn epoch_samples(&self, r: usize, out: usize) -> impl Iterator<Item = &EpochRecord> {
-        self.rings[self.link(r, out)].iter()
-    }
-
-    /// The current epoch's activity on link `(r, out)` as a record with
-    /// its **true width** (`now` minus the epoch's covered start) and
-    /// `occupancy` as the boundary sample — how a summary export flushes
-    /// the final partial window a run that doesn't end on an epoch
-    /// boundary would otherwise drop. `None` when no cycle of the
-    /// current epoch has elapsed. Read-only: the ring is not modified,
+    /// The epoch series of flat link `link` at cycle `now`: its ring,
+    /// oldest record first, then, once a cycle of the open epoch has
+    /// elapsed, that epoch's record at its **true width** (`now` minus
+    /// the epoch's covered start) with `occupancy` as its sample — how
+    /// a summary export flushes the final partial window a run that
+    /// doesn't end on an epoch boundary would otherwise drop. Read-only,
     /// so exporting mid-run never perturbs later rolls.
-    pub fn epoch_partial_record(
-        &self,
-        r: usize,
-        out: usize,
-        now: u64,
-        occupancy: u32,
-    ) -> Option<EpochRecord> {
-        let start = (self.epoch * self.cfg.epoch_cycles).max(self.enabled_at);
-        if now <= start {
-            return None;
+    pub(crate) fn epoch_series(&self, link: usize, now: u64, occupancy: u32) -> Vec<EpochRecord> {
+        let mut series: Vec<_> = self.rings[link].iter().copied().collect();
+        let start = self.epoch_start();
+        if now > start {
+            let c = &self.links[link];
+            series.push(EpochRecord {
+                epoch: self.epoch,
+                cycles: now - start,
+                flits: c.epoch_advance,
+                stalls: c.epoch_stall,
+                occupancy,
+            });
         }
-        let c = &self.links[self.link(r, out)];
-        Some(EpochRecord {
-            epoch: self.epoch,
-            cycles: now - start,
-            flits: c.epoch_advance,
-            stalls: c.epoch_stall,
-            occupancy,
-        })
+        series
     }
 
     /// Heap bytes behind this handle: the dense per-link counters, every
@@ -824,17 +666,13 @@ impl Telemetry {
     pub fn memory_bytes(&self) -> usize {
         let counters = self.links.capacity() * std::mem::size_of::<LinkCounters>()
             + self.stalls.capacity() * std::mem::size_of::<u64>();
-        let u32s = self.link_offset.capacity() + self.occ_scratch.capacity();
         let rings = self.rings.capacity() * std::mem::size_of::<VecDeque<EpochRecord>>()
             + self
                 .rings
                 .iter()
                 .map(|r| r.capacity() * std::mem::size_of::<EpochRecord>())
                 .sum::<usize>();
-        counters
-            + u32s * std::mem::size_of::<u32>()
-            + rings
-            + self.trace.capacity() * std::mem::size_of::<TraceEvent>()
+        counters + rings + self.trace.capacity() * std::mem::size_of::<TraceEvent>()
     }
 
     /// Buffered packet lifecycle events, in emission order.
@@ -847,14 +685,60 @@ impl Telemetry {
         self.trace_dropped
     }
 
-    /// Replays every buffered trace event into `sink`, then reports the
-    /// dropped-event count via [`TraceSink::finish`] so a truncated
-    /// buffer renders as visibly truncated.
-    pub fn write_trace(&self, sink: &mut dyn TraceSink) {
+    /// The buffered trace as JSONL, one compact JSON object per event
+    /// (grep-friendly single-packet debugging). A buffer that dropped
+    /// events at [`TelemetryConfig::trace_limit`] ends with a
+    /// `Truncated` line carrying the dropped count, so it cannot pass
+    /// for a complete trace.
+    pub fn trace_jsonl(&self) -> String {
+        let mut out = String::new();
         for ev in &self.trace {
-            sink.emit(ev);
+            let _ = writeln!(
+                out,
+                "{{\"kind\":\"{:?}\",\"cycle\":{},\"packet\":{},\"router\":{},\"port\":{},\"vc\":{}}}",
+                ev.kind, ev.cycle, ev.packet, ev.router, ev.port, ev.vc
+            );
         }
-        sink.finish(self.trace_dropped);
+        if self.trace_dropped > 0 {
+            let dropped = self.trace_dropped;
+            let _ = writeln!(out, "{{\"kind\":\"Truncated\",\"dropped\":{dropped}}}");
+        }
+        out
+    }
+
+    /// The buffered trace as a Chrome `trace_event` JSON document
+    /// (loadable in Perfetto or `chrome://tracing`): packets appear as
+    /// async spans (`b`/`e`) with one instant (`n`) per hop, `ts`
+    /// measured in cycles (one cycle renders as one microsecond), and
+    /// the event's router as the thread id. A buffer that dropped events
+    /// ends with a global `trace_truncated` instant carrying the count.
+    pub fn trace_chrome(&self) -> String {
+        let mut out = String::from("{\"traceEvents\":[");
+        for ev in &self.trace {
+            let ph = match ev.kind {
+                TraceEventKind::Inject => "b",
+                TraceEventKind::Hop => "n",
+                TraceEventKind::Deliver => "e",
+            };
+            let _ = write!(
+                out,
+                "{{\"name\":\"pkt{}\",\"cat\":\"net\",\"ph\":\"{}\",\"id\":{},\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"port\":{},\"vc\":{}}}}},",
+                ev.packet, ph, ev.packet, ev.cycle, ev.router, ev.port, ev.vc
+            );
+        }
+        if self.trace_dropped > 0 {
+            let _ = write!(
+                out,
+                "{{\"name\":\"trace_truncated\",\"cat\":\"net\",\"ph\":\"i\",\"ts\":0,\"pid\":0,\"tid\":0,\"s\":\"g\",\"args\":{{\"dropped\":{}}}}},",
+                self.trace_dropped
+            );
+        }
+        // Each entry ends in a comma; the last one's goes.
+        if out.ends_with(',') {
+            out.pop();
+        }
+        out.push_str("]}");
+        out
     }
 }
 
@@ -891,6 +775,8 @@ mod tests {
         )
     }
 
+    /// Telemetry over five flat links of two VCs: router 0's links 0–1
+    /// and router 1's links 2–4 of a 2-port and a 3-port router.
     fn tel(trace: bool) -> Telemetry {
         Telemetry::new(
             TelemetryConfig {
@@ -899,10 +785,17 @@ mod tests {
                 trace,
                 trace_limit: 4,
             },
-            &[0, 2, 5],
+            5,
             2,
             0,
         )
+    }
+
+    /// Flat link `link`'s stalls, summed over both VCs.
+    fn link_stalls(t: &Telemetry, link: usize) -> StallBreakdown {
+        let mut b = t.stalls(link, 0);
+        b.merge(&t.stalls(link, 1));
+        b
     }
 
     #[test]
@@ -926,48 +819,55 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "router 0 has no port 4")]
-    fn per_link_accessors_refuse_a_port_past_the_routers_last() {
-        // Unchecked, `link_offset[0] + 4` is router 1's port 1.
-        recorded_row().telemetry().unwrap().advance_cycles(0, 4);
+    fn telemetry_reads_refuse_a_port_past_the_routers_last() {
+        // Unchecked, router 0's port 4 is router 1's port 1.
+        let fabric = recorded_row();
+        fabric.telemetry().unwrap().link_cycles(fabric.link(0, 4));
     }
 
     #[test]
     #[should_panic(expected = "the fabric has no VC 2")]
-    fn stall_count_refuses_a_vc_past_the_last() {
+    fn stalls_refuse_a_vc_past_the_last() {
         let fabric = recorded_row();
-        let tel = fabric.telemetry().unwrap();
-        tel.stall_count(0, 1, 2, StallCause::CreditStarved);
+        fabric.telemetry().unwrap().stalls(fabric.link(0, 1), 2);
     }
 
     #[test]
-    fn link_flattening_spans_routers() {
-        let t = tel(false);
-        assert_eq!(t.link_count(), 5);
-        assert_eq!(t.link(0, 1), 1);
-        assert_eq!(t.link(1, 0), 2);
-        assert_eq!(t.link(1, 2), 4);
+    fn telemetry_counts_at_the_fabrics_flat_links() {
+        // A lone flit from router 0 to router 1's endpoint enters router
+        // 0's port 1 and router 1's port 2, flat links 1 and 5 of the
+        // row, and no other.
+        let mut fabric = recorded_row();
+        let f = Flit {
+            of: 1,
+            dest: 1,
+            vc: 0,
+            ..flit(1, 0)
+        };
+        fabric.inject(0, 0, f).unwrap();
+        assert!(fabric.run_until_drained(100));
+        assert_eq!((fabric.link(0, 1), fabric.link(1, 2)), (1, 5));
+        let tel = fabric.telemetry().unwrap();
+        let cycles: Vec<_> = (0..6).map(|link| tel.link_cycles(link)).collect();
+        assert_eq!(cycles, [(0, 0), (1, 0), (0, 0), (0, 0), (0, 0), (1, 0)]);
     }
 
     #[test]
     fn stall_cycles_dedup_per_link_cycle() {
         let mut t = tel(false);
-        // Two VCs stall on link (0, 1), flat link 1, in the same cycle:
-        // two cause counts, one link stall cycle.
+        // Two VCs stall on flat link 1 in the same cycle: two cause
+        // counts, one link stall cycle.
         t.recorder().stall(5, 1, 0, StallCause::CreditStarved);
         t.recorder().stall(5, 1, 1, StallCause::LostArbitration);
-        assert_eq!(t.stall_cycles(0, 1), 1);
-        assert_eq!(t.stalls_for_link(0, 1).total(), 2);
+        assert_eq!(t.link_cycles(1), (0, 1));
+        assert_eq!(link_stalls(&t, 1).total(), 2);
         // An advance on the same cycle suppresses the link stall charge.
         t.recorder().advance(6, 1);
         assert!(t.recorder().advanced_on(6, 1) && !t.recorder().advanced_on(5, 1));
         t.recorder().stall(6, 1, 0, StallCause::LostArbitration);
-        assert_eq!(t.stall_cycles(0, 1), 1);
-        assert_eq!(t.advance_cycles(0, 1), 1);
-        assert_eq!(
-            t.stall_count(0, 1, 0, StallCause::LostArbitration)
-                + t.stall_count(0, 1, 1, StallCause::LostArbitration),
-            2
-        );
+        assert_eq!(t.link_cycles(1), (1, 1));
+        assert_eq!(link_stalls(&t, 1).lost_arbitration, 2);
+        assert_eq!(t.stalls(1, 0).lost_arbitration, 1);
     }
 
     #[test]
@@ -979,11 +879,11 @@ mod tests {
         rec.advance(3, 4);
         rec.stall(3, 4, 1, StallCause::LostArbitration);
         rec.stall(3, 3, 0, StallCause::CreditStarved);
-        assert_eq!((t.advance_cycles(1, 2), t.stall_cycles(1, 2)), (1, 0));
-        assert_eq!(t.stall_count(1, 2, 1, StallCause::LostArbitration), 1);
-        assert_eq!((t.advance_cycles(1, 1), t.stall_cycles(1, 1)), (0, 1));
-        assert_eq!(t.stall_count(1, 1, 0, StallCause::CreditStarved), 1);
-        assert_eq!(t.stalls_for_link(0, 1).total(), 0);
+        assert_eq!(t.link_cycles(4), (1, 0));
+        assert_eq!(t.stalls(4, 1).lost_arbitration, 1);
+        assert_eq!(t.link_cycles(3), (0, 1));
+        assert_eq!(t.stalls(3, 0).credit_starved, 1);
+        assert_eq!(link_stalls(&t, 1).total(), 0);
     }
 
     #[test]
@@ -991,51 +891,39 @@ mod tests {
         let mut t = tel(false);
         t.recorder().advance(3, 4);
         t.recorder().stall(4, 4, 0, StallCause::SerializationBusy);
-        assert!(!t.roll_due(7));
-        assert!(t.roll_due(8));
-        let occ = vec![0, 0, 0, 0, 9];
-        t.roll(8, occ);
-        let recs: Vec<_> = t.epoch_samples(1, 2).copied().collect();
-        assert_eq!(
-            recs,
-            vec![EpochRecord {
-                epoch: 0,
-                cycles: 8,
-                flits: 1,
-                stalls: 1,
-                occupancy: 9
-            }]
-        );
-        // The freshly opened epoch has no elapsed cycles yet. One cycle
-        // in, a partial record shows the roll cleared the deltas; two
-        // cycles in, it reports its true two-cycle width.
-        assert_eq!(t.epoch_partial_record(1, 2, 8, 0), None);
-        assert_eq!(
-            t.epoch_partial_record(1, 2, 9, 0),
-            Some(EpochRecord {
-                epoch: 1,
-                cycles: 1,
-                flits: 0,
-                stalls: 0,
-                occupancy: 0
-            })
-        );
+        // Inside the open epoch a roll samples nothing and records
+        // nothing.
+        t.roll(7, |_| panic!("occupancy sampled inside the epoch"));
+        assert_eq!(t.epoch_series(4, 7, 0)[..], [record(0, 7, 1, 1, 0)]);
+        t.roll(8, |link| if link == 4 { 9 } else { 0 });
+        // The freshly opened epoch has no elapsed cycles yet, so the
+        // series is the ring alone. One cycle in, the open epoch's
+        // record shows the roll cleared the deltas; two cycles in, it
+        // reports its true two-cycle width.
+        let closed = record(0, 8, 1, 1, 9);
+        assert_eq!(t.epoch_series(4, 8, 0)[..], [closed]);
+        assert_eq!(t.epoch_series(4, 9, 0)[..], [closed, record(1, 1, 0, 0, 0)]);
         t.recorder().advance(9, 4);
         assert_eq!(
-            t.epoch_partial_record(1, 2, 10, 3),
-            Some(EpochRecord {
-                epoch: 1,
-                cycles: 2,
-                flits: 1,
-                stalls: 0,
-                occupancy: 3
-            })
+            t.epoch_series(4, 10, 3)[..],
+            [closed, record(1, 2, 1, 0, 3)]
         );
         // Ring capacity 2: a third roll evicts the oldest record.
-        t.roll(16, vec![0; 5]);
-        t.roll(24, vec![0; 5]);
-        let recs: Vec<_> = t.epoch_samples(1, 2).map(|r| r.epoch).collect();
-        assert_eq!(recs, vec![1, 2]);
+        t.roll(16, |_| 0);
+        t.roll(24, |_| 0);
+        let epochs: Vec<_> = t.epoch_series(4, 24, 0).iter().map(|r| r.epoch).collect();
+        assert_eq!(epochs, [1, 2]);
+    }
+
+    /// An epoch record of `epoch`, `cycles` wide.
+    fn record(epoch: u64, cycles: u64, flits: u32, stalls: u32, occupancy: u32) -> EpochRecord {
+        EpochRecord {
+            epoch,
+            cycles,
+            flits,
+            stalls,
+            occupancy,
+        }
     }
 
     #[test]
@@ -1043,16 +931,17 @@ mod tests {
         let mut t = tel(false);
         t.recorder().advance(3, 4);
         // Occupancy on link 3 starts its ring even with no advance/stall.
-        t.roll(8, vec![0, 0, 0, 4, 0]);
-        t.roll(16, vec![0; 5]);
+        t.roll(8, |link| if link == 3 { 4 } else { 0 });
+        t.roll(16, |_| 0);
         // Links 0–2 never saw activity: no records, no ring storage.
-        for (r, out) in [(0, 0), (0, 1), (1, 0)] {
-            assert_eq!(t.epoch_samples(r, out).count(), 0);
+        for link in 0..3 {
+            assert_eq!(t.epoch_series(link, 16, 0).len(), 0);
+            assert_eq!(t.rings[link].capacity(), 0);
         }
         // Once started, a ring records every executed epoch (idle ones
         // included) so the series stays contiguous.
-        assert_eq!(t.epoch_samples(1, 1).count(), 2);
-        assert_eq!(t.epoch_samples(1, 2).count(), 2);
+        assert_eq!(t.epoch_series(3, 16, 0).len(), 2);
+        assert_eq!(t.epoch_series(4, 16, 0).len(), 2);
         assert!(t.memory_bytes() > 0);
     }
 
@@ -1072,23 +961,34 @@ mod tests {
         t.trace_listed(&mut vec![inject(7, 44, 1)]);
         assert_eq!(t.trace_dropped(), 1);
 
-        let mut jsonl = JsonlTraceSink::new();
-        t.write_trace(&mut jsonl);
-        let text = jsonl.render();
         // 4 buffered events plus the truncation footer for the dropped one.
-        assert_eq!(text.lines().count(), 5);
-        assert!(text.starts_with("{\"kind\":\"Inject\""));
-        assert!(text.ends_with("{\"kind\":\"Truncated\",\"dropped\":1}\n"));
-
-        let mut chrome = ChromeTraceSink::new();
-        t.write_trace(&mut chrome);
-        let doc = chrome.render();
-        assert!(doc.starts_with("{\"traceEvents\":["));
-        assert!(doc.contains("\"ph\":\"b\""));
-        assert!(doc.contains("\"ph\":\"n\""));
-        assert!(doc.contains("\"ph\":\"e\""));
-        assert!(doc.contains("\"name\":\"trace_truncated\""));
-        assert!(doc.contains("\"dropped\":1"));
+        assert_eq!(
+            t.trace_jsonl(),
+            concat!(
+                r#"{"kind":"Inject","cycle":0,"packet":42,"router":0,"port":12,"vc":0}"#,
+                "\n",
+                r#"{"kind":"Hop","cycle":1,"packet":42,"router":0,"port":0,"vc":1}"#,
+                "\n",
+                r#"{"kind":"Deliver","cycle":5,"packet":42,"router":7,"port":0,"vc":1}"#,
+                "\n",
+                r#"{"kind":"Deliver","cycle":6,"packet":43,"router":7,"port":0,"vc":1}"#,
+                "\n",
+                r#"{"kind":"Truncated","dropped":1}"#,
+                "\n",
+            )
+        );
+        assert_eq!(
+            t.trace_chrome(),
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"name":"pkt42","cat":"net","ph":"b","id":42,"ts":0,"pid":0,"tid":0,"args":{"port":12,"vc":0}},"#,
+                r#"{"name":"pkt42","cat":"net","ph":"n","id":42,"ts":1,"pid":0,"tid":0,"args":{"port":0,"vc":1}},"#,
+                r#"{"name":"pkt42","cat":"net","ph":"e","id":42,"ts":5,"pid":0,"tid":7,"args":{"port":0,"vc":1}},"#,
+                r#"{"name":"pkt43","cat":"net","ph":"e","id":43,"ts":6,"pid":0,"tid":7,"args":{"port":0,"vc":1}},"#,
+                r#"{"name":"trace_truncated","cat":"net","ph":"i","ts":0,"pid":0,"tid":0,"s":"g","args":{"dropped":1}}"#,
+                "]}",
+            )
+        );
     }
 
     #[test]
@@ -1096,12 +996,17 @@ mod tests {
         let mut t = tel(true);
         t.trace_listed(&mut vec![inject(0, 1, 0)]);
         assert_eq!(t.trace_dropped(), 0);
-        let mut jsonl = JsonlTraceSink::new();
-        t.write_trace(&mut jsonl);
-        assert!(!jsonl.render().contains("Truncated"));
-        let mut chrome = ChromeTraceSink::new();
-        t.write_trace(&mut chrome);
-        assert!(!chrome.render().contains("trace_truncated"));
+        assert_eq!(
+            t.trace_jsonl(),
+            "{\"kind\":\"Inject\",\"cycle\":0,\"packet\":1,\"router\":0,\"port\":12,\"vc\":0}\n"
+        );
+        assert_eq!(
+            t.trace_chrome(),
+            concat!(
+                r#"{"traceEvents":[{"name":"pkt1","cat":"net","ph":"b","id":1,"ts":0,"#,
+                r#""pid":0,"tid":0,"args":{"port":12,"vc":0}}]}"#,
+            )
+        );
     }
 
     #[test]

@@ -52,10 +52,9 @@
 //! seed-free. That determinism is per *point*, not per run: each
 //! offered-load point derives its RNG stream from `(seed, stream)`
 //! alone, so independent points can run on [`std::thread::scope`]
-//! workers ([`run_curve_threaded`] / [`run_sweep_threaded`]) and the
-//! assembled report — down to every floating-point digit of the JSON —
-//! is identical at any worker count, including one, and at any shard
-//! count and lookahead window.
+//! workers ([`run_sweep_threaded`]) and the assembled report — down to
+//! every floating-point digit of the JSON — is identical at any worker
+//! count, including one, and at any shard count and lookahead window.
 
 use crate::patterns::TrafficPattern;
 use crate::workload::{SyntheticWorkload, Workload};
@@ -1233,22 +1232,6 @@ fn parallel_indexed<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + 
         .collect()
 }
 
-/// Runs a pattern across the whole load axis on `threads` workers. Each
-/// point seeds its RNG from `(cfg.seed, stream * 1024 + point index)`, so
-/// the curve — and its JSON — is byte-identical at any thread count.
-pub fn run_curve_threaded(
-    pattern: &dyn TrafficPattern,
-    cfg: &SweepConfig,
-    params: FabricParams,
-    stream: u64,
-    threads: usize,
-) -> PatternCurve {
-    let results = parallel_indexed(cfg.loads.len(), threads, |i| {
-        run_point_stats(pattern, cfg, params, cfg.loads[i], stream * 1024 + i as u64)
-    });
-    assemble_curve(pattern.name(), results)
-}
-
 /// Folds a point-ordered run into one curve: per-point stats merge
 /// into the per-pattern aggregate in point order, so the curve — and
 /// its floating-point moment sums — is byte-identical at any worker
@@ -1268,9 +1251,10 @@ fn assemble_curve(name: &str, results: Vec<(LoadPoint, LatencyStats, (u64, u64))
     }
 }
 
-/// Runs every pattern as one pool of (pattern, load) points on `threads`
-/// workers; pattern `i` runs as [`run_curve_threaded`]'s stream `i + 1`,
-/// so the report is byte-identical at any thread count.
+/// Runs every pattern across the whole load axis, as one pool of
+/// (pattern, load) points on `threads` workers. Point `j` of pattern `i`
+/// seeds its RNG from `(cfg.seed, (i + 1) * 1024 + j)`, so the report —
+/// and its JSON — is byte-identical at any thread count.
 pub fn run_sweep_threaded(
     patterns: &[Box<dyn TrafficPattern>],
     cfg: &SweepConfig,
@@ -1481,20 +1465,13 @@ mod tests {
         cfg.respond = true;
         cfg.loads = vec![0.05, 0.2, 0.4];
         let p = params();
-        let serial = run_curve_threaded(&UniformRandom, &cfg, p, 5, 1);
-        let threaded = run_curve_threaded(&UniformRandom, &cfg, p, 5, 3);
-        assert_eq!(
-            serde_json::to_string(&serial).unwrap(),
-            serde_json::to_string(&threaded).unwrap(),
-            "thread count leaked into the measurements"
-        );
         let suite: Vec<Box<dyn crate::patterns::TrafficPattern>> =
             vec![Box::new(UniformRandom), Box::new(NearestNeighbor)];
         let sweep_serial = run_sweep_threaded(&suite, &cfg, p, 1);
-        let mut sweep_threaded = run_sweep_threaded(&suite, &cfg, p, 4);
+        let mut sweep_threaded = run_sweep_threaded(&suite, &cfg, p, 3);
         // The echo block records execution provenance, so its thread
         // count differs by design; every measurement must not.
-        assert_eq!(sweep_threaded.echo.threads, 4);
+        assert_eq!(sweep_threaded.echo.threads, 3);
         sweep_threaded.echo.threads = sweep_serial.echo.threads;
         assert_eq!(
             serde_json::to_string(&sweep_serial).unwrap(),
